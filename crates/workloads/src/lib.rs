@@ -22,6 +22,8 @@
 
 #![warn(missing_docs)]
 
+pub mod chain;
+
 mod aget;
 mod apache;
 mod fft;
