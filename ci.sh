@@ -17,6 +17,12 @@ cargo build --offline --benches
 echo "== test (offline) =="
 cargo test -q --offline
 
+echo "== static-stage crate tests (points-to, RELAY, profiling, planning) =="
+# These crates' unit tests live outside the root package, so the suite
+# above skips them; their outputs are pinned end to end by
+# tests/static_identity.rs (DESIGN.md §7).
+cargo test -q --offline -p chimera-pta -p chimera-relay -p chimera-profile -p chimera-instrument
+
 echo "== interpreter differential suite (flat vs reference) =="
 # Byte-identical results and traces across both stepping implementations
 # on every workload and 64 generated racy programs (DESIGN.md §8). Runs

@@ -8,6 +8,7 @@
 //! `bob` and `carol` acquires one clique lock instead of two pairwise
 //! locks.
 
+use chimera_pta::PtsSet;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A clique of mutually non-concurrent functions (node indices are caller
@@ -35,61 +36,69 @@ pub struct CliqueAssignment {
 /// tie-break for pairs in two cliques).
 ///
 /// Every pair must satisfy `non_concurrent(a, b)`; the caller filters.
+/// Clique membership is a bitset over node ids, so the covered-pair scans
+/// are bit tests.
 pub fn assign_cliques(
     pairs: &BTreeSet<(u32, u32)>,
     mut non_concurrent: impl FnMut(u32, u32) -> bool,
 ) -> CliqueAssignment {
     let nodes: BTreeSet<u32> = pairs.iter().flat_map(|(a, b)| [*a, *b]).collect();
+    let universe = nodes.last().map_or(0, |&n| n as usize + 1);
     let mut cliques: Vec<Clique> = Vec::new();
+    let mut members: Vec<PtsSet> = Vec::new();
+    let inside = |m: &PtsSet, (x, y): (u32, u32)| m.contains(x as usize) && m.contains(y as usize);
 
     // Greedy maximal cliques seeded from each uncovered pair.
-    let mut covered: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for &(a, b) in pairs {
-        if covered.contains(&(a, b)) {
+    let mut covered = vec![false; pairs.len()];
+    for (k, &(a, b)) in pairs.iter().enumerate() {
+        if covered[k] {
             continue;
         }
         let mut clique: BTreeSet<u32> = BTreeSet::new();
-        clique.insert(a);
-        clique.insert(b);
+        let mut member = PtsSet::new(universe);
+        for n in [a, b] {
+            clique.insert(n);
+            member.insert(n as usize);
+        }
         // Extend greedily by node id order.
         for &n in &nodes {
-            if clique.contains(&n) {
+            if member.contains(n as usize) {
                 continue;
             }
             if clique.iter().all(|&m| non_concurrent(n, m)) {
                 clique.insert(n);
+                member.insert(n as usize);
             }
         }
-        // Mark pairs covered by the new clique.
-        for &(x, y) in pairs {
-            if clique.contains(&x) && clique.contains(&y) {
-                covered.insert((x, y));
+        // Mark (and count) the pairs the new clique covers.
+        let mut covered_pairs = 0;
+        for (seen, &pair) in covered.iter_mut().zip(pairs) {
+            if inside(&member, pair) {
+                *seen = true;
+                covered_pairs += 1;
             }
         }
         cliques.push(Clique {
             nodes: clique,
-            covered_pairs: 0,
+            covered_pairs,
         });
-    }
-    // Count coverage.
-    for c in &mut cliques {
-        c.covered_pairs = pairs
-            .iter()
-            .filter(|(x, y)| c.nodes.contains(x) && c.nodes.contains(y))
-            .count();
+        members.push(member);
     }
     // Assign each pair to its best candidate clique.
-    let mut pair_clique = BTreeMap::new();
-    for &(a, b) in pairs {
-        let best = cliques
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.nodes.contains(&a) && c.nodes.contains(&b))
-            .max_by_key(|(_, c)| c.covered_pairs)
-            .map(|(i, _)| i)
-            .expect("every pair seeds or joins a clique");
-        pair_clique.insert((a, b), best);
-    }
+    let pair_clique = pairs
+        .iter()
+        .map(|&pair| {
+            let best = cliques
+                .iter()
+                .zip(&members)
+                .enumerate()
+                .filter(|(_, (_, m))| inside(m, pair))
+                .max_by_key(|(_, (c, _))| c.covered_pairs)
+                .map(|(i, _)| i)
+                .expect("every pair seeds or joins a clique");
+            (pair, best)
+        })
+        .collect();
     CliqueAssignment {
         cliques,
         pair_clique,

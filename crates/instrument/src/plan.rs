@@ -8,10 +8,10 @@ use chimera_minic::ir::{
     AccessId, BlockId, FuncId, Instr, LockGranularity, Program, WeakLockId,
 };
 use chimera_minic::loops::LoopForest;
-use chimera_pta::ObjId;
+use chimera_pta::{ObjId, PtsSet};
 use chimera_profile::ProfileData;
 use chimera_relay::RaceReport;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Which optimizations are enabled — the four configurations of the
 /// paper's Figure 5.
@@ -121,6 +121,64 @@ pub struct Plan {
     pub stats: PlanStats,
 }
 
+/// The profile's non-concurrency relation over this program's `FuncId`s,
+/// built once per [`plan`] from the name-keyed [`ProfileData`]:
+/// `rows[f]` holds every `g` with
+/// `profile.likely_non_concurrent(name(f), name(g))`, i.e. both executed
+/// and never observed overlapping. Function names are unique within a
+/// program, so the translation is exact.
+struct NonConcurrency {
+    rows: Vec<PtsSet>,
+}
+
+impl NonConcurrency {
+    fn new(program: &Program, profile: &ProfileData) -> NonConcurrency {
+        let n = program.funcs.len();
+        let id_of: HashMap<&str, usize> = program
+            .funcs
+            .iter()
+            .map(|f| (f.name.as_str(), f.id.index()))
+            .collect();
+        let mut executed = PtsSet::new(n);
+        for name in &profile.executed {
+            if let Some(&f) = id_of.get(name.as_str()) {
+                executed.insert(f);
+            }
+        }
+        let mut rows: Vec<PtsSet> = (0..n)
+            .map(|f| {
+                if executed.contains(f) {
+                    executed.clone()
+                } else {
+                    PtsSet::new(n)
+                }
+            })
+            .collect();
+        // Pairs arrive sorted by their first name: look it up once per run.
+        let mut first: (&str, Option<usize>) = ("", None);
+        for (a, b) in &profile.concurrent {
+            if first.0 != a {
+                first = (a, id_of.get(a.as_str()).copied());
+            }
+            if let (Some(a), Some(&b)) = (first.1, id_of.get(b.as_str())) {
+                rows[a].remove(b);
+                rows[b].remove(a);
+            }
+        }
+        NonConcurrency { rows }
+    }
+
+    /// Profiling evidence that `a` and `b` never run concurrently.
+    fn get(&self, a: FuncId, b: FuncId) -> bool {
+        self.rows[a.index()].contains(b.index())
+    }
+
+    /// Every function `f` is evidently non-concurrent with.
+    fn row(&self, f: FuncId) -> &PtsSet {
+        &self.rows[f.index()]
+    }
+}
+
 /// Build the instrumentation plan.
 ///
 /// For every race pair: if profiling shows the two containing functions
@@ -138,48 +196,35 @@ pub fn plan(
 ) -> Plan {
     let mut plan = Plan::default();
     plan.stats.pairs_total = races.pairs.len() as u32;
+    let nc = NonConcurrency::new(program, profile);
 
     // Split pairs into the function-lock stage and the fine stage.
-    let mut func_stage: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut func_stage: Vec<(u32, u32)> = Vec::new();
     let mut fine_stage: Vec<(chimera_relay::RacePair, ObjId)> = Vec::new();
-    for pair in &races.pairs {
+    for (pair, &witness) in races.pairs.iter().zip(&races.witnesses) {
         let fa = program.access(pair.a).func;
         let fb = program.access(pair.b).func;
-        let (na, nb) = (
-            &program.funcs[fa.index()].name,
-            &program.funcs[fb.index()].name,
-        );
         // Function-lock eligibility: the pair must be non-concurrent, and
         // each side must also never overlap *itself* — a clique lock held
         // for a whole function body would otherwise serialize concurrent
         // instances of a worker function (a conservative reading of §4.2:
         // clique members must be mutually non-concurrent, including the
         // implicit self edge).
-        if opts.func_locks
-            && profile.likely_non_concurrent(na, nb)
-            && profile.likely_non_concurrent(na, na)
-            && profile.likely_non_concurrent(nb, nb)
-        {
-            func_stage.insert((fa.0.min(fb.0), fa.0.max(fb.0)));
+        if opts.func_locks && nc.get(fa, fb) && nc.get(fa, fa) && nc.get(fb, fb) {
+            func_stage.push((fa.0.min(fb.0), fa.0.max(fb.0)));
             plan.stats.pairs_function += 1;
         } else {
-            let witness = races.witnesses[pair];
             fine_stage.push((*pair, witness));
         }
     }
 
     // Clique analysis over the function-lock stage.
+    // Collecting sorts and bulk-builds the set (duplicates collapse).
+    let func_stage: BTreeSet<(u32, u32)> = func_stage.into_iter().collect();
     let mut next_lock = 0u32;
     if !func_stage.is_empty() {
         let asg = assign_cliques(&func_stage, |a, b| {
-            if a == b {
-                return true;
-            }
-            let (na, nb) = (
-                &program.funcs[a as usize].name,
-                &program.funcs[b as usize].name,
-            );
-            profile.likely_non_concurrent(na, nb)
+            a == b || nc.get(FuncId(a), FuncId(b))
         });
         plan.stats.cliques = asg.cliques.len() as u32;
         // One lock per clique.
@@ -207,14 +252,17 @@ pub fn plan(
     }
 
     // For the profile-guided loop fallback: which functions does each
-    // access race with (fine-stage pairs only)?
-    let mut partners: BTreeMap<AccessId, BTreeSet<FuncId>> = BTreeMap::new();
+    // access race with (fine-stage pairs only)? One function bitset per
+    // access.
+    let n_funcs = program.funcs.len();
+    let mut partners: Vec<Option<PtsSet>> = vec![None; program.accesses.len()];
     for (pair, _) in &fine_stage {
         let (fa, fb) = (program.access(pair.a).func, program.access(pair.b).func);
-        partners.entry(pair.a).or_default().insert(fb);
-        partners.entry(pair.a).or_default().insert(fa);
-        partners.entry(pair.b).or_default().insert(fa);
-        partners.entry(pair.b).or_default().insert(fb);
+        for side in [pair.a, pair.b] {
+            let set = partners[side.index()].get_or_insert_with(|| PtsSet::new(n_funcs));
+            set.insert(fa.index());
+            set.insert(fb.index());
+        }
     }
 
     // Object-keyed locks for the fine stage.
@@ -281,11 +329,13 @@ pub fn plan(
         })
     }
 
-    // Decide granularity per access side.
-    let mut decided: BTreeSet<(AccessId, ObjId)> = BTreeSet::new();
+    // Decide granularity per access side, once per (access, witness):
+    // a dense bitset over `access * objects + witness`.
+    let n_objs = fine_stage.iter().map(|(_, w)| w.index() + 1).max().unwrap_or(0);
+    let mut decided = PtsSet::new(program.accesses.len() * n_objs);
     for (pair, witness) in fine_stage {
         for access in [pair.a, pair.b] {
-            if !decided.insert((access, witness)) {
+            if !decided.insert(access.index() * n_objs + witness.index()) {
                 continue;
             }
             let fid = program.access(access).func;
@@ -365,12 +415,9 @@ pub fn plan(
                     let small = profile
                         .avg_loop_body(&func.name, header)
                         .is_some_and(|avg| avg < opts.loop_body_threshold);
-                    let serialization_free = partners.get(&access).is_some_and(|ps| {
-                        ps.iter().all(|pf| {
-                            let pn = &program.funcs[pf.index()].name;
-                            profile.likely_non_concurrent(&func.name, pn)
-                        })
-                    });
+                    let serialization_free = partners[access.index()]
+                        .as_ref()
+                        .is_some_and(|ps| ps.is_subset(nc.row(fid)));
                     if small || serialization_free {
                         let specs = plan.loop_locks.entry((fid, header)).or_default();
                         let spec = LoopLockSpec { lock, range: None };
@@ -517,10 +564,11 @@ pub fn plan_demoted(
             .copied()
             .collect(),
         witnesses: races
-            .witnesses
+            .pairs
             .iter()
+            .zip(&races.witnesses)
             .filter(|(p, _)| !demoted.contains(&(p.a, p.b)))
-            .map(|(p, o)| (*p, *o))
+            .map(|(_, o)| *o)
             .collect(),
     };
     let mut p = plan(program, &kept, profile, opts);

@@ -40,9 +40,7 @@
 use chimera_minic::cfg::{Cfg, Dominators};
 use chimera_minic::ir::{BlockId, FuncId, Program};
 use chimera_minic::loops::LoopForest;
-use chimera_runtime::{
-    execute_supervised, Event, EventKind, EventMask, ExecConfig, Supervisor, ThreadId,
-};
+use chimera_runtime::{execute_supervised, Event, EventKind, EventMask, ExecConfig, Supervisor};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Merged profiling facts across runs.
@@ -110,15 +108,79 @@ impl ProfileData {
     }
 }
 
+/// A dense `n × n` bit matrix over function ids.
+#[derive(Debug, Clone)]
+struct FuncMatrix {
+    /// `u64` words per row.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl FuncMatrix {
+    fn new(n: usize) -> FuncMatrix {
+        let stride = n.div_ceil(64);
+        FuncMatrix {
+            stride,
+            words: vec![0; n * stride],
+        }
+    }
+
+    fn row(&self, f: usize) -> &[u64] {
+        &self.words[f * self.stride..(f + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, f: usize) -> &mut [u64] {
+        &mut self.words[f * self.stride..(f + 1) * self.stride]
+    }
+
+    fn contains(&self, a: usize, b: usize) -> bool {
+        self.row(a)[b / 64] & (1 << (b % 64)) != 0
+    }
+
+    fn union_from(&mut self, other: &FuncMatrix) {
+        for (d, s) in self.words.iter_mut().zip(&other.words) {
+            *d |= s;
+        }
+    }
+}
+
+/// One thread's view for [`ConcurrencyObserver`].
+#[derive(Debug, Clone)]
+struct ThreadStack {
+    /// Active functions, innermost last.
+    frames: Vec<FuncId>,
+    /// Activations per function on this stack (recursion stacks one
+    /// function several times).
+    depth: Vec<u32>,
+    /// Bitset of functions with `depth > 0`.
+    live: Vec<u64>,
+}
+
 /// Observes function enter/exit events, maintaining per-thread stacks; any
 /// two functions live on different threads at the same commit point are
 /// concurrent (commit order is non-decreasing in virtual start time, so
 /// stack co-residency implies temporal overlap).
-#[derive(Debug, Default)]
+///
+/// An entering function's row of `seen` absorbs the live sets of every
+/// other thread, so `seen[f][g]` means "`f` entered while `g` was live
+/// elsewhere"; the concurrent pairs are that relation made symmetric.
+#[derive(Debug)]
 struct ConcurrencyObserver {
-    stacks: BTreeMap<ThreadId, Vec<FuncId>>,
-    pairs: BTreeSet<(FuncId, FuncId)>,
-    executed: BTreeSet<FuncId>,
+    n: usize,
+    threads: Vec<ThreadStack>,
+    seen: FuncMatrix,
+    executed: Vec<bool>,
+}
+
+impl ConcurrencyObserver {
+    fn new(n: usize) -> ConcurrencyObserver {
+        ConcurrencyObserver {
+            n,
+            threads: Vec::new(),
+            seen: FuncMatrix::new(n),
+            executed: vec![false; n],
+        }
+    }
 }
 
 impl Supervisor for ConcurrencyObserver {
@@ -131,25 +193,39 @@ impl Supervisor for ConcurrencyObserver {
     fn on_event(&mut self, ev: &Event) {
         match ev {
             Event::FuncEnter { thread, func, .. } => {
-                self.executed.insert(*func);
-                for (t, stack) in &self.stacks {
-                    if t == thread {
-                        continue;
-                    }
-                    for g in stack {
-                        let pair = if *func <= *g {
-                            (*func, *g)
-                        } else {
-                            (*g, *func)
-                        };
-                        self.pairs.insert(pair);
+                let (t, f) = (thread.index(), func.index());
+                self.executed[f] = true;
+                let row = self.seen.row_mut(f);
+                for (u, other) in self.threads.iter().enumerate() {
+                    if u != t {
+                        for (d, s) in row.iter_mut().zip(&other.live) {
+                            *d |= s;
+                        }
                     }
                 }
-                self.stacks.entry(*thread).or_default().push(*func);
+                if self.threads.len() <= t {
+                    let empty = ThreadStack {
+                        frames: Vec::new(),
+                        depth: vec![0; self.n],
+                        live: vec![0; self.seen.stride],
+                    };
+                    self.threads.resize(t + 1, empty);
+                }
+                let stack = &mut self.threads[t];
+                stack.frames.push(*func);
+                stack.depth[f] += 1;
+                stack.live[f / 64] |= 1 << (f % 64);
             }
             Event::FuncExit { thread, .. } => {
-                if let Some(stack) = self.stacks.get_mut(thread) {
-                    stack.pop();
+                let Some(stack) = self.threads.get_mut(thread.index()) else {
+                    return;
+                };
+                if let Some(g) = stack.frames.pop() {
+                    let g = g.index();
+                    stack.depth[g] -= 1;
+                    if stack.depth[g] == 0 {
+                        stack.live[g / 64] &= !(1 << (g % 64));
+                    }
                 }
             }
             _ => {}
@@ -157,9 +233,92 @@ impl Supervisor for ConcurrencyObserver {
     }
 }
 
-/// Run one profile execution and distill it into [`ProfileData`].
-pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
-    let mut obs = ConcurrencyObserver::default();
+/// The loops of every function, found once per profiled program:
+/// `(function, header, body blocks)`.
+fn program_loops(program: &Program) -> Vec<(FuncId, BlockId, Vec<BlockId>)> {
+    let mut out = Vec::new();
+    for f in &program.funcs {
+        let cfg = Cfg::new(f);
+        let dom = Dominators::new(f, &cfg);
+        let forest = LoopForest::new(f, &cfg, &dom);
+        for l in forest.loops {
+            out.push((f.id, l.header, l.blocks.into_iter().collect()));
+        }
+    }
+    out
+}
+
+/// Profiling facts of one or more runs, indexed by `FuncId` and loop
+/// number; converted to the name-keyed [`ProfileData`] once.
+#[derive(Debug, Clone)]
+struct DenseProfile {
+    runs: u32,
+    executed: Vec<bool>,
+    seen: FuncMatrix,
+    /// Per loop of [`program_loops`]: total iterations and body
+    /// instructions, summed over the runs in which the loop iterated.
+    loop_iters: Vec<u64>,
+    loop_instrs: Vec<u64>,
+}
+
+impl DenseProfile {
+    fn merge(&mut self, other: &DenseProfile) {
+        self.runs += other.runs;
+        for (d, s) in self.executed.iter_mut().zip(&other.executed) {
+            *d |= s;
+        }
+        self.seen.union_from(&other.seen);
+        for (d, s) in self.loop_iters.iter_mut().zip(&other.loop_iters) {
+            *d += s;
+        }
+        for (d, s) in self.loop_instrs.iter_mut().zip(&other.loop_instrs) {
+            *d += s;
+        }
+    }
+
+    fn to_profile_data(
+        &self,
+        program: &Program,
+        loops: &[(FuncId, BlockId, Vec<BlockId>)],
+    ) -> ProfileData {
+        let name = |f: usize| program.funcs[f].name.clone();
+        let mut data = ProfileData {
+            runs: self.runs,
+            ..ProfileData::default()
+        };
+        // Visit functions in name order, so the name pairs come out sorted
+        // and the sets are bulk-built rather than grown by insertion.
+        let mut by_name: Vec<usize> = (0..program.funcs.len()).collect();
+        by_name.sort_by(|&a, &b| program.funcs[a].name.cmp(&program.funcs[b].name));
+        data.executed = by_name.iter().filter(|&&f| self.executed[f]).map(|&f| name(f)).collect();
+        let mut concurrent = Vec::new();
+        for (i, &a) in by_name.iter().enumerate() {
+            for &b in &by_name[i..] {
+                if self.seen.contains(a, b) || self.seen.contains(b, a) {
+                    concurrent.push((name(a), name(b)));
+                }
+            }
+        }
+        data.concurrent = concurrent.into_iter().collect();
+        for (k, (f, header, _)) in loops.iter().enumerate() {
+            if self.loop_iters[k] == 0 {
+                continue;
+            }
+            let key = (name(f.index()), header.0);
+            *data.loop_iters.entry(key.clone()).or_insert(0) += self.loop_iters[k];
+            *data.loop_instrs.entry(key).or_insert(0) += self.loop_instrs[k];
+        }
+        data
+    }
+}
+
+/// Run one profile execution and keep its facts dense.
+fn profile_dense(
+    program: &Program,
+    config: &ExecConfig,
+    loops: &[(FuncId, BlockId, Vec<BlockId>)],
+) -> DenseProfile {
+    let mut obs = ConcurrencyObserver::new(program.funcs.len());
     let cfg = ExecConfig {
         count_blocks: true,
         log_sync: false,
@@ -168,41 +327,35 @@ pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
         ..*config
     };
     let result = execute_supervised(program, &cfg, &mut obs);
-
-    let mut data = ProfileData {
-        runs: 1,
-        ..ProfileData::default()
-    };
-    let name_of = |f: FuncId| program.funcs[f.index()].name.clone();
-    for f in &obs.executed {
-        data.executed.insert(name_of(*f));
-    }
-    for (a, b) in &obs.pairs {
-        let (na, nb) = (name_of(*a), name_of(*b));
-        let key = if na <= nb { (na, nb) } else { (nb, na) };
-        data.concurrent.insert(key);
-    }
+    let mut loop_iters = vec![0; loops.len()];
+    let mut loop_instrs = vec![0; loops.len()];
     // Loop statistics from block counts.
-    for f in &program.funcs {
-        let counts = &result.block_counts[f.id.index()];
-        let cfg_s = Cfg::new(f);
-        let dom = Dominators::new(f, &cfg_s);
-        let forest = LoopForest::new(f, &cfg_s, &dom);
-        for l in &forest.loops {
-            let iters = counts[l.header.index()];
-            if iters == 0 {
-                continue;
-            }
-            let mut instrs = 0u64;
-            for b in &l.blocks {
-                instrs += counts[b.index()] * (f.block(*b).instrs.len() as u64 + 1);
-            }
-            let key = (f.name.clone(), l.header.0);
-            *data.loop_iters.entry(key.clone()).or_insert(0) += iters;
-            *data.loop_instrs.entry(key).or_insert(0) += instrs;
+    for (k, (f, header, blocks)) in loops.iter().enumerate() {
+        let counts = &result.block_counts[f.index()];
+        let iters = counts[header.index()];
+        if iters == 0 {
+            continue;
         }
+        let func = &program.funcs[f.index()];
+        loop_iters[k] = iters;
+        loop_instrs[k] = blocks
+            .iter()
+            .map(|b| counts[b.index()] * (func.block(*b).instrs.len() as u64 + 1))
+            .sum();
     }
-    data
+    DenseProfile {
+        runs: 1,
+        executed: obs.executed,
+        seen: obs.seen,
+        loop_iters,
+        loop_instrs,
+    }
+}
+
+/// Run one profile execution and distill it into [`ProfileData`].
+pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
+    let loops = program_loops(program);
+    profile_dense(program, config, &loops).to_profile_data(program, &loops)
 }
 
 /// Profile `program` over several seeds (standing in for the paper's
@@ -210,21 +363,27 @@ pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
 ///
 /// Runs are independent, so they execute in parallel via
 /// [`chimera_runtime::par_map`] (set `CHIMERA_SERIAL=1` to force a serial
-/// loop). Merging always folds in seed order, so the result is identical to
-/// the serial loop's regardless of thread scheduling.
+/// loop). Each run's facts stay dense (function bit matrices and per-loop
+/// counters); they are merged in seed order and translated to the
+/// name-keyed [`ProfileData`] once, so the result is identical to folding
+/// [`profile_once`] over the seeds with [`ProfileData::merge`].
 pub fn profile_runs(program: &Program, base: &ExecConfig, seeds: &[u64]) -> ProfileData {
+    let loops = program_loops(program);
     let per_seed = chimera_runtime::par_map(seeds, |&seed| {
         let cfg = ExecConfig {
             seed,
             ..*base
         };
-        profile_once(program, &cfg)
+        profile_dense(program, &cfg, &loops)
     });
-    let mut merged = ProfileData::default();
-    for data in &per_seed {
+    let Some((first, rest)) = per_seed.split_first() else {
+        return ProfileData::default();
+    };
+    let mut merged = first.clone();
+    for data in rest {
         merged.merge(data);
     }
-    merged
+    merged.to_profile_data(program, &loops)
 }
 
 #[cfg(test)]

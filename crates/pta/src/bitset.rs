@@ -1,5 +1,6 @@
 //! Dense bitsets over `u64` words — the points-to set representation of
-//! the worklist Andersen solver.
+//! the worklist Andersen solver, and the object and candidate sets of the
+//! RELAY race detector and the weak-lock planner.
 //!
 //! Points-to analysis spends essentially all of its time unioning one
 //! node's set into another's and iterating freshly added elements. A
@@ -35,10 +36,51 @@ impl PtsSet {
         old & mask == 0
     }
 
+    /// Remove `i` (a no-op if absent).
+    pub fn remove(&mut self, i: usize) {
+        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
+    }
+
     /// Is `i` a member?
     pub fn contains(&self, i: usize) -> bool {
         let (w, b) = (i / WORD_BITS, i % WORD_BITS);
         self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+    }
+
+    /// Remove every element, keeping the universe.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Do the two sets share no element?
+    pub fn is_disjoint(&self, other: &PtsSet) -> bool {
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    }
+
+    /// Is every element of `self` in `other`?
+    pub fn is_subset(&self, other: &PtsSet) -> bool {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+    }
+
+    /// The smallest element of `self ∩ other`, if any.
+    pub fn first_common(&self, other: &PtsSet) -> Option<usize> {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .find_map(|(w, (a, b))| {
+                let both = a & b;
+                (both != 0).then(|| w * WORD_BITS + both.trailing_zeros() as usize)
+            })
+    }
+
+    /// `self ∖= other` (difference, in place).
+    pub fn subtract(&mut self, other: &PtsSet) {
+        debug_assert_eq!(self.words.len(), other.words.len());
+        for (d, s) in self.words.iter_mut().zip(&other.words) {
+            *d &= !s;
+        }
     }
 
     /// Number of elements.
@@ -249,6 +291,32 @@ mod tests {
         }
         a.intersect_with(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![5, 69]);
+    }
+
+    #[test]
+    fn set_relations_and_first_common() {
+        let set = |xs: &[usize]| {
+            let mut s = PtsSet::new(200);
+            for &x in xs {
+                s.insert(x);
+            }
+            s
+        };
+        let (a, b) = (set(&[3, 70, 150]), set(&[70, 150, 199]));
+        assert_eq!(a.first_common(&b), Some(70));
+        assert_eq!(set(&[3]).first_common(&b), None);
+        assert!(set(&[3, 4]).is_disjoint(&b) && !a.is_disjoint(&b));
+        assert!(set(&[70, 199]).is_subset(&b) && !a.is_subset(&b));
+        assert!(PtsSet::new(200).is_subset(&a));
+        let mut d = a.clone();
+        d.subtract(&b);
+        d.remove(64);
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![3]);
+        d.remove(3);
+        assert!(d.is_empty());
+        let mut c = a;
+        c.clear();
+        assert!(c.is_empty() && c.insert(199));
     }
 
     #[test]

@@ -1,60 +1,60 @@
 //! Relative-lockset dataflow: function summaries composed bottom-up over
 //! the call graph, then entry contexts propagated top-down.
+//!
+//! Locksets are dense [`PtsSet`]s over the object universe, so composing a
+//! summary (including the pessimistic "may release every object" one) is a
+//! handful of word operations rather than a tree rebuild.
 
 use crate::oracle::AliasOracle;
 use chimera_minic::callgraph::CallGraph;
 use chimera_minic::ir::{
     AccessId, BlockId, Callee, FuncId, Instr, Program, Terminator,
 };
-use chimera_pta::ObjId;
+use chimera_pta::PtsSet;
 use std::collections::BTreeSet;
 
 /// A relative lockset: the effect of executing a region on the lockset held
 /// at its start. If `L` is held on entry, `(L ∖ minus) ∪ plus` is held on
-/// exit.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// exit. Both sets range over the oracle's object ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelLockset {
     /// Locks definitely acquired (and still held).
-    pub plus: BTreeSet<ObjId>,
+    pub plus: PtsSet,
     /// Locks possibly released.
-    pub minus: BTreeSet<ObjId>,
+    pub minus: PtsSet,
 }
 
 impl RelLockset {
-    /// Sequential composition: apply `next` after `self`.
-    pub fn then(&self, next: &RelLockset) -> RelLockset {
+    /// The identity effect (acquire nothing, release nothing) over a
+    /// universe of `objects` objects.
+    pub fn identity(objects: usize) -> RelLockset {
         RelLockset {
-            plus: self
-                .plus
-                .difference(&next.minus)
-                .copied()
-                .chain(next.plus.iter().copied())
-                .collect(),
-            minus: self
-                .minus
-                .difference(&next.plus)
-                .copied()
-                .chain(next.minus.iter().copied())
-                .collect(),
+            plus: PtsSet::new(objects),
+            minus: PtsSet::new(objects),
         }
     }
 
-    /// Must-meet at a CFG join: keep only definitely acquired locks, union
-    /// possibly released locks.
-    pub fn meet(&self, other: &RelLockset) -> RelLockset {
-        RelLockset {
-            plus: self.plus.intersection(&other.plus).copied().collect(),
-            minus: self.minus.union(&other.minus).copied().collect(),
-        }
+    /// Sequential composition: apply `next` after `self`, in place.
+    pub fn then(&mut self, next: &RelLockset) {
+        self.plus.subtract(&next.minus);
+        self.plus.union_from(&next.plus);
+        self.minus.subtract(&next.plus);
+        self.minus.union_from(&next.minus);
+    }
+
+    /// Must-meet at a CFG join, in place: keep only definitely acquired
+    /// locks, union possibly released locks.
+    pub fn meet(&mut self, other: &RelLockset) {
+        self.plus.intersect_with(&other.plus);
+        self.minus.union_from(&other.minus);
     }
 
     /// Apply to an absolute entry lockset.
-    pub fn apply(&self, entry: &BTreeSet<ObjId>) -> BTreeSet<ObjId> {
-        entry
-            .difference(&self.minus)
-            .copied()
-            .chain(self.plus.iter().copied())
-            .collect()
+    pub fn apply(&self, entry: &PtsSet) -> PtsSet {
+        let mut out = entry.clone();
+        out.subtract(&self.minus);
+        out.union_from(&self.plus);
+        out
     }
 }
 
@@ -94,9 +94,9 @@ pub struct LocksetAnalysis {
     pub guarded: Vec<GuardedAccess>,
     /// Must-lockset at each function's entry (absolute), intersected over
     /// call sites reachable from the thread roots.
-    pub contexts: Vec<BTreeSet<ObjId>>,
+    pub contexts: Vec<PtsSet>,
     /// Absolute lockset of each access (indexed by `AccessId`).
-    pub absolute: Vec<BTreeSet<ObjId>>,
+    pub absolute: Vec<PtsSet>,
 }
 
 impl LocksetAnalysis {
@@ -104,11 +104,12 @@ impl LocksetAnalysis {
     /// absolute locksets per access.
     pub fn run(program: &Program, cg: &CallGraph, oracle: &AliasOracle) -> LocksetAnalysis {
         let n = program.funcs.len();
-        let pessimistic = RelLockset {
-            plus: BTreeSet::new(),
-            minus: oracle.objects.iter().map(|(id, _)| id).collect(),
-        };
-        let mut summaries: Vec<FuncSummary> = vec![pessimistic.clone(); n];
+        let universe = oracle.objects.len();
+        let mut pessimistic = RelLockset::identity(universe);
+        for (id, _) in oracle.objects.iter() {
+            pessimistic.minus.insert(id.index());
+        }
+        let mut summaries: Vec<FuncSummary> = vec![pessimistic; n];
         // Address-taken functions, computed once; every indirect call site
         // shares this slice rather than re-walking the whole program.
         let indirect = indirect_targets_of(program);
@@ -136,28 +137,33 @@ impl LocksetAnalysis {
             guarded.append(&mut g);
             call_sites.append(&mut cs);
         }
-        // Resolve call targets through the call graph for indirect calls.
-        // (analyze_function records direct targets; indirect sites record
-        // the full callee set of the caller as approximation.)
+        // Call-site targets: direct calls record their callee; indirect
+        // sites record every address-taken function (`indirect_targets_of`),
+        // not the Andersen-resolved call graph. Deliberately coarse for now
+        // (DESIGN.md §6): tightening it would change every race report.
 
         // Top-down context propagation. Roots start with the empty lockset.
-        let mut contexts: Vec<Option<BTreeSet<ObjId>>> = vec![None; n];
+        let mut contexts: Vec<Option<PtsSet>> = vec![None; n];
         let mut roots: BTreeSet<FuncId> = cg.all_spawn_targets();
         roots.insert(program.main());
         for r in &roots {
-            contexts[r.index()] = Some(BTreeSet::new());
+            contexts[r.index()] = Some(PtsSet::new(universe));
         }
         loop {
             let mut changed = false;
             for site in &call_sites {
-                let Some(caller_ctx) = contexts[site.caller.index()].clone() else {
+                let Some(caller_ctx) = &contexts[site.caller.index()] else {
                     continue;
                 };
-                let at_site = site.rel.apply(&caller_ctx);
+                let at_site = site.rel.apply(caller_ctx);
                 for &t in &site.targets {
                     let next = match &contexts[t.index()] {
                         None => at_site.clone(),
-                        Some(cur) => cur.intersection(&at_site).copied().collect(),
+                        Some(cur) => {
+                            let mut meet = cur.clone();
+                            meet.intersect_with(&at_site);
+                            meet
+                        }
                     };
                     if contexts[t.index()].as_ref() != Some(&next) {
                         contexts[t.index()] = Some(next);
@@ -169,10 +175,12 @@ impl LocksetAnalysis {
                 break;
             }
         }
-        let contexts: Vec<BTreeSet<ObjId>> =
-            contexts.into_iter().map(Option::unwrap_or_default).collect();
+        let contexts: Vec<PtsSet> = contexts
+            .into_iter()
+            .map(|c| c.unwrap_or_else(|| PtsSet::new(universe)))
+            .collect();
 
-        let mut absolute = vec![BTreeSet::new(); program.accesses.len()];
+        let mut absolute = vec![PtsSet::new(universe); program.accesses.len()];
         for g in &guarded {
             absolute[g.access.index()] = g.rel.apply(&contexts[g.func.index()]);
         }
@@ -185,8 +193,8 @@ impl LocksetAnalysis {
         }
     }
 
-    /// Absolute must-lockset of an access.
-    pub fn lockset_of(&self, a: AccessId) -> &BTreeSet<ObjId> {
+    /// Absolute must-lockset of an access, as a set of object indices.
+    pub fn lockset_of(&self, a: AccessId) -> &PtsSet {
         &self.absolute[a.index()]
     }
 }
@@ -201,10 +209,11 @@ fn analyze_function(
     indirect: &[FuncId],
 ) -> (FuncSummary, Vec<GuardedAccess>, Vec<CallSiteState>) {
     let f = &program.funcs[fid.index()];
+    let universe = oracle.objects.len();
     let nb = f.blocks.len();
     // Block-entry states. None = not yet reached.
     let mut entry_state: Vec<Option<RelLockset>> = vec![None; nb];
-    entry_state[f.entry.index()] = Some(RelLockset::default());
+    entry_state[f.entry.index()] = Some(RelLockset::identity(universe));
     let mut work: Vec<BlockId> = vec![f.entry];
     while let Some(b) = work.pop() {
         let mut state = entry_state[b.index()]
@@ -217,7 +226,11 @@ fn analyze_function(
         for succ in block.term.successors() {
             let next = match &entry_state[succ.index()] {
                 None => state.clone(),
-                Some(cur) => cur.meet(&state),
+                Some(cur) => {
+                    let mut meet = cur.clone();
+                    meet.meet(&state);
+                    meet
+                }
             };
             if entry_state[succ.index()].as_ref() != Some(&next) {
                 entry_state[succ.index()] = Some(next);
@@ -255,24 +268,25 @@ fn analyze_function(
                         rel: state.clone(),
                     });
                 }
-                Instr::Spawn { callee, .. } => {
-                    // Spawned threads begin with an empty lockset; modeled
-                    // by roots in the context propagation, so no call-site
-                    // state is recorded here.
-                    let _ = callee;
-                }
+                // Spawned threads begin with an empty lockset; modeled by
+                // roots in the context propagation, so no call-site state
+                // is recorded here.
                 _ => {}
             }
             transfer(fid, b, ii as u32, i, &mut state, summaries, oracle, indirect);
         }
         if matches!(block.term, Terminator::Return(_)) {
-            exit = Some(match exit {
-                None => state,
+            match &mut exit {
+                None => exit = Some(state),
                 Some(e) => e.meet(&state),
-            });
+            }
         }
     }
-    (exit.unwrap_or_default(), guarded, call_sites)
+    (
+        exit.unwrap_or_else(|| RelLockset::identity(universe)),
+        guarded,
+        call_sites,
+    )
 }
 
 /// Conservative indirect-call target set: every address-taken function.
@@ -306,38 +320,34 @@ fn transfer(
     match i {
         Instr::Lock { .. } => {
             if let Some(l) = oracle.definite_lock((fid, b, ii)) {
-                state.plus.insert(l);
-                state.minus.remove(&l);
+                state.plus.insert(l.index());
+                state.minus.remove(l.index());
             }
         }
         Instr::Unlock { .. } => {
-            for l in oracle.may_locks((fid, b, ii)) {
-                state.plus.remove(&l);
-                state.minus.insert(l);
+            for l in oracle.lock_objs.get(&(fid, b, ii)).into_iter().flatten() {
+                state.plus.remove(l.index());
+                state.minus.insert(l.index());
             }
         }
         // cond_wait releases and reacquires its mutex: the lockset at
         // subsequent points is unchanged, and RELAY does not model the
         // happens-before edge — so it is a no-op here.
         Instr::CondWait { .. } => {}
-        Instr::Call { callee, .. } => {
-            let effect = match callee {
-                Callee::Direct(t) => summaries[t.index()].clone(),
-                Callee::Indirect(_) => {
-                    // Meet of all possible targets, pessimistically seeded.
-                    let mut acc: Option<RelLockset> = None;
-                    for t in indirect {
-                        let s = &summaries[t.index()];
-                        acc = Some(match acc {
-                            None => s.clone(),
-                            Some(a) => a.meet(s),
-                        });
-                    }
-                    acc.unwrap_or_default()
+        Instr::Call { callee, .. } => match callee {
+            Callee::Direct(t) => state.then(&summaries[t.index()]),
+            Callee::Indirect(_) => {
+                // Meet of all possible targets, pessimistically seeded.
+                let Some((first, rest)) = indirect.split_first() else {
+                    return;
+                };
+                let mut effect = summaries[first.index()].clone();
+                for t in rest {
+                    effect.meet(&summaries[t.index()]);
                 }
-            };
-            *state = state.then(&effect);
-        }
+                state.then(&effect);
+            }
+        },
         _ => {}
     }
 }

@@ -5,9 +5,9 @@ use crate::lockset::LocksetAnalysis;
 use crate::oracle::AliasOracle;
 use chimera_minic::callgraph::CallGraph;
 use chimera_minic::cfg::{Cfg, Dominators};
-use chimera_minic::ir::{AccessId, FuncId, GlobalId, Instr, Program};
+use chimera_minic::ir::{AccessId, FuncId, Instr, Program};
 use chimera_minic::loops::LoopForest;
-use chimera_pta::{AbsObj, ObjId};
+use chimera_pta::{AbsObj, ObjId, PtsSet};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A pair of static memory accesses that may race (the paper's
@@ -37,8 +37,9 @@ impl RacePair {
 pub struct RaceReport {
     /// All race pairs found.
     pub pairs: Vec<RacePair>,
-    /// For each pair, one witness object both sides may touch.
-    pub witnesses: BTreeMap<RacePair, ObjId>,
+    /// For each pair (aligned with `pairs`), one witness object both sides
+    /// may touch: the lowest-numbered object they share.
+    pub witnesses: Vec<ObjId>,
 }
 
 impl RaceReport {
@@ -109,9 +110,14 @@ impl ThreadFacts {
                 roots_of[f.index()].insert(r);
             }
         }
-        // Spawn-site multiplicity.
+        // Spawn-site multiplicity. Only functions that spawn need their
+        // loop forest (to tell whether a spawn sits inside a loop).
         let mut spawn_count: BTreeMap<FuncId, usize> = BTreeMap::new();
+        let spawns = |i: &Instr| matches!(i, Instr::Spawn { .. });
         for f in &program.funcs {
+            if !f.blocks.iter().any(|b| b.instrs.iter().any(spawns)) {
+                continue;
+            }
             let cfg = Cfg::new(f);
             let dom = Dominators::new(f, &cfg);
             let loops = LoopForest::new(f, &cfg, &dom);
@@ -144,16 +150,30 @@ impl ThreadFacts {
     }
 
     /// Can accesses in `fa` and `fb` execute on two different threads?
+    ///
+    /// True when some root pair `(ra, rb)` has `ra != rb` or a
+    /// multi-instance `ra == rb`. That fails only when both functions hang
+    /// off one single-instance root, so the answer needs no pair loop.
     pub fn may_be_parallel(&self, fa: FuncId, fb: FuncId) -> bool {
-        for ra in &self.roots_of[fa.index()] {
-            for rb in &self.roots_of[fb.index()] {
-                if ra != rb || self.multi_instance.contains(ra) {
-                    return true;
-                }
+        let (ra, rb) = (&self.roots_of[fa.index()], &self.roots_of[fb.index()]);
+        match (ra.len(), rb.len()) {
+            (0, _) | (_, 0) => false,
+            (1, 1) => {
+                let (r, s) = (ra.first(), rb.first());
+                r != s || r.is_some_and(|r| self.multi_instance.contains(r))
             }
+            _ => true,
         }
-        false
     }
+}
+
+/// One access that may touch a shareable object.
+struct Candidate {
+    access: AccessId,
+    func: FuncId,
+    is_write: bool,
+    /// Shareable objects the access may touch.
+    objs: PtsSet,
 }
 
 /// Enumerate race pairs.
@@ -170,79 +190,85 @@ pub fn find_races(
     lockset: &LocksetAnalysis,
 ) -> RaceReport {
     let threads = ThreadFacts::compute(program, cg);
+    let universe = oracle.objects.len();
 
     // An object is shareable if it is a non-sync global, a heap object, or
     // a local slot that escapes (is touched by an access outside its owner).
-    let mut escaped: BTreeSet<ObjId> = BTreeSet::new();
+    let mut escaped = PtsSet::new(universe);
     for (aid, objs) in oracle.access_objs.iter().enumerate() {
         let owner = program.access(AccessId(aid as u32)).func;
         for o in objs {
             if let AbsObj::LocalSlot(f, _) = oracle.objects.get(*o) {
                 if f != owner {
-                    escaped.insert(*o);
+                    escaped.insert(o.index());
                 }
             }
         }
     }
-    let is_sync_global = |g: GlobalId| program.globals[g.index()].is_sync;
-    let shareable = |o: ObjId| match oracle.objects.get(o) {
-        AbsObj::Global(g) => !is_sync_global(g),
-        AbsObj::Alloc(_) => true,
-        AbsObj::LocalSlot(_, _) => escaped.contains(&o),
-        AbsObj::Func(_) => false,
-    };
+    let shareable: Vec<bool> = oracle
+        .objects
+        .iter()
+        .map(|(o, obj)| match obj {
+            AbsObj::Global(g) => !program.globals[g.index()].is_sync,
+            AbsObj::Alloc(_) => true,
+            AbsObj::LocalSlot(_, _) => escaped.contains(o.index()),
+            AbsObj::Func(_) => false,
+        })
+        .collect();
 
-    // Candidate accesses: non-empty shareable object sets, indexed by
-    // object so pair generation is proportional to real aliasing (the sum
-    // of squared bucket sizes) instead of quadratic in all candidates.
-    let mut candidates: Vec<(AccessId, BTreeSet<ObjId>)> = Vec::new();
-    let mut by_object: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
+    // Candidate accesses: non-empty shareable object sets, bucketed by
+    // object (ascending candidate index within each bucket) so pair
+    // generation is proportional to real aliasing.
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); universe];
     for (aid, objs) in oracle.access_objs.iter().enumerate() {
-        let shared: BTreeSet<ObjId> = objs.iter().copied().filter(|o| shareable(*o)).collect();
+        let mut shared = PtsSet::new(universe);
+        for o in objs.iter().filter(|o| shareable[o.index()]) {
+            shared.insert(o.index());
+            buckets[o.index()].push(candidates.len());
+        }
         if !shared.is_empty() {
-            let idx = candidates.len();
-            for &o in &shared {
-                by_object.entry(o).or_default().push(idx);
-            }
-            candidates.push((AccessId(aid as u32), shared));
+            let access = program.access(AccessId(aid as u32));
+            candidates.push(Candidate {
+                access: AccessId(aid as u32),
+                func: access.func,
+                is_write: access.is_write,
+                objs: shared,
+            });
         }
     }
 
-    // Two candidates can race only if some bucket holds both; collecting
-    // the index pairs into an ordered set deduplicates multi-object
-    // overlaps and reproduces the ascending (i, j) emission order of the
-    // old exhaustive scan exactly.
-    let mut pair_idxs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for bucket in by_object.values() {
-        for (k, &i) in bucket.iter().enumerate() {
-            for &j in &bucket[k..] {
-                pair_idxs.insert((i, j));
-            }
-        }
-    }
-
+    // For each candidate i, OR the bucket tails at or after i into a
+    // neighbour bitset and walk it upward: every sharing pair (i, j ≥ i)
+    // appears exactly once, in ascending (i, j) order (DESIGN.md §7).
     let mut report = RaceReport::default();
-    for (i, j) in pair_idxs {
-        let (a, objs_a) = &candidates[i];
-        let (b, objs_b) = &candidates[j];
-        let ia = program.access(*a);
-        let ib = program.access(*b);
-        if !ia.is_write && !ib.is_write {
-            continue;
+    let mut near = PtsSet::new(candidates.len());
+    for (i, a) in candidates.iter().enumerate() {
+        for o in a.objs.iter() {
+            let bucket = &buckets[o];
+            for &j in &bucket[bucket.partition_point(|&j| j < i)..] {
+                near.insert(j);
+            }
         }
-        if !threads.may_be_parallel(ia.func, ib.func) {
-            continue;
+        for j in near.iter() {
+            let b = &candidates[j];
+            if !a.is_write && !b.is_write {
+                continue;
+            }
+            if !threads.may_be_parallel(a.func, b.func) {
+                continue;
+            }
+            if !lockset.lockset_of(a.access).is_disjoint(lockset.lockset_of(b.access)) {
+                continue;
+            }
+            let witness = a
+                .objs
+                .first_common(&b.objs)
+                .expect("bucketed candidates share an object");
+            report.pairs.push(RacePair::new(a.access, b.access));
+            report.witnesses.push(ObjId(witness as u32));
         }
-        let witness = *objs_a
-            .intersection(objs_b)
-            .next()
-            .expect("bucketed candidates share an object");
-        if !lockset.lockset_of(*a).is_disjoint(lockset.lockset_of(*b)) {
-            continue;
-        }
-        let pair = RacePair::new(*a, *b);
-        report.witnesses.insert(pair, witness);
-        report.pairs.push(pair);
+        near.clear();
     }
     report
 }
@@ -449,10 +475,16 @@ mod tests {
         )
         .unwrap();
         let report = detect_races(&p);
-        for (_, w) in report.witnesses.iter() {
-            // All witnesses refer to object g (the only shared global).
-            let _ = w;
-        }
+        let g = p.globals.iter().position(|g| g.name == "g").unwrap();
+        let g_obj = chimera_pta::ObjectTable::build(&p)
+            .id_of(chimera_pta::AbsObj::Global(chimera_minic::ir::GlobalId(g as u32)))
+            .unwrap();
         assert!(!report.witnesses.is_empty());
+        assert_eq!(report.witnesses.len(), report.pairs.len());
+        assert!(
+            report.witnesses.iter().all(|w| *w == g_obj),
+            "every witness is g's object {g_obj}: {:?}",
+            report.witnesses
+        );
     }
 }
