@@ -36,25 +36,24 @@ echo "== fused-differential gate (superinstruction + spec-engine identity) =="
 # rounds — against the reference interpreter (DESIGN.md §13). Subsets of
 # suites above; named so a fusion regression is unmissable.
 cargo test -q --offline -p chimera-runtime --lib flat::tests
-cargo test -q --offline --test vm_differential parallel_mode
+cargo test -q --offline --test vm_differential spec_round
 
-echo "== parallel-smoke gate (DRF-certified parallel mode) =="
-# End-to-end CLI: the parallel flat VM must reach the same final state
-# as serial on the checked-in fixture, with CHIMERA_SERIAL=1 respected
-# as the fallback (DESIGN.md §13). The full nine-workload bit-identity
-# pin (results, traces, replay logs) lives in vm_differential.
+echo "== spec-round smoke gate (flat with segment rounds vs reference) =="
+# End-to-end CLI: with jitter off the flat VM arms its speculative
+# segment rounds, and must reach the same final state as the reference
+# interpreter (CHIMERA_VM_REFERENCE=1) on the checked-in fixture
+# (DESIGN.md §13). The full nine-workload bit-identity pin (results,
+# traces, replay logs) lives in vm_differential.
 chimera_bin="cargo run -q --release --offline -p chimera --bin chimera --"
-par_hash=$($chimera_bin run fixtures/racy_counter.mc --parallel 4 --no-jitter --json \
+flat_hash=$($chimera_bin run fixtures/racy_counter.mc --no-jitter --json \
     | grep '"state_hash"')
-ser_hash=$($chimera_bin run fixtures/racy_counter.mc --no-jitter --json \
+ref_hash=$(CHIMERA_VM_REFERENCE=1 $chimera_bin run fixtures/racy_counter.mc --no-jitter --json \
     | grep '"state_hash"')
-pin_hash=$(CHIMERA_SERIAL=1 $chimera_bin run fixtures/racy_counter.mc --parallel 4 --no-jitter --json \
-    | grep '"state_hash"')
-if [ "$par_hash" != "$ser_hash" ] || [ "$pin_hash" != "$ser_hash" ]; then
-    echo "parallel smoke diverged: serial=$ser_hash parallel=$par_hash pinned=$pin_hash" >&2
+if [ -z "$flat_hash" ] || [ "$flat_hash" != "$ref_hash" ]; then
+    echo "spec-round smoke diverged: flat=$flat_hash reference=$ref_hash" >&2
     exit 1
 fi
-echo "parallel mode bit-identical to serial (and CHIMERA_SERIAL=1 respected)"
+echo "flat VM with segment rounds bit-identical to the reference interpreter"
 
 echo "== DRF-equivalence certification =="
 # Every workload certifies race-free instrumented and every dynamic race
@@ -72,7 +71,7 @@ echo "== schedule exploration (adversarial schedulers) =="
 cargo test -q --offline --test schedule_exploration
 
 echo "== replay log format + divergence bisection =="
-# Log format v2 invariants (round-trip, v1 back-compat, corruption
+# Log format v2 invariants (round-trip, version-byte and corruption
 # rejection with chunk attribution) and the checkpoint-bisection oracle
 # localizing planted divergences on every workload (DESIGN.md §12).
 # Run in the suites above too; invoked explicitly so a failure is
@@ -195,9 +194,9 @@ CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench sched_explore
 
 echo "== replay-format overhead smoke (1 sample) =="
-# Proves every workload still records, round-trips both container
-# versions, and that v2 never emits more bytes than v1 (the bench
-# asserts it); committed BENCH_replay.json is refreshed manually (see
+# Proves every workload still records, and that v2 never emits more
+# bytes than the retired v1 format's frozen sizes (the bench asserts
+# it); committed BENCH_replay.json is refreshed manually (see
 # EXPERIMENTS.md).
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench replay_format

@@ -4,7 +4,7 @@
 //!
 //! The number that matters is **cells per second** and the
 //! steal-vs-serial speedup: batches of cells are pulled from a shared
-//! index by `par_map_jobs` workers, so on an N-core host the grid should
+//! index by `par_map` workers, so on an N-core host the grid should
 //! finish close to N× faster than `--jobs 1` (the acceptance bar is ≥2×
 //! on a multi-core host — on a single-core container the honest ratio is
 //! ~1× and the JSON records `host_cores` so readers can tell which they

@@ -1,7 +1,7 @@
 //! Interpreter hot-loop scaling: the layered flat stepping path
 //! (superinstruction fusion + batch commit + speculative segment rounds)
-//! vs the block-structured clone-per-step reference path, plus the
-//! DRF-certified parallel flat mode (DESIGN.md "VM internals", §13).
+//! vs the block-structured clone-per-step reference path (DESIGN.md "VM
+//! internals", §13).
 //!
 //! Two workload groups from the paper's benchmark suite pin the speedup
 //! from both ends of the instruction mix:
@@ -15,12 +15,8 @@
 //!   `pfscan10x` runs pfscan at 10x input scale, where per-execution
 //!   setup amortizes away and the steady-state hot loop dominates.
 //!
-//! Per workload the bench reports three rows: `flat` (the full fused +
-//! batched + speculative serial engine), `reference`, and `parallel`
-//! (`ExecConfig::parallelism = 4` — bit-identical results, measured here
-//! to keep the OS-thread dispatch overhead visible; at these workload
-//! sizes per-round thread spawning costs more than it buys, see
-//! DESIGN.md §13).
+//! Per workload the bench reports two rows: `flat` (the full fused +
+//! batched + speculative engine) and `reference`.
 //!
 //! All paths produce byte-identical results (pinned by
 //! `tests/vm_differential.rs`); the bench measures speed only, prints
@@ -172,20 +168,15 @@ fn main() {
             })
             .expect("workload compiles");
         let cfg = bench_config(42);
-        let par_cfg = ExecConfig {
-            parallelism: 4,
-            ..cfg
-        };
         // One untimed run per mode for the throughput report (and to
         // fail loudly here rather than mid-sampling if a workload
         // stops exiting cleanly).
-        for (cfg, mode, label) in [
-            (&cfg, InterpMode::Flat, "flat"),
-            (&cfg, InterpMode::Reference, "reference"),
-            (&par_cfg, InterpMode::Flat, "parallel"),
+        for (mode, label) in [
+            (InterpMode::Flat, "flat"),
+            (InterpMode::Reference, "reference"),
         ] {
             let start = std::time::Instant::now();
-            let r = execute_mode(&p, cfg, mode);
+            let r = execute_mode(&p, &cfg, mode);
             let elapsed = start.elapsed();
             assert!(r.outcome.is_exit(), "{id}: {:?}", r.outcome);
             eprintln!(
@@ -202,10 +193,6 @@ fn main() {
         });
         group.bench(&format!("reference/{family}/{id}"), || {
             let r = execute_mode(&p, &cfg, InterpMode::Reference);
-            std::hint::black_box(&r);
-        });
-        group.bench(&format!("parallel/{family}/{id}"), || {
-            let r = execute_mode(&p, &par_cfg, InterpMode::Flat);
             std::hint::black_box(&r);
         });
         group.finish();

@@ -5,7 +5,7 @@
 //! chimera plan <file.mc> [--evidence DIR --min-seeds N --min-strategies N
 //!               -o plan.chpl]                  # instrumentation plan /
 //!                                              # certified demotion plan
-//! chimera run <file.mc> [--seed N] [--parallel [W]] [--no-jitter] [--json]
+//! chimera run <file.mc> [--seed N] [--no-jitter] [--json]
 //!             [--plan plan.chpl [--verify]]    # execute (uninstrumented,
 //!                                              # or under a certified plan)
 //! chimera record <file.mc> -o <log> [--seed N] # instrument + record
@@ -26,19 +26,13 @@
 //! replay is re-examined forensically: the replayer records its own
 //! journal and checkpoints alongside enforcement, and a binary search over
 //! the checkpoint digests names the first mismatched chunk and event with
-//! a root-cause hint (requires a v2 log).
+//! a root-cause hint (requires a log recorded with its journal).
 //!
-//! `run --parallel [W]` executes the flat VM's DRF-certified parallel
-//! mode with `W` OS workers (default 4): speculative segment rounds are
-//! evaluated by `chimera_runtime::par_map` against a frozen memory
-//! snapshot and joined deterministically, so outcome, output, state hash
-//! and stats are bit-identical to serial execution (`CHIMERA_SERIAL=1`
-//! forces the serial engine regardless). The speculative engine only
-//! arms with timing jitter off — pass `--no-jitter` to see it (and
-//! parallel rounds) actually engage. `run --json` emits a
-//! machine-readable report including the VM strategy counters
-//! (superinstructions dispatched, batch runs, speculative rounds) and the
-//! decode-time fusion table.
+//! `run --json` emits a machine-readable report including the VM strategy
+//! counters (superinstructions dispatched, batch runs, speculative
+//! rounds) and the decode-time fusion table. The speculative segment
+//! rounds only arm with timing jitter off — pass `--no-jitter` to see
+//! them engage.
 //!
 //! `explore` sweeps the instrumented program across scheduling strategies
 //! (`jitter`, `pct`, `preempt-bound`, or `all`) × `--seeds` record seeds,
@@ -100,7 +94,6 @@ struct Cli {
     seeds: u64,
     drd: bool,
     bisect: bool,
-    parallel: u32,
     json: bool,
     no_jitter: bool,
     jobs: usize,
@@ -137,7 +130,6 @@ fn parse_cli() -> Result<Cli, String> {
         seeds: 3,
         drd: false,
         bisect: false,
-        parallel: 1,
         json: false,
         no_jitter: false,
         jobs: 0,
@@ -199,17 +191,6 @@ fn parse_cli() -> Result<Cli, String> {
             "--bisect" => {
                 cli.bisect = true;
                 i += 1;
-            }
-            "--parallel" => {
-                // Optional worker count: `--parallel 8` or bare
-                // `--parallel` (4 workers).
-                if let Some(w) = argv.get(i + 1).and_then(|v| v.parse::<u32>().ok()) {
-                    cli.parallel = w.max(1);
-                    i += 2;
-                } else {
-                    cli.parallel = 4;
-                    i += 1;
-                }
             }
             "--json" => {
                 cli.json = true;
@@ -275,8 +256,7 @@ fn parse_cli() -> Result<Cli, String> {
             }
             "--no-jitter" => {
                 // Timing jitter off. This is what arms the speculative
-                // segment engine (and with --parallel its OS-thread
-                // dispatch): hot commits must draw no RNG.
+                // segment rounds: hot commits must draw no RNG.
                 cli.no_jitter = true;
                 i += 1;
             }
@@ -320,7 +300,6 @@ fn run() -> Result<(), String> {
     };
     let exec = ExecConfig {
         seed: cli.seed,
-        parallelism: cli.parallel,
         jitter: if cli.no_jitter {
             chimera_runtime::Jitter::none()
         } else {
@@ -425,7 +404,7 @@ fn run() -> Result<(), String> {
                 );
                 let r = execute(&planned, &exec);
                 if cli.json {
-                    print!("{}", run_json(&planned, &r, &exec));
+                    print!("{}", run_json(&planned, &r));
                 } else {
                     report_exec(&r);
                 }
@@ -439,7 +418,7 @@ fn run() -> Result<(), String> {
             }
             let r = execute(&program, &exec);
             if cli.json {
-                print!("{}", run_json(&program, &r, &exec));
+                print!("{}", run_json(&program, &r));
             } else {
                 report_exec(&r);
             }
@@ -481,8 +460,8 @@ fn run() -> Result<(), String> {
             if cli.bisect {
                 if logs.journal.is_empty() && logs.sync_log_entries > 0 {
                     return Err(format!(
-                        "{log_path} is a v1 log with no journal or checkpoints; \
-                         re-record with this build to enable bisection"
+                        "{log_path} is a log with no journal or checkpoints; \
+                         re-record it to enable bisection"
                     ));
                 }
                 let rep = chimera_replay::replay_bisect(&analysis.instrumented, &logs, &exec);
@@ -868,16 +847,11 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
 /// `chimera run --json`: one JSON object with the execution result, the
 /// VM strategy counters (how the flat engine actually ran the program),
 /// and the decode-time fusion table that drove the superinstruction pass.
-fn run_json(
-    program: &chimera_minic::ir::Program,
-    r: &chimera_runtime::ExecResult,
-    exec: &ExecConfig,
-) -> String {
+fn run_json(program: &chimera_minic::ir::Program, r: &chimera_runtime::ExecResult) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"outcome\": \"{:?}\",\n", r.outcome));
     s.push_str(&format!("  \"cycles\": {},\n", r.makespan));
     s.push_str(&format!("  \"state_hash\": \"{:016x}\",\n", r.state_hash));
-    s.push_str(&format!("  \"parallelism\": {},\n", exec.parallelism));
     let out: Vec<String> = r
         .output
         .iter()
@@ -892,15 +866,14 @@ fn run_json(
     s.push_str(&format!(
         "  \"vm\": {{ \"fused_ops\": {}, \"batch_runs\": {}, \"batched_ops\": {}, \
          \"spec_rounds\": {}, \"spec_segments\": {}, \"spec_ops\": {}, \
-         \"spec_discards\": {}, \"par_rounds\": {} }},\n",
+         \"spec_discards\": {} }},\n",
         vm.fused_ops,
         vm.batch_runs,
         vm.batched_ops,
         vm.spec_rounds,
         vm.spec_segments,
         vm.spec_ops,
-        vm.spec_discards,
-        vm.par_rounds
+        vm.spec_discards
     ));
     let fusion = chimera_runtime::fusion_summary(program);
     s.push_str(&format!(

@@ -31,7 +31,7 @@
 
 use crate::pipeline::Analysis;
 use chimera_minic::ir::{AccessId, Program};
-use chimera_runtime::{execute, par_map_jobs, ExecConfig, SchedStrategy};
+use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
 use std::collections::BTreeSet;
 
 pub use chimera_fleet::cell::{
@@ -250,7 +250,7 @@ fn sweep(
         .enumerate()
         .flat_map(|(si, &s)| cfg.seeds.iter().map(move |&seed| (si, s, seed)))
         .collect();
-    let outcomes = par_map_jobs(&combos, cfg.jobs, |&(si, sched, seed)| {
+    let outcomes = par_map(&combos, cfg.jobs, |&(si, sched, seed)| {
         (
             si,
             run_cell(program, drd_cross, sched, seed, &cfg.exec, cfg.check_drd),

@@ -151,8 +151,7 @@ pub struct TrialSummary {
 /// loop's.
 pub fn measure_trials(analysis: &Analysis, exec: &ExecConfig, trials: u32) -> TrialSummary {
     let seeds: Vec<u64> = (0..trials.max(1)).map(|t| 100 + t as u64 * 7).collect();
-    let measurements =
-        chimera_runtime::par_map(&seeds, |&seed| measure(analysis, exec, seed));
+    let measurements = chimera_runtime::par_map(&seeds, 0, |&seed| measure(analysis, exec, seed));
     let mut sum_rec = 0.0;
     let mut sum_rep = 0.0;
     let mut all_det = true;
@@ -230,7 +229,7 @@ impl DrfCertificate {
 /// loop); reports merge in seed order, so the result is identical either
 /// way.
 pub fn certify_drf(analysis: &Analysis, exec: &ExecConfig, seeds: &[u64]) -> DrfCertificate {
-    let runs = chimera_runtime::par_map(seeds, |&seed| {
+    let runs = chimera_runtime::par_map(seeds, 0, |&seed| {
         let cfg = ExecConfig {
             seed,
             ..*exec

@@ -182,13 +182,13 @@ impl DrdRun {
 /// A determinism certificate exported from a race-free detected run.
 ///
 /// The runtime's segment-round engine commits race-free thread segments
-/// out of program order (and, under `ExecConfig::parallelism > 1`, on
-/// separate OS threads) on the strength of a per-round dynamic
+/// out of program order on the strength of a per-round dynamic
 /// race-freedom check. This certificate is the whole-execution analogue
 /// that the detector exports offline: it attests that one full execution
 /// under `seed` was data-race-free, and binds the attested final state so
-/// any re-execution claiming to honor the certificate — serial, fused,
-/// batched, or parallel — can be checked against it with [`Self::verify`].
+/// any re-execution claiming to honor the certificate — single-step,
+/// fused, batched, or through segment rounds — can be checked against it
+/// with [`Self::verify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentCertificate {
     /// The scheduler seed the certified execution ran under.
@@ -259,9 +259,9 @@ impl SegmentCertificate {
 
     /// Check a re-execution against this certificate: it must retire the
     /// same instruction count over the same threads and segment
-    /// boundaries and reach the same final state. This is how a parallel
-    /// (`ExecConfig::parallelism > 1`) run proves it replayed the
-    /// certified serial execution bit-identically.
+    /// boundaries and reach the same final state. This is how a run that
+    /// committed speculative segment rounds proves it replayed the
+    /// certified execution bit-identically.
     pub fn verify(&self, result: &ExecResult) -> bool {
         result.state_hash == self.state_hash
             && result.stats.instrs == self.instrs
@@ -491,19 +491,26 @@ mod tests {
     }
 
     #[test]
-    fn race_free_run_exports_certificate_verifying_parallel_replay() {
+    fn race_free_run_exports_certificate_verifying_spec_round_replay() {
+        // A thread-local compute phase gives the segment rounds hot
+        // segments to commit; the locked phase gives the detector
+        // synchronization to order.
         let p = compile(
             "int g; lock_t m;
-             void w(int v) { int i;
+             void w(int v) { int i; int s; s = 0;
+                 for (i = 0; i < 300; i = i + 1) { s = s + i * v; }
                  for (i = 0; i < 30; i = i + 1) {
-                     lock(&m); g = g + v; unlock(&m); } }
+                     lock(&m); g = g + v; unlock(&m); }
+                 lock(&m); g = g + s; unlock(&m); }
              int main() { int t; int u;
                  t = spawn(w, 1); u = spawn(w, 2); w(4);
                  join(t); join(u); print(g); return 0; }",
         )
         .unwrap();
+        // Jitter off is what arms the segment rounds.
         let cfg = ExecConfig {
             seed: 13,
+            jitter: chimera_runtime::Jitter::none(),
             ..ExecConfig::default()
         };
         let run = detect(&p, &cfg);
@@ -512,16 +519,19 @@ mod tests {
         assert_eq!(cert.seed, 13);
         assert!(cert.verify(&run.result));
 
-        // A parallel re-execution must replay the certified execution
-        // bit-identically — same state hash, counts, segment boundaries.
-        let par = chimera_runtime::execute(
-            &p,
-            &ExecConfig {
-                parallelism: 4,
-                ..cfg
-            },
+        // Without the detector attached the same configuration runs
+        // through the segment rounds, and must still replay the certified
+        // execution bit-identically — same state hash, counts, segment
+        // boundaries.
+        let spec = chimera_runtime::execute(&p, &cfg);
+        assert!(
+            spec.stats.vm.spec_rounds > 0,
+            "segment rounds never engaged"
         );
-        assert!(cert.verify(&par), "parallel run diverged from certificate");
+        assert!(
+            cert.verify(&spec),
+            "segment-round run diverged from certificate"
+        );
 
         // And a different program's result must not verify.
         let other = compile(

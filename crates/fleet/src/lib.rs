@@ -28,7 +28,7 @@
 //!
 //! [`orchestrator::run_fleet`] ties them together: grid construction in
 //! canonical order, journal-hit skipping, chunked work-stealing over
-//! `chimera_runtime::par_map_jobs`, corpus classification, atomic
+//! `chimera_runtime::par_map`, corpus classification, atomic
 //! persistence, and a grid-wide report that is a pure function of cell
 //! outcomes — so a budgeted run completed by `--resume` renders the
 //! same bytes as a one-shot run.

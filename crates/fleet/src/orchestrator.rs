@@ -5,7 +5,7 @@
 //! The grid is `targets × strategies × seeds`, materialized in a
 //! canonical order (target-major, then strategy, then seed). Execution
 //! fans the *pending* cells (grid minus journal hits) out over
-//! [`chimera_runtime::par_map_jobs`] in chunked batches: workers pull
+//! [`chimera_runtime::par_map`] in chunked batches: workers pull
 //! batches from a shared atomic index — work-stealing at batch
 //! granularity — so a straggler cell only delays its own batch, and
 //! results are reassembled in grid order so every aggregate below is
@@ -32,7 +32,7 @@ use crate::cell::{
 use crate::corpus::{Corpus, CorpusEntry, Interest, PREEMPT_HEAVY_MIN};
 use crate::journal::{CellOutcome, Journal};
 use chimera_minic::ir::Program;
-use chimera_runtime::{execute, par_map_jobs, ExecConfig, SchedStrategy};
+use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -388,7 +388,7 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
     };
 
     // --- Work-stealing execution over chunked batches. --------------------
-    // Workers pull whole batches from par_map_jobs's shared index; small
+    // Workers pull whole batches from par_map's shared index; small
     // batches amortize the steal without serializing behind stragglers.
     let workers = if cfg.jobs == 0 {
         std::thread::available_parallelism()
@@ -403,7 +403,7 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         (pending.len() / (workers.max(1) * 4)).clamp(1, 32)
     };
     let batches: Vec<&[usize]> = pending.chunks(batch).collect();
-    let per_batch: Vec<Vec<(usize, CellOutcome)>> = par_map_jobs(&batches, cfg.jobs, |chunk| {
+    let per_batch: Vec<Vec<(usize, CellOutcome)>> = par_map(&batches, cfg.jobs, |chunk| {
         chunk
             .iter()
             .map(|&i| {
@@ -446,7 +446,7 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
             })
             .collect()
     });
-    // par_map_jobs returns batches in input order and batches preserve
+    // par_map returns batches in input order and batches preserve
     // their internal order, so this is grid order.
     let new_outcomes: Vec<(usize, CellOutcome)> = per_batch.into_iter().flatten().collect();
     let executed = new_outcomes.len() as u64;

@@ -34,7 +34,7 @@ use chimera_fleet::wire::{
     push_frame, push_str, push_varint, read_frame, read_str, write_atomic, Reader,
 };
 use chimera_minic::ir::{AccessId, Program};
-use chimera_runtime::{execute, par_map_jobs, ExecConfig, SchedStrategy};
+use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -161,7 +161,7 @@ pub fn gather_evidence(
         .iter()
         .flat_map(|&(raw, res)| cfg.seeds.iter().map(move |&seed| (raw, res, seed)))
         .collect();
-    let results = par_map_jobs(&combos, cfg.jobs, |&(raw, res, seed)| {
+    let results = par_map(&combos, cfg.jobs, |&(raw, res, seed)| {
         let outcome = run_cell(instrumented, None, res, seed, &cfg.exec, false);
         let run_cfg = ExecConfig {
             seed,

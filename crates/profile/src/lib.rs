@@ -369,7 +369,7 @@ pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
 /// [`profile_once`] over the seeds with [`ProfileData::merge`].
 pub fn profile_runs(program: &Program, base: &ExecConfig, seeds: &[u64]) -> ProfileData {
     let loops = program_loops(program);
-    let per_seed = chimera_runtime::par_map(seeds, |&seed| {
+    let per_seed = chimera_runtime::par_map(seeds, 0, |&seed| {
         let cfg = ExecConfig {
             seed,
             ..*base

@@ -10,15 +10,12 @@
 //!   instrumenter added (one stream per granularity class), plus any forced
 //!   releases with their precise preemption points.
 //!
-//! Two wire formats share the `CHIM` container (DESIGN.md §12):
-//!
-//! * **v1** — a flat varint monolith: per-object order streams, no
-//!   checksums, no mid-log recovery. Still decoded for old logs.
-//! * **v2** — the journal format: the globally-ordered event stream is
-//!   split into [`CHUNK_EVENTS`]-sized frames, each with a self-describing
-//!   length and an FNV-1a checksum, dictionary/delta/bit-packed encoding of
-//!   `(object, thread)` pairs, and periodic state-hash [`Checkpoint`]s so a
-//!   divergence can be localized by bisection instead of a full re-run.
+//! The wire format is version 2 of the `CHIM` container (DESIGN.md §12):
+//! the globally-ordered event stream is split into [`CHUNK_EVENTS`]-sized
+//! frames, each with a self-describing length and an FNV-1a checksum,
+//! dictionary/delta/bit-packed encoding of `(object, thread)` pairs, and
+//! periodic state-hash [`Checkpoint`]s so a divergence can be localized by
+//! bisection instead of a full re-run.
 //!
 //! The paper reports gzip-compressed sizes; we report sizes from a binary
 //! varint encoding plus an order-0 entropy estimate standing in for gzip
@@ -161,9 +158,9 @@ pub struct ReplayLogs {
     pub sync_log_entries: u64,
     /// Count of input events logged.
     pub input_log_entries: u64,
-    /// The globally-ordered event journal (v2). Empty for v1 logs and
-    /// hand-built per-object maps; the per-object order maps above remain
-    /// the replayer's source of truth either way.
+    /// The globally-ordered event journal. Empty for hand-built
+    /// per-object maps; the per-object order maps above remain the
+    /// replayer's source of truth either way.
     pub journal: Vec<JournalEvent>,
     /// Recorder checkpoints at chunk boundaries (v2).
     pub checkpoints: Vec<Checkpoint>,
@@ -185,7 +182,7 @@ pub struct LogSuffix {
     pub checkpoints: Vec<Checkpoint>,
 }
 
-/// Dictionary key for one ordered object: the per-object streams of v1,
+/// Dictionary key for one ordered object: a per-object order stream,
 /// reduced to a sortable id. Order matters: groups are serialized in this
 /// enum's variant order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -510,149 +507,23 @@ impl ReplayLogs {
         out
     }
 
-    /// Serialize in the legacy v1 wire format (flat, unchecksummed). Kept
-    /// for compatibility tests and the v1/v2 size benchmark; the journal
-    /// and checkpoints are not representable and are dropped.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"CHIM");
-        push_varint(&mut out, 1); // format version
-        push_varint(&mut out, self.inputs.len() as u64);
-        for ((t, seq), data) in &self.inputs {
-            push_varint(&mut out, *t as u64);
-            push_varint(&mut out, *seq);
-            push_varint(&mut out, data.len() as u64);
-            for &v in data {
-                push_varint(&mut out, zigzag(v));
-            }
-        }
-        let order_map = |out: &mut Vec<u8>, m: &BTreeMap<i64, Vec<u32>>| {
-            push_varint(out, m.len() as u64);
-            for (addr, threads) in m {
-                push_varint(out, zigzag(*addr));
-                push_varint(out, threads.len() as u64);
-                for t in threads {
-                    push_varint(out, *t as u64);
-                }
-            }
-        };
-        order_map(&mut out, &self.mutex_order);
-        order_map(&mut out, &self.cond_order);
-        push_varint(&mut out, self.spawn_order.len() as u64);
-        for t in &self.spawn_order {
-            push_varint(&mut out, *t as u64);
-        }
-        push_varint(&mut out, self.output_order.len() as u64);
-        for t in &self.output_order {
-            push_varint(&mut out, *t as u64);
-        }
-        push_varint(&mut out, self.weak_order.len() as u64);
-        for (lock, threads) in &self.weak_order {
-            push_varint(&mut out, lock.0 as u64);
-            let g = self
-                .weak_gran
-                .get(lock)
-                .copied()
-                .unwrap_or(LockGranularity::Instruction);
-            push_varint(&mut out, gran_code(g));
-            push_varint(&mut out, threads.len() as u64);
-            for t in threads {
-                push_varint(&mut out, *t as u64);
-            }
-        }
-        push_varint(&mut out, self.forced.len() as u64);
-        for (t, icount, parked, lock) in &self.forced {
-            push_varint(&mut out, *t as u64);
-            push_varint(&mut out, *icount);
-            out.push(*parked as u8);
-            push_varint(&mut out, lock.0 as u64);
-        }
-        push_varint(&mut out, self.sync_log_entries);
-        push_varint(&mut out, self.input_log_entries);
-        out
-    }
-
-    /// Parse a buffer produced by [`ReplayLogs::to_bytes`] (v2) or
-    /// [`ReplayLogs::to_bytes_v1`] — the version byte selects the decoder.
+    /// Parse a buffer produced by [`ReplayLogs::to_bytes`].
     ///
     /// # Errors
     ///
     /// Returns a description of the first structural problem (bad magic,
-    /// unsupported version, truncation, checksum mismatch). v2 errors name
-    /// the offending chunk.
+    /// unsupported version, truncation, checksum mismatch). Chunk errors
+    /// name the offending chunk.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLogs, String> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != b"CHIM" {
             return Err("bad magic".into());
         }
         let version = r.varint()?;
-        match version {
-            1 => Self::decode_v1(&mut r),
-            2 => Self::decode_v2(&mut r),
-            other => Err(format!("unsupported log format version {other}")),
+        if version != 2 {
+            return Err(format!("unsupported log format version {version}"));
         }
-    }
-
-    fn decode_v1(r: &mut Reader) -> Result<ReplayLogs, String> {
-        let mut logs = ReplayLogs::default();
-        let n_inputs = r.varint()?;
-        for _ in 0..n_inputs {
-            let t = r.varint()? as u32;
-            let seq = r.varint()?;
-            let len = r.varint()? as usize;
-            let mut data = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                data.push(unzigzag(r.varint()?));
-            }
-            logs.inputs.insert((t, seq), data);
-        }
-        let order_map = |r: &mut Reader| -> Result<BTreeMap<i64, Vec<u32>>, String> {
-            let n = r.varint()?;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                let addr = unzigzag(r.varint()?);
-                let len = r.varint()? as usize;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    v.push(r.varint()? as u32);
-                }
-                m.insert(addr, v);
-            }
-            Ok(m)
-        };
-        logs.mutex_order = order_map(r)?;
-        logs.cond_order = order_map(r)?;
-        let n = r.varint()? as usize;
-        for _ in 0..n {
-            logs.spawn_order.push(r.varint()? as u32);
-        }
-        let n = r.varint()? as usize;
-        for _ in 0..n {
-            logs.output_order.push(r.varint()? as u32);
-        }
-        let n_weak = r.varint()?;
-        for _ in 0..n_weak {
-            let lock = WeakLockId(r.varint()? as u32);
-            let g = gran_from_code(r.varint()?)?;
-            let len = r.varint()? as usize;
-            let mut v = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                v.push(r.varint()? as u32);
-            }
-            logs.weak_order.insert(lock, v);
-            logs.weak_gran.insert(lock, g);
-        }
-        let n_forced = r.varint()?;
-        for _ in 0..n_forced {
-            let t = r.varint()? as u32;
-            let icount = r.varint()?;
-            let parked = r.take(1)?[0] != 0;
-            let lock = WeakLockId(r.varint()? as u32);
-            logs.forced.push((t, icount, parked, lock));
-        }
-        logs.sync_log_entries = r.varint()?;
-        logs.input_log_entries = r.varint()?;
-        Ok(logs)
+        Self::decode_v2(&mut r)
     }
 
     fn decode_v2(r: &mut Reader) -> Result<ReplayLogs, String> {
@@ -689,8 +560,9 @@ impl ReplayLogs {
     ///
     /// # Errors
     ///
-    /// Fails on container/header damage, a missing journal (v1 or legacy
-    /// logs), an out-of-range chunk, or damage within the suffix itself.
+    /// Fails on container/header damage, a missing journal (explicit
+    /// per-object orders only), an out-of-range chunk, or damage within
+    /// the suffix itself.
     pub fn decode_from_checkpoint(bytes: &[u8], chunk: usize) -> Result<LogSuffix, String> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != b"CHIM" {
@@ -704,7 +576,7 @@ impl ReplayLogs {
         }
         let (logs, tables, n_events, _explicit) = decode_v2_header(&mut r)?;
         let Some((objs, combos)) = tables else {
-            return Err("log has no journal (legacy orders only)".into());
+            return Err("log has no journal (explicit per-object orders only)".into());
         };
         let n_chunks = chunk_count_for(&r, n_events)?;
         if chunk >= n_chunks {
@@ -806,7 +678,7 @@ fn chunk_events(n_events: u64, n_chunks: usize, i: usize) -> usize {
 }
 
 /// Parse the v2 header: returns the partially-filled logs (inputs, grans,
-/// counters, checkpoints, and legacy orders if explicit), the journal
+/// counters, checkpoints, and per-object orders if explicit), the journal
 /// tables, the event count, and the explicit-orders flag.
 type HeaderTables = Option<(Vec<ObjKey>, Vec<(u32, u32)>)>;
 
@@ -1843,7 +1715,8 @@ mod tests {
         assert_eq!(logs.weak_entries(LockGranularity::BasicBlock), 0);
     }
 
-    /// A hand-built log exercising every legacy section (no journal).
+    /// A hand-built log exercising every per-object section (explicit
+    /// mode, no journal).
     fn rich_logs() -> ReplayLogs {
         let mut logs = ReplayLogs::default();
         logs.inputs.insert((0, 0), vec![5, -3, 1 << 40]);
@@ -1901,24 +1774,6 @@ mod tests {
         let back = ReplayLogs::from_bytes(&bytes).expect("round trip");
         assert_eq!(back, logs);
         assert_eq!(back.checkpoints.len(), 2);
-    }
-
-    #[test]
-    fn v2_journal_encoding_is_smaller_than_v1() {
-        let logs = journal_logs();
-        let v2 = logs.to_bytes().len();
-        let v1 = logs.to_bytes_v1().len();
-        assert!(v2 < v1, "v2 ({v2} bytes) must beat v1 ({v1} bytes)");
-    }
-
-    #[test]
-    fn v1_buffers_still_decode() {
-        let logs = journal_logs();
-        let back = ReplayLogs::from_bytes(&logs.to_bytes_v1()).expect("v1 decode");
-        let mut expect = logs.clone();
-        expect.journal.clear();
-        expect.checkpoints.clear();
-        assert_eq!(back, expect);
     }
 
     #[test]
@@ -1986,18 +1841,25 @@ mod tests {
 
     #[test]
     fn single_byte_flips_are_detected() {
-        // Every byte from the header-length field onward is covered by the
-        // header checksum, a frame checksum, or a frame delimiter — one
-        // flipped bit anywhere must surface as an error. (Offset 4 is the
-        // version byte: flipping it reroutes to the unchecksummed v1
-        // parser, the documented limit of in-band versioning.)
+        // The version byte (offset 4) names the only accepted version,
+        // and every byte after it is covered by the header checksum, a
+        // frame checksum, or a frame delimiter — one flipped bit anywhere
+        // must surface as an error.
         let bytes = journal_logs().to_bytes();
-        for off in 5..bytes.len() {
+        for off in 4..bytes.len() {
             let mut b = bytes.clone();
             b[off] ^= 1;
             assert!(
                 ReplayLogs::from_bytes(&b).is_err(),
                 "flip at offset {off} decoded Ok"
+            );
+        }
+        for bit in 0..8 {
+            let mut b = bytes.clone();
+            b[4] ^= 1 << bit;
+            assert!(
+                ReplayLogs::from_bytes(&b).is_err(),
+                "version-byte flip of bit {bit} decoded Ok"
             );
         }
     }
@@ -2115,40 +1977,39 @@ mod tests {
         assert!(ReplayLogs::decode_from_checkpoint(&b, 1).is_err());
         // Out-of-range chunk.
         assert!(ReplayLogs::decode_from_checkpoint(&bytes, 9).is_err());
-        // v1 logs have no journal to seek in.
-        assert!(ReplayLogs::decode_from_checkpoint(&logs.to_bytes_v1(), 0).is_err());
     }
 
     #[test]
     fn hostile_section_lengths_error_not_panic() {
-        let header = |b: &mut Vec<u8>| {
-            b.extend_from_slice(b"CHIM");
-            push_varint(b, 1);
+        // Hand-built journal-less headers behind a valid checksum, so the
+        // section parser itself meets the hostile lengths.
+        let container = |header: &[u8]| {
+            let mut out = b"CHIM".to_vec();
+            push_varint(&mut out, 2);
+            push_varint(&mut out, header.len() as u64);
+            out.extend_from_slice(header);
+            out.extend_from_slice(&fnv32(header).to_le_bytes());
+            out
         };
-        // Absurd input-record count: must fail on the missing records, not
+        // Absurd input-thread count: must fail on the missing records, not
         // try to allocate for them.
-        let mut b = Vec::new();
-        header(&mut b);
-        push_varint(&mut b, u64::MAX);
-        assert!(ReplayLogs::from_bytes(&b).is_err());
+        let mut h = vec![FLAG_EXPLICIT];
+        push_varint(&mut h, u64::MAX);
+        assert!(ReplayLogs::from_bytes(&container(&h)).is_err());
         // Absurd payload length inside one otherwise-valid input record.
-        let mut b = Vec::new();
-        header(&mut b);
-        push_varint(&mut b, 1); // one input record
-        push_varint(&mut b, 0); // thread
-        push_varint(&mut b, 0); // seq
-        push_varint(&mut b, u64::MAX); // payload length
-        assert!(ReplayLogs::from_bytes(&b).is_err());
+        let mut h = vec![FLAG_EXPLICIT];
+        push_varint(&mut h, 1); // one input thread…
+        push_varint(&mut h, 0); // …thread 0
+        push_varint(&mut h, 1 << 1); // one contiguous record
+        push_varint(&mut h, u64::MAX - 1); // varint payload length
+        assert!(ReplayLogs::from_bytes(&container(&h)).is_err());
         // Unknown weak-lock granularity code.
-        let mut b = Vec::new();
-        header(&mut b);
-        for _ in 0..5 {
-            push_varint(&mut b, 0); // empty inputs/mutex/cond/spawn/output
-        }
-        push_varint(&mut b, 1); // one weak-lock stream
-        push_varint(&mut b, 0); // lock id
-        push_varint(&mut b, 9); // bogus granularity
-        let err = ReplayLogs::from_bytes(&b).unwrap_err();
+        let mut h = vec![FLAG_EXPLICIT];
+        push_varint(&mut h, 0); // no input threads
+        push_varint(&mut h, 1); // one granularity entry…
+        push_varint(&mut h, 0); // …for lock 0
+        push_varint(&mut h, 9); // bogus granularity
+        let err = ReplayLogs::from_bytes(&container(&h)).unwrap_err();
         assert!(err.contains("granularity"), "{err}");
         // A varint that never terminates within 64 bits.
         let mut b = b"CHIM".to_vec();
@@ -2161,6 +2022,11 @@ mod tests {
     fn deserialization_rejects_garbage() {
         assert!(ReplayLogs::from_bytes(b"NOPE....").is_err());
         assert!(ReplayLogs::from_bytes(b"CH").is_err());
+        // The retired v1 format is an unsupported version like any other.
+        let mut v1 = ReplayLogs::default().to_bytes();
+        v1[4] = 1;
+        let err = ReplayLogs::from_bytes(&v1).unwrap_err();
+        assert_eq!(err, "unsupported log format version 1");
         let mut ok = ReplayLogs::default().to_bytes();
         ok.truncate(5);
         // Truncated buffers must error, not panic.
@@ -2290,20 +2156,6 @@ mod tests {
             prop::check("journal_round_trips", &arb_journal_logs(), |logs| {
                 let back = ReplayLogs::from_bytes(&logs.to_bytes()).expect("valid buffer");
                 prop_assert_eq!(&back, logs);
-                Ok(())
-            });
-        }
-
-        /// The v1 encoder/decoder pair still round-trips everything except
-        /// the (v2-only) journal and checkpoints.
-        #[test]
-        fn v1_decode_round_trips() {
-            prop::check("v1_decode_round_trips", &arb_journal_logs(), |logs| {
-                let mut expect = logs.clone();
-                expect.journal.clear();
-                expect.checkpoints.clear();
-                let back = ReplayLogs::from_bytes(&logs.to_bytes_v1()).expect("valid v1");
-                prop_assert_eq!(&back, &expect);
                 Ok(())
             });
         }

@@ -28,8 +28,8 @@ pub fn record(program: &Program, base: &ExecConfig) -> Recording {
 }
 
 /// [`record`] with an explicit checkpoint interval (0 disables
-/// checkpointing entirely — the v1-era recording mode the format benchmark
-/// compares against).
+/// checkpointing entirely — the baseline the format benchmark times
+/// checkpoint folding against).
 pub fn record_with(program: &Program, base: &ExecConfig, ckpt_every: u64) -> Recording {
     let config = ExecConfig {
         log_sync: true,

@@ -380,7 +380,7 @@ impl Supervisor for BisectReplayer {
         }
         match self.journal.get(self.cursor) {
             Some(expected) => Self::head_matches(expected, point, thread),
-            // Past the recorded journal (or a v1 log with none): the
+            // Past the recorded journal (or a log with none): the
             // global gate has nothing left to say.
             None => true,
         }

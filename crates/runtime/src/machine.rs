@@ -31,8 +31,7 @@ use crate::event::{
     Event, EventKind, EventMask, NullSupervisor, OrderPoint, Supervisor, SyncKind, ThreadId,
 };
 use crate::flat::{flatten, static_costs, ArgRange, FlatFunc, FlatOp, FlatProgram};
-use crate::memory::{MemSnap, Memory, RegionKind};
-use crate::parallel::{par_map, serial_requested};
+use crate::memory::{Memory, RegionKind};
 use crate::sched::SchedStrategy;
 use crate::stats::ExecStats;
 use crate::sync::{BlockReason, SyncTables, WeakHolder};
@@ -88,15 +87,6 @@ pub struct ExecConfig {
     /// loop's burst/ready-queue fast path; adversarial strategies run
     /// both interpreter modes through one shared per-step loop.
     pub sched: SchedStrategy,
-    /// OS worker threads for the DRF-certified parallel flat mode: `<= 1`
-    /// is serial; larger values let the flat scheduler dispatch
-    /// speculative hot segments of distinct threads across OS threads via
-    /// [`crate::parallel::par_map`], committing only rounds whose
-    /// read/write sets are pairwise disjoint (everything else re-runs
-    /// serially), so results stay bit-identical to serial flat. Only
-    /// engages when every batch-legality condition holds and jitter is
-    /// off; `CHIMERA_SERIAL=1` forces serial.
-    pub parallelism: u32,
 }
 
 impl Default for ExecConfig {
@@ -116,7 +106,6 @@ impl Default for ExecConfig {
             collect_trace: false,
             count_blocks: false,
             sched: SchedStrategy::ClockJitter,
-            parallelism: 1,
         }
     }
 }
@@ -336,23 +325,14 @@ const PAGE_SHIFT: u32 = 0;
 const SPEC_PENALTY_MIN: u64 = 16;
 const SPEC_PENALTY_MAX: u64 = 65_536;
 
-/// Memory-access seam of the speculative segment executor
-/// ([`run_segment`]): serial rounds run segments directly against
-/// [`Memory`] with an undo log; parallel rounds run them against a frozen
-/// [`MemSnap`] with a private write overlay. Trap details are
-/// deliberately dropped — any speculative trap discards the whole round,
-/// and the exact engine then reproduces the trap at its canonical point
-/// with the precise message.
-trait SegMem {
-    fn load(&mut self, addr: i64) -> Result<i64, ()>;
-    fn store(&mut self, addr: i64, val: i64) -> Result<(), ()>;
-}
-
-/// Serial segment memory: writes go straight to [`Memory`] with the old
-/// value pushed onto the round's undo log; read/write pages are stamped
-/// into the owning thread's epoch arrays (first touch per round also
-/// records the page in the touched list, which is what validation and
-/// rollback iterate).
+/// Segment memory of the speculative executor ([`run_segment`]): writes
+/// go straight to [`Memory`] with the old value pushed onto the round's
+/// undo log; read/write pages are stamped into the owning thread's epoch
+/// arrays (first touch per round also records the page in the touched
+/// list, which is what validation and rollback iterate). Trap details
+/// are deliberately dropped — any speculative trap discards the whole
+/// round, and the exact engine then reproduces the trap at its canonical
+/// point with the precise message.
 struct DirectSeg<'a> {
     mem: &'a mut Memory,
     undo: &'a mut Vec<(i64, i64)>,
@@ -363,7 +343,7 @@ struct DirectSeg<'a> {
     touched_write: &'a mut Vec<u32>,
 }
 
-impl SegMem for DirectSeg<'_> {
+impl DirectSeg<'_> {
     #[inline]
     fn load(&mut self, addr: i64) -> Result<i64, ()> {
         let v = self.mem.load(addr).map_err(drop)?;
@@ -386,40 +366,6 @@ impl SegMem for DirectSeg<'_> {
             self.write_epoch[page] = self.epoch;
             self.touched_write.push(page as u32);
         }
-        Ok(())
-    }
-}
-
-/// Parallel segment memory: reads prefer the segment's own overlay, then
-/// the frozen snapshot; writes never leave the overlay. Touched pages are
-/// pushed eagerly (duplicates and all) and sorted/deduplicated once after
-/// the segment. Reads satisfied by the overlay are *not* recorded: a
-/// value the segment wrote itself carries no cross-thread dependency, and
-/// any other thread touching that page already conflicts with the
-/// recorded write.
-struct OverlaySeg<'a> {
-    snap: MemSnap<'a>,
-    writes: std::collections::HashMap<i64, i64>,
-    read_pages: Vec<u32>,
-    write_pages: Vec<u32>,
-}
-
-impl SegMem for OverlaySeg<'_> {
-    #[inline]
-    fn load(&mut self, addr: i64) -> Result<i64, ()> {
-        if let Some(&v) = self.writes.get(&addr) {
-            return Ok(v);
-        }
-        let v = self.snap.load(addr).map_err(drop)?;
-        self.read_pages.push((addr as u64 >> PAGE_SHIFT) as u32);
-        Ok(v)
-    }
-
-    #[inline]
-    fn store(&mut self, addr: i64, val: i64) -> Result<(), ()> {
-        self.snap.check_writable(addr).map_err(drop)?;
-        self.writes.insert(addr, val);
-        self.write_pages.push((addr as u64 >> PAGE_SHIFT) as u32);
         Ok(())
     }
 }
@@ -476,12 +422,16 @@ struct SegCtx<'a> {
 /// observable effect. Fused pairs re-check the bound between constituents
 /// (a mid-pair stop rests at `pc + 1`, where the sidecar holds the plain
 /// second op); the cap is only checked between whole ops.
-fn run_segment<M: SegMem>(
+///
+/// Kept out of line: inlined into the scheduler's hot loop it slowed the
+/// flat engine by ~5% (`interp_scaling` minima, radix/ocean/pfscan).
+#[inline(never)]
+fn run_segment(
     ctx: &SegCtx<'_>,
     frame: &mut Frame,
     clock: &mut u64,
     icount: &mut u64,
-    mem: &mut M,
+    mem: &mut DirectSeg<'_>,
 ) -> SegRun {
     let mut run = SegRun::default();
     // The bound is only re-checked after each commit, so a thread whose
@@ -896,19 +846,6 @@ struct SegSnap {
     regs: Vec<i64>,
     undo_start: usize,
     run: SegRun,
-}
-
-/// Do two sorted, deduplicated page lists share an element?
-fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 /// Can the segment executor retire this sidecar op? (Mirrors the arms of
@@ -2074,13 +2011,7 @@ impl<'p> Machine<'p> {
                 .expect("live thread has frames");
             !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
         });
-        let parallel = self.config.parallelism > 1 && !serial_requested();
-        let committed = if parallel {
-            self.round_par(queue, bound0)
-        } else {
-            self.round_direct(queue, bound0)
-        };
-        let total = match committed {
+        let total = match self.round_direct(queue, bound0) {
             Some(total) => total,
             None => {
                 self.stats.vm.spec_discards += 1;
@@ -2104,9 +2035,6 @@ impl<'p> Machine<'p> {
         }
         *steps += total;
         self.stats.vm.spec_rounds += 1;
-        if parallel {
-            self.stats.vm.par_rounds += 1;
-        }
         refresh_queue_keys(queue, &self.threads);
         true
     }
@@ -2162,8 +2090,9 @@ impl<'p> Machine<'p> {
         *icount = snap.icount;
     }
 
-    /// Evaluate one round in-line: segments run directly against memory
-    /// with an undo log and per-thread page-epoch stamps. Returns the
+    /// Evaluate one round: segments run one after another directly
+    /// against memory with an undo log and per-thread page-epoch stamps
+    /// (the order is immaterial once certified race-free). Returns the
     /// total ops committed, or `None` if the round was discarded — any
     /// speculative trap or cross-segment page overlap — and rolled back.
     fn round_direct(
@@ -2292,131 +2221,6 @@ impl<'p> Machine<'p> {
         self.spec.snaps = snaps;
         self.spec.undo = undo;
         self.spec.globals = globals;
-        Some(total)
-    }
-
-    /// Evaluate one round on OS worker threads: every segment runs
-    /// against a frozen memory snapshot with a private write overlay, so
-    /// workers share nothing mutable. The verdict and committed state
-    /// are identical to [`Self::round_direct`] on the same pre-round
-    /// state: in a certified round no segment observed another's writes,
-    /// so direct and overlay evaluation retire identical ops — and a
-    /// cross-segment read of a written page is itself a detected
-    /// conflict, discarding the round in both modes before any value
-    /// divergence can matter.
-    fn round_par(&mut self, queue: &[(u64, u32)], bound0: Option<(u64, u32)>) -> Option<u64> {
-        struct SegJob {
-            tix: usize,
-            frame: Frame,
-            clock: u64,
-            icount: u64,
-        }
-        struct SegOut {
-            tix: usize,
-            frame: Frame,
-            clock: u64,
-            icount: u64,
-            run: SegRun,
-            writes: std::collections::HashMap<i64, i64>,
-            read_pages: Vec<u32>,
-            write_pages: Vec<u32>,
-        }
-        let jobs: Vec<SegJob> = queue
-            .iter()
-            .map(|&(_, id)| {
-                let t = &self.threads[id as usize];
-                SegJob {
-                    tix: id as usize,
-                    frame: t.frames.last().expect("live thread has frames").clone(),
-                    clock: t.clock,
-                    icount: t.icount,
-                }
-            })
-            .collect();
-        let snap = self.mem.snapshot();
-        let flat = &self.flat;
-        let costs = &self.costs;
-        let globals = &self.spec.globals;
-        let outs: Vec<SegOut> = par_map(&jobs, |job| {
-            let mut frame = job.frame.clone();
-            let (mut clock, mut icount) = (job.clock, job.icount);
-            let fidx = frame.func.index();
-            let ctx = SegCtx {
-                func: &flat.funcs[fidx],
-                fcosts: &costs[fidx],
-                globals,
-                id: job.tix as u32,
-                bound: bound0,
-            };
-            let mut seg = OverlaySeg {
-                snap,
-                writes: std::collections::HashMap::new(),
-                read_pages: Vec::new(),
-                write_pages: Vec::new(),
-            };
-            let run = run_segment(&ctx, &mut frame, &mut clock, &mut icount, &mut seg);
-            seg.read_pages.sort_unstable();
-            seg.read_pages.dedup();
-            seg.write_pages.sort_unstable();
-            seg.write_pages.dedup();
-            SegOut {
-                tix: job.tix,
-                frame,
-                clock,
-                icount,
-                run,
-                writes: seg.writes,
-                read_pages: seg.read_pages,
-                write_pages: seg.write_pages,
-            }
-        });
-        if outs.iter().any(|o| o.run.end == SegEnd::Trap) {
-            return None;
-        }
-        for i in 0..outs.len() {
-            for j in (i + 1)..outs.len() {
-                if sorted_intersects(&outs[i].write_pages, &outs[j].read_pages)
-                    || sorted_intersects(&outs[j].write_pages, &outs[i].read_pages)
-                    || sorted_intersects(&outs[i].write_pages, &outs[j].write_pages)
-                {
-                    return None;
-                }
-            }
-        }
-        let k = outs
-            .iter()
-            .map(|o| (o.clock, o.tix as u32))
-            .min()
-            .expect("round has participants");
-        let mut total = 0u64;
-        let mut kept = 0u64;
-        let (mut fused, mut mem_ops) = (0u64, 0u64);
-        for out in outs {
-            // Segments past K (or empty) are simply dropped — nothing
-            // was applied to shared state yet.
-            if out.run.ops == 0 || (out.run.last_pre, out.tix as u32) >= k {
-                continue;
-            }
-            total += out.run.ops;
-            kept += 1;
-            fused += out.run.fused;
-            mem_ops += out.run.mem_ops;
-            for (addr, val) in out.writes {
-                // Distinct addresses, so the map's iteration order is
-                // immaterial; addresses were validated against the
-                // snapshot and no heap op ran since.
-                self.mem.write_raw(addr, val);
-            }
-            let t = &mut self.threads[out.tix];
-            *t.frames.last_mut().expect("live thread has frames") = out.frame;
-            t.clock = out.clock;
-            t.icount = out.icount;
-        }
-        self.stats.instrs += total;
-        self.stats.mem_ops += mem_ops;
-        self.stats.vm.fused_ops += fused;
-        self.stats.vm.spec_ops += total;
-        self.stats.vm.spec_segments += kept;
         Some(total)
     }
 

@@ -319,19 +319,6 @@ impl Memory {
         self.cells[addr as usize] = val;
     }
 
-    /// A `Sync` read-only view for parallel segment evaluation: the same
-    /// address classification as [`Memory::load`]/[`Memory::store`], minus
-    /// the `last_region` cache (a `Cell`, which is what makes `&Memory`
-    /// itself `!Sync`). Regions cannot move while the view is borrowed.
-    pub fn snapshot(&self) -> MemSnap<'_> {
-        MemSnap {
-            cells: &self.cells,
-            regions: &self.regions,
-            global_map: &self.global_map,
-            dense_limit: self.dense_limit,
-        }
-    }
-
     /// Hash of all live cells — used by the determinism verifier to compare
     /// final states.
     pub fn state_hash(&self) -> u64 {
@@ -366,96 +353,6 @@ impl Memory {
     /// Total number of live regions (diagnostics).
     pub fn live_regions(&self) -> usize {
         self.regions.iter().filter(|r| r.alive).count()
-    }
-}
-
-/// A borrowed, `Sync`, read-only view of [`Memory`] for parallel segment
-/// evaluation (see [`Memory::snapshot`]). Loads classify addresses exactly
-/// like [`Memory::load`] — same fast paths, same trap messages — but do a
-/// plain binary search instead of going through the `last_region` cache,
-/// so many OS threads can read one frozen memory concurrently.
-#[derive(Clone, Copy)]
-pub struct MemSnap<'a> {
-    cells: &'a [i64],
-    regions: &'a [Region],
-    global_map: &'a [u32],
-    dense_limit: u64,
-}
-
-impl MemSnap<'_> {
-    #[inline]
-    fn region_of(&self, addr: i64) -> Option<&Region> {
-        let idx = self
-            .regions
-            .partition_point(|r| r.start <= addr)
-            .checked_sub(1)?;
-        let r = &self.regions[idx];
-        (addr < r.start + r.len).then_some(r)
-    }
-
-    /// Read one cell with bounds checking ([`Memory::load`] semantics).
-    #[inline]
-    pub fn load(&self, addr: i64) -> Result<i64, MemTrap> {
-        if (addr as u64).wrapping_sub(1) < self.dense_limit {
-            return Ok(self.cells[addr as usize]);
-        }
-        if (addr as u64) < self.global_map.len() as u64 {
-            if self.global_map[addr as usize] < FREED_GLOBAL {
-                return Ok(self.cells[addr as usize]);
-            }
-            return Err(MemTrap {
-                addr,
-                reason: if self.global_map[addr as usize] == FREED_GLOBAL {
-                    "use after free".into()
-                } else {
-                    "load outside any allocated region".into()
-                },
-            });
-        }
-        match self.region_of(addr) {
-            Some(r) if r.alive => Ok(self.cells[addr as usize]),
-            Some(_) => Err(MemTrap {
-                addr,
-                reason: "use after free".into(),
-            }),
-            None => Err(MemTrap {
-                addr,
-                reason: "load outside any allocated region".into(),
-            }),
-        }
-    }
-
-    /// Would [`Memory::store`] at `addr` succeed? Same classification and
-    /// trap messages; the write itself goes to the caller's overlay.
-    #[inline]
-    pub fn check_writable(&self, addr: i64) -> Result<(), MemTrap> {
-        if (addr as u64).wrapping_sub(1) < self.dense_limit {
-            return Ok(());
-        }
-        if (addr as u64) < self.global_map.len() as u64 {
-            if self.global_map[addr as usize] < FREED_GLOBAL {
-                return Ok(());
-            }
-            return Err(MemTrap {
-                addr,
-                reason: if self.global_map[addr as usize] == FREED_GLOBAL {
-                    "store after free".into()
-                } else {
-                    "store outside any allocated region".into()
-                },
-            });
-        }
-        match self.region_of(addr) {
-            Some(r) if r.alive => Ok(()),
-            Some(_) => Err(MemTrap {
-                addr,
-                reason: "store after free".into(),
-            }),
-            None => Err(MemTrap {
-                addr,
-                reason: "store outside any allocated region".into(),
-            }),
-        }
     }
 }
 

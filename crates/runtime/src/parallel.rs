@@ -1,5 +1,5 @@
 //! Deterministic scoped parallelism for embarrassingly parallel outer
-//! loops (profile runs over seeds, measurement trials).
+//! loops (profile runs over seeds, measurement trials, schedule sweeps).
 //!
 //! [`par_map`] fans work out over `std::thread::scope` workers pulling
 //! indices from a shared atomic counter, then reassembles results **in
@@ -13,34 +13,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Has the user asked for serial execution via `CHIMERA_SERIAL`?
-pub fn serial_requested() -> bool {
+fn serial_requested() -> bool {
     std::env::var_os("CHIMERA_SERIAL").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Apply `f` to every item, in parallel, returning results in input order.
+/// Apply `f` to every item on up to `jobs` scoped workers, returning
+/// results in input order.
 ///
-/// Spawns at most `available_parallelism` scoped workers; falls back to a
-/// plain serial loop for zero or one item, when only one worker is
-/// available, or when [`serial_requested`] is set. Panics in `f` propagate
-/// to the caller (the scope joins every worker first).
-pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    par_map_jobs(items, 0, f)
-}
-
-/// [`par_map`] with an explicit worker budget.
-///
-/// `jobs == 0` auto-sizes to `available_parallelism` (the [`par_map`]
-/// behavior); `jobs == 1` is the serial loop; any larger value spawns
-/// exactly `min(jobs, items.len())` scoped workers even when the host
-/// advertises fewer cores — an explicit request wins, which is what lets
-/// an orchestrator oversubscribe I/O-ish work or pin a reproducible
-/// worker count. `CHIMERA_SERIAL=1` still forces the serial path no
-/// matter what `jobs` says.
-pub fn par_map_jobs<T: Sync, U: Send>(
-    items: &[T],
-    jobs: usize,
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<U> {
+/// `jobs == 0` auto-sizes to `available_parallelism`; `jobs == 1` is the
+/// serial loop; any larger value spawns exactly `min(jobs, items.len())`
+/// workers even when the host advertises fewer cores — an explicit
+/// request wins, which is what lets an orchestrator oversubscribe I/O-ish
+/// work or pin a reproducible worker count. Zero or one item, or
+/// `CHIMERA_SERIAL=1`, always takes the serial loop. Panics in `f`
+/// propagate to the caller (the scope joins every worker first).
+pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let n = items.len();
     let workers = if jobs == 0 {
         thread::available_parallelism()
@@ -93,15 +80,15 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = par_map(&items, |&i| i * 3);
+        let out = par_map(&items, 0, |&i| i * 3);
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_inputs_work() {
         let none: Vec<u32> = Vec::new();
-        assert!(par_map(&none, |&x| x).is_empty());
-        assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
+        assert!(par_map(&none, 0, |&x| x).is_empty());
+        assert_eq!(par_map(&[7u32], 0, |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -112,7 +99,7 @@ mod tests {
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         // jobs=3 must spawn real workers even on a single-core host; the
         // output stays input-ordered regardless of which worker ran what.
-        let out = par_map_jobs(&items, 3, |&i| {
+        let out = par_map(&items, 3, |&i| {
             seen.lock().unwrap().insert(std::thread::current().id());
             i + 1
         });
@@ -120,7 +107,7 @@ mod tests {
         // The thread-count assertion is best-effort (workers race for
         // indices), but with 50 items at least one spawned worker runs.
         assert!(!seen.lock().unwrap().is_empty());
-        assert_eq!(par_map_jobs(&items, 1, |&i| i), items);
+        assert_eq!(par_map(&items, 1, |&i| i), items);
     }
 
     #[test]
@@ -128,7 +115,7 @@ mod tests {
         // Work whose cost varies wildly by index, so workers finish out of
         // order — the output must still be index-ordered.
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, |&i| {
+        let out = par_map(&items, 0, |&i| {
             let mut acc = i;
             for _ in 0..(i % 7) * 1000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -38,18 +38,19 @@ pub struct ExecStats {
     /// preemptions); 0 under the clock-ordered baseline.
     pub sched_preemptions: u64,
     /// Execution-strategy observability counters (superinstruction fusion,
-    /// batch commit, parallel segments). Excluded from equality — see
-    /// [`VmPerf`].
+    /// batch commit, speculative segment rounds). Excluded from equality —
+    /// see [`VmPerf`].
     pub vm: VmPerf,
 }
 
 /// How the flat VM executed, mechanically: superinstructions dispatched,
-/// batch-commit run shapes, parallel segments committed.
+/// batch-commit run shapes, speculative segments committed.
 ///
 /// These counters describe the *execution strategy*, not the program:
-/// reference mode, single-step flat, batched flat, and parallel flat all
-/// retire the identical instruction stream but count differently here. The
-/// byte-identity contract (`tests/vm_differential.rs`) compares whole
+/// reference mode, single-step flat, batched flat, and flat with segment
+/// rounds all retire the identical instruction stream but count
+/// differently here. The byte-identity contract
+/// (`tests/vm_differential.rs`) compares whole
 /// [`ExecStats`] values across modes, so `VmPerf`'s `PartialEq` is
 /// intentionally always-true: strategy observability must never make two
 /// semantically identical executions compare unequal.
@@ -74,9 +75,6 @@ pub struct VmPerf {
     /// Speculative rounds discarded (overlapping read/write sets or a
     /// speculative trap) and rolled back to exact execution.
     pub spec_discards: u64,
-    /// Committed rounds whose segments were evaluated on OS worker
-    /// threads (`ExecConfig::parallelism > 1`) rather than in-line.
-    pub par_rounds: u64,
 }
 
 impl PartialEq for VmPerf {

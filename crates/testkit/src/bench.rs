@@ -213,16 +213,20 @@ impl Group<'_> {
 }
 
 /// Render results as a stable, human-diffable JSON array (one object per
-/// benchmark, durations in nanoseconds). Hand-rolled: the workspace is
+/// benchmark, durations in nanoseconds, each row tagged with the host's
+/// `available_parallelism` so a reader can tell which kind of host
+/// produced it). Hand-rolled: the workspace is
 /// hermetic, so no serde — names contain only `[A-Za-z0-9_/.-]` in
 /// practice, but escape quotes and backslashes anyway.
 pub fn json_report(results: &[BenchStats]) -> String {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         let name = r.name.replace('\\', "\\\\").replace('"', "\\\"");
         out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}}}{}\n",
+            "  {{\"name\": \"{}\", \"host_cores\": {}, \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}}}{}\n",
             name,
+            host_cores,
             r.samples,
             r.min.as_nanos(),
             r.median.as_nanos(),
@@ -303,6 +307,7 @@ mod tests {
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert!(json.contains("\"name\": \"g/a\""));
         assert!(json.contains("\"min_ns\": 5000"));
+        assert_eq!(json.matches("\"host_cores\": ").count(), 2);
         assert!(json.contains("\"name\": \"g/\\\"b\\\"\""), "{json}");
         assert_eq!(json.matches('{').count(), 2);
         assert_eq!(json.matches("},").count(), 1, "all but last comma-separated");

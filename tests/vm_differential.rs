@@ -10,12 +10,11 @@
 //! record/replay round trips, and a generative sweep of racy programs.
 //!
 //! The flat loop itself is layered — superinstruction fusion, batch
-//! commit, and the speculative segment engine with its DRF-certified
-//! parallel dispatch (`ExecConfig::parallelism`) — and every layer is in
+//! commit, and the speculative segment rounds — and every layer is in
 //! scope here: the jitter-off cases run all of them against the
-//! reference interpreter, parallel mode is pinned bit-identical (results
-//! *and* replay logs) to serial flat on all nine workloads, and
-//! `CHIMERA_SERIAL=1` must force the serial fallback.
+//! reference interpreter, pinned bit-identical (results *and* replay
+//! logs) on all nine workloads, with the rounds required to engage on
+//! the workloads where they pay off.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
@@ -88,10 +87,10 @@ fn all_workloads_agree_across_seeds_and_threads() {
     }
 }
 
-/// The speculative segment engine and its parallel dispatch only engage
-/// with jitter off (hot commits draw no RNG): this is the configuration
-/// under which the fused + batched + speculative flat VM does everything
-/// it can, so it is where the parallel-mode identity claim is sharpest.
+/// The speculative segment rounds only engage with jitter off (hot
+/// commits draw no RNG): this is the configuration under which the flat
+/// VM's fusion, batch commit and segment rounds all engage, so it is
+/// where the identity claim is sharpest.
 fn spec_config(seed: u64) -> ExecConfig {
     ExecConfig {
         seed,
@@ -101,52 +100,16 @@ fn spec_config(seed: u64) -> ExecConfig {
     }
 }
 
-/// DRF-certified parallel mode: on every workload, the parallel flat VM
-/// (`parallelism = 4`, speculative segments dispatched over OS threads)
-/// must be byte-identical — outcome, output, final memory, virtual time,
-/// stats, committed event trace — to serial flat *and* to the reference
-/// interpreter. This arbitrates tentpole mechanism (3): parallel commit
-/// of certified race-free segments must be invisible.
-#[test]
-fn parallel_mode_is_bit_identical_on_all_workloads() {
-    for w in all() {
-        for seed in [1, 42] {
-            let base = spec_config(seed);
-            let p = w
-                .compile(&Params {
-                    workers: 4,
-                    scale: 1,
-                })
-                .expect("workload compiles");
-            let serial = execute_mode(&p, &base, InterpMode::Flat);
-            let par = execute_mode(
-                &p,
-                &ExecConfig {
-                    parallelism: 4,
-                    ..base
-                },
-                InterpMode::Flat,
-            );
-            let refr = execute_mode(&p, &base, InterpMode::Reference);
-            assert_identical(
-                &par,
-                &serial,
-                &format!("{} parallel vs serial flat, seed={seed}", w.name),
-            );
-            assert_identical(
-                &par,
-                &refr,
-                &format!("{} parallel flat vs reference, seed={seed}", w.name),
-            );
-        }
-    }
-}
+/// Workloads whose jitter-off runs must commit segment rounds, so the
+/// pins below cannot pass with the round engine idle.
+const SPEC_ROUND_WORKLOADS: [&str; 3] = ["ocean", "fft", "water"];
 
-/// Recording under parallel mode must produce bit-identical replay logs:
-/// the committed sync/input/output order is the log, so any reordering the
-/// parallel engine allowed would surface here byte-for-byte.
+/// Segment rounds are invisible: on every workload the jitter-off flat VM
+/// (fusion + batch commit + speculative rounds) must be byte-identical —
+/// outcome, output, final memory, virtual time, stats, committed event
+/// trace — to the reference interpreter.
 #[test]
-fn parallel_mode_replay_logs_are_bit_identical() {
+fn spec_rounds_are_bit_identical_on_all_workloads() {
     for w in all() {
         let p = w
             .compile(&Params {
@@ -154,76 +117,68 @@ fn parallel_mode_replay_logs_are_bit_identical() {
                 scale: 1,
             })
             .expect("workload compiles");
-        let base = ExecConfig {
+        for seed in [1, 42] {
+            let cfg = spec_config(seed);
+            let flat = execute_mode(&p, &cfg, InterpMode::Flat);
+            let refr = execute_mode(&p, &cfg, InterpMode::Reference);
+            if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+                assert!(
+                    flat.stats.vm.spec_rounds > 0,
+                    "{} seed={seed}: segment rounds never engaged",
+                    w.name
+                );
+            }
+            assert_identical(
+                &flat,
+                &refr,
+                &format!("{} jitter-off flat vs reference, seed={seed}", w.name),
+            );
+        }
+    }
+}
+
+/// Recording through the segment rounds must produce bit-identical replay
+/// logs: the committed sync/input/output order is the log, so any
+/// reordering the rounds allowed would surface here byte-for-byte.
+#[test]
+fn spec_round_replay_logs_are_bit_identical() {
+    for w in all() {
+        let p = w
+            .compile(&Params {
+                workers: 4,
+                scale: 1,
+            })
+            .expect("workload compiles");
+        let cfg = ExecConfig {
             seed: 42,
             jitter: Jitter::none(),
             log_sync: true,
             log_input: true,
             ..ExecConfig::default()
         };
-        let rec_serial = chimera_replay::record(&p, &base);
-        let rec_par = chimera_replay::record(
-            &p,
-            &ExecConfig {
-                parallelism: 4,
-                ..base
-            },
-        );
-        assert!(rec_serial.result.outcome.is_exit(), "{}", w.name);
+        let record = |mode| {
+            let mut rec = chimera_replay::Recorder::default();
+            let r = chimera_runtime::execute_supervised_mode(&p, &cfg, &mut rec, mode);
+            (rec.logs, r)
+        };
+        let (flat_logs, flat) = record(InterpMode::Flat);
+        let (ref_logs, refr) = record(InterpMode::Reference);
+        assert!(flat.outcome.is_exit(), "{}", w.name);
+        if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+            assert!(
+                flat.stats.vm.spec_rounds > 0,
+                "{}: segment rounds never engaged while recording",
+                w.name
+            );
+        }
         assert_eq!(
-            rec_serial.logs, rec_par.logs,
-            "{}: replay logs diverged between serial and parallel recording",
+            flat_logs.to_bytes(),
+            ref_logs.to_bytes(),
+            "{}: serialized replay logs diverged between flat and reference",
             w.name
         );
-        assert_eq!(
-            rec_serial.logs.to_bytes(),
-            rec_par.logs.to_bytes(),
-            "{}: serialized replay logs diverged",
-            w.name
-        );
-        assert_eq!(
-            rec_serial.result.state_hash, rec_par.result.state_hash,
-            "{}: recorded state hash diverged",
-            w.name
-        );
+        assert_identical(&flat, &refr, &format!("{} recording", w.name));
     }
-}
-
-/// `CHIMERA_SERIAL=1` must be respected by parallel mode: with the
-/// variable set, a `parallelism = 4` run falls back to the serial flat
-/// engine (no parallel rounds dispatched) while producing the same
-/// results. Guarded against an externally-set variable so the positive
-/// half never flakes.
-#[test]
-fn chimera_serial_env_pins_parallel_mode_to_serial() {
-    let p = all()[0]
-        .compile(&Params {
-            workers: 4,
-            scale: 1,
-        })
-        .expect("workload compiles");
-    let base = spec_config(42);
-    let par_cfg = ExecConfig {
-        parallelism: 4,
-        ..base
-    };
-    let serial = execute_mode(&p, &base, InterpMode::Flat);
-    if !chimera_runtime::serial_requested() {
-        let par = execute_mode(&p, &par_cfg, InterpMode::Flat);
-        assert!(
-            par.stats.vm.par_rounds > 0,
-            "parallel mode never dispatched a parallel round"
-        );
-        assert_identical(&par, &serial, "parallel vs serial, env unset");
-    }
-    std::env::set_var("CHIMERA_SERIAL", "1");
-    let pinned = execute_mode(&p, &par_cfg, InterpMode::Flat);
-    std::env::remove_var("CHIMERA_SERIAL");
-    assert_eq!(
-        pinned.stats.vm.par_rounds, 0,
-        "CHIMERA_SERIAL=1 was ignored by parallel mode"
-    );
-    assert_identical(&pinned, &serial, "CHIMERA_SERIAL=1 parallel vs serial");
 }
 
 const RACY: &str = "int g;
@@ -416,10 +371,7 @@ struct VmCase {
     seed: u64,
     collect_trace: bool,
     sched: SchedStrategy,
-    /// OS worker threads for the flat VM's parallel mode (1 = serial).
-    parallelism: u32,
-    /// Jitter off lets the speculative segment engine (and with
-    /// `parallelism > 1` its parallel dispatch) engage.
+    /// Jitter off lets the speculative segment rounds engage.
     jitter_off: bool,
 }
 
@@ -491,7 +443,6 @@ fn case_gen() -> Gen<VmCase> {
                 period: s.int(1u64..4),
             },
         },
-        parallelism: s.int(1u32..=4),
         jitter_off: s.bool(),
     })
 }
@@ -505,14 +456,13 @@ fn check_modes_agree(case: &VmCase) -> Result<(), String> {
         // Block counting disables the speculative segment engine, so only
         // count in the cases that keep it off anyway (jitter on): the
         // jitter-off half of the sweep exercises fused + batched +
-        // speculative (and parallel) commits against the reference.
+        // speculative commits against the reference.
         count_blocks: !case.jitter_off,
         jitter: if case.jitter_off {
             Jitter::none()
         } else {
             Jitter::default()
         },
-        parallelism: case.parallelism,
         sched: case.sched,
         ..ExecConfig::default()
     };
