@@ -71,8 +71,8 @@ echo "== schedule exploration (adversarial schedulers) =="
 cargo test -q --offline --test schedule_exploration
 
 echo "== replay log format + divergence bisection =="
-# Log format v2 invariants (round-trip, version-byte and corruption
-# rejection with chunk attribution) and the checkpoint-bisection oracle
+# Log format v2 invariants (round-trip, the shared corruption suite in
+# explicit and journal mode, chunk attribution) and the checkpoint-bisection oracle
 # localizing planted divergences on every workload (DESIGN.md §12).
 # Run in the suites above too; invoked explicitly so a failure is
 # unmissable.
@@ -87,13 +87,17 @@ echo "== explore smoke (CLI sweep on checked-in fixture) =="
 cargo run -q --release --offline -p chimera --bin chimera -- \
     explore fixtures/racy_counter.mc --seeds 1 --drd
 
-echo "== fleet containers + resume idempotence =="
-# Corpus/journal hostile-input hardening (every-prefix truncation,
-# byte-flip detection, named-section errors) and the orchestrator's
-# resume guarantee: budget + --resume renders byte-identical reports to
-# one-shot and re-executes nothing (DESIGN.md §14). Runs in the suite
-# above too; invoked explicitly so a failure is unmissable.
-cargo test -q --offline -p chimera-fleet
+echo "== all five containers + resume idempotence =="
+# The shared container corruption suite (chimera_testkit::corrupt:
+# every-prefix truncation, byte flips, version-byte flips, errors naming
+# the container, random and seeded corruption) on the journal, corpus,
+# evidence and plan containers — the log container runs it in the
+# replay gate above — plus the CLI's damaged-container test and the
+# orchestrator's resume guarantee: budget + --resume renders
+# byte-identical reports to one-shot and re-executes nothing (DESIGN.md
+# §12, §14). The byte pin of all five is tests/container_identity.rs in
+# the suite above.
+cargo test -q --offline -p chimera-fleet -p chimera-plan -p chimera -p chimera-testkit
 
 echo "== fleet smoke (journaled CLI grid, resumed twice) =="
 # End-to-end CLI: a small grid on the checked-in fixture executes and

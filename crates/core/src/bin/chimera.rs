@@ -68,6 +68,7 @@
 
 use chimera::{analyze, ExploreConfig, OptSet, PipelineConfig};
 use chimera_minic::compile;
+use chimera_replay::wire::{read_file, write_atomic};
 use chimera_runtime::{execute, ExecConfig, SchedStrategy, ThreadId};
 use std::process::ExitCode;
 
@@ -436,7 +437,7 @@ fn run() -> Result<(), String> {
             let rec = chimera_replay::record(&analysis.instrumented, &exec);
             report_exec(&rec.result);
             let bytes = rec.logs.to_bytes();
-            std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
+            write_atomic(std::path::Path::new(&out), &bytes)?;
             let (ikb, okb) = rec.logs.compressed_sizes();
             println!(
                 "wrote {out}: {} bytes raw (est. compressed: input {ikb} B + order {okb} B)",
@@ -446,10 +447,11 @@ fn run() -> Result<(), String> {
         }
         "replay" => {
             let log_path = cli.extra.clone().ok_or("replay needs <logfile>")?;
-            let bytes = std::fs::read(&log_path)
-                .map_err(|e| format!("cannot read {log_path}: {e}"))?;
-            let logs = chimera_replay::ReplayLogs::from_bytes(&bytes)
-                .map_err(|e| format!("{log_path}: {e}"))?;
+            let logs = read_file(
+                std::path::Path::new(&log_path),
+                None,
+                chimera_replay::ReplayLogs::from_bytes,
+            )?;
             let analysis = analyze(
                 &program,
                 &PipelineConfig {

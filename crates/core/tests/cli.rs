@@ -1,8 +1,9 @@
 //! Integration smoke tests for the `chimera` command-line binary: every
 //! subcommand (`races`, `plan`, `run`, `record`, `replay`, `ir`, `drd`,
 //! `explore`, `fleet`) exercised against the checked-in fixture,
-//! including the full file-based record → log file → replay workflow and
-//! the journaled fleet → resume workflow.
+//! including the full file-based record → log file → replay workflow, the
+//! journaled fleet → resume workflow, and clean named failures on damaged
+//! log, evidence and plan files.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -268,4 +269,58 @@ fn unknown_command_and_missing_file_fail() {
     assert!(!out.status.success());
     let msg = String::from_utf8_lossy(&out.stderr);
     assert!(msg.contains("cannot read"), "{msg}");
+}
+
+/// Spawn `cmd`, which must succeed.
+fn run_ok(cmd: &mut Command) {
+    let out = cmd.output().expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+}
+
+/// Spawn `cmd`, which must fail cleanly — exit status 1, not a panic —
+/// with stderr naming both the damaged file and its container.
+fn assert_named_failure(cmd: &mut Command, file: &Path, container: &str) {
+    let out = cmd.output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let named = format!("{}: {container} ", file.display());
+    assert!(stderr.contains(&named), "expected '{named}…' in: {stderr}");
+}
+
+/// Flip every bit of the byte in the middle of `path`.
+fn flip_middle_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read container");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(path, bytes).expect("write damaged container");
+}
+
+#[test]
+fn damaged_containers_fail_with_named_errors() {
+    let dir = tempdir("damaged");
+    let log = dir.join("run.bin");
+    run_ok(bin().arg("record").arg(fixture()).arg("-o").arg(&log));
+    let bytes = std::fs::read(&log).unwrap();
+    std::fs::write(&log, &bytes[..bytes.len() - 1]).unwrap();
+    assert_named_failure(bin().arg("replay").arg(fixture()).arg(&log), &log, "log");
+
+    let evidence = dir.join("evidence");
+    let plan = dir.join("demo.chpl");
+    let with_evidence = |cmd: &str| {
+        let mut c = bin();
+        c.arg(cmd).arg(fixture()).arg("--evidence").arg(&evidence);
+        c
+    };
+    run_ok(&mut with_evidence("explore"));
+    run_ok(with_evidence("plan").arg("-o").arg(&plan));
+    flip_middle_byte(&plan);
+    assert_named_failure(
+        bin().arg("run").arg(fixture()).arg("--plan").arg(&plan),
+        &plan,
+        "plan",
+    );
+
+    let chev = evidence.join("demo.chev");
+    flip_middle_byte(&chev);
+    assert_named_failure(&mut with_evidence("plan"), &chev, "evidence");
 }

@@ -21,7 +21,7 @@
 use chimera_drd::detect;
 use chimera_minic::ir::{AccessId, Program};
 use chimera_minic::pretty::program_to_string;
-use chimera_replay::logs::fnv64;
+use chimera_replay::wire::fnv64;
 use chimera_replay::{record, replay, verify_determinism};
 use chimera_runtime::{
     execute_supervised, Event, EventKind, EventMask, ExecConfig, ExecResult, SchedStrategy,

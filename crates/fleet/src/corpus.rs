@@ -9,13 +9,15 @@
 //! can (a) dedup coverage against everything any previous run visited
 //! and (b) re-run exactly the cells that mattered, fuzzer-style.
 //!
-//! On disk: `CHFC` magic, varint version, checksummed varint-framed
-//! header, then one checksummed varint-framed body per entry
-//! (DESIGN.md §14); hostile or truncated files fail with named errors.
+//! On disk it is the `CHFC` container (DESIGN.md §12): a header frame
+//! (entry count), then one frame per entry.
 
 use crate::cell::CellKey;
 use crate::journal::{decode_key, encode_key};
-use crate::wire::{push_frame, push_str, push_varint, read_frame, read_str, write_atomic, Reader};
+use chimera_replay::wire::{
+    push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
+    Reader,
+};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -24,7 +26,11 @@ pub const CORPUS_VERSION: u64 = 1;
 /// File name inside the fleet directory.
 pub const CORPUS_FILE: &str = "corpus.chfc";
 
-const MAGIC: &[u8; 4] = b"CHFC";
+const FORMAT: Format = Format {
+    name: "corpus",
+    magic: b"CHFC",
+    version: CORPUS_VERSION,
+};
 
 /// Why a cell entered the corpus (bitflags; a cell can be interesting
 /// for several reasons at once).
@@ -167,9 +173,7 @@ impl Corpus {
 
     /// Serialize to the versioned `CHFC` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        push_varint(&mut out, CORPUS_VERSION);
+        let mut out = FORMAT.start();
         let mut header = Vec::new();
         push_varint(&mut header, self.entries.len() as u64);
         push_frame(&mut out, &header);
@@ -193,58 +197,23 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// Names the failing section (`corpus header`, `corpus entry N`) on
-    /// bad magic, unsupported version, truncation, checksum mismatch, or
-    /// trailing garbage — never panics on hostile input.
+    /// Every error starts with the failing section (`corpus header`,
+    /// `corpus entry N`): bad magic, unsupported version, truncation,
+    /// checksum mismatch, trailing bytes, or a duplicate key — never a
+    /// panic on hostile input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Corpus, String> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "corpus magic")? != MAGIC {
-            return Err("corpus magic: bad magic".into());
-        }
-        let version = r.varint("corpus version")?;
-        if version != CORPUS_VERSION {
-            return Err(format!("corpus version: unsupported version {version}"));
-        }
-        let header = read_frame(&mut r, "corpus header")?;
-        let mut hr = Reader::new(header);
-        let n = hr.varint_u32("corpus header")? as usize;
-        if hr.remaining() != 0 {
-            return Err("corpus header: trailing garbage".into());
-        }
+        let mut r = FORMAT.open(bytes)?;
+        let n = read_frame_with(&mut r, |h| h.varint_u32())
+            .map_err(|e| format!("corpus header: {e}"))?;
         let mut corpus = Corpus::default();
         for i in 0..n {
-            let what = format!("corpus entry {i}");
-            let body = read_frame(&mut r, &what)?;
-            let mut br = Reader::new(body);
-            let key = decode_key(&mut br, &what)?;
-            let program = read_str(&mut br, &what)?;
-            let interest = Interest(br.take(1, &what)?[0]);
-            let order_hash = br.u64_raw(&what)?;
-            let prefix_hash = br.u64_raw(&what)?;
-            let state_hash = br.u64_raw(&what)?;
-            let preemptions = br.varint(&what)?;
-            let forced_releases = br.varint(&what)?;
-            let sync_events = br.varint(&what)?;
-            if br.remaining() != 0 {
-                return Err(format!("{what}: trailing garbage"));
-            }
-            if !corpus.add(CorpusEntry {
-                key,
-                program,
-                interest,
-                order_hash,
-                prefix_hash,
-                state_hash,
-                preemptions,
-                forced_releases,
-                sync_events,
-            }) {
-                return Err(format!("{what}: duplicate cell key"));
+            let entry = read_frame_with(&mut r, decode_entry)
+                .map_err(|e| format!("corpus entry {i}: {e}"))?;
+            if !corpus.add(entry) {
+                return Err(format!("corpus entry {i}: duplicate cell key"));
             }
         }
-        if r.remaining() != 0 {
-            return Err("corpus: trailing garbage".into());
-        }
+        FORMAT.finish(&r)?;
         Ok(corpus)
     }
 
@@ -256,14 +225,11 @@ impl Corpus {
     /// I/O failures other than not-found, and every [`Corpus::from_bytes`]
     /// parse failure.
     pub fn load(dir: &Path) -> Result<Corpus, String> {
-        let path = dir.join(CORPUS_FILE);
-        match std::fs::read(&path) {
-            Ok(bytes) => {
-                Corpus::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Corpus::default()),
-            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-        }
+        read_file(
+            &dir.join(CORPUS_FILE),
+            Some(Corpus::default()),
+            Corpus::from_bytes,
+        )
     }
 
     /// Atomically persist the corpus into `dir` (which must exist).
@@ -274,6 +240,20 @@ impl Corpus {
     pub fn save(&self, dir: &Path) -> Result<(), String> {
         write_atomic(&dir.join(CORPUS_FILE), &self.to_bytes())
     }
+}
+
+fn decode_entry(r: &mut Reader) -> Result<CorpusEntry, String> {
+    Ok(CorpusEntry {
+        key: decode_key(r)?,
+        program: read_str(r)?,
+        interest: Interest(r.u8()?),
+        order_hash: r.u64_raw()?,
+        prefix_hash: r.u64_raw()?,
+        state_hash: r.u64_raw()?,
+        preemptions: r.varint()?,
+        forced_releases: r.varint()?,
+        sync_events: r.varint()?,
+    })
 }
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 //! the one-shot run — the report cannot tell a journal hit from a fresh
 //! execution.
 //!
-//! On disk: `CHFJ` magic, varint version, checksummed varint-framed
-//! header (entry count), then one checksummed varint-framed body per
-//! entry (DESIGN.md §14). Hostile or truncated files fail with errors
-//! naming the section.
+//! On disk it is the `CHFJ` container (DESIGN.md §12): a header frame
+//! (entry count, label), then one frame per entry.
 
 use crate::cell::{CellKey, SeedOutcome};
-use crate::wire::{push_frame, push_str, push_varint, read_frame, read_str, write_atomic, Reader};
+use chimera_replay::wire::{
+    push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
+    Reader,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -26,7 +27,11 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// File name inside the fleet directory.
 pub const JOURNAL_FILE: &str = "journal.chfj";
 
-const MAGIC: &[u8; 4] = b"CHFJ";
+const FORMAT: Format = Format {
+    name: "journal",
+    magic: b"CHFJ",
+    version: JOURNAL_VERSION,
+};
 
 const F_REPLAY_COMPLETE: u8 = 1;
 const F_EQUIVALENT: u8 = 1 << 1;
@@ -144,9 +149,7 @@ impl Journal {
 
     /// Serialize to the versioned `CHFJ` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        push_varint(&mut out, JOURNAL_VERSION);
+        let mut out = FORMAT.start();
         let mut header = Vec::new();
         push_varint(&mut header, self.entries.len() as u64);
         push_str(&mut header, &self.label);
@@ -197,82 +200,26 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Names the failing section (`journal header`, `journal entry N`) on
-    /// bad magic, unsupported version, truncation, checksum mismatch, or
-    /// trailing garbage — never panics on hostile input.
+    /// Every error starts with the failing section (`journal header`,
+    /// `journal entry N`): bad magic, unsupported version, truncation,
+    /// checksum mismatch, trailing bytes, or a duplicate key — never a
+    /// panic on hostile input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Journal, String> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "journal magic")? != MAGIC {
-            return Err("journal magic: bad magic".into());
-        }
-        let version = r.varint("journal version")?;
-        if version != JOURNAL_VERSION {
-            return Err(format!("journal version: unsupported version {version}"));
-        }
-        let header = read_frame(&mut r, "journal header")?;
-        let mut hr = Reader::new(header);
-        let n = hr.varint_u32("journal header")? as usize;
-        let label = read_str(&mut hr, "journal header")?;
-        if hr.remaining() != 0 {
-            return Err("journal header: trailing garbage".into());
-        }
+        let mut r = FORMAT.open(bytes)?;
+        let (n, label) = read_frame_with(&mut r, |h| Ok((h.varint_u32()?, read_str(h)?)))
+            .map_err(|e| format!("journal header: {e}"))?;
         let mut journal = Journal {
             entries: BTreeMap::new(),
             label,
         };
         for i in 0..n {
-            let what = format!("journal entry {i}");
-            let body = read_frame(&mut r, &what)?;
-            let mut br = Reader::new(body);
-            let key = decode_key(&mut br, &what)?;
-            let flags = br.take(1, &what)?[0];
-            let differences = br.varint_u32(&what)?;
-            let violations = br.varint_u32(&what)?;
-            let preemptions = br.varint(&what)?;
-            let forced_releases = br.varint(&what)?;
-            let order_hash = br.u64_raw(&what)?;
-            let prefix_hash = br.u64_raw(&what)?;
-            let state_hash = br.u64_raw(&what)?;
-            let sync_events = br.varint(&what)?;
-            let drd_races = if flags & F_HAS_DRD != 0 {
-                Some(br.varint_u32(&what)?)
-            } else {
-                None
-            };
-            let drd_unpredicted = if flags & F_HAS_UNPREDICTED != 0 {
-                Some(br.varint_u32(&what)?)
-            } else {
-                None
-            };
-            if br.remaining() != 0 {
-                return Err(format!("{what}: trailing garbage"));
-            }
-            let outcome = CellOutcome {
-                replay_complete: flags & F_REPLAY_COMPLETE != 0,
-                equivalent: flags & F_EQUIVALENT != 0,
-                deterministic: if flags & F_HAS_DET != 0 {
-                    Some(flags & F_DETERMINISTIC != 0)
-                } else {
-                    None
-                },
-                differences,
-                violations,
-                preemptions,
-                forced_releases,
-                order_hash,
-                prefix_hash,
-                state_hash,
-                sync_events,
-                drd_races,
-                drd_unpredicted,
-            };
+            let (key, outcome) = read_frame_with(&mut r, decode_entry)
+                .map_err(|e| format!("journal entry {i}: {e}"))?;
             if journal.entries.insert(key, outcome).is_some() {
-                return Err(format!("{what}: duplicate cell key"));
+                return Err(format!("journal entry {i}: duplicate cell key"));
             }
         }
-        if r.remaining() != 0 {
-            return Err("journal: trailing garbage".into());
-        }
+        FORMAT.finish(&r)?;
         Ok(journal)
     }
 
@@ -285,13 +232,11 @@ impl Journal {
     /// parse failure (a corrupt journal must stop a `--resume` run loudly,
     /// not silently re-execute the world).
     pub fn load(dir: &Path) -> Result<Journal, String> {
-        let path = dir.join(JOURNAL_FILE);
-        match std::fs::read(&path) {
-            Ok(bytes) => Journal::from_bytes(&bytes)
-                .map_err(|e| format!("{}: {e}", path.display())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Journal::default()),
-            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-        }
+        read_file(
+            &dir.join(JOURNAL_FILE),
+            Some(Journal::default()),
+            Journal::from_bytes,
+        )
     }
 
     /// Atomically persist the journal into `dir` (which must exist).
@@ -313,16 +258,43 @@ pub(crate) fn encode_key(out: &mut Vec<u8>, key: &CellKey) {
     out.extend_from_slice(&key.exec.to_le_bytes());
 }
 
-pub(crate) fn decode_key(r: &mut Reader, what: &str) -> Result<CellKey, String> {
-    let program = r.u64_raw(what)?;
-    let strat = r.take(1, what)?[0];
-    if strat > 2 {
-        return Err(format!("{what}: unknown strategy code {strat}"));
+fn decode_entry(r: &mut Reader) -> Result<(CellKey, CellOutcome), String> {
+    let key = decode_key(r)?;
+    let flags = r.u8()?;
+    let mut outcome = CellOutcome {
+        replay_complete: flags & F_REPLAY_COMPLETE != 0,
+        equivalent: flags & F_EQUIVALENT != 0,
+        deterministic: (flags & F_HAS_DET != 0).then_some(flags & F_DETERMINISTIC != 0),
+        differences: r.varint_u32()?,
+        violations: r.varint_u32()?,
+        preemptions: r.varint()?,
+        forced_releases: r.varint()?,
+        order_hash: r.u64_raw()?,
+        prefix_hash: r.u64_raw()?,
+        state_hash: r.u64_raw()?,
+        sync_events: r.varint()?,
+        drd_races: None,
+        drd_unpredicted: None,
+    };
+    if flags & F_HAS_DRD != 0 {
+        outcome.drd_races = Some(r.varint_u32()?);
     }
-    let strat_a = r.varint(what)?;
-    let strat_b = r.varint(what)?;
-    let seed = r.varint(what)?;
-    let exec = r.u64_raw(what)?;
+    if flags & F_HAS_UNPREDICTED != 0 {
+        outcome.drd_unpredicted = Some(r.varint_u32()?);
+    }
+    Ok((key, outcome))
+}
+
+pub(crate) fn decode_key(r: &mut Reader) -> Result<CellKey, String> {
+    let program = r.u64_raw()?;
+    let strat = r.u8()?;
+    if strat > 2 {
+        return Err(format!("unknown strategy code {strat}"));
+    }
+    let strat_a = r.varint()?;
+    let strat_b = r.varint()?;
+    let seed = r.varint()?;
+    let exec = r.u64_raw()?;
     Ok(CellKey {
         program,
         strat,
@@ -364,20 +336,6 @@ mod tests {
             );
         }
         j
-    }
-
-    #[test]
-    fn journal_round_trips() {
-        let j = sample();
-        let back = Journal::from_bytes(&j.to_bytes()).expect("round trip");
-        assert_eq!(back, j);
-        assert_eq!(back.len(), 5);
-    }
-
-    #[test]
-    fn empty_journal_round_trips() {
-        let j = Journal::default();
-        assert_eq!(Journal::from_bytes(&j.to_bytes()).unwrap(), j);
     }
 
     #[test]

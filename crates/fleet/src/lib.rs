@@ -17,14 +17,15 @@
 //!   calls this same function.
 //! - [`journal`] — every executed cell's outcome, keyed by
 //!   [`CellKey`] (program digest, strategy, seed, exec-config digest),
-//!   persisted in a checksummed varint-framed container. `--resume`
+//!   persisted in a `chimera_replay::wire` container. `--resume`
 //!   skips journaled cells; `--check-determinism` stores the double-run
 //!   verdict.
 //! - [`corpus`] — the seed corpus of *interesting* cells: new order-hash
 //!   coverage, divergences, near-divergences (forced releases without
 //!   divergence), preemption-heavy schedules, probe violations,
-//!   determinism failures. Same container idiom; both files fail loudly
-//!   on truncation or corruption, never panic.
+//!   determinism failures. Both files are containers of the shared codec
+//!   (DESIGN.md §12): they fail loudly on truncation or corruption, never
+//!   panic.
 //!
 //! [`orchestrator::run_fleet`] ties them together: grid construction in
 //! canonical order, journal-hit skipping, chunked work-stealing over
@@ -39,7 +40,6 @@ pub mod cell;
 pub mod corpus;
 pub mod journal;
 pub mod orchestrator;
-pub mod wire;
 
 pub use cell::{
     exec_digest, program_digest, resolve_strategy, run_cell, CellKey, ScheduleObserver,

@@ -1,11 +1,22 @@
-//! Container hardening for the fleet's two on-disk files: property
-//! round-trips, every-prefix truncation, single-byte-flip detection, and
-//! random-soup parsing — mirroring the `ReplayLogs::from_bytes` hostile
-//! suite. Every failure must be a named-section `Err`, never a panic.
+//! Container hardening for the fleet's two on-disk files: the shared
+//! hostile-input suite (`chimera_testkit::corrupt`) on both, and the
+//! fleet-specific checks — section naming and duplicate keys on the wire.
 
 use chimera_fleet::{CellKey, CellOutcome, Corpus, CorpusEntry, Interest, Journal};
-use chimera_testkit::prop::{self, Gen};
-use chimera_testkit::{prop_assert, prop_assert_eq};
+use chimera_testkit::prop::Gen;
+use chimera_testkit::{corruption_suite, Codec};
+
+const JOURNAL: Codec<Journal> = Codec {
+    name: "journal",
+    decode: Journal::from_bytes,
+    encode: Journal::to_bytes,
+};
+
+const CORPUS: Codec<Corpus> = Codec {
+    name: "corpus",
+    decode: Corpus::from_bytes,
+    encode: Corpus::to_bytes,
+};
 
 fn arb_key() -> Gen<CellKey> {
     Gen::new(|s| CellKey {
@@ -76,72 +87,44 @@ fn arb_corpus() -> Gen<Corpus> {
     })
 }
 
-/// A fixed journal exercising every optional field shape, for the
-/// deterministic truncation/flip sweeps.
+/// A fixed journal whose entries cover every optional field shape and
+/// every strategy code, for the suite's deterministic sweeps.
 fn rich_journal() -> Journal {
     let mut j = Journal {
         label: "hostile-suite".into(),
         ..Journal::default()
     };
-    let outcomes = [
-        CellOutcome {
-            replay_complete: true,
-            equivalent: true,
-            deterministic: None,
-            differences: 0,
-            violations: 0,
-            preemptions: 3,
-            forced_releases: 0,
-            order_hash: 0x1122_3344_5566_7788,
-            prefix_hash: 0x99aa_bbcc_ddee_ff00,
-            state_hash: 0x0102_0304_0506_0708,
-            sync_events: 41,
-            drd_races: None,
-            drd_unpredicted: None,
-        },
-        CellOutcome {
-            replay_complete: false,
-            equivalent: false,
-            deterministic: Some(false),
-            differences: 2,
-            violations: 1,
-            preemptions: 300,
-            forced_releases: 4,
-            order_hash: u64::MAX,
-            prefix_hash: 0,
-            state_hash: 1,
-            sync_events: 0,
-            drd_races: Some(7),
-            drd_unpredicted: Some(1),
-        },
-        CellOutcome {
-            replay_complete: true,
-            equivalent: false,
-            deterministic: Some(true),
-            differences: 1,
-            violations: 0,
-            preemptions: 0,
-            forced_releases: 0,
-            order_hash: 42,
-            prefix_hash: 42,
-            state_hash: 42,
-            sync_events: 1,
-            drd_races: Some(0),
-            drd_unpredicted: None,
-        },
+    let shapes = [
+        (None, None, None),
+        (Some(false), Some(7), Some(1)),
+        (Some(true), Some(0), None),
     ];
-    for (i, o) in outcomes.into_iter().enumerate() {
-        j.insert(
-            CellKey {
-                program: 0xdead_beef_cafe_f00d ^ i as u64,
-                strat: i as u8,
-                strat_a: 3,
-                strat_b: 1 << (7 * i),
-                seed: i as u64 + 1,
-                exec: 0x5151_5151_5151_5151,
-            },
-            o,
-        );
+    for (i, (deterministic, drd_races, drd_unpredicted)) in shapes.into_iter().enumerate() {
+        let n = i as u64;
+        let key = CellKey {
+            program: 0xdead_beef_cafe_f00d ^ n,
+            strat: i as u8,
+            strat_a: 3,
+            strat_b: 1 << (7 * i),
+            seed: n + 1,
+            exec: 0x5151_5151_5151_5151,
+        };
+        let outcome = CellOutcome {
+            replay_complete: i != 1,
+            equivalent: i == 0,
+            deterministic,
+            differences: i as u32,
+            violations: (i == 1) as u32,
+            preemptions: 150 * n,
+            forced_releases: 2 * n,
+            order_hash: u64::MAX - n,
+            prefix_hash: n,
+            state_hash: 42 ^ n,
+            sync_events: 41 * n,
+            drd_races,
+            drd_unpredicted,
+        };
+        j.insert(key, outcome);
     }
     j
 }
@@ -172,90 +155,17 @@ fn rich_corpus() -> Corpus {
 }
 
 #[test]
-fn journal_round_trip_property() {
-    prop::check("journal_round_trip_property", &arb_journal(), |j| {
-        let back = match Journal::from_bytes(&j.to_bytes()) {
-            Ok(b) => b,
-            Err(e) => return Err(format!("round trip failed: {e}")),
-        };
-        prop_assert_eq!(&back, j);
-        Ok(())
-    });
+fn journal_passes_the_corruption_suite() {
+    corruption_suite(&JOURNAL, &rich_journal(), arb_journal());
 }
 
 #[test]
-fn corpus_round_trip_property() {
-    prop::check("corpus_round_trip_property", &arb_corpus(), |c| {
-        let back = match Corpus::from_bytes(&c.to_bytes()) {
-            Ok(b) => b,
-            Err(e) => return Err(format!("round trip failed: {e}")),
-        };
-        prop_assert_eq!(&back, c);
-        prop_assert_eq!(back.distinct_orders(), c.distinct_orders());
-        Ok(())
-    });
-}
-
-#[test]
-fn every_truncation_of_a_valid_journal_errors() {
-    // The parser consumes fields strictly sequentially and a valid buffer
-    // parses to exactly its last byte, so every proper prefix must run out
-    // mid-field and report an error — never panic, never accept silently.
-    let bytes = rich_journal().to_bytes();
-    for len in 0..bytes.len() {
-        let r = Journal::from_bytes(&bytes[..len]);
-        assert!(r.is_err(), "prefix of {len}/{} bytes parsed Ok", bytes.len());
-    }
-}
-
-#[test]
-fn every_truncation_of_a_valid_corpus_errors() {
-    let bytes = rich_corpus().to_bytes();
-    for len in 0..bytes.len() {
-        let r = Corpus::from_bytes(&bytes[..len]);
-        assert!(r.is_err(), "prefix of {len}/{} bytes parsed Ok", bytes.len());
-    }
-}
-
-#[test]
-fn single_byte_flips_are_detected_in_journal() {
-    // Unlike the replay container (whose version byte reroutes to the
-    // unchecksummed v1 parser), every fleet container byte is covered:
-    // magic, version, or a checksummed frame. A flip anywhere must error.
-    let bytes = rich_journal().to_bytes();
-    for off in 0..bytes.len() {
-        let mut b = bytes.clone();
-        b[off] ^= 1;
-        assert!(
-            Journal::from_bytes(&b).is_err(),
-            "flip at offset {off} decoded Ok"
-        );
-    }
-}
-
-#[test]
-fn single_byte_flips_are_detected_in_corpus() {
-    let bytes = rich_corpus().to_bytes();
-    for off in 0..bytes.len() {
-        let mut b = bytes.clone();
-        b[off] ^= 1;
-        assert!(
-            Corpus::from_bytes(&b).is_err(),
-            "flip at offset {off} decoded Ok"
-        );
-    }
+fn corpus_passes_the_corruption_suite() {
+    corruption_suite(&CORPUS, &rich_corpus(), arb_corpus());
 }
 
 #[test]
 fn parse_errors_name_the_failing_section() {
-    let err = Journal::from_bytes(b"NOPE").unwrap_err();
-    assert!(err.contains("journal magic"), "{err}");
-
-    let mut v99 = b"CHFJ".to_vec();
-    v99.push(99);
-    let err = Journal::from_bytes(&v99).unwrap_err();
-    assert!(err.contains("unsupported version 99"), "{err}");
-
     // Truncate inside the second entry's frame: the error must name it.
     let j = rich_journal();
     let bytes = j.to_bytes();
@@ -267,48 +177,25 @@ fn parse_errors_name_the_failing_section() {
     // of bytes fails inside entry 0 or 1, and the section name says so.
     let cut = one_entry.to_bytes().len() + 4;
     let err = Journal::from_bytes(&bytes[..cut]).unwrap_err();
-    assert!(err.contains("journal entry"), "{err}");
+    assert!(err.starts_with("journal entry "), "{err}");
 
     let err = Corpus::from_bytes(b"CHFJ\x01").unwrap_err();
-    assert!(err.contains("corpus magic"), "{err}");
+    assert_eq!(err, "corpus magic: bad magic");
 
     // Trailing garbage after a fully valid container.
     let mut extra = rich_corpus().to_bytes();
     extra.push(0);
     let err = Corpus::from_bytes(&extra).unwrap_err();
-    assert!(err.contains("trailing garbage"), "{err}");
+    assert_eq!(err, "corpus: 1 trailing byte(s)");
 }
 
 #[test]
 fn duplicate_keys_on_the_wire_are_rejected() {
     // A hand-crafted container repeating one entry frame twice: the
     // in-memory map would silently collapse it, so the parser must reject.
+    let (key, outcome) = rich_journal().entries.into_iter().next().unwrap();
     let mut j = Journal::default();
-    j.insert(
-        CellKey {
-            program: 1,
-            strat: 0,
-            strat_a: 0,
-            strat_b: 0,
-            seed: 1,
-            exec: 2,
-        },
-        CellOutcome {
-            replay_complete: true,
-            equivalent: true,
-            deterministic: None,
-            differences: 0,
-            violations: 0,
-            preemptions: 0,
-            forced_releases: 0,
-            order_hash: 5,
-            prefix_hash: 5,
-            state_hash: 5,
-            sync_events: 5,
-            drd_races: None,
-            drd_unpredicted: None,
-        },
-    );
+    j.insert(key, outcome);
     let once = j.to_bytes();
     // Layout: magic(4) ++ version(1) ++ header frame ++ entry frame. Count
     // the header frame's length to find where the entry frame begins.
@@ -320,78 +207,9 @@ fn duplicate_keys_on_the_wire_are_rejected() {
     twice.push(1); // version
     // Header: count = 2 (varint) ++ label length (empty).
     let header = vec![2, j.label.len() as u8];
-    chimera_fleet::wire::push_frame(&mut twice, &header);
+    chimera_replay::wire::push_frame(&mut twice, &header);
     twice.extend_from_slice(&entry);
     twice.extend_from_slice(&entry);
     let err = Journal::from_bytes(&twice).unwrap_err();
-    assert!(err.contains("duplicate cell key"), "{err}");
-}
-
-#[test]
-fn corrupted_valid_journals_never_panic() {
-    let gen = arb_journal().flat_map(|j| {
-        let bytes = j.to_bytes();
-        Gen::new(move |s| {
-            let mut b = bytes.clone();
-            let flips = s.int(1usize..5);
-            for _ in 0..flips {
-                let i = s.index(b.len());
-                b[i] = s.int(0u32..256) as u8;
-            }
-            if s.bool() {
-                let keep = s.index(b.len() + 1);
-                b.truncate(keep);
-            }
-            b
-        })
-    });
-    prop::check("corrupted_valid_journals_never_panic", &gen, |bytes| {
-        if let Ok(parsed) = Journal::from_bytes(bytes) {
-            // Corruption may still decode (a flipped hash byte, say);
-            // whatever comes back must round-trip its own re-encoding.
-            let again = Journal::from_bytes(&parsed.to_bytes())
-                .map_err(|e| format!("re-encode failed: {e}"))?;
-            prop_assert_eq!(again, parsed);
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn corrupted_valid_corpora_never_panic() {
-    let gen = arb_corpus().flat_map(|c| {
-        let bytes = c.to_bytes();
-        Gen::new(move |s| {
-            let mut b = bytes.clone();
-            let flips = s.int(1usize..5);
-            for _ in 0..flips {
-                let i = s.index(b.len());
-                b[i] = s.int(0u32..256) as u8;
-            }
-            if s.bool() {
-                let keep = s.index(b.len() + 1);
-                b.truncate(keep);
-            }
-            b
-        })
-    });
-    prop::check("corrupted_valid_corpora_never_panic", &gen, |bytes| {
-        if let Ok(parsed) = Corpus::from_bytes(bytes) {
-            let again = Corpus::from_bytes(&parsed.to_bytes())
-                .map_err(|e| format!("re-encode failed: {e}"))?;
-            prop_assert_eq!(again, parsed);
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn random_soup_never_panics() {
-    let gen = prop::vec_of(prop::any_u8(), 0..256);
-    prop::check("random_soup_never_panics", &gen, |bytes| {
-        let _ = Journal::from_bytes(bytes);
-        let _ = Corpus::from_bytes(bytes);
-        prop_assert!(true);
-        Ok(())
-    });
+    assert_eq!(err, "journal entry 1: duplicate cell key");
 }

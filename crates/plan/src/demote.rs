@@ -16,23 +16,27 @@
 //! static set can be trusted). A racy pair that FastTrack confirmed on
 //! the uninstrumented program is never demoted; it is carried in `kept`.
 //!
-//! The output is a [`CertifiedPlan`] (`.chpl`): a checksummed container
-//! in the replay-v2 frame idiom holding the demotion decisions *and* the
-//! complete evidence cells that justified them, so any later divergence
-//! under the thinner plan can be attributed to the demoted pair it
-//! contradicts ([`CertifiedPlan::contradicted_by`]) and the justifying
-//! cells can be re-run.
+//! The output is a [`CertifiedPlan`] (`.chpl`, the `CHPL` container of
+//! DESIGN.md §12) holding the demotion decisions *and* the complete
+//! evidence cells that justified them, so any later divergence under the
+//! thinner plan can be attributed to the demoted pair it contradicts
+//! ([`CertifiedPlan::contradicted_by`]) and the justifying cells can be
+//! re-run.
 
 use crate::evidence::{
-    push_cell, push_cert, push_pairs, read_cell, read_cert, read_pairs, Evidence, EvidenceCell,
+    push_cell, push_cert, push_pairs, read_cells, read_cert, read_pairs, read_u32s, Evidence,
+    EvidenceCell,
 };
 use chimera_drd::{detect, SegmentCertificate};
 use chimera_fleet::cell::program_digest;
-use chimera_fleet::wire::{push_frame, push_str, push_varint, read_frame, read_str, write_atomic, Reader};
 use chimera_instrument::{instrument, instrument_demoted, DemotedSet, OptSet, Plan};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_profile::ProfileData;
 use chimera_relay::RaceReport;
+use chimera_replay::wire::{
+    push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
+    Reader,
+};
 use chimera_replay::{record, replay, verify_determinism};
 use chimera_runtime::ExecConfig;
 use std::collections::BTreeSet;
@@ -44,6 +48,12 @@ pub const PLAN_MAGIC: &[u8; 4] = b"CHPL";
 pub const PLAN_VERSION: u64 = 1;
 /// File extension for certified plans.
 pub const PLAN_EXT: &str = "chpl";
+
+const FORMAT: Format = Format {
+    name: "plan",
+    magic: PLAN_MAGIC,
+    version: PLAN_VERSION,
+};
 
 /// Coverage thresholds demotion must clear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,10 +351,7 @@ impl CertifiedPlan {
 
     /// Serialize to the `.chpl` container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(PLAN_MAGIC);
-        push_varint(&mut out, PLAN_VERSION);
-
+        let mut out = FORMAT.start();
         let mut header = Vec::new();
         push_str(&mut header, &self.program);
         header.extend_from_slice(&self.program_digest.to_le_bytes());
@@ -400,89 +407,35 @@ impl CertifiedPlan {
     /// Decode a `.chpl` container, verifying magic, version, every frame
     /// checksum, the demoted/kept partition of the static pairs, cell
     /// index ranges, strategy codes, and the certificate digest. Errors
-    /// name the offending section — a byte-edited plan never decodes.
+    /// start with the offending section — a byte-edited plan never
+    /// decodes.
     pub fn from_bytes(bytes: &[u8]) -> Result<CertifiedPlan, String> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "plan magic")? != PLAN_MAGIC {
-            return Err("plan magic: not a .chpl container".into());
-        }
-        let version = r.varint("plan version")?;
-        if version != PLAN_VERSION {
-            return Err(format!("plan version: unsupported version {version}"));
-        }
+        let mut r = FORMAT.open(bytes)?;
+        let (program, digests, thresholds, coverage, preemptions, counts) =
+            read_frame_with(&mut r, |h| {
+                let program = read_str(h)?;
+                let digests = [h.u64_raw()?, h.u64_raw()?];
+                let thresholds = read_u32s::<2>(h)?;
+                let coverage = read_u32s::<4>(h)?;
+                let preemptions = h.varint()?;
+                let counts = read_u32s::<4>(h)?;
+                Ok((program, digests, thresholds, coverage, preemptions, counts))
+            })
+            .map_err(|e| format!("plan header: {e}"))?;
+        let [program_digest, instrumented_digest] = digests;
+        let [min_seeds, min_strategies] = thresholds;
+        let [seeds_covered, strategies_covered, distinct_orders, distinct_prefixes] = coverage;
+        let [n_static, n_demotions, n_kept, n_cells] = counts.map(|n| n as usize);
 
-        let header = read_frame(&mut r, "plan header")?;
-        let mut h = Reader::new(header);
-        let program = read_str(&mut h, "plan header")?;
-        let program_digest = h.u64_raw("plan header")?;
-        let instrumented_digest = h.u64_raw("plan header")?;
-        let min_seeds = h.varint_u32("plan header")?;
-        let min_strategies = h.varint_u32("plan header")?;
-        let seeds_covered = h.varint_u32("plan header")?;
-        let strategies_covered = h.varint_u32("plan header")?;
-        let distinct_orders = h.varint_u32("plan header")?;
-        let distinct_prefixes = h.varint_u32("plan header")?;
-        let preemptions = h.varint("plan header")?;
-        let n_static = h.varint_u32("plan header")? as usize;
-        let n_demotions = h.varint_u32("plan header")? as usize;
-        let n_kept = h.varint_u32("plan header")? as usize;
-        let n_cells = h.varint_u32("plan header")? as usize;
-        if h.remaining() != 0 {
-            return Err("plan header: trailing bytes".into());
-        }
-
-        let statics_frame = read_frame(&mut r, "plan static pairs")?;
-        let mut s = Reader::new(statics_frame);
-        let static_pairs = read_pairs(&mut s, n_static, "plan static pairs")?;
-        if s.remaining() != 0 {
-            return Err("plan static pairs: trailing bytes".into());
-        }
+        let static_pairs = read_frame_with(&mut r, |s| read_pairs(s, n_static))
+            .map_err(|e| format!("plan static pairs: {e}"))?;
         let static_set: BTreeSet<_> = static_pairs.iter().copied().collect();
-
-        let demo_frame = read_frame(&mut r, "plan demotions")?;
-        let mut d = Reader::new(demo_frame);
-        let mut demotions = Vec::with_capacity(n_demotions.min(4096));
-        for i in 0..n_demotions {
-            let what = format!("plan demotion {i}");
-            let a = d.varint_u32(&what)?;
-            let b = d.varint_u32(&what)?;
-            let pair = (AccessId(a), AccessId(b));
-            if !static_set.contains(&pair) {
-                return Err(format!("{what}: pair ({a}, {b}) is not a static pair"));
-            }
-            if let Some(prev) = demotions.last().map(|x: &Demotion| x.pair) {
-                if pair <= prev {
-                    return Err(format!("{what}: demotions not sorted/deduplicated"));
-                }
-            }
-            let nc = d.varint_u32(&what)? as usize;
-            let mut cells = Vec::with_capacity(nc.min(4096));
-            for _ in 0..nc {
-                let c = d.varint_u32(&what)?;
-                if c as usize >= n_cells {
-                    return Err(format!(
-                        "{what}: justifying cell index {c} out of range ({n_cells} cell(s))"
-                    ));
-                }
-                if let Some(&prev) = cells.last() {
-                    if c <= prev {
-                        return Err(format!("{what}: justifying cells not sorted"));
-                    }
-                }
-                cells.push(c);
-            }
-            demotions.push(Demotion { pair, cells });
-        }
-        if d.remaining() != 0 {
-            return Err("plan demotions: trailing bytes".into());
-        }
-
-        let kept_frame = read_frame(&mut r, "plan kept pairs")?;
-        let mut k = Reader::new(kept_frame);
-        let kept = read_pairs(&mut k, n_kept, "plan kept pairs")?;
-        if k.remaining() != 0 {
-            return Err("plan kept pairs: trailing bytes".into());
-        }
+        let demotions = read_frame_with(&mut r, |d| {
+            read_demotions(d, n_demotions, &static_set, n_cells)
+        })
+        .map_err(|e| format!("plan demotions: {e}"))?;
+        let kept = read_frame_with(&mut r, |k| read_pairs(k, n_kept))
+            .map_err(|e| format!("plan kept pairs: {e}"))?;
         // The demoted and kept sets must partition the static set exactly:
         // a forged plan cannot silently drop a pair from both, nor demote
         // a pair while also claiming to keep it.
@@ -510,26 +463,11 @@ impl CertifiedPlan {
             ));
         }
 
-        let cells_frame = read_frame(&mut r, "plan cells")?;
-        let mut c = Reader::new(cells_frame);
-        let mut cells = Vec::with_capacity(n_cells.min(4096));
-        for i in 0..n_cells {
-            cells.push(read_cell(&mut c, &format!("plan cell {i}"))?);
-        }
-        if c.remaining() != 0 {
-            return Err("plan cells: trailing bytes".into());
-        }
-
-        let cert_frame = read_frame(&mut r, "plan certificate")?;
-        let mut cb = Reader::new(cert_frame);
-        let certificate = read_cert(&mut cb, "plan certificate")?;
-        if cb.remaining() != 0 {
-            return Err("plan certificate: trailing bytes".into());
-        }
-
-        if r.remaining() != 0 {
-            return Err(format!("plan container: {} trailing byte(s)", r.remaining()));
-        }
+        let cells = read_frame_with(&mut r, |c| read_cells(c, n_cells))
+            .map_err(|e| format!("plan cells: {e}"))?;
+        let certificate =
+            read_frame_with(&mut r, read_cert).map_err(|e| format!("plan certificate: {e}"))?;
+        FORMAT.finish(&r)?;
         Ok(CertifiedPlan {
             program,
             program_digest,
@@ -557,10 +495,57 @@ impl CertifiedPlan {
 
     /// Load a `.chpl` file.
     pub fn load(path: &Path) -> Result<CertifiedPlan, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        CertifiedPlan::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+        read_file(path, None, CertifiedPlan::from_bytes)
     }
+}
+
+/// Read `n` demotions: each pair must be a static pair, in strictly
+/// ascending order, with sorted justifying cell indices below `n_cells`.
+fn read_demotions(
+    d: &mut Reader,
+    n: usize,
+    static_set: &BTreeSet<(AccessId, AccessId)>,
+    n_cells: usize,
+) -> Result<Vec<Demotion>, String> {
+    let mut demotions: Vec<Demotion> = Vec::with_capacity(n.min(4096));
+    for i in 0..n {
+        let demotion = read_demotion(d, static_set, n_cells, demotions.last())
+            .map_err(|e| format!("demotion {i}: {e}"))?;
+        demotions.push(demotion);
+    }
+    Ok(demotions)
+}
+
+fn read_demotion(
+    d: &mut Reader,
+    static_set: &BTreeSet<(AccessId, AccessId)>,
+    n_cells: usize,
+    prev: Option<&Demotion>,
+) -> Result<Demotion, String> {
+    let a = d.varint_u32()?;
+    let b = d.varint_u32()?;
+    let pair = (AccessId(a), AccessId(b));
+    if !static_set.contains(&pair) {
+        return Err(format!("pair ({a}, {b}) is not a static pair"));
+    }
+    if prev.is_some_and(|p| pair <= p.pair) {
+        return Err("demotions not sorted/deduplicated".into());
+    }
+    let nc = d.varint_u32()? as usize;
+    let mut cells: Vec<u32> = Vec::with_capacity(nc.min(4096));
+    for _ in 0..nc {
+        let c = d.varint_u32()?;
+        if c as usize >= n_cells {
+            return Err(format!(
+                "justifying cell index {c} out of range ({n_cells} cell(s))"
+            ));
+        }
+        if cells.last().is_some_and(|&p| c <= p) {
+            return Err("justifying cells not sorted".into());
+        }
+        cells.push(c);
+    }
+    Ok(Demotion { pair, cells })
 }
 
 /// Apply a certified plan: check it actually certifies this program and

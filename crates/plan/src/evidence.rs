@@ -21,19 +21,18 @@
 //! `(strategy, seed)` against the same program and exec config re-derives
 //! the exact run — the same convention the fleet journal uses.
 //!
-//! The byte format follows the replay-v2 container idiom (DESIGN.md §12):
-//! 4-byte magic, varint version, then checksummed varint-framed sections.
-//! Decoding hostile bytes must fail with an error naming the section —
-//! never panic, never accept a half-file.
+//! On disk it is the `CHEV` container (DESIGN.md §12): header, pairs,
+//! cells and (optional) certificate frames.
 
 use chimera_drd::{detect, SegmentCertificate};
 use chimera_fleet::cell::{
     program_digest, resolve_strategy, run_cell, strategy_code, strategy_from_code, StaticPairs,
 };
-use chimera_fleet::wire::{
-    push_frame, push_str, push_varint, read_frame, read_str, write_atomic, Reader,
-};
 use chimera_minic::ir::{AccessId, Program};
+use chimera_replay::wire::{
+    push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
+    Reader,
+};
 use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -44,6 +43,12 @@ pub const EVIDENCE_MAGIC: &[u8; 4] = b"CHEV";
 pub const EVIDENCE_VERSION: u64 = 1;
 /// File extension for evidence containers.
 pub const EVIDENCE_EXT: &str = "chev";
+
+const FORMAT: Format = Format {
+    name: "evidence",
+    magic: EVIDENCE_MAGIC,
+    version: EVIDENCE_VERSION,
+};
 
 /// One `(strategy, seed)` cell of the hostile sweep, as witnessed.
 ///
@@ -268,10 +273,7 @@ impl Evidence {
 
     /// Serialize to the `.chev` container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(EVIDENCE_MAGIC);
-        push_varint(&mut out, EVIDENCE_VERSION);
-
+        let mut out = FORMAT.start();
         let mut header = Vec::new();
         push_str(&mut header, &self.program);
         header.extend_from_slice(&self.program_digest.to_le_bytes());
@@ -305,42 +307,32 @@ impl Evidence {
 
     /// Decode a `.chev` container, verifying magic, version, every frame
     /// checksum, pair normalization/membership, strategy codes, and the
-    /// certificate digest. Errors name the offending section.
+    /// certificate digest. Errors start with the offending section.
     pub fn from_bytes(bytes: &[u8]) -> Result<Evidence, String> {
-        let mut r = Reader::new(bytes);
-        if r.take(4, "evidence magic")? != EVIDENCE_MAGIC {
-            return Err("evidence magic: not a .chev container".into());
-        }
-        let version = r.varint("evidence version")?;
-        if version != EVIDENCE_VERSION {
-            return Err(format!("evidence version: unsupported version {version}"));
-        }
+        let mut r = FORMAT.open(bytes)?;
+        let (program, [program_digest, instrumented_digest], counts, has_cert) =
+            read_frame_with(&mut r, |h| {
+                let program = read_str(h)?;
+                let digests = [h.u64_raw()?, h.u64_raw()?];
+                let counts = read_u32s::<4>(h)?;
+                let has_cert = match h.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err("invalid certificate flag".into()),
+                };
+                Ok((program, digests, counts, has_cert))
+            })
+            .map_err(|e| format!("evidence header: {e}"))?;
+        let [n_static, n_racy, n_unpred, n_cells] = counts.map(|n| n as usize);
 
-        let header = read_frame(&mut r, "evidence header")?;
-        let mut h = Reader::new(header);
-        let program = read_str(&mut h, "evidence header")?;
-        let program_digest = h.u64_raw("evidence header")?;
-        let instrumented_digest = h.u64_raw("evidence header")?;
-        let n_static = h.varint_u32("evidence header")? as usize;
-        let n_racy = h.varint_u32("evidence header")? as usize;
-        let n_unpred = h.varint_u32("evidence header")? as usize;
-        let n_cells = h.varint_u32("evidence header")? as usize;
-        let has_cert = h.take(1, "evidence header")?[0];
-        if has_cert > 1 {
-            return Err("evidence header: invalid certificate flag".into());
-        }
-        if h.remaining() != 0 {
-            return Err("evidence header: trailing bytes".into());
-        }
-
-        let pairs = read_frame(&mut r, "evidence pairs")?;
-        let mut p = Reader::new(pairs);
-        let static_pairs = read_pairs(&mut p, n_static, "evidence pairs (static)")?;
-        let confirmed_racy = read_pairs(&mut p, n_racy, "evidence pairs (racy)")?;
-        let unpredicted = read_pairs(&mut p, n_unpred, "evidence pairs (unpredicted)")?;
-        if p.remaining() != 0 {
-            return Err("evidence pairs: trailing bytes".into());
-        }
+        let [static_pairs, confirmed_racy, unpredicted] = read_frame_with(&mut r, |p| {
+            Ok([
+                read_pairs(p, n_static)?,
+                read_pairs(p, n_racy)?,
+                read_pairs(p, n_unpred)?,
+            ])
+        })
+        .map_err(|e| format!("evidence pairs: {e}"))?;
         let static_set: BTreeSet<_> = static_pairs.iter().copied().collect();
         for pair in &confirmed_racy {
             if !static_set.contains(pair) {
@@ -359,34 +351,17 @@ impl Evidence {
             }
         }
 
-        let cells_frame = read_frame(&mut r, "evidence cells")?;
-        let mut c = Reader::new(cells_frame);
-        let mut cells = Vec::with_capacity(n_cells.min(4096));
-        for i in 0..n_cells {
-            cells.push(read_cell(&mut c, &format!("evidence cell {i}"))?);
-        }
-        if c.remaining() != 0 {
-            return Err("evidence cells: trailing bytes".into());
-        }
-
-        let certificate = if has_cert == 1 {
-            let body = read_frame(&mut r, "evidence certificate")?;
-            let mut b = Reader::new(body);
-            let cert = read_cert(&mut b, "evidence certificate")?;
-            if b.remaining() != 0 {
-                return Err("evidence certificate: trailing bytes".into());
-            }
-            Some(cert)
+        let cells = read_frame_with(&mut r, |c| read_cells(c, n_cells))
+            .map_err(|e| format!("evidence cells: {e}"))?;
+        let certificate = if has_cert {
+            Some(
+                read_frame_with(&mut r, read_cert)
+                    .map_err(|e| format!("evidence certificate: {e}"))?,
+            )
         } else {
             None
         };
-
-        if r.remaining() != 0 {
-            return Err(format!(
-                "evidence container: {} trailing byte(s)",
-                r.remaining()
-            ));
-        }
+        FORMAT.finish(&r)?;
         Ok(Evidence {
             program,
             program_digest,
@@ -415,9 +390,7 @@ impl Evidence {
 
     /// Load one `.chev` file.
     pub fn load(path: &Path) -> Result<Evidence, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Evidence::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+        read_file(path, None, Evidence::from_bytes)
     }
 
     /// Scan `dir` for the evidence file whose `program_digest` matches —
@@ -456,27 +429,32 @@ pub(crate) fn push_pairs(out: &mut Vec<u8>, pairs: &[(AccessId, AccessId)]) {
     }
 }
 
-pub(crate) fn read_pairs(
-    r: &mut Reader,
-    n: usize,
-    what: &str,
-) -> Result<Vec<(AccessId, AccessId)>, String> {
+pub(crate) fn read_pairs(r: &mut Reader, n: usize) -> Result<Vec<(AccessId, AccessId)>, String> {
     let mut pairs = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let a = r.varint_u32(what)?;
-        let b = r.varint_u32(what)?;
+        let a = r.varint_u32()?;
+        let b = r.varint_u32()?;
         if a > b {
-            return Err(format!("{what}: unnormalized pair ({a}, {b})"));
+            return Err(format!("unnormalized pair ({a}, {b})"));
         }
         let pair = (AccessId(a), AccessId(b));
         if let Some(&last) = pairs.last() {
             if pair <= last {
-                return Err(format!("{what}: pairs not sorted/deduplicated"));
+                return Err("pairs not sorted/deduplicated".into());
             }
         }
         pairs.push(pair);
     }
     Ok(pairs)
+}
+
+/// `N` consecutive u32 varints (section counts, coverage numbers).
+pub(crate) fn read_u32s<const N: usize>(r: &mut Reader) -> Result<[u32; N], String> {
+    let mut out = [0; N];
+    for v in &mut out {
+        *v = r.varint_u32()?;
+    }
+    Ok(out)
 }
 
 pub(crate) fn push_cell(out: &mut Vec<u8>, c: &EvidenceCell) {
@@ -493,23 +471,32 @@ pub(crate) fn push_cell(out: &mut Vec<u8>, c: &EvidenceCell) {
     push_varint(out, c.drd_races);
 }
 
-pub(crate) fn read_cell(r: &mut Reader, what: &str) -> Result<EvidenceCell, String> {
-    let code = r.take(1, what)?[0];
-    let a = r.varint(what)?;
-    let b = r.varint(what)?;
-    // Validate the code decodes to a real strategy.
-    strategy_from_code(code, a, b).map_err(|e| format!("{what}: {e}"))?;
-    let seed = r.varint(what)?;
-    let clean = r.take(1, what)?[0];
-    if clean > 1 {
-        return Err(format!("{what}: invalid clean flag"));
+/// Read `n` cells written by [`push_cell`]; errors name the cell index.
+pub(crate) fn read_cells(r: &mut Reader, n: usize) -> Result<Vec<EvidenceCell>, String> {
+    let mut cells = Vec::with_capacity(n.min(4096));
+    for i in 0..n {
+        cells.push(read_cell(r).map_err(|e| format!("cell {i}: {e}"))?);
     }
-    let order_hash = r.u64_raw(what)?;
-    let prefix_hash = r.u64_raw(what)?;
-    let preemptions = r.varint(what)?;
-    let forced_releases = r.varint(what)?;
-    let state_hash = r.u64_raw(what)?;
-    let drd_races = r.varint(what)?;
+    Ok(cells)
+}
+
+fn read_cell(r: &mut Reader) -> Result<EvidenceCell, String> {
+    let code = r.u8()?;
+    let a = r.varint()?;
+    let b = r.varint()?;
+    // Validate the code decodes to a real strategy.
+    strategy_from_code(code, a, b)?;
+    let seed = r.varint()?;
+    let clean = r.u8()?;
+    if clean > 1 {
+        return Err("invalid clean flag".into());
+    }
+    let order_hash = r.u64_raw()?;
+    let prefix_hash = r.u64_raw()?;
+    let preemptions = r.varint()?;
+    let forced_releases = r.varint()?;
+    let state_hash = r.u64_raw()?;
+    let drd_races = r.varint()?;
     Ok(EvidenceCell {
         strategy: (code, a, b),
         seed,
@@ -532,13 +519,12 @@ pub(crate) fn push_cert(out: &mut Vec<u8>, cert: &SegmentCertificate) {
     out.extend_from_slice(&cert.digest.to_le_bytes());
 }
 
-pub(crate) fn read_cert(r: &mut Reader, what: &str) -> Result<SegmentCertificate, String> {
-    let seed = r.varint(what)?;
-    let threads = r.varint(what)?;
-    let instrs = r.varint(what)?;
-    let sync_ops = r.varint(what)?;
-    let state_hash = r.u64_raw(what)?;
-    let digest = r.u64_raw(what)?;
+pub(crate) fn read_cert(r: &mut Reader) -> Result<SegmentCertificate, String> {
+    let seed = r.varint()?;
+    let threads = r.varint()?;
+    let instrs = r.varint()?;
+    let sync_ops = r.varint()?;
+    let state_hash = r.u64_raw()?;
+    let digest = r.u64_raw()?;
     SegmentCertificate::from_parts(seed, threads, instrs, sync_ops, state_hash, digest)
-        .map_err(|e| format!("{what}: {e}"))
 }

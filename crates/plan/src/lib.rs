@@ -26,10 +26,10 @@
 //!    the thinner plan — any divergence names the demoted pair it
 //!    contradicts ([`Contradiction`]).
 //!
-//! Both containers follow the replay-v2 frame idiom (4-byte magic, varint
-//! version, checksummed varint-framed sections): hostile bytes fail with
-//! a section-naming error, never a panic, and a byte-edited certificate
-//! can never decode into a trusted plan.
+//! Both are containers of the shared codec `chimera_replay::wire`
+//! (DESIGN.md §12): hostile bytes fail with an error naming the container
+//! and section, never a panic, and a byte-edited certificate can never
+//! decode into a trusted plan.
 
 #![warn(missing_docs)]
 

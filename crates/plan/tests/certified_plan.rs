@@ -1,5 +1,6 @@
-//! The certified-plan contract, end to end: evidence containers
-//! round-trip and reject every corruption; demotion is earned only by
+//! The certified-plan contract, end to end: evidence and plan containers
+//! round-trip and pass the shared hostile-input suite
+//! (`chimera_testkit::corrupt`); demotion is earned only by
 //! clean, diverse evidence (racy fixtures never earn it); every refusal
 //! fires with its stable code; forged plans are rejected at decode; and
 //! a contradiction under a bad plan names the demoted pair it refutes.
@@ -15,6 +16,8 @@ use chimera_plan::{
 use chimera_profile::{profile_runs, ProfileData};
 use chimera_relay::{detect_races, RaceReport};
 use chimera_runtime::ExecConfig;
+use chimera_testkit::prop::Gen;
+use chimera_testkit::{corruption_suite, Codec};
 
 const PARTITIONED: &str = include_str!("../../../fixtures/partitioned_sum.mc");
 const RACY_COUNTER: &str = include_str!("../../../fixtures/racy_counter.mc");
@@ -43,18 +46,6 @@ fn analyze(src: &str) -> Analyzed {
 fn gather(a: &Analyzed, name: &str, cfg: &GatherConfig) -> Evidence {
     let statics: Vec<_> = a.races.pairs.iter().map(|p| (p.a, p.b)).collect();
     gather_evidence(name, &a.program, &a.instrumented, &statics, cfg)
-}
-
-#[test]
-fn evidence_roundtrips_bytes_exactly() {
-    let a = analyze(PARTITIONED);
-    let ev = gather(&a, "partitioned_sum", &GatherConfig::default());
-    assert!(!ev.static_pairs.is_empty(), "fixture lost its static alarm");
-    assert!(ev.certificate.is_some(), "fixture lost its certificate");
-    let bytes = ev.to_bytes();
-    assert_eq!(bytes, ev.to_bytes(), "serialization must be deterministic");
-    let back = Evidence::from_bytes(&bytes).expect("own bytes decode");
-    assert_eq!(back, ev);
 }
 
 #[test]
@@ -155,56 +146,71 @@ fn every_refusal_fires_with_its_stable_code() {
     assert_eq!(demote(&worst, &t).unwrap_err().code(), "unpredicted-races");
 }
 
-#[test]
-fn evidence_corruption_suite_every_truncation_and_byte_flip_rejected() {
-    let a = analyze(PARTITIONED);
-    let ev = gather(&a, "partitioned_sum", &GatherConfig::default());
-    corruption_suite("evidence", &ev.to_bytes(), |b| {
-        Evidence::from_bytes(b).map(|_| ())
-    });
+const EVIDENCE: Codec<Evidence> = Codec {
+    name: "evidence",
+    decode: Evidence::from_bytes,
+    encode: Evidence::to_bytes,
+};
+
+const PLAN: Codec<CertifiedPlan> = Codec {
+    name: "plan",
+    decode: CertifiedPlan::from_bytes,
+    encode: CertifiedPlan::to_bytes,
+};
+
+/// Valid evidence around a real sweep: a prefix of its cells, a subset
+/// of its confirmed-racy pairs, with or without its certificate.
+fn arb_evidence(base: Evidence) -> Gen<Evidence> {
+    Gen::new(move |s| {
+        let mut ev = base.clone();
+        ev.cells.truncate(s.index(ev.cells.len() + 1));
+        ev.confirmed_racy.retain(|_| s.bool());
+        if s.bool() {
+            ev.certificate = None;
+        }
+        ev
+    })
+}
+
+/// Valid plans around a real certified plan: a prefix of its cells and a
+/// random demoted/kept partition of its static pairs, each demotion with
+/// a sorted subset of the remaining cells.
+fn arb_plan(base: CertifiedPlan) -> Gen<CertifiedPlan> {
+    Gen::new(move |s| {
+        let mut plan = base.clone();
+        plan.cells.truncate(s.index(plan.cells.len() + 1));
+        let n_cells = plan.cells.len() as u32;
+        plan.demotions.clear();
+        plan.kept.clear();
+        for &pair in &plan.static_pairs {
+            if s.bool() {
+                let cells = (0..n_cells).filter(|_| s.bool()).collect();
+                plan.demotions.push(Demotion { pair, cells });
+            } else {
+                plan.kept.push(pair);
+            }
+        }
+        plan
+    })
 }
 
 #[test]
-fn plan_corruption_suite_every_truncation_and_byte_flip_rejected() {
+fn evidence_passes_the_corruption_suite() {
+    let a = analyze(PARTITIONED);
+    let ev = gather(&a, "partitioned_sum", &GatherConfig::default());
+    assert!(!ev.static_pairs.is_empty(), "fixture lost its static alarm");
+    assert!(ev.certificate.is_some(), "fixture lost its certificate");
+    let racy = analyze(RACY_COUNTER);
+    let base = gather(&racy, "racy_counter", &GatherConfig::default());
+    corruption_suite(&EVIDENCE, &ev, arb_evidence(base));
+}
+
+#[test]
+fn plan_passes_the_corruption_suite() {
     let a = analyze(RACY_COUNTER);
     let ev = gather(&a, "racy_counter", &GatherConfig::default());
     let plan = demote(&ev, &Thresholds::default()).unwrap();
-    corruption_suite("plan", &plan.to_bytes(), |b| {
-        CertifiedPlan::from_bytes(b).map(|_| ())
-    });
-}
-
-/// Every strict prefix must fail to decode; every single-byte flip (both
-/// a one-bit and an all-bits flip at every offset) must fail to decode;
-/// and every error must name a section of the container. Decoding must
-/// never panic — a panic here fails the test by aborting it.
-fn corruption_suite(
-    container: &str,
-    bytes: &[u8],
-    decode: impl Fn(&[u8]) -> Result<(), String>,
-) {
-    decode(bytes).expect("pristine bytes decode");
-    for k in 0..bytes.len() {
-        let err = decode(&bytes[..k])
-            .expect_err(&format!("{container}: truncation to {k} byte(s) accepted"));
-        assert!(
-            err.contains(container),
-            "{container}: truncation to {k} byte(s) did not name a section: {err}"
-        );
-    }
-    for mask in [0x01u8, 0xFF] {
-        for i in 0..bytes.len() {
-            let mut evil = bytes.to_vec();
-            evil[i] ^= mask;
-            let err = decode(&evil).expect_err(&format!(
-                "{container}: byte {i} flipped with {mask:#04x} still accepted"
-            ));
-            assert!(
-                !err.is_empty(),
-                "{container}: byte {i} flip produced an empty error"
-            );
-        }
-    }
+    corruption_suite(&PLAN, &plan, arb_plan(plan.clone()));
 }
 
 #[test]
@@ -219,7 +225,7 @@ fn forged_plan_partitions_are_rejected_at_decode() {
     let mut dropped = plan.clone();
     dropped.kept.pop();
     let e = CertifiedPlan::from_bytes(&dropped.to_bytes()).unwrap_err();
-    assert!(e.contains("plan partition"), "{e}");
+    assert!(e.starts_with("plan partition: "), "{e}");
 
     // Forgery 2: demote a pair while also keeping it.
     let mut doubled = plan.clone();
@@ -229,6 +235,7 @@ fn forged_plan_partitions_are_rejected_at_decode() {
     doubled.demotions.insert(0, Demotion { pair: racy_pair, cells });
     doubled.demotions.sort_by_key(|d| d.pair);
     let e = CertifiedPlan::from_bytes(&doubled.to_bytes()).unwrap_err();
+    assert!(e.starts_with("plan kept pairs: "), "{e}");
     assert!(e.contains("both demoted and kept"), "{e}");
 
     // Forgery 3: demote a pair RELAY never reported.
@@ -238,12 +245,19 @@ fn forged_plan_partitions_are_rejected_at_decode() {
         cells: vec![0],
     });
     let e = CertifiedPlan::from_bytes(&invented.to_bytes()).unwrap_err();
-    assert!(e.contains("not a static pair"), "{e}");
+    assert_eq!(
+        e,
+        format!(
+            "plan demotions: demotion {}: pair (777, 778) is not a static pair",
+            plan.demotions.len()
+        )
+    );
 
     // Forgery 4: a justifying cell index past the recorded cells.
     let mut phantom = plan.clone();
     phantom.demotions[0].cells = vec![plan.cells.len() as u32];
     let e = CertifiedPlan::from_bytes(&phantom.to_bytes()).unwrap_err();
+    assert!(e.starts_with("plan demotions: demotion 0: "), "{e}");
     assert!(e.contains("out of range"), "{e}");
 }
 

@@ -39,6 +39,7 @@ pub mod logs;
 pub mod record;
 pub mod replayer;
 pub mod verify;
+pub mod wire;
 
 pub use logs::{compressed_estimate, Checkpoint, JournalEvent, LogSuffix, ReplayLogs, CHUNK_EVENTS};
 pub use record::{record, record_with, Recorder, Recording};

@@ -10,9 +10,9 @@
 //!   instrumenter added (one stream per granularity class), plus any forced
 //!   releases with their precise preemption points.
 //!
-//! The wire format is version 2 of the `CHIM` container (DESIGN.md §12):
-//! the globally-ordered event stream is split into [`CHUNK_EVENTS`]-sized
-//! frames, each with a self-describing length and an FNV-1a checksum,
+//! The wire format is version 2 of the `CHIM` container, written and read
+//! through [`crate::wire`] (DESIGN.md §12): the globally-ordered event
+//! stream is split into [`CHUNK_EVENTS`]-sized checksummed frames,
 //! dictionary/delta/bit-packed encoding of `(object, thread)` pairs, and
 //! periodic state-hash [`Checkpoint`]s so a divergence can be localized by
 //! bisection instead of a full re-run.
@@ -22,6 +22,7 @@
 //! (DESIGN.md §2). The estimate is position-independent (pure symbol
 //! frequencies), which makes it monotone under log growth.
 
+use crate::wire::{fnv32, push_frame, push_varint, read_frame, unzigzag, zigzag, Format, Reader};
 use chimera_minic::ir::{LockGranularity, WeakLockId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +32,13 @@ pub type InputKey = (u32, u64);
 
 /// Events per v2 chunk frame (the bisection granularity).
 pub const CHUNK_EVENTS: usize = 256;
+
+/// The `CHIM` container: every decode error starts with `log`.
+const FORMAT: Format = Format {
+    name: "log",
+    magic: b"CHIM",
+    version: 2,
+};
 
 const FLAG_JOURNAL: u8 = 1;
 const FLAG_EXPLICIT: u8 = 2;
@@ -489,19 +497,19 @@ impl ReplayLogs {
         if explicit {
             encode_orders(&mut header, self);
         }
-        let mut out = Vec::new();
-        out.extend_from_slice(b"CHIM");
-        push_varint(&mut out, 2); // format version
+        let mut out = FORMAT.start();
+        // The one exception to the frame layout: the v2 header carries its
+        // checksum after the body instead of before it.
         push_varint(&mut out, header.len() as u64);
         out.extend_from_slice(&header);
         out.extend_from_slice(&fnv32(&header).to_le_bytes());
         if let Some((obj_idx, combo_idx, n_combos)) = tables {
             let multi = self.journal.len() > CHUNK_EVENTS;
             for chunk in self.journal.chunks(CHUNK_EVENTS) {
-                let body = encode_chunk(chunk, multi, n_combos, &obj_idx, &combo_idx);
-                push_varint(&mut out, body.len() as u64);
-                out.extend_from_slice(&fnv32(&body).to_le_bytes());
-                out.extend_from_slice(&body);
+                push_frame(
+                    &mut out,
+                    &encode_chunk(chunk, multi, n_combos, &obj_idx, &combo_idx),
+                );
             }
         }
         out
@@ -511,31 +519,24 @@ impl ReplayLogs {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem (bad magic,
-    /// unsupported version, truncation, checksum mismatch). Chunk errors
-    /// name the offending chunk.
+    /// Describes the first structural problem (bad magic, unsupported
+    /// version, truncation, checksum mismatch), starting with `log` and
+    /// the section: `log header: ...`, `log chunk 2: ...`.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLogs, String> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != b"CHIM" {
-            return Err("bad magic".into());
-        }
-        let version = r.varint()?;
-        if version != 2 {
-            return Err(format!("unsupported log format version {version}"));
-        }
-        Self::decode_v2(&mut r)
-    }
-
-    fn decode_v2(r: &mut Reader) -> Result<ReplayLogs, String> {
-        let (mut logs, tables, n_events, explicit) = decode_v2_header(r)?;
+        let Opened {
+            mut logs,
+            tables,
+            explicit,
+            n_events,
+            n_chunks,
+            mut r,
+        } = open(bytes)?;
         if let Some((objs, combos)) = &tables {
-            let n_chunks = chunk_count_for(r, n_events)?;
             let mut journal = Vec::new();
-            for i in 0..n_chunks {
-                let body = read_frame(r, i)?;
+            walk_chunks(&mut r, n_chunks, 0, |i, _, body| {
                 let n_in = chunk_events(n_events, n_chunks, i);
-                decode_chunk(i, body, n_in, n_chunks > 1, combos, objs, &mut journal)?;
-            }
+                decode_chunk(i, body, n_in, n_chunks > 1, combos, objs, &mut journal)
+            })?;
             if !explicit {
                 let o = derived_orders(&journal);
                 logs.mutex_order = o.mutex;
@@ -547,9 +548,7 @@ impl ReplayLogs {
             }
             logs.journal = journal;
         }
-        if r.pos != r.bytes.len() {
-            return Err("trailing garbage after log".into());
-        }
+        FORMAT.finish(&r)?;
         Ok(logs)
     }
 
@@ -564,42 +563,29 @@ impl ReplayLogs {
     /// per-object orders only), an out-of-range chunk, or damage within
     /// the suffix itself.
     pub fn decode_from_checkpoint(bytes: &[u8], chunk: usize) -> Result<LogSuffix, String> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != b"CHIM" {
-            return Err("bad magic".into());
-        }
-        let version = r.varint()?;
-        if version != 2 {
-            return Err(format!(
-                "mid-log decode needs a v2 log, got version {version}"
-            ));
-        }
-        let (logs, tables, n_events, _explicit) = decode_v2_header(&mut r)?;
+        let Opened {
+            logs,
+            tables,
+            n_events,
+            n_chunks,
+            mut r,
+            ..
+        } = open(bytes)?;
         let Some((objs, combos)) = tables else {
-            return Err("log has no journal (explicit per-object orders only)".into());
+            return Err("log: no journal (explicit per-object orders only)".into());
         };
-        let n_chunks = chunk_count_for(&r, n_events)?;
         if chunk >= n_chunks {
-            return Err(format!("chunk {chunk} out of range (log has {n_chunks})"));
-        }
-        for i in 0..chunk {
-            // Skip without checksum verification: frame lengths alone
-            // delimit the prefix.
-            let len = r
-                .varint()
-                .map_err(|_| format!("chunk {i}: truncated"))? as usize;
-            r.take(4).map_err(|_| format!("chunk {i}: truncated"))?;
-            r.take(len).map_err(|_| format!("chunk {i}: truncated"))?;
+            return Err(format!("log: chunk {chunk} out of range (log has {n_chunks})"));
         }
         let mut journal = Vec::new();
-        for i in chunk..n_chunks {
-            let body = read_frame(&mut r, i)?;
+        walk_chunks(&mut r, n_chunks, chunk, |i, _, body| {
+            if i < chunk {
+                return Ok(());
+            }
             let n_in = chunk_events(n_events, n_chunks, i);
-            decode_chunk(i, body, n_in, n_chunks > 1, &combos, &objs, &mut journal)?;
-        }
-        if r.pos != r.bytes.len() {
-            return Err("trailing garbage after log".into());
-        }
+            decode_chunk(i, body, n_in, n_chunks > 1, &combos, &objs, &mut journal)
+        })?;
+        FORMAT.finish(&r)?;
         let start_events = (chunk * CHUNK_EVENTS) as u64;
         Ok(LogSuffix {
             chunk,
@@ -621,36 +607,75 @@ impl ReplayLogs {
 
     /// Byte ranges `(start, end)` of each chunk *body* inside a v2 buffer
     /// (the 4-byte frame checksum sits immediately before `start`). For
-    /// corruption tests and forensics tooling.
+    /// corruption tests and forensics tooling; chunk checksums are not
+    /// verified.
     ///
     /// # Errors
     ///
     /// Fails on container/header damage or truncated frames.
     pub fn chunk_spans(bytes: &[u8]) -> Result<Vec<(usize, usize)>, String> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != b"CHIM" {
-            return Err("bad magic".into());
-        }
-        let version = r.varint()?;
-        if version != 2 {
-            return Err(format!("chunk spans need a v2 log, got version {version}"));
-        }
-        let (_logs, tables, n_events, _explicit) = decode_v2_header(&mut r)?;
-        let mut spans = Vec::new();
-        if tables.is_some() {
-            let n_chunks = chunk_count_for(&r, n_events)?;
-            for i in 0..n_chunks {
-                let len = r
-                    .varint()
-                    .map_err(|_| format!("chunk {i}: truncated"))? as usize;
-                r.take(4).map_err(|_| format!("chunk {i}: truncated"))?;
-                let start = r.pos;
-                r.take(len).map_err(|_| format!("chunk {i}: truncated"))?;
-                spans.push((start, start + len));
-            }
-        }
+        let Opened {
+            n_chunks, mut r, ..
+        } = open(bytes)?;
+        let mut spans = Vec::with_capacity(n_chunks);
+        walk_chunks(&mut r, n_chunks, n_chunks, |_, start, body| {
+            spans.push((start, start + body.len()));
+            Ok(())
+        })?;
         Ok(spans)
     }
+}
+
+/// A log with its envelope and header decoded: the partially-filled logs
+/// (inputs, granularities, counters, checkpoints, and per-object orders if
+/// explicit), the journal tables, and a reader at the first chunk frame.
+struct Opened<'a> {
+    logs: ReplayLogs,
+    tables: Option<JournalTables>,
+    explicit: bool,
+    n_events: u64,
+    n_chunks: usize,
+    r: Reader<'a>,
+}
+
+/// The prologue every decode shares: envelope, header, chunk count.
+fn open(bytes: &[u8]) -> Result<Opened<'_>, String> {
+    let mut r = FORMAT.open(bytes)?;
+    let (logs, tables, n_events, explicit) =
+        read_header(&mut r).map_err(|e| format!("log header: {e}"))?;
+    let n_chunks = match tables {
+        Some(_) => chunk_count_for(&r, n_events)?,
+        None => 0,
+    };
+    Ok(Opened {
+        logs,
+        tables,
+        explicit,
+        n_events,
+        n_chunks,
+        r,
+    })
+}
+
+/// The one walk over a log's chunk frames. Frames before `verify_from`
+/// are delimited by their lengths alone (checksums unverified); the rest
+/// are checksum-verified. Calls `f(i, body_start, body)` for every chunk.
+fn walk_chunks<'a>(
+    r: &mut Reader<'a>,
+    n_chunks: usize,
+    verify_from: usize,
+    mut f: impl FnMut(usize, usize, &'a [u8]) -> Result<(), String>,
+) -> Result<(), String> {
+    for i in 0..n_chunks {
+        let body = if i < verify_from {
+            r.skip_frame()
+        } else {
+            read_frame(r)
+        }
+        .map_err(|e| format!("log chunk {i}: {e}"))?;
+        f(i, r.pos() - body.len(), body)?;
+    }
+    Ok(())
 }
 
 /// Number of chunks implied by the header's event count, with a cheap
@@ -659,10 +684,10 @@ impl ReplayLogs {
 /// rejected before any decoding work.
 fn chunk_count_for(r: &Reader, n_events: u64) -> Result<usize, String> {
     let n_chunks = n_events.div_ceil(CHUNK_EVENTS as u64);
-    let remaining = r.bytes.len() - r.pos;
+    let remaining = r.remaining();
     if n_chunks > (remaining / 5 + 1) as u64 {
         return Err(format!(
-            "chunk count {n_chunks} exceeds the remaining {remaining} bytes"
+            "log: chunk count {n_chunks} exceeds the remaining {remaining} bytes"
         ));
     }
     Ok(n_chunks as usize)
@@ -677,36 +702,28 @@ fn chunk_events(n_events: u64, n_chunks: usize, i: usize) -> usize {
     }
 }
 
-/// Parse the v2 header: returns the partially-filled logs (inputs, grans,
-/// counters, checkpoints, and per-object orders if explicit), the journal
+/// Read the v2 header — `varint(len) ++ body ++ fnv32(body)`, the one
+/// frame whose checksum trails its body — and parse the body, which must
+/// be consumed exactly. Returns the partially-filled logs, the journal
 /// tables, the event count, and the explicit-orders flag.
-type HeaderTables = Option<(Vec<ObjKey>, Vec<(u32, u32)>)>;
-
-fn decode_v2_header(
+fn read_header(
     r: &mut Reader,
-) -> Result<(ReplayLogs, HeaderTables, u64, bool), String> {
-    let header_len = r.varint().map_err(|e| format!("header: {e}"))? as usize;
-    let header = r.take(header_len).map_err(|_| "header: truncated".to_string())?;
-    let sum_bytes = r.take(4).map_err(|_| "header: truncated checksum".to_string())?;
-    let sum = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv32(header) != sum {
-        return Err("header checksum mismatch".into());
+) -> Result<(ReplayLogs, Option<JournalTables>, u64, bool), String> {
+    let len = r.varint()?;
+    let header = r.take(usize::try_from(len).map_err(|_| "truncated")?)?;
+    if fnv32(header) != r.u32_raw()? {
+        return Err("checksum mismatch".into());
     }
-    let mut h = Reader {
-        bytes: header,
-        pos: 0,
-    };
-    let out = parse_header_body(&mut h).map_err(|e| format!("header: {e}"))?;
-    if h.pos != header.len() {
-        return Err("header: trailing bytes".into());
-    }
+    let mut h = Reader::new(header);
+    let out = parse_header_body(&mut h)?;
+    h.finish()?;
     Ok(out)
 }
 
 fn parse_header_body(
     h: &mut Reader,
-) -> Result<(ReplayLogs, HeaderTables, u64, bool), String> {
-    let flags = h.take(1)?[0];
+) -> Result<(ReplayLogs, Option<JournalTables>, u64, bool), String> {
+    let flags = h.u8()?;
     if flags & !(FLAG_JOURNAL | FLAG_EXPLICIT | FLAG_CHECKPOINTS) != 0 {
         return Err(format!("unknown flags {flags:#x}"));
     }
@@ -737,15 +754,9 @@ fn parse_header_body(
             let d = h.varint()?;
             let events = prev_ev.wrapping_add(d);
             prev_ev = events;
-            let hash = u64::from_le_bytes(
-                h.take(8)
-                    .map_err(|_| "truncated checkpoint digest".to_string())?
-                    .try_into()
-                    .unwrap(),
-            );
             logs.checkpoints.push(Checkpoint {
                 events,
-                state_hash: hash,
+                state_hash: h.u64_raw()?,
             });
         }
     }
@@ -771,7 +782,7 @@ fn parse_header_body(
                 let len = h.varint()? as usize;
                 let mut v = Vec::with_capacity(len.min(1 << 20));
                 for _ in 0..len {
-                    v.push(h.u32_varint("thread id")?);
+                    v.push(h.varint_u32()?);
                 }
                 m.insert(addr, v);
             }
@@ -781,28 +792,28 @@ fn parse_header_body(
         logs.cond_order = order_map(h)?;
         let n = h.varint()? as usize;
         for _ in 0..n {
-            logs.spawn_order.push(h.u32_varint("thread id")?);
+            logs.spawn_order.push(h.varint_u32()?);
         }
         let n = h.varint()? as usize;
         for _ in 0..n {
-            logs.output_order.push(h.u32_varint("thread id")?);
+            logs.output_order.push(h.varint_u32()?);
         }
         let n_weak = h.varint()?;
         for _ in 0..n_weak {
-            let lock = WeakLockId(h.u32_varint("weak-lock id")?);
+            let lock = WeakLockId(h.varint_u32()?);
             let len = h.varint()? as usize;
             let mut v = Vec::with_capacity(len.min(1 << 20));
             for _ in 0..len {
-                v.push(h.u32_varint("thread id")?);
+                v.push(h.varint_u32()?);
             }
             logs.weak_order.insert(lock, v);
         }
         let n_forced = h.varint()?;
         for _ in 0..n_forced {
-            let t = h.u32_varint("thread id")?;
+            let t = h.varint_u32()?;
             let icount = h.varint()?;
-            let parked = h.take(1)?[0] != 0;
-            let lock = WeakLockId(h.u32_varint("weak-lock id")?);
+            let parked = h.u8()? != 0;
+            let lock = WeakLockId(h.varint_u32()?);
             logs.forced.push((t, icount, parked, lock));
         }
     }
@@ -1130,7 +1141,7 @@ fn encode_combo_pairs(out: &mut Vec<u8>, combos: &[(u32, u32)]) {
 type JournalTables = (Vec<ObjKey>, Vec<(u32, u32)>);
 
 fn decode_journal_tables(h: &mut Reader, logs: &mut ReplayLogs) -> Result<JournalTables, String> {
-    let bitmap = h.take(1)?[0];
+    let bitmap = h.u8()?;
     let mut objs = Vec::new();
     let group_i64 = |h: &mut Reader,
                      objs: &mut Vec<ObjKey>,
@@ -1230,7 +1241,7 @@ fn decode_journal_tables(h: &mut Reader, logs: &mut ReplayLogs) -> Result<Journa
         let (mut po, mut pt) = (0u32, 0u32);
         for i in 0..n_combos {
             let (o, t) = if i == 0 {
-                (h.u32_varint("combo object")?, h.u32_varint("combo thread")?)
+                (h.varint_u32()?, h.varint_u32()?)
             } else {
                 let d_obj = h.varint()?;
                 if d_obj == 0 {
@@ -1242,7 +1253,7 @@ fn decode_journal_tables(h: &mut Reader, logs: &mut ReplayLogs) -> Result<Journa
                 } else {
                     (
                         checked_u32_add(po, d_obj, "combo object")?,
-                        h.u32_varint("combo thread")?,
+                        h.varint_u32()?,
                     )
                 }
             };
@@ -1377,19 +1388,6 @@ fn encode_chunk(
     body
 }
 
-fn read_frame<'a>(r: &mut Reader<'a>, i: usize) -> Result<&'a [u8], String> {
-    let len = r
-        .varint()
-        .map_err(|_| format!("chunk {i}: truncated"))? as usize;
-    let sum_bytes = r.take(4).map_err(|_| format!("chunk {i}: truncated"))?;
-    let sum = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-    let body = r.take(len).map_err(|_| format!("chunk {i}: truncated"))?;
-    if fnv32(body) != sum {
-        return Err(format!("chunk {i}: checksum mismatch"));
-    }
-    Ok(body)
-}
-
 fn decode_chunk(
     i: usize,
     body: &[u8],
@@ -1399,11 +1397,8 @@ fn decode_chunk(
     objs: &[ObjKey],
     out: &mut Vec<JournalEvent>,
 ) -> Result<(), String> {
-    let chunk_err = |e: String| format!("chunk {i}: {e}");
-    let mut b = Reader {
-        bytes: body,
-        pos: 0,
-    };
+    let chunk_err = |e: String| format!("log chunk {i}: {e}");
+    let mut b = Reader::new(body);
     let n_local = if multi {
         b.varint().map_err(chunk_err)? as usize
     } else {
@@ -1415,7 +1410,7 @@ fn decode_chunk(
         unpack_bits(&mut b, n_in, width).map_err(chunk_err)?
     } else {
         if n_local > n_in || n_local > combos.len() {
-            return Err(format!("chunk {i}: bad local dictionary size {n_local}"));
+            return Err(format!("log chunk {i}: bad local dictionary size {n_local}"));
         }
         let mut locals = Vec::with_capacity(n_local);
         let mut prev = 0u32;
@@ -1423,7 +1418,7 @@ fn decode_chunk(
             let d = b.varint().map_err(chunk_err)?;
             let g = decode_u32_delta(j == 0, prev, d, "combo index").map_err(chunk_err)?;
             if (g as usize) >= combos.len() {
-                return Err(format!("chunk {i}: combo index {g} out of range"));
+                return Err(format!("log chunk {i}: combo index {g} out of range"));
             }
             prev = g;
             locals.push(g);
@@ -1433,7 +1428,7 @@ fn decode_chunk(
         let mut idxs = Vec::with_capacity(n_in);
         for idx in packed {
             if idx as usize >= n_local {
-                return Err(format!("chunk {i}: packed index {idx} out of range"));
+                return Err(format!("log chunk {i}: packed index {idx} out of range"));
             }
             idxs.push(locals[idx as usize]);
         }
@@ -1442,7 +1437,7 @@ fn decode_chunk(
     let mut prev_ic: BTreeMap<u32, u64> = BTreeMap::new();
     for idx in idxs {
         if idx as usize >= combos.len() {
-            return Err(format!("chunk {i}: packed index {idx} out of range"));
+            return Err(format!("log chunk {i}: packed index {idx} out of range"));
         }
         let (o, thread) = combos[idx as usize];
         let ev = match objs[o as usize] {
@@ -1460,7 +1455,7 @@ fn decode_chunk(
                 let d = b.varint().map_err(chunk_err)?;
                 let icount = p.wrapping_add(unzigzag(d) as u64);
                 prev_ic.insert(thread, icount);
-                let parked = b.take(1).map_err(chunk_err)?[0] != 0;
+                let parked = b.u8().map_err(chunk_err)? != 0;
                 JournalEvent::Forced {
                     thread,
                     icount,
@@ -1471,10 +1466,7 @@ fn decode_chunk(
         };
         out.push(ev);
     }
-    if b.pos != body.len() {
-        return Err(format!("chunk {i}: trailing bytes in frame"));
-    }
-    Ok(())
+    b.finish().map_err(chunk_err)
 }
 
 /// Bits needed to represent `x` (0 for `x == 0`).
@@ -1526,29 +1518,6 @@ fn unpack_bits(r: &mut Reader, n: usize, width: u32) -> Result<Vec<u32>, String>
     Ok(vals)
 }
 
-/// FNV-1a over a byte slice. A single flipped byte always changes the
-/// digest: each step `h -> (h ^ b) * p` is injective for fixed `b`, and two
-/// streams first differing at one byte leave different states there.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a (32-bit) over a byte slice — the container checksum. The
-/// single-byte-flip guarantee of [`fnv64`] holds mod 2³² too: the prime is
-/// odd, so each step `h -> (h ^ b) * p` stays injective on 32-bit states,
-/// and a difference introduced at one byte survives every later step.
-pub fn fnv32(bytes: &[u8]) -> u32 {
-    let mut h = 0x811c_9dc5u32;
-    for &b in bytes {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 fn gran_code(g: LockGranularity) -> u64 {
     match g {
         LockGranularity::Function => 0,
@@ -1566,70 +1535,6 @@ fn gran_from_code(c: u64) -> Result<LockGranularity, String> {
         3 => LockGranularity::Instruction,
         other => return Err(format!("bad granularity code {other}")),
     })
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        // `n` can be an attacker-controlled u64; never add it to `pos`.
-        if n > self.bytes.len() - self.pos {
-            return Err("truncated log".into());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.take(1)?[0];
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift >= 64 {
-                return Err("varint overflow".into());
-            }
-        }
-    }
-
-    fn u32_varint(&mut self, what: &str) -> Result<u32, String> {
-        let v = self.varint()?;
-        if v > u32::MAX as u64 {
-            return Err(format!("{what} overflow"));
-        }
-        Ok(v as u32)
-    }
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// ZigZag-encode a signed value for varint packing.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// LEB128 varint.
-pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
 }
 
 /// Estimate the gzip-compressed size of `bytes`: the order-0 Shannon
@@ -1661,27 +1566,6 @@ pub fn compressed_estimate(bytes: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips_small_and_large() {
-        let mut out = Vec::new();
-        push_varint(&mut out, 0);
-        push_varint(&mut out, 127);
-        push_varint(&mut out, 128);
-        push_varint(&mut out, u64::MAX);
-        assert_eq!(out[0], 0);
-        assert_eq!(out[1], 127);
-        assert_eq!(out[2] & 0x80, 0x80);
-        assert_eq!(out.len(), 1 + 1 + 2 + 10);
-    }
-
-    #[test]
-    fn zigzag_maps_small_magnitudes_small() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-    }
 
     #[test]
     fn compressed_estimate_compresses_runs() {
@@ -1758,22 +1642,15 @@ mod tests {
         logs
     }
 
-    #[test]
-    fn serialization_round_trips() {
-        let logs = rich_logs();
-        let bytes = logs.to_bytes();
-        let back = ReplayLogs::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back, logs);
-    }
-
-    #[test]
-    fn journal_serialization_round_trips() {
-        let logs = journal_logs();
-        assert_eq!(logs.chunk_count(), 3);
-        let bytes = logs.to_bytes();
-        let back = ReplayLogs::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back, logs);
-        assert_eq!(back.checkpoints.len(), 2);
+    /// A log container around a hand-built header (behind a valid
+    /// checksum) and raw frame bytes.
+    fn container(header: &[u8], frames: &[u8]) -> Vec<u8> {
+        let mut out = FORMAT.start();
+        push_varint(&mut out, header.len() as u64);
+        out.extend_from_slice(header);
+        out.extend_from_slice(&fnv32(header).to_le_bytes());
+        out.extend_from_slice(frames);
+        out
     }
 
     #[test]
@@ -1807,61 +1684,6 @@ mod tests {
         logs.spawn_order.push(9); // maps no longer derivable from journal
         let back = ReplayLogs::from_bytes(&logs.to_bytes()).expect("round trip");
         assert_eq!(back, logs);
-    }
-
-    #[test]
-    fn every_truncation_of_a_valid_log_errors() {
-        // The parser consumes fields strictly sequentially and a valid
-        // buffer parses to exactly its last byte, so *every* proper prefix
-        // must run out mid-field and report truncation — never panic, and
-        // never accept a half-log silently.
-        let bytes = rich_logs().to_bytes();
-        for len in 0..bytes.len() {
-            let r = ReplayLogs::from_bytes(&bytes[..len]);
-            assert!(
-                r.is_err(),
-                "prefix of {len}/{} bytes parsed Ok",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn every_truncation_of_a_journal_log_errors() {
-        let bytes = journal_logs().to_bytes();
-        for len in 0..bytes.len() {
-            let r = ReplayLogs::from_bytes(&bytes[..len]);
-            assert!(
-                r.is_err(),
-                "prefix of {len}/{} bytes parsed Ok",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn single_byte_flips_are_detected() {
-        // The version byte (offset 4) names the only accepted version,
-        // and every byte after it is covered by the header checksum, a
-        // frame checksum, or a frame delimiter — one flipped bit anywhere
-        // must surface as an error.
-        let bytes = journal_logs().to_bytes();
-        for off in 4..bytes.len() {
-            let mut b = bytes.clone();
-            b[off] ^= 1;
-            assert!(
-                ReplayLogs::from_bytes(&b).is_err(),
-                "flip at offset {off} decoded Ok"
-            );
-        }
-        for bit in 0..8 {
-            let mut b = bytes.clone();
-            b[4] ^= 1 << bit;
-            assert!(
-                ReplayLogs::from_bytes(&b).is_err(),
-                "version-byte flip of bit {bit} decoded Ok"
-            );
-        }
     }
 
     #[test]
@@ -1900,20 +1722,9 @@ mod tests {
             push_varint(&mut header, n_events);
             header
         };
-        let container = |header: &[u8], frames: &[u8]| {
-            let mut out = b"CHIM".to_vec();
-            push_varint(&mut out, 2);
-            push_varint(&mut out, header.len() as u64);
-            out.extend_from_slice(header);
-            out.extend_from_slice(&fnv32(header).to_le_bytes());
-            out.extend_from_slice(frames);
-            out
-        };
         let frame = |body: &[u8]| {
             let mut f = Vec::new();
-            push_varint(&mut f, body.len() as u64);
-            f.extend_from_slice(&fnv32(body).to_le_bytes());
-            f.extend_from_slice(body);
+            push_frame(&mut f, body);
             f
         };
         let header = base_header(1);
@@ -1923,27 +1734,27 @@ mod tests {
         push_varint(&mut f, u64::MAX);
         f.extend_from_slice(&[0; 4]);
         let err = ReplayLogs::from_bytes(&container(&header, &f)).unwrap_err();
-        assert!(err.contains("chunk 0"), "{err}");
+        assert_eq!(err, "log chunk 0: truncated");
         // Absurd event count in the header: the implied chunk count can't
         // possibly fit the buffer and is rejected before any decoding.
         let huge = base_header(u64::MAX);
         let err = ReplayLogs::from_bytes(&container(&huge, &[])).unwrap_err();
-        assert!(err.contains("chunk count"), "{err}");
+        assert!(err.starts_with("log: chunk count"), "{err}");
         // Multi-chunk local alphabet larger than the combo table.
         let multi = base_header(CHUNK_EVENTS as u64 + 1);
         let mut body = Vec::new();
         push_varint(&mut body, 5); // local dictionary of 5 over 1 combo
         let err = ReplayLogs::from_bytes(&container(&multi, &frame(&body))).unwrap_err();
-        assert!(err.contains("chunk 0"), "{err}");
+        assert!(err.starts_with("log chunk 0: bad local dictionary"), "{err}");
         // Trailing bytes inside an otherwise valid frame.
         let err = ReplayLogs::from_bytes(&container(&header, &frame(&[0]))).unwrap_err();
-        assert!(err.contains("chunk 0"), "{err}");
+        assert_eq!(err, "log chunk 0: 1 trailing byte(s)");
         // A mask granting no thread at all.
         let mut empty_mask = base_header(1);
         let at = empty_mask.len() - 2; // mask varint sits before n_events
         empty_mask[at] = 0;
         let err = ReplayLogs::from_bytes(&container(&empty_mask, &frame(&[]))).unwrap_err();
-        assert!(err.contains("no combos"), "{err}");
+        assert_eq!(err, "log header: object with no combos");
         // Sanity: the well-formed frame for this header does decode. One
         // combo packs at width zero, so the body is empty.
         let logs = ReplayLogs::from_bytes(&container(&header, &frame(&[]))).expect("valid");
@@ -1983,67 +1794,51 @@ mod tests {
     fn hostile_section_lengths_error_not_panic() {
         // Hand-built journal-less headers behind a valid checksum, so the
         // section parser itself meets the hostile lengths.
-        let container = |header: &[u8]| {
-            let mut out = b"CHIM".to_vec();
-            push_varint(&mut out, 2);
-            push_varint(&mut out, header.len() as u64);
-            out.extend_from_slice(header);
-            out.extend_from_slice(&fnv32(header).to_le_bytes());
-            out
-        };
         // Absurd input-thread count: must fail on the missing records, not
         // try to allocate for them.
         let mut h = vec![FLAG_EXPLICIT];
         push_varint(&mut h, u64::MAX);
-        assert!(ReplayLogs::from_bytes(&container(&h)).is_err());
+        assert!(ReplayLogs::from_bytes(&container(&h, &[])).is_err());
         // Absurd payload length inside one otherwise-valid input record.
         let mut h = vec![FLAG_EXPLICIT];
         push_varint(&mut h, 1); // one input thread…
         push_varint(&mut h, 0); // …thread 0
         push_varint(&mut h, 1 << 1); // one contiguous record
         push_varint(&mut h, u64::MAX - 1); // varint payload length
-        assert!(ReplayLogs::from_bytes(&container(&h)).is_err());
+        assert!(ReplayLogs::from_bytes(&container(&h, &[])).is_err());
         // Unknown weak-lock granularity code.
         let mut h = vec![FLAG_EXPLICIT];
         push_varint(&mut h, 0); // no input threads
         push_varint(&mut h, 1); // one granularity entry…
         push_varint(&mut h, 0); // …for lock 0
         push_varint(&mut h, 9); // bogus granularity
-        let err = ReplayLogs::from_bytes(&container(&h)).unwrap_err();
-        assert!(err.contains("granularity"), "{err}");
+        let err = ReplayLogs::from_bytes(&container(&h, &[])).unwrap_err();
+        assert_eq!(err, "log header: bad granularity code 9");
         // A varint that never terminates within 64 bits.
         let mut b = b"CHIM".to_vec();
         b.extend([0xff; 10]);
         let err = ReplayLogs::from_bytes(&b).unwrap_err();
-        assert!(err.contains("varint overflow"), "{err}");
+        assert_eq!(err, "log version: varint overflow");
     }
 
     #[test]
-    fn deserialization_rejects_garbage() {
-        assert!(ReplayLogs::from_bytes(b"NOPE....").is_err());
-        assert!(ReplayLogs::from_bytes(b"CH").is_err());
-        // The retired v1 format is an unsupported version like any other.
+    fn retired_v1_is_an_unsupported_version() {
         let mut v1 = ReplayLogs::default().to_bytes();
         v1[4] = 1;
         let err = ReplayLogs::from_bytes(&v1).unwrap_err();
-        assert_eq!(err, "unsupported log format version 1");
-        let mut ok = ReplayLogs::default().to_bytes();
-        ok.truncate(5);
-        // Truncated buffers must error, not panic.
-        let _ = ReplayLogs::from_bytes(&ok);
-    }
-
-    #[test]
-    fn unzigzag_inverts_zigzag() {
-        for v in [0i64, 1, -1, 42, -42, i64::MAX / 2, i64::MIN / 2] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
+        assert_eq!(err, "log version: unsupported version 1");
     }
 
     mod proptests {
         use super::*;
         use chimera_testkit::prop::{self, Gen, Source};
-        use chimera_testkit::{prop_assert, prop_assert_eq};
+        use chimera_testkit::{corruption_suite, prop_assert, Codec};
+
+        const CODEC: Codec<ReplayLogs> = Codec {
+            name: "log",
+            decode: ReplayLogs::from_bytes,
+            encode: ReplayLogs::to_bytes,
+        };
 
         fn arb_logs() -> Gen<ReplayLogs> {
             fn order(s: &mut Source) -> BTreeMap<i64, Vec<u32>> {
@@ -2140,26 +1935,6 @@ mod tests {
             })
         }
 
-        /// Arbitrary hand-built logs survive a serialize/parse round trip.
-        #[test]
-        fn to_bytes_from_bytes_round_trips() {
-            prop::check("to_bytes_from_bytes_round_trips", &arb_logs(), |logs| {
-                let back = ReplayLogs::from_bytes(&logs.to_bytes()).expect("valid buffer");
-                prop_assert_eq!(&back, logs);
-                Ok(())
-            });
-        }
-
-        /// Push-built journal logs round-trip through the chunked path.
-        #[test]
-        fn journal_round_trips() {
-            prop::check("journal_round_trips", &arb_journal_logs(), |logs| {
-                let back = ReplayLogs::from_bytes(&logs.to_bytes()).expect("valid buffer");
-                prop_assert_eq!(&back, logs);
-                Ok(())
-            });
-        }
-
         /// Growing a log (fresh input records, fresh lock/mutex streams,
         /// appended forced entries) never shrinks the compressed-size
         /// estimate: the estimator is a pure symbol-frequency bound, and
@@ -2208,77 +1983,19 @@ mod tests {
             );
         }
 
-        /// Random byte soup never panics the parser.
+        /// The shared hostile-input suite over explicit-mode logs.
         #[test]
-        fn from_bytes_never_panics() {
-            let gen = prop::vec_of(prop::any_u8(), 0..256);
-            prop::check("from_bytes_never_panics", &gen, |bytes| {
-                let _ = ReplayLogs::from_bytes(bytes);
-                Ok(())
-            });
+        fn explicit_logs_pass_the_corruption_suite() {
+            corruption_suite(&CODEC, &rich_logs(), arb_logs());
         }
 
-        /// Structured corruption: start from a *valid* encoding of an
-        /// arbitrary log, then flip a few bytes and possibly truncate.
-        /// This drives the parser deep into real sections (random soup
-        /// almost always dies at the magic), where it must still either
-        /// error cleanly or produce a log that re-serializes.
+        /// The same suite over push-built journal logs, whose pristine
+        /// value spans three chunks with two checkpoints.
         #[test]
-        fn corrupted_valid_encodings_never_panic() {
-            let gen = arb_logs().flat_map(|logs| {
-                let bytes = logs.to_bytes();
-                Gen::new(move |s| {
-                    let mut b = bytes.clone();
-                    let flips = s.int(1usize..5);
-                    for _ in 0..flips {
-                        let i = s.int(0usize..b.len());
-                        b[i] = s.int(0u32..256) as u8;
-                    }
-                    if s.bool() {
-                        let keep = s.int(0usize..b.len() + 1);
-                        b.truncate(keep);
-                    }
-                    b
-                })
-            });
-            prop::check("corrupted_valid_encodings_never_panic", &gen, |bytes| {
-                if let Ok(parsed) = ReplayLogs::from_bytes(bytes) {
-                    // Corruption may still decode (e.g. a flipped thread
-                    // id); whatever comes back must round-trip its own
-                    // re-encoding.
-                    let again = ReplayLogs::from_bytes(&parsed.to_bytes()).expect("re-encode");
-                    prop_assert_eq!(&again, &parsed);
-                }
-                Ok(())
-            });
-        }
-
-        /// Same corruption drill against the chunked journal encoding.
-        #[test]
-        fn corrupted_journal_encodings_never_panic() {
-            let gen = arb_journal_logs().flat_map(|logs| {
-                let bytes = logs.to_bytes();
-                Gen::new(move |s| {
-                    let mut b = bytes.clone();
-                    let flips = s.int(1usize..5);
-                    for _ in 0..flips {
-                        let i = s.int(0usize..b.len());
-                        b[i] = s.int(0u32..256) as u8;
-                    }
-                    if s.bool() {
-                        let keep = s.int(0usize..b.len() + 1);
-                        b.truncate(keep);
-                    }
-                    b
-                })
-            });
-            prop::check("corrupted_journal_encodings_never_panic", &gen, |bytes| {
-                if let Ok(parsed) = ReplayLogs::from_bytes(bytes) {
-                    let again = ReplayLogs::from_bytes(&parsed.to_bytes()).expect("re-encode");
-                    prop_assert_eq!(&again, &parsed);
-                }
-                Ok(())
-            });
+        fn journal_logs_pass_the_corruption_suite() {
+            let logs = journal_logs();
+            assert_eq!((logs.chunk_count(), logs.checkpoints.len()), (3, 2));
+            corruption_suite(&CODEC, &logs, arb_journal_logs());
         }
     }
 

@@ -16,15 +16,20 @@
 //! * [`bench`] — a `std::time::Instant` micro-bench runner (warmup + N
 //!   timed iterations, min/median/p95/max report) so the bench suite runs
 //!   as plain binaries.
+//! * [`corrupt`] — the one hostile-input suite every on-disk container
+//!   codec runs: truncations, byte flips, random soup and seeded
+//!   corruption of valid encodings, with named errors and no panics.
 //!
 //! Everything in here is `std`-only by design. Keep it that way.
 
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod corrupt;
 pub mod prop;
 pub mod rng;
 
 pub use bench::{BenchStats, Runner};
+pub use corrupt::{corruption_suite, Codec};
 pub use prop::{check, sample_with_seed, Config, Gen, Source};
 pub use rng::{RandomSource, Rng, SplitMix64};
