@@ -368,34 +368,15 @@ impl ReplayLogs {
     /// truncated to one byte here and silently alias).
     pub fn encode_order_log(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for (addr, threads) in &self.mutex_order {
+        for (addr, threads) in self.mutex_order.iter().chain(&self.cond_order) {
             push_varint(&mut out, zigzag(*addr));
-            push_varint(&mut out, threads.len() as u64);
-            for t in threads {
-                push_varint(&mut out, *t as u64);
-            }
+            push_threads(&mut out, threads);
         }
-        for (addr, threads) in &self.cond_order {
-            push_varint(&mut out, zigzag(*addr));
-            push_varint(&mut out, threads.len() as u64);
-            for t in threads {
-                push_varint(&mut out, *t as u64);
-            }
-        }
-        push_varint(&mut out, self.spawn_order.len() as u64);
-        for t in &self.spawn_order {
-            push_varint(&mut out, *t as u64);
-        }
-        push_varint(&mut out, self.output_order.len() as u64);
-        for t in &self.output_order {
-            push_varint(&mut out, *t as u64);
-        }
+        push_threads(&mut out, &self.spawn_order);
+        push_threads(&mut out, &self.output_order);
         for (lock, threads) in &self.weak_order {
             push_varint(&mut out, lock.0 as u64);
-            push_varint(&mut out, threads.len() as u64);
-            for t in threads {
-                push_varint(&mut out, *t as u64);
-            }
+            push_threads(&mut out, threads);
         }
         for (t, icount, parked, lock) in &self.forced {
             push_varint(&mut out, *t as u64);
@@ -778,35 +759,18 @@ fn parse_header_body(
             let n = h.varint()?;
             let mut m = BTreeMap::new();
             for _ in 0..n {
-                let addr = unzigzag(h.varint()?);
-                let len = h.varint()? as usize;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    v.push(h.varint_u32()?);
-                }
-                m.insert(addr, v);
+                m.insert(unzigzag(h.varint()?), read_threads(h)?);
             }
             Ok(m)
         };
         logs.mutex_order = order_map(h)?;
         logs.cond_order = order_map(h)?;
-        let n = h.varint()? as usize;
-        for _ in 0..n {
-            logs.spawn_order.push(h.varint_u32()?);
-        }
-        let n = h.varint()? as usize;
-        for _ in 0..n {
-            logs.output_order.push(h.varint_u32()?);
-        }
+        logs.spawn_order = read_threads(h)?;
+        logs.output_order = read_threads(h)?;
         let n_weak = h.varint()?;
         for _ in 0..n_weak {
             let lock = WeakLockId(h.varint_u32()?);
-            let len = h.varint()? as usize;
-            let mut v = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                v.push(h.varint_u32()?);
-            }
-            logs.weak_order.insert(lock, v);
+            logs.weak_order.insert(lock, read_threads(h)?);
         }
         let n_forced = h.varint()?;
         for _ in 0..n_forced {
@@ -918,34 +882,38 @@ fn decode_inputs(h: &mut Reader, logs: &mut ReplayLogs) -> Result<(), String> {
     Ok(())
 }
 
+/// Append a thread-id list: its length, then each id.
+fn push_threads(out: &mut Vec<u8>, threads: &[u32]) {
+    push_varint(out, threads.len() as u64);
+    for &t in threads {
+        push_varint(out, t as u64);
+    }
+}
+
+/// Read a list written by [`push_threads`].
+fn read_threads(h: &mut Reader) -> Result<Vec<u32>, String> {
+    let n = h.varint()?;
+    let mut v = Vec::with_capacity((n as usize).min(1 << 20));
+    for _ in 0..n {
+        v.push(h.varint_u32()?);
+    }
+    Ok(v)
+}
+
 fn encode_orders(out: &mut Vec<u8>, logs: &ReplayLogs) {
-    let order_map = |out: &mut Vec<u8>, m: &BTreeMap<i64, Vec<u32>>| {
+    for m in [&logs.mutex_order, &logs.cond_order] {
         push_varint(out, m.len() as u64);
         for (addr, threads) in m {
             push_varint(out, zigzag(*addr));
-            push_varint(out, threads.len() as u64);
-            for t in threads {
-                push_varint(out, *t as u64);
-            }
+            push_threads(out, threads);
         }
-    };
-    order_map(out, &logs.mutex_order);
-    order_map(out, &logs.cond_order);
-    push_varint(out, logs.spawn_order.len() as u64);
-    for t in &logs.spawn_order {
-        push_varint(out, *t as u64);
     }
-    push_varint(out, logs.output_order.len() as u64);
-    for t in &logs.output_order {
-        push_varint(out, *t as u64);
-    }
+    push_threads(out, &logs.spawn_order);
+    push_threads(out, &logs.output_order);
     push_varint(out, logs.weak_order.len() as u64);
     for (lock, threads) in &logs.weak_order {
         push_varint(out, lock.0 as u64);
-        push_varint(out, threads.len() as u64);
-        for t in threads {
-            push_varint(out, *t as u64);
-        }
+        push_threads(out, threads);
     }
     push_varint(out, logs.forced.len() as u64);
     for (t, icount, parked, lock) in &logs.forced {
