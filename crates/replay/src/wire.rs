@@ -16,7 +16,7 @@ use std::path::Path;
 
 /// One container format: its name in errors, its magic, and the single
 /// version this build reads and writes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Format {
     /// Leads every decode error (`log`, `journal`, `corpus`, ...).
     pub name: &'static str,
