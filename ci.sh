@@ -38,6 +38,13 @@ echo "== fused-differential gate (superinstruction + spec-engine identity) =="
 cargo test -q --offline -p chimera-runtime --lib flat::tests
 cargo test -q --offline --test vm_differential spec_round
 
+echo "== runtime crate tests (par_map order, sync semantics) =="
+# Every chimera-runtime test: par_map's input-order tests, which the one
+# hostile sweep behind explore, fleet and evidence gathering relies on
+# (DESIGN.md §11), and tests/sync_semantics.rs. The suites above skip
+# all but the flat::tests subset.
+cargo test -q --offline -p chimera-runtime
+
 echo "== spec-round smoke gate (flat with segment rounds vs reference) =="
 # End-to-end CLI: with jitter off the flat VM arms its speculative
 # segment rounds, and must reach the same final state as the reference

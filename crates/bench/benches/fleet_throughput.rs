@@ -3,8 +3,8 @@
 //! work-stealing across all host cores (DESIGN.md §14).
 //!
 //! The number that matters is **cells per second** and the
-//! steal-vs-serial speedup: batches of cells are pulled from a shared
-//! index by `par_map` workers, so on an N-core host the grid should
+//! steal-vs-serial speedup: cells are pulled from a shared index by
+//! `par_map` workers, so on an N-core host the grid should
 //! finish close to N× faster than `--jobs 1` (the acceptance bar is ≥2×
 //! on a multi-core host — on a single-core container the honest ratio is
 //! ~1× and the JSON records `host_cores` so readers can tell which they
@@ -17,7 +17,7 @@
 //! of `n`. To refresh the committed data:
 //! `CHIMERA_BENCH_JSON=BENCH_fleet.json cargo bench --bench fleet_throughput`.
 
-use chimera::fleet::{run_fleet, FleetConfig, FleetTarget};
+use chimera::fleet::{run_fleet, FleetConfig, FleetTarget, Grid};
 use chimera::{analyze, PipelineConfig};
 use chimera_runtime::SchedStrategy;
 use std::time::Instant;
@@ -50,13 +50,16 @@ fn main() {
         .collect();
 
     let cfg = |jobs: usize| FleetConfig {
-        strategies: vec![
-            SchedStrategy::ClockJitter,
-            SchedStrategy::pct(3),
-            SchedStrategy::preempt_bound(),
-        ],
-        seeds: (1..=SEEDS_PER_CELL_ROW).collect(),
-        jobs,
+        grid: Grid {
+            strategies: vec![
+                SchedStrategy::ClockJitter,
+                SchedStrategy::pct(3),
+                SchedStrategy::preempt_bound(),
+            ],
+            seeds: (1..=SEEDS_PER_CELL_ROW).collect(),
+            jobs,
+            ..Grid::default()
+        },
         ..FleetConfig::default()
     };
 

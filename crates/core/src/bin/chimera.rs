@@ -20,6 +20,10 @@
 //!               [--raw] [--evidence DIR] [-o r.json]  # exploration-cell fleet
 //! ```
 //!
+//! An unknown flag fails with `unknown flag '<arg>'`, and a second
+//! positional argument with `unexpected argument '<arg>'` — except for
+//! `replay`, whose second positional is the log file.
+//!
 //! `record` and `replay` must agree on the file and options so the
 //! instrumented programs match; the log's byte format is
 //! [`chimera_replay::ReplayLogs::to_bytes`]. With `--bisect`, a diverging
@@ -54,6 +58,10 @@
 //! `--verify` re-runs FastTrack plus a hostile replay and, on any
 //! contradiction, names the demoted pair it refutes.
 //!
+//! `explore` and `fleet` build the same hostile grid from `--strategy`,
+//! `--seeds`, `--seed` and `--jobs` (`all` is the default strategy
+//! list of `chimera::Grid`) and export evidence the same way.
+//!
 //! `fleet` scales the same per-cell pipeline to campaign size: the full
 //! `programs × strategies × seeds` grid runs work-stealing across `--jobs`
 //! workers, every outcome is journaled under a durable cell key, and
@@ -66,10 +74,12 @@
 //! order hashes, kimberlite-style; `--raw` sweeps the program
 //! *uninstrumented*, where divergence is the expected, flagged finding.
 
-use chimera::{analyze, ExploreConfig, OptSet, PipelineConfig};
+use chimera::{analyze, Analysis, ExploreConfig, Grid, OptSet, PipelineConfig};
 use chimera_minic::compile;
+use chimera_minic::ir::Program;
 use chimera_replay::wire::{read_file, write_atomic};
 use chimera_runtime::{execute, ExecConfig, SchedStrategy, ThreadId};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -261,10 +271,11 @@ fn parse_cli() -> Result<Cli, String> {
                 cli.no_jitter = true;
                 i += 1;
             }
+            arg if arg.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
             arg => {
                 if cli.file.is_none() {
                     cli.file = Some(arg.to_string());
-                } else if cli.extra.is_none() {
+                } else if cli.extra.is_none() && cli.command == "replay" {
                     cli.extra = Some(arg.to_string());
                 } else {
                     return Err(format!("unexpected argument '{arg}'"));
@@ -294,11 +305,7 @@ fn run() -> Result<(), String> {
     }
     let program = program;
 
-    let opts = if cli.naive {
-        OptSet::naive()
-    } else {
-        OptSet::all()
-    };
+    let opts = opt_set(&cli);
     let exec = ExecConfig {
         seed: cli.seed,
         jitter: if cli.no_jitter {
@@ -542,89 +549,103 @@ fn run() -> Result<(), String> {
     }
 }
 
-/// `chimera explore`: sweep one file (or all nine workloads) across
-/// adversarial scheduling strategies and certify replay under each.
-fn run_explore(cli: &Cli) -> Result<(), String> {
+/// `--naive` selects the naive optimization set, otherwise all.
+fn opt_set(cli: &Cli) -> OptSet {
+    if cli.naive {
+        OptSet::naive()
+    } else {
+        OptSet::all()
+    }
+}
+
+/// The hostile grid `explore` and `fleet` sweep: `--strategy` (one, or
+/// `all` for the default list) × seeds `1..=--seeds`, at base `--seed`,
+/// on `--jobs` workers.
+fn sweep_grid(cli: &Cli) -> Result<Grid, String> {
     let strategies = match cli.strategy.as_str() {
-        "all" => vec![
-            SchedStrategy::ClockJitter,
-            SchedStrategy::pct(3),
-            SchedStrategy::preempt_bound(),
-        ],
+        "all" => Grid::default().strategies,
         name => vec![SchedStrategy::parse(name)
             .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound|all)"))?],
     };
-    let cfg = ExploreConfig {
+    Ok(Grid {
         strategies,
         seeds: (1..=cli.seeds.max(1)).collect(),
         exec: ExecConfig {
             seed: cli.seed,
             ..ExecConfig::default()
         },
-        check_drd: cli.drd,
         jobs: cli.jobs,
+    })
+}
+
+/// The programs `explore` and `fleet` sweep: the given file, or all nine
+/// paper workloads.
+fn sweep_targets(cli: &Cli) -> Result<Vec<(String, Program)>, String> {
+    let Some(path) = &cli.file else {
+        return chimera::workloads::all()
+            .iter()
+            .map(|w| {
+                let p = w
+                    .compile(&w.profile_params(0))
+                    .map_err(|e| format!("{}: {e}", w.name))?;
+                Ok((w.name.to_string(), p))
+            })
+            .collect();
     };
-    let opts = if cli.naive {
-        OptSet::naive()
-    } else {
-        OptSet::all()
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let program = compile(&source).map_err(|e| format!("{path}: {e}"))?;
+    let name = Path::new(path)
+        .file_stem()
+        .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
+    Ok(vec![(name, program)])
+}
+
+/// `--evidence DIR`: sweep `analysis` over `grid` through
+/// `chimera_plan::gather_evidence` and save `DIR/<name>.chev`.
+fn export_evidence(
+    dir: &str,
+    name: &str,
+    analysis: &Analysis,
+    grid: &Grid,
+    width: usize,
+) -> Result<(), String> {
+    let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
+    let ev = chimera::gather_evidence(
+        name,
+        &analysis.program,
+        &analysis.instrumented,
+        &statics,
+        grid,
+    );
+    let path = ev.save(Path::new(dir))?;
+    println!(
+        "{name:>width$} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
+        ev.cells.len(),
+        ev.static_pairs.len(),
+        ev.confirmed_racy.len(),
+        path.display()
+    );
+    Ok(())
+}
+
+/// `chimera explore`: sweep one file (or all nine workloads) across
+/// adversarial scheduling strategies and certify replay under each.
+fn run_explore(cli: &Cli) -> Result<(), String> {
+    let cfg = ExploreConfig {
+        grid: sweep_grid(cli)?,
+        check_drd: cli.drd,
     };
     let pipeline = PipelineConfig {
-        opts,
+        opts: opt_set(cli),
         ..PipelineConfig::default()
     };
-
-    let mut targets: Vec<(String, chimera_minic::ir::Program)> = Vec::new();
-    if let Some(path) = &cli.file {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let program = compile(&source).map_err(|e| format!("{path}: {e}"))?;
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-        targets.push((name, program));
-    } else {
-        for w in chimera::workloads::all() {
-            let p = w
-                .compile(&w.profile_params(0))
-                .map_err(|e| format!("{}: {e}", w.name))?;
-            targets.push((w.name.to_string(), p));
-        }
-    }
-
-    let gather = cli.evidence.as_ref().map(|dir| {
-        (
-            std::path::PathBuf::from(dir),
-            chimera::GatherConfig {
-                strategies: cfg.strategies.clone(),
-                seeds: cfg.seeds.clone(),
-                exec: cfg.exec,
-                jobs: cfg.jobs,
-            },
-        )
-    });
-
+    let targets = sweep_targets(cli)?;
     let mut reports = Vec::new();
     let mut failed = false;
     for (name, program) in &targets {
         let analysis = analyze(program, &pipeline);
-        if let Some((dir, gcfg)) = &gather {
-            let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-            let ev = chimera::gather_evidence(
-                name,
-                &analysis.program,
-                &analysis.instrumented,
-                &statics,
-                gcfg,
-            );
-            let path = ev.save(dir)?;
-            println!(
-                "{name:>8} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
-                ev.cells.len(),
-                ev.static_pairs.len(),
-                ev.confirmed_racy.len(),
-                path.display()
-            );
+        if let Some(dir) = &cli.evidence {
+            export_evidence(dir, name, &analysis, &cfg.grid, 8)?;
         }
         let report = chimera::explore(name, &analysis, &cfg);
         for st in &report.strategies {
@@ -675,50 +696,19 @@ fn run_explore(cli: &Cli) -> Result<(), String> {
 fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
     use chimera::{run_fleet, FleetConfig, FleetTarget};
 
-    let strategies = match cli.strategy.as_str() {
-        "all" => vec![
-            SchedStrategy::ClockJitter,
-            SchedStrategy::pct(3),
-            SchedStrategy::preempt_bound(),
-        ],
-        name => vec![SchedStrategy::parse(name)
-            .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound|all)"))?],
-    };
-    let opts = if cli.naive {
-        OptSet::naive()
-    } else {
-        OptSet::all()
-    };
+    let grid = sweep_grid(cli)?;
     let pipeline = PipelineConfig {
-        opts,
+        opts: opt_set(cli),
         ..PipelineConfig::default()
     };
-
-    // Build the target list: one file, or all nine paper workloads.
-    let mut sources: Vec<(String, chimera_minic::ir::Program)> = Vec::new();
-    if let Some(path) = &cli.file {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let program = compile(&source).map_err(|e| format!("{path}: {e}"))?;
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-        sources.push((name, program));
-    } else {
-        for w in chimera::workloads::all() {
-            let p = w
-                .compile(&w.profile_params(0))
-                .map_err(|e| format!("{}: {e}", w.name))?;
-            sources.push((w.name.to_string(), p));
-        }
-    }
+    let sources = sweep_targets(cli)?;
     if cli.raw && cli.evidence.is_some() {
         return Err(
             "--evidence needs the instrumented pipeline; it cannot be combined with --raw".into(),
         );
     }
     let mut targets: Vec<FleetTarget> = Vec::new();
-    let mut evidence_inputs: Vec<(String, chimera::Analysis)> = Vec::new();
+    let mut evidence_inputs: Vec<(String, Analysis)> = Vec::new();
     for (name, program) in sources {
         if cli.raw {
             targets.push(FleetTarget::raw(&name, program));
@@ -738,16 +728,9 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
     }
 
     let cfg = FleetConfig {
-        strategies,
-        seeds: (1..=cli.seeds.max(1)).collect(),
-        exec: ExecConfig {
-            seed: cli.seed,
-            ..ExecConfig::default()
-        },
+        grid,
         check_drd: cli.drd,
         check_determinism: cli.check_determinism,
-        jobs: cli.jobs,
-        batch: 0,
         max_cells: cli.max_cells,
         dir: cli.dir.as_ref().map(std::path::PathBuf::from),
         resume: cli.resume,
@@ -812,30 +795,8 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
     // only counts, not pair identities), written even when the grid fails
     // — unclean cells are themselves evidence.
     if let Some(dir) = &cli.evidence {
-        let dir = std::path::PathBuf::from(dir);
-        let gcfg = chimera::GatherConfig {
-            strategies: cfg.strategies.clone(),
-            seeds: cfg.seeds.clone(),
-            exec: cfg.exec,
-            jobs: cfg.jobs,
-        };
         for (name, analysis) in &evidence_inputs {
-            let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-            let ev = chimera::gather_evidence(
-                name,
-                &analysis.program,
-                &analysis.instrumented,
-                &statics,
-                &gcfg,
-            );
-            let path = ev.save(&dir)?;
-            println!(
-                "{name:>12} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
-                ev.cells.len(),
-                ev.static_pairs.len(),
-                ev.confirmed_racy.len(),
-                path.display()
-            );
+            export_evidence(dir, name, analysis, &cfg.grid, 12)?;
         }
     }
 

@@ -25,57 +25,34 @@
 //! A sweep where every seed collapses to one order hash is not evidence
 //! of anything; the harness makes that visible instead of silent.
 //!
-//! The per-cell body lives in [`chimera_fleet::cell`] and is shared with
-//! the fleet orchestrator (`chimera fleet`), so a fleet finding is always
-//! reproducible by a one-process explore sweep of the same cell.
+//! The per-cell body and the sweep itself live in [`chimera_fleet::cell`]
+//! ([`run_cell`], [`Grid::sweep`]) and are shared with the fleet
+//! orchestrator (`chimera fleet`) and evidence gathering, so a fleet
+//! finding is always reproducible by a one-process explore sweep of the
+//! same cell.
 
 use crate::pipeline::Analysis;
-use chimera_minic::ir::{AccessId, Program};
-use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
+use chimera_fleet::json_str;
+use chimera_minic::ir::Program;
 use std::collections::BTreeSet;
 
 pub use chimera_fleet::cell::{
-    resolve_strategy, run_cell, ScheduleObserver, SeedOutcome, StaticPairs, PREFIX_EVENTS,
+    resolve_strategy, run_cell, Grid, ScheduleObserver, SeedOutcome, StaticPairs, PREFIX_EVENTS,
 };
 
-/// What to sweep: strategies × seeds, on a base execution configuration.
-#[derive(Debug, Clone)]
+/// What to sweep: the hostile grid, and whether to cross-check FastTrack.
+#[derive(Debug, Clone, Default)]
 pub struct ExploreConfig {
-    /// Scheduling strategies to exercise. PCT entries with `span: 0` are
-    /// auto-sized to the program's baseline retired-instruction count.
-    pub strategies: Vec<SchedStrategy>,
-    /// Record seeds; each replays under a derived (different) seed.
-    pub seeds: Vec<u64>,
-    /// Base execution configuration (costs, I/O model). `seed` and
-    /// `sched` are overridden per cell.
-    pub exec: ExecConfig,
+    /// Strategies × seeds on a base execution configuration, and the
+    /// worker count. The report is bit-identical at every `jobs` setting.
+    pub grid: Grid,
     /// Also run the FastTrack detector per cell (slower; adds the
     /// DRF/static cross-check columns).
     pub check_drd: bool,
-    /// Worker threads for the sweep: 0 = auto (`available_parallelism`),
-    /// 1 = serial, N = exactly N. `CHIMERA_SERIAL=1` always forces
-    /// serial. The report is bit-identical at every setting.
-    pub jobs: usize,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            strategies: vec![
-                SchedStrategy::ClockJitter,
-                SchedStrategy::pct(3),
-                SchedStrategy::preempt_bound(),
-            ],
-            seeds: vec![1, 2, 3],
-            exec: ExecConfig::default(),
-            check_drd: false,
-            jobs: 0,
-        }
-    }
 }
 
 /// All seeds of one strategy, plus coverage aggregates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StrategyReport {
     /// Strategy name (`jitter` / `pct` / `preempt-bound`).
     pub strategy: String,
@@ -172,8 +149,9 @@ impl ExploreReport {
                     o.prefix_hash,
                     o.drd_races
                         .map_or(String::new(), |n| format!(", \"drd_races\": {n}")),
-                    o.drd_unpredicted
-                        .map_or(String::new(), |n| format!(", \"drd_unpredicted\": {n}")),
+                    o.drd_unpredicted.as_ref().map_or(String::new(), |u| {
+                        format!(", \"drd_unpredicted\": {}", u.len())
+                    }),
                     if j + 1 < st.outcomes.len() { "," } else { "" },
                 ));
             }
@@ -188,29 +166,12 @@ impl ExploreReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Sweep an analyzed (instrumented) program. Divergences, single-holder
 /// violations, instrumented dynamic races, and statically-unpredicted
 /// dynamic races are all failures; [`ExploreReport::clean`] is the
 /// verdict.
 pub fn explore(name: &str, analysis: &Analysis, cfg: &ExploreConfig) -> ExploreReport {
-    let statics: BTreeSet<(AccessId, AccessId)> =
-        analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
+    let statics: StaticPairs = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
     sweep(
         name,
         &analysis.instrumented,
@@ -231,46 +192,21 @@ pub fn explore_uninstrumented(name: &str, program: &Program, cfg: &ExploreConfig
 fn sweep(
     name: &str,
     program: &Program,
-    drd_cross: Option<(&Program, &BTreeSet<(AccessId, AccessId)>)>,
+    drd_cross: Option<(&Program, &StaticPairs)>,
     instrumented: bool,
     cfg: &ExploreConfig,
 ) -> ExploreReport {
-    let baseline = execute(program, &cfg.exec);
-    let instrs = baseline.stats.instrs;
-    // Resolve once per strategy, not per (strategy, seed) cell:
-    // resolution is a pure function of (strategy, baseline instrs), so
-    // hoisting it out of the seed loop cannot change any outcome.
-    let resolved: Vec<SchedStrategy> = cfg
-        .strategies
-        .iter()
-        .map(|&s| resolve_strategy(s, instrs))
-        .collect();
-    let combos: Vec<(usize, SchedStrategy, u64)> = resolved
-        .iter()
-        .enumerate()
-        .flat_map(|(si, &s)| cfg.seeds.iter().map(move |&seed| (si, s, seed)))
-        .collect();
-    let outcomes = par_map(&combos, cfg.jobs, |&(si, sched, seed)| {
-        (
-            si,
-            run_cell(program, drd_cross, sched, seed, &cfg.exec, cfg.check_drd),
-        )
-    });
     let mut strategies: Vec<StrategyReport> = cfg
+        .grid
         .strategies
         .iter()
         .map(|s| StrategyReport {
             strategy: s.name().to_string(),
-            outcomes: Vec::new(),
-            distinct_orders: 0,
-            distinct_prefixes: 0,
-            preemptions: 0,
-            divergences: 0,
-            violations: 0,
+            ..StrategyReport::default()
         })
         .collect();
-    for (si, o) in outcomes {
-        strategies[si].outcomes.push(o);
+    for (cell, o) in cfg.grid.sweep(program, drd_cross, cfg.check_drd) {
+        strategies[cell.strategy].outcomes.push(o);
     }
     for st in &mut strategies {
         st.distinct_orders = st
@@ -301,17 +237,25 @@ mod tests {
     use super::*;
     use crate::pipeline::{analyze, PipelineConfig};
     use chimera_minic::compile;
+    use chimera_runtime::{execute, SchedStrategy};
 
     const RACY: &str = "int g;
         void w(int v) { int i; int x;
             for (i = 0; i < 80; i = i + 1) { x = g; g = x + v; } }
         int main() { int t; t = spawn(w, 1); w(2); join(t); print(g); return 0; }";
 
-    fn small_cfg() -> ExploreConfig {
+    fn seeds_cfg(seeds: Vec<u64>) -> ExploreConfig {
         ExploreConfig {
-            seeds: vec![1, 2],
+            grid: Grid {
+                seeds,
+                ..Grid::default()
+            },
             ..ExploreConfig::default()
         }
+    }
+
+    fn small_cfg() -> ExploreConfig {
+        seeds_cfg(vec![1, 2])
     }
 
     #[test]
@@ -333,10 +277,7 @@ mod tests {
     #[test]
     fn uninstrumented_racy_program_diverges_somewhere() {
         let p = compile(RACY).unwrap();
-        let cfg = ExploreConfig {
-            seeds: vec![1, 2, 3],
-            ..ExploreConfig::default()
-        };
+        let cfg = seeds_cfg(vec![1, 2, 3]);
         let r = explore_uninstrumented("racy", &p, &cfg);
         assert!(
             r.any_divergence(),
@@ -359,10 +300,7 @@ mod tests {
                 t1 = spawn(w, 1); t2 = spawn(w, 2); w(3);
                 join(t1); join(t2); print(g); return 0; }";
         let p = compile(contended).unwrap();
-        let cfg = ExploreConfig {
-            seeds: vec![1, 2, 3, 4],
-            ..ExploreConfig::default()
-        };
+        let cfg = seeds_cfg(vec![1, 2, 3, 4]);
         let r = explore_uninstrumented("contended", &p, &cfg);
         let adversarial_orders: usize = r
             .strategies
@@ -393,22 +331,13 @@ mod tests {
     fn parallel_sweep_report_is_byte_identical_to_serial() {
         let p = compile(RACY).unwrap();
         let a = analyze(&p, &PipelineConfig::default());
-        let serial = explore(
-            "racy",
-            &a,
-            &ExploreConfig {
-                jobs: 1,
-                ..small_cfg()
-            },
-        );
-        let parallel = explore(
-            "racy",
-            &a,
-            &ExploreConfig {
-                jobs: 3,
-                ..small_cfg()
-            },
-        );
+        let jobs_cfg = |jobs| {
+            let mut cfg = small_cfg();
+            cfg.grid.jobs = jobs;
+            cfg
+        };
+        let serial = explore("racy", &a, &jobs_cfg(1));
+        let parallel = explore("racy", &a, &jobs_cfg(3));
         assert_eq!(serial.to_json(), parallel.to_json());
     }
 
@@ -447,17 +376,16 @@ mod tests {
             ..small_cfg()
         };
         let r = explore("racy", &a, &cfg);
-        let statics: BTreeSet<(AccessId, AccessId)> =
-            a.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-        let instrs = execute(&a.instrumented, &cfg.exec).stats.instrs;
-        for (si, &strat) in cfg.strategies.iter().enumerate() {
-            for (sj, &seed) in cfg.seeds.iter().enumerate() {
+        let statics: StaticPairs = a.races.pairs.iter().map(|p| (p.a, p.b)).collect();
+        let instrs = execute(&a.instrumented, &cfg.grid.exec).stats.instrs;
+        for (si, &strat) in cfg.grid.strategies.iter().enumerate() {
+            for (sj, &seed) in cfg.grid.seeds.iter().enumerate() {
                 let o = run_cell(
                     &a.instrumented,
                     Some((&a.program, &statics)),
                     resolve_strategy(strat, instrs),
                     seed,
-                    &cfg.exec,
+                    &cfg.grid.exec,
                     cfg.check_drd,
                 );
                 assert_eq!(

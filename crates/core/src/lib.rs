@@ -73,7 +73,7 @@ pub use pipeline::{
 
 pub use chimera_fleet::{
     run_fleet, CellKey, CellOutcome, Corpus, FleetConfig, FleetReport, FleetRun, FleetTarget,
-    Interest, Journal,
+    Grid, Interest, Journal,
 };
 
 pub use chimera_plan::{

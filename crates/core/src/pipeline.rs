@@ -10,6 +10,7 @@
 //! ```
 
 use chimera_drd::{detect, DrfReport};
+use chimera_fleet::replay_seed;
 use chimera_instrument::{instrument, OptSet, Plan};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_profile::{profile_runs, ProfileData};
@@ -110,7 +111,7 @@ pub fn measure(analysis: &Analysis, exec: &ExecConfig, seed: u64) -> Measurement
     let baseline = execute(&analysis.program, &base_cfg);
     let recording = record(&analysis.instrumented, &base_cfg);
     let replay_cfg = ExecConfig {
-        seed: seed.wrapping_mul(0x9e3779b9).wrapping_add(1),
+        seed: replay_seed(seed),
         ..*exec
     };
     let rep = replay(&analysis.instrumented, &recording.logs, &replay_cfg);

@@ -2,8 +2,9 @@
 //! subcommand (`races`, `plan`, `run`, `record`, `replay`, `ir`, `drd`,
 //! `explore`, `fleet`) exercised against the checked-in fixture,
 //! including the full file-based record → log file → replay workflow, the
-//! journaled fleet → resume workflow, and clean named failures on damaged
-//! log, evidence and plan files.
+//! journaled fleet → resume workflow, evidence export that agrees across
+//! `explore` and `fleet`, and clean named failures on damaged log,
+//! evidence and plan files and on unknown flags.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -255,6 +256,59 @@ fn fleet_raw_flags_expected_divergence_without_failing() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("flagged"), "raw racy fixture not flagged:\n{stdout}");
+}
+
+#[test]
+fn explore_and_fleet_export_the_same_evidence_at_any_worker_count() {
+    let dir = tempdir("evidence-paths");
+    let (a, b) = (dir.join("A"), dir.join("B"));
+    run_ok(
+        bin()
+            .arg("explore")
+            .arg(fixture())
+            .args(["--seeds", "2", "--jobs", "1", "--evidence"])
+            .arg(&a),
+    );
+    run_ok(
+        bin()
+            .arg("fleet")
+            .arg(fixture())
+            .args(["--seeds", "2", "--jobs", "3", "--evidence"])
+            .arg(&b),
+    );
+    let chev = |d: &Path| std::fs::read(d.join("demo.chev")).expect("evidence written");
+    assert_eq!(
+        chev(&a),
+        chev(&b),
+        "explore --jobs 1 and fleet --jobs 3 exported different evidence"
+    );
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_fail_by_name() {
+    let fails_with = |cmd: &mut Command, msg: &str| {
+        let out = cmd.output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(msg), "expected '{msg}' in: {stderr}");
+    };
+    let f = fixture();
+    fails_with(
+        bin().arg("run").arg(&f).arg("--parallel"),
+        "unknown flag '--parallel'",
+    );
+    fails_with(
+        bin().arg("run").arg(&f).arg("--jsn"),
+        "unknown flag '--jsn'",
+    );
+    fails_with(
+        bin().arg("races").arg(&f).arg("other.mc"),
+        "unexpected argument 'other.mc'",
+    );
+    fails_with(
+        bin().args(["fleet", "--batch", "4"]),
+        "unknown flag '--batch'",
+    );
 }
 
 #[test]

@@ -1,16 +1,19 @@
 //! The exploration **cell**: one `(program, strategy, seed)` probe of the
-//! schedule space, plus the stable keying that makes cells addressable
-//! across processes.
+//! schedule space, the **grid** of cells every hostile sweep runs, and
+//! the stable keying that makes cells addressable across processes.
 //!
 //! [`run_cell`] is the single shared per-cell body — record under a
 //! hostile strategy, replay the recording under a *different* seed of the
 //! same strategy, verify observable equivalence, re-run with the
 //! single-holder probe and order hasher attached, optionally cross-check
-//! FastTrack — used by both `chimera::explore` (one-process sweeps) and
-//! the fleet orchestrator (thousands of cells, persisted corpus). Keeping
-//! one body is deliberate: two drivers with private copies of the
-//! record→replay→verify→probe pipeline would drift, and a fleet result
-//! that `explore` cannot reproduce is worthless.
+//! FastTrack. [`Grid`] is the single sweep over it: one baseline run per
+//! program, each strategy resolved once, cells mapped over
+//! `chimera_runtime::par_map`. `chimera::explore` (one-process sweeps),
+//! the fleet orchestrator (thousands of cells, persisted corpus) and
+//! `chimera_plan::gather_evidence` (the demotion evidence) all run it.
+//! Keeping one body and one grid is deliberate: drivers with private
+//! copies of the record→replay→verify→probe pipeline would drift, and a
+//! fleet result that `explore` cannot reproduce is worthless.
 //!
 //! [`CellKey`] names a cell durably: program digest × strategy encoding ×
 //! seed × execution-config digest. The journal uses it to make fleet
@@ -24,8 +27,8 @@ use chimera_minic::pretty::program_to_string;
 use chimera_replay::wire::fnv64;
 use chimera_replay::{record, replay, verify_determinism};
 use chimera_runtime::{
-    execute_supervised, Event, EventKind, EventMask, ExecConfig, ExecResult, SchedStrategy,
-    SingleHolderProbe, Supervisor,
+    execute, execute_supervised, par_map, Event, EventKind, EventMask, ExecConfig, ExecResult,
+    SchedStrategy, SingleHolderProbe, Supervisor,
 };
 use std::collections::BTreeSet;
 
@@ -63,9 +66,13 @@ pub struct SeedOutcome {
     /// Dynamic races FastTrack found on the instrumented program
     /// (`None` when the DRD cross-check was off; must be 0 otherwise).
     pub drd_races: Option<usize>,
-    /// Dynamic races on the uninstrumented program that RELAY did *not*
-    /// predict statically (`None` when off; must be 0 otherwise).
-    pub drd_unpredicted: Option<usize>,
+    /// Dynamic racy pairs on the uninstrumented program that RELAY
+    /// predicted statically (`None` without the cross-check program).
+    pub drd_confirmed: Option<Vec<(AccessId, AccessId)>>,
+    /// Dynamic racy pairs on the uninstrumented program that RELAY did
+    /// *not* predict statically (`None` without the cross-check program;
+    /// must be empty otherwise).
+    pub drd_unpredicted: Option<Vec<(AccessId, AccessId)>>,
 }
 
 impl SeedOutcome {
@@ -76,7 +83,7 @@ impl SeedOutcome {
             && self.equivalent
             && self.violations.is_empty()
             && self.drd_races.unwrap_or(0) == 0
-            && self.drd_unpredicted.unwrap_or(0) == 0
+            && self.drd_unpredicted.as_ref().is_none_or(Vec::is_empty)
     }
 
     /// The replay failed to reproduce the recording.
@@ -175,13 +182,24 @@ pub fn resolve_strategy(sched: SchedStrategy, baseline_instrs: u64) -> SchedStra
     }
 }
 
+/// The seed a recording made under `seed` is replayed under
+/// (`seed·0x9e3779b9 + 1`): a different seed, so the log and not the
+/// scheduler must decide the run.
+pub fn replay_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)
+}
+
 /// Run one exploration cell: record under `(sched, seed)`, hostile-replay
-/// under a derived seed of the same strategy, verify, probe the
+/// under [`replay_seed`] with the same strategy, verify, probe the
 /// single-holder invariant while hashing the order stream, and (with
-/// `check_drd`) cross-check FastTrack against `drd_cross`'s static pairs.
+/// `check_drd`) run FastTrack on the program and, given `drd_cross`, on
+/// its uninstrumented original, splitting that run's racy pairs by
+/// `drd_cross`'s static pairs.
 ///
-/// This is the one per-cell body shared by `chimera explore` and
-/// `chimera fleet`; the result is a pure function of
+/// This is the one per-cell body, with three callers: `chimera::explore`
+/// and `chimera_plan::gather_evidence` run it through [`Grid::sweep`],
+/// and the fleet orchestrator over the journal misses among
+/// [`Grid::cells`]. The result is a pure function of
 /// `(program, sched, seed, exec, check_drd)`.
 pub fn run_cell(
     program: &Program,
@@ -203,9 +221,8 @@ pub fn run_cell(
         program,
         &rec.logs,
         &ExecConfig {
-            seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(1),
-            sched,
-            ..*exec
+            seed: replay_seed(seed),
+            ..run_cfg
         },
     );
     let verdict = verify_determinism(&rec.result, &rep.result);
@@ -225,20 +242,14 @@ pub fn run_cell(
         },
         &mut obs,
     );
-    let (drd_races, drd_unpredicted) = if check_drd {
-        let inst = detect(program, &run_cfg);
-        let unpredicted = drd_cross.map(|(orig, statics)| {
-            let u = detect(orig, &run_cfg);
-            u.report
-                .pairs
-                .iter()
-                .filter(|p| !statics.contains(p))
-                .count()
-        });
-        (Some(inst.report.pairs.len()), unpredicted)
-    } else {
-        (None, None)
-    };
+    let drd_races = check_drd.then(|| detect(program, &run_cfg).report.pairs.len());
+    let (drd_confirmed, drd_unpredicted) = drd_cross
+        .filter(|_| check_drd)
+        .map(|(orig, statics)| {
+            let pairs = detect(orig, &run_cfg).report.pairs;
+            pairs.into_iter().partition(|p| statics.contains(p))
+        })
+        .unzip();
     SeedOutcome {
         seed,
         replay_complete: rep.complete,
@@ -252,7 +263,90 @@ pub fn run_cell(
         sync_events: obs.events,
         state_hash: rec.result.state_hash,
         drd_races,
+        drd_confirmed,
         drd_unpredicted,
+    }
+}
+
+/// The hostile grid: strategies × seeds on one base execution
+/// configuration, swept on `jobs` workers. `chimera::ExploreConfig` and
+/// the fleet's `FleetConfig` hold one and `chimera_plan::GatherConfig`
+/// is one, so all three sweeps share its one default.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// Scheduling strategies. PCT entries with `span: 0` are auto-sized
+    /// to the program's baseline retired-instruction count.
+    pub strategies: Vec<SchedStrategy>,
+    /// Record seeds; each replays under [`replay_seed`].
+    pub seeds: Vec<u64>,
+    /// Base execution configuration; `seed` and `sched` are overridden
+    /// per cell.
+    pub exec: ExecConfig,
+    /// Worker threads: 0 = auto (`available_parallelism`), 1 = serial,
+    /// N = exactly N. `CHIMERA_SERIAL=1` always forces serial. No outcome
+    /// depends on it.
+    pub jobs: usize,
+}
+
+impl Default for Grid {
+    /// Clock jitter, PCT depth 3 and preemption-bounded, over seeds 1–3.
+    fn default() -> Self {
+        Grid {
+            strategies: vec![
+                SchedStrategy::ClockJitter,
+                SchedStrategy::pct(3),
+                SchedStrategy::preempt_bound(),
+            ],
+            seeds: vec![1, 2, 3],
+            exec: ExecConfig::default(),
+            jobs: 0,
+        }
+    }
+}
+
+/// One cell of a program's grid.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell {
+    /// Index into [`Grid::strategies`] (the strategy as written).
+    pub strategy: usize,
+    /// That strategy resolved against the program's baseline.
+    pub sched: SchedStrategy,
+    /// The record seed.
+    pub seed: u64,
+}
+
+impl Grid {
+    /// The program's cells, strategy-major then seed. One baseline run
+    /// sizes PCT auto-spans and each strategy is resolved once:
+    /// resolution is a pure function of the strategy and the baseline
+    /// instruction count, so per-cell resolution could never differ.
+    pub fn cells(&self, program: &Program) -> Vec<GridCell> {
+        let instrs = execute(program, &self.exec).stats.instrs;
+        let mut cells = Vec::with_capacity(self.strategies.len() * self.seeds.len());
+        for (strategy, &s) in self.strategies.iter().enumerate() {
+            let sched = resolve_strategy(s, instrs);
+            cells.extend(self.seeds.iter().map(|&seed| GridCell {
+                strategy,
+                sched,
+                seed,
+            }));
+        }
+        cells
+    }
+
+    /// Run [`run_cell`] over every cell of the program's grid on `jobs`
+    /// workers. Outcomes come back in cell order, so the result is
+    /// bit-identical at every worker count.
+    pub fn sweep(
+        &self,
+        program: &Program,
+        drd_cross: Option<(&Program, &StaticPairs)>,
+        check_drd: bool,
+    ) -> Vec<(GridCell, SeedOutcome)> {
+        par_map(&self.cells(program), self.jobs, |&c| {
+            let o = run_cell(program, drd_cross, c.sched, c.seed, &self.exec, check_drd);
+            (c, o)
+        })
     }
 }
 

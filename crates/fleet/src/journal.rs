@@ -94,7 +94,7 @@ impl CellOutcome {
             state_hash: o.state_hash,
             sync_events: o.sync_events,
             drd_races: o.drd_races.map(|n| n as u32),
-            drd_unpredicted: o.drd_unpredicted.map(|n| n as u32),
+            drd_unpredicted: o.drd_unpredicted.as_ref().map(|u| u.len() as u32),
         }
     }
 

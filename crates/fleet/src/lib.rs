@@ -13,8 +13,8 @@
 //! - [`cell`] — the shared per-cell pipeline ([`run_cell`]): record under
 //!   an adversarial strategy, hostile-replay at a derived seed, verify
 //!   equivalence, run the single-holder probe, optionally cross-check
-//!   with FastTrack. Identical to the explore sweep body — explore now
-//!   calls this same function.
+//!   with FastTrack; and the one hostile [`Grid`] every sweep maps it
+//!   over — explore, the fleet and evidence gathering alike.
 //! - [`journal`] — every executed cell's outcome, keyed by
 //!   [`CellKey`] (program digest, strategy, seed, exec-config digest),
 //!   persisted in a `chimera_replay::wire` container. `--resume`
@@ -27,9 +27,9 @@
 //!   (DESIGN.md §12): they fail loudly on truncation or corruption, never
 //!   panic.
 //!
-//! [`orchestrator::run_fleet`] ties them together: grid construction in
-//! canonical order, journal-hit skipping, chunked work-stealing over
-//! `chimera_runtime::par_map`, corpus classification, atomic
+//! [`orchestrator::run_fleet`] ties them together: each target's
+//! [`Grid::cells`] in canonical order, journal-hit skipping, work-stealing
+//! over `chimera_runtime::par_map`, corpus classification, atomic
 //! persistence, and a grid-wide report that is a pure function of cell
 //! outcomes — so a budgeted run completed by `--resume` renders the
 //! same bytes as a one-shot run.
@@ -42,11 +42,12 @@ pub mod journal;
 pub mod orchestrator;
 
 pub use cell::{
-    exec_digest, program_digest, resolve_strategy, run_cell, CellKey, ScheduleObserver,
-    SeedOutcome, StaticPairs, PREFIX_EVENTS,
+    exec_digest, program_digest, replay_seed, resolve_strategy, run_cell, CellKey, Grid, GridCell,
+    ScheduleObserver, SeedOutcome, StaticPairs, PREFIX_EVENTS,
 };
 pub use corpus::{Corpus, CorpusEntry, Interest, CORPUS_FILE, CORPUS_VERSION};
 pub use journal::{CellOutcome, Journal, JOURNAL_FILE, JOURNAL_VERSION};
 pub use orchestrator::{
-    run_fleet, FleetConfig, FleetReport, FleetRun, FleetTarget, StrategyCells, TargetReport,
+    json_str, run_fleet, FleetConfig, FleetReport, FleetRun, FleetTarget, StrategyCells,
+    TargetReport,
 };

@@ -3,14 +3,13 @@
 //! incremental resume.
 //!
 //! The grid is `targets × strategies × seeds`, materialized in a
-//! canonical order (target-major, then strategy, then seed). Execution
-//! fans the *pending* cells (grid minus journal hits) out over
-//! [`chimera_runtime::par_map`] in chunked batches: workers pull
-//! batches from a shared atomic index — work-stealing at batch
-//! granularity — so a straggler cell only delays its own batch, and
-//! results are reassembled in grid order so every aggregate below is
-//! independent of worker count and OS scheduling. `CHIMERA_SERIAL=1`
-//! forces the serial path.
+//! canonical order (target-major, then each target's [`Grid::cells`]:
+//! strategy, then seed). Execution fans the *pending* cells (grid minus
+//! journal hits) out over [`chimera_runtime::par_map`], whose workers
+//! pull cells from a shared atomic index — work-stealing at cell
+//! granularity, so a straggler delays only itself — and return results
+//! in grid order, so every aggregate below is independent of worker
+//! count and OS scheduling. `CHIMERA_SERIAL=1` forces the serial path.
 //!
 //! Every cell outcome lands in the [`Journal`] keyed by
 //! [`CellKey`]; `resume` skips journaled cells and reuses their stored
@@ -26,13 +25,11 @@
 //! cell nondeterministic — evidence that the analysis pipeline itself,
 //! not just the program under test, broke its own determinism contract.
 
-use crate::cell::{
-    exec_digest, program_digest, resolve_strategy, run_cell, CellKey, StaticPairs,
-};
+use crate::cell::{exec_digest, program_digest, run_cell, CellKey, Grid, GridCell, StaticPairs};
 use crate::corpus::{Corpus, CorpusEntry, Interest, PREEMPT_HEAVY_MIN};
 use crate::journal::{CellOutcome, Journal};
 use chimera_minic::ir::Program;
-use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
+use chimera_runtime::par_map;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -75,24 +72,15 @@ impl FleetTarget {
 }
 
 /// What to sweep and how to run it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
-    /// Scheduling strategies (PCT `span: 0` auto-sizes per target).
-    pub strategies: Vec<SchedStrategy>,
-    /// Record seeds per (target, strategy).
-    pub seeds: Vec<u64>,
-    /// Base execution configuration (`seed`/`sched` overridden per cell).
-    pub exec: ExecConfig,
+    /// Strategies × seeds on the base execution configuration, and the
+    /// worker count for cell execution.
+    pub grid: Grid,
     /// Run the FastTrack cross-check per cell.
     pub check_drd: bool,
     /// Run every cell twice and diff state/order hashes.
     pub check_determinism: bool,
-    /// Worker threads for cell execution: 0 = auto
-    /// (`available_parallelism`), 1 = serial, N = exactly N.
-    pub jobs: usize,
-    /// Cells per work-stealing batch: 0 = auto-size from the pending
-    /// count and worker count.
-    pub batch: usize,
     /// Execute at most this many *new* cells this invocation (a budget;
     /// the rest of the grid stays pending for the next `--resume`).
     pub max_cells: Option<u64>,
@@ -103,27 +91,6 @@ pub struct FleetConfig {
     /// When false, journaled cells re-execute and their entries are
     /// overwritten.
     pub resume: bool,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            strategies: vec![
-                SchedStrategy::ClockJitter,
-                SchedStrategy::pct(3),
-                SchedStrategy::preempt_bound(),
-            ],
-            seeds: vec![1, 2, 3],
-            exec: ExecConfig::default(),
-            check_drd: false,
-            check_determinism: false,
-            jobs: 0,
-            batch: 0,
-            max_cells: None,
-            dir: None,
-            resume: false,
-        }
-    }
 }
 
 /// Per-(target, strategy) aggregates over every covered cell.
@@ -272,7 +239,9 @@ impl FleetReport {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Render `s` as a JSON string literal; the fleet and explore reports
+/// share it.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -308,10 +277,8 @@ pub struct FleetRun {
 
 struct Cell {
     target: usize,
-    strategy: usize,
-    seed: u64,
+    cell: GridCell,
     key: CellKey,
-    sched: SchedStrategy,
 }
 
 /// Execute the fleet: build the grid, skip journaled cells, run the rest
@@ -338,46 +305,29 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
     };
 
     // --- Build the grid in canonical order. -------------------------------
-    let edig = exec_digest(&cfg.exec, cfg.check_drd, cfg.check_determinism);
+    let edig = exec_digest(&cfg.grid.exec, cfg.check_drd, cfg.check_determinism);
     let mut grid: Vec<Cell> = Vec::new();
     for (ti, target) in targets.iter().enumerate() {
         let pdig = program_digest(&target.program);
-        // One baseline run per target sizes PCT auto-spans; resolve each
-        // strategy once per target (resolution is a pure function of the
-        // strategy and the baseline instruction count, so per-cell
-        // recomputation could never differ — it was just wasted work).
-        let baseline = execute(&target.program, &cfg.exec);
-        let resolved: Vec<SchedStrategy> = cfg
-            .strategies
-            .iter()
-            .map(|&s| resolve_strategy(s, baseline.stats.instrs))
-            .collect();
-        for (si, &strat) in cfg.strategies.iter().enumerate() {
-            for &seed in &cfg.seeds {
-                grid.push(Cell {
-                    target: ti,
-                    strategy: si,
-                    seed,
-                    // Keyed on the *unresolved* strategy: resolution is a
-                    // deterministic function of (program, exec), both
-                    // already in the key.
-                    key: CellKey::new(pdig, strat, seed, edig),
-                    sched: resolved[si],
-                });
-            }
+        for cell in cfg.grid.cells(&target.program) {
+            // Keyed on the *unresolved* strategy: resolution is a
+            // deterministic function of (program, exec), both already in
+            // the key.
+            let key = CellKey::new(pdig, cfg.grid.strategies[cell.strategy], cell.seed, edig);
+            grid.push(Cell {
+                target: ti,
+                cell,
+                key,
+            });
         }
     }
 
     // --- Partition into journal hits and pending work. --------------------
-    let mut pending: Vec<usize> = Vec::new();
-    let mut journal_hits = 0u64;
-    for (i, c) in grid.iter().enumerate() {
-        if cfg.resume && journal.get(&c.key).is_some() {
-            journal_hits += 1;
-        } else {
-            pending.push(i);
-        }
-    }
+    let mut pending: Vec<&Cell> = grid
+        .iter()
+        .filter(|c| !(cfg.resume && journal.get(&c.key).is_some()))
+        .collect();
+    let journal_hits = (grid.len() - pending.len()) as u64;
     let truncated = match cfg.max_cells {
         Some(max) => {
             let cut = pending.len().saturating_sub(max as usize);
@@ -387,78 +337,45 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         None => 0,
     };
 
-    // --- Work-stealing execution over chunked batches. --------------------
-    // Workers pull whole batches from par_map's shared index; small
-    // batches amortize the steal without serializing behind stragglers.
-    let workers = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        cfg.jobs
-    };
-    let batch = if cfg.batch != 0 {
-        cfg.batch
-    } else {
-        (pending.len() / (workers.max(1) * 4)).clamp(1, 32)
-    };
-    let batches: Vec<&[usize]> = pending.chunks(batch).collect();
-    let per_batch: Vec<Vec<(usize, CellOutcome)>> = par_map(&batches, cfg.jobs, |chunk| {
-        chunk
-            .iter()
-            .map(|&i| {
-                let c = &grid[i];
-                let target = &targets[c.target];
-                let cross = target.cross.as_ref().map(|(p, s)| (p, s));
-                let o = run_cell(
-                    &target.program,
-                    cross,
-                    c.sched,
-                    c.seed,
-                    &cfg.exec,
-                    cfg.check_drd,
-                );
-                let det = if cfg.check_determinism {
-                    // Kimberlite's --check-determinism: run the cell
-                    // again and diff the fold_ordered state hash plus
-                    // every schedule observable. One bit of disagreement
-                    // means the pipeline itself is nondeterministic.
-                    let o2 = run_cell(
-                        &target.program,
-                        cross,
-                        c.sched,
-                        c.seed,
-                        &cfg.exec,
-                        cfg.check_drd,
-                    );
-                    Some(
-                        o.state_hash == o2.state_hash
-                            && o.order_hash == o2.order_hash
-                            && o.prefix_hash == o2.prefix_hash
-                            && o.sync_events == o2.sync_events
-                            && o.equivalent == o2.equivalent
-                            && o.preemptions == o2.preemptions,
-                    )
-                } else {
-                    None
-                };
-                (i, CellOutcome::from_seed(&o, det))
-            })
-            .collect()
+    // --- Work-stealing execution, results in grid order. ------------------
+    let new_outcomes: Vec<CellOutcome> = par_map(&pending, cfg.grid.jobs, |c| {
+        let target = &targets[c.target];
+        let cross = target.cross.as_ref().map(|(p, s)| (p, s));
+        let run = || {
+            run_cell(
+                &target.program,
+                cross,
+                c.cell.sched,
+                c.cell.seed,
+                &cfg.grid.exec,
+                cfg.check_drd,
+            )
+        };
+        let o = run();
+        // Kimberlite's --check-determinism: run the cell again and diff
+        // the fold_ordered state hash plus every schedule observable. One
+        // bit of disagreement means the pipeline itself is
+        // nondeterministic.
+        let det = cfg.check_determinism.then(|| {
+            let o2 = run();
+            o.state_hash == o2.state_hash
+                && o.order_hash == o2.order_hash
+                && o.prefix_hash == o2.prefix_hash
+                && o.sync_events == o2.sync_events
+                && o.equivalent == o2.equivalent
+                && o.preemptions == o2.preemptions
+        });
+        CellOutcome::from_seed(&o, det)
     });
-    // par_map returns batches in input order and batches preserve
-    // their internal order, so this is grid order.
-    let new_outcomes: Vec<(usize, CellOutcome)> = per_batch.into_iter().flatten().collect();
     let executed = new_outcomes.len() as u64;
-    for &(i, o) in &new_outcomes {
-        journal.insert(grid[i].key, o);
+    for (c, &o) in pending.iter().zip(&new_outcomes) {
+        journal.insert(c.key, o);
     }
 
     // --- Classify newly executed cells into the corpus (grid order, so
     // NEW_ORDER attribution is invocation-independent). -------------------
     let mut corpus_added = 0u64;
-    for &(i, o) in &new_outcomes {
-        let c = &grid[i];
+    for (c, &o) in pending.iter().zip(&new_outcomes) {
         let mut interest = Interest::default();
         if !corpus.covers_order(o.order_hash) {
             interest = interest.or(Interest::NEW_ORDER);
@@ -508,6 +425,7 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
             name: t.name.clone(),
             expect_divergence: t.expect_divergence,
             strategies: cfg
+                .grid
                 .strategies
                 .iter()
                 .map(|s| StrategyCells {
@@ -519,7 +437,13 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         .collect();
     let mut row_orders: Vec<Vec<BTreeSet<u64>>> = targets
         .iter()
-        .map(|_| cfg.strategies.iter().map(|_| BTreeSet::new()).collect())
+        .map(|_| {
+            cfg.grid
+                .strategies
+                .iter()
+                .map(|_| BTreeSet::new())
+                .collect()
+        })
         .collect();
     let mut row_prefixes = row_orders.clone();
     let mut global_orders = BTreeSet::new();
@@ -531,7 +455,7 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
             continue; // budget-truncated cell: no outcome yet
         };
         covered += 1;
-        let row = &mut target_reports[c.target].strategies[c.strategy];
+        let row = &mut target_reports[c.target].strategies[c.cell.strategy];
         row.cells += 1;
         row.divergences += u64::from(o.diverged());
         row.violations += u64::from(o.violations);
@@ -540,8 +464,8 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         row.forced_releases += o.forced_releases;
         row.drd_races += u64::from(o.drd_races.unwrap_or(0));
         row.drd_unpredicted += u64::from(o.drd_unpredicted.unwrap_or(0));
-        row_orders[c.target][c.strategy].insert(o.order_hash);
-        row_prefixes[c.target][c.strategy].insert(o.prefix_hash);
+        row_orders[c.target][c.cell.strategy].insert(o.order_hash);
+        row_prefixes[c.target][c.cell.strategy].insert(o.prefix_hash);
         global_orders.insert(o.order_hash);
         global_prefixes.insert(o.prefix_hash);
         if (targets[c.target].expect_divergence && o.diverged())

@@ -3,7 +3,7 @@
 //! re-executes nothing), worker-count independence, determinism
 //! double-runs, raw-target flagging, and loud failure on corrupt state.
 
-use chimera_fleet::{run_fleet, Corpus, FleetConfig, FleetTarget, Interest, Journal};
+use chimera_fleet::{run_fleet, Corpus, FleetConfig, FleetTarget, Grid, Interest, Journal};
 use chimera_minic::compile;
 use std::path::PathBuf;
 
@@ -114,23 +114,15 @@ fn immediate_resume_executes_zero_cells() {
 #[test]
 fn worker_count_never_changes_the_report() {
     let targets = vec![locked_target(), racy_raw_target()];
-    let serial = run_fleet(
-        &targets,
-        &FleetConfig {
-            jobs: 1,
-            ..FleetConfig::default()
+    let jobs = |jobs| FleetConfig {
+        grid: Grid {
+            jobs,
+            ..Grid::default()
         },
-    )
-    .unwrap();
-    let parallel = run_fleet(
-        &targets,
-        &FleetConfig {
-            jobs: 4,
-            batch: 2,
-            ..FleetConfig::default()
-        },
-    )
-    .unwrap();
+        ..FleetConfig::default()
+    };
+    let serial = run_fleet(&targets, &jobs(1)).unwrap();
+    let parallel = run_fleet(&targets, &jobs(4)).unwrap();
     assert_eq!(serial.report.to_json(), parallel.report.to_json());
 }
 
@@ -252,19 +244,19 @@ fn hoisted_strategy_resolution_pins_report_byte_identity() {
     let cfg = FleetConfig::default();
     let run = run_fleet(&[locked_target()], &cfg).unwrap();
 
-    let baseline = execute(&target.program, &cfg.exec);
-    for (si, &strat) in cfg.strategies.iter().enumerate() {
+    let baseline = execute(&target.program, &cfg.grid.exec);
+    for (si, &strat) in cfg.grid.strategies.iter().enumerate() {
         let row = &run.report.targets[0].strategies[si];
         let mut orders = BTreeSet::new();
         let mut prefixes = BTreeSet::new();
         let (mut divergences, mut violations, mut preemptions) = (0u64, 0u64, 0u64);
-        for &seed in &cfg.seeds {
+        for &seed in &cfg.grid.seeds {
             let o = run_cell(
                 &target.program,
                 None,
                 resolve_strategy(strat, baseline.stats.instrs),
                 seed,
-                &cfg.exec,
+                &cfg.grid.exec,
                 cfg.check_drd,
             );
             orders.insert(o.order_hash);
@@ -273,7 +265,7 @@ fn hoisted_strategy_resolution_pins_report_byte_identity() {
             violations += o.violations.len() as u64;
             preemptions += o.preemptions;
         }
-        assert_eq!(row.cells, cfg.seeds.len() as u64);
+        assert_eq!(row.cells, cfg.grid.seeds.len() as u64);
         assert_eq!(row.divergences, divergences);
         assert_eq!(row.violations, violations);
         assert_eq!(row.preemptions, preemptions);

@@ -28,7 +28,7 @@ use crate::evidence::{
     EvidenceCell,
 };
 use chimera_drd::{detect, SegmentCertificate};
-use chimera_fleet::cell::program_digest;
+use chimera_fleet::cell::{program_digest, replay_seed};
 use chimera_instrument::{instrument, instrument_demoted, DemotedSet, OptSet, Plan};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_profile::ProfileData;
@@ -612,7 +612,7 @@ pub fn verify_under_plan(
 ) -> Result<(), String> {
     // FastTrack under the given seed and under the derived hostile-replay
     // seed: a race on a demoted pair is a direct contradiction.
-    let hostile_seed = exec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(1);
+    let hostile_seed = replay_seed(exec.seed);
     for seed in [exec.seed, hostile_seed] {
         let run = detect(planned, &ExecConfig { seed, ..*exec });
         if !run.report.is_race_free() {

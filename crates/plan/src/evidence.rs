@@ -25,15 +25,13 @@
 //! cells and (optional) certificate frames.
 
 use chimera_drd::{detect, SegmentCertificate};
-use chimera_fleet::cell::{
-    program_digest, resolve_strategy, run_cell, strategy_code, strategy_from_code, StaticPairs,
-};
+use chimera_fleet::cell::{program_digest, strategy_code, strategy_from_code, Grid, StaticPairs};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_replay::wire::{
     push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
     Reader,
 };
-use chimera_runtime::{execute, par_map, ExecConfig, SchedStrategy};
+use chimera_runtime::SchedStrategy;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -110,42 +108,21 @@ pub struct Evidence {
     pub certificate: Option<SegmentCertificate>,
 }
 
-/// What to sweep when gathering evidence.
-#[derive(Debug, Clone)]
-pub struct GatherConfig {
-    /// Strategies (PCT `span: 0` auto-sizes; stored unresolved).
-    pub strategies: Vec<SchedStrategy>,
-    /// Record seeds.
-    pub seeds: Vec<u64>,
-    /// Base execution configuration.
-    pub exec: ExecConfig,
-    /// Worker threads (0 = auto, 1 = serial; `CHIMERA_SERIAL=1` wins).
-    pub jobs: usize,
-}
-
-impl Default for GatherConfig {
-    fn default() -> Self {
-        GatherConfig {
-            strategies: vec![
-                SchedStrategy::ClockJitter,
-                SchedStrategy::pct(3),
-                SchedStrategy::preempt_bound(),
-            ],
-            seeds: vec![1, 2, 3],
-            exec: ExecConfig::default(),
-            jobs: 0,
-        }
-    }
-}
+/// What to sweep when gathering evidence: the shared hostile [`Grid`]
+/// (strategies, seeds, exec, jobs) and its one default. Strategies are
+/// stored in the evidence unresolved.
+pub type GatherConfig = Grid;
 
 /// Sweep the instrumented program across `strategies × seeds` and record
 /// everything demotion needs: per-cell replay verdicts and coverage
 /// fingerprints, FastTrack verdicts on both program variants, and the
 /// segment certificate.
 ///
-/// Strategy resolution is hoisted to once per strategy (it is a pure
-/// function of the baseline instruction count). The result is a pure
-/// function of the inputs — bit-identical at any `jobs` setting.
+/// The sweep is [`Grid::sweep`] with the FastTrack cross-check on: each
+/// cell's instrumented-program race count and the uninstrumented run's
+/// racy pairs, split into statically confirmed and unpredicted. The
+/// result is a pure function of the inputs — bit-identical at any `jobs`
+/// setting.
 pub fn gather_evidence(
     name: &str,
     original: &Program,
@@ -154,68 +131,33 @@ pub fn gather_evidence(
     cfg: &GatherConfig,
 ) -> Evidence {
     let statics: StaticPairs = static_pairs.iter().copied().collect();
-    let baseline = execute(instrumented, &cfg.exec);
-    let instrs = baseline.stats.instrs;
-    // One resolution per strategy, not per (strategy, seed) cell.
-    let resolved: Vec<(SchedStrategy, SchedStrategy)> = cfg
-        .strategies
-        .iter()
-        .map(|&s| (s, resolve_strategy(s, instrs)))
-        .collect();
-    let combos: Vec<(SchedStrategy, SchedStrategy, u64)> = resolved
-        .iter()
-        .flat_map(|&(raw, res)| cfg.seeds.iter().map(move |&seed| (raw, res, seed)))
-        .collect();
-    let results = par_map(&combos, cfg.jobs, |&(raw, res, seed)| {
-        let outcome = run_cell(instrumented, None, res, seed, &cfg.exec, false);
-        let run_cfg = ExecConfig {
-            seed,
-            sched: res,
-            ..cfg.exec
-        };
-        // FastTrack both ways: the instrumented program must be race-free
-        // (DRF-under-weak-locks), and the uninstrumented program's dynamic
-        // races are the confirmed-racy set that blocks demotion.
-        let inst = detect(instrumented, &run_cfg);
-        let orig = detect(original, &run_cfg);
-        (raw, outcome, inst.report.pairs.len(), orig.report.pairs)
-    });
-
-    let mut cells = Vec::with_capacity(results.len());
+    let mut cells = Vec::with_capacity(cfg.strategies.len() * cfg.seeds.len());
     let mut racy: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
     let mut unpred: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
-    for (raw, o, inst_pairs, orig_pairs) in results {
+    for (cell, o) in cfg.sweep(instrumented, Some((original, &statics)), true) {
+        // With the cross-check on, every DRD column is present.
+        let inst_pairs = o.drd_races.unwrap_or(0) as u64;
         cells.push(EvidenceCell {
-            strategy: strategy_code(raw),
+            strategy: strategy_code(cfg.strategies[cell.strategy]),
             seed: o.seed,
-            clean: o.replay_complete
-                && o.equivalent
-                && o.violations.is_empty()
-                && inst_pairs == 0,
+            clean: !o.diverged() && o.violations.is_empty() && inst_pairs == 0,
             order_hash: o.order_hash,
             prefix_hash: o.prefix_hash,
             preemptions: o.preemptions,
             forced_releases: o.forced_releases,
             state_hash: o.state_hash,
-            drd_races: inst_pairs as u64,
+            drd_races: inst_pairs,
         });
-        for p in orig_pairs {
-            if statics.contains(&p) {
-                racy.insert(p);
-            } else {
-                unpred.insert(p);
-            }
-        }
+        racy.extend(o.drd_confirmed.into_iter().flatten());
+        unpred.extend(o.drd_unpredicted.into_iter().flatten());
     }
 
     let certificate = detect(instrumented, &cfg.exec).certificate(&cfg.exec);
-    let mut static_sorted: Vec<(AccessId, AccessId)> = statics.into_iter().collect();
-    static_sorted.dedup();
     Evidence {
         program: name.to_string(),
         program_digest: program_digest(original),
         instrumented_digest: program_digest(instrumented),
-        static_pairs: static_sorted,
+        static_pairs: statics.into_iter().collect(),
         confirmed_racy: racy.into_iter().collect(),
         unpredicted: unpred.into_iter().collect(),
         cells,

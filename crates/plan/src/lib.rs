@@ -10,9 +10,9 @@
 //! narrows what must be serialized):
 //!
 //! 1. [`gather_evidence`] sweeps the instrumented program across
-//!    `strategies × seeds` (the shared fleet cell body), FastTracks both
-//!    program variants per cell, and packages the result as a checksummed
-//!    [`Evidence`] container (`.chev`) with a DRD
+//!    `strategies × seeds` (the fleet's shared `Grid` sweep), FastTracks
+//!    both program variants per cell, and packages the result as a
+//!    checksummed [`Evidence`] container (`.chev`) with a DRD
 //!    [`chimera_drd::SegmentCertificate`].
 //! 2. [`demote`] turns evidence into a [`CertifiedPlan`] (`.chpl`): every
 //!    static pair that stayed race-free across the whole hostile sweep is

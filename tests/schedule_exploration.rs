@@ -18,22 +18,24 @@
 //!    bit-identical, so `vm_differential.rs`'s pinning extends to the
 //!    new scheduler seam.
 
-use chimera::{analyze, explore, explore_uninstrumented, ExploreConfig, PipelineConfig};
+use chimera::{analyze, explore, explore_uninstrumented, ExploreConfig, Grid, PipelineConfig};
 use chimera_minic::compile;
 use chimera_runtime::{execute_mode, ExecConfig, InterpMode, SchedStrategy};
 use chimera_workloads::all;
 
 fn sweep_cfg(seeds: Vec<u64>, check_drd: bool) -> ExploreConfig {
     ExploreConfig {
-        strategies: vec![
-            SchedStrategy::ClockJitter,
-            SchedStrategy::pct(3),
-            SchedStrategy::preempt_bound(),
-        ],
-        seeds,
-        exec: ExecConfig::default(),
+        grid: Grid {
+            strategies: vec![
+                SchedStrategy::ClockJitter,
+                SchedStrategy::pct(3),
+                SchedStrategy::preempt_bound(),
+            ],
+            seeds,
+            exec: ExecConfig::default(),
+            jobs: 0,
+        },
         check_drd,
-        jobs: 0,
     }
 }
 
