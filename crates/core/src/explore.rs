@@ -5,7 +5,8 @@
 //! down the execution no matter how adversarially the scheduler behaves.
 //! The baseline VM only exercises clock-ordered schedules with bounded
 //! jitter, which leaves the claim under-tested. This module sweeps each
-//! program across the pluggable [`SchedStrategy`] seam — clock-jitter
+//! program across the pluggable
+//! [`SchedStrategy`](chimera_runtime::SchedStrategy) seam — clock-jitter
 //! baseline, PCT randomized priorities (Burckhardt et al., ASPLOS 2010),
 //! and preemption-bounded switching at weak-lock and shared-access
 //! boundaries — and for every `(strategy, seed)` cell it:

@@ -135,8 +135,7 @@ pub fn gather_evidence(
     let mut racy: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
     let mut unpred: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
     for (cell, o) in cfg.sweep(instrumented, Some((original, &statics)), true) {
-        // With the cross-check on, every DRD column is present.
-        let inst_pairs = o.drd_races.unwrap_or(0) as u64;
+        let inst_pairs = o.drd_races.expect("swept with check_drd") as u64;
         cells.push(EvidenceCell {
             strategy: strategy_code(cfg.strategies[cell.strategy]),
             seed: o.seed,
@@ -148,8 +147,8 @@ pub fn gather_evidence(
             state_hash: o.state_hash,
             drd_races: inst_pairs,
         });
-        racy.extend(o.drd_confirmed.into_iter().flatten());
-        unpred.extend(o.drd_unpredicted.into_iter().flatten());
+        racy.extend(o.drd_confirmed.expect("swept with a cross-check program"));
+        unpred.extend(o.drd_unpredicted.expect("swept with a cross-check program"));
     }
 
     let certificate = detect(instrumented, &cfg.exec).certificate(&cfg.exec);
