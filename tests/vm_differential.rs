@@ -325,6 +325,156 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
 }
 
 // ---------------------------------------------------------------------------
+// Engine counter pin
+// ---------------------------------------------------------------------------
+
+/// `(workload@scale, [jitter off, default jitter, count_blocks, limit,
+/// record → replay])` digests of the flat VM's results and engine counters
+/// (see [`engine_line`]), at 4 workers and seed 42.
+#[rustfmt::skip]
+const ENGINE_PINS: &[(&str, [u64; 5])] = &[
+    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0x7a2264a1e2344873]),
+    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0x1cc81a2fb4c68ac7]),
+    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x8dd52409440dc9d5]),
+    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd3679f796f96564f]),
+    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x235f32c785dccced]),
+    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xa9fd9467575fe9a2]),
+    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0x6fc163092337d928]),
+    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xfc26a8a0440ab2e9]),
+    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x61b52f5fbf057518]),
+    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x5e2cfbeaf4c233b2]),
+    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x8d3837ded89610da]),
+    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xaa49cb2fe5ff695a]),
+    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x77e5f2235afc33c1]),
+    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0x58366ab0930183f0]),
+    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0x1146619152309bc0]),
+    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0xfa885b61c6fbc66a]),
+    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x23663d3ab7418912]),
+    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0xa5ee2d793905cd97]),
+];
+
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Outcome, final memory, virtual time, retired instructions, memory ops,
+/// total block count and every [`chimera_runtime::VmPerf`] counter of one
+/// run. `VmPerf` compares equal whatever it holds, so this rendering is
+/// what notices a change in how much work fusion, batch commit or the
+/// rounds do.
+fn engine_line(r: &ExecResult) -> String {
+    let v = &r.stats.vm;
+    format!(
+        "{:?} {:#x} {} {} {} {} | {} {} {} {} {} {} {}\n",
+        r.outcome,
+        r.state_hash,
+        r.makespan,
+        r.stats.instrs,
+        r.stats.mem_ops,
+        r.block_counts.iter().flatten().sum::<u64>(),
+        v.fused_ops,
+        v.batch_runs,
+        v.batched_ops,
+        v.spec_rounds,
+        v.spec_segments,
+        v.spec_ops,
+        v.spec_discards,
+    )
+}
+
+fn engine_digest(runs: &[&ExecResult]) -> u64 {
+    fnv64(&runs.iter().map(|r| engine_line(r)).collect::<String>())
+}
+
+/// The five engine digests of one workload at one scale.
+fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 5] {
+    let p = w
+        .compile(&Params { workers: 4, scale })
+        .expect("workload compiles");
+    let base = ExecConfig {
+        seed: 42,
+        ..ExecConfig::default()
+    };
+    let quiet = ExecConfig {
+        jitter: Jitter::none(),
+        ..base
+    };
+    let run = |cfg: &ExecConfig| execute_mode(&p, cfg, InterpMode::Flat);
+    let full = run(&quiet);
+    // Half the full run's retired ops: the budget runs out inside a hot
+    // run, where batch commit's step checks and the rounds' up-front
+    // step reservation decide exactly where the run stops.
+    let limited = run(&ExecConfig {
+        max_steps: full.stats.instrs / 2,
+        ..quiet
+    });
+    assert_eq!(
+        limited.outcome,
+        chimera_runtime::Outcome::StepLimit,
+        "{}: the step limit must stop the run",
+        w.name
+    );
+    let a = analyze(&p, &PipelineConfig::default());
+    let rec = chimera_replay::record(&a.instrumented, &quiet);
+    let rep = chimera_replay::replay(
+        &a.instrumented,
+        &rec.logs,
+        &ExecConfig { seed: 7, ..quiet },
+    );
+    assert!(rep.complete, "{}: replay incomplete", w.name);
+    [
+        engine_digest(&[&full]),
+        engine_digest(&[&run(&base)]),
+        engine_digest(&[&run(&ExecConfig {
+            count_blocks: true,
+            ..base
+        })]),
+        engine_digest(&[&limited]),
+        engine_digest(&[&rec.result, &rep.result]),
+    ]
+}
+
+/// How much work each engine layer does is pinned, not just what the
+/// program computes: a change that moves fused, batched or speculative
+/// op counts on any workload fails here, naming the row.
+#[test]
+fn engine_counters_match_committed_digests() {
+    const CONFIGS: [&str; 5] = ["jitter-off", "jitter", "count_blocks", "limit", "record-replay"];
+    let mut actual: Vec<(String, [u64; 5])> = Vec::new();
+    for scale in [1, 4] {
+        for w in all() {
+            actual.push((format!("{}@{scale}", w.name), engine_digests(&w, scale)));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(n, d)| {
+            format!(
+                "    (\"{n}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}]),\n",
+                d[0], d[1], d[2], d[3], d[4]
+            )
+        })
+        .collect();
+    let names: Vec<&str> = actual.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = ENGINE_PINS.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, pinned, "workload set changed; current digests:\n{table}");
+    let mut diffs = Vec::new();
+    for ((name, got), (_, want)) in actual.iter().zip(ENGINE_PINS) {
+        for (k, config) in CONFIGS.iter().enumerate() {
+            if got[k] != want[k] {
+                diffs.push(format!("{name}: {config}"));
+            }
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "engine counters moved: {diffs:?}\ncurrent digests:\n{table}"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Generative sweep
 // ---------------------------------------------------------------------------
 
