@@ -23,6 +23,14 @@ echo "== static-stage crate tests (points-to, RELAY, profiling, planning) =="
 # tests/static_identity.rs (DESIGN.md §7).
 cargo test -q --offline -p chimera-pta -p chimera-relay -p chimera-profile -p chimera-instrument
 
+echo "== analysis, bounds and race-detector crate tests =="
+# MiniC front end, loop-bounds analysis and chimera-drd's own tests,
+# which the root suite skips. chimera-drd verifies a SegmentCertificate
+# through the speculative segment rounds (DESIGN.md §10, §13).
+# chimera-workloads stays out until its known apache test failure is
+# resolved (ROADMAP.md).
+cargo test -q --offline -p chimera-drd -p chimera-minic -p chimera-bounds
+
 echo "== interpreter differential suite (flat vs reference) =="
 # Byte-identical results and traces across both stepping implementations
 # on every workload and 64 generated racy programs (DESIGN.md §8). Runs

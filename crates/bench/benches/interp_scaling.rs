@@ -25,8 +25,9 @@
 //! least 1.5x the seed-era flat engine on at least 3 of the 4 baseline
 //! workloads. The gate normalizes by the reference path
 //! (`(seed_flat/seed_ref) / (cur_flat/cur_ref)`) so it compares engine
-//! generations, not machines, and it samples with fixed counts so CI
-//! smoke runs (`CHIMERA_BENCH_SAMPLES=1`) stay deterministic.
+//! generations, not machines; it alternates flat and reference samples so
+//! both minima see the same host load, and it samples with fixed counts
+//! so CI smoke runs (`CHIMERA_BENCH_SAMPLES=1`) stay deterministic.
 //!
 //! Runs as a plain binary on `chimera-testkit`'s bench runner:
 //! `cargo bench --bench interp_scaling [filter]`. To refresh the committed
@@ -73,23 +74,29 @@ fn bench_config(seed: u64) -> ExecConfig {
     }
 }
 
-/// Minimum wall time of `f` over a fixed number of samples — deliberately
-/// independent of the `CHIMERA_BENCH_*` environment so the speedup gate
-/// behaves identically in CI smoke runs and full refreshes.
-fn fixed_min_ns(mut f: impl FnMut()) -> u64 {
+/// Minimum wall times of `a` and `b` over a fixed number of samples each,
+/// taken alternately so both minima come from the same stretch of host
+/// load — deliberately independent of the `CHIMERA_BENCH_*` environment so
+/// the speedup gate behaves identically in CI smoke runs and full
+/// refreshes.
+fn interleaved_min_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
     const WARMUP: usize = 2;
     const SAMPLES: usize = 9;
     for _ in 0..WARMUP {
-        f();
+        a();
+        b();
     }
-    (0..SAMPLES)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("SAMPLES > 0")
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = std::time::Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut min_a, mut min_b) = (u64::MAX, u64::MAX);
+    for _ in 0..SAMPLES {
+        min_a = min_a.min(time(&mut a));
+        min_b = min_b.min(time(&mut b));
+    }
+    (min_a, min_b)
 }
 
 /// The speedup gate (see module docs). Panics when fewer than
@@ -100,8 +107,10 @@ fn fixed_min_ns(mut f: impl FnMut()) -> u64 {
 /// the seed data was taken) and the reference-normalized ratio
 /// `(seed_flat/seed_ref) / (cur_flat/cur_ref)` (survives machine changes
 /// — the reference path is untouched by the perf work — but inherits the
-/// reference path's larger timing variance). A genuine regression drags
-/// both down; noise rarely hits both at once.
+/// reference path's larger timing variance). Flat and reference samples
+/// alternate, so the normalized ratio divides minima taken under the same
+/// host load. A genuine regression drags both down; noise rarely hits both
+/// at once.
 fn assert_speedup_vs_seed() {
     let mut at_target = 0usize;
     for &(name, seed_flat, seed_ref) in SEED_MINS {
@@ -113,12 +122,14 @@ fn assert_speedup_vs_seed() {
             })
             .expect("workload compiles");
         let cfg = bench_config(42);
-        let cur_flat = fixed_min_ns(|| {
-            std::hint::black_box(&execute_mode(&p, &cfg, InterpMode::Flat));
-        });
-        let cur_ref = fixed_min_ns(|| {
-            std::hint::black_box(&execute_mode(&p, &cfg, InterpMode::Reference));
-        });
+        let (cur_flat, cur_ref) = interleaved_min_ns(
+            || {
+                std::hint::black_box(&execute_mode(&p, &cfg, InterpMode::Flat));
+            },
+            || {
+                std::hint::black_box(&execute_mode(&p, &cfg, InterpMode::Reference));
+            },
+        );
         let raw = seed_flat as f64 / cur_flat as f64;
         let normalized =
             (seed_flat as f64 / seed_ref as f64) / (cur_flat as f64 / cur_ref as f64);

@@ -31,6 +31,7 @@ use chimera_minic::ir::{
     AccessId, AllocSiteId, BlockId, Callee, FuncId, GlobalId, Instr, LocalId, LockGranularity,
     Operand, Program, Storage, Terminator, WeakLockId,
 };
+use std::collections::BTreeMap;
 
 /// A range into [`FlatProgram::args`]: the interned argument operands of
 /// one call or spawn site.
@@ -147,8 +148,7 @@ pub enum FlatOp {
     FusedOpAssign { tmp: LocalId, op: BinOp, a: Operand, b: Operand, dst: LocalId },
 }
 
-/// Coarse opcode class used as the key of the decode-time pair-frequency
-/// table that drives the fusion pass (see [`FusionTable`]).
+/// Coarse opcode class: the key of [`fusion_summary`]'s rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[allow(missing_docs)] // names mirror the `FlatOp` families
 pub enum OpClass {
@@ -200,7 +200,7 @@ impl OpClass {
     }
 }
 
-/// Classify one op for the pair-frequency table.
+/// Classify one op for [`fusion_summary`].
 pub fn op_class(op: &FlatOp) -> OpClass {
     match op {
         FlatOp::Copy { .. } => OpClass::Copy,
@@ -244,32 +244,9 @@ pub fn op_class(op: &FlatOp) -> OpClass {
     }
 }
 
-/// The decode-time fusion table: static opcode-pair frequencies over every
-/// same-block adjacent pair in the program, plus the per-pattern counts the
-/// peephole pass actually fused.
-///
-/// The pass is *driven* by the frequency side: a candidate pattern is only
-/// rewritten into the sidecar when its static class pair occurs in this
-/// program at all (zero-count patterns stay disabled, so a program with no
-/// matching shape pays nothing for that pattern, and the table documents
-/// exactly which superinstructions a given program can execute).
-#[derive(Debug, Clone, Default)]
-pub struct FusionTable {
-    /// Same-block adjacent pair frequencies gathered during decode.
-    pub pairs: std::collections::BTreeMap<(OpClass, OpClass), u64>,
-    /// Sites rewritten into fused form, keyed by the same class pair.
-    pub fused: std::collections::BTreeMap<(OpClass, OpClass), u64>,
-}
-
-impl FusionTable {
-    /// Total number of fused sites across the program.
-    pub fn fused_sites(&self) -> u64 {
-        self.fused.values().sum()
-    }
-}
-
-/// Program-level fusion report: which superinstruction patterns the
-/// decode-time pair table enabled, and how many sites each rewrote.
+/// Program-level fusion report: how often each fused class pair occurs
+/// as a same-block adjacent pair, and how many of those sites the
+/// peephole pass rewrote.
 #[derive(Debug, Clone)]
 pub struct FusionSummary {
     /// Total fused sites across the program.
@@ -279,26 +256,31 @@ pub struct FusionSummary {
     pub rows: Vec<(&'static str, &'static str, u64, u64)>,
 }
 
-/// Flatten `program` and summarize its fusion table. Used by the CLI's
-/// `run --json` report; execution flattens independently, so this costs
-/// one extra decode (~10µs on the benched workloads).
+/// Flatten `program` and count its static pairs and fused sites from the
+/// `code` and `fused` arrays. Used by the CLI's `run --json` report;
+/// execution flattens independently, so this costs one extra decode
+/// (~10µs on the benched workloads).
 pub fn fusion_summary(program: &Program) -> FusionSummary {
     let flat = flatten(program);
-    let t = &flat.fusion;
-    let rows = t
-        .fused
-        .iter()
-        .map(|(&(a, b), &n)| {
-            (
-                a.name(),
-                b.name(),
-                t.pairs.get(&(a, b)).copied().unwrap_or(0),
-                n,
-            )
-        })
+    // (static same-block pairs, fused sites) per class pair.
+    let mut counts: BTreeMap<(OpClass, OpClass), (u64, u64)> = BTreeMap::new();
+    for f in &flat.funcs {
+        for pc in 0..f.code.len().saturating_sub(1) {
+            if f.pc_block[pc] == f.pc_block[pc + 1] {
+                let key = (op_class(&f.code[pc]), op_class(&f.code[pc + 1]));
+                let c = counts.entry(key).or_default();
+                c.0 += 1;
+                c.1 += u64::from(op_class(&f.fused[pc]) == OpClass::Fused);
+            }
+        }
+    }
+    let rows: Vec<_> = counts
+        .into_iter()
+        .filter(|&(_, (_, fused))| fused > 0)
+        .map(|((a, b), (pairs, fused))| (a.name(), b.name(), pairs, fused))
         .collect();
     FusionSummary {
-        fused_sites: t.fused_sites(),
+        fused_sites: rows.iter().map(|r| r.3).sum(),
         rows,
     }
 }
@@ -323,9 +305,10 @@ pub struct FlatFunc {
     pub code: Vec<FlatOp>,
     /// Superinstruction sidecar, same length as `code`: `fused[pc]` is a
     /// fused variant covering `[pc, pc + 2)` where the peephole pass
-    /// matched, otherwise a copy of `code[pc]`. Only the batch hot loop
-    /// reads it; every pc remains a valid single-step entry point because
-    /// the plain op at `pc + 1` is never removed.
+    /// matched, otherwise a copy of `code[pc]`. Only the hot-run executor
+    /// (batch commit and the speculative segments) reads it; every pc
+    /// remains a valid single-step entry point because the plain op at
+    /// `pc + 1` is never removed.
     pub fused: Vec<FlatOp>,
     /// First pc of each block.
     pub block_entry: Vec<u32>,
@@ -361,8 +344,6 @@ pub struct FlatProgram {
     /// scheduler skips the per-step timeout machinery entirely even when
     /// `timeout_enabled` is set.
     pub has_weak_ops: bool,
-    /// The decode-time pair-frequency table that drove the fusion pass.
-    pub fusion: FusionTable,
 }
 
 /// Compute every function's frame-slot layout.
@@ -444,26 +425,14 @@ pub fn flatten(program: &Program) -> FlatProgram {
             )
         })
     });
-    // Gather the static pair-frequency table over every same-block
-    // adjacent pair, then run the frequency-driven peephole pass.
-    let mut fusion = FusionTable::default();
-    for f in &funcs {
-        for pc in 0..f.code.len().saturating_sub(1) {
-            if f.pc_block[pc] == f.pc_block[pc + 1] {
-                let key = (op_class(&f.code[pc]), op_class(&f.code[pc + 1]));
-                *fusion.pairs.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
     for f in &mut funcs {
-        f.fused = fuse_func(&f.code, &f.pc_block, &mut fusion);
+        f.fused = fuse_func(&f.code, &f.pc_block);
     }
     FlatProgram {
         funcs,
         args,
         layouts,
         has_weak_ops,
-        fusion,
     }
 }
 
@@ -564,23 +533,14 @@ fn try_fuse(a: &FlatOp, b: &FlatOp) -> Option<FlatOp> {
 /// its first pc. Pairs may overlap greedily — a thread resuming mid-pair
 /// at `pc + 1` simply dispatches whatever the sidecar holds there, which
 /// has identical semantics either way.
-fn fuse_func(code: &[FlatOp], pc_block: &[u32], table: &mut FusionTable) -> Vec<FlatOp> {
+fn fuse_func(code: &[FlatOp], pc_block: &[u32]) -> Vec<FlatOp> {
     let mut fused = code.to_vec();
     for pc in 0..code.len().saturating_sub(1) {
         if pc_block[pc] != pc_block[pc + 1] {
             continue;
         }
-        let key = (op_class(&code[pc]), op_class(&code[pc + 1]));
-        // Frequency-driven: a pattern only fires when its static class
-        // pair occurs in this program's table (always true here since we
-        // are looking at an occurrence — the table keyed check is what a
-        // threshold would hook into, and it keeps the per-pattern counts).
-        if table.pairs.get(&key).copied().unwrap_or(0) == 0 {
-            continue;
-        }
         if let Some(op) = try_fuse(&code[pc], &code[pc + 1]) {
             fused[pc] = op;
-            *table.fused.entry(key).or_insert(0) += 1;
         }
     }
     fused

@@ -31,15 +31,15 @@ use crate::event::{
     Event, EventKind, EventMask, NullSupervisor, OrderPoint, Supervisor, SyncKind, ThreadId,
 };
 use crate::flat::{flatten, static_costs, ArgRange, FlatFunc, FlatOp, FlatProgram};
-use crate::memory::{Memory, RegionKind};
+use crate::memory::{MemTrap, Memory, RegionKind};
 use crate::sched::SchedStrategy;
 use crate::stats::ExecStats;
 use crate::sync::{BlockReason, SyncTables, WeakHolder};
 use crate::world::{IoModel, World};
 use chimera_minic::ast::{BinOp, UnOp};
 use chimera_minic::ir::{
-    BlockId, Callee, FuncId, Instr, LocalId, LockGranularity, Operand, Program, Terminator,
-    WeakLockId,
+    BlockId, Callee, FuncId, GlobalId, Instr, LocalId, LockGranularity, Operand, Program,
+    Terminator, WeakLockId,
 };
 use chimera_testkit::rng::Rng;
 use std::sync::OnceLock;
@@ -325,14 +325,36 @@ const PAGE_SHIFT: u32 = 0;
 const SPEC_PENALTY_MIN: u64 = 16;
 const SPEC_PENALTY_MAX: u64 = 65_536;
 
-/// Segment memory of the speculative executor ([`run_segment`]): writes
-/// go straight to [`Memory`] with the old value pushed onto the round's
-/// undo log; read/write pages are stamped into the owning thread's epoch
-/// arrays (first touch per round also records the page in the touched
-/// list, which is what validation and rollback iterate). Trap details
-/// are deliberately dropped — any speculative trap discards the whole
-/// round, and the exact engine then reproduces the trap at its canonical
-/// point with the precise message.
+/// The memory seam of the hot-run executor ([`run_hot`]). Batch commit
+/// passes [`Memory`] itself; a speculative segment passes [`DirectSeg`].
+trait HotMem {
+    fn global_base(&self, g: GlobalId) -> i64;
+    fn load(&mut self, addr: i64) -> Result<i64, MemTrap>;
+    fn store(&mut self, addr: i64, val: i64) -> Result<(), MemTrap>;
+}
+
+impl HotMem for Memory {
+    #[inline(always)]
+    fn global_base(&self, g: GlobalId) -> i64 {
+        Memory::global_base(self, g)
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: i64) -> Result<i64, MemTrap> {
+        Memory::load(self, addr)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: i64, val: i64) -> Result<(), MemTrap> {
+        Memory::store(self, addr, val)
+    }
+}
+
+/// Segment memory of a speculative round: writes go straight to
+/// [`Memory`] with the old value pushed onto the round's undo log;
+/// read/write pages are stamped into the owning thread's epoch arrays
+/// (first touch per round also records the page in the touched list,
+/// which is what validation and rollback iterate).
 struct DirectSeg<'a> {
     mem: &'a mut Memory,
     undo: &'a mut Vec<(i64, i64)>,
@@ -343,10 +365,15 @@ struct DirectSeg<'a> {
     touched_write: &'a mut Vec<u32>,
 }
 
-impl DirectSeg<'_> {
+impl HotMem for DirectSeg<'_> {
+    #[inline(always)]
+    fn global_base(&self, g: GlobalId) -> i64 {
+        self.mem.global_base(g)
+    }
+
     #[inline]
-    fn load(&mut self, addr: i64) -> Result<i64, ()> {
-        let v = self.mem.load(addr).map_err(drop)?;
+    fn load(&mut self, addr: i64) -> Result<i64, MemTrap> {
+        let v = self.mem.load(addr)?;
         // A successful access proves `1 <= addr < frontier`, so the page
         // index is in range for the stamp arrays sized at round start.
         let page = (addr as u64 >> PAGE_SHIFT) as usize;
@@ -358,8 +385,8 @@ impl DirectSeg<'_> {
     }
 
     #[inline]
-    fn store(&mut self, addr: i64, val: i64) -> Result<(), ()> {
-        let old = self.mem.swap(addr, val).map_err(drop)?;
+    fn store(&mut self, addr: i64, val: i64) -> Result<(), MemTrap> {
+        let old = self.mem.swap(addr, val)?;
         self.undo.push((addr, old));
         let page = (addr as u64 >> PAGE_SHIFT) as usize;
         if self.write_epoch[page] != self.epoch {
@@ -370,24 +397,28 @@ impl DirectSeg<'_> {
     }
 }
 
-/// Why a speculative segment stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum SegEnd {
-    /// Reached a non-batchable op (sync, call, return, heap, I/O, weak).
+/// Why a hot run stopped.
+#[derive(Debug, Default)]
+enum HotEnd {
+    /// Reached an op the executor does not retire (sync, call, return,
+    /// heap, I/O, weak).
     #[default]
     Cold,
-    /// Retired [`SEG_CAP`] ops without reaching a scheduling point.
-    Cap,
-    /// Crossed the round's cold-op bound.
+    /// The thread's `(clock, id)` key reached the run's bound.
     Bound,
-    /// A constituent trapped; the round must be discarded so the exact
-    /// engine reproduces the trap at its canonical point.
-    Trap,
+    /// Retired [`SEG_CAP`] ops (segments only).
+    Cap,
+    /// Step budget exhausted; the op at the limit has committed (batch
+    /// commit only).
+    Limit,
+    /// A constituent trapped. A segment's trap discards its round, and
+    /// the exact engine then reproduces it at its canonical point.
+    Trap(String),
 }
 
-/// One segment's accounting, returned by [`run_segment`].
-#[derive(Debug, Clone, Copy, Default)]
-struct SegRun {
+/// One hot run's accounting, returned by [`run_hot`].
+#[derive(Debug, Default)]
+struct HotRun {
     /// Ops retired (each counts one step and one instruction).
     ops: u64,
     /// Fused superinstructions dispatched.
@@ -398,394 +429,366 @@ struct SegRun {
     /// op's scheduler key, which round legality compares against the
     /// earliest cold-op key (meaningless when `ops == 0`).
     last_pre: u64,
-    end: SegEnd,
+    end: HotEnd,
 }
 
-/// Immutable inputs of one segment run.
-struct SegCtx<'a> {
+/// Inputs of one hot run of thread `id`. The last three are batch
+/// commit's: a segment leaves them inert, and its executor instance
+/// never reads them.
+struct HotCtx<'a> {
     func: &'a FlatFunc,
     fcosts: &'a [u64],
-    /// Global region base addresses ([`Memory::global_bases`], static).
-    globals: &'a [i64],
     id: u32,
-    /// Earliest scheduler key of a ready thread already sitting at a cold
-    /// op when the round began: no segment op's key may reach it, because
-    /// that cold op's memory footprint is not validated against segments.
+    /// No op retires at or past this `(clock, id)` key: the runner-up
+    /// queue key for batch commit; for a segment, the earliest key of a
+    /// ready thread already sitting at a cold op when the round began,
+    /// whose memory footprint is not validated against segments.
     bound: Option<(u64, u32)>,
+    /// Jitter source, when jitter is on.
+    jitter: Option<(&'a mut Rng, Jitter)>,
+    /// The running function's block counters, when counting.
+    blocks: Option<&'a mut [u64]>,
+    /// Ops the step limit still allows.
+    budget: u64,
 }
 
-/// Execute one speculative hot segment: retire thread-local ops from the
-/// fused sidecar arena until a cold op, the cap, the round bound, or a
-/// trap. Only legal with jitter off — commits draw no RNG, so per-thread
-/// clocks and icounts are independent of cross-thread interleaving, which
-/// is what lets the round engine reorder conflict-free segments without
-/// observable effect. Fused pairs re-check the bound between constituents
-/// (a mid-pair stop rests at `pc + 1`, where the sidecar holds the plain
-/// second op); the cap is only checked between whole ops.
+/// The hot-run executor behind batch commit and the speculative segment
+/// rounds (DESIGN.md §13): retire one thread's plain and fused sidecar
+/// ops until a cold op, the `(clock, id)` bound, the step budget, or —
+/// segments only — [`SEG_CAP`]. A fused pair commits twice, with the
+/// budget and bound re-checked between its constituents (a mid-pair stop
+/// rests at `pc + 1`, where the sidecar holds the plain second op); the
+/// cap is only checked between whole ops.
+///
+/// `SEG` fixes the segment rules at compile time: no jitter draw, no
+/// block counts, the cap, and no budget check (the round reserved its
+/// steps up front). Drawing no RNG keeps every thread's clock and
+/// icount independent of the interleaving, which is what lets a round
+/// reorder conflict-free segments unobservably. Always inlined: batch
+/// runs average about one op, so a call per run costs more than the run.
+#[inline(always)]
+fn run_hot<M: HotMem, const SEG: bool>(
+    ctx: HotCtx<'_>,
+    frame: &mut Frame,
+    clock: &mut u64,
+    icount: &mut u64,
+    mem: &mut M,
+) -> HotRun {
+    let HotCtx {
+        func,
+        fcosts,
+        id,
+        bound,
+        mut jitter,
+        mut blocks,
+        budget,
+    } = ctx;
+    let mut run = HotRun::default();
+    // One constituent's commit: identical arithmetic and RNG draw order
+    // to `Machine::commit_ok`.
+    macro_rules! commit {
+        ($cost:expr) => {{
+            let mut total = $cost;
+            if !SEG {
+                if let Some((rng, j)) = jitter.as_mut() {
+                    if rng.gen_range(0..j.period) == 0 {
+                        total += rng.gen_range(0..=j.magnitude);
+                    }
+                }
+            }
+            run.ops += 1;
+            run.last_pre = *clock;
+            *icount += 1;
+            *clock += total;
+        }};
+    }
+    // After every commit, between a fused op's constituents too.
+    macro_rules! check {
+        () => {{
+            if !SEG && run.ops > budget {
+                break HotEnd::Limit;
+            }
+            if bound.is_some_and(|b| (*clock, id) >= b) {
+                break HotEnd::Bound;
+            }
+        }};
+    }
+    macro_rules! ok {
+        ($r:expr) => {
+            match $r {
+                Ok(v) => v,
+                Err(e) => break HotEnd::Trap(e.to_string()),
+            }
+        };
+    }
+    macro_rules! enter_block {
+        ($b:expr) => {
+            if !SEG {
+                if let Some(counts) = blocks.as_deref_mut() {
+                    counts[$b] += 1;
+                }
+            }
+        };
+    }
+    // First constituent of the fused pair at `$pc`: write `$v` to `$reg`
+    // and commit.
+    macro_rules! first {
+        ($pc:expr, $reg:expr, $v:expr) => {{
+            frame.regs[$reg.index()] = $v;
+            frame.pc += 1;
+            commit!(fcosts[$pc]);
+            check!();
+        }};
+    }
+    // Second constituent of the fused load or store at `$pc`, whose
+    // first constituent computed address `$a`.
+    macro_rules! then_load {
+        ($pc:expr, $dst:expr, $a:expr) => {{
+            frame.regs[$dst.index()] = ok!(mem.load($a));
+            frame.pc += 1;
+            run.mem_ops += 1;
+            commit!(fcosts[$pc + 1]);
+            run.fused += 1;
+        }};
+    }
+    macro_rules! then_store {
+        ($pc:expr, $a:expr, $val:expr) => {{
+            ok!(mem.store($a, frame.get($val)));
+            frame.pc += 1;
+            run.mem_ops += 1;
+            commit!(fcosts[$pc + 1]);
+            run.fused += 1;
+        }};
+    }
+    const NO_SLOTS: &str = "frame has no slot area";
+
+    // The bound is only checked after commits, so a thread whose
+    // starting key already reaches it must not retire anything.
+    run.end = if bound.is_some_and(|b| (*clock, id) >= b) {
+        HotEnd::Bound
+    } else {
+        loop {
+            let pc = frame.pc as usize;
+            match func.fused[pc] {
+                FlatOp::Copy { dst, src } => {
+                    frame.regs[dst.index()] = frame.get(src);
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::UnOp { dst, op, src } => {
+                    frame.regs[dst.index()] = eval_unop(op, frame.get(src));
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::BinOp { dst, op, a, b } => {
+                    frame.regs[dst.index()] = ok!(eval_binop(op, frame.get(a), frame.get(b)));
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::AddrOfGlobal {
+                    dst,
+                    global,
+                    offset,
+                } => {
+                    frame.regs[dst.index()] = mem.global_base(global) + frame.get(offset);
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::AddrOfSlot {
+                    dst,
+                    slot_off,
+                    offset,
+                } => {
+                    let base = ok!(frame.frame_base.ok_or(NO_SLOTS));
+                    frame.regs[dst.index()] = base + slot_off + frame.get(offset);
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::AddrOfFunc { dst, func } => {
+                    frame.regs[dst.index()] = FUNC_PTR_BASE + func.0 as i64;
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::PtrAdd { dst, base, offset } => {
+                    frame.regs[dst.index()] = frame.get(base).wrapping_add(frame.get(offset));
+                    frame.pc += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::Load { dst, addr, .. } => {
+                    frame.regs[dst.index()] = ok!(mem.load(frame.get(addr)));
+                    frame.pc += 1;
+                    run.mem_ops += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::Store { addr, val, .. } => {
+                    ok!(mem.store(frame.get(addr), frame.get(val)));
+                    frame.pc += 1;
+                    run.mem_ops += 1;
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::Jump {
+                    target_pc,
+                    target_block,
+                } => {
+                    frame.pc = target_pc;
+                    enter_block!(target_block.index());
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::Branch {
+                    cond,
+                    then_pc,
+                    then_block,
+                    else_pc,
+                    else_block,
+                } => {
+                    let (t, b) = if frame.get(cond) != 0 {
+                        (then_pc, then_block)
+                    } else {
+                        (else_pc, else_block)
+                    };
+                    frame.pc = t;
+                    enter_block!(b.index());
+                    commit!(fcosts[pc]);
+                }
+                FlatOp::FusedGlobalLoad {
+                    addr_dst,
+                    global,
+                    offset,
+                    dst,
+                } => {
+                    let a = mem.global_base(global) + frame.get(offset);
+                    first!(pc, addr_dst, a);
+                    then_load!(pc, dst, a);
+                }
+                FlatOp::FusedGlobalStore {
+                    addr_dst,
+                    global,
+                    offset,
+                    val,
+                } => {
+                    let a = mem.global_base(global) + frame.get(offset);
+                    first!(pc, addr_dst, a);
+                    then_store!(pc, a, val);
+                }
+                FlatOp::FusedSlotLoad {
+                    addr_dst,
+                    slot_off,
+                    offset,
+                    dst,
+                } => {
+                    let a = ok!(frame.frame_base.ok_or(NO_SLOTS)) + slot_off + frame.get(offset);
+                    first!(pc, addr_dst, a);
+                    then_load!(pc, dst, a);
+                }
+                FlatOp::FusedSlotStore {
+                    addr_dst,
+                    slot_off,
+                    offset,
+                    val,
+                } => {
+                    let a = ok!(frame.frame_base.ok_or(NO_SLOTS)) + slot_off + frame.get(offset);
+                    first!(pc, addr_dst, a);
+                    then_store!(pc, a, val);
+                }
+                FlatOp::FusedPtrLoad {
+                    addr_dst,
+                    base,
+                    offset,
+                    dst,
+                } => {
+                    let a = frame.get(base).wrapping_add(frame.get(offset));
+                    first!(pc, addr_dst, a);
+                    then_load!(pc, dst, a);
+                }
+                FlatOp::FusedPtrStore {
+                    addr_dst,
+                    base,
+                    offset,
+                    val,
+                } => {
+                    let a = frame.get(base).wrapping_add(frame.get(offset));
+                    first!(pc, addr_dst, a);
+                    then_store!(pc, a, val);
+                }
+                FlatOp::FusedCmpBranch {
+                    dst,
+                    op,
+                    a,
+                    b,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let r = ok!(eval_binop(op, frame.get(a), frame.get(b)));
+                    first!(pc, dst, r);
+                    let t = if r != 0 { then_pc } else { else_pc };
+                    frame.pc = t;
+                    // Target blocks are dropped from the fused form;
+                    // recover via the pc→block map.
+                    enter_block!(func.pc_block[t as usize] as usize);
+                    commit!(fcosts[pc + 1]);
+                    run.fused += 1;
+                }
+                FlatOp::FusedOpAssign { tmp, op, a, b, dst } => {
+                    let r = ok!(eval_binop(op, frame.get(a), frame.get(b)));
+                    first!(pc, tmp, r);
+                    frame.regs[dst.index()] = r;
+                    frame.pc += 1;
+                    commit!(fcosts[pc + 1]);
+                    run.fused += 1;
+                }
+                _ => break HotEnd::Cold,
+            }
+            check!();
+            if SEG && run.ops >= SEG_CAP {
+                break HotEnd::Cap;
+            }
+        }
+    };
+    run
+}
+
+/// A speculative segment: [`run_hot`] under the segment rules, against
+/// [`DirectSeg`] memory.
 ///
 /// Kept out of line: inlined into the scheduler's hot loop it slowed the
 /// flat engine by ~5% (`interp_scaling` minima, radix/ocean/pfscan).
 #[inline(never)]
 fn run_segment(
-    ctx: &SegCtx<'_>,
+    ctx: HotCtx<'_>,
     frame: &mut Frame,
     clock: &mut u64,
     icount: &mut u64,
     mem: &mut DirectSeg<'_>,
-) -> SegRun {
-    let mut run = SegRun::default();
-    // The bound is only re-checked after each commit, so a thread whose
-    // starting key already reaches it must not retire anything.
-    if let Some(b) = ctx.bound {
-        if (*clock, ctx.id) >= b {
-            run.end = SegEnd::Bound;
-            return run;
-        }
-    }
-    macro_rules! commit {
-        ($cost:expr) => {{
-            run.ops += 1;
-            run.last_pre = *clock;
-            *icount += 1;
-            *clock += $cost;
-        }};
-    }
-    macro_rules! bound_check {
-        () => {{
-            if let Some(b) = ctx.bound {
-                if (*clock, ctx.id) >= b {
-                    run.end = SegEnd::Bound;
-                    break;
-                }
-            }
-        }};
-    }
-    loop {
-        let pc = frame.pc as usize;
-        match ctx.func.fused[pc] {
-            FlatOp::Copy { dst, src } => {
-                frame.regs[dst.index()] = frame.get(src);
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::UnOp { dst, op: uop, src } => {
-                let v = frame.get(src);
-                frame.regs[dst.index()] = match uop {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => (v == 0) as i64,
-                };
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::BinOp { dst, op: bop, a, b } => {
-                let Some(r) = eval_binop(bop, frame.get(a), frame.get(b)) else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                frame.regs[dst.index()] = r;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::AddrOfGlobal {
-                dst,
-                global,
-                offset,
-            } => {
-                frame.regs[dst.index()] = ctx.globals[global.index()] + frame.get(offset);
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::AddrOfSlot {
-                dst,
-                slot_off,
-                offset,
-            } => {
-                let Some(base) = frame.frame_base else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                frame.regs[dst.index()] = base + slot_off + frame.get(offset);
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::AddrOfFunc { dst, func } => {
-                frame.regs[dst.index()] = FUNC_PTR_BASE + func.0 as i64;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::PtrAdd { dst, base, offset } => {
-                frame.regs[dst.index()] = frame.get(base).wrapping_add(frame.get(offset));
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::Load { dst, addr, .. } => match mem.load(frame.get(addr)) {
-                Ok(v) => {
-                    frame.regs[dst.index()] = v;
-                    frame.pc += 1;
-                    run.mem_ops += 1;
-                    commit!(ctx.fcosts[pc]);
-                }
-                Err(()) => {
-                    run.end = SegEnd::Trap;
-                    break;
-                }
-            },
-            FlatOp::Store { addr, val, .. } => {
-                match mem.store(frame.get(addr), frame.get(val)) {
-                    Ok(()) => {
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc]);
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::Jump { target_pc, .. } => {
-                frame.pc = target_pc;
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::Branch {
-                cond,
-                then_pc,
-                else_pc,
-                ..
-            } => {
-                frame.pc = if frame.get(cond) != 0 { then_pc } else { else_pc };
-                commit!(ctx.fcosts[pc]);
-            }
-            FlatOp::FusedGlobalLoad {
-                addr_dst,
-                global,
-                offset,
-                dst,
-            } => {
-                let a = ctx.globals[global.index()] + frame.get(offset);
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                match mem.load(a) {
-                    Ok(v) => {
-                        frame.regs[dst.index()] = v;
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedGlobalStore {
-                addr_dst,
-                global,
-                offset,
-                val,
-            } => {
-                let a = ctx.globals[global.index()] + frame.get(offset);
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                let v = frame.get(val);
-                match mem.store(a, v) {
-                    Ok(()) => {
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedSlotLoad {
-                addr_dst,
-                slot_off,
-                offset,
-                dst,
-            } => {
-                let Some(base) = frame.frame_base else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                let a = base + slot_off + frame.get(offset);
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                match mem.load(a) {
-                    Ok(v) => {
-                        frame.regs[dst.index()] = v;
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedSlotStore {
-                addr_dst,
-                slot_off,
-                offset,
-                val,
-            } => {
-                let Some(base) = frame.frame_base else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                let a = base + slot_off + frame.get(offset);
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                let v = frame.get(val);
-                match mem.store(a, v) {
-                    Ok(()) => {
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedPtrLoad {
-                addr_dst,
-                base,
-                offset,
-                dst,
-            } => {
-                let a = frame.get(base).wrapping_add(frame.get(offset));
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                match mem.load(a) {
-                    Ok(v) => {
-                        frame.regs[dst.index()] = v;
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedPtrStore {
-                addr_dst,
-                base,
-                offset,
-                val,
-            } => {
-                let a = frame.get(base).wrapping_add(frame.get(offset));
-                frame.regs[addr_dst.index()] = a;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                let v = frame.get(val);
-                match mem.store(a, v) {
-                    Ok(()) => {
-                        frame.pc += 1;
-                        run.mem_ops += 1;
-                        commit!(ctx.fcosts[pc + 1]);
-                        run.fused += 1;
-                    }
-                    Err(()) => {
-                        run.end = SegEnd::Trap;
-                        break;
-                    }
-                }
-            }
-            FlatOp::FusedCmpBranch {
-                dst,
-                op: bop,
-                a,
-                b,
-                then_pc,
-                else_pc,
-            } => {
-                let Some(r) = eval_binop(bop, frame.get(a), frame.get(b)) else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                frame.regs[dst.index()] = r;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                frame.pc = if r != 0 { then_pc } else { else_pc };
-                commit!(ctx.fcosts[pc + 1]);
-                run.fused += 1;
-            }
-            FlatOp::FusedOpAssign {
-                tmp,
-                op: bop,
-                a,
-                b,
-                dst,
-            } => {
-                let Some(r) = eval_binop(bop, frame.get(a), frame.get(b)) else {
-                    run.end = SegEnd::Trap;
-                    break;
-                };
-                frame.regs[tmp.index()] = r;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc]);
-                bound_check!();
-                frame.regs[dst.index()] = r;
-                frame.pc += 1;
-                commit!(ctx.fcosts[pc + 1]);
-                run.fused += 1;
-            }
-            // Call/Return, sync, heap, I/O and weak ops end the segment.
-            _ => {
-                run.end = SegEnd::Cold;
-                break;
-            }
-        }
-        bound_check!();
-        if run.ops >= SEG_CAP {
-            run.end = SegEnd::Cap;
-            break;
-        }
-    }
-    run
+) -> HotRun {
+    run_hot::<_, true>(ctx, frame, clock, icount, mem)
 }
 
-/// `BinOp` evaluation shared by the speculative executor; `None` means
-/// the op traps (division or remainder by zero).
+/// `UnOp` evaluation of the flat engine.
 #[inline]
-fn eval_binop(bop: BinOp, x: i64, y: i64) -> Option<i64> {
-    Some(match bop {
+fn eval_unop(op: UnOp, v: i64) -> i64 {
+    match op {
+        UnOp::Neg => v.wrapping_neg(),
+        UnOp::Not => (v == 0) as i64,
+    }
+}
+
+/// `BinOp` evaluation of the flat engine; the error is the trap message
+/// of a division or remainder by zero.
+#[inline]
+fn eval_binop(bop: BinOp, x: i64, y: i64) -> Result<i64, &'static str> {
+    Ok(match bop {
         BinOp::Add => x.wrapping_add(y),
         BinOp::Sub => x.wrapping_sub(y),
         BinOp::Mul => x.wrapping_mul(y),
         BinOp::Div => {
             if y == 0 {
-                return None;
+                return Err("division by zero");
             }
             x.wrapping_div(y)
         }
         BinOp::Rem => {
             if y == 0 {
-                return None;
+                return Err("remainder by zero");
             }
             x.wrapping_rem(y)
         }
@@ -824,9 +827,6 @@ struct SpecState {
     /// Round-global store log `(addr, old value)`; per-segment ranges are
     /// delimited by [`SegSnap::undo_start`].
     undo: Vec<(i64, i64)>,
-    /// Cached copy of [`Memory::global_bases`] (static after load); owned
-    /// here so segment contexts can hold it alongside `&mut Memory`.
-    globals: Vec<i64>,
     /// Reusable per-segment snapshots and results (one per participant).
     snaps: Vec<SegSnap>,
     /// Outer-loop iterations to wait before the next round attempt.
@@ -845,11 +845,11 @@ struct SegSnap {
     icount: u64,
     regs: Vec<i64>,
     undo_start: usize,
-    run: SegRun,
+    run: HotRun,
 }
 
-/// Can the segment executor retire this sidecar op? (Mirrors the arms of
-/// [`run_segment`]; used to locate the round's cold-op bound.)
+/// Can the hot-run executor retire this sidecar op? (Mirrors the arms of
+/// [`run_hot`]; used to locate the round's cold-op bound.)
 fn op_is_hot(op: &FlatOp) -> bool {
     matches!(
         op,
@@ -1484,14 +1484,14 @@ impl<'p> Machine<'p> {
     }
 
     /// The batch-commit engine: drives the queue-mode schedule from a
-    /// tight cross-thread loop that dispatches the fused sidecar arena
-    /// and accumulates cost/clock/step accounting in locals, written back
-    /// once on exit.
+    /// tight cross-thread loop that runs the front thread through the
+    /// hot-run executor ([`run_hot`], inlined here) and accumulates
+    /// cost/clock/step accounting in locals, written back once on exit.
     ///
     /// Legality (DESIGN.md §13): queue mode already excludes supervisor
     /// injection and weak-lock timeouts, and the caller additionally
     /// requires that per-op `Load`/`Store` happens-before events are
-    /// masked out. Every op dispatched inline here is thread-local and
+    /// masked out. Every op the executor retires is thread-local and
     /// non-blocking (sync, I/O, calls, heap, weak ops and returns fall
     /// out to [`Self::step_flat`]), so a retiring hot op's only
     /// obligations are the commit itself — identical RNG draws included —
@@ -1499,9 +1499,9 @@ impl<'p> Machine<'p> {
     /// queue key. `pending_reacquire` is provably empty in queue mode
     /// (forced releases require injection or timeouts), event emission
     /// and checkpoint folds are inert, and block counts are maintained
-    /// inline. The observable execution is therefore bit-identical to
-    /// single-step dispatch; only the [`VmPerf`] strategy counters
-    /// differ.
+    /// by the executor. The observable execution is therefore
+    /// bit-identical to single-step dispatch; only the [`VmPerf`]
+    /// strategy counters differ.
     ///
     /// Returns `Some(outcome)` when the run ends the execution (step
     /// limit); `None` hands control back to the scheduler loop (queue
@@ -1511,24 +1511,10 @@ impl<'p> Machine<'p> {
         sup: &mut dyn Supervisor,
         queue: &mut Vec<(u64, u32)>,
     ) -> Option<Outcome> {
-        enum RunEnd {
-            /// Next op is not batchable: single-step it at the dispatcher.
-            Cold,
-            /// The thread's clock crossed the runner-up key; payload is
-            /// the new clock for the queue reposition.
-            Yield(u64),
-            /// A constituent trapped.
-            Trap(String),
-            /// Step budget exhausted (the op at the limit has committed).
-            Limit,
-        }
-
-        let jit_period = self.config.jitter.period;
-        let jit_magnitude = self.config.jitter.magnitude;
+        let jitter = self.config.jitter;
         let count_blocks = self.config.count_blocks;
         let max_steps = self.config.max_steps;
         let mut steps = self.steps;
-        let mut instrs = 0u64;
         let mut mem_ops = 0u64;
         let mut fused_ops = 0u64;
         let mut batch_runs = 0u64;
@@ -1537,7 +1523,7 @@ impl<'p> Machine<'p> {
         // must draw no RNG, or run-ahead would reorder the stream) and
         // block counting off (hot control flow must stay write-free
         // outside thread-local state).
-        let rounds_ok = jit_period == 0 && !count_blocks;
+        let rounds_ok = jitter.period == 0 && !count_blocks;
 
         let result = loop {
             if rounds_ok && queue.len() >= 2 {
@@ -1555,12 +1541,11 @@ impl<'p> Machine<'p> {
                 self.threads[tix].pending_reacquire.is_empty(),
                 "queue mode excludes forced releases"
             );
-            let run_start = batched_ops;
             // One uninterrupted same-thread run. Disjoint field borrows:
             // the thread's frame/clock/icount mutably, everything else
             // (`flat`, `costs`, `mem`, `rng`, `block_counts`) through
             // separate fields of `self`.
-            let end = {
+            let (run, clock) = {
                 let Thr {
                     frames,
                     clock,
@@ -1569,379 +1554,27 @@ impl<'p> Machine<'p> {
                 } = &mut self.threads[tix];
                 let frame = frames.last_mut().expect("live thread has frames");
                 let fidx = frame.func.index();
-                let func = &self.flat.funcs[fidx];
-                let fcosts = &self.costs[fidx];
-                let bound = queue.get(1).copied();
-
-                // One constituent's commit: identical arithmetic and RNG
-                // draw order to `commit_ok`, against the hoisted locals.
-                macro_rules! commit {
-                    ($cost:expr) => {{
-                        instrs += 1;
-                        let mut total = $cost;
-                        if jit_period > 0 && self.rng.gen_range(0..jit_period) == 0 {
-                            total += self.rng.gen_range(0..=jit_magnitude);
-                        }
-                        *icount += 1;
-                        *clock += total;
-                        steps += 1;
-                        batched_ops += 1;
-                    }};
-                }
-                // Post-commit scheduling checks, also applied *between*
-                // the two constituents of a fused op (a mid-pair yield
-                // resumes at `pc + 1`, where the sidecar holds the plain
-                // second op).
-                macro_rules! recheck {
-                    () => {{
-                        if steps > max_steps {
-                            break RunEnd::Limit;
-                        }
-                        if let Some(b) = bound {
-                            if (*clock, id) >= b {
-                                break RunEnd::Yield(*clock);
-                            }
-                        }
-                    }};
-                }
-                macro_rules! binop_eval {
-                    ($bop:expr, $x:expr, $y:expr) => {{
-                        let (x, y) = ($x, $y);
-                        match $bop {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Div => {
-                                if y == 0 {
-                                    break RunEnd::Trap("division by zero".into());
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::Rem => {
-                                if y == 0 {
-                                    break RunEnd::Trap("remainder by zero".into());
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::Shl => x.wrapping_shl((y & 63) as u32),
-                            BinOp::Shr => x.wrapping_shr((y & 63) as u32),
-                            BinOp::BitAnd => x & y,
-                            BinOp::BitOr => x | y,
-                            BinOp::BitXor => x ^ y,
-                            BinOp::Lt => (x < y) as i64,
-                            BinOp::Le => (x <= y) as i64,
-                            BinOp::Gt => (x > y) as i64,
-                            BinOp::Ge => (x >= y) as i64,
-                            BinOp::Eq => (x == y) as i64,
-                            BinOp::Ne => (x != y) as i64,
-                            BinOp::LogAnd => ((x != 0) && (y != 0)) as i64,
-                            BinOp::LogOr => ((x != 0) || (y != 0)) as i64,
-                        }
-                    }};
-                }
-
-                loop {
-                    let pc = frame.pc as usize;
-                    match func.fused[pc] {
-                        FlatOp::Copy { dst, src } => {
-                            frame.regs[dst.index()] = frame.get(src);
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::UnOp { dst, op: uop, src } => {
-                            let v = frame.get(src);
-                            frame.regs[dst.index()] = match uop {
-                                UnOp::Neg => v.wrapping_neg(),
-                                UnOp::Not => (v == 0) as i64,
-                            };
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::BinOp { dst, op: bop, a, b } => {
-                            let r = binop_eval!(bop, frame.get(a), frame.get(b));
-                            frame.regs[dst.index()] = r;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::AddrOfGlobal {
-                            dst,
-                            global,
-                            offset,
-                        } => {
-                            let base = self.mem.global_base(global);
-                            frame.regs[dst.index()] = base + frame.get(offset);
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::AddrOfSlot {
-                            dst,
-                            slot_off,
-                            offset,
-                        } => {
-                            let Some(base) = frame.frame_base else {
-                                break RunEnd::Trap("frame has no slot area".into());
-                            };
-                            frame.regs[dst.index()] = base + slot_off + frame.get(offset);
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::AddrOfFunc { dst, func } => {
-                            frame.regs[dst.index()] = FUNC_PTR_BASE + func.0 as i64;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::PtrAdd { dst, base, offset } => {
-                            frame.regs[dst.index()] =
-                                frame.get(base).wrapping_add(frame.get(offset));
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::Load { dst, addr, .. } => {
-                            let a = frame.get(addr);
-                            match self.mem.load(a) {
-                                Ok(v) => {
-                                    frame.regs[dst.index()] = v;
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc]);
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::Store { addr, val, .. } => {
-                            let a = frame.get(addr);
-                            let v = frame.get(val);
-                            match self.mem.store(a, v) {
-                                Ok(()) => {
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc]);
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::Jump {
-                            target_pc,
-                            target_block,
-                        } => {
-                            frame.pc = target_pc;
-                            if count_blocks {
-                                self.block_counts[fidx][target_block.index()] += 1;
-                            }
-                            commit!(fcosts[pc]);
-                        }
-                        FlatOp::Branch {
-                            cond,
-                            then_pc,
-                            then_block,
-                            else_pc,
-                            else_block,
-                        } => {
-                            let (t, b) = if frame.get(cond) != 0 {
-                                (then_pc, then_block)
-                            } else {
-                                (else_pc, else_block)
-                            };
-                            frame.pc = t;
-                            if count_blocks {
-                                self.block_counts[fidx][b.index()] += 1;
-                            }
-                            commit!(fcosts[pc]);
-                        }
-
-                        // ---- fused superinstructions: two constituents,
-                        // two commits, bound re-checked between them ----
-                        FlatOp::FusedGlobalLoad {
-                            addr_dst,
-                            global,
-                            offset,
-                            dst,
-                        } => {
-                            let a = self.mem.global_base(global) + frame.get(offset);
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            match self.mem.load(a) {
-                                Ok(v) => {
-                                    frame.regs[dst.index()] = v;
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedGlobalStore {
-                            addr_dst,
-                            global,
-                            offset,
-                            val,
-                        } => {
-                            let a = self.mem.global_base(global) + frame.get(offset);
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            let v = frame.get(val);
-                            match self.mem.store(a, v) {
-                                Ok(()) => {
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedSlotLoad {
-                            addr_dst,
-                            slot_off,
-                            offset,
-                            dst,
-                        } => {
-                            let Some(base) = frame.frame_base else {
-                                break RunEnd::Trap("frame has no slot area".into());
-                            };
-                            let a = base + slot_off + frame.get(offset);
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            match self.mem.load(a) {
-                                Ok(v) => {
-                                    frame.regs[dst.index()] = v;
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedSlotStore {
-                            addr_dst,
-                            slot_off,
-                            offset,
-                            val,
-                        } => {
-                            let Some(base) = frame.frame_base else {
-                                break RunEnd::Trap("frame has no slot area".into());
-                            };
-                            let a = base + slot_off + frame.get(offset);
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            let v = frame.get(val);
-                            match self.mem.store(a, v) {
-                                Ok(()) => {
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedPtrLoad {
-                            addr_dst,
-                            base,
-                            offset,
-                            dst,
-                        } => {
-                            let a = frame.get(base).wrapping_add(frame.get(offset));
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            match self.mem.load(a) {
-                                Ok(v) => {
-                                    frame.regs[dst.index()] = v;
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedPtrStore {
-                            addr_dst,
-                            base,
-                            offset,
-                            val,
-                        } => {
-                            let a = frame.get(base).wrapping_add(frame.get(offset));
-                            frame.regs[addr_dst.index()] = a;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            let v = frame.get(val);
-                            match self.mem.store(a, v) {
-                                Ok(()) => {
-                                    frame.pc += 1;
-                                    mem_ops += 1;
-                                    commit!(fcosts[pc + 1]);
-                                    fused_ops += 1;
-                                }
-                                Err(t) => break RunEnd::Trap(t.to_string()),
-                            }
-                        }
-                        FlatOp::FusedCmpBranch {
-                            dst,
-                            op: bop,
-                            a,
-                            b,
-                            then_pc,
-                            else_pc,
-                        } => {
-                            let r = binop_eval!(bop, frame.get(a), frame.get(b));
-                            frame.regs[dst.index()] = r;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            let t = if r != 0 { then_pc } else { else_pc };
-                            frame.pc = t;
-                            if count_blocks {
-                                // Target blocks are dropped from the fused
-                                // form; recover via the pc→block map.
-                                self.block_counts[fidx][func.pc_block[t as usize] as usize] += 1;
-                            }
-                            commit!(fcosts[pc + 1]);
-                            fused_ops += 1;
-                        }
-                        FlatOp::FusedOpAssign {
-                            tmp,
-                            op: bop,
-                            a,
-                            b,
-                            dst,
-                        } => {
-                            let r = binop_eval!(bop, frame.get(a), frame.get(b));
-                            frame.regs[tmp.index()] = r;
-                            frame.pc += 1;
-                            commit!(fcosts[pc]);
-                            recheck!();
-                            frame.regs[dst.index()] = r;
-                            frame.pc += 1;
-                            commit!(fcosts[pc + 1]);
-                            fused_ops += 1;
-                        }
-
-                        // Call, Return, sync, heap, I/O, weak ops: not
-                        // batchable — hand back to the step dispatcher.
-                        _ => break RunEnd::Cold,
-                    }
-                    recheck!();
-                }
+                let ctx = HotCtx {
+                    func: &self.flat.funcs[fidx],
+                    fcosts: &self.costs[fidx],
+                    id,
+                    bound: queue.get(1).copied(),
+                    jitter: (jitter.period > 0).then_some((&mut self.rng, jitter)),
+                    blocks: count_blocks.then(|| &mut self.block_counts[fidx][..]),
+                    budget: max_steps.saturating_sub(steps),
+                };
+                let run = run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem);
+                (run, *clock)
             };
-            if batched_ops > run_start {
+            steps += run.ops;
+            batched_ops += run.ops;
+            mem_ops += run.mem_ops;
+            fused_ops += run.fused;
+            if run.ops > 0 {
                 batch_runs += 1;
             }
-            match end {
-                RunEnd::Cold => {
+            match run.end {
+                HotEnd::Cold => {
                     // Single-step the cold op through the ordinary path —
                     // byte-identical dispatch, including `StepEnd`
                     // accounting and event emission.
@@ -1962,17 +1595,18 @@ impl<'p> Machine<'p> {
                         Some(clock) => reposition_front(queue, (clock, id)),
                     }
                 }
-                RunEnd::Yield(clock) => reposition_front(queue, (clock, id)),
-                RunEnd::Trap(message) => {
+                HotEnd::Bound => reposition_front(queue, (clock, id)),
+                HotEnd::Trap(message) => {
                     self.trap(ThreadId(id), message);
                     break None;
                 }
-                RunEnd::Limit => break Some(Outcome::StepLimit),
+                HotEnd::Limit => break Some(Outcome::StepLimit),
+                HotEnd::Cap => unreachable!("batch runs have no cap"),
             }
         };
 
         self.steps = steps;
-        self.stats.instrs += instrs;
+        self.stats.instrs += batched_ops;
         self.stats.mem_ops += mem_ops;
         self.stats.vm.fused_ops += fused_ops;
         self.stats.vm.batch_runs += batch_runs;
@@ -2043,9 +1677,6 @@ impl<'p> Machine<'p> {
     /// frontier and open a new round epoch.
     fn prepare_round(&mut self, queue: &[(u64, u32)]) {
         let spec = &mut self.spec;
-        if spec.globals.len() != self.mem.global_bases().len() {
-            spec.globals = self.mem.global_bases().to_vec();
-        }
         let pages = (self.mem.frontier() as u64 >> PAGE_SHIFT) as usize + 1;
         let slots = self.threads.len();
         if spec.read_epoch.len() < slots {
@@ -2105,7 +1736,6 @@ impl<'p> Machine<'p> {
         // remaining `self` fields disjointly.
         let mut snaps = std::mem::take(&mut self.spec.snaps);
         let mut undo = std::mem::take(&mut self.spec.undo);
-        let globals = std::mem::take(&mut self.spec.globals);
         snaps.resize_with(queue.len(), SegSnap::default);
         let mut trapped = false;
         for (i, &(_, id)) in queue.iter().enumerate() {
@@ -2128,12 +1758,14 @@ impl<'p> Machine<'p> {
             snap.regs.extend_from_slice(&frame.regs);
             snap.undo_start = undo.len();
             let fidx = frame.func.index();
-            let ctx = SegCtx {
+            let ctx = HotCtx {
                 func: &self.flat.funcs[fidx],
                 fcosts: &self.costs[fidx],
-                globals: &globals,
                 id,
                 bound: bound0,
+                jitter: None,
+                blocks: None,
+                budget: u64::MAX,
             };
             let mut seg = DirectSeg {
                 mem: &mut self.mem,
@@ -2144,8 +1776,8 @@ impl<'p> Machine<'p> {
                 touched_read: &mut self.spec.touched_read[tix],
                 touched_write: &mut self.spec.touched_write[tix],
             };
-            snap.run = run_segment(&ctx, frame, clock, icount, &mut seg);
-            trapped |= snap.run.end == SegEnd::Trap;
+            snap.run = run_segment(ctx, frame, clock, icount, &mut seg);
+            trapped |= matches!(snap.run.end, HotEnd::Trap(_));
         }
         // Certification: a speculative trap (possibly an artifact of
         // reading another segment's half-done state) or any overlap of
@@ -2177,7 +1809,6 @@ impl<'p> Machine<'p> {
             undo.clear();
             self.spec.snaps = snaps;
             self.spec.undo = undo;
-            self.spec.globals = globals;
             return None;
         }
         // Cold-op ordering: a speculative op is committable only if it
@@ -2220,7 +1851,6 @@ impl<'p> Machine<'p> {
         undo.clear();
         self.spec.snaps = snaps;
         self.spec.undo = undo;
-        self.spec.globals = globals;
         Some(total)
     }
 
@@ -2587,52 +2217,19 @@ impl<'p> Machine<'p> {
                 frame.pc += 1;
                 self.commit_ok(tix, scost)
             }
-            FlatOp::UnOp { dst, op: uop, src } => {
-                let v = frame.get(src);
-                let r = match uop {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => (v == 0) as i64,
-                };
-                frame.regs[dst.index()] = r;
+            FlatOp::UnOp { dst, op, src } => {
+                frame.regs[dst.index()] = eval_unop(op, frame.get(src));
                 frame.pc += 1;
                 self.commit_ok(tix, scost)
             }
-            FlatOp::BinOp { dst, op: bop, a, b } => {
-                let (x, y) = (frame.get(a), frame.get(b));
-                let r = match bop {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            return self.trap(tid, "division by zero".into());
-                        }
-                        x.wrapping_div(y)
-                    }
-                    BinOp::Rem => {
-                        if y == 0 {
-                            return self.trap(tid, "remainder by zero".into());
-                        }
-                        x.wrapping_rem(y)
-                    }
-                    BinOp::Shl => x.wrapping_shl((y & 63) as u32),
-                    BinOp::Shr => x.wrapping_shr((y & 63) as u32),
-                    BinOp::BitAnd => x & y,
-                    BinOp::BitOr => x | y,
-                    BinOp::BitXor => x ^ y,
-                    BinOp::Lt => (x < y) as i64,
-                    BinOp::Le => (x <= y) as i64,
-                    BinOp::Gt => (x > y) as i64,
-                    BinOp::Ge => (x >= y) as i64,
-                    BinOp::Eq => (x == y) as i64,
-                    BinOp::Ne => (x != y) as i64,
-                    BinOp::LogAnd => ((x != 0) && (y != 0)) as i64,
-                    BinOp::LogOr => ((x != 0) || (y != 0)) as i64,
-                };
-                frame.regs[dst.index()] = r;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
+            FlatOp::BinOp { dst, op, a, b } => match eval_binop(op, frame.get(a), frame.get(b)) {
+                Ok(r) => {
+                    frame.regs[dst.index()] = r;
+                    frame.pc += 1;
+                    self.commit_ok(tix, scost)
+                }
+                Err(message) => self.trap(tid, message.into()),
+            },
             FlatOp::AddrOfGlobal {
                 dst,
                 global,
@@ -3379,17 +2976,16 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Decode and execute one pre-decoded op at the current `(func, pc)`.
-    /// `scost` below is the pre-resolved static commit cost for this pc
-    /// (see [`crate::flat::static_costs`]); arms with dynamic costs compute
-    /// their own. Mirrors `exec_instr` + `exec_term` arm for arm — any
-    /// semantic divergence here is a bug the differential suite exists to
-    /// catch.
-    #[inline]
     /// The cold remainder of the flat dispatch: calls, sync, I/O, memory
     /// management, weak ops, and returns. `op` and `scost` arrive already
-    /// decoded by [`Self::step_flat`]; the arms handled there are
-    /// unreachable here.
+    /// decoded by [`Self::step_flat`]; `scost` is the pre-resolved static
+    /// commit cost for this pc (see [`crate::flat::static_costs`]), and
+    /// arms with dynamic costs compute their own. The hot arms handled in
+    /// `step_flat`, and the fused ops that live only in the sidecar, are
+    /// unreachable here. Together with `step_flat` this mirrors
+    /// `exec_instr` + `exec_term` arm for arm — any semantic divergence is
+    /// a bug the differential suite exists to catch.
+    #[inline]
     fn exec_flat_cold(
         &mut self,
         sup: &mut dyn Supervisor,

@@ -123,13 +123,6 @@ impl Memory {
         self.global_base[g.index()]
     }
 
-    /// All global region base addresses, indexed by `GlobalId`. Static
-    /// after program load, which lets the speculative segment executor
-    /// resolve global addressing without holding a `Memory` borrow.
-    pub fn global_bases(&self) -> &[i64] {
-        &self.global_base
-    }
-
     /// First address past the statically laid-out globals. Every address
     /// below this is known at program-load time, which is what lets the
     /// sync tables use dense `Vec` indexing for static sync objects and
