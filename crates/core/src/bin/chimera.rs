@@ -34,7 +34,7 @@
 //!
 //! `run --json` emits a machine-readable report including the VM strategy
 //! counters (superinstructions dispatched, batch runs, speculative
-//! rounds) and the decode-time fusion table. The speculative segment
+//! rounds) and the fusion summary. The speculative segment
 //! rounds only arm with timing jitter off — pass `--no-jitter` to see
 //! them engage.
 //!
@@ -809,7 +809,8 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
 
 /// `chimera run --json`: one JSON object with the execution result, the
 /// VM strategy counters (how the flat engine actually ran the program),
-/// and the decode-time fusion table that drove the superinstruction pass.
+/// and the fusion summary (static pairs and fused sites per
+/// superinstruction pattern).
 fn run_json(program: &chimera_minic::ir::Program, r: &chimera_runtime::ExecResult) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"outcome\": \"{:?}\",\n", r.outcome));

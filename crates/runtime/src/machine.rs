@@ -465,7 +465,8 @@ struct HotCtx<'a> {
 /// steps up front). Drawing no RNG keeps every thread's clock and
 /// icount independent of the interleaving, which is what lets a round
 /// reorder conflict-free segments unobservably. Always inlined: batch
-/// runs average about one op, so a call per run costs more than the run.
+/// runs are often a single op, and an out-of-line call per run measured
+/// slower (DESIGN.md §13).
 #[inline(always)]
 fn run_hot<M: HotMem, const SEG: bool>(
     ctx: HotCtx<'_>,
