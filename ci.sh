@@ -15,20 +15,21 @@ echo "== build benches (offline) =="
 cargo build --offline --benches
 
 echo "== test (offline) =="
+# Every test target of the workspace: the root manifest's
+# default-members cover the root package and every crate.
 cargo test -q --offline
 
 echo "== static-stage crate tests (points-to, RELAY, profiling, planning) =="
-# These crates' unit tests live outside the root package, so the suite
-# above skips them; their outputs are pinned end to end by
-# tests/static_identity.rs (DESIGN.md §7).
+# Their outputs are pinned end to end by tests/static_identity.rs
+# (DESIGN.md §7). Run in the suite above too; invoked explicitly so a
+# failure is unmissable.
 cargo test -q --offline -p chimera-pta -p chimera-relay -p chimera-profile -p chimera-instrument
 
 echo "== analysis, bounds and race-detector crate tests =="
-# MiniC front end, loop-bounds analysis and chimera-drd's own tests,
-# which the root suite skips. chimera-drd verifies a SegmentCertificate
-# through the speculative segment rounds (DESIGN.md §10, §13).
-# chimera-workloads stays out until its known apache test failure is
-# resolved (ROADMAP.md).
+# MiniC front end, loop-bounds analysis and chimera-drd's own tests.
+# chimera-drd verifies a SegmentCertificate through the speculative
+# segment rounds (DESIGN.md §10, §13). Run in the suite above too;
+# invoked explicitly so a failure is unmissable.
 cargo test -q --offline -p chimera-drd -p chimera-minic -p chimera-bounds
 
 echo "== interpreter differential suite (flat vs reference) =="
@@ -49,8 +50,8 @@ cargo test -q --offline --test vm_differential spec_round
 echo "== runtime crate tests (par_map order, sync semantics) =="
 # Every chimera-runtime test: par_map's input-order tests, which the one
 # hostile sweep behind explore, fleet and evidence gathering relies on
-# (DESIGN.md §11), and tests/sync_semantics.rs. The suites above skip
-# all but the flat::tests subset.
+# (DESIGN.md §11), and tests/sync_semantics.rs. Run in the suite above
+# too; invoked explicitly so a failure is unmissable.
 cargo test -q --offline -p chimera-runtime
 
 echo "== spec-round smoke gate (flat with segment rounds vs reference) =="

@@ -125,11 +125,21 @@ mod tests {
         });
         let p = chimera_minic::compile(&src).unwrap();
         let races = chimera_relay::detect_races(&p);
-        let prof = chimera_profile::profile_runs(
-            &p,
-            &chimera_runtime::ExecConfig::default(),
-            &[1, 2],
-        );
+        // Profile the way the pipeline does (`profile_workload`): three
+        // profile-input variants, two seeds each. Fewer runs can miss the
+        // overlapping `buf_clear` calls and rightly give it a function
+        // lock (§4).
+        let w = crate::by_name("apache").unwrap();
+        let mut prof = chimera_profile::ProfileData::default();
+        for v in 0..3u32 {
+            let pv = w.compile(&w.profile_params(v)).unwrap();
+            let seeds = [1000 + u64::from(v) * 31, 2000 + u64::from(v) * 17];
+            prof.merge(&chimera_profile::profile_runs(
+                &pv,
+                &chimera_runtime::ExecConfig::default(),
+                &seeds,
+            ));
+        }
         let plan = chimera_instrument::plan(
             &p,
             &races,
