@@ -11,7 +11,7 @@
 //!   fusion, batch commit and speculative rounds show up directly.
 //! * **sync-heavy** (`pfscan`, `apache`): mutex/condvar handoffs and
 //!   shared counters — dominated by sync-table lookups and scheduler
-//!   rescans, so the dense sync tables and burst scheduling show up.
+//!   rescans, so the dense sync tables and ready-queue scheduling show up.
 //!   `pfscan10x` runs pfscan at 10x input scale, where per-execution
 //!   setup amortizes away and the steady-state hot loop dominates.
 //!

@@ -340,9 +340,9 @@ pub struct FlatProgram {
     /// Frame layouts, indexed by [`FuncId`].
     pub layouts: Vec<FuncLayout>,
     /// Whether any weak-lock op (`WeakAcquire`/`WeakRelease`) exists in the
-    /// program. An uninstrumented program can never weak-block, so the flat
-    /// scheduler skips the per-step timeout machinery entirely even when
-    /// `timeout_enabled` is set.
+    /// program. An uninstrumented program never holds a weak lock, so no
+    /// forced release can leave it owing a reacquire, and the flat stepper
+    /// skips that check with one flag load.
     pub has_weak_ops: bool,
 }
 

@@ -84,7 +84,7 @@ pub struct ExecConfig {
     pub count_blocks: bool,
     /// Scheduling strategy (the schedule-exploration seam, see
     /// [`crate::sched`]). The clock-ordered default keeps the flat hot
-    /// loop's burst/ready-queue fast path; adversarial strategies run
+    /// loop's ready-queue fast path; adversarial strategies run
     /// both interpreter modes through one shared per-step loop.
     pub sched: SchedStrategy,
 }
@@ -179,8 +179,8 @@ impl ExecResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterpMode {
     /// Pre-decoded hot loop: `(func, pc)` frames over flattened per-function
-    /// code arrays, dense sync tables, scratch-buffer reuse, and burst
-    /// scheduling of the running thread (see DESIGN.md "VM internals").
+    /// code arrays, dense sync tables, scratch-buffer reuse, and a
+    /// ready-queue scheduler (see DESIGN.md "VM internals").
     #[default]
     Flat,
     /// The original interpreter: per-step `Instr`/`Terminator` clones,
@@ -439,10 +439,11 @@ struct HotCtx<'a> {
     func: &'a FlatFunc,
     fcosts: &'a [u64],
     id: u32,
-    /// No op retires at or past this `(clock, id)` key: the runner-up
-    /// queue key for batch commit; for a segment, the earliest key of a
-    /// ready thread already sitting at a cold op when the round began,
-    /// whose memory footprint is not validated against segments.
+    /// No op retires at or past this `(clock, id)` key. For batch commit
+    /// it is the runner-up queue key; for a segment, the earliest key of a
+    /// ready thread that must single-step next when the round began (its
+    /// memory footprint is not validated against segments). Both are
+    /// capped by the weak-lock timeout deadline key `(deadline, 0)`.
     bound: Option<(u64, u32)>,
     /// Jitter source, when jitter is on.
     jitter: Option<(&'a mut Rng, Jitter)>,
@@ -876,6 +877,14 @@ fn op_is_hot(op: &FlatOp) -> bool {
     )
 }
 
+/// The earlier of two optional bounds, `None` meaning unbounded.
+fn earliest<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// Refresh every ready-queue key from its thread's clock and restore sort
 /// order (a committed round advances many clocks at once).
 fn refresh_queue_keys(queue: &mut [(u64, u32)], threads: &[Thr]) {
@@ -910,7 +919,7 @@ struct Machine<'p> {
     /// Event kinds the supervisor consumes (set once per run).
     mask: EventMask,
     /// Set whenever a wakeup/spawn may have changed which thread the
-    /// scheduler would pick; ends the flat mode's current burst.
+    /// scheduler would pick; sends the flat queue mode back to its scan.
     sched_dirty: bool,
     /// Scratch for call/spawn argument marshalling (reused across calls).
     argv: Vec<i64>,
@@ -1330,35 +1339,30 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The flat scheduling loop. One scan finds both the minimum-clock
-    /// ready thread and the runner-up key, then the chosen thread runs a
-    /// *burst*: it keeps stepping with no rescan for as long as the
-    /// scheduling decision provably cannot change — it stays ready, its
-    /// key stays below the runner-up's, no wakeup/spawn touched another
-    /// thread (`sched_dirty`), no weak-lock waiter could time out, and the
-    /// supervisor never injects forced releases. Each of those conditions
-    /// is exactly what the per-step rescan of the reference loop exists to
-    /// notice, so bursts are semantics-preserving by construction.
+    /// The flat scheduling loop. Each pass is one scheduler scan, which
+    /// collects the ready `(clock, id)` keys and the weak-lock timeout
+    /// deadline, followed by the same timeout and deadlock checks the
+    /// reference loop makes before every step.
+    ///
+    /// When the supervisor injects forced releases, it may preempt any
+    /// thread between any two steps, so the loop takes one step per scan.
+    /// Otherwise (queue mode) the schedule changes only at blocks, wakes
+    /// and spawns, which set `sched_dirty` or are seen by the stepping
+    /// loop itself, and at the deadline: the earliest clock at which the
+    /// timeout scan can force a weak-lock waiter. Until one of those, the
+    /// hot path runs off the queue instead of rescanning every `Thr` per
+    /// step, repositioning just the stepped thread's key. The front of the
+    /// queue is always the scan's minimum, and every step runs below the
+    /// deadline, so the schedule is bit-identical to the reference scan.
     fn run_flat(mut self, sup: &mut dyn Supervisor) -> ExecResult {
         let injects = sup.injects_forced_releases();
-        // With no supervisor injection and no weak-lock timeouts, scheduling
-        // only changes at blocks/wakes/spawns — all of which set
-        // `sched_dirty`. That lets the hot path run off a small sorted
-        // ready-queue of (clock, id) keys instead of rescanning every `Thr`
-        // per step: rebuild on dirty, reposition just the stepped thread's
-        // key otherwise. The front of the queue is always the scan's
-        // minimum, so the schedule is bit-identical to the reference scan.
-        let queue_mode =
-            !(injects || (self.config.timeout_enabled && self.flat.has_weak_ops));
-        // Batch commit (DESIGN.md §13): when the supervisor also masks out
+        // Batch commit (DESIGN.md §13): when the supervisor masks out
         // per-op Load/Store happens-before events, runs of thread-local hot
         // ops have *no* per-op obligations beyond cost/clock/step
         // accounting, so the queue schedule can be driven from a tight
         // inner loop over the fused sidecar arena instead of the
         // step-dispatch path.
-        let batch_ok = queue_mode
-            && !self.wants_hb(EventKind::Load)
-            && !self.wants_hb(EventKind::Store);
+        let batch = !self.wants_hb(EventKind::Load) && !self.wants_hb(EventKind::Store);
         let mut queue: Vec<(u64, u32)> = Vec::new();
         loop {
             if let Some(outcome) = self.finished.take() {
@@ -1368,40 +1372,23 @@ impl<'p> Machine<'p> {
                 self.apply_injected_releases(sup);
             }
 
-            // One scan: best ready key, runner-up ready key, weak-blocked
-            // presence, all-done.
-            let mut best: Option<(u64, u32)> = None;
-            let mut second: Option<(u64, u32)> = None;
-            let mut any_weak_blocked = false;
+            // One scan: ready keys (sorted into the queue only in queue
+            // mode), timeout deadline, all-done.
+            queue.clear();
+            let mut deadline: Option<u64> = None;
             let mut all_done = true;
             for t in &self.threads {
-                match &t.state {
-                    TState::Ready => {
-                        all_done = false;
-                        let k = (t.clock, t.id.0);
-                        match best {
-                            Some(b) if k >= b => {
-                                if second.is_none_or(|s| k < s) {
-                                    second = Some(k);
-                                }
-                            }
-                            _ => {
-                                second = best;
-                                best = Some(k);
-                            }
-                        }
-                    }
-                    TState::Done => {}
-                    TState::Blocked(r) => {
-                        all_done = false;
-                        if matches!(r, BlockReason::Weak(..)) {
-                            any_weak_blocked = true;
-                        }
+                match t.state {
+                    TState::Ready => queue.push((t.clock, t.id.0)),
+                    TState::Done => continue,
+                    TState::Blocked(_) => {
+                        deadline = earliest(deadline, self.weak_expiry(t));
                     }
                 }
+                all_done = false;
             }
 
-            let Some((_, tid0)) = best else {
+            let Some(&(now, tid0)) = queue.iter().min() else {
                 if all_done {
                     let ret = self.main_ret;
                     return self.finish(Outcome::Exited(ret));
@@ -1411,106 +1398,77 @@ impl<'p> Machine<'p> {
                 }
                 return self.finish_deadlock();
             };
-            let tid = ThreadId(tid0);
-
-            if self.config.timeout_enabled {
-                let now = self.threads[tid.index()].clock;
-                if self.try_force_timed_out(sup, now) {
-                    continue;
-                }
-            }
-
-            if queue_mode {
-                queue.clear();
-                for t in &self.threads {
-                    if t.state == TState::Ready {
-                        queue.push((t.clock, t.id.0));
-                    }
-                }
-                queue.sort_unstable();
-                self.sched_dirty = false;
-                if batch_ok {
-                    if let Some(outcome) = self.run_queue_hot(sup, &mut queue) {
-                        return self.finish(outcome);
-                    }
-                    continue;
-                }
-                while let Some(&(_, id)) = queue.first() {
-                    let next = self.step_flat(sup, ThreadId(id));
-                    self.steps += 1;
-                    if self.steps > self.config.max_steps {
-                        return self.finish(Outcome::StepLimit);
-                    }
-                    if self.finished.is_some() || self.sched_dirty {
-                        break;
-                    }
-                    let Some(clock) = next else {
-                        // Blocked (a `Done` transition marks the scheduler
-                        // dirty and breaks above): drop it from the queue.
-                        queue.remove(0);
-                        continue;
-                    };
-                    // Only the stepped thread's clock moved: shift its key
-                    // right to its new sorted position (the queue is tiny —
-                    // one entry per ready thread).
-                    reposition_front(&mut queue, (clock, id));
-                }
+            if self.config.timeout_enabled && self.try_force_timed_out(sup, now) {
                 continue;
             }
 
-            // With a weak-lock waiter present and timeouts armed, the
-            // chosen thread's advancing clock can expire the waiter at any
-            // step, so the timeout scan must run per step: no burst.
-            let can_burst = !(injects || (self.config.timeout_enabled && any_weak_blocked));
-            self.sched_dirty = false;
-            loop {
-                let next = self.step_flat(sup, tid);
+            if injects {
+                self.step_flat(sup, ThreadId(tid0));
                 self.steps += 1;
                 if self.steps > self.config.max_steps {
                     return self.finish(Outcome::StepLimit);
                 }
-                if !can_burst || self.finished.is_some() || self.sched_dirty {
-                    break;
-                }
-                let Some(clock) = next else {
-                    break;
-                };
-                if let Some(s) = second {
-                    if (clock, tid.0) >= s {
-                        break;
-                    }
-                }
+                continue;
+            }
+            queue.sort_unstable();
+            self.sched_dirty = false;
+            if let Some(outcome) = self.run_queue(sup, &mut queue, deadline, batch) {
+                return self.finish(outcome);
             }
         }
     }
 
-    /// The batch-commit engine: drives the queue-mode schedule from a
-    /// tight cross-thread loop that runs the front thread through the
-    /// hot-run executor ([`run_hot`], inlined here) and accumulates
-    /// cost/clock/step accounting in locals, written back once on exit.
+    /// The earliest scheduler clock `now` at which
+    /// [`Self::try_force_timed_out`] forces `t`, i.e. the first with
+    /// `now - block_start > weak_timeout`. `None` unless timeouts are
+    /// armed and `t` waits on a weak lock (or when that clock overflows,
+    /// so no `now` reaches it).
+    fn weak_expiry(&self, t: &Thr) -> Option<u64> {
+        match t.state {
+            TState::Blocked(BlockReason::Weak(..)) if self.config.timeout_enabled => t
+                .block_start
+                .checked_add(self.config.weak_timeout)?
+                .checked_add(1),
+            _ => None,
+        }
+    }
+
+    /// Queue mode's engine: drives the schedule from a tight cross-thread
+    /// loop that runs the front thread through the hot-run executor
+    /// ([`run_hot`], inlined here) and accumulates cost/clock/step
+    /// accounting in locals, written back once on exit. Without `batch`
+    /// (a supervisor wants per-access events), every op is single-stepped
+    /// through [`Self::step_flat`] instead, against the same queue and
+    /// deadline.
     ///
-    /// Legality (DESIGN.md §13): queue mode already excludes supervisor
-    /// injection and weak-lock timeouts, and the caller additionally
-    /// requires that per-op `Load`/`Store` happens-before events are
-    /// masked out. Every op the executor retires is thread-local and
-    /// non-blocking (sync, I/O, calls, heap, weak ops and returns fall
-    /// out to [`Self::step_flat`]), so a retiring hot op's only
-    /// obligations are the commit itself — identical RNG draws included —
-    /// the step budget, and the scheduling bound against the runner-up
-    /// queue key. `pending_reacquire` is provably empty in queue mode
-    /// (forced releases require injection or timeouts), event emission
-    /// and checkpoint folds are inert, and block counts are maintained
-    /// by the executor. The observable execution is therefore
-    /// bit-identical to single-step dispatch; only the [`VmPerf`]
-    /// strategy counters differ.
+    /// Batch commit's legality (DESIGN.md §13): queue mode already
+    /// excludes supervisor injection, and `batch` requires that per-op
+    /// `Load`/`Store` happens-before events are masked out. Every op the
+    /// executor retires is thread-local and non-blocking (sync, I/O,
+    /// calls, heap, weak ops and returns fall out to [`Self::step_flat`]),
+    /// so a retiring hot op's only obligations are the commit itself —
+    /// identical RNG draws included — the step budget, and the scheduling
+    /// bound: the runner-up queue key or the weak-lock timeout `deadline`
+    /// key `(deadline, 0)`, whichever is earlier. Once the front key
+    /// reaches the deadline, control returns to the scan, which forces
+    /// the timed-out waiter exactly where the reference loop does. A
+    /// thread owing a forced reacquire (`pending_reacquire`) runs the
+    /// reacquire protocol instead of its next op, so it is single-stepped
+    /// through [`Self::step_flat`]. Event emission and checkpoint folds
+    /// are inert for hot ops, and block counts are maintained by the
+    /// executor. The observable execution is therefore bit-identical to
+    /// single-step dispatch; only the [`VmPerf`] strategy counters differ.
     ///
     /// Returns `Some(outcome)` when the run ends the execution (step
     /// limit); `None` hands control back to the scheduler loop (queue
-    /// empty, `finished` set, or `sched_dirty` after a cold op).
-    fn run_queue_hot(
+    /// empty, deadline reached, `finished` set, or `sched_dirty` after a
+    /// cold op).
+    fn run_queue(
         &mut self,
         sup: &mut dyn Supervisor,
         queue: &mut Vec<(u64, u32)>,
+        mut deadline: Option<u64>,
+        batch: bool,
     ) -> Option<Outcome> {
         let jitter = self.config.jitter;
         let count_blocks = self.config.count_blocks;
@@ -1524,85 +1482,95 @@ impl<'p> Machine<'p> {
         // must draw no RNG, or run-ahead would reorder the stream) and
         // block counting off (hot control flow must stay write-free
         // outside thread-local state).
-        let rounds_ok = jitter.period == 0 && !count_blocks;
+        let rounds_ok = batch && jitter.period == 0 && !count_blocks;
 
         let result = loop {
+            let Some(&(front, id)) = queue.first() else {
+                break None;
+            };
+            if deadline.is_some_and(|d| front >= d) {
+                // A weak-lock waiter timed out: the scan forces it.
+                break None;
+            }
             if rounds_ok && queue.len() >= 2 {
                 if self.spec.cooldown > 0 {
                     self.spec.cooldown -= 1;
-                } else if self.try_round(queue, &mut steps) {
+                } else if self.try_round(queue, &mut steps, deadline) {
                     continue;
                 }
             }
-            let Some(&(_, id)) = queue.first() else {
-                break None;
-            };
             let tix = id as usize;
-            debug_assert!(
-                self.threads[tix].pending_reacquire.is_empty(),
-                "queue mode excludes forced releases"
-            );
-            // One uninterrupted same-thread run. Disjoint field borrows:
-            // the thread's frame/clock/icount mutably, everything else
-            // (`flat`, `costs`, `mem`, `rng`, `block_counts`) through
-            // separate fields of `self`.
-            let (run, clock) = {
-                let Thr {
-                    frames,
-                    clock,
-                    icount,
-                    ..
-                } = &mut self.threads[tix];
-                let frame = frames.last_mut().expect("live thread has frames");
-                let fidx = frame.func.index();
-                let ctx = HotCtx {
-                    func: &self.flat.funcs[fidx],
-                    fcosts: &self.costs[fidx],
-                    id,
-                    bound: queue.get(1).copied(),
-                    jitter: (jitter.period > 0).then_some((&mut self.rng, jitter)),
-                    blocks: count_blocks.then(|| &mut self.block_counts[fidx][..]),
-                    budget: max_steps.saturating_sub(steps),
+            // One uninterrupted same-thread run of hot ops, skipped when
+            // batch commit is off or a forced reacquire is owed. A run that
+            // ends at a cold op falls through to the single step below, as
+            // does a skipped one.
+            if batch && self.threads[tix].pending_reacquire.is_empty() {
+                // Disjoint field borrows: the thread's frame/clock/icount
+                // mutably, everything else (`flat`, `costs`, `mem`, `rng`,
+                // `block_counts`) through separate fields of `self`.
+                let (run, clock) = {
+                    let Thr {
+                        frames,
+                        clock,
+                        icount,
+                        ..
+                    } = &mut self.threads[tix];
+                    let frame = frames.last_mut().expect("live thread has frames");
+                    let fidx = frame.func.index();
+                    let ctx = HotCtx {
+                        func: &self.flat.funcs[fidx],
+                        fcosts: &self.costs[fidx],
+                        id,
+                        bound: earliest(queue.get(1).copied(), deadline.map(|d| (d, 0))),
+                        jitter: (jitter.period > 0).then_some((&mut self.rng, jitter)),
+                        blocks: count_blocks.then(|| &mut self.block_counts[fidx][..]),
+                        budget: max_steps.saturating_sub(steps),
+                    };
+                    let run = run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem);
+                    (run, *clock)
                 };
-                let run = run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem);
-                (run, *clock)
-            };
-            steps += run.ops;
-            batched_ops += run.ops;
-            mem_ops += run.mem_ops;
-            fused_ops += run.fused;
-            if run.ops > 0 {
-                batch_runs += 1;
-            }
-            match run.end {
-                HotEnd::Cold => {
-                    // Single-step the cold op through the ordinary path —
-                    // byte-identical dispatch, including `StepEnd`
-                    // accounting and event emission.
-                    let next = self.step_flat(sup, ThreadId(id));
-                    steps += 1;
-                    if steps > max_steps {
-                        break Some(Outcome::StepLimit);
+                steps += run.ops;
+                batched_ops += run.ops;
+                mem_ops += run.mem_ops;
+                fused_ops += run.fused;
+                if run.ops > 0 {
+                    batch_runs += 1;
+                }
+                match run.end {
+                    HotEnd::Cold => {}
+                    HotEnd::Bound => {
+                        reposition_front(queue, (clock, id));
+                        continue;
                     }
-                    if self.finished.is_some() || self.sched_dirty {
+                    HotEnd::Trap(message) => {
+                        self.trap(ThreadId(id), message);
                         break None;
                     }
-                    match next {
-                        None => {
-                            // Blocked (a `Done` transition marks the
-                            // scheduler dirty and breaks above).
-                            queue.remove(0);
-                        }
-                        Some(clock) => reposition_front(queue, (clock, id)),
-                    }
+                    HotEnd::Limit => break Some(Outcome::StepLimit),
+                    HotEnd::Cap => unreachable!("batch runs have no cap"),
                 }
-                HotEnd::Bound => reposition_front(queue, (clock, id)),
-                HotEnd::Trap(message) => {
-                    self.trap(ThreadId(id), message);
-                    break None;
+            }
+            // Single-step the next op through the ordinary path —
+            // byte-identical dispatch, including `StepEnd` accounting and
+            // event emission.
+            let next = self.step_flat(sup, ThreadId(id));
+            steps += 1;
+            if steps > max_steps {
+                break Some(Outcome::StepLimit);
+            }
+            if self.finished.is_some() || self.sched_dirty {
+                break None;
+            }
+            match next {
+                None => {
+                    // Blocked (a `Done` transition marks the scheduler
+                    // dirty and breaks above). A new weak-lock waiter can
+                    // bring the deadline forward.
+                    let t = &self.threads[tix];
+                    deadline = earliest(deadline, self.weak_expiry(t));
+                    queue.remove(0);
                 }
-                HotEnd::Limit => break Some(Outcome::StepLimit),
-                HotEnd::Cap => unreachable!("batch runs have no cap"),
+                Some(clock) => reposition_front(queue, (clock, id)),
             }
         };
 
@@ -1627,7 +1595,12 @@ impl<'p> Machine<'p> {
     /// Returns `true` when the round committed ops (queue keys have been
     /// refreshed); `false` leaves the machine bit-exactly as before the
     /// call, apart from backoff bookkeeping.
-    fn try_round(&mut self, queue: &mut [(u64, u32)], steps: &mut u64) -> bool {
+    fn try_round(
+        &mut self,
+        queue: &mut [(u64, u32)],
+        steps: &mut u64,
+        deadline: Option<u64>,
+    ) -> bool {
         let n = queue.len() as u64;
         // Reserve the worst case up front so committed segments need no
         // per-op budget checks (a fused pair may straddle the cap).
@@ -1636,16 +1609,18 @@ impl<'p> Machine<'p> {
             return false;
         }
         self.prepare_round(queue);
-        // Earliest key among ready threads already sitting at a cold op:
-        // segments must stop strictly before it (the queue is sorted, so
-        // the first cold thread has the minimal cold key).
-        let bound0 = queue.iter().copied().find(|&(_, id)| {
-            let f = self.threads[id as usize]
-                .frames
-                .last()
-                .expect("live thread has frames");
-            !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
+        // Segments must stop strictly before the earliest key of a ready
+        // thread already sitting at a cold op or owing a forced reacquire
+        // (the queue is sorted, so the first such thread has the minimal
+        // key; its own segment retires nothing), and before the weak-lock
+        // timeout deadline.
+        let cold = queue.iter().copied().find(|&(_, id)| {
+            let t = &self.threads[id as usize];
+            let f = t.frames.last().expect("live thread has frames");
+            !t.pending_reacquire.is_empty()
+                || !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
         });
+        let bound0 = earliest(cold, deadline.map(|d| (d, 0)));
         let total = match self.round_direct(queue, bound0) {
             Some(total) => total,
             None => {
@@ -4408,7 +4383,7 @@ mod tests {
     #[test]
     fn step_limit_agrees_across_modes_mid_burst() {
         // The limit must trip at the same retired-instruction count even
-        // when the flat path is bursting a single runnable thread.
+        // when the flat path is batch-committing a single runnable thread.
         let p = compile("int main() { while (1) {} return 0; }").unwrap();
         let cfg = ExecConfig {
             max_steps: 1_000,

@@ -7,14 +7,17 @@
 //! same stats, same block counts — so this suite pins the two paths to
 //! byte-identical results across all nine paper workloads (over seeds and
 //! thread counts), weak-lock-instrumented programs with forced releases,
-//! record/replay round trips, and a generative sweep of racy programs.
+//! record/replay round trips, and a generative sweep of racy programs, a
+//! third of them instrumented and run under drawn weak-lock timeouts.
 //!
 //! The flat loop itself is layered — superinstruction fusion, batch
 //! commit, and the speculative segment rounds — and every layer is in
 //! scope here: the jitter-off cases run all of them against the
 //! reference interpreter, pinned bit-identical (results *and* replay
-//! logs) on all nine workloads, with the rounds required to engage on
-//! the workloads where they pay off.
+//! logs) on all nine workloads, original and instrumented, with batch
+//! commit required to engage everywhere, also while recording under
+//! armed weak-lock timeouts, and the rounds on the workloads where they
+//! pay off.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
@@ -54,11 +57,13 @@ fn assert_identical(flat: &ExecResult, refr: &ExecResult, label: &str) {
     );
 }
 
-/// Run both modes on one program/config and require identical results.
-fn check_program(p: &chimera_minic::ir::Program, cfg: &ExecConfig, label: &str) {
+/// Run both modes on one program/config and require identical results;
+/// returns the flat run.
+fn check_program(p: &chimera_minic::ir::Program, cfg: &ExecConfig, label: &str) -> ExecResult {
     let flat = execute_mode(p, cfg, InterpMode::Flat);
     let refr = execute_mode(p, cfg, InterpMode::Reference);
     assert_identical(&flat, &refr, label);
+    flat
 }
 
 /// All nine paper workloads, across seeds and worker counts, with full
@@ -137,9 +142,13 @@ fn spec_rounds_are_bit_identical_on_all_workloads() {
     }
 }
 
-/// Recording through the segment rounds must produce bit-identical replay
-/// logs: the committed sync/input/output order is the log, so any
-/// reordering the rounds allowed would surface here byte-for-byte.
+/// Recording through batch commit and the segment rounds must produce
+/// bit-identical replay logs: the committed sync/weak/input/output order
+/// is the log, so any reordering the engines allowed would surface here
+/// byte-for-byte. Each workload is recorded twice: the original program,
+/// and its weak-lock-instrumented version under `record`'s own config
+/// (weak ops logged, timeouts armed), where the engines run against the
+/// weak-lock timeout deadline.
 #[test]
 fn spec_round_replay_logs_are_bit_identical() {
     for w in all() {
@@ -156,28 +165,44 @@ fn spec_round_replay_logs_are_bit_identical() {
             log_input: true,
             ..ExecConfig::default()
         };
-        let record = |mode| {
-            let mut rec = chimera_replay::Recorder::default();
-            let r = chimera_runtime::execute_supervised_mode(&p, &cfg, &mut rec, mode);
-            (rec.logs, r)
+        let instrumented = analyze(&p, &PipelineConfig::default()).instrumented;
+        let rec_cfg = ExecConfig {
+            log_weak: true,
+            timeout_enabled: true,
+            ..cfg
         };
-        let (flat_logs, flat) = record(InterpMode::Flat);
-        let (ref_logs, refr) = record(InterpMode::Reference);
-        assert!(flat.outcome.is_exit(), "{}", w.name);
-        if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+        for (prog, cfg, what) in [
+            (&p, &cfg, "original"),
+            (&instrumented, &rec_cfg, "instrumented"),
+        ] {
+            let record = |mode| {
+                let mut rec = chimera_replay::Recorder::default();
+                let r = chimera_runtime::execute_supervised_mode(prog, cfg, &mut rec, mode);
+                (rec.logs, r)
+            };
+            let (flat_logs, flat) = record(InterpMode::Flat);
+            let (ref_logs, refr) = record(InterpMode::Reference);
+            assert!(flat.outcome.is_exit(), "{} {what}", w.name);
             assert!(
-                flat.stats.vm.spec_rounds > 0,
-                "{}: segment rounds never engaged while recording",
+                flat.stats.vm.batched_ops > 0,
+                "{} {what}: batch commit never engaged while recording",
                 w.name
             );
+            if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+                assert!(
+                    flat.stats.vm.spec_rounds > 0,
+                    "{} {what}: segment rounds never engaged while recording",
+                    w.name
+                );
+            }
+            assert_eq!(
+                flat_logs.to_bytes(),
+                ref_logs.to_bytes(),
+                "{} {what}: serialized replay logs diverged between flat and reference",
+                w.name
+            );
+            assert_identical(&flat, &refr, &format!("{} {what} recording", w.name));
         }
-        assert_eq!(
-            flat_logs.to_bytes(),
-            ref_logs.to_bytes(),
-            "{}: serialized replay logs diverged between flat and reference",
-            w.name
-        );
-        assert_identical(&flat, &refr, &format!("{} recording", w.name));
     }
 }
 
@@ -186,33 +211,58 @@ const RACY: &str = "int g;
         for (i = 0; i < 120; i = i + 1) { x = g; g = x + v; } }
     int main() { int t; t = spawn(w, 1); w(2); join(t); print(g); return 0; }";
 
-/// A weak-lock-instrumented program under recording costs, with the
+/// Two workers contend for a loop-locked array while a third thread runs
+/// lock-free hot code, so with jitter off the segment rounds run while a
+/// waiter's timeout is pending and while a preempted holder owes its
+/// reacquire.
+const LOOP_LOCKED: &str = "int arr[64];
+    void contend(int v) { int i; int r;
+        for (r = 0; r < 12; r = r + 1) {
+            for (i = 0; i < 64; i = i + 1) { arr[i] = arr[i] + v; } } }
+    void solo(int v) { int i; int s; s = 0;
+        for (i = 0; i < 6000; i = i + 1) { s = s + i * v; }
+        print(s); }
+    int main() { int a; int b; int c;
+        a = spawn(contend, 1); b = spawn(contend, 2); c = spawn(solo, 3);
+        join(a); join(b); join(c); print(arr[5]); return 0; }";
+
+/// Weak-lock-instrumented programs under recording costs, with the
 /// timeout set low enough to force releases — the protocol's every edge
-/// (grant, cancel, reacquire) must behave identically in both loops.
+/// (grant, cancel, reacquire) must behave identically in both loops, with
+/// and without jitter (and so with and without the segment rounds).
 #[test]
 fn instrumented_program_with_forced_releases_agrees() {
-    let p = compile(RACY).unwrap();
-    let a = analyze(&p, &PipelineConfig::default());
-    assert!(a.instrumented.weak_locks > 0, "expected instrumentation");
-    for (timeout, label) in [(500_000, "calm"), (2_000, "forcing")] {
-        for seed in [3, 77] {
-            let cfg = ExecConfig {
-                seed,
-                collect_trace: true,
-                log_sync: true,
-                log_weak: true,
-                log_input: true,
-                timeout_enabled: true,
-                weak_timeout: timeout,
-                ..ExecConfig::default()
-            };
-            check_program(
-                &a.instrumented,
-                &cfg,
-                &format!("instrumented {label} seed={seed}"),
-            );
+    let mut forced_in_rounds = false;
+    for (name, src, forcing) in [("racy", RACY, 2_000), ("loop-locked", LOOP_LOCKED, 300)] {
+        let p = compile(src).unwrap();
+        let a = analyze(&p, &PipelineConfig::default());
+        assert!(a.instrumented.weak_locks > 0, "{name}: expected instrumentation");
+        for (timeout, label) in [(500_000, "calm"), (forcing, "forcing")] {
+            for jitter in [Jitter::default(), Jitter::none()] {
+                for seed in [3, 77] {
+                    let cfg = ExecConfig {
+                        seed,
+                        jitter,
+                        collect_trace: true,
+                        log_sync: true,
+                        log_weak: true,
+                        log_input: true,
+                        timeout_enabled: true,
+                        weak_timeout: timeout,
+                        ..ExecConfig::default()
+                    };
+                    let flat = check_program(
+                        &a.instrumented,
+                        &cfg,
+                        &format!("{name} {label} jitter={} seed={seed}", jitter.period),
+                    );
+                    forced_in_rounds |=
+                        flat.stats.forced_releases > 0 && flat.stats.vm.spec_rounds > 0;
+                }
+            }
         }
     }
+    assert!(forced_in_rounds, "no run forced a release with segment rounds engaged");
 }
 
 /// Record under one mode, replay under the other (both pairings): the
@@ -333,24 +383,24 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
 /// (see [`engine_line`]), at 4 workers and seed 42.
 #[rustfmt::skip]
 const ENGINE_PINS: &[(&str, [u64; 5])] = &[
-    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0x7a2264a1e2344873]),
-    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0x1cc81a2fb4c68ac7]),
-    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x8dd52409440dc9d5]),
-    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd3679f796f96564f]),
-    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x235f32c785dccced]),
-    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xa9fd9467575fe9a2]),
-    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0x6fc163092337d928]),
-    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xfc26a8a0440ab2e9]),
-    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x61b52f5fbf057518]),
-    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x5e2cfbeaf4c233b2]),
-    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x8d3837ded89610da]),
-    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xaa49cb2fe5ff695a]),
-    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x77e5f2235afc33c1]),
-    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0x58366ab0930183f0]),
-    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0x1146619152309bc0]),
-    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0xfa885b61c6fbc66a]),
-    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x23663d3ab7418912]),
-    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0xa5ee2d793905cd97]),
+    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0xd8282e1ebb99e8e9]),
+    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0xf6d68500184fb298]),
+    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x7101939423a95d61]),
+    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd4a00d3e0fb20773]),
+    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x691658e7ed136eb7]),
+    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xee13efb3c4b8bd8c]),
+    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0xec72d7c3c4f0f12e]),
+    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xe9b2befee0708eb5]),
+    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x0ceeb496aba649c9]),
+    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x3ef643afc989e2da]),
+    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x87d459a9b96c9a2e]),
+    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xddd8cc6902724b5a]),
+    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x4329ffd85cca9b1e]),
+    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0xcbd3f4967806afce]),
+    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0xc3c0396c0a765456]),
+    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0x221f06ce0f5fed8f]),
+    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x2c73c0d0b1a41c1e]),
+    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0x20384978554acf10]),
 ];
 
 fn fnv64(s: &str) -> u64 {
@@ -523,6 +573,11 @@ struct VmCase {
     sched: SchedStrategy,
     /// Jitter off lets the speculative segment rounds engage.
     jitter_off: bool,
+    /// When set, the case runs the program's weak-lock-instrumented
+    /// version under recording costs with this timeout, at baseline
+    /// scheduling: batch commit and the rounds then run against the
+    /// timeout deadline, and small timeouts force releases.
+    weak_timeout: Option<u64>,
 }
 
 fn render_program(case: &VmCase) -> String {
@@ -594,13 +649,17 @@ fn case_gen() -> Gen<VmCase> {
             },
         },
         jitter_off: s.bool(),
+        // Drawn last, so the other fields of every case stay as before.
+        weak_timeout: (s.int(0u8..3) == 0).then(|| s.int(10u64..2_000)),
     })
 }
 
-fn check_modes_agree(case: &VmCase) -> Result<(), String> {
+/// Run `case` in both modes and require identical results; returns the
+/// flat run.
+fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
     let src = render_program(case);
-    let p = compile(&src).expect("generated source is valid MiniC");
-    let cfg = ExecConfig {
+    let mut p = compile(&src).expect("generated source is valid MiniC");
+    let mut cfg = ExecConfig {
         seed: case.seed,
         collect_trace: case.collect_trace,
         // Block counting disables the speculative segment engine, so only
@@ -616,30 +675,74 @@ fn check_modes_agree(case: &VmCase) -> Result<(), String> {
         sched: case.sched,
         ..ExecConfig::default()
     };
+    if let Some(timeout) = case.weak_timeout {
+        p = analyze(&p, &PipelineConfig::default()).instrumented;
+        cfg = ExecConfig {
+            sched: SchedStrategy::ClockJitter,
+            log_sync: true,
+            log_weak: true,
+            log_input: true,
+            timeout_enabled: true,
+            weak_timeout: timeout,
+            // Small timeouts can hand loop locks back and forth without
+            // end; both modes must stop at the same step.
+            max_steps: 200_000,
+            ..cfg
+        };
+    }
+    let identical = |a: &ExecResult, b: &ExecResult| {
+        a.outcome == b.outcome
+            && a.output == b.output
+            && a.state_hash == b.state_hash
+            && a.makespan == b.makespan
+            && a.stats == b.stats
+            && a.trace == b.trace
+            && a.block_counts == b.block_counts
+    };
     let flat = execute_mode(&p, &cfg, InterpMode::Flat);
     let refr = execute_mode(&p, &cfg, InterpMode::Reference);
     chimera_testkit::prop_assert!(
-        flat.outcome == refr.outcome
-            && flat.output == refr.output
-            && flat.state_hash == refr.state_hash
-            && flat.makespan == refr.makespan
-            && flat.stats == refr.stats
-            && flat.trace == refr.trace
-            && flat.block_counts == refr.block_counts,
+        identical(&flat, &refr),
         "modes diverged (flat {:?} vs reference {:?}) for:\n{src}",
         flat.outcome,
         refr.outcome
     );
-    Ok(())
+    if case.weak_timeout.is_some() {
+        // The race detector's per-access feed keeps batch commit off, so
+        // this run takes the single-step queue loop to the same deadline.
+        let attached = chimera_drd::detect_mode(&p, &cfg, InterpMode::Flat).result;
+        chimera_testkit::prop_assert!(
+            identical(&attached, &flat),
+            "detector attached diverged ({:?} vs {:?}) for:\n{src}",
+            attached.outcome,
+            flat.outcome
+        );
+    }
+    Ok(flat)
 }
 
-/// 64+ generated multithreaded programs execute identically in both modes.
+/// 64+ generated multithreaded programs execute identically in both modes,
+/// and some timeout case forces a release with batch commit engaged.
 #[test]
 fn generated_programs_agree_across_modes() {
+    let cfg = Config::from_env().with_cases(64);
+    let forced_and_batched = std::cell::Cell::new(0u32);
     prop::check_config(
-        &Config::from_env().with_cases(64),
+        &cfg,
         "generated_programs_agree_across_modes",
         &case_gen(),
-        check_modes_agree,
+        |case| {
+            let flat = check_modes_agree(case)?;
+            if flat.stats.forced_releases > 0 && flat.stats.vm.batched_ops > 0 {
+                forced_and_batched.set(forced_and_batched.get() + 1);
+            }
+            Ok(())
+        },
     );
+    if cfg.replay_seed.is_none() {
+        assert!(
+            forced_and_batched.get() > 0,
+            "no case forced a weak-lock release with batch commit engaged"
+        );
+    }
 }
