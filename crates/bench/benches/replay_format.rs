@@ -13,7 +13,8 @@
 //!
 //! Recording is timed twice — checkpointing off (`record_with(.., 0)`)
 //! and on (`record`, every `CHUNK_EVENTS`) — to bound the digest-folding
-//! overhead.
+//! overhead. Each timing is a median and a p95 over the samples, and
+//! every JSON row names the host's core count.
 //!
 //! Runs as a plain binary: `cargo bench --bench replay_format`.
 //! `CHIMERA_BENCH_SAMPLES` / `CHIMERA_BENCH_WARMUP` control iterations;
@@ -47,8 +48,9 @@ fn env_n(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Median wall time of `samples` runs of `f`, in nanoseconds.
-fn median_ns(samples: usize, warmup: usize, mut f: impl FnMut()) -> u128 {
+/// Median and 95th-percentile wall time of `samples` runs of `f`, in
+/// nanoseconds (the percentile picks of `chimera_testkit::bench`).
+fn timing_ns(samples: usize, warmup: usize, mut f: impl FnMut()) -> (u128, u128) {
     for _ in 0..warmup {
         f();
     }
@@ -60,7 +62,8 @@ fn median_ns(samples: usize, warmup: usize, mut f: impl FnMut()) -> u128 {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    let pick = |q: usize| times[(times.len() - 1) * q / 100];
+    (pick(50), pick(95))
 }
 
 struct Row {
@@ -70,8 +73,9 @@ struct Row {
     checkpoints: usize,
     v1_bytes: usize,
     v2_bytes: usize,
-    record_plain_ns: u128,
-    record_ckpt_ns: u128,
+    /// `(median, p95)` record times, checkpointing off and on.
+    record_plain_ns: (u128, u128),
+    record_ckpt_ns: (u128, u128),
 }
 
 fn main() {
@@ -102,10 +106,10 @@ fn main() {
             v1,
             events
         );
-        let record_plain_ns = median_ns(samples, warmup, || {
+        let record_plain_ns = timing_ns(samples, warmup, || {
             record_with(p, &exec, 0);
         });
-        let record_ckpt_ns = median_ns(samples, warmup, || {
+        let record_ckpt_ns = timing_ns(samples, warmup, || {
             record(p, &exec);
         });
         let row = Row {
@@ -129,21 +133,26 @@ fn main() {
             row.v2_bytes,
             row.v2_bytes as f64 / events as f64,
             row.v1_bytes as f64 / row.v2_bytes as f64,
-            record_plain_ns as f64 / 1e6,
-            record_ckpt_ns as f64 / 1e6,
+            record_plain_ns.0 as f64 / 1e6,
+            record_ckpt_ns.0 as f64 / 1e6,
         );
         rows.push(row);
     }
 
     if let Some(path) = std::env::var_os("CHIMERA_BENCH_JSON") {
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut json = String::from("[\n");
         for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "  {{\"name\": \"replay_format/{}\", \"events\": {}, \"chunks\": {}, \
+                "  {{\"name\": \"replay_format/{}\", \"host_cores\": {}, \"samples\": {}, \
+                 \"events\": {}, \"chunks\": {}, \
                  \"checkpoints\": {}, \"v1_bytes\": {}, \"v2_bytes\": {}, \
                  \"v1_bytes_per_event\": {:.3}, \"v2_bytes_per_event\": {:.3}, \
-                 \"record_plain_ns\": {}, \"record_ckpt_ns\": {}}}{}\n",
+                 \"record_plain_ns\": {}, \"record_plain_p95_ns\": {}, \
+                 \"record_ckpt_ns\": {}, \"record_ckpt_p95_ns\": {}}}{}\n",
                 r.name,
+                host_cores,
+                samples.max(1),
                 r.events,
                 r.chunks,
                 r.checkpoints,
@@ -151,8 +160,10 @@ fn main() {
                 r.v2_bytes,
                 r.v1_bytes as f64 / r.events as f64,
                 r.v2_bytes as f64 / r.events as f64,
-                r.record_plain_ns,
-                r.record_ckpt_ns,
+                r.record_plain_ns.0,
+                r.record_plain_ns.1,
+                r.record_ckpt_ns.0,
+                r.record_ckpt_ns.1,
                 if i + 1 < rows.len() { "," } else { "" },
             ));
         }
