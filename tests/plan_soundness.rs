@@ -11,13 +11,16 @@
 //! The suite gathers each workload's evidence once (`certified()`):
 //! the full default sweep — {jitter, PCT, preempt-bound} × seeds
 //! {1, 2, 3} — feeds `demote`, and every test then drills into the
-//! resulting plan from a different angle.
+//! resulting plan from a different angle. The evidence itself is pinned
+//! byte for byte (`.chev` digest and length per workload), so a change to
+//! how the sweep executes cannot move a single cell's verdict, order
+//! hash, preemption count or state hash unnoticed.
 
 use chimera::{analyze, demote, gather_evidence, verify_under_plan, Analysis, PipelineConfig};
 use chimera_fleet::cell::{resolve_strategy, run_cell};
 use chimera_minic::ir::Program;
 use chimera_minic::pretty::program_to_string;
-use chimera_plan::{apply_plan, CertifiedPlan, GatherConfig, Thresholds};
+use chimera_plan::{apply_plan, CertifiedPlan, Evidence, GatherConfig, Thresholds};
 use chimera_runtime::{execute, execute_mode, ExecConfig, InterpMode, SchedStrategy};
 use chimera_workloads::all;
 use std::sync::OnceLock;
@@ -25,6 +28,7 @@ use std::sync::OnceLock;
 struct Certified {
     name: &'static str,
     analysis: Analysis,
+    evidence: Evidence,
     plan: CertifiedPlan,
     planned: Program,
 }
@@ -60,12 +64,63 @@ fn certified() -> &'static [Certified] {
                 Certified {
                     name: w.name,
                     analysis,
+                    evidence: ev,
                     plan,
                     planned,
                 }
             })
             .collect()
     })
+}
+
+/// `(workload, fnv64 of the evidence's to_bytes(), byte length)` as
+/// committed, for the default sweep `certified()` gathers.
+#[rustfmt::skip]
+const EVIDENCE_PINS: &[(&str, u64, usize)] = &[
+    ("aget", 0xef0c7cc009b265e6, 372),
+    ("pfscan", 0xba567d168fee3fc0, 382),
+    ("pbzip2", 0x34541ba928dbf906, 377),
+    ("knot", 0x55f2dce852e05668, 376),
+    ("apache", 0xda9a64bd41e9ae85, 389),
+    ("ocean", 0x9c61846cf0d6146e, 418),
+    ("water", 0xdbe6f8b7e3407ba6, 447),
+    ("fft", 0x875a91bb6b79f789, 392),
+    ("radix", 0x310a94778e885c6a, 394),
+];
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every workload's sweep evidence is byte-identical to the committed
+/// `.chev` digest: each cell's clean verdict, order and prefix hashes,
+/// preemption and forced-release counts, state hash and detector
+/// verdicts, plus the confirmed pairs and the segment certificate.
+#[test]
+fn workload_evidence_matches_committed_digests() {
+    let actual: Vec<(&str, Vec<u8>)> = certified()
+        .iter()
+        .map(|c| (c.name, c.evidence.to_bytes()))
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(n, b)| format!("    (\"{n}\", {:#018x}, {}),\n", fnv64(b), b.len()))
+        .collect();
+    let names: Vec<&str> = actual.iter().map(|(n, _)| *n).collect();
+    let pinned: Vec<&str> = EVIDENCE_PINS.iter().map(|(n, _, _)| *n).collect();
+    assert_eq!(names, pinned, "workload set changed; current digests:\n{table}");
+    let moved: Vec<&str> = actual
+        .iter()
+        .zip(EVIDENCE_PINS)
+        .filter(|((_, b), &(_, digest, len))| fnv64(b) != digest || b.len() != len)
+        .map(|((n, _), _)| *n)
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "evidence bytes moved: {moved:?}\ncurrent digests:\n{table}"
+    );
 }
 
 fn hostile_strategies(instrs: u64) -> [SchedStrategy; 3] {
