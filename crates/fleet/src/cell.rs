@@ -3,9 +3,9 @@
 //! the stable keying that makes cells addressable across processes.
 //!
 //! [`run_cell`] is the single shared per-cell body — record under a
-//! hostile strategy, replay the recording under a *different* seed of the
-//! same strategy, verify observable equivalence, re-run with the
-//! single-holder probe and order hasher attached, optionally cross-check
+//! hostile strategy with the single-holder probe and order hasher
+//! observing the recording, replay it under a *different* seed of the
+//! same strategy, verify observable equivalence, optionally cross-check
 //! FastTrack. [`Grid`] is the single sweep over it: one baseline run per
 //! program, each strategy resolved once, cells mapped over
 //! `chimera_runtime::par_map`. `chimera::explore` (one-process sweeps),
@@ -25,10 +25,10 @@ use chimera_drd::detect;
 use chimera_minic::ir::{AccessId, Program};
 use chimera_minic::pretty::program_to_string;
 use chimera_replay::wire::fnv64;
-use chimera_replay::{record, replay, verify_determinism};
+use chimera_replay::{record_observed, replay, verify_determinism};
 use chimera_runtime::{
-    execute, execute_supervised, par_map, Event, EventKind, EventMask, ExecConfig, ExecResult,
-    SchedStrategy, SingleHolderProbe, Supervisor,
+    execute, par_map, Event, EventKind, EventMask, ExecConfig, SchedStrategy, SingleHolderProbe,
+    Supervisor,
 };
 use std::collections::BTreeSet;
 
@@ -189,9 +189,10 @@ pub fn replay_seed(seed: u64) -> u64 {
     seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)
 }
 
-/// Run one exploration cell: record under `(sched, seed)`, hostile-replay
-/// under [`replay_seed`] with the same strategy, verify, probe the
-/// single-holder invariant while hashing the order stream, and (with
+/// Run one exploration cell: record under `(sched, seed)` while probing
+/// the single-holder invariant and hashing the order stream,
+/// hostile-replay under [`replay_seed`] with the same strategy, verify,
+/// and (with
 /// `check_drd`) run FastTrack on the program and, given `drd_cross`, on
 /// its uninstrumented original, splitting that run's racy pairs by
 /// `drd_cross`'s static pairs.
@@ -214,7 +215,10 @@ pub fn run_cell(
         sched,
         ..*exec
     };
-    let rec = record(program, &run_cfg);
+    // The probe and order hasher observe the recording itself, so they
+    // see exactly the recorded schedule.
+    let mut obs = ScheduleObserver::default();
+    let rec = record_observed(program, &run_cfg, &mut obs);
     // Hostile replay: same adversarial strategy, different seed. The
     // recorded order must still fully determine the run.
     let rep = replay(
@@ -226,22 +230,6 @@ pub fn run_cell(
         },
     );
     let verdict = verify_determinism(&rec.result, &rep.result);
-    // Probe run: replicate the record configuration exactly (log-cost
-    // flags change virtual-time costs, so only an identically-configured
-    // run revisits the recorded schedule) with the invariant probe and
-    // order hasher attached.
-    let mut obs = ScheduleObserver::default();
-    let probe_result: ExecResult = execute_supervised(
-        program,
-        &ExecConfig {
-            log_sync: true,
-            log_weak: true,
-            log_input: true,
-            timeout_enabled: true,
-            ..run_cfg
-        },
-        &mut obs,
-    );
     let drd_races = check_drd.then(|| detect(program, &run_cfg).report.pairs.len());
     let (drd_confirmed, drd_unpredicted) = drd_cross
         .filter(|_| check_drd)
@@ -256,7 +244,7 @@ pub fn run_cell(
         equivalent: verdict.equivalent,
         differences: verdict.differences,
         violations: std::mem::take(&mut obs.probe.violations),
-        preemptions: probe_result.stats.sched_preemptions,
+        preemptions: rec.result.stats.sched_preemptions,
         forced_releases: rec.result.stats.forced_releases,
         order_hash: obs.order_hash,
         prefix_hash: obs.prefix_hash,

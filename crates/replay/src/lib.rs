@@ -42,7 +42,7 @@ pub mod verify;
 pub mod wire;
 
 pub use logs::{compressed_estimate, Checkpoint, JournalEvent, LogSuffix, ReplayLogs, CHUNK_EVENTS};
-pub use record::{record, record_with, Recorder, Recording};
+pub use record::{record, record_observed, record_with, Recorder, Recording};
 pub use replayer::{replay, replay_bisect, BisectReplay, ReplayRun, Replayer};
 pub use verify::{
     localize_divergence, verify_determinism, verify_with_bisection, DeterminismReport, Divergence,

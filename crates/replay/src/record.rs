@@ -31,18 +31,80 @@ pub fn record(program: &Program, base: &ExecConfig) -> Recording {
 /// checkpointing entirely — the baseline the format benchmark times
 /// checkpoint folding against).
 pub fn record_with(program: &Program, base: &ExecConfig, ckpt_every: u64) -> Recording {
-    let config = ExecConfig {
+    let mut rec = Recorder::with_interval(ckpt_every);
+    let result = execute_supervised(program, &record_config(base), &mut rec);
+    Recording {
+        logs: rec.logs,
+        result,
+    }
+}
+
+/// [`record`] with `observer` attached beside the [`Recorder`]: the
+/// observer sees the recorded execution itself, so it needs no second
+/// run to revisit the recorded schedule. The event mask is the union of
+/// both sides', and each event reaches each side whose mask holds it.
+/// Only `on_event` is forwarded to the observer: it observes, it does not
+/// gate, inject or checkpoint.
+pub fn record_observed(
+    program: &Program,
+    base: &ExecConfig,
+    observer: &mut dyn Supervisor,
+) -> Recording {
+    let rec = Recorder::default();
+    let mut sup = Observed {
+        rec_mask: rec.event_mask(),
+        rec,
+        obs_mask: observer.event_mask(),
+        obs: observer,
+    };
+    let result = execute_supervised(program, &record_config(base), &mut sup);
+    Recording {
+        logs: sup.rec.logs,
+        result,
+    }
+}
+
+/// `base` with all log-cost accounting on (`log_sync`, `log_weak`,
+/// `log_input`) and weak-lock timeouts armed: the configuration every
+/// recording runs under.
+fn record_config(base: &ExecConfig) -> ExecConfig {
+    ExecConfig {
         log_sync: true,
         log_weak: true,
         log_input: true,
         timeout_enabled: true,
         ..*base
-    };
-    let mut sup = Recorder::with_interval(ckpt_every);
-    let result = execute_supervised(program, &config, &mut sup);
-    Recording {
-        logs: sup.logs,
-        result,
+    }
+}
+
+/// A [`Recorder`] with an extra observer (see [`record_observed`]).
+struct Observed<'a> {
+    rec: Recorder,
+    rec_mask: EventMask,
+    obs: &'a mut dyn Supervisor,
+    obs_mask: EventMask,
+}
+
+impl Supervisor for Observed<'_> {
+    fn event_mask(&self) -> EventMask {
+        self.rec_mask.union(self.obs_mask)
+    }
+
+    fn checkpoint_interval(&self) -> u64 {
+        self.rec.checkpoint_interval()
+    }
+
+    fn on_checkpoint(&mut self, events: u64, state_hash: u64) {
+        self.rec.on_checkpoint(events, state_hash);
+    }
+
+    fn on_event(&mut self, ev: &Event) {
+        if self.rec_mask.contains(ev.kind()) {
+            self.rec.on_event(ev);
+        }
+        if self.obs_mask.contains(ev.kind()) {
+            self.obs.on_event(ev);
+        }
     }
 }
 

@@ -401,7 +401,7 @@ impl HotMem for DirectSeg<'_> {
 #[derive(Debug, Default)]
 enum HotEnd {
     /// Reached an op the executor does not retire (sync, call, return,
-    /// heap, I/O, weak).
+    /// heap, I/O, weak, or an access under [`HotCtx::cold_access`]).
     #[default]
     Cold,
     /// The thread's `(clock, id)` key reached the run's bound.
@@ -432,7 +432,7 @@ struct HotRun {
     end: HotEnd,
 }
 
-/// Inputs of one hot run of thread `id`. The last three are batch
+/// Inputs of one hot run of thread `id`. The last four are batch
 /// commit's: a segment leaves them inert, and its executor instance
 /// never reads them.
 struct HotCtx<'a> {
@@ -443,23 +443,29 @@ struct HotCtx<'a> {
     /// it is the runner-up queue key; for a segment, the earliest key of a
     /// ready thread that must single-step next when the round began (its
     /// memory footprint is not validated against segments). Both are
-    /// capped by the weak-lock timeout deadline key `(deadline, 0)`.
+    /// capped by the weak-lock timeout deadline key `(deadline, 0)`, which
+    /// is all that bounds a strategy-loop run.
     bound: Option<(u64, u32)>,
     /// Jitter source, when jitter is on.
     jitter: Option<(&'a mut Rng, Jitter)>,
     /// The running function's block counters, when counting.
     blocks: Option<&'a mut [u64]>,
-    /// Ops the step limit still allows.
+    /// Ops the step limit (or the scheduler's horizon) still allows.
     budget: u64,
+    /// Someone must see each access: the supervisor wants per-access
+    /// `Load`/`Store` events, or the scheduler classifies boundaries. A
+    /// load or store then ends the run as cold (a fused one after its
+    /// first half commits), and the machine single-steps it.
+    cold_access: bool,
 }
 
-/// The hot-run executor behind batch commit and the speculative segment
-/// rounds (DESIGN.md §13): retire one thread's plain and fused sidecar
-/// ops until a cold op, the `(clock, id)` bound, the step budget, or —
-/// segments only — [`SEG_CAP`]. A fused pair commits twice, with the
-/// budget and bound re-checked between its constituents (a mid-pair stop
-/// rests at `pc + 1`, where the sidecar holds the plain second op); the
-/// cap is only checked between whole ops.
+/// The hot-run executor behind batch commit, the strategy loop's runs
+/// and the speculative segment rounds (DESIGN.md §13): retire one
+/// thread's plain and fused sidecar ops until a cold op, the `(clock,
+/// id)` bound, the step budget, or — segments only — [`SEG_CAP`]. A
+/// fused pair commits twice, with the budget and bound re-checked between
+/// its constituents (a mid-pair stop rests at `pc + 1`, where the sidecar
+/// holds the plain second op); the cap is only checked between whole ops.
 ///
 /// `SEG` fixes the segment rules at compile time: no jitter draw, no
 /// block counts, the cap, and no budget check (the round reserved its
@@ -484,6 +490,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
         mut jitter,
         mut blocks,
         budget,
+        cold_access,
     } = ctx;
     let mut run = HotRun::default();
     // One constituent's commit: identical arithmetic and RNG draw order
@@ -542,10 +549,19 @@ fn run_hot<M: HotMem, const SEG: bool>(
             check!();
         }};
     }
+    // An access someone must see ends the run before it executes.
+    macro_rules! access {
+        () => {
+            if !SEG && cold_access {
+                break HotEnd::Cold;
+            }
+        };
+    }
     // Second constituent of the fused load or store at `$pc`, whose
     // first constituent computed address `$a`.
     macro_rules! then_load {
         ($pc:expr, $dst:expr, $a:expr) => {{
+            access!();
             frame.regs[$dst.index()] = ok!(mem.load($a));
             frame.pc += 1;
             run.mem_ops += 1;
@@ -555,6 +571,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
     }
     macro_rules! then_store {
         ($pc:expr, $a:expr, $val:expr) => {{
+            access!();
             ok!(mem.store($a, frame.get($val)));
             frame.pc += 1;
             run.mem_ops += 1;
@@ -617,12 +634,14 @@ fn run_hot<M: HotMem, const SEG: bool>(
                     commit!(fcosts[pc]);
                 }
                 FlatOp::Load { dst, addr, .. } => {
+                    access!();
                     frame.regs[dst.index()] = ok!(mem.load(frame.get(addr)));
                     frame.pc += 1;
                     run.mem_ops += 1;
                     commit!(fcosts[pc]);
                 }
                 FlatOp::Store { addr, val, .. } => {
+                    access!();
                     ok!(mem.store(frame.get(addr), frame.get(val)));
                     frame.pc += 1;
                     run.mem_ops += 1;
@@ -1186,10 +1205,10 @@ impl<'p> Machine<'p> {
         if self.config.collect_trace {
             self.trace.reserve(1024);
         }
-        // Non-baseline strategies drive both modes through one shared
-        // per-step loop, so a (strategy, seed) pair is bit-identical
-        // across interpreters by construction (and none of the flat
-        // fast paths — queue, batch, segment rounds — ever engage).
+        // Non-baseline strategies drive both modes through the strategy
+        // loop, which keeps a (strategy, seed) pair bit-identical across
+        // interpreters; neither the ready queue nor the segment rounds
+        // engage there.
         if !self.config.sched.is_baseline() {
             return self.run_strategy(sup);
         }
@@ -1199,21 +1218,37 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The strategy scheduling loop (see [`crate::sched`]): per step the
-    /// pluggable scheduler picks among ready threads, the mode-specific
-    /// stepper executes one op, and the scheduler observes the retired
-    /// step (with a boundary classification read from the pre-decoded
-    /// code, which both modes share). Everything else — injected
-    /// releases, timeout scans, deadlock resolution — mirrors
-    /// [`Machine::run_reference`] exactly.
+    /// The strategy scheduling loop (see [`crate::sched`]): per decision
+    /// the pluggable scheduler picks among ready threads, the picked
+    /// thread runs, and the scheduler observes the retired steps (with a
+    /// boundary classification read from the pre-decoded code, which both
+    /// modes share). Everything else — injected releases, timeout scans,
+    /// deadlock resolution — mirrors [`Machine::run_reference`] exactly.
+    ///
+    /// The reference interpreter, and the flat one under a supervisor
+    /// that injects forced releases, take one step per decision. The flat
+    /// interpreter otherwise runs the picked thread through the hot-run
+    /// executor until the pick can change: no hot op blocks, wakes or
+    /// spawns, so the ready set is fixed, and the run stops at a cold op,
+    /// at the weak-lock timeout deadline key `(deadline, 0)`, at the step
+    /// limit, and at the scheduler's [`Scheduler::horizon`]. While the
+    /// scheduler classifies boundaries or the supervisor wants
+    /// per-access events, accesses are cold and single-stepped. One
+    /// `note_step` then covers the run: PCT changes priorities only at
+    /// its change points, which the horizon lands on exactly, and
+    /// preemption-bounded acts only at boundaries. A trap inside a run
+    /// counts as a step and gets its `note_step`, as in the per-step loop.
     ///
     /// Strategies draw from their own salted RNG stream, so the jitter
     /// draws in [`Machine::commit_ok`] are untouched; the only difference
     /// from the baseline loops is *which* ready thread runs.
+    ///
+    /// [`Scheduler::horizon`]: crate::sched::Scheduler::horizon
     fn run_strategy(mut self, sup: &mut dyn Supervisor) -> ExecResult {
         let injects = sup.injects_forced_releases();
         let mut sched = self.config.sched.build(self.config.seed);
-        let wants_boundaries = sched.wants_boundaries();
+        let hot = self.mode == InterpMode::Flat && !injects;
+        let feed = self.wants_hb(EventKind::Load) || self.wants_hb(EventKind::Store);
         let outcome = loop {
             if let Some(outcome) = self.finished.take() {
                 break outcome;
@@ -1250,7 +1285,51 @@ impl<'p> Machine<'p> {
                 }
             }
 
-            let boundary = wants_boundaries && self.at_boundary(tid);
+            let boundaries = sched.wants_boundaries();
+            if hot && self.threads[tid.index()].pending_reacquire.is_empty() {
+                let deadline = self
+                    .threads
+                    .iter()
+                    .filter_map(|t| self.weak_expiry(t))
+                    .min();
+                let budget = self
+                    .config
+                    .max_steps
+                    .saturating_sub(self.steps)
+                    .min(sched.horizon(self.steps).saturating_sub(1));
+                let run = self.hot_run(tid0, deadline.map(|d| (d, 0)), budget, feed || boundaries);
+                self.steps += run.ops;
+                self.stats.instrs += run.ops;
+                self.stats.mem_ops += run.mem_ops;
+                self.stats.vm.fused_ops += run.fused;
+                self.stats.vm.batched_ops += run.ops;
+                self.stats.vm.batch_runs += u64::from(run.ops > 0);
+                let at_cold = match run.end {
+                    HotEnd::Cold => true,
+                    HotEnd::Trap(message) => {
+                        // The trapping op counts as a step.
+                        self.trap(tid, message);
+                        self.steps += 1;
+                        false
+                    }
+                    _ => false,
+                };
+                if run.ops > 0 || !at_cold {
+                    if self.steps > self.config.max_steps {
+                        break Outcome::StepLimit;
+                    }
+                    // No step of the run sat at a boundary the scheduler
+                    // wanted: accesses were cold while it wanted them.
+                    sched.note_step(tid0, self.steps, false);
+                    // The same pick would go on with the cold op; after
+                    // the deadline, the horizon or a trap, pick again.
+                    if !at_cold {
+                        continue;
+                    }
+                }
+            }
+
+            let boundary = boundaries && self.at_boundary(tid);
             match self.mode {
                 InterpMode::Flat => {
                     self.step_flat(sup, tid);
@@ -1265,6 +1344,46 @@ impl<'p> Machine<'p> {
         };
         self.stats.sched_preemptions = sched.preemptions();
         self.finish(outcome)
+    }
+
+    /// One batch-commit hot run of thread `id` against machine memory
+    /// (see [`run_hot`]), drawing jitter from the machine RNG and
+    /// counting blocks when configured. The caller accounts for the
+    /// returned run.
+    #[inline(always)]
+    fn hot_run(
+        &mut self,
+        id: u32,
+        bound: Option<(u64, u32)>,
+        budget: u64,
+        cold_access: bool,
+    ) -> HotRun {
+        let jitter = self.config.jitter;
+        // Disjoint field borrows: the thread's frame/clock/icount
+        // mutably, everything else (`flat`, `costs`, `mem`, `rng`,
+        // `block_counts`) through separate fields of `self`.
+        let Thr {
+            frames,
+            clock,
+            icount,
+            ..
+        } = &mut self.threads[id as usize];
+        let frame = frames.last_mut().expect("live thread has frames");
+        let fidx = frame.func.index();
+        let ctx = HotCtx {
+            func: &self.flat.funcs[fidx],
+            fcosts: &self.costs[fidx],
+            id,
+            bound,
+            jitter: (jitter.period > 0).then_some((&mut self.rng, jitter)),
+            blocks: self
+                .config
+                .count_blocks
+                .then(|| &mut self.block_counts[fidx][..]),
+            budget,
+            cold_access,
+        };
+        run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem)
     }
 
     /// Does `tid`'s next op sit at a weak-lock acquire/release site or a
@@ -1356,13 +1475,10 @@ impl<'p> Machine<'p> {
     /// deadline, so the schedule is bit-identical to the reference scan.
     fn run_flat(mut self, sup: &mut dyn Supervisor) -> ExecResult {
         let injects = sup.injects_forced_releases();
-        // Batch commit (DESIGN.md §13): when the supervisor masks out
-        // per-op Load/Store happens-before events, runs of thread-local hot
-        // ops have *no* per-op obligations beyond cost/clock/step
-        // accounting, so the queue schedule can be driven from a tight
-        // inner loop over the fused sidecar arena instead of the
-        // step-dispatch path.
-        let batch = !self.wants_hb(EventKind::Load) && !self.wants_hb(EventKind::Store);
+        // A supervisor that wants per-access Load/Store happens-before
+        // events (a race detector) must see each access: batch commit
+        // then single-steps accesses, and the segment rounds stay off.
+        let feed = self.wants_hb(EventKind::Load) || self.wants_hb(EventKind::Store);
         let mut queue: Vec<(u64, u32)> = Vec::new();
         loop {
             if let Some(outcome) = self.finished.take() {
@@ -1412,7 +1528,7 @@ impl<'p> Machine<'p> {
             }
             queue.sort_unstable();
             self.sched_dirty = false;
-            if let Some(outcome) = self.run_queue(sup, &mut queue, deadline, batch) {
+            if let Some(outcome) = self.run_queue(sup, &mut queue, deadline, feed) {
                 return self.finish(outcome);
             }
         }
@@ -1436,28 +1552,25 @@ impl<'p> Machine<'p> {
     /// Queue mode's engine: drives the schedule from a tight cross-thread
     /// loop that runs the front thread through the hot-run executor
     /// ([`run_hot`], inlined here) and accumulates cost/clock/step
-    /// accounting in locals, written back once on exit. Without `batch`
-    /// (a supervisor wants per-access events), every op is single-stepped
-    /// through [`Self::step_flat`] instead, against the same queue and
-    /// deadline.
+    /// accounting in locals, written back once on exit.
     ///
     /// Batch commit's legality (DESIGN.md §13): queue mode already
-    /// excludes supervisor injection, and `batch` requires that per-op
-    /// `Load`/`Store` happens-before events are masked out. Every op the
-    /// executor retires is thread-local and non-blocking (sync, I/O,
-    /// calls, heap, weak ops and returns fall out to [`Self::step_flat`]),
-    /// so a retiring hot op's only obligations are the commit itself —
-    /// identical RNG draws included — the step budget, and the scheduling
-    /// bound: the runner-up queue key or the weak-lock timeout `deadline`
-    /// key `(deadline, 0)`, whichever is earlier. Once the front key
-    /// reaches the deadline, control returns to the scan, which forces
-    /// the timed-out waiter exactly where the reference loop does. A
-    /// thread owing a forced reacquire (`pending_reacquire`) runs the
-    /// reacquire protocol instead of its next op, so it is single-stepped
-    /// through [`Self::step_flat`]. Event emission and checkpoint folds
-    /// are inert for hot ops, and block counts are maintained by the
-    /// executor. The observable execution is therefore bit-identical to
-    /// single-step dispatch; only the [`VmPerf`] strategy counters differ.
+    /// excludes supervisor injection. Every op the executor retires is
+    /// thread-local and non-blocking (sync, I/O, calls, heap, weak ops and
+    /// returns fall out to [`Self::step_flat`], and so do accesses when
+    /// `feed` says a supervisor wants per-access events), so a retiring
+    /// hot op's only obligations are the commit itself — identical RNG
+    /// draws included — the step budget, and the scheduling bound: the
+    /// runner-up queue key or the weak-lock timeout `deadline` key
+    /// `(deadline, 0)`, whichever is earlier. Once the front key reaches
+    /// the deadline, control returns to the scan, which forces the
+    /// timed-out waiter exactly where the reference loop does. A thread
+    /// owing a forced reacquire (`pending_reacquire`) runs the reacquire
+    /// protocol instead of its next op, so it is single-stepped through
+    /// [`Self::step_flat`]. Event emission and checkpoint folds are inert
+    /// for hot ops, and block counts are maintained by the executor. The
+    /// observable execution is therefore bit-identical to single-step
+    /// dispatch; only the [`VmPerf`] strategy counters differ.
     ///
     /// Returns `Some(outcome)` when the run ends the execution (step
     /// limit); `None` hands control back to the scheduler loop (queue
@@ -1468,21 +1581,20 @@ impl<'p> Machine<'p> {
         sup: &mut dyn Supervisor,
         queue: &mut Vec<(u64, u32)>,
         mut deadline: Option<u64>,
-        batch: bool,
+        feed: bool,
     ) -> Option<Outcome> {
-        let jitter = self.config.jitter;
-        let count_blocks = self.config.count_blocks;
         let max_steps = self.config.max_steps;
         let mut steps = self.steps;
         let mut mem_ops = 0u64;
         let mut fused_ops = 0u64;
         let mut batch_runs = 0u64;
         let mut batched_ops = 0u64;
-        // Speculative rounds additionally require jitter off (hot commits
-        // must draw no RNG, or run-ahead would reorder the stream) and
-        // block counting off (hot control flow must stay write-free
-        // outside thread-local state).
-        let rounds_ok = batch && jitter.period == 0 && !count_blocks;
+        // Speculative rounds additionally require no per-access feed (a
+        // segment's accesses emit nothing), jitter off (hot commits must
+        // draw no RNG, or run-ahead would reorder the stream) and block
+        // counting off (hot control flow must stay write-free outside
+        // thread-local state).
+        let rounds_ok = !feed && self.config.jitter.period == 0 && !self.config.count_blocks;
 
         let result = loop {
             let Some(&(front, id)) = queue.first() else {
@@ -1500,35 +1612,12 @@ impl<'p> Machine<'p> {
                 }
             }
             let tix = id as usize;
-            // One uninterrupted same-thread run of hot ops, skipped when
-            // batch commit is off or a forced reacquire is owed. A run that
-            // ends at a cold op falls through to the single step below, as
-            // does a skipped one.
-            if batch && self.threads[tix].pending_reacquire.is_empty() {
-                // Disjoint field borrows: the thread's frame/clock/icount
-                // mutably, everything else (`flat`, `costs`, `mem`, `rng`,
-                // `block_counts`) through separate fields of `self`.
-                let (run, clock) = {
-                    let Thr {
-                        frames,
-                        clock,
-                        icount,
-                        ..
-                    } = &mut self.threads[tix];
-                    let frame = frames.last_mut().expect("live thread has frames");
-                    let fidx = frame.func.index();
-                    let ctx = HotCtx {
-                        func: &self.flat.funcs[fidx],
-                        fcosts: &self.costs[fidx],
-                        id,
-                        bound: earliest(queue.get(1).copied(), deadline.map(|d| (d, 0))),
-                        jitter: (jitter.period > 0).then_some((&mut self.rng, jitter)),
-                        blocks: count_blocks.then(|| &mut self.block_counts[fidx][..]),
-                        budget: max_steps.saturating_sub(steps),
-                    };
-                    let run = run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem);
-                    (run, *clock)
-                };
+            // One uninterrupted same-thread run of hot ops, skipped when a
+            // forced reacquire is owed. A run that ends at a cold op falls
+            // through to the single step below, as does a skipped one.
+            if self.threads[tix].pending_reacquire.is_empty() {
+                let bound = earliest(queue.get(1).copied(), deadline.map(|d| (d, 0)));
+                let run = self.hot_run(id, bound, max_steps.saturating_sub(steps), feed);
                 steps += run.ops;
                 batched_ops += run.ops;
                 mem_ops += run.mem_ops;
@@ -1539,12 +1628,15 @@ impl<'p> Machine<'p> {
                 match run.end {
                     HotEnd::Cold => {}
                     HotEnd::Bound => {
-                        reposition_front(queue, (clock, id));
+                        reposition_front(queue, (self.threads[tix].clock, id));
                         continue;
                     }
                     HotEnd::Trap(message) => {
+                        // The trapping op counts as a step, as it does in
+                        // single-step dispatch.
                         self.trap(ThreadId(id), message);
-                        break None;
+                        steps += 1;
+                        break (steps > max_steps).then_some(Outcome::StepLimit);
                     }
                     HotEnd::Limit => break Some(Outcome::StepLimit),
                     HotEnd::Cap => unreachable!("batch runs have no cap"),
@@ -1742,6 +1834,7 @@ impl<'p> Machine<'p> {
                 jitter: None,
                 blocks: None,
                 budget: u64::MAX,
+                cold_access: false,
             };
             let mut seg = DirectSeg {
                 mem: &mut self.mem,
@@ -4355,6 +4448,66 @@ mod tests {
                         ..sched_cfg(sched, seed)
                     },
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn strategy_runs_commit_hot_ops_in_runs() {
+        // Between scheduling points the flat strategy loop retires hot ops
+        // in runs; the schedule must still be the reference's, also once a
+        // preemption-bounded run has spent its budget (accesses then run
+        // hot too) and with PCT change points landing mid-loop.
+        for sched in [
+            SchedStrategy::Pct {
+                depth: 4,
+                span: 300,
+            },
+            SchedStrategy::PreemptBound {
+                budget: 3,
+                period: 1,
+            },
+            SchedStrategy::PreemptBound {
+                budget: 0,
+                period: 1,
+            },
+        ] {
+            for seed in [2, 31] {
+                let cfg = sched_cfg(sched, seed);
+                assert_modes_agree_cfg(RACY_COUNTER, &cfg);
+                let p = compile(RACY_COUNTER).unwrap();
+                let r = execute_mode(&p, &cfg, InterpMode::Flat);
+                assert!(r.stats.vm.batched_ops > 0, "{sched:?}: no hot run");
+            }
+        }
+    }
+
+    #[test]
+    fn traps_inside_hot_runs_count_as_steps() {
+        // The division traps inside a hot run. With the step limit just
+        // below, at, and above the trapping step, every engine must end the
+        // run as the reference does: the trapping op is a step, so a limit
+        // one short of it reports the limit, not the trap.
+        let src = "int main() { int i; int s; s = 0;
+             for (i = 0; i < 40; i = i + 1) { s = s + i; }
+             return s / (s - 780); }";
+        let p = compile(src).unwrap();
+        for sched in [
+            SchedStrategy::ClockJitter,
+            SchedStrategy::Pct {
+                depth: 3,
+                span: 100,
+            },
+            SchedStrategy::preempt_bound(),
+        ] {
+            let cfg = sched_cfg(sched, 3);
+            let retired = execute_mode(&p, &cfg, InterpMode::Reference).stats.instrs;
+            for max_steps in retired - 1..=retired + 1 {
+                let cfg = ExecConfig { max_steps, ..cfg };
+                assert_modes_agree_cfg(src, &cfg);
+                let r = execute_mode(&p, &cfg, InterpMode::Flat);
+                let trapped = matches!(r.outcome, Outcome::Trap { .. });
+                assert_eq!(trapped, max_steps > retired, "{sched:?} limit {max_steps}");
             }
         }
     }

@@ -20,10 +20,13 @@
 //!   boundaries; between preemptions threads run round-robin sticky.
 //!
 //! Non-baseline strategies drive both interpreter modes through one
-//! shared per-step loop (`Machine::run_strategy`), so a `(strategy,
-//! seed)` pair yields bit-identical executions across the flat and
-//! reference interpreters by construction — the `vm_differential` suite
-//! pins this.
+//! strategy loop (`Machine::run_strategy`): the reference interpreter
+//! steps every op through the scheduler, and the flat interpreter runs
+//! the picked thread through its hot-run executor until the pick can
+//! next change ([`Scheduler::horizon`], a cold op, a boundary the
+//! scheduler must classify, or the weak-lock timeout deadline). A
+//! `(strategy, seed)` pair yields bit-identical executions across the
+//! two — the `vm_differential` suite pins this.
 //!
 //! Every strategy draws from its own RNG stream (salted with the
 //! execution seed), never from the machine's jitter RNG, so attaching a
@@ -100,9 +103,9 @@ impl SchedStrategy {
 
     /// True for the clock-ordered baseline — the only policy whose
     /// schedule is a pure function of `(clock, id)` keys. That purity is
-    /// what licenses the flat VM's queue, batch-commit, and speculative
+    /// what licenses the flat VM's ready queue and speculative
     /// segment-round engines (DESIGN.md §13); every other strategy runs
-    /// the shared per-step strategy loop.
+    /// the strategy loop.
     pub fn is_baseline(&self) -> bool {
         *self == SchedStrategy::ClockJitter
     }
@@ -130,14 +133,22 @@ impl SchedStrategy {
 
 /// The pluggable scheduler interface the machine's strategy loop drives.
 ///
-/// Per step the machine calls [`Scheduler::track_threads`] (so the
-/// strategy can assign state to newly spawned threads in id order),
-/// [`Scheduler::pick`] with the ready set, and — after the step commits
-/// or blocks — [`Scheduler::note_step`] with the global step count and
-/// whether the stepped thread sat at a weak-lock/shared-access boundary.
-/// Implementations must be deterministic functions of their seed and the
-/// observed call sequence: both interpreter modes replay the exact same
-/// sequence, which is what keeps them bit-identical.
+/// Per scheduling decision the machine calls
+/// [`Scheduler::track_threads`] (so the strategy can assign state to
+/// newly spawned threads in id order), [`Scheduler::pick`] with the ready
+/// set, and — after the picked thread's step, or run of steps, commits or
+/// blocks — [`Scheduler::note_step`] with the global step count and
+/// whether the last step sat at a weak-lock/shared-access boundary.
+///
+/// A run of steps replaces per-step calls only where they could not
+/// matter: within it the ready set is fixed (no op in it can block, wake
+/// or spawn), no step sits at a boundary while
+/// [`Scheduler::wants_boundaries`] holds, and the run ends by
+/// [`Scheduler::horizon`]. Implementations must be deterministic functions
+/// of their seed and the observed call sequence, and `pick` must not
+/// change its answer when asked again about the same ready set with no
+/// `note_step` in between; that is what keeps both interpreter modes
+/// bit-identical.
 pub trait Scheduler {
     /// Observe that threads `0..n` now exist (called before every pick;
     /// `n` only grows). Assign per-thread state for new ids here.
@@ -147,10 +158,22 @@ pub trait Scheduler {
     /// clock)` in id order). Returns `None` iff `ready` is empty.
     fn pick(&mut self, ready: &mut dyn Iterator<Item = (u32, u64)>) -> Option<u32>;
 
-    /// Whether [`Scheduler::note_step`] wants boundary classification
-    /// (the machine skips the per-step op peek when `false`).
+    /// Whether [`Scheduler::note_step`] currently wants boundary
+    /// classification. While `true`, the machine single-steps every
+    /// boundary op so that each one is classified; while `false`, it
+    /// skips the per-step op peek and may retire boundary ops in hot runs.
     fn wants_boundaries(&self) -> bool {
         false
+    }
+
+    /// How many more steps, counted from the global retired step count
+    /// `steps`, the scheduler's state can go unchanged: `note_step` with
+    /// a count below `steps + horizon` and no boundary is a no-op. The
+    /// machine ends a hot run at the horizon's last step, so `pick` is
+    /// consulted again exactly where it could answer differently. No
+    /// limit by default.
+    fn horizon(&self, _steps: u64) -> u64 {
+        u64::MAX
     }
 
     /// Observe a completed step by `tid`; `steps` is the global retired
@@ -166,9 +189,9 @@ pub trait Scheduler {
 }
 
 /// The baseline policy as a [`Scheduler`]: smallest `(clock, id)` wins.
-/// The machine routes [`SchedStrategy::ClockJitter`] to its optimized
-/// queue loop instead, but this impl keeps the seam total (and is
-/// what the strategy loop would run if asked to).
+/// The machine routes [`SchedStrategy::ClockJitter`] to its ready-queue
+/// loop instead and never builds this, but the impl keeps the seam total
+/// (and is what the strategy loop would run if asked to).
 pub struct ClockOrdered;
 
 impl Scheduler for ClockOrdered {
@@ -176,6 +199,11 @@ impl Scheduler for ClockOrdered {
 
     fn pick(&mut self, ready: &mut dyn Iterator<Item = (u32, u64)>) -> Option<u32> {
         ready.min_by_key(|&(id, clock)| (clock, id)).map(|(id, _)| id)
+    }
+
+    /// Every step moves a clock, and with it possibly the pick.
+    fn horizon(&self, _steps: u64) -> u64 {
+        1
     }
 }
 
@@ -231,6 +259,14 @@ impl Scheduler for PctSched {
         ready
             .max_by_key(|&(id, _)| (self.prios[id as usize], std::cmp::Reverse(id)))
             .map(|(id, _)| id)
+    }
+
+    /// The steps left to the next change point (every point at or below
+    /// the last noted count is consumed).
+    fn horizon(&self, steps: u64) -> u64 {
+        self.points
+            .get(self.next_point)
+            .map_or(u64::MAX, |&p| p.saturating_sub(steps))
     }
 
     fn note_step(&mut self, tid: u32, steps: u64, _boundary: bool) {
@@ -302,8 +338,9 @@ impl Scheduler for PreemptSched {
         next
     }
 
+    /// Boundaries matter only while preemptions remain to be injected.
     fn wants_boundaries(&self) -> bool {
-        true
+        self.budget_left > 0
     }
 
     fn note_step(&mut self, tid: u32, _steps: u64, boundary: bool) {
@@ -402,6 +439,34 @@ mod tests {
         s.note_step(third, 5, true);
         assert_eq!(s.preemptions(), 2);
         assert_eq!(pick_of(&mut s, &ready), Some(third));
+    }
+
+    #[test]
+    fn horizons_end_where_the_pick_can_change() {
+        // PCT: the horizon reaches exactly the next change point, and a
+        // note below it changes nothing.
+        let mut s = PctSched::new(9, 3, 50);
+        s.track_threads(2);
+        let (p0, p1) = (s.points[0], s.points[1]);
+        assert_eq!(s.horizon(0), p0);
+        s.note_step(0, p0 - 1, false);
+        assert_eq!(s.preemptions(), 0);
+        assert_eq!(s.horizon(p0 - 1), 1);
+        s.note_step(0, p0, false);
+        assert_eq!(s.preemptions(), 1 + u64::from(p1 == p0));
+        if p1 > p0 {
+            assert_eq!(s.horizon(p0), p1 - p0);
+        }
+        s.note_step(0, p1, false);
+        assert_eq!(s.horizon(p1), u64::MAX, "no change point left");
+        // Clock order can change with every step; preemption-bounded only
+        // at boundaries, which it classifies while budget remains.
+        assert_eq!(ClockOrdered.horizon(7), 1);
+        let mut s = PreemptSched::new(0, 1, 1);
+        assert_eq!(s.horizon(7), u64::MAX);
+        assert!(s.wants_boundaries());
+        s.note_step(0, 1, true);
+        assert!(!s.wants_boundaries(), "budget spent");
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //! logs) on all nine workloads, original and instrumented, with batch
 //! commit required to engage everywhere, also while recording under
 //! armed weak-lock timeouts, and the rounds on the workloads where they
-//! pay off.
+//! pay off. The hostile strategies' hot runs and the detector-attached
+//! runs, which single-step every access, are in scope the same way: the
+//! generative sweep requires batch commit to engage under PCT and under
+//! preemption-bounded scheduling, and the engine pin covers one run of
+//! each plus a detector-attached run per workload.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
 
+use chimera::explore::resolve_strategy;
 use chimera::{analyze, PipelineConfig};
 use chimera_minic::compile;
 use chimera_runtime::{
@@ -379,28 +384,29 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
 // ---------------------------------------------------------------------------
 
 /// `(workload@scale, [jitter off, default jitter, count_blocks, limit,
-/// record → replay])` digests of the flat VM's results and engine counters
-/// (see [`engine_line`]), at 4 workers and seed 42.
+/// record → replay, PCT, preemption-bounded, detector attached])` digests
+/// of the flat VM's results and engine counters (see [`engine_line`]), at
+/// 4 workers and seed 42.
 #[rustfmt::skip]
-const ENGINE_PINS: &[(&str, [u64; 5])] = &[
-    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0xd8282e1ebb99e8e9]),
-    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0xf6d68500184fb298]),
-    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x7101939423a95d61]),
-    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd4a00d3e0fb20773]),
-    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x691658e7ed136eb7]),
-    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xee13efb3c4b8bd8c]),
-    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0xec72d7c3c4f0f12e]),
-    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xe9b2befee0708eb5]),
-    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x0ceeb496aba649c9]),
-    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x3ef643afc989e2da]),
-    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x87d459a9b96c9a2e]),
-    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xddd8cc6902724b5a]),
-    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x4329ffd85cca9b1e]),
-    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0xcbd3f4967806afce]),
-    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0xc3c0396c0a765456]),
-    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0x221f06ce0f5fed8f]),
-    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x2c73c0d0b1a41c1e]),
-    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0x20384978554acf10]),
+const ENGINE_PINS: &[(&str, [u64; 8])] = &[
+    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0xd8282e1ebb99e8e9, 0xdf2ed6d2f66a243d, 0xf88e4ffdaf55e965, 0x9ec97316d8edfb07]),
+    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0xf6d68500184fb298, 0x4254a67109b456aa, 0xbf94aa3c4bbb4762, 0x12817bca6f4924df]),
+    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x7101939423a95d61, 0xec48518217b63c10, 0x55ac1c8fbcfa5031, 0x367b974fadd79f24]),
+    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd4a00d3e0fb20773, 0x15c1c81525219550, 0x2bbae26b4bbf6673, 0x2b2bef821b2f558b]),
+    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x691658e7ed136eb7, 0x6b81a2c73d8f76d5, 0xf7ff306943836dc0, 0x671e0008a441824a]),
+    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xee13efb3c4b8bd8c, 0x990d7a27e695b31a, 0x1eec4a46c71e1afa, 0xb1a40df712537af1]),
+    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0xec72d7c3c4f0f12e, 0x8656d94b0f366d64, 0xaa134502d302f2c5, 0xbccb05a70af368f4]),
+    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xe9b2befee0708eb5, 0x684dddfb10799f65, 0x95b19426f17445fb, 0x51332d44a166f0d7]),
+    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x0ceeb496aba649c9, 0x4a912742caed471b, 0xba178afcca74521c, 0xcc3f9e190d49b435]),
+    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x3ef643afc989e2da, 0x43bc805c8441b6be, 0x3a14e5b8beffe857, 0x905c05b47a2d5b1c]),
+    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x87d459a9b96c9a2e, 0xccca27dcf27e3337, 0x0ea78877bc7e5309, 0xcfa75b7e402ad958]),
+    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xddd8cc6902724b5a, 0x442affbbd9aac8f3, 0xab602daf5a02587c, 0xccf65a388961ae35]),
+    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x4329ffd85cca9b1e, 0x7f737fc53fb2d427, 0x274cf860c7839fcc, 0xbc5c68424601f644]),
+    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0xcbd3f4967806afce, 0x4f7852b2526b53ac, 0x5d6ec39da7ec5ac5, 0xebbd02885f228845]),
+    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0xc3c0396c0a765456, 0xe5bca06070ebe136, 0xbda2a0fa8dab1bf7, 0x69debd2bf8199666]),
+    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0x221f06ce0f5fed8f, 0x12ca848f7d9952b3, 0x1d61fc2a9531d174, 0x6c327fac4a386b83]),
+    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x2c73c0d0b1a41c1e, 0x890ae86dcb2a28a2, 0x899ec86ef2e9a262, 0xccb50b2669dbae7d]),
+    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0x20384978554acf10, 0xa1296ff5cde61995, 0x9ff12980475fe317, 0x56abcd53752ef7e2]),
 ];
 
 fn fnv64(s: &str) -> u64 {
@@ -438,8 +444,8 @@ fn engine_digest(runs: &[&ExecResult]) -> u64 {
     fnv64(&runs.iter().map(|r| engine_line(r)).collect::<String>())
 }
 
-/// The five engine digests of one workload at one scale.
-fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 5] {
+/// The eight engine digests of one workload at one scale.
+fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 8] {
     let p = w
         .compile(&Params { workers: 4, scale })
         .expect("workload compiles");
@@ -453,6 +459,7 @@ fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 5] {
     };
     let run = |cfg: &ExecConfig| execute_mode(&p, cfg, InterpMode::Flat);
     let full = run(&quiet);
+    let jittered = run(&base);
     // Half the full run's retired ops: the budget runs out inside a hot
     // run, where batch commit's step checks and the rounds' up-front
     // step reservation decide exactly where the run stops.
@@ -474,15 +481,29 @@ fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 5] {
         &ExecConfig { seed: 7, ..quiet },
     );
     assert!(rep.complete, "{}: replay incomplete", w.name);
+    // The hostile strategies as the sweep runs them (PCT's span resolved
+    // against the baseline run), and the race detector's per-access feed.
+    let pct = run(&ExecConfig {
+        sched: resolve_strategy(SchedStrategy::pct(3), jittered.stats.instrs),
+        ..base
+    });
+    let preempt = run(&ExecConfig {
+        sched: SchedStrategy::preempt_bound(),
+        ..base
+    });
+    let attached = chimera_drd::detect_mode(&p, &quiet, InterpMode::Flat).result;
     [
         engine_digest(&[&full]),
-        engine_digest(&[&run(&base)]),
+        engine_digest(&[&jittered]),
         engine_digest(&[&run(&ExecConfig {
             count_blocks: true,
             ..base
         })]),
         engine_digest(&[&limited]),
         engine_digest(&[&rec.result, &rep.result]),
+        engine_digest(&[&pct]),
+        engine_digest(&[&preempt]),
+        engine_digest(&[&attached]),
     ]
 }
 
@@ -491,8 +512,17 @@ fn engine_digests(w: &chimera_workloads::Workload, scale: u32) -> [u64; 5] {
 /// op counts on any workload fails here, naming the row.
 #[test]
 fn engine_counters_match_committed_digests() {
-    const CONFIGS: [&str; 5] = ["jitter-off", "jitter", "count_blocks", "limit", "record-replay"];
-    let mut actual: Vec<(String, [u64; 5])> = Vec::new();
+    const CONFIGS: [&str; 8] = [
+        "jitter-off",
+        "jitter",
+        "count_blocks",
+        "limit",
+        "record-replay",
+        "pct",
+        "preempt-bound",
+        "detector",
+    ];
+    let mut actual: Vec<(String, [u64; 8])> = Vec::new();
     for scale in [1, 4] {
         for w in all() {
             actual.push((format!("{}@{scale}", w.name), engine_digests(&w, scale)));
@@ -501,10 +531,8 @@ fn engine_counters_match_committed_digests() {
     let table: String = actual
         .iter()
         .map(|(n, d)| {
-            format!(
-                "    (\"{n}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}]),\n",
-                d[0], d[1], d[2], d[3], d[4]
-            )
+            let cols: Vec<String> = d.iter().map(|x| format!("{x:#018x}")).collect();
+            format!("    (\"{n}\", [{}]),\n", cols.join(", "))
         })
         .collect();
     let names: Vec<&str> = actual.iter().map(|(n, _)| n.as_str()).collect();
@@ -574,9 +602,10 @@ struct VmCase {
     /// Jitter off lets the speculative segment rounds engage.
     jitter_off: bool,
     /// When set, the case runs the program's weak-lock-instrumented
-    /// version under recording costs with this timeout, at baseline
-    /// scheduling: batch commit and the rounds then run against the
-    /// timeout deadline, and small timeouts force releases.
+    /// version under recording costs with this timeout, under the drawn
+    /// strategy: batch commit, the strategy loop's hot runs and the
+    /// rounds then run against the timeout deadline, and small timeouts
+    /// force releases.
     weak_timeout: Option<u64>,
 }
 
@@ -678,7 +707,6 @@ fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
     if let Some(timeout) = case.weak_timeout {
         p = analyze(&p, &PipelineConfig::default()).instrumented;
         cfg = ExecConfig {
-            sched: SchedStrategy::ClockJitter,
             log_sync: true,
             log_weak: true,
             log_input: true,
@@ -707,9 +735,10 @@ fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
         flat.outcome,
         refr.outcome
     );
-    if case.weak_timeout.is_some() {
-        // The race detector's per-access feed keeps batch commit off, so
-        // this run takes the single-step queue loop to the same deadline.
+    if case.weak_timeout.is_some() || !case.sched.is_baseline() {
+        // The race detector's per-access feed makes every access cold:
+        // batch commit and the strategy loop's hot runs single-step each
+        // one, to the same deadline, horizon and boundaries.
         let attached = chimera_drd::detect_mode(&p, &cfg, InterpMode::Flat).result;
         chimera_testkit::prop_assert!(
             identical(&attached, &flat),
@@ -721,28 +750,64 @@ fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
     Ok(flat)
 }
 
+/// What the sweep must have exercised beyond mode agreement.
+#[derive(Default)]
+struct Coverage {
+    /// Baseline cases that forced a release with batch commit engaged.
+    forced_baseline: u32,
+    /// Hostile-strategy cases that forced a release with hot runs engaged.
+    forced_hostile: u32,
+    /// PCT cases with hot runs engaged.
+    pct_batched: u32,
+    /// Preemption-bounded cases with hot runs engaged.
+    preempt_batched: u32,
+}
+
 /// 64+ generated multithreaded programs execute identically in both modes,
-/// and some timeout case forces a release with batch commit engaged.
+/// and batch commit engages where it must: in some timeout case that
+/// forces a release, under baseline and under hostile scheduling, and in
+/// some PCT and some preemption-bounded case.
 #[test]
 fn generated_programs_agree_across_modes() {
     let cfg = Config::from_env().with_cases(64);
-    let forced_and_batched = std::cell::Cell::new(0u32);
+    let seen = std::cell::RefCell::new(Coverage::default());
     prop::check_config(
         &cfg,
         "generated_programs_agree_across_modes",
         &case_gen(),
         |case| {
             let flat = check_modes_agree(case)?;
-            if flat.stats.forced_releases > 0 && flat.stats.vm.batched_ops > 0 {
-                forced_and_batched.set(forced_and_batched.get() + 1);
+            let batched = flat.stats.vm.batched_ops > 0;
+            let forced = flat.stats.forced_releases > 0 && batched;
+            let mut seen = seen.borrow_mut();
+            match case.sched {
+                SchedStrategy::ClockJitter => seen.forced_baseline += u32::from(forced),
+                SchedStrategy::Pct { .. } => {
+                    seen.forced_hostile += u32::from(forced);
+                    seen.pct_batched += u32::from(batched);
+                }
+                SchedStrategy::PreemptBound { .. } => {
+                    seen.forced_hostile += u32::from(forced);
+                    seen.preempt_batched += u32::from(batched);
+                }
             }
             Ok(())
         },
     );
     if cfg.replay_seed.is_none() {
+        let seen = seen.into_inner();
         assert!(
-            forced_and_batched.get() > 0,
-            "no case forced a weak-lock release with batch commit engaged"
+            seen.forced_baseline > 0,
+            "no baseline case forced a weak-lock release with batch commit engaged"
+        );
+        assert!(
+            seen.forced_hostile > 0,
+            "no hostile-strategy case forced a weak-lock release with hot runs engaged"
+        );
+        assert!(seen.pct_batched > 0, "no PCT case engaged hot runs");
+        assert!(
+            seen.preempt_batched > 0,
+            "no preemption-bounded case engaged hot runs"
         );
     }
 }
