@@ -71,6 +71,30 @@ if [ -z "$flat_hash" ] || [ "$flat_hash" != "$ref_hash" ]; then
 fi
 echo "flat VM with segment rounds bit-identical to the reference interpreter"
 
+echo "== strategy smoke gate (hostile hot runs vs reference) =="
+# End-to-end CLI, one process per interpreter: under PCT and
+# preemption-bounded scheduling the flat VM runs the picked thread
+# through its hot-run executor between scheduling points, and must print
+# the same final state and output as the reference interpreter
+# (CHIMERA_VM_REFERENCE=1), which steps every op through the scheduler
+# (DESIGN.md §11, §13). The flat run must also have batch-committed ops.
+for strategy in pct preempt-bound; do
+    flat_json=$($chimera_bin run fixtures/racy_counter.mc --strategy "$strategy" --json)
+    ref_json=$(CHIMERA_VM_REFERENCE=1 $chimera_bin run fixtures/racy_counter.mc \
+        --strategy "$strategy" --json)
+    flat_result=$(echo "$flat_json" | grep -E '"(state_hash|output)"')
+    ref_result=$(echo "$ref_json" | grep -E '"(state_hash|output)"')
+    if [ -z "$flat_result" ] || [ "$flat_result" != "$ref_result" ]; then
+        echo "$strategy smoke diverged: flat=$flat_result reference=$ref_result" >&2
+        exit 1
+    fi
+    echo "$flat_json" | grep -q '"batched_ops": [1-9]' || {
+        echo "$strategy smoke: the flat run batch-committed nothing" >&2
+        exit 1
+    }
+done
+echo "hostile strategies' hot runs bit-identical to the reference interpreter"
+
 echo "== DRF-equivalence certification =="
 # Every workload certifies race-free instrumented and every dynamic race
 # joins a static relay pair; racy corpus + generative sweep race

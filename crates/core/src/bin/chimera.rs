@@ -5,14 +5,15 @@
 //! chimera plan <file.mc> [--evidence DIR --min-seeds N --min-strategies N
 //!               -o plan.chpl]                  # instrumentation plan /
 //!                                              # certified demotion plan
-//! chimera run <file.mc> [--seed N] [--no-jitter] [--json]
+//! chimera run <file.mc> [--seed N] [--no-jitter] [--json] [--strategy S]
 //!             [--plan plan.chpl [--verify]]    # execute (uninstrumented,
 //!                                              # or under a certified plan)
 //! chimera record <file.mc> -o <log> [--seed N] # instrument + record
 //! chimera replay <file.mc> <log> [--seed N] [--bisect]
 //!                                              # replay from a log file
 //! chimera ir <file.mc>                         # dump the IR
-//! chimera drd <file.mc> [--instrumented]       # dynamic race report
+//! chimera drd <file.mc> [--instrumented] [--strategy S]
+//!                                              # dynamic race report
 //! chimera explore [file.mc] [--strategy S] [--seeds N] [--jobs N] [--drd]
 //!                 [--evidence DIR] [-o r.json] # adversarial-schedule sweep
 //! chimera fleet [file.mc] [--strategy S] [--seeds N] [--jobs N] [--drd]
@@ -22,7 +23,12 @@
 //!
 //! An unknown flag fails with `unknown flag '<arg>'`, and a second
 //! positional argument with `unexpected argument '<arg>'` — except for
-//! `replay`, whose second positional is the log file.
+//! `replay`, whose second positional is the log file. `--strategy` names
+//! one scheduling strategy (`jitter`, `pct`, `preempt-bound`) for `run`
+//! and `drd`, or also `all` for `explore` and `fleet`; every other
+//! subcommand rejects it by name, and an unknown strategy name fails
+//! everywhere. PCT's auto span is resolved against the program's baseline
+//! retired-instruction count, as the hostile grid does.
 //!
 //! `record` and `replay` must agree on the file and options so the
 //! instrumented programs match; the log's byte format is
@@ -101,7 +107,7 @@ struct Cli {
     naive: bool,
     opt: bool,
     instrumented: bool,
-    strategy: String,
+    strategy: Option<String>,
     seeds: u64,
     drd: bool,
     bisect: bool,
@@ -137,7 +143,7 @@ fn parse_cli() -> Result<Cli, String> {
         naive: false,
         opt: false,
         instrumented: false,
-        strategy: "all".to_string(),
+        strategy: None,
         seeds: 3,
         drd: false,
         bisect: false,
@@ -182,10 +188,11 @@ fn parse_cli() -> Result<Cli, String> {
                 i += 1;
             }
             "--strategy" => {
-                cli.strategy = argv
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--strategy needs jitter|pct|preempt-bound|all")?;
+                cli.strategy = Some(
+                    argv.get(i + 1)
+                        .cloned()
+                        .ok_or("--strategy needs jitter|pct|preempt-bound|all")?,
+                );
                 i += 2;
             }
             "--seeds" => {
@@ -289,6 +296,17 @@ fn parse_cli() -> Result<Cli, String> {
 
 fn run() -> Result<(), String> {
     let cli = parse_cli()?;
+    if cli.strategy.is_some()
+        && matches!(
+            cli.command.as_str(),
+            "races" | "plan" | "record" | "replay" | "ir"
+        )
+    {
+        return Err(format!(
+            "'{}' does not take --strategy (run, drd, explore and fleet do)",
+            cli.command
+        ));
+    }
     if cli.command == "explore" {
         return run_explore(&cli);
     }
@@ -315,6 +333,14 @@ fn run() -> Result<(), String> {
         },
         ..ExecConfig::default()
     };
+    let strategy = cli
+        .strategy
+        .as_deref()
+        .map(|name| {
+            SchedStrategy::parse(name)
+                .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound)"))
+        })
+        .transpose()?;
 
     match cli.command.as_str() {
         "races" => {
@@ -410,6 +436,7 @@ fn run() -> Result<(), String> {
                     planned.weak_locks,
                     analysis.instrumented.weak_locks,
                 );
+                let exec = under_strategy(&planned, &exec, strategy);
                 let r = execute(&planned, &exec);
                 if cli.json {
                     print!("{}", run_json(&planned, &r));
@@ -424,6 +451,7 @@ fn run() -> Result<(), String> {
                 }
                 return Ok(());
             }
+            let exec = under_strategy(&program, &exec, strategy);
             let r = execute(&program, &exec);
             if cli.json {
                 print!("{}", run_json(&program, &r));
@@ -527,6 +555,7 @@ fn run() -> Result<(), String> {
             } else {
                 (program.clone(), "uninstrumented")
             };
+            let exec = under_strategy(&target, &exec, strategy);
             let run = chimera::drd::detect(&target, &exec);
             report_exec(&run.result);
             print!("{}", run.report.describe(&target));
@@ -549,6 +578,24 @@ fn run() -> Result<(), String> {
     }
 }
 
+/// `exec` under `--strategy`, if one was given, with PCT's auto span
+/// resolved against `program`'s baseline retired-instruction count (the
+/// resolution `chimera::Grid::cells` applies).
+fn under_strategy(
+    program: &Program,
+    exec: &ExecConfig,
+    strategy: Option<SchedStrategy>,
+) -> ExecConfig {
+    let Some(sched) = strategy else {
+        return *exec;
+    };
+    let instrs = execute(program, exec).stats.instrs;
+    ExecConfig {
+        sched: chimera::explore::resolve_strategy(sched, instrs),
+        ..*exec
+    }
+}
+
 /// `--naive` selects the naive optimization set, otherwise all.
 fn opt_set(cli: &Cli) -> OptSet {
     if cli.naive {
@@ -562,7 +609,7 @@ fn opt_set(cli: &Cli) -> OptSet {
 /// `all` for the default list) × seeds `1..=--seeds`, at base `--seed`,
 /// on `--jobs` workers.
 fn sweep_grid(cli: &Cli) -> Result<Grid, String> {
-    let strategies = match cli.strategy.as_str() {
+    let strategies = match cli.strategy.as_deref().unwrap_or("all") {
         "all" => Grid::default().strategies,
         name => vec![SchedStrategy::parse(name)
             .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound|all)"))?],

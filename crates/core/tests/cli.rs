@@ -4,8 +4,11 @@
 //! including the full file-based record → log file → replay workflow, the
 //! journaled fleet → resume workflow, evidence export that agrees across
 //! `explore` and `fleet`, and clean named failures on damaged log,
-//! evidence and plan files and on unknown flags.
+//! evidence and plan files, on unknown flags, and on `--strategy` where
+//! it does not apply or names no strategy.
 
+use chimera::explore::resolve_strategy;
+use chimera_runtime::{execute, ExecConfig, SchedStrategy};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -101,6 +104,83 @@ fn drd_instrumented_certifies_race_freedom() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("instrumented: 0 racy pair(s)"), "{stdout}");
     assert!(stdout.contains("data-race-free"), "{stdout}");
+}
+
+/// `run` and `drd` execute under the strategy `--strategy` names, with
+/// PCT's auto span resolved against the baseline run as the hostile grid
+/// resolves it: each prints exactly what the library computes.
+#[test]
+fn run_and_drd_execute_under_the_named_strategy() {
+    let src = std::fs::read_to_string(fixture()).expect("read fixture");
+    let program = chimera_minic::compile(&src).expect("fixture compiles");
+    let base = ExecConfig {
+        seed: 3,
+        ..ExecConfig::default()
+    };
+    let instrs = execute(&program, &base).stats.instrs;
+    let stdout = |args: &[&str]| {
+        let out = bin()
+            .arg(args[0])
+            .arg(fixture())
+            .args(["--seed", "3"])
+            .args(&args[1..])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let baseline = stdout(&["run", "--json"]);
+    for (name, sched) in [
+        ("pct", resolve_strategy(SchedStrategy::pct(3), instrs)),
+        ("preempt-bound", SchedStrategy::preempt_bound()),
+    ] {
+        let cfg = ExecConfig { sched, ..base };
+        let want = execute(&program, &cfg);
+        let hash = format!("\"state_hash\": \"{:016x}\"", want.state_hash);
+        let run = stdout(&["run", "--strategy", name, "--json"]);
+        assert!(run.contains(&hash), "{name}: expected {hash} in:\n{run}");
+        assert!(
+            run.contains(&format!("\"cycles\": {},", want.makespan)),
+            "{name}: {run}"
+        );
+        assert!(
+            !baseline.contains(&hash),
+            "{name}: the strategy must change this run"
+        );
+        let det = chimera::drd::detect(&program, &cfg);
+        let drd = stdout(&["drd", "--strategy", name]);
+        let line = format!(
+            "uninstrumented: {} racy pair(s), {} dynamic race observation(s)",
+            det.report.pairs.len(),
+            det.report.races
+        );
+        assert!(drd.contains(&line), "{name}: expected '{line}' in:\n{drd}");
+    }
+}
+
+/// Only `run`, `drd`, `explore` and `fleet` take `--strategy`; the others
+/// reject it by name, and an unknown strategy name fails everywhere.
+#[test]
+fn strategy_flag_fails_by_name_where_it_does_not_apply() {
+    let f = fixture();
+    let fails_with = |cmd: &mut Command, msg: &str| {
+        let out = cmd.output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(msg), "expected '{msg}' in: {stderr}");
+    };
+    for cmd in ["races", "plan", "record", "replay", "ir"] {
+        fails_with(
+            bin().arg(cmd).arg(&f).args(["--strategy", "pct"]),
+            &format!("'{cmd}' does not take --strategy"),
+        );
+    }
+    for cmd in ["run", "drd", "explore", "fleet"] {
+        fails_with(
+            bin().arg(cmd).arg(&f).args(["--strategy", "bogus"]),
+            "unknown strategy 'bogus'",
+        );
+    }
 }
 
 #[test]
