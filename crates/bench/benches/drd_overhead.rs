@@ -14,11 +14,13 @@
 //! The detached baseline uses the same config; with no subscriber the
 //! event mask gates access events off entirely, so the delta is the full
 //! attached cost (pinned semantically by `tests/vm_differential.rs`).
+//! Attached, the flat VM still batch-commits the ops between accesses
+//! and single-steps each access; the segment rounds stay off.
 //!
 //! Runs as a plain binary on `chimera-testkit`'s bench runner:
 //! `cargo bench --bench drd_overhead [filter]`. To refresh the committed
-//! data: `CHIMERA_BENCH_JSON=BENCH_drd.json cargo bench --bench
-//! drd_overhead`.
+//! data: `CHIMERA_BENCH_JSON=$PWD/BENCH_drd.json cargo bench --bench
+//! drd_overhead` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera_runtime::{execute, ExecConfig, Jitter};
 use chimera_testkit::bench::Runner;

@@ -12,10 +12,12 @@
 //! identical first: a throughput number for a run that changed its
 //! answers would be meaningless.
 //!
-//! Runs as a plain binary: `cargo bench --bench fleet_throughput`. One
-//! grid run per mode by default; `CHIMERA_BENCH_SAMPLES=n` takes the best
-//! of `n`. To refresh the committed data:
-//! `CHIMERA_BENCH_JSON=BENCH_fleet.json cargo bench --bench fleet_throughput`.
+//! Runs as a plain binary: `cargo bench --bench fleet_throughput`. Five
+//! grid runs per mode by default (`CHIMERA_BENCH_SAMPLES=n` for `n`);
+//! each row records the best, median and 95th-percentile grid time, and
+//! cells/s from the best. To refresh the committed data:
+//! `CHIMERA_BENCH_JSON=$PWD/BENCH_fleet.json cargo bench --bench
+//! fleet_throughput` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera::fleet::{run_fleet, FleetConfig, FleetTarget, Grid};
 use chimera::{analyze, PipelineConfig};
@@ -33,7 +35,7 @@ fn env_n(name: &str, default: usize) -> usize {
 }
 
 fn main() {
-    let samples = env_n("CHIMERA_BENCH_SAMPLES", 1);
+    let samples = env_n("CHIMERA_BENCH_SAMPLES", 5);
     let host_cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -74,13 +76,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut jsons: Vec<String> = Vec::new();
     for (name, jobs) in modes {
-        let mut best_ns = u64::MAX;
+        let mut times = Vec::with_capacity(samples);
         let mut grid = 0u64;
         for _ in 0..samples {
             let started = Instant::now();
             let run = run_fleet(&targets, &cfg(jobs)).expect("in-memory fleet cannot fail");
-            let ns = started.elapsed().as_nanos() as u64;
-            best_ns = best_ns.min(ns);
+            times.push(started.elapsed().as_nanos() as u64);
             grid = run.report.grid;
             assert!(
                 run.report.passed(),
@@ -90,13 +91,26 @@ fn main() {
             assert_eq!(run.executed, grid, "in-memory run executes every cell");
             jsons.push(run.report.to_json());
         }
+        times.sort_unstable();
+        let best_ns = times[0];
+        let median_ns = times[times.len() / 2];
+        let p95_ns = times[(times.len() * 95).div_ceil(100) - 1];
         let cells_per_sec = grid as f64 * 1e9 / best_ns as f64;
         let workers = if jobs == 0 { host_cores } else { jobs };
         println!(
-            "fleet/{name}: {grid} cells in {:.2}s ({cells_per_sec:.1} cells/s, {workers} worker(s))",
+            "fleet/{name}: {grid} cells in {:.2}s best, {:.2}s median, {:.2}s p95 \
+             ({cells_per_sec:.1} cells/s, {workers} worker(s))",
             best_ns as f64 / 1e9,
+            median_ns as f64 / 1e9,
+            p95_ns as f64 / 1e9,
         );
-        rows.push((name, workers, best_ns, grid, cells_per_sec));
+        rows.push((
+            name,
+            workers,
+            [best_ns, median_ns, p95_ns],
+            grid,
+            cells_per_sec,
+        ));
     }
     // Worker count must never leak into outcomes.
     assert!(
@@ -118,9 +132,10 @@ fn main() {
         s.push_str(&format!("  \"samples\": {samples},\n"));
         s.push_str(&format!("  \"speedup\": {speedup:.4},\n"));
         s.push_str("  \"rows\": [\n");
-        for (i, (name, workers, ns, cells, cps)) in rows.iter().enumerate() {
+        for (i, (name, workers, [ns, median, p95], cells, cps)) in rows.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"fleet/{name}\", \"jobs\": {workers}, \"elapsed_ns\": {ns}, \
+                 \"median_ns\": {median}, \"p95_ns\": {p95}, \
                  \"cells\": {cells}, \"cells_per_sec\": {cps:.1}}}{}\n",
                 if i + 1 < rows.len() { "," } else { "" }
             ));

@@ -2,23 +2,26 @@
 //! the PCT and preemption-bounded strategies vs the clock-jitter baseline
 //! (DESIGN.md §11).
 //!
-//! The baseline runs the optimized burst loop (sorted ready-queue, one
-//! thread bursts until a sync point); the non-baseline strategies route
-//! through the shared per-step strategy loop that consults the scheduler
-//! every instruction and classifies preemption boundaries. This bench
+//! The baseline runs the ready-queue loop (batch commit between
+//! scheduling points; with jitter off, the speculative segment rounds).
+//! The non-baseline strategies run the strategy loop, which consults the
+//! scheduler once per decision and batch-commits the picked thread's hot
+//! ops up to the scheduler's horizon, single-stepping every access while
+//! preemption-bounded scheduling still classifies boundaries. This bench
 //! prices that seam — the delta between `jitter` and the others is what
 //! `chimera explore` pays per run, and a regression here means the
 //! strategy loop grew work the hot path doesn't have.
 //!
 //! Three workloads bound the mix: `pfscan` (sync-heavy, boundaries
-//! everywhere), `radix` (memory-bound, long burstable stretches the
-//! strategy loop cannot burst), `water` (barrier phases, frequent
-//! scheduler decisions either way).
+//! everywhere), `radix` (memory-bound: long hot stretches, where the
+//! baseline also runs the segment rounds and preemption-bounded
+//! scheduling single-steps every access), `water` (barrier phases,
+//! frequent scheduler decisions either way).
 //!
 //! Runs as a plain binary on `chimera-testkit`'s bench runner:
 //! `cargo bench --bench sched_explore [filter]`. To refresh the committed
-//! data: `CHIMERA_BENCH_JSON=BENCH_sched.json cargo bench --bench
-//! sched_explore`.
+//! data: `CHIMERA_BENCH_JSON=$PWD/BENCH_sched.json cargo bench --bench
+//! sched_explore` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera::{analyze, PipelineConfig};
 use chimera_runtime::{execute, ExecConfig, Jitter, SchedStrategy};

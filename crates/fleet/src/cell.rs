@@ -192,10 +192,9 @@ pub fn replay_seed(seed: u64) -> u64 {
 /// Run one exploration cell: record under `(sched, seed)` while probing
 /// the single-holder invariant and hashing the order stream,
 /// hostile-replay under [`replay_seed`] with the same strategy, verify,
-/// and (with
-/// `check_drd`) run FastTrack on the program and, given `drd_cross`, on
-/// its uninstrumented original, splitting that run's racy pairs by
-/// `drd_cross`'s static pairs.
+/// and (with `check_drd`) run FastTrack on the program and, given
+/// `drd_cross`, on its uninstrumented original, splitting that run's
+/// racy pairs by `drd_cross`'s static pairs.
 ///
 /// This is the one per-cell body, with three callers: `chimera::explore`
 /// and `chimera_plan::gather_evidence` run it through [`Grid::sweep`],

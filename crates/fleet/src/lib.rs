@@ -11,9 +11,9 @@
 //! Three pieces:
 //!
 //! - [`cell`] — the shared per-cell pipeline ([`run_cell`]): record under
-//!   an adversarial strategy, hostile-replay at a derived seed, verify
-//!   equivalence, run the single-holder probe, optionally cross-check
-//!   with FastTrack; and the one hostile [`Grid`] every sweep maps it
+//!   an adversarial strategy with the single-holder probe observing,
+//!   hostile-replay at a derived seed, verify equivalence, optionally
+//!   cross-check with FastTrack; and the one hostile [`Grid`] every sweep maps it
 //!   over — explore, the fleet and evidence gathering alike.
 //! - [`journal`] — every executed cell's outcome, keyed by
 //!   [`CellKey`] (program digest, strategy, seed, exec-config digest),

@@ -84,8 +84,8 @@ pub struct ExecConfig {
     pub count_blocks: bool,
     /// Scheduling strategy (the schedule-exploration seam, see
     /// [`crate::sched`]). The clock-ordered default keeps the flat hot
-    /// loop's ready-queue fast path; adversarial strategies run
-    /// both interpreter modes through one shared per-step loop.
+    /// loop's ready-queue fast path; adversarial strategies run both
+    /// interpreter modes through the strategy loop.
     pub sched: SchedStrategy,
 }
 

@@ -167,11 +167,11 @@ pub trait Scheduler {
     }
 
     /// How many more steps, counted from the global retired step count
-    /// `steps`, the scheduler's state can go unchanged: `note_step` with
-    /// a count below `steps + horizon` and no boundary is a no-op. The
-    /// machine ends a hot run at the horizon's last step, so `pick` is
-    /// consulted again exactly where it could answer differently. No
-    /// limit by default.
+    /// `steps`, the same thread stays this scheduler's pick while the
+    /// ready set is unchanged and no boundary is noted. The machine ends
+    /// a hot run on the horizon's last step, so `pick` is consulted again
+    /// exactly where its answer could change. No limit by default: the
+    /// pick then changes only with the ready set or at a boundary.
     fn horizon(&self, _steps: u64) -> u64 {
         u64::MAX
     }
