@@ -59,7 +59,7 @@ pub struct VmPerf {
     /// Fused superinstructions dispatched (each covers two retired ops).
     pub fused_ops: u64,
     /// Hot batch runs entered (one per uninterrupted same-thread run
-    /// inside the exact batch loop).
+    /// inside the exact batch loop or the strategy loop).
     pub batch_runs: u64,
     /// Ops retired inside exact batch runs (`batched_ops / batch_runs` is
     /// the mean commit-run length).
