@@ -500,6 +500,37 @@ mod tests {
         }
     }
 
+    /// What replay answers when a variant program reaches an ordered
+    /// event the recording of the original never saw: an unseen mutex is
+    /// let through, a spawn with no recorded spawn stalls, and an output
+    /// with no recorded output runs but leaves the replay incomplete.
+    #[test]
+    fn replay_answers_for_events_the_recording_lacks() {
+        let variant_replay = |original: &str, variant: &str| {
+            let rec = record(&compile(original).unwrap(), &ExecConfig::default());
+            assert!(rec.result.outcome.is_exit(), "{:?}", rec.result.outcome);
+            replay(&compile(variant).unwrap(), &rec.logs, &ExecConfig::default())
+        };
+        let rep = variant_replay(
+            "int g; lock_t m;
+             int main() { lock(&m); g = 1; unlock(&m); print(g); return 0; }",
+            "int g; lock_t m; lock_t n;
+             int main() { lock(&m); g = 1; unlock(&m);
+                lock(&n); g = g + 1; unlock(&n); print(g - 1); return 0; }",
+        );
+        assert!(rep.complete, "{:?}", rep.result.outcome);
+        let rep = variant_replay(
+            "int main() { print(1); return 0; }",
+            "void w(int x) { }
+             int main() { int t; t = spawn(w, 0); join(t); print(1); return 0; }",
+        );
+        assert!(!rep.complete);
+        assert!(!rep.result.outcome.is_exit(), "{:?}", rep.result.outcome);
+        let rep = variant_replay("int main() { return 0; }", "int main() { print(1); return 0; }");
+        assert!(rep.result.outcome.is_exit(), "{:?}", rep.result.outcome);
+        assert!(!rep.complete);
+    }
+
     #[test]
     fn replayer_reports_unconsumed_logs() {
         let mut logs = ReplayLogs::default();
