@@ -111,13 +111,38 @@ echo "== schedule exploration (adversarial schedulers) =="
 cargo test -q --offline --test schedule_exploration
 
 echo "== replay log format + divergence bisection =="
-# Log format v2 invariants (round-trip, the shared corruption suite in
-# explicit and journal mode, chunk attribution) and the checkpoint-bisection oracle
-# localizing planted divergences on every workload (DESIGN.md §12).
-# Run in the suites above too; invoked explicitly so a failure is
-# unmissable.
+# Log format v2 invariants (round-trip, the shared corruption suite on a
+# journal-less and a multi-chunk journal log, chunk attribution) and the
+# checkpoint-bisection oracle localizing planted divergences on every
+# workload (DESIGN.md §12). Run in the suites above too; invoked
+# explicitly so a failure is unmissable.
 cargo test -q --offline -p chimera-replay
 cargo test -q --offline --test replay_bisection
+
+echo "== record across processes + bisect gate =="
+# End-to-end CLI, one process per recording: for every checked-in
+# fixture, two `chimera record` processes with the same seed must write
+# byte-identical logs, and `replay --bisect` must replay that log
+# conformantly (DESIGN.md §12).
+rec_dir=$(mktemp -d)
+for fixture in fixtures/*.mc; do
+    name=$(basename "$fixture" .mc)
+    for run in 1 2; do
+        $chimera_bin record "$fixture" --seed 7 -o "$rec_dir/$name.$run.log" > /dev/null
+    done
+    cmp "$rec_dir/$name.1.log" "$rec_dir/$name.2.log" || {
+        echo "$name: two record processes wrote different logs" >&2
+        exit 1
+    }
+    bisect_out=$($chimera_bin replay "$fixture" "$rec_dir/$name.1.log" --bisect)
+    echo "$bisect_out" | grep -q "replay conformant" || {
+        echo "$name: replay --bisect did not conform:" >&2
+        echo "$bisect_out" >&2
+        exit 1
+    }
+done
+rm -rf "$rec_dir"
+echo "every fixture records byte-identically across processes and bisect-replays conformantly"
 
 echo "== explore smoke (CLI sweep on checked-in fixture) =="
 # One-sample end-to-end run of the CLI: instrument a checked-in racy

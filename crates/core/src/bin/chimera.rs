@@ -36,7 +36,7 @@
 //! replay is re-examined forensically: the replayer records its own
 //! journal and checkpoints alongside enforcement, and a binary search over
 //! the checkpoint digests names the first mismatched chunk and event with
-//! a root-cause hint (requires a log recorded with its journal).
+//! a root-cause hint.
 //!
 //! `run --json` emits a machine-readable report including the VM strategy
 //! counters (superinstructions dispatched, batch runs, speculative
@@ -495,12 +495,6 @@ fn run() -> Result<(), String> {
                 },
             );
             if cli.bisect {
-                if logs.journal.is_empty() && logs.sync_log_entries > 0 {
-                    return Err(format!(
-                        "{log_path} is a log with no journal or checkpoints; \
-                         re-record it to enable bisection"
-                    ));
-                }
                 let rep = chimera_replay::replay_bisect(&analysis.instrumented, &logs, &exec);
                 report_exec(&rep.result);
                 match chimera_replay::localize_divergence(&logs, &rep.observed) {

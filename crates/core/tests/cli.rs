@@ -256,6 +256,69 @@ fn replay_with_wrong_program_fails_cleanly() {
     );
 }
 
+/// Barriers and joins are counted in the log but never journaled, so a
+/// program whose only synchronization is a barrier records a log with no
+/// journal. Bisection must still replay it.
+#[test]
+fn replay_bisect_accepts_a_log_with_no_journal() {
+    let dir = tempdir("bisect-barrier");
+    let src = dir.join("barrier.mc");
+    std::fs::write(
+        &src,
+        "barrier_t b; int main() { barrier_init(&b, 1); barrier_wait(&b); return 0; }",
+    )
+    .unwrap();
+    let log = dir.join("barrier.chimlog");
+    run_ok(bin().arg("record").arg(&src).arg("-o").arg(&log));
+    let out = bin()
+        .arg("replay")
+        .arg(&src)
+        .arg(&log)
+        .arg("--bisect")
+        .output()
+        .expect("spawn replay");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("replay conformant"), "{stdout}");
+}
+
+/// Nesting past `MAX_NESTING` is a named parse error, not a stack
+/// overflow, and a program at the bound still runs.
+#[test]
+fn deep_nesting_fails_with_a_named_parse_error() {
+    use chimera_minic::parser::MAX_NESTING;
+    let dir = tempdir("nesting");
+    let hostile = [
+        ("parens", format!("int main() {{ return {}1{}; }}", "(".repeat(10_000), ")".repeat(10_000))),
+        ("ifs", format!("int main() {{ {}; return 0; }}", "if (1) ".repeat(10_000))),
+        ("blocks", format!("int main() {{ {}{} return 0; }}", "{".repeat(50_000), "}".repeat(50_000))),
+        ("minuses", format!("int main() {{ return {}1; }}", "- ".repeat(100_000))),
+    ];
+    let expected = "parse error at 1:";
+    let named = format!("nesting deeper than {MAX_NESTING} levels");
+    for (name, src) in hostile {
+        let path = dir.join(format!("{name}.mc"));
+        std::fs::write(&path, src).unwrap();
+        for cmd in ["races", "run"] {
+            let out = bin().arg(cmd).arg(&path).output().expect("spawn");
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(expected) && stderr.contains(&named),
+                "{cmd} {name}: {stderr}"
+            );
+        }
+    }
+    // `return` opens two levels, each parenthesis one more.
+    let k = MAX_NESTING - 2;
+    let path = dir.join("at_bound.mc");
+    std::fs::write(&path, format!("int main() {{ return {}7{}; }}", "(".repeat(k), ")".repeat(k)))
+        .unwrap();
+    let out = bin().arg("run").arg(&path).output().expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Exited(7)"), "{out:?}");
+}
+
 #[test]
 fn record_without_output_path_fails() {
     let out = bin().arg("record").arg(fixture()).output().expect("spawn");

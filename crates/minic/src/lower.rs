@@ -38,6 +38,11 @@ fn err(msg: impl Into<String>, span: Span) -> CompileError {
     CompileError::new(Stage::Lower, msg, span)
 }
 
+/// The error for an object whose size in cells does not fit a `u32`.
+fn too_large(what: &str) -> String {
+    format!("{what} too large: more than {} cells", u32::MAX)
+}
+
 /// Semantic types used during lowering. Sizes are in cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ty {
@@ -149,7 +154,9 @@ impl Cx {
             let elem = self.apply_dims(ty, &f.array_dims);
             let size = self.size_of(&elem, f.span)?;
             fields.push((f.name.clone(), offset, elem));
-            offset += size;
+            offset = offset
+                .checked_add(size)
+                .ok_or_else(|| err(too_large("struct"), f.span))?;
         }
         self.structs[idx].fields = fields;
         self.structs[idx].size = offset.max(1);
@@ -187,7 +194,13 @@ impl Cx {
         Ok(match t {
             Ty::Int | Ty::Lock | Ty::Barrier | Ty::Cond | Ty::Ptr(_) | Ty::Func(_) => 1,
             Ty::Void => return Err(err("cannot take the size of void", span)),
-            Ty::Array(elem, n) => self.size_of(elem, span)? * (*n as u32),
+            Ty::Array(elem, n) => {
+                let elem = self.size_of(elem, span)?;
+                u32::try_from(*n)
+                    .ok()
+                    .and_then(|n| elem.checked_mul(n))
+                    .ok_or_else(|| err(too_large("array"), span))?
+            }
             Ty::Struct(i) => self.structs[*i].size,
         })
     }
@@ -1448,6 +1461,28 @@ mod tests {
     fn global_array_has_right_size() {
         let p = compile("int a[10]; int main() {}").unwrap();
         assert_eq!(p.globals[0].size, 10);
+    }
+
+    #[test]
+    fn rejects_sizes_past_u32_cells() {
+        // A dimension past u32 used to truncate (a[4294967297] became one
+        // cell), and a product past it wrapped or, in debug builds,
+        // panicked.
+        for src in [
+            "int a[4294967297]; int main() { return 0; }",
+            "int a[65536][65537]; int main() { return 0; }",
+            "int main() {\n  int a[65536][65537]; return 0; }",
+            "struct s { int a[4294967295]; int b; }; int main() { return 0; }",
+        ] {
+            let e = compile_err(src);
+            assert_eq!(e.stage, crate::diag::Stage::Lower, "{src}");
+            assert!(e.message.ends_with("too large: more than 4294967295 cells"), "{src}: {e}");
+        }
+        assert_eq!(compile_err("int a[65536][65537]; int main() {}").span, Span::new(1, 1));
+        assert_eq!(
+            compile_err("int main() {\n  int a[4294967297]; return 0; }").span,
+            Span::new(2, 3)
+        );
     }
 
     #[test]

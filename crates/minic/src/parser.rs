@@ -14,13 +14,23 @@ pub fn parse(tokens: &[Token]) -> Result<Unit, CompileError> {
     Parser {
         tokens,
         pos: 0,
+        depth: 0,
     }
     .unit()
 }
 
+/// The deepest nesting a source may reach. Statements, expressions, unary
+/// operands, pointer levels and the links of left-nested chains (`a + b +
+/// c`, `a[i][j]`) each open a level. Every later pass (lowering, printing,
+/// dropping the tree) recurses over the same tree, so a source nested past
+/// this bound is a named parse error instead of a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting levels open at the current token (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -46,6 +56,28 @@ impl<'a> Parser<'a> {
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
         CompileError::new(Stage::Parse, msg, self.span())
+    }
+
+    /// Open one more nesting level at the current token, or fail there
+    /// once that would pass [`MAX_NESTING`]. Callers close their levels by
+    /// restoring `depth`; an error abandons the whole parse.
+    fn deepen(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.deepen()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -149,12 +181,15 @@ impl<'a> Parser<'a> {
 
     /// Parse `'*'* name`, folding pointer levels into the type.
     fn declarator_head(&mut self, base: TypeExpr) -> Result<(TypeExpr, String), CompileError> {
-        let mut depth = 0;
-        while self.eat_punct(Punct::Star) {
-            depth += 1;
+        let depth = self.depth;
+        while self.peek() == &TokenKind::Punct(Punct::Star) {
+            self.deepen()?;
+            self.bump();
         }
         let name = self.expect_ident()?;
-        Ok((base.wrap_ptr(depth), name))
+        let ptrs = self.depth - depth;
+        self.depth = depth;
+        Ok((base.wrap_ptr(ptrs), name))
     }
 
     /// Parse optional array dims and initializer after the name.
@@ -237,7 +272,7 @@ impl<'a> Parser<'a> {
             if self.peek() == &TokenKind::Eof {
                 return Err(self.err("unexpected end of input inside block"));
             }
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(Self::stmt)?);
         }
         Ok(stmts)
     }
@@ -352,14 +387,14 @@ impl<'a> Parser<'a> {
         if self.eat_punct(Punct::LBrace) {
             self.block_body()
         } else {
-            Ok(vec![self.stmt()?])
+            Ok(vec![self.nested(Self::stmt)?])
         }
     }
 
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.assign_expr()
+        self.nested(Self::assign_expr)
     }
 
     fn assign_expr(&mut self) -> Result<Expr, CompileError> {
@@ -378,7 +413,7 @@ impl<'a> Parser<'a> {
         };
         let span = self.span();
         self.bump();
-        let rhs = self.assign_expr()?;
+        let rhs = self.expr()?;
         // `lhs op= rhs` desugars to `lhs = lhs op rhs` (the lvalue is
         // evaluated twice, as documented for MiniC).
         let rhs = match compound {
@@ -414,17 +449,20 @@ impl<'a> Parser<'a> {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
-            let TokenKind::Punct(p) = *self.peek() else {
+            let op = match self.peek() {
+                TokenKind::Punct(p) => Self::bin_op_of(*p),
+                _ => None,
+            };
+            let Some((op, prec)) = op.filter(|&(_, prec)| prec >= min_prec) else {
+                self.depth = depth;
                 return Ok(lhs);
             };
-            let Some((op, prec)) = Self::bin_op_of(p) else {
-                return Ok(lhs);
-            };
-            if prec < min_prec {
-                return Ok(lhs);
-            }
+            // Each link of the chain nests its left operand one level
+            // deeper.
+            self.deepen()?;
             let span = self.span();
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
@@ -434,89 +472,81 @@ impl<'a> Parser<'a> {
 
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        match self.peek() {
-            TokenKind::Punct(p @ (Punct::PlusPlus | Punct::MinusMinus)) => {
-                let op = if *p == Punct::PlusPlus {
-                    BinOp::Add
-                } else {
-                    BinOp::Sub
-                };
-                self.bump();
-                let e = self.unary_expr()?;
-                // `++x` desugars to `x = x + 1`; the expression's value is
-                // the new value, matching C's pre-increment.
-                Ok(Expr::Assign(
-                    Box::new(e.clone()),
-                    Box::new(Expr::Binary(
-                        op,
-                        Box::new(e),
-                        Box::new(Expr::Int(1, span)),
-                        span,
-                    )),
-                    span,
-                ))
-            }
-            TokenKind::Punct(Punct::Minus) => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), span))
-            }
-            TokenKind::Punct(Punct::Not) => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), span))
-            }
-            TokenKind::Punct(Punct::Star) => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Deref(Box::new(e), span))
-            }
-            TokenKind::Punct(Punct::Amp) => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::AddrOf(Box::new(e), span))
-            }
-            _ => self.postfix_expr(),
-        }
+        let op = match self.peek() {
+            TokenKind::Punct(
+                p @ (Punct::PlusPlus
+                | Punct::MinusMinus
+                | Punct::Minus
+                | Punct::Not
+                | Punct::Star
+                | Punct::Amp),
+            ) => *p,
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let e = self.nested(Self::unary_expr)?;
+        Ok(match op {
+            // `++x` desugars to `x = x + 1`; the expression's value is the
+            // new value, matching C's pre-increment.
+            Punct::PlusPlus => desugar_incdec(e, BinOp::Add, span),
+            Punct::MinusMinus => desugar_incdec(e, BinOp::Sub, span),
+            Punct::Minus => Expr::Unary(UnOp::Neg, Box::new(e), span),
+            Punct::Not => Expr::Unary(UnOp::Not, Box::new(e), span),
+            Punct::Star => Expr::Deref(Box::new(e), span),
+            _ => Expr::AddrOf(Box::new(e), span),
+        })
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut e = self.primary_expr()?;
         loop {
             let span = self.span();
-            if self.eat_punct(Punct::LBracket) {
-                let idx = self.expr()?;
-                self.expect_punct(Punct::RBracket)?;
-                e = Expr::Index(Box::new(e), Box::new(idx), span);
-            } else if self.eat_punct(Punct::Dot) {
-                let f = self.expect_ident()?;
-                e = Expr::Field(Box::new(e), f, span);
-            } else if self.eat_punct(Punct::Arrow) {
-                let f = self.expect_ident()?;
-                e = Expr::Arrow(Box::new(e), f, span);
-            } else if self.eat_punct(Punct::PlusPlus) {
-                e = desugar_incdec(e, BinOp::Add, span);
-            } else if self.eat_punct(Punct::MinusMinus) {
-                e = desugar_incdec(e, BinOp::Sub, span);
-            } else if self.eat_punct(Punct::LParen) {
-                let mut args = Vec::new();
-                if !self.eat_punct(Punct::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat_punct(Punct::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect_punct(Punct::RParen)?;
+            let link = match self.peek() {
+                TokenKind::Punct(
+                    p @ (Punct::LBracket
+                    | Punct::Dot
+                    | Punct::Arrow
+                    | Punct::PlusPlus
+                    | Punct::MinusMinus
+                    | Punct::LParen),
+                ) => *p,
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
                 }
-                e = Expr::Call {
-                    callee: Box::new(e),
-                    args,
-                    span,
-                };
-            } else {
-                return Ok(e);
-            }
+            };
+            // Each postfix link nests the expression one level deeper.
+            self.deepen()?;
+            self.bump();
+            e = match link {
+                Punct::LBracket => {
+                    let idx = self.expr()?;
+                    self.expect_punct(Punct::RBracket)?;
+                    Expr::Index(Box::new(e), Box::new(idx), span)
+                }
+                Punct::Dot => Expr::Field(Box::new(e), self.expect_ident()?, span),
+                Punct::Arrow => Expr::Arrow(Box::new(e), self.expect_ident()?, span),
+                Punct::PlusPlus => desugar_incdec(e, BinOp::Add, span),
+                Punct::MinusMinus => desugar_incdec(e, BinOp::Sub, span),
+                _ => {
+                    let mut args = Vec::new();
+                    if !self.eat_punct(Punct::RParen) {
+                        loop {
+                            args.push(self.expr()?);
+                            if !self.eat_punct(Punct::Comma) {
+                                break;
+                            }
+                        }
+                        self.expect_punct(Punct::RParen)?;
+                    }
+                    Expr::Call {
+                        callee: Box::new(e),
+                        args,
+                        span,
+                    }
+                }
+            };
         }
     }
 
@@ -756,5 +786,34 @@ mod tests {
             panic!()
         };
         assert!(matches!(rhs.as_ref(), Expr::Binary(BinOp::LogOr, _, _, _)));
+    }
+
+    /// Each shape nests `k` times, reaching `base + k` levels: a program at
+    /// [`MAX_NESTING`] compiles, and one level more fails at the token
+    /// that opens the extra level.
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        type Shape = (&'static str, usize, fn(usize) -> String);
+        let shapes: [Shape; 7] = [
+            ("blocks", 0, |k| format!("int main() {{ {}{} return 0; }}", "{".repeat(k), "}".repeat(k))),
+            ("ifs", 1, |k| format!("int main() {{ {}; return 0; }}", "if (1) ".repeat(k))),
+            ("parens", 2, |k| format!("int main() {{ return {}1{}; }}", "(".repeat(k), ")".repeat(k))),
+            ("minuses", 2, |k| format!("int main() {{ return {}1; }}", "- ".repeat(k))),
+            ("sum", 2, |k| format!("int main() {{ return 1{}; }}", "+1".repeat(k))),
+            ("calls", 2, |k| format!("int f() {{ return 0; }} int main() {{ f{}; return 0; }}", "()".repeat(k))),
+            ("assignments", 2, |k| format!("int main() {{ int x; {}1; return x; }}", "x = ".repeat(k))),
+        ];
+        for (name, base, shape) in shapes {
+            let k = MAX_NESTING - base;
+            if let Err(e) = crate::compile(&shape(k)) {
+                panic!("{name} at the bound: {e}");
+            }
+            let err = parse_err(&shape(k + 1));
+            assert_eq!(err.message, "nesting deeper than 128 levels", "{name}");
+        }
+        // The span is the token past the bound: here the literal inside
+        // the 127th parenthesis, after `int main() { return ` (20 columns).
+        let err = parse_err(&shapes[2].2(MAX_NESTING - 1));
+        assert_eq!(err.span, Span::new(1, 20 + MAX_NESTING as u32));
     }
 }

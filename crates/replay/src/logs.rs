@@ -40,8 +40,9 @@ const FORMAT: Format = Format {
     version: 2,
 };
 
+/// Header flag bits. Bit `0x2` once marked explicit per-object order
+/// sections; it is now unknown like every other unassigned bit.
 const FLAG_JOURNAL: u8 = 1;
-const FLAG_EXPLICIT: u8 = 2;
 const FLAG_CHECKPOINTS: u8 = 4;
 
 /// Dictionary bitmap bits (one per [`ObjKey`] group, in variant order).
@@ -142,33 +143,22 @@ pub struct Checkpoint {
 }
 
 /// All logs produced by one recorded execution.
+///
+/// The journal is the one record of replay order: the replayer's
+/// per-object queues, the order log of Table 2 and the container's chunks
+/// are all read from it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayLogs {
     /// Input payloads keyed by (thread, per-thread input sequence).
     pub inputs: BTreeMap<InputKey, Vec<i64>>,
-    /// Per-mutex acquisition order (thread ids).
-    pub mutex_order: BTreeMap<i64, Vec<u32>>,
-    /// Per-condvar wakeup delivery order (thread ids of the woken).
-    pub cond_order: BTreeMap<i64, Vec<u32>>,
-    /// Global spawn order (parent thread ids).
-    pub spawn_order: Vec<u32>,
-    /// Global output-syscall order (writing thread ids).
-    pub output_order: Vec<u32>,
-    /// Per-weak-lock acquisition order (thread ids).
-    pub weak_order: BTreeMap<WeakLockId, Vec<u32>>,
     /// Granularity of each weak-lock seen (for per-class counting).
     pub weak_gran: BTreeMap<WeakLockId, LockGranularity>,
-    /// Forced releases: (holder thread, retired-instruction count, parked
-    /// flag, lock), in commit order.
-    pub forced: Vec<(u32, u64, bool, WeakLockId)>,
     /// Count of program sync events logged (mutex + barrier + cond + spawn
     /// + join).
     pub sync_log_entries: u64,
     /// Count of input events logged.
     pub input_log_entries: u64,
-    /// The globally-ordered event journal. Empty for hand-built
-    /// per-object maps; the per-object order maps above remain the
-    /// replayer's source of truth either way.
+    /// The globally-ordered event journal.
     pub journal: Vec<JournalEvent>,
     /// Recorder checkpoints at chunk boundaries (v2).
     pub checkpoints: Vec<Checkpoint>,
@@ -190,11 +180,10 @@ pub struct LogSuffix {
     pub checkpoints: Vec<Checkpoint>,
 }
 
-/// Dictionary key for one ordered object: a per-object order stream,
-/// reduced to a sortable id. Order matters: groups are serialized in this
-/// enum's variant order.
+/// Dictionary key for one ordered object, reduced to a sortable id.
+/// Order matters: groups are serialized in this enum's variant order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ObjKey {
+pub(crate) enum ObjKey {
     Mutex(i64),
     Cond(i64),
     Spawn,
@@ -204,7 +193,7 @@ enum ObjKey {
     Forced(u32),
 }
 
-fn obj_thread(ev: &JournalEvent) -> (ObjKey, u32) {
+pub(crate) fn obj_thread(ev: &JournalEvent) -> (ObjKey, u32) {
     match *ev {
         JournalEvent::Mutex { thread, addr } => (ObjKey::Mutex(addr), thread),
         JournalEvent::Cond { thread, addr } => (ObjKey::Cond(addr), thread),
@@ -216,42 +205,21 @@ fn obj_thread(ev: &JournalEvent) -> (ObjKey, u32) {
     }
 }
 
-/// Per-object order streams, derived or stored (the replayer's view).
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Orders {
-    mutex: BTreeMap<i64, Vec<u32>>,
-    cond: BTreeMap<i64, Vec<u32>>,
-    spawn: Vec<u32>,
-    output: Vec<u32>,
-    weak: BTreeMap<WeakLockId, Vec<u32>>,
-    forced: Vec<(u32, u64, bool, WeakLockId)>,
-}
-
-fn derived_orders(journal: &[JournalEvent]) -> Orders {
-    let mut o = Orders::default();
+/// The journal projected per ordered object: each object's committing
+/// threads in journal order, the queues replay enforces. The spawn and
+/// output streams are global and always present, empty when the run
+/// spawned or printed nothing. Inputs (fed by per-thread sequence number)
+/// and forced releases (pinned by the holder's instruction count) are no
+/// per-object order and stay out.
+pub(crate) fn object_orders(journal: &[JournalEvent]) -> BTreeMap<ObjKey, Vec<u32>> {
+    let mut orders = BTreeMap::from([(ObjKey::Spawn, Vec::new()), (ObjKey::Output, Vec::new())]);
     for ev in journal {
-        match *ev {
-            JournalEvent::Mutex { thread, addr } => {
-                o.mutex.entry(addr).or_default().push(thread)
-            }
-            JournalEvent::Cond { thread, addr } => {
-                o.cond.entry(addr).or_default().push(thread)
-            }
-            JournalEvent::Spawn { thread } => o.spawn.push(thread),
-            JournalEvent::Output { thread } => o.output.push(thread),
-            JournalEvent::Input { .. } => {}
-            JournalEvent::Weak { thread, lock } => {
-                o.weak.entry(lock).or_default().push(thread)
-            }
-            JournalEvent::Forced {
-                thread,
-                icount,
-                parked,
-                lock,
-            } => o.forced.push((thread, icount, parked, lock)),
+        if !matches!(ev, JournalEvent::Input { .. } | JournalEvent::Forced { .. }) {
+            let (key, thread) = obj_thread(ev);
+            orders.entry(key).or_default().push(thread);
         }
     }
-    o
+    orders
 }
 
 impl ReplayLogs {
@@ -259,11 +227,10 @@ impl ReplayLogs {
     /// paper's "instr. log" / "basic blk. log" / "loop log" / "func. log"
     /// columns of Table 2.
     pub fn weak_entries(&self, g: LockGranularity) -> u64 {
-        self.weak_order
+        self.journal
             .iter()
-            .filter(|(l, _)| self.weak_gran.get(l) == Some(&g))
-            .map(|(_, v)| v.len() as u64)
-            .sum()
+            .filter(|e| matches!(e, JournalEvent::Weak { lock, .. } if self.weak_gran.get(lock) == Some(&g)))
+            .count() as u64
     }
 
     /// Total input words recorded.
@@ -271,30 +238,26 @@ impl ReplayLogs {
         self.inputs.values().map(|v| v.len() as u64).sum()
     }
 
-    // ---- push API: keeps the journal and the per-object maps in sync ----
+    // ---- push API: one journal entry per ordered event ----
 
-    /// Append a mutex acquisition to the journal and the per-mutex stream.
+    /// Append a mutex acquisition.
     pub fn push_mutex(&mut self, addr: i64, thread: u32) {
         self.journal.push(JournalEvent::Mutex { thread, addr });
-        self.mutex_order.entry(addr).or_default().push(thread);
     }
 
     /// Append a condvar wakeup.
     pub fn push_cond(&mut self, addr: i64, thread: u32) {
         self.journal.push(JournalEvent::Cond { thread, addr });
-        self.cond_order.entry(addr).or_default().push(thread);
     }
 
     /// Append a spawn.
     pub fn push_spawn(&mut self, thread: u32) {
         self.journal.push(JournalEvent::Spawn { thread });
-        self.spawn_order.push(thread);
     }
 
     /// Append an output commit.
     pub fn push_output(&mut self, thread: u32) {
         self.journal.push(JournalEvent::Output { thread });
-        self.output_order.push(thread);
     }
 
     /// Append an input payload; the per-thread sequence number is derived
@@ -310,10 +273,9 @@ impl ReplayLogs {
         self.journal.push(JournalEvent::Input { thread });
     }
 
-    /// Append a weak-lock acquisition.
+    /// Append a weak-lock acquisition and note the lock's granularity.
     pub fn push_weak(&mut self, lock: WeakLockId, gran: LockGranularity, thread: u32) {
         self.journal.push(JournalEvent::Weak { thread, lock });
-        self.weak_order.entry(lock).or_default().push(thread);
         self.weak_gran.insert(lock, gran);
     }
 
@@ -325,7 +287,6 @@ impl ReplayLogs {
             parked,
             lock,
         });
-        self.forced.push((thread, icount, parked, lock));
     }
 
     /// Record a checkpoint covering the first `events` journal entries.
@@ -336,17 +297,6 @@ impl ReplayLogs {
     /// Number of v2 chunks this journal serializes to.
     pub fn chunk_count(&self) -> usize {
         self.journal.len().div_ceil(CHUNK_EVENTS)
-    }
-
-    fn stored_orders(&self) -> Orders {
-        Orders {
-            mutex: self.mutex_order.clone(),
-            cond: self.cond_order.clone(),
-            spawn: self.spawn_order.clone(),
-            output: self.output_order.clone(),
-            weak: self.weak_order.clone(),
-            forced: self.forced.clone(),
-        }
     }
 
     /// Serialize the input log to bytes (varint packed).
@@ -364,25 +314,33 @@ impl ReplayLogs {
     }
 
     /// Serialize the order log (program sync + weak-locks + forced
-    /// releases) to bytes. Thread ids are varints (ids ≥ 256 used to be
-    /// truncated to one byte here and silently alias).
+    /// releases) to bytes: each object's stream from [`object_orders`],
+    /// then the forced releases in commit order. Thread ids are varints
+    /// (ids ≥ 256 used to be truncated to one byte here and silently
+    /// alias).
     pub fn encode_order_log(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for (addr, threads) in self.mutex_order.iter().chain(&self.cond_order) {
-            push_varint(&mut out, zigzag(*addr));
+        for (key, threads) in &object_orders(&self.journal) {
+            match *key {
+                ObjKey::Mutex(addr) | ObjKey::Cond(addr) => push_varint(&mut out, zigzag(addr)),
+                ObjKey::Weak(lock) => push_varint(&mut out, lock as u64),
+                _ => {}
+            }
             push_threads(&mut out, threads);
         }
-        push_threads(&mut out, &self.spawn_order);
-        push_threads(&mut out, &self.output_order);
-        for (lock, threads) in &self.weak_order {
-            push_varint(&mut out, lock.0 as u64);
-            push_threads(&mut out, threads);
-        }
-        for (t, icount, parked, lock) in &self.forced {
-            push_varint(&mut out, *t as u64);
-            push_varint(&mut out, *icount);
-            out.push(*parked as u8);
-            push_varint(&mut out, lock.0 as u64);
+        for ev in &self.journal {
+            if let JournalEvent::Forced {
+                thread,
+                icount,
+                parked,
+                lock,
+            } = *ev
+            {
+                push_varint(&mut out, thread as u64);
+                push_varint(&mut out, icount);
+                out.push(parked as u8);
+                push_varint(&mut out, lock.0 as u64);
+            }
         }
         out
     }
@@ -399,33 +357,16 @@ impl ReplayLogs {
     /// then the journal as chunked, checksummed, bit-packed frames.
     pub fn to_bytes(&self) -> Vec<u8> {
         let has_journal = !self.journal.is_empty();
-        let explicit =
-            !has_journal || derived_orders(&self.journal) != self.stored_orders();
         let mut header = Vec::new();
         let mut flags = 0u8;
         if has_journal {
             flags |= FLAG_JOURNAL;
-        }
-        if explicit {
-            flags |= FLAG_EXPLICIT;
         }
         if !self.checkpoints.is_empty() {
             flags |= FLAG_CHECKPOINTS;
         }
         header.push(flags);
         encode_inputs(&mut header, &self.inputs);
-        if !has_journal {
-            // Standalone weak-lock granularities (delta-coded sorted ids).
-            // Journal logs carry them inside the dictionary instead.
-            push_varint(&mut header, self.weak_gran.len() as u64);
-            let mut prev = 0u32;
-            for (i, (lock, g)) in self.weak_gran.iter().enumerate() {
-                let d = if i == 0 { lock.0 as u64 } else { (lock.0 - prev) as u64 };
-                push_varint(&mut header, d);
-                prev = lock.0;
-                push_varint(&mut header, gran_code(*g));
-            }
-        }
         // Counters.
         push_varint(&mut header, self.sync_log_entries);
         push_varint(&mut header, self.input_log_entries);
@@ -475,9 +416,6 @@ impl ReplayLogs {
             let n_combos = combos.len();
             tables = Some((obj_idx, combo_idx, n_combos));
         }
-        if explicit {
-            encode_orders(&mut header, self);
-        }
         let mut out = FORMAT.start();
         // The one exception to the frame layout: the v2 header carries its
         // checksum after the body instead of before it.
@@ -507,27 +445,15 @@ impl ReplayLogs {
         let Opened {
             mut logs,
             tables,
-            explicit,
             n_events,
             n_chunks,
             mut r,
         } = open(bytes)?;
         if let Some((objs, combos)) = &tables {
-            let mut journal = Vec::new();
             walk_chunks(&mut r, n_chunks, 0, |i, _, body| {
                 let n_in = chunk_events(n_events, n_chunks, i);
-                decode_chunk(i, body, n_in, n_chunks > 1, combos, objs, &mut journal)
+                decode_chunk(i, body, n_in, n_chunks > 1, combos, objs, &mut logs.journal)
             })?;
-            if !explicit {
-                let o = derived_orders(&journal);
-                logs.mutex_order = o.mutex;
-                logs.cond_order = o.cond;
-                logs.spawn_order = o.spawn;
-                logs.output_order = o.output;
-                logs.weak_order = o.weak;
-                logs.forced = o.forced;
-            }
-            logs.journal = journal;
         }
         FORMAT.finish(&r)?;
         Ok(logs)
@@ -540,9 +466,8 @@ impl ReplayLogs {
     ///
     /// # Errors
     ///
-    /// Fails on container/header damage, a missing journal (explicit
-    /// per-object orders only), an out-of-range chunk, or damage within
-    /// the suffix itself.
+    /// Fails on container/header damage, a log with no journal, an
+    /// out-of-range chunk, or damage within the suffix itself.
     pub fn decode_from_checkpoint(bytes: &[u8], chunk: usize) -> Result<LogSuffix, String> {
         let Opened {
             logs,
@@ -553,7 +478,7 @@ impl ReplayLogs {
             ..
         } = open(bytes)?;
         let Some((objs, combos)) = tables else {
-            return Err("log: no journal (explicit per-object orders only)".into());
+            return Err("log: no journal".into());
         };
         if chunk >= n_chunks {
             return Err(format!("log: chunk {chunk} out of range (log has {n_chunks})"));
@@ -608,12 +533,11 @@ impl ReplayLogs {
 }
 
 /// A log with its envelope and header decoded: the partially-filled logs
-/// (inputs, granularities, counters, checkpoints, and per-object orders if
-/// explicit), the journal tables, and a reader at the first chunk frame.
+/// (inputs, granularities, counters, checkpoints), the journal tables, and
+/// a reader at the first chunk frame.
 struct Opened<'a> {
     logs: ReplayLogs,
     tables: Option<JournalTables>,
-    explicit: bool,
     n_events: u64,
     n_chunks: usize,
     r: Reader<'a>,
@@ -622,8 +546,7 @@ struct Opened<'a> {
 /// The prologue every decode shares: envelope, header, chunk count.
 fn open(bytes: &[u8]) -> Result<Opened<'_>, String> {
     let mut r = FORMAT.open(bytes)?;
-    let (logs, tables, n_events, explicit) =
-        read_header(&mut r).map_err(|e| format!("log header: {e}"))?;
+    let (logs, tables, n_events) = read_header(&mut r).map_err(|e| format!("log header: {e}"))?;
     let n_chunks = match tables {
         Some(_) => chunk_count_for(&r, n_events)?,
         None => 0,
@@ -631,7 +554,6 @@ fn open(bytes: &[u8]) -> Result<Opened<'_>, String> {
     Ok(Opened {
         logs,
         tables,
-        explicit,
         n_events,
         n_chunks,
         r,
@@ -686,10 +608,8 @@ fn chunk_events(n_events: u64, n_chunks: usize, i: usize) -> usize {
 /// Read the v2 header — `varint(len) ++ body ++ fnv32(body)`, the one
 /// frame whose checksum trails its body — and parse the body, which must
 /// be consumed exactly. Returns the partially-filled logs, the journal
-/// tables, the event count, and the explicit-orders flag.
-fn read_header(
-    r: &mut Reader,
-) -> Result<(ReplayLogs, Option<JournalTables>, u64, bool), String> {
+/// tables, and the event count.
+fn read_header(r: &mut Reader) -> Result<(ReplayLogs, Option<JournalTables>, u64), String> {
     let len = r.varint()?;
     let header = r.take(usize::try_from(len).map_err(|_| "truncated")?)?;
     if fnv32(header) != r.u32_raw()? {
@@ -701,28 +621,13 @@ fn read_header(
     Ok(out)
 }
 
-fn parse_header_body(
-    h: &mut Reader,
-) -> Result<(ReplayLogs, Option<JournalTables>, u64, bool), String> {
+fn parse_header_body(h: &mut Reader) -> Result<(ReplayLogs, Option<JournalTables>, u64), String> {
     let flags = h.u8()?;
-    if flags & !(FLAG_JOURNAL | FLAG_EXPLICIT | FLAG_CHECKPOINTS) != 0 {
+    if flags & !(FLAG_JOURNAL | FLAG_CHECKPOINTS) != 0 {
         return Err(format!("unknown flags {flags:#x}"));
     }
-    let has_journal = flags & FLAG_JOURNAL != 0;
-    let explicit = flags & FLAG_EXPLICIT != 0;
     let mut logs = ReplayLogs::default();
     decode_inputs(h, &mut logs)?;
-    if !has_journal {
-        let n_gran = h.varint()?;
-        let mut prev = 0u32;
-        for i in 0..n_gran {
-            let d = h.varint()?;
-            let lock = decode_u32_delta(i == 0, prev, d, "weak-lock id")?;
-            prev = lock;
-            let g = gran_from_code(h.varint()?)?;
-            logs.weak_gran.insert(WeakLockId(lock), g);
-        }
-    }
     logs.sync_log_entries = h.varint()?;
     logs.input_log_entries = h.varint()?;
     if flags & FLAG_CHECKPOINTS != 0 {
@@ -743,7 +648,7 @@ fn parse_header_body(
     }
     let mut tables = None;
     let mut n_events = 0u64;
-    if has_journal {
+    if flags & FLAG_JOURNAL != 0 {
         let (objs, combos) = decode_journal_tables(h, &mut logs)?;
         n_events = h.varint()?;
         if n_events == 0 {
@@ -754,34 +659,7 @@ fn parse_header_body(
         }
         tables = Some((objs, combos));
     }
-    if explicit {
-        let order_map = |h: &mut Reader| -> Result<BTreeMap<i64, Vec<u32>>, String> {
-            let n = h.varint()?;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                m.insert(unzigzag(h.varint()?), read_threads(h)?);
-            }
-            Ok(m)
-        };
-        logs.mutex_order = order_map(h)?;
-        logs.cond_order = order_map(h)?;
-        logs.spawn_order = read_threads(h)?;
-        logs.output_order = read_threads(h)?;
-        let n_weak = h.varint()?;
-        for _ in 0..n_weak {
-            let lock = WeakLockId(h.varint_u32()?);
-            logs.weak_order.insert(lock, read_threads(h)?);
-        }
-        let n_forced = h.varint()?;
-        for _ in 0..n_forced {
-            let t = h.varint_u32()?;
-            let icount = h.varint()?;
-            let parked = h.u8()? != 0;
-            let lock = WeakLockId(h.varint_u32()?);
-            logs.forced.push((t, icount, parked, lock));
-        }
-    }
-    Ok((logs, tables, n_events, explicit))
+    Ok((logs, tables, n_events))
 }
 
 /// Serialize the grouped input records: threads ascending, each with its
@@ -887,40 +765,6 @@ fn push_threads(out: &mut Vec<u8>, threads: &[u32]) {
     push_varint(out, threads.len() as u64);
     for &t in threads {
         push_varint(out, t as u64);
-    }
-}
-
-/// Read a list written by [`push_threads`].
-fn read_threads(h: &mut Reader) -> Result<Vec<u32>, String> {
-    let n = h.varint()?;
-    let mut v = Vec::with_capacity((n as usize).min(1 << 20));
-    for _ in 0..n {
-        v.push(h.varint_u32()?);
-    }
-    Ok(v)
-}
-
-fn encode_orders(out: &mut Vec<u8>, logs: &ReplayLogs) {
-    for m in [&logs.mutex_order, &logs.cond_order] {
-        push_varint(out, m.len() as u64);
-        for (addr, threads) in m {
-            push_varint(out, zigzag(*addr));
-            push_threads(out, threads);
-        }
-    }
-    push_threads(out, &logs.spawn_order);
-    push_threads(out, &logs.output_order);
-    push_varint(out, logs.weak_order.len() as u64);
-    for (lock, threads) in &logs.weak_order {
-        push_varint(out, lock.0 as u64);
-        push_threads(out, threads);
-    }
-    push_varint(out, logs.forced.len() as u64);
-    for (t, icount, parked, lock) in &logs.forced {
-        push_varint(out, *t as u64);
-        push_varint(out, *icount);
-        out.push(*parked as u8);
-        push_varint(out, lock.0 as u64);
     }
 }
 
@@ -1557,31 +1401,26 @@ mod tests {
     #[test]
     fn weak_entries_split_by_granularity() {
         let mut logs = ReplayLogs::default();
-        logs.weak_order.insert(WeakLockId(0), vec![0, 1, 0]);
-        logs.weak_order.insert(WeakLockId(1), vec![1]);
-        logs.weak_gran.insert(WeakLockId(0), LockGranularity::Loop);
-        logs.weak_gran
-            .insert(WeakLockId(1), LockGranularity::Function);
+        for t in [0, 1, 0] {
+            logs.push_weak(WeakLockId(0), LockGranularity::Loop, t);
+        }
+        logs.push_weak(WeakLockId(1), LockGranularity::Function, 1);
         assert_eq!(logs.weak_entries(LockGranularity::Loop), 3);
         assert_eq!(logs.weak_entries(LockGranularity::Function), 1);
         assert_eq!(logs.weak_entries(LockGranularity::BasicBlock), 0);
     }
 
-    /// A hand-built log exercising every per-object section (explicit
-    /// mode, no journal).
-    fn rich_logs() -> ReplayLogs {
+    /// A hand-built log with no journal: every input shape (threads,
+    /// non-contiguous sequence numbers, byte-mode and varint payloads, an
+    /// empty payload), counters and a checkpoint.
+    fn journal_less_logs() -> ReplayLogs {
         let mut logs = ReplayLogs::default();
         logs.inputs.insert((0, 0), vec![5, -3, 1 << 40]);
+        logs.inputs.insert((0, 1), vec![7, 255, 0]);
         logs.inputs.insert((2, 7), vec![]);
-        logs.mutex_order.insert(-9, vec![0, 1, 0, 2]);
-        logs.cond_order.insert(44, vec![3]);
-        logs.spawn_order = vec![0, 0, 1];
-        logs.output_order = vec![2, 0];
-        logs.weak_order.insert(WeakLockId(5), vec![1, 2]);
-        logs.weak_gran.insert(WeakLockId(5), LockGranularity::Loop);
-        logs.forced.push((1, 999, true, WeakLockId(5)));
         logs.sync_log_entries = 17;
         logs.input_log_entries = 3;
+        logs.push_checkpoint(0, 0x1234_5678_9abc_def0);
         logs
     }
 
@@ -1634,24 +1473,33 @@ mod tests {
         // The old order-log encoding truncated ids to one byte, so thread
         // 300 silently aliased thread 44 (300 mod 256). Varints keep them
         // distinct.
-        let a = ReplayLogs {
-            spawn_order: vec![300],
-            ..Default::default()
+        let spawn_by = |t| {
+            let mut logs = ReplayLogs::default();
+            logs.push_spawn(t);
+            logs
         };
-        let b = ReplayLogs {
-            spawn_order: vec![44],
-            ..Default::default()
-        };
+        let (a, b) = (spawn_by(300), spawn_by(44));
         assert_ne!(a.encode_order_log(), b.encode_order_log());
         assert_ne!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]
-    fn inconsistent_orders_round_trip_via_explicit_sections() {
-        let mut logs = journal_logs();
-        logs.spawn_order.push(9); // maps no longer derivable from journal
-        let back = ReplayLogs::from_bytes(&logs.to_bytes()).expect("round trip");
-        assert_eq!(back, logs);
+    fn explicit_flag_is_an_unknown_flag() {
+        // A journal-less header, well formed but for its flags byte: 0x2
+        // marked the deleted explicit order sections.
+        let header = |flags: u8| {
+            let mut h = vec![flags];
+            push_varint(&mut h, 0); // no input threads
+            push_varint(&mut h, 0); // sync_log_entries
+            push_varint(&mut h, 0); // input_log_entries
+            h
+        };
+        assert_eq!(
+            ReplayLogs::from_bytes(&container(&header(0), &[])),
+            Ok(ReplayLogs::default())
+        );
+        let err = ReplayLogs::from_bytes(&container(&header(2), &[])).unwrap_err();
+        assert_eq!(err, "log header: unknown flags 0x2");
     }
 
     #[test]
@@ -1727,7 +1575,6 @@ mod tests {
         // combo packs at width zero, so the body is empty.
         let logs = ReplayLogs::from_bytes(&container(&header, &frame(&[]))).expect("valid");
         assert_eq!(logs.journal, vec![JournalEvent::Mutex { thread: 2, addr: 3 }]);
-        assert_eq!(logs.mutex_order[&3], vec![2]);
     }
 
     #[test]
@@ -1760,24 +1607,30 @@ mod tests {
 
     #[test]
     fn hostile_section_lengths_error_not_panic() {
-        // Hand-built journal-less headers behind a valid checksum, so the
-        // section parser itself meets the hostile lengths.
+        // Hand-built headers behind a valid checksum, so the section
+        // parser itself meets the hostile lengths.
         // Absurd input-thread count: must fail on the missing records, not
         // try to allocate for them.
-        let mut h = vec![FLAG_EXPLICIT];
+        let mut h = vec![0];
         push_varint(&mut h, u64::MAX);
         assert!(ReplayLogs::from_bytes(&container(&h, &[])).is_err());
         // Absurd payload length inside one otherwise-valid input record.
-        let mut h = vec![FLAG_EXPLICIT];
+        let mut h = vec![0];
         push_varint(&mut h, 1); // one input thread…
         push_varint(&mut h, 0); // …thread 0
         push_varint(&mut h, 1 << 1); // one contiguous record
         push_varint(&mut h, u64::MAX - 1); // varint payload length
         assert!(ReplayLogs::from_bytes(&container(&h, &[])).is_err());
-        // Unknown weak-lock granularity code.
-        let mut h = vec![FLAG_EXPLICIT];
+        // Unknown weak-lock granularity code in the journal dictionary's
+        // exception list.
+        let mut h = vec![FLAG_JOURNAL];
         push_varint(&mut h, 0); // no input threads
-        push_varint(&mut h, 1); // one granularity entry…
+        push_varint(&mut h, 0); // sync_log_entries
+        push_varint(&mut h, 0); // input_log_entries
+        h.push(DICT_MUTEX); // dictionary bitmap, mask-mode combos
+        push_varint(&mut h, 1); // one mutex…
+        push_varint(&mut h, zigzag(3)); // …at addr 3
+        push_varint(&mut h, 1); // one granularity exception…
         push_varint(&mut h, 0); // …for lock 0
         push_varint(&mut h, 9); // bogus granularity
         let err = ReplayLogs::from_bytes(&container(&h, &[])).unwrap_err();
@@ -1799,7 +1652,7 @@ mod tests {
 
     mod proptests {
         use super::*;
-        use chimera_testkit::prop::{self, Gen, Source};
+        use chimera_testkit::prop::{self, Gen};
         use chimera_testkit::{corruption_suite, prop_assert, Codec};
 
         const CODEC: Codec<ReplayLogs> = Codec {
@@ -1808,17 +1661,8 @@ mod tests {
             encode: ReplayLogs::to_bytes,
         };
 
-        fn arb_logs() -> Gen<ReplayLogs> {
-            fn order(s: &mut Source) -> BTreeMap<i64, Vec<u32>> {
-                let n = s.int(0usize..4);
-                (0..n)
-                    .map(|_| {
-                        let key = s.raw_u64() as i64;
-                        let len = s.int(0usize..12);
-                        (key, (0..len).map(|_| s.int(0u32..8)).collect())
-                    })
-                    .collect()
-            }
+        /// Journal-less logs: inputs, counters and checkpoints only.
+        fn arb_journal_less_logs() -> Gen<ReplayLogs> {
             Gen::new(|s| {
                 let n_inputs = s.int(0usize..6);
                 let inputs = (0..n_inputs)
@@ -1828,46 +1672,25 @@ mod tests {
                         (key, (0..len).map(|_| s.raw_u64() as i64).collect())
                     })
                     .collect();
-                let mutex_order = order(s);
-                let cond_order = order(s);
-                let n_weak = s.int(0usize..4);
-                let weak_order: BTreeMap<WeakLockId, Vec<u32>> = (0..n_weak)
-                    .map(|_| {
-                        let key = WeakLockId(s.int(0u32..16));
-                        let len = s.int(0usize..12);
-                        (key, (0..len).map(|_| s.int(0u32..8)).collect())
+                let n_cp = s.int(0usize..3);
+                let checkpoints = (0..n_cp)
+                    .map(|_| Checkpoint {
+                        events: s.raw_u64(),
+                        state_hash: s.raw_u64(),
                     })
-                    .collect();
-                let n_forced = s.int(0usize..5);
-                let forced = (0..n_forced)
-                    .map(|_| {
-                        (s.int(0u32..8), s.raw_u64(), s.bool(), WeakLockId(s.int(0u32..16)))
-                    })
-                    .collect();
-                let weak_gran = weak_order
-                    .keys()
-                    .map(|l| (*l, LockGranularity::Loop))
                     .collect();
                 ReplayLogs {
                     inputs,
-                    mutex_order,
-                    cond_order,
-                    spawn_order: vec![0, 0],
-                    output_order: vec![1],
-                    weak_order,
-                    weak_gran,
-                    forced,
                     sync_log_entries: s.raw_u64(),
                     input_log_entries: s.raw_u64(),
-                    journal: Vec::new(),
-                    checkpoints: Vec::new(),
+                    checkpoints,
+                    ..ReplayLogs::default()
                 }
             })
         }
 
-        /// Push-built logs: journal and per-object maps consistent, so the
-        /// encoder takes the dictionary/chunk path. Thread ids range past
-        /// 255 to keep the truncation regression covered.
+        /// Push-built logs, which take the dictionary/chunk path. Thread
+        /// ids range past 255 to keep the truncation regression covered.
         fn arb_journal_logs() -> Gen<ReplayLogs> {
             Gen::new(|s| {
                 let mut logs = ReplayLogs::default();
@@ -1922,15 +1745,14 @@ mod tests {
                                 cur.inputs.insert((t, 0), vec![1, -2, 3]);
                             }
                             1 => {
-                                cur.mutex_order
-                                    .insert(1_000_000 + step as i64, vec![0, t, 1]);
+                                for thread in [0, t, 1] {
+                                    cur.push_mutex(1_000_000 + step as i64, thread);
+                                }
                             }
                             2 => {
-                                cur.weak_order.insert(WeakLockId(100_000 + step), vec![t]);
+                                cur.push_weak(WeakLockId(100_000 + step), LockGranularity::Loop, t);
                             }
-                            3 => {
-                                cur.forced.push((t, 7, true, WeakLockId(3)));
-                            }
+                            3 => cur.push_forced(t, 7, true, WeakLockId(3)),
                             _ => unreachable!(),
                         }
                         let (i, o) = cur.compressed_sizes();
@@ -1951,10 +1773,10 @@ mod tests {
             );
         }
 
-        /// The shared hostile-input suite over explicit-mode logs.
+        /// The shared hostile-input suite over journal-less logs.
         #[test]
-        fn explicit_logs_pass_the_corruption_suite() {
-            corruption_suite(&CODEC, &rich_logs(), arb_logs());
+        fn journal_less_logs_pass_the_corruption_suite() {
+            corruption_suite(&CODEC, &journal_less_logs(), arb_journal_less_logs());
         }
 
         /// The same suite over push-built journal logs, whose pristine

@@ -108,9 +108,9 @@ impl Supervisor for Observed<'_> {
     }
 }
 
-/// The event observer that builds [`ReplayLogs`] — per-object order
-/// streams, the global journal, and (when enabled) periodic schedule
-/// checkpoints.
+/// The event observer that builds [`ReplayLogs`]: one journal entry per
+/// ordered event (the only record of replay order), the input payloads,
+/// and (when enabled) periodic schedule checkpoints.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     /// Logs built so far.
@@ -177,8 +177,8 @@ impl Supervisor for Recorder {
                         self.logs.push_spawn(thread.0);
                     }
                     // Barrier releases and joins are deterministic given
-                    // the rest of the order; they are counted but need no
-                    // order stream.
+                    // the rest of the order; they are counted but not
+                    // journaled.
                     chimera_runtime::SyncKind::Barrier
                     | chimera_runtime::SyncKind::Join => {}
                 }
@@ -212,6 +212,7 @@ impl Supervisor for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logs::JournalEvent;
     use chimera_minic::compile;
 
     #[test]
@@ -229,14 +230,16 @@ mod tests {
         assert!(rec.result.outcome.is_exit());
         assert_eq!(rec.logs.input_log_entries, 1);
         assert_eq!(rec.logs.input_words(), 8);
-        // Two lock acquisitions on m.
-        let total_mutex: usize = rec.logs.mutex_order.values().map(|v| v.len()).sum();
-        assert_eq!(total_mutex, 2);
-        assert_eq!(rec.logs.spawn_order, vec![0]);
+        // Two lock acquisitions on m, and main's one spawn.
+        let journal = &rec.logs.journal;
+        let mutexes = journal.iter().filter(|e| matches!(e, JournalEvent::Mutex { .. }));
+        assert_eq!(mutexes.count(), 2);
+        let spawns = journal.iter().filter(|e| matches!(e, JournalEvent::Spawn { .. }));
+        assert_eq!(spawns.map(JournalEvent::thread).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
-    fn recorded_journal_matches_order_streams() {
+    fn recorded_journal_round_trips() {
         let p = compile(
             "int g; lock_t m;
              void w(int n) { int i; for (i = 0; i < 40; i = i + 1) {
@@ -246,14 +249,12 @@ mod tests {
         )
         .unwrap();
         let rec = record(&p, &ExecConfig::default());
-        // The journal is the global order; projected per object it must
-        // reproduce the per-object streams — which is exactly what the v2
-        // encoder relies on to drop the explicit sections.
-        let bytes = rec.logs.to_bytes();
-        let back = ReplayLogs::from_bytes(&bytes).expect("round trip");
+        // The journal holds every one of the 80 acquisitions of m, and
+        // the container carries it unchanged.
+        let mutexes = rec.logs.journal.iter().filter(|e| matches!(e, JournalEvent::Mutex { .. }));
+        assert_eq!(mutexes.count(), 80);
+        let back = ReplayLogs::from_bytes(&rec.logs.to_bytes()).expect("round trip");
         assert_eq!(back, rec.logs);
-        let total: usize = rec.logs.mutex_order.values().map(|v| v.len()).sum();
-        assert!(rec.logs.journal.len() >= total);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The replaying supervisor: enforces recorded orders and feeds recorded
 //! inputs.
 
-use crate::logs::ReplayLogs;
+use crate::logs::{obj_thread, object_orders, JournalEvent, ObjKey, ReplayLogs};
 use chimera_minic::ir::{Program, WeakLockId};
 use chimera_runtime::{
     execute_supervised, Event, EventKind, EventMask, ExecConfig, ExecResult, OrderPoint,
-    Supervisor, ThreadId,
+    Supervisor, SyncKind, ThreadId,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -34,85 +34,68 @@ pub fn replay(program: &Program, logs: &ReplayLogs, base: &ExecConfig) -> Replay
         timeout_enabled: false,
         ..*base
     };
-    let mut sup = Replayer::new(logs.clone());
+    let mut sup = Replayer::new(logs);
     let result = execute_supervised(program, &config, &mut sup);
     let complete = result.outcome.is_exit() && sup.fully_consumed();
     ReplayRun { result, complete }
 }
 
-/// The order-enforcing supervisor.
+/// The order-enforcing supervisor. It borrows the recorded logs and
+/// builds its queues from their journal once.
 #[derive(Debug, Clone)]
-pub struct Replayer {
-    logs: ReplayLogs,
-    mutex_pos: BTreeMap<i64, usize>,
-    cond_pos: BTreeMap<i64, usize>,
-    weak_pos: BTreeMap<WeakLockId, usize>,
-    spawn_pos: usize,
-    output_pos: usize,
+pub struct Replayer<'a> {
+    logs: &'a ReplayLogs,
+    /// Each recorded object's committing threads in journal order (see
+    /// `object_orders`), with how many of them the replay has passed.
+    queues: BTreeMap<ObjKey, (Vec<u32>, usize)>,
     input_pos: BTreeMap<u32, u64>,
     /// Recorded forced-release points per thread, in that thread's order —
     /// replayed like DoublePlay's preemptions: the machine re-injects each
     /// when its holder reaches the recorded instruction count (and
     /// parked/running state). Cross-thread ordering needs no extra
-    /// enforcement: the per-lock acquire logs already order every
+    /// enforcement: the per-lock acquire queues already order every
     /// consequence.
     forced_by_thread: BTreeMap<u32, VecDeque<(u64, bool, WeakLockId)>>,
 }
 
-impl Replayer {
+impl<'a> Replayer<'a> {
     /// Build a replayer over recorded logs.
-    pub fn new(logs: ReplayLogs) -> Replayer {
-        let mut forced_by_thread: BTreeMap<u32, VecDeque<(u64, bool, WeakLockId)>> =
-            BTreeMap::new();
-        for (t, icount, parked, lock) in &logs.forced {
-            forced_by_thread
-                .entry(*t)
-                .or_default()
-                .push_back((*icount, *parked, *lock));
+    pub fn new(logs: &'a ReplayLogs) -> Replayer<'a> {
+        let mut forced_by_thread: BTreeMap<u32, VecDeque<_>> = BTreeMap::new();
+        for ev in &logs.journal {
+            if let JournalEvent::Forced {
+                thread,
+                icount,
+                parked,
+                lock,
+            } = *ev
+            {
+                forced_by_thread
+                    .entry(thread)
+                    .or_default()
+                    .push_back((icount, parked, lock));
+            }
         }
         Replayer {
             logs,
-            mutex_pos: BTreeMap::new(),
-            cond_pos: BTreeMap::new(),
-            weak_pos: BTreeMap::new(),
-            spawn_pos: 0,
-            output_pos: 0,
+            queues: object_orders(&logs.journal)
+                .into_iter()
+                .map(|(key, order)| (key, (order, 0)))
+                .collect(),
             input_pos: BTreeMap::new(),
             forced_by_thread,
         }
     }
 
-    /// Did the replay consume every ordered entry?
+    /// Did the replay consume every ordered entry, and no spawn or output
+    /// past them?
     pub fn fully_consumed(&self) -> bool {
-        let mutex_ok = self
-            .logs
-            .mutex_order
-            .iter()
-            .all(|(a, v)| self.mutex_pos.get(a).copied().unwrap_or(0) == v.len());
-        let cond_ok = self
-            .logs
-            .cond_order
-            .iter()
-            .all(|(a, v)| self.cond_pos.get(a).copied().unwrap_or(0) == v.len());
-        let weak_ok = self
-            .logs
-            .weak_order
-            .iter()
-            .all(|(l, v)| self.weak_pos.get(l).copied().unwrap_or(0) == v.len());
-        mutex_ok
-            && cond_ok
-            && weak_ok
-            && self.spawn_pos == self.logs.spawn_order.len()
-            && self.output_pos == self.logs.output_order.len()
+        self.queues.values().all(|(order, pos)| *pos == order.len())
             && self.forced_by_thread.values().all(VecDeque::is_empty)
-    }
-
-    fn next_allowed(order: &[u32], pos: usize, thread: ThreadId) -> bool {
-        order.get(pos).is_some_and(|t| *t == thread.0)
     }
 }
 
-impl Supervisor for Replayer {
+impl Supervisor for Replayer<'_> {
     /// Replay tracks log positions off these kinds only.
     fn event_mask(&self) -> EventMask {
         EventMask::of(&[
@@ -127,77 +110,53 @@ impl Supervisor for Replayer {
     /// every pair of steps whenever the recording contains forced
     /// releases — batching steps would skip recorded preemption points.
     fn injects_forced_releases(&self) -> bool {
-        !self.logs.forced.is_empty()
+        !self.forced_by_thread.is_empty()
     }
 
     fn may_proceed(&mut self, point: OrderPoint, thread: ThreadId) -> bool {
-        match point {
-            OrderPoint::Mutex(addr) => {
-                let pos = self.mutex_pos.get(&addr).copied().unwrap_or(0);
-                match self.logs.mutex_order.get(&addr) {
-                    Some(order) => Self::next_allowed(order, pos, thread),
-                    // A mutex never seen during recording: let it through
-                    // (can only happen on divergent replays of racy code).
-                    None => true,
-                }
-            }
-            OrderPoint::Cond(addr) => {
-                let pos = self.cond_pos.get(&addr).copied().unwrap_or(0);
-                match self.logs.cond_order.get(&addr) {
-                    Some(order) => Self::next_allowed(order, pos, thread),
-                    None => true,
-                }
-            }
-            OrderPoint::Weak(lock) => {
-                let pos = self.weak_pos.get(&lock).copied().unwrap_or(0);
-                match self.logs.weak_order.get(&lock) {
-                    Some(order) => Self::next_allowed(order, pos, thread),
-                    None => true,
-                }
-            }
-            OrderPoint::Spawn => Self::next_allowed(
-                &self.logs.spawn_order,
-                self.spawn_pos,
-                thread,
-            ),
-            OrderPoint::Output => {
-                // Outputs recorded before this log format existed (or from
-                // hand-built logs) are unconstrained.
-                self.logs.output_order.is_empty()
-                    || Self::next_allowed(&self.logs.output_order, self.output_pos, thread)
-            }
-            // Per-object replay feeds inputs by per-thread sequence number
-            // (`input_override`); their global position needs no gate.
-            OrderPoint::Input => true,
+        let key = point_key(point);
+        match self.queues.get(&key) {
+            // Inputs have no queue: per-object replay feeds them by
+            // per-thread sequence number (`input_override`), so their
+            // global position needs no gate. Nor has an object never seen
+            // during recording, which is let through (this can only
+            // happen on divergent replays of racy code).
+            None => true,
+            // A recording without output leaves outputs unconstrained;
+            // each one still leaves the replay incomplete.
+            Some((order, _)) if key == ObjKey::Output && order.is_empty() => true,
+            Some((order, pos)) => order.get(*pos) == Some(&thread.0),
         }
     }
 
     fn on_event(&mut self, ev: &Event) {
-        match ev {
-            Event::Sync { thread: _, kind, addr, .. } => match kind {
-                chimera_runtime::SyncKind::Mutex => {
-                    *self.mutex_pos.entry(*addr).or_insert(0) += 1;
-                }
-                chimera_runtime::SyncKind::Cond => {
-                    *self.cond_pos.entry(*addr).or_insert(0) += 1;
-                }
-                chimera_runtime::SyncKind::Spawn => {
-                    self.spawn_pos += 1;
-                }
-                _ => {}
-            },
-            Event::Output { .. } => {
-                self.output_pos += 1;
-            }
-            Event::WeakAcquire { lock, .. } => {
-                *self.weak_pos.entry(*lock).or_insert(0) += 1;
-            }
+        let key = match *ev {
+            Event::Sync {
+                kind: SyncKind::Mutex,
+                addr,
+                ..
+            } => ObjKey::Mutex(addr),
+            Event::Sync {
+                kind: SyncKind::Cond,
+                addr,
+                ..
+            } => ObjKey::Cond(addr),
+            Event::Sync {
+                kind: SyncKind::Spawn,
+                ..
+            } => ObjKey::Spawn,
+            Event::Output { .. } => ObjKey::Output,
+            Event::WeakAcquire { lock, .. } => ObjKey::Weak(lock.0),
             Event::WeakForcedRelease { holder, .. } => {
                 if let Some(q) = self.forced_by_thread.get_mut(&holder.0) {
                     q.pop_front();
                 }
+                return;
             }
-            _ => {}
+            _ => return,
+        };
+        if let Some((_, pos)) = self.queues.get_mut(&key) {
+            *pos += 1;
         }
     }
 
@@ -230,6 +189,18 @@ impl Supervisor for Replayer {
         } else {
             None
         }
+    }
+}
+
+/// The journal object an order point commits on.
+fn point_key(point: OrderPoint) -> ObjKey {
+    match point {
+        OrderPoint::Mutex(addr) => ObjKey::Mutex(addr),
+        OrderPoint::Cond(addr) => ObjKey::Cond(addr),
+        OrderPoint::Weak(lock) => ObjKey::Weak(lock.0),
+        OrderPoint::Spawn => ObjKey::Spawn,
+        OrderPoint::Output => ObjKey::Output,
+        OrderPoint::Input => ObjKey::Input,
     }
 }
 
@@ -276,9 +247,8 @@ pub fn replay_bisect(program: &Program, logs: &ReplayLogs, base: &ExecConfig) ->
         .first()
         .map_or(crate::logs::CHUNK_EVENTS as u64, |c| c.events);
     let mut sup = BisectReplayer {
-        rep: Replayer::new(logs.clone()),
+        rep: Replayer::new(logs),
         rec: crate::record::Recorder::with_interval(interval),
-        journal: logs.journal.clone(),
         cursor: 0,
     };
     let result = execute_supervised(program, &config, &mut sup);
@@ -292,45 +262,32 @@ pub fn replay_bisect(program: &Program, logs: &ReplayLogs, base: &ExecConfig) ->
 
 /// A [`Replayer`] composed with a [`crate::record::Recorder`]: the
 /// replayer side enforces the recorded per-object orders, the global gate
-/// (`journal`/`cursor`) serializes events into their recorded journal
-/// positions, and the recorder side writes down what the replay actually
-/// did (plus checkpoints).
+/// (the recorded journal and `cursor`) serializes events into their
+/// recorded journal positions, and the recorder side writes down what the
+/// replay actually did (plus checkpoints).
 #[derive(Debug, Clone)]
-struct BisectReplayer {
-    rep: Replayer,
+struct BisectReplayer<'a> {
+    rep: Replayer<'a>,
     rec: crate::record::Recorder,
-    journal: Vec<crate::logs::JournalEvent>,
     cursor: usize,
 }
 
-impl BisectReplayer {
+impl BisectReplayer<'_> {
     /// Does the journal event match what `thread` wants to commit at
     /// `point`? `Forced` entries never match here: they are not gated
     /// (their timing is pinned by the holder's instruction count), so a
     /// `Forced` journal head simply stalls every gated thread until the
     /// holder reaches its recorded preemption point and emits it.
-    fn head_matches(ev: &crate::logs::JournalEvent, point: OrderPoint, thread: ThreadId) -> bool {
-        use crate::logs::JournalEvent as J;
-        match (*ev, point) {
-            (J::Mutex { thread: t, addr }, OrderPoint::Mutex(a)) => t == thread.0 && addr == a,
-            (J::Cond { thread: t, addr }, OrderPoint::Cond(a)) => t == thread.0 && addr == a,
-            (J::Weak { thread: t, lock }, OrderPoint::Weak(l)) => t == thread.0 && lock == l,
-            (J::Spawn { thread: t }, OrderPoint::Spawn) => t == thread.0,
-            (J::Output { thread: t }, OrderPoint::Output) => t == thread.0,
-            (J::Input { thread: t }, OrderPoint::Input) => t == thread.0,
-            _ => false,
-        }
+    fn head_matches(ev: &JournalEvent, point: OrderPoint, thread: ThreadId) -> bool {
+        obj_thread(ev) == (point_key(point), thread.0)
     }
 
     /// Is `ev` one of the journal-ordered kinds (advances the cursor)?
     fn is_journaled(ev: &Event) -> bool {
         match ev {
-            Event::Sync { kind, .. } => matches!(
-                kind,
-                chimera_runtime::SyncKind::Mutex
-                    | chimera_runtime::SyncKind::Cond
-                    | chimera_runtime::SyncKind::Spawn
-            ),
+            Event::Sync { kind, .. } => {
+                matches!(kind, SyncKind::Mutex | SyncKind::Cond | SyncKind::Spawn)
+            }
             Event::Output { .. }
             | Event::Input { .. }
             | Event::WeakAcquire { .. }
@@ -340,7 +297,7 @@ impl BisectReplayer {
     }
 }
 
-impl Supervisor for BisectReplayer {
+impl Supervisor for BisectReplayer<'_> {
     /// Union of both sides: the replayer's order-tracking kinds plus the
     /// recorder's `Input`.
     fn event_mask(&self) -> EventMask {
@@ -378,7 +335,7 @@ impl Supervisor for BisectReplayer {
         if !self.rep.may_proceed(point, thread) {
             return false;
         }
-        match self.journal.get(self.cursor) {
+        match self.rep.logs.journal.get(self.cursor) {
             Some(expected) => Self::head_matches(expected, point, thread),
             // Past the recorded journal (or a log with none): the
             // global gate has nothing left to say.
@@ -534,8 +491,7 @@ mod tests {
     #[test]
     fn replayer_reports_unconsumed_logs() {
         let mut logs = ReplayLogs::default();
-        logs.spawn_order.push(0);
-        let r = Replayer::new(logs);
-        assert!(!r.fully_consumed());
+        logs.push_spawn(0);
+        assert!(!Replayer::new(&logs).fully_consumed());
     }
 }

@@ -6,8 +6,8 @@
 //! The items are:
 //!
 //! - `CHIM` replay logs: the nine workloads recorded at the
-//!   `replay_format` bench configuration, a hand-built explicit-mode log,
-//!   and a push-built three-chunk journal log with checkpoints;
+//!   `replay_format` bench configuration and a push-built three-chunk
+//!   journal log with checkpoints;
 //! - a `CHFJ` fleet journal and a `CHFC` fleet corpus that exercise every
 //!   optional field;
 //! - the `CHEV` evidence and `CHPL` certified plan of every checked-in
@@ -36,7 +36,6 @@ const PINS: &[(&str, u64, usize)] = &[
     ("log:water", 0xe9217925dd07d317, 74),
     ("log:fft", 0x7478b9dd800e290c, 59),
     ("log:radix", 0xb8179166c2527f1a, 55),
-    ("log:explicit", 0x95c13974e0bdefcf, 61),
     ("log:journal", 0x6c4335df3018819c, 676),
     ("journal", 0x34e30fe3a57ef45a, 203),
     ("corpus", 0x20b2e5544e74360b, 198),
@@ -54,24 +53,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// A hand-built log with every per-object section (explicit mode, no
-/// journal).
-fn explicit_log() -> ReplayLogs {
-    let mut logs = ReplayLogs::default();
-    logs.inputs.insert((0, 0), vec![5, -3, 1 << 40]);
-    logs.inputs.insert((2, 7), vec![]);
-    logs.mutex_order.insert(-9, vec![0, 1, 0, 2]);
-    logs.cond_order.insert(44, vec![3]);
-    logs.spawn_order = vec![0, 0, 1];
-    logs.output_order = vec![2, 0];
-    logs.weak_order.insert(WeakLockId(5), vec![1, 2]);
-    logs.weak_gran.insert(WeakLockId(5), LockGranularity::Loop);
-    logs.forced.push((1, 999, true, WeakLockId(5)));
-    logs.sync_log_entries = 17;
-    logs.input_log_entries = 3;
-    logs
 }
 
 /// A push-built log of 603 journal events: three chunks, with checkpoints
@@ -185,7 +166,6 @@ fn items() -> Vec<Item> {
         let rec = record(&analysis.instrumented, &exec);
         out.push(log(format!("log:{}", w.name), &rec.logs));
     }
-    out.push(log("log:explicit".into(), &explicit_log()));
     out.push(log("log:journal".into(), &journal_log()));
 
     let j = journal().to_bytes();

@@ -296,7 +296,7 @@ fn record_replay_round_trips_across_modes() {
                 timeout_enabled: false,
                 ..rec_cfg
             };
-            let mut sup = chimera_replay::Replayer::new(rec.logs.clone());
+            let mut sup = chimera_replay::Replayer::new(&rec.logs);
             let mode = if mode_label == "flat" {
                 InterpMode::Flat
             } else {
