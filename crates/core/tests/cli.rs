@@ -288,11 +288,14 @@ fn replay_bisect_accepts_a_log_with_no_journal() {
 fn deep_nesting_fails_with_a_named_parse_error() {
     use chimera_minic::parser::MAX_NESTING;
     let dir = tempdir("nesting");
+    let deep = |open: &str, mid: &str, close: &str, k: usize| {
+        format!("int main() {{ int x; {}{mid}{}; return 0; }}", open.repeat(k), close.repeat(k))
+    };
     let hostile = [
-        ("parens", format!("int main() {{ return {}1{}; }}", "(".repeat(10_000), ")".repeat(10_000))),
-        ("ifs", format!("int main() {{ {}; return 0; }}", "if (1) ".repeat(10_000))),
-        ("blocks", format!("int main() {{ {}{} return 0; }}", "{".repeat(50_000), "}".repeat(50_000))),
-        ("minuses", format!("int main() {{ return {}1; }}", "- ".repeat(100_000))),
+        ("parens", deep("(", "x = 1", ")", 10_000)),
+        ("ifs", deep("if (1) ", "x = 1", "", 10_000)),
+        ("blocks", deep("{", "x = 1;", "}", 50_000)),
+        ("minuses", deep("- ", "1", "", 100_000)),
     ];
     let expected = "parse error at 1:";
     let named = format!("nesting deeper than {MAX_NESTING} levels");
@@ -312,8 +315,8 @@ fn deep_nesting_fails_with_a_named_parse_error() {
     // `return` opens two levels, each parenthesis one more.
     let k = MAX_NESTING - 2;
     let path = dir.join("at_bound.mc");
-    std::fs::write(&path, format!("int main() {{ return {}7{}; }}", "(".repeat(k), ")".repeat(k)))
-        .unwrap();
+    let src = format!("int main() {{ return {}7{}; }}", "(".repeat(k), ")".repeat(k));
+    std::fs::write(&path, src).unwrap();
     let out = bin().arg("run").arg(&path).output().expect("spawn");
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("Exited(7)"), "{out:?}");

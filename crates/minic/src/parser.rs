@@ -181,14 +181,14 @@ impl<'a> Parser<'a> {
 
     /// Parse `'*'* name`, folding pointer levels into the type.
     fn declarator_head(&mut self, base: TypeExpr) -> Result<(TypeExpr, String), CompileError> {
-        let depth = self.depth;
+        let (depth, mut ptrs) = (self.depth, 0);
         while self.peek() == &TokenKind::Punct(Punct::Star) {
             self.deepen()?;
             self.bump();
+            ptrs += 1;
         }
-        let name = self.expect_ident()?;
-        let ptrs = self.depth - depth;
         self.depth = depth;
+        let name = self.expect_ident()?;
         Ok((base.wrap_ptr(ptrs), name))
     }
 
@@ -788,32 +788,34 @@ mod tests {
         assert!(matches!(rhs.as_ref(), Expr::Binary(BinOp::LogOr, _, _, _)));
     }
 
-    /// Each shape nests `k` times, reaching `base + k` levels: a program at
-    /// [`MAX_NESTING`] compiles, and one level more fails at the token
-    /// that opens the extra level.
+    /// Each shape `[pre, open, mid, close, post]` nests `k` times, reaching
+    /// `base + k` levels: a program at [`MAX_NESTING`] compiles, and one
+    /// level more fails at the token that opens the extra level.
     #[test]
     fn nesting_is_bounded_at_max_nesting() {
-        type Shape = (&'static str, usize, fn(usize) -> String);
-        let shapes: [Shape; 7] = [
-            ("blocks", 0, |k| format!("int main() {{ {}{} return 0; }}", "{".repeat(k), "}".repeat(k))),
-            ("ifs", 1, |k| format!("int main() {{ {}; return 0; }}", "if (1) ".repeat(k))),
-            ("parens", 2, |k| format!("int main() {{ return {}1{}; }}", "(".repeat(k), ")".repeat(k))),
-            ("minuses", 2, |k| format!("int main() {{ return {}1; }}", "- ".repeat(k))),
-            ("sum", 2, |k| format!("int main() {{ return 1{}; }}", "+1".repeat(k))),
-            ("calls", 2, |k| format!("int f() {{ return 0; }} int main() {{ f{}; return 0; }}", "()".repeat(k))),
-            ("assignments", 2, |k| format!("int main() {{ int x; {}1; return x; }}", "x = ".repeat(k))),
+        let shapes: [(&str, usize, [&str; 5]); 7] = [
+            ("blocks", 0, ["int main() { ", "{", "", "}", " return 0; }"]),
+            ("ifs", 1, ["int main() { ", "if (1) ", ";", "", " return 0; }"]),
+            ("parens", 2, ["int main() { return ", "(", "1", ")", "; }"]),
+            ("minuses", 2, ["int main() { return ", "- ", "1", "", "; }"]),
+            ("sum", 2, ["int main() { return 1", "", "", "+1", "; }"]),
+            ("calls", 2, ["int f() { return 0; } int main() { f", "", "", "()", "; return 0; }"]),
+            ("assignments", 2, ["int main() { int x; ", "x = ", "1", "", "; return x; }"]),
         ];
+        let nest = |[pre, open, mid, close, post]: [&str; 5], k: usize| {
+            format!("{pre}{}{mid}{}{post}", open.repeat(k), close.repeat(k))
+        };
         for (name, base, shape) in shapes {
             let k = MAX_NESTING - base;
-            if let Err(e) = crate::compile(&shape(k)) {
+            if let Err(e) = crate::compile(&nest(shape, k)) {
                 panic!("{name} at the bound: {e}");
             }
-            let err = parse_err(&shape(k + 1));
+            let err = parse_err(&nest(shape, k + 1));
             assert_eq!(err.message, "nesting deeper than 128 levels", "{name}");
         }
         // The span is the token past the bound: here the literal inside
         // the 127th parenthesis, after `int main() { return ` (20 columns).
-        let err = parse_err(&shapes[2].2(MAX_NESTING - 1));
+        let err = parse_err(&nest(shapes[2].2, MAX_NESTING - 1));
         assert_eq!(err.span, Span::new(1, 20 + MAX_NESTING as u32));
     }
 }

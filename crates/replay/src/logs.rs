@@ -40,8 +40,9 @@ const FORMAT: Format = Format {
     version: 2,
 };
 
-/// Header flag bits. Bit `0x2` once marked explicit per-object order
-/// sections; it is now unknown like every other unassigned bit.
+/// Header flag bits; any other bit is an unknown-flag error. `0x2` must
+/// stay unassigned: logs written with the retired explicit order sections
+/// carry it, and have to fail by name rather than misparse.
 const FLAG_JOURNAL: u8 = 1;
 const FLAG_CHECKPOINTS: u8 = 4;
 
@@ -227,10 +228,10 @@ impl ReplayLogs {
     /// paper's "instr. log" / "basic blk. log" / "loop log" / "func. log"
     /// columns of Table 2.
     pub fn weak_entries(&self, g: LockGranularity) -> u64 {
-        self.journal
-            .iter()
-            .filter(|e| matches!(e, JournalEvent::Weak { lock, .. } if self.weak_gran.get(lock) == Some(&g)))
-            .count() as u64
+        let in_class = |e: &&JournalEvent| {
+            matches!(e, JournalEvent::Weak { lock, .. } if self.weak_gran.get(lock) == Some(&g))
+        };
+        self.journal.iter().filter(in_class).count() as u64
     }
 
     /// Total input words recorded.
