@@ -1465,9 +1465,8 @@ mod tests {
 
     #[test]
     fn rejects_sizes_past_u32_cells() {
-        // A dimension past u32 used to truncate (a[4294967297] became one
-        // cell), and a product past it wrapped or, in debug builds,
-        // panicked.
+        // A dimension past u32 must not truncate (a[4294967297] to one
+        // cell), nor a product past it wrap or, in debug builds, panic.
         for src in [
             "int a[4294967297]; int main() { return 0; }",
             "int a[65536][65537]; int main() { return 0; }",
