@@ -210,7 +210,7 @@ pub(crate) fn obj_thread(ev: &JournalEvent) -> (ObjKey, u32) {
 /// threads in journal order, the queues replay enforces. The spawn and
 /// output streams are global and always present, empty when the run
 /// spawned or printed nothing. Inputs (fed by per-thread sequence number)
-/// and forced releases (pinned by the holder's instruction count) are no
+/// and forced releases (pinned by the holder's instruction count) have no
 /// per-object order and stay out.
 pub(crate) fn object_orders(journal: &[JournalEvent]) -> BTreeMap<ObjKey, Vec<u32>> {
     let mut orders = BTreeMap::from([(ObjKey::Spawn, Vec::new()), (ObjKey::Output, Vec::new())]);
