@@ -69,6 +69,45 @@ if [ -z "$flat_hash" ] || [ "$flat_hash" != "$ref_hash" ]; then
     echo "spec-round smoke diverged: flat=$flat_hash reference=$ref_hash" >&2
     exit 1
 fi
+# The default configuration (timing jitter on) arms the rounds too: on a
+# small partitioned loop written here, the flat run must commit rounds
+# and print the reference's final state and output.
+part_dir=$(mktemp -d)
+cat > "$part_dir/partitioned.mc" <<'MC'
+int a[256];
+int sums[4];
+void w(int id) {
+    int i; int r; int s;
+    s = 0;
+    for (r = 0; r < 8; r = r + 1) {
+        for (i = id * 64; i < id * 64 + 64; i = i + 1) {
+            a[i] = a[i] + i;
+            s = s + a[i];
+        }
+    }
+    sums[id] = s;
+}
+int main() {
+    int t0; int t1; int t2; int t3;
+    t0 = spawn(w, 0); t1 = spawn(w, 1); t2 = spawn(w, 2); t3 = spawn(w, 3);
+    join(t0); join(t1); join(t2); join(t3);
+    print(sums[0] + sums[1] + sums[2] + sums[3]);
+    return 0;
+}
+MC
+flat_json=$($chimera_bin run "$part_dir/partitioned.mc" --json)
+ref_json=$(CHIMERA_VM_REFERENCE=1 $chimera_bin run "$part_dir/partitioned.mc" --json)
+rm -r "$part_dir"
+flat_result=$(echo "$flat_json" | grep -E '"(state_hash|output)"')
+ref_result=$(echo "$ref_json" | grep -E '"(state_hash|output)"')
+if [ -z "$flat_result" ] || [ "$flat_result" != "$ref_result" ]; then
+    echo "default-jitter spec-round smoke diverged: flat=$flat_result reference=$ref_result" >&2
+    exit 1
+fi
+echo "$flat_json" | grep -q '"spec_rounds": [1-9]' || {
+    echo "default-jitter spec-round smoke: the flat run committed no round" >&2
+    exit 1
+}
 echo "flat VM with segment rounds bit-identical to the reference interpreter"
 
 echo "== strategy smoke gate (hostile hot runs vs reference) =="

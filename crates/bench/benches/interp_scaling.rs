@@ -15,8 +15,10 @@
 //!   `pfscan10x` runs pfscan at 10x input scale, where per-execution
 //!   setup amortizes away and the steady-state hot loop dominates.
 //!
-//! Per workload the bench reports two rows: `flat` (the full fused +
-//! batched + speculative engine) and `reference`.
+//! Per workload the bench reports three rows: `flat` (the full fused +
+//! batched + speculative engine) and `reference` with jitter off, and
+//! `flat-jitter`, the flat engine under the default timing jitter that
+//! the paper's runs use, where the rounds' merge draws the jitter.
 //!
 //! All paths produce byte-identical results (pinned by
 //! `tests/vm_differential.rs`); the bench measures speed only, prints
@@ -63,10 +65,10 @@ const MIN_WORKLOADS_AT_TARGET: usize = 3;
 fn bench_config(seed: u64) -> ExecConfig {
     // Jitter off: the per-step jitter draw and the schedule perturbations
     // it causes are identical in both modes, and they bury the dispatch
-    // cost this bench isolates (the differential suite exercises both
-    // paths *with* default jitter — speed is measured here, equivalence
-    // there). Jitter off is also what arms the speculative segment
-    // engine, so this measures the full layered fast path.
+    // cost the `flat` and `reference` rows isolate (the differential
+    // suite exercises both paths *with* default jitter — speed is
+    // measured here, equivalence there). The `flat-jitter` rows add the
+    // draw back.
     ExecConfig {
         seed,
         jitter: Jitter::none(),
@@ -204,6 +206,14 @@ fn main() {
         });
         group.bench(&format!("reference/{family}/{id}"), || {
             let r = execute_mode(&p, &cfg, InterpMode::Reference);
+            std::hint::black_box(&r);
+        });
+        let jittered = ExecConfig {
+            jitter: Jitter::default(),
+            ..cfg
+        };
+        group.bench(&format!("flat-jitter/{family}/{id}"), || {
+            let r = execute_mode(&p, &jittered, InterpMode::Flat);
             std::hint::black_box(&r);
         });
         group.finish();

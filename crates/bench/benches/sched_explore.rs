@@ -3,7 +3,7 @@
 //! (DESIGN.md §11).
 //!
 //! The baseline runs the ready-queue loop (batch commit between
-//! scheduling points; with jitter off, the speculative segment rounds).
+//! scheduling points, and the speculative segment rounds).
 //! The non-baseline strategies run the strategy loop, which consults the
 //! scheduler once per decision and batch-commits the picked thread's hot
 //! ops up to the scheduler's horizon, single-stepping every access while

@@ -40,9 +40,9 @@
 //!
 //! `run --json` emits a machine-readable report including the VM strategy
 //! counters (superinstructions dispatched, batch runs, speculative
-//! rounds) and the fusion summary. The speculative segment
-//! rounds only arm with timing jitter off — pass `--no-jitter` to see
-//! them engage.
+//! rounds) and the fusion summary. The speculative segment rounds arm
+//! with or without timing jitter; a race detector's per-access feed (as
+//! `drd` attaches) is what keeps them off.
 //!
 //! `explore` sweeps the instrumented program across scheduling strategies
 //! (`jitter`, `pct`, `preempt-bound`, or `all`) × `--seeds` record seeds,
@@ -273,8 +273,7 @@ fn parse_cli() -> Result<Cli, String> {
                 i += 1;
             }
             "--no-jitter" => {
-                // Timing jitter off. This is what arms the speculative
-                // segment rounds: hot commits must draw no RNG.
+                // Timing jitter off: every seed then schedules alike.
                 cli.no_jitter = true;
                 i += 1;
             }

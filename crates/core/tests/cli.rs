@@ -322,6 +322,37 @@ fn deep_nesting_fails_with_a_named_parse_error() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("Exited(7)"), "{out:?}");
 }
 
+/// `++` and `--` evaluate their operand once: the index's side effect
+/// runs once and the incremented cell is the one it names. A chain of
+/// them fails at its second link with a named error, whatever its length.
+#[test]
+fn increments_evaluate_their_operand_once() {
+    let dir = tempdir("incdec");
+    let path = dir.join("once.mc");
+    std::fs::write(
+        &path,
+        "int a[4]; int i;
+         int main() { i = 0; a[i++]++; print(i); print(a[0]); print(a[2]); print(a[1]); return 0; }",
+    )
+    .unwrap();
+    let out = bin().arg("run").arg(&path).output().expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("output  : [1, 0, 0, 1]"), "{stdout}");
+
+    let path = dir.join("chain.mc");
+    std::fs::write(&path, format!("int main() {{ int x; x = 0; x{}; return 0; }}", "++".repeat(1_000))).unwrap();
+    let start = std::time::Instant::now();
+    let out = bin().arg("run").arg(&path).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("parse error at 1:29: operand of '++' is not an lvalue"),
+        "{stderr}"
+    );
+    assert!(start.elapsed().as_secs() < 10, "the chain took {:?}", start.elapsed());
+}
+
 #[test]
 fn record_without_output_path_fails() {
     let out = bin().arg("record").arg(fixture()).output().expect("spawn");

@@ -507,7 +507,7 @@ mod tests {
                  join(t); join(u); print(g); return 0; }",
         )
         .unwrap();
-        // Jitter off is what arms the segment rounds.
+        // The run without the detector below arms the segment rounds.
         let cfg = ExecConfig {
             seed: 13,
             jitter: chimera_runtime::Jitter::none(),

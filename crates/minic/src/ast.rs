@@ -174,6 +174,10 @@ pub enum Expr {
     Binary(BinOp, Box<Expr>, Box<Expr>, Span),
     /// Assignment `lhs = rhs` (an expression, as in C).
     Assign(Box<Expr>, Box<Expr>, Span),
+    /// `++` (`BinOp::Add`) or `--` (`BinOp::Sub`), prefix or postfix, on
+    /// an lvalue whose address is computed once. Its value is the *new*
+    /// value in both forms.
+    IncDec(BinOp, Box<Expr>, Span),
     /// Pointer dereference `*e`.
     Deref(Box<Expr>, Span),
     /// Address-of `&lvalue`.
@@ -204,6 +208,7 @@ impl Expr {
             | Expr::Unary(_, _, s)
             | Expr::Binary(_, _, _, s)
             | Expr::Assign(_, _, s)
+            | Expr::IncDec(_, _, s)
             | Expr::Deref(_, s)
             | Expr::AddrOf(_, s)
             | Expr::Index(_, _, s)

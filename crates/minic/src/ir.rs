@@ -23,6 +23,11 @@ use crate::ast::{BinOp, UnOp};
 use crate::diag::Span;
 use std::fmt;
 
+/// The most cells one object may take: a `malloc` request, a global, the
+/// whole global image, or one function's frame slot area. Lowering
+/// rejects declarations past it by name; `malloc` traps.
+pub const MAX_CELLS: u32 = 1 << 24;
+
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*

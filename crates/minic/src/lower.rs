@@ -43,6 +43,11 @@ fn too_large(what: &str) -> String {
     format!("{what} too large: more than {} cells", u32::MAX)
 }
 
+/// The error for an object past [`MAX_CELLS`].
+fn past_bound(what: &str) -> String {
+    format!("{what} too large: more than {MAX_CELLS} cells")
+}
+
 /// Semantic types used during lowering. Sizes are in cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ty {
@@ -211,10 +216,18 @@ impl Cx {
     }
 
     fn lower_globals(&mut self, unit: &Unit) -> Result<(), CompileError> {
+        let mut image = 0u32;
         for g in &unit.globals {
             let base = self.resolve_type(&g.ty, g.span)?;
             let ty = self.apply_dims(base, &g.array_dims);
             let size = self.size_of(&ty, g.span)?;
+            if size > MAX_CELLS {
+                return Err(err(past_bound(&format!("global '{}'", g.name)), g.span));
+            }
+            image += size;
+            if image > MAX_CELLS {
+                return Err(err(past_bound("the global image"), g.span));
+            }
             let mut init = vec![0i64; size as usize];
             if let Some(e) = &g.init {
                 init[0] = const_eval(e)?;
@@ -327,7 +340,7 @@ fn collect_addr_taken(body: &[Stmt]) -> Vec<String> {
                 }
                 walk_expr(inner, out);
             }
-            Expr::Unary(_, a, _) | Expr::Deref(a, _) => walk_expr(a, out),
+            Expr::Unary(_, a, _) | Expr::IncDec(_, a, _) | Expr::Deref(a, _) => walk_expr(a, out),
             Expr::Binary(_, a, b, _)
             | Expr::Assign(a, b, _)
             | Expr::Index(a, b, _) => {
@@ -414,6 +427,7 @@ fn const_eval(e: &Expr) -> Result<i64, CompileError> {
 }
 
 /// Where an lvalue lives.
+#[derive(Clone)]
 enum Place {
     /// A register local.
     Reg(LocalId),
@@ -436,6 +450,8 @@ struct FuncBuilder<'a> {
     temp_counter: u32,
     /// True once the current block already has a terminator set explicitly.
     terminated: bool,
+    /// Cells of the frame slot area declared so far.
+    slot_cells: u32,
 }
 
 impl<'a> FuncBuilder<'a> {
@@ -466,6 +482,7 @@ impl<'a> FuncBuilder<'a> {
             loop_stack: Vec::new(),
             temp_counter: 0,
             terminated: false,
+            slot_cells: 0,
         };
         // Parameters are always registers (their addresses cannot be taken;
         // checked below).
@@ -573,6 +590,11 @@ impl<'a> FuncBuilder<'a> {
             || matches!(ty, Ty::Struct(_) | Ty::Lock | Ty::Barrier | Ty::Cond)
             || self.addr_taken.iter().any(|n| n == &d.name);
         let storage = if needs_slot {
+            self.slot_cells = self.slot_cells.saturating_add(size);
+            if self.slot_cells > MAX_CELLS {
+                let what = format!("the frame of '{}'", self.func.name);
+                return Err(err(past_bound(&what), d.span));
+            }
             Storage::Slot { size }
         } else {
             Storage::Register
@@ -770,6 +792,16 @@ impl<'a> FuncBuilder<'a> {
                 let place = self.lower_place(lhs)?;
                 self.store_place(place, val, *span, &describe(lhs));
                 Ok((val, vty))
+            }
+            Expr::IncDec(op, target, span) => {
+                // The operand's address (and any side effect in it) is
+                // computed once, then read and written through.
+                let what = describe(target);
+                let place = self.lower_place(target)?;
+                let (old, ty) = self.load_place(place.clone(), *span, &what)?;
+                let (new, nty) = self.binary(*op, old, ty, Operand::Const(1), Ty::Int, *span)?;
+                self.store_place(place, new, *span, &what);
+                Ok((new, nty))
             }
             Expr::Binary(BinOp::LogAnd, a, b, span) => self.short_circuit(a, b, true, *span),
             Expr::Binary(BinOp::LogOr, a, b, span) => self.short_circuit(a, b, false, *span),
@@ -1461,6 +1493,75 @@ mod tests {
     fn global_array_has_right_size() {
         let p = compile("int a[10]; int main() {}").unwrap();
         assert_eq!(p.globals[0].size, 10);
+    }
+
+    #[test]
+    fn increments_compute_their_operand_address_once() {
+        // `a[i++]++`: one read and one write of `i`, then one read and one
+        // write of the element.
+        let p = compile("int a[4]; int i; int main() { a[i++]++; return 0; }").unwrap();
+        let count = |what: &str, write: bool| {
+            p.accesses
+                .iter()
+                .filter(|a| a.what == what && a.is_write == write)
+                .count()
+        };
+        assert_eq!((count("i", false), count("i", true)), (1, 1));
+        assert_eq!((count("a[..]", false), count("a[..]", true)), (1, 1));
+    }
+
+    #[test]
+    fn pointer_increments_step_by_the_pointee() {
+        let p = compile(
+            "struct s { int x; int y; int z; }; struct s v[4];
+             int main() { struct s *q; q = &v[0]; q++; return 0; }",
+        )
+        .unwrap();
+        let steps = p.funcs[0]
+            .blocks
+            .iter()
+            .flat_map(|b| &b.instrs)
+            .filter(|i| matches!(i, Instr::PtrAdd { offset: Operand::Const(3), .. }))
+            .count();
+        assert_eq!(steps, 1);
+    }
+
+    #[test]
+    fn rejects_objects_past_the_cell_bound() {
+        // As large as `malloc` may ask for, and no larger: one global, the
+        // whole global image, one function's frame slot area.
+        let src = format!("int main() {{ int a[{MAX_CELLS}]; return 0; }}");
+        compile(&src).unwrap();
+        let bound = format!("too large: more than {MAX_CELLS} cells");
+        let half = MAX_CELLS / 2;
+        for (src, what, span) in [
+            ("int a[4000000000]; int main() { return 0; }".to_string(), "global 'a'", Span::new(1, 1)),
+            (
+                format!("int a[{}]; int main() {{ return 0; }}", MAX_CELLS + 1),
+                "global 'a'",
+                Span::new(1, 1),
+            ),
+            (
+                format!("int a[{half}];\nint b[{half}];\nint c; int main() {{ return 0; }}"),
+                "the global image",
+                Span::new(3, 1),
+            ),
+            (
+                "int main() {\n  int a[4000000000]; return 0; }".to_string(),
+                "the frame of 'main'",
+                Span::new(2, 3),
+            ),
+            (
+                format!("void f() {{ int x[{half}];\n int y[{half}]; int z; z = 1; int *p; p = &z; }}\nint main() {{ return 0; }}"),
+                "the frame of 'f'",
+                Span::new(2, 18),
+            ),
+        ] {
+            let e = compile_err(&src);
+            assert_eq!(e.stage, crate::diag::Stage::Lower, "{what}");
+            assert_eq!(e.message, format!("{what} {bound}"), "{src}");
+            assert_eq!(e.span, span, "{what}");
+        }
     }
 
     #[test]

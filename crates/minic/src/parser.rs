@@ -486,10 +486,9 @@ impl<'a> Parser<'a> {
         self.bump();
         let e = self.nested(Self::unary_expr)?;
         Ok(match op {
-            // `++x` desugars to `x = x + 1`; the expression's value is the
-            // new value, matching C's pre-increment.
-            Punct::PlusPlus => desugar_incdec(e, BinOp::Add, span),
-            Punct::MinusMinus => desugar_incdec(e, BinOp::Sub, span),
+            // The value of `++x` is the new value, as in C.
+            Punct::PlusPlus => incdec(e, BinOp::Add, span)?,
+            Punct::MinusMinus => incdec(e, BinOp::Sub, span)?,
             Punct::Minus => Expr::Unary(UnOp::Neg, Box::new(e), span),
             Punct::Not => Expr::Unary(UnOp::Not, Box::new(e), span),
             Punct::Star => Expr::Deref(Box::new(e), span),
@@ -527,8 +526,8 @@ impl<'a> Parser<'a> {
                 }
                 Punct::Dot => Expr::Field(Box::new(e), self.expect_ident()?, span),
                 Punct::Arrow => Expr::Arrow(Box::new(e), self.expect_ident()?, span),
-                Punct::PlusPlus => desugar_incdec(e, BinOp::Add, span),
-                Punct::MinusMinus => desugar_incdec(e, BinOp::Sub, span),
+                Punct::PlusPlus => incdec(e, BinOp::Add, span)?,
+                Punct::MinusMinus => incdec(e, BinOp::Sub, span)?,
                 _ => {
                     let mut args = Vec::new();
                     if !self.eat_punct(Punct::RParen) {
@@ -569,20 +568,24 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// `x++` / `x--` desugar to `x = x ± 1`. MiniC defines the value of the
-/// expression as the *new* value (i.e., postfix and prefix forms are
-/// equivalent); use the statement form when the distinction would matter.
-fn desugar_incdec(e: Expr, op: BinOp, span: crate::diag::Span) -> Expr {
-    Expr::Assign(
-        Box::new(e.clone()),
-        Box::new(Expr::Binary(
-            op,
-            Box::new(e),
-            Box::new(Expr::Int(1, span)),
-            span,
-        )),
-        span,
-    )
+/// `x++` / `x--` (and the prefix forms) on an lvalue operand. MiniC
+/// defines the value of the expression as the *new* value (i.e., postfix
+/// and prefix forms are equivalent); use the statement form when the
+/// distinction would matter. Any other operand — including another `++`
+/// or `--` — is rejected at its span.
+fn incdec(e: Expr, op: BinOp, span: crate::diag::Span) -> Result<Expr, CompileError> {
+    if !matches!(
+        e,
+        Expr::Var(..) | Expr::Deref(..) | Expr::Index(..) | Expr::Field(..) | Expr::Arrow(..)
+    ) {
+        let what = if op == BinOp::Add { "++" } else { "--" };
+        return Err(CompileError::new(
+            Stage::Parse,
+            format!("operand of '{what}' is not an lvalue"),
+            e.span(),
+        ));
+    }
+    Ok(Expr::IncDec(op, Box::new(e), span))
 }
 
 #[cfg(test)]
@@ -765,18 +768,26 @@ mod tests {
         assert!(matches!(lhs.as_ref(), Expr::Index(_, _, _)));
     }
 
+    /// `++` and `--` desugar to one `IncDec` node on their operand, which
+    /// is not cloned: lowering computes its address once.
     #[test]
     fn increment_and_decrement_desugar() {
-        let u = parse_src("int main() { int i; i = 0; i++; ++i; i--; }");
-        for k in [2, 3, 4] {
-            let Stmt::Expr(Expr::Assign(_, rhs, _)) = &u.funcs[0].body[k] else {
-                panic!("stmt {k} should be an assignment")
+        let u = parse_src("int a[4]; int main() { int i; i = 0; i++; ++i; i--; a[i++]++; }");
+        let body = &u.funcs[0].body;
+        for (k, op) in [(2, BinOp::Add), (3, BinOp::Add), (4, BinOp::Sub)] {
+            let Stmt::Expr(Expr::IncDec(o, target, _)) = &body[k] else {
+                panic!("stmt {k} should be an increment: {:?}", body[k])
             };
-            assert!(matches!(
-                rhs.as_ref(),
-                Expr::Binary(BinOp::Add | BinOp::Sub, _, _, _)
-            ));
+            assert_eq!(*o, op);
+            assert!(matches!(target.as_ref(), Expr::Var(n, _) if n == "i"));
         }
+        let Stmt::Expr(Expr::IncDec(BinOp::Add, target, _)) = &body[5] else {
+            panic!("{:?}", body[5])
+        };
+        let Expr::Index(_, idx, _) = target.as_ref() else {
+            panic!("{target:?}")
+        };
+        assert!(matches!(idx.as_ref(), Expr::IncDec(BinOp::Add, ..)));
     }
 
     #[test]
@@ -817,5 +828,23 @@ mod tests {
         // the 127th parenthesis, after `int main() { return ` (20 columns).
         let err = parse_err(&nest(shapes[2].2, MAX_NESTING - 1));
         assert_eq!(err.span, Span::new(1, 20 + MAX_NESTING as u32));
+    }
+
+    #[test]
+    fn increments_reject_non_lvalues_at_their_span() {
+        for (src, op, span) in [
+            ("int main() { 1++; }", "++", Span::new(1, 14)),
+            ("int main() { --(2 + 3); }", "--", Span::new(1, 19)),
+            ("int f() { return 0; } int main() { f()--; }", "--", Span::new(1, 37)),
+            ("int main() { int x; x++--; }", "--", Span::new(1, 22)),
+            ("int main() { int x; ++x++; }", "++", Span::new(1, 24)),
+        ] {
+            let e = parse_err(src);
+            assert_eq!(e.message, format!("operand of '{op}' is not an lvalue"), "{src}");
+            assert_eq!(e.span, span, "{src}");
+        }
+        // A chain fails at its second link, however long it is.
+        let chain = format!("int main() {{ int x; x{}; }}", "++".repeat(1_000));
+        assert_eq!(parse_err(&chain).span, Span::new(1, 22));
     }
 }

@@ -220,6 +220,10 @@ pub fn expr_to_source(e: &Expr) -> String {
             format!("{} {} {}", atom(a), bin_op_str(*op), atom(b))
         }
         Expr::Assign(l, r, _) => format!("{} = {}", expr_to_source(l), expr_to_source(r)),
+        Expr::IncDec(op, a, _) => {
+            let s = if *op == BinOp::Add { "++" } else { "--" };
+            format!("{s}{}", atom(a))
+        }
         Expr::Deref(a, _) => format!("*{}", atom(a)),
         Expr::AddrOf(a, _) => format!("&{}", atom(a)),
         Expr::Index(b, i, _) => format!("{}[{}]", atom(b), expr_to_source(i)),
@@ -254,7 +258,10 @@ mod tests {
             let z = Span::default();
             match e {
                 Expr::Int(_, s) | Expr::Var(_, s) => *s = z,
-                Expr::Unary(_, a, s) | Expr::Deref(a, s) | Expr::AddrOf(a, s) => {
+                Expr::Unary(_, a, s)
+                | Expr::IncDec(_, a, s)
+                | Expr::Deref(a, s)
+                | Expr::AddrOf(a, s) => {
                     *s = z;
                     fix_expr(a);
                 }

@@ -39,7 +39,7 @@ use crate::world::{IoModel, World};
 use chimera_minic::ast::{BinOp, UnOp};
 use chimera_minic::ir::{
     BlockId, Callee, FuncId, GlobalId, Instr, LocalId, LockGranularity, Operand, Program,
-    Terminator, WeakLockId,
+    Terminator, WeakLockId, MAX_CELLS,
 };
 use chimera_testkit::rng::Rng;
 use std::sync::OnceLock;
@@ -304,19 +304,13 @@ fn reposition_front(queue: &mut [(u64, u32)], k: (u64, u32)) {
     queue[i] = k;
 }
 
-/// Hot-op budget for one speculative segment (per thread, per round). A
-/// fused pair may straddle the cap, so round step-budget accounting
-/// reserves `SEG_CAP + 2` steps per segment.
+/// Hot-op budget for one speculative segment (per thread, per round).
 const SEG_CAP: u64 = 2048;
 
-/// Round read/write sets are tracked at cell granularity (`1 <<
-/// PAGE_SHIFT` cells per tracking page). Coarser pages would shrink the
-/// stamp arrays, but the benched workloads interleave per-thread data at
-/// cell distance (radix's 16-cell `rank` slices, ocean's `residual[id]`),
-/// so anything coarser than a cell false-shares and discards rounds that
-/// are genuinely race-free. Stamping is one compare per access (plus two
-/// writes on first touch), which the saved scheduling work amortizes.
-const PAGE_SHIFT: u32 = 0;
+/// The first rounds' segment cap. A segment that reaches its cap doubles
+/// it for the rounds that follow, up to [`SEG_CAP`], so a short run never
+/// pays for trail room its rounds do not use.
+const SEG_CAP_MIN: u64 = 64;
 
 /// Backoff bounds for the round engine: a failed or trivial round puts
 /// attempts on cooldown for `penalty` outer-loop iterations and doubles
@@ -325,12 +319,21 @@ const PAGE_SHIFT: u32 = 0;
 const SPEC_PENALTY_MIN: u64 = 16;
 const SPEC_PENALTY_MAX: u64 = 65_536;
 
+/// A round is productive when at least two threads committed in it and it
+/// committed at least this many ops per participant. A smaller round is
+/// a batch run with extra bookkeeping: it lets its commits stand and
+/// puts the rounds on cooldown.
+const SPEC_PRODUCTIVE_OPS: u64 = 32;
+
 /// The memory seam of the hot-run executor ([`run_hot`]). Batch commit
 /// passes [`Memory`] itself; a speculative segment passes [`DirectSeg`].
 trait HotMem {
     fn global_base(&self, g: GlobalId) -> i64;
     fn load(&mut self, addr: i64) -> Result<i64, MemTrap>;
     fn store(&mut self, addr: i64, val: i64) -> Result<(), MemTrap>;
+    /// Note the `i`-th retired constituent: its pc, and the old value of
+    /// the register it wrote, if it wrote one. Only segments keep a trail.
+    fn retire(&mut self, _i: u64, _pc: u32, _old: i64) {}
 }
 
 impl HotMem for Memory {
@@ -350,19 +353,66 @@ impl HotMem for Memory {
     }
 }
 
+/// A round's cell stamps: `epoch << STAMP_EPOCH_SHIFT | kind | rank`,
+/// the rank being the participant's index in the round. The kind says
+/// whether one participant read the cell this round, several did, or one
+/// wrote it. Cells are tracked one by one: the benched workloads
+/// interleave per-thread data at cell distance (radix's 16-cell `rank`
+/// slices, ocean's `residual[id]`), so anything coarser false-shares and
+/// discards rounds that are race-free.
+const STAMP_READ: u32 = 1 << RANK_BITS;
+const STAMP_SHARED: u32 = 2 << RANK_BITS;
+const STAMP_WRITTEN: u32 = 3 << RANK_BITS;
+const STAMP_KIND: u32 = 3 << RANK_BITS;
+const STAMP_EPOCH_SHIFT: u32 = RANK_BITS + 2;
+
 /// Segment memory of a speculative round: writes go straight to
-/// [`Memory`] with the old value pushed onto the round's undo log;
-/// read/write pages are stamped into the owning thread's epoch arrays
-/// (first touch per round also records the page in the touched list,
-/// which is what validation and rollback iterate).
+/// [`Memory`] with the old value pushed onto the round's undo log, every
+/// access is stamped into the round's cell stamps, and retired
+/// constituents go into the segment's part of the round's trail (pcs and
+/// overwritten register values), which has room for every constituent a
+/// segment can retire. An access that touches a cell another segment
+/// wrote, or writes a cell another segment touched, flags the round as
+/// conflicting.
 struct DirectSeg<'a> {
     mem: &'a mut Memory,
     undo: &'a mut Vec<(i64, i64)>,
-    epoch: u32,
-    read_epoch: &'a mut [u32],
-    write_epoch: &'a mut [u32],
-    touched_read: &'a mut Vec<u32>,
-    touched_write: &'a mut Vec<u32>,
+    pcs: &'a mut [u32],
+    olds: &'a mut [i64],
+    stamps: &'a mut [u32],
+    /// `epoch << STAMP_EPOCH_SHIFT | rank`.
+    me: u32,
+    conflict: &'a mut bool,
+}
+
+impl DirectSeg<'_> {
+    /// Stamp one access of this segment, flagging the round when the
+    /// cell is one another participant wrote, or a write finds it touched
+    /// by another.
+    #[inline]
+    fn stamp(&mut self, addr: i64, write: bool) {
+        // A successful access proves `1 <= addr < frontier`, so the cell
+        // is in range for the stamps sized at round start.
+        let cell = &mut self.stamps[addr as usize];
+        let s = *cell;
+        let mine = self.me | if write { STAMP_WRITTEN } else { STAMP_READ };
+        if s == self.me | STAMP_WRITTEN || s == mine {
+            return;
+        }
+        if s >> STAMP_EPOCH_SHIFT != self.me >> STAMP_EPOCH_SHIFT {
+            // First touch this round.
+            *cell = mine;
+            return;
+        }
+        match s & STAMP_KIND {
+            // Only this participant read it: its write takes it over.
+            STAMP_READ if s & !STAMP_KIND == self.me => *cell = mine,
+            STAMP_READ | STAMP_SHARED if !write => {
+                *cell = self.me >> STAMP_EPOCH_SHIFT << STAMP_EPOCH_SHIFT | STAMP_SHARED
+            }
+            _ => *self.conflict = true,
+        }
+    }
 }
 
 impl HotMem for DirectSeg<'_> {
@@ -374,13 +424,7 @@ impl HotMem for DirectSeg<'_> {
     #[inline]
     fn load(&mut self, addr: i64) -> Result<i64, MemTrap> {
         let v = self.mem.load(addr)?;
-        // A successful access proves `1 <= addr < frontier`, so the page
-        // index is in range for the stamp arrays sized at round start.
-        let page = (addr as u64 >> PAGE_SHIFT) as usize;
-        if self.read_epoch[page] != self.epoch {
-            self.read_epoch[page] = self.epoch;
-            self.touched_read.push(page as u32);
-        }
+        self.stamp(addr, false);
         Ok(v)
     }
 
@@ -388,12 +432,14 @@ impl HotMem for DirectSeg<'_> {
     fn store(&mut self, addr: i64, val: i64) -> Result<(), MemTrap> {
         let old = self.mem.swap(addr, val)?;
         self.undo.push((addr, old));
-        let page = (addr as u64 >> PAGE_SHIFT) as usize;
-        if self.write_epoch[page] != self.epoch {
-            self.write_epoch[page] = self.epoch;
-            self.touched_write.push(page as u32);
-        }
+        self.stamp(addr, true);
         Ok(())
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, i: u64, pc: u32, old: i64) {
+        self.pcs[i as usize] = pc;
+        self.olds[i as usize] = old;
     }
 }
 
@@ -406,7 +452,7 @@ enum HotEnd {
     Cold,
     /// The thread's `(clock, id)` key reached the run's bound.
     Bound,
-    /// Retired [`SEG_CAP`] ops (segments only).
+    /// Retired the round's segment cap (segments only).
     Cap,
     /// Step budget exhausted; the op at the limit has committed (batch
     /// commit only).
@@ -425,16 +471,12 @@ struct HotRun {
     fused: u64,
     /// Loads + stores retired.
     mem_ops: u64,
-    /// The thread clock immediately before the last retired op — the
-    /// op's scheduler key, which round legality compares against the
-    /// earliest cold-op key (meaningless when `ops == 0`).
-    last_pre: u64,
     end: HotEnd,
 }
 
-/// Inputs of one hot run of thread `id`. The last four are batch
-/// commit's: a segment leaves them inert, and its executor instance
-/// never reads them.
+/// Inputs of one hot run of thread `id`. A segment leaves `jitter`,
+/// `blocks` and `cold_access` inert, and its executor instance never
+/// reads them.
 struct HotCtx<'a> {
     func: &'a FlatFunc,
     fcosts: &'a [u64],
@@ -442,15 +484,17 @@ struct HotCtx<'a> {
     /// No op retires at or past this `(clock, id)` key. For batch commit
     /// it is the runner-up queue key; for a segment, the earliest key of a
     /// ready thread that must single-step next when the round began (its
-    /// memory footprint is not validated against segments). Both are
-    /// capped by the weak-lock timeout deadline key `(deadline, 0)`, which
-    /// is all that bounds a strategy-loop run.
+    /// memory footprint is not validated against segments), or an end
+    /// key of a segment that ran before it in the round. Both are capped
+    /// by the weak-lock timeout deadline key `(deadline, 0)`, which is all
+    /// that bounds a strategy-loop run.
     bound: Option<(u64, u32)>,
     /// Jitter source, when jitter is on.
     jitter: Option<(&'a mut Rng, Jitter)>,
     /// The running function's block counters, when counting.
     blocks: Option<&'a mut [u64]>,
-    /// Ops the step limit (or the scheduler's horizon) still allows.
+    /// Ops the step limit (or the scheduler's horizon) still allows; for a
+    /// segment, the segment cap.
     budget: u64,
     /// Someone must see each access: the supervisor wants per-access
     /// `Load`/`Store` events, or the scheduler classifies boundaries. A
@@ -462,18 +506,18 @@ struct HotCtx<'a> {
 /// The hot-run executor behind batch commit, the strategy loop's runs
 /// and the speculative segment rounds (DESIGN.md §13): retire one
 /// thread's plain and fused sidecar ops until a cold op, the `(clock,
-/// id)` bound, the step budget, or — segments only — [`SEG_CAP`]. A
+/// id)` bound, the step budget, or — segments only — the segment cap. A
 /// fused pair commits twice, with the budget and bound re-checked between
 /// its constituents (a mid-pair stop rests at `pc + 1`, where the sidecar
 /// holds the plain second op); the cap is only checked between whole ops.
 ///
 /// `SEG` fixes the segment rules at compile time: no jitter draw, no
-/// block counts, the cap, and no budget check (the round reserved its
-/// steps up front). Drawing no RNG keeps every thread's clock and
-/// icount independent of the interleaving, which is what lets a round
-/// reorder conflict-free segments unobservably. Always inlined: batch
-/// runs are often a single op, and an out-of-line call per run measured
-/// slower (DESIGN.md §13).
+/// block counts, `budget` as the segment cap (checked between whole ops
+/// only), and a trail entry per constituent. A segment's clock is its
+/// jitter-free schedule; the round's merge draws the jitter, counts the
+/// blocks and applies the step budget for the constituents it commits.
+/// Always inlined: batch runs are often a single op, and an out-of-line
+/// call per run measured slower (DESIGN.md §13).
 #[inline(always)]
 fn run_hot<M: HotMem, const SEG: bool>(
     ctx: HotCtx<'_>,
@@ -493,22 +537,36 @@ fn run_hot<M: HotMem, const SEG: bool>(
         cold_access,
     } = ctx;
     let mut run = HotRun::default();
-    // One constituent's commit: identical arithmetic and RNG draw order
-    // to `Machine::commit_ok`.
+    // The old value of the register the constituent in flight wrote (a
+    // segment's trail keeps it).
+    let mut old = 0;
+    // One constituent's commit at `$pc`: identical arithmetic and RNG
+    // draw order to `Machine::commit_ok`.
     macro_rules! commit {
-        ($cost:expr) => {{
-            let mut total = $cost;
-            if !SEG {
-                if let Some((rng, j)) = jitter.as_mut() {
-                    if rng.gen_range(0..j.period) == 0 {
-                        total += rng.gen_range(0..=j.magnitude);
-                    }
+        ($pc:expr) => {{
+            let pc = $pc;
+            let mut total = fcosts[pc];
+            if SEG {
+                mem.retire(run.ops, pc as u32, old);
+            } else if let Some((rng, j)) = jitter.as_mut() {
+                if rng.gen_range(0..j.period) == 0 {
+                    total += rng.gen_range(0..=j.magnitude);
                 }
             }
             run.ops += 1;
-            run.last_pre = *clock;
             *icount += 1;
             *clock += total;
+        }};
+    }
+    // Register write; a segment's trail keeps the old value.
+    macro_rules! set {
+        ($reg:expr, $v:expr) => {{
+            let v = $v;
+            let r = $reg.index();
+            if SEG {
+                old = frame.regs[r];
+            }
+            frame.regs[r] = v;
         }};
     }
     // After every commit, between a fused op's constituents too.
@@ -543,9 +601,9 @@ fn run_hot<M: HotMem, const SEG: bool>(
     // and commit.
     macro_rules! first {
         ($pc:expr, $reg:expr, $v:expr) => {{
-            frame.regs[$reg.index()] = $v;
+            set!($reg, $v);
             frame.pc += 1;
-            commit!(fcosts[$pc]);
+            commit!($pc);
             check!();
         }};
     }
@@ -562,10 +620,10 @@ fn run_hot<M: HotMem, const SEG: bool>(
     macro_rules! then_load {
         ($pc:expr, $dst:expr, $a:expr) => {{
             access!();
-            frame.regs[$dst.index()] = ok!(mem.load($a));
+            set!($dst, ok!(mem.load($a)));
             frame.pc += 1;
             run.mem_ops += 1;
-            commit!(fcosts[$pc + 1]);
+            commit!($pc + 1);
             run.fused += 1;
         }};
     }
@@ -575,7 +633,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
             ok!(mem.store($a, frame.get($val)));
             frame.pc += 1;
             run.mem_ops += 1;
-            commit!(fcosts[$pc + 1]);
+            commit!($pc + 1);
             run.fused += 1;
         }};
     }
@@ -590,28 +648,28 @@ fn run_hot<M: HotMem, const SEG: bool>(
             let pc = frame.pc as usize;
             match func.fused[pc] {
                 FlatOp::Copy { dst, src } => {
-                    frame.regs[dst.index()] = frame.get(src);
+                    set!(dst, frame.get(src));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::UnOp { dst, op, src } => {
-                    frame.regs[dst.index()] = eval_unop(op, frame.get(src));
+                    set!(dst, eval_unop(op, frame.get(src)));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::BinOp { dst, op, a, b } => {
-                    frame.regs[dst.index()] = ok!(eval_binop(op, frame.get(a), frame.get(b)));
+                    set!(dst, ok!(eval_binop(op, frame.get(a), frame.get(b))));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::AddrOfGlobal {
                     dst,
                     global,
                     offset,
                 } => {
-                    frame.regs[dst.index()] = mem.global_base(global) + frame.get(offset);
+                    set!(dst, mem.global_base(global) + frame.get(offset));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::AddrOfSlot {
                     dst,
@@ -619,33 +677,33 @@ fn run_hot<M: HotMem, const SEG: bool>(
                     offset,
                 } => {
                     let base = ok!(frame.frame_base.ok_or(NO_SLOTS));
-                    frame.regs[dst.index()] = base + slot_off + frame.get(offset);
+                    set!(dst, base + slot_off + frame.get(offset));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::AddrOfFunc { dst, func } => {
-                    frame.regs[dst.index()] = FUNC_PTR_BASE + func.0 as i64;
+                    set!(dst, FUNC_PTR_BASE + func.0 as i64);
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::PtrAdd { dst, base, offset } => {
-                    frame.regs[dst.index()] = frame.get(base).wrapping_add(frame.get(offset));
+                    set!(dst, frame.get(base).wrapping_add(frame.get(offset)));
                     frame.pc += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::Load { dst, addr, .. } => {
                     access!();
-                    frame.regs[dst.index()] = ok!(mem.load(frame.get(addr)));
+                    set!(dst, ok!(mem.load(frame.get(addr))));
                     frame.pc += 1;
                     run.mem_ops += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::Store { addr, val, .. } => {
                     access!();
                     ok!(mem.store(frame.get(addr), frame.get(val)));
                     frame.pc += 1;
                     run.mem_ops += 1;
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::Jump {
                     target_pc,
@@ -653,7 +711,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
                 } => {
                     frame.pc = target_pc;
                     enter_block!(target_block.index());
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::Branch {
                     cond,
@@ -669,7 +727,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
                     };
                     frame.pc = t;
                     enter_block!(b.index());
-                    commit!(fcosts[pc]);
+                    commit!(pc);
                 }
                 FlatOp::FusedGlobalLoad {
                     addr_dst,
@@ -746,21 +804,21 @@ fn run_hot<M: HotMem, const SEG: bool>(
                     // Target blocks are dropped from the fused form;
                     // recover via the pc→block map.
                     enter_block!(func.pc_block[t as usize] as usize);
-                    commit!(fcosts[pc + 1]);
+                    commit!(pc + 1);
                     run.fused += 1;
                 }
                 FlatOp::FusedOpAssign { tmp, op, a, b, dst } => {
                     let r = ok!(eval_binop(op, frame.get(a), frame.get(b)));
                     first!(pc, tmp, r);
-                    frame.regs[dst.index()] = r;
+                    set!(dst, r);
                     frame.pc += 1;
-                    commit!(fcosts[pc + 1]);
+                    commit!(pc + 1);
                     run.fused += 1;
                 }
                 _ => break HotEnd::Cold,
             }
             check!();
-            if SEG && run.ops >= SEG_CAP {
+            if SEG && run.ops >= budget {
                 break HotEnd::Cap;
             }
         }
@@ -829,27 +887,32 @@ fn eval_binop(bop: BinOp, x: i64, y: i64) -> Result<i64, &'static str> {
     })
 }
 
-/// Per-execution state of the speculative segment-round engine: page
-/// epoch stamps and touched-page lists per thread slot, the round-global
-/// undo log, reusable per-segment snapshots, and the deterministic
-/// backoff that keeps round attempts away from phases where they cannot
-/// pay off.
+/// Per-execution state of the speculative segment-round engine: the cell
+/// stamps, the round's trail, undo log and participants (buffers reused
+/// from round to round), and the deterministic backoff that keeps round
+/// attempts away from phases where they cannot pay off.
 #[derive(Default)]
 struct SpecState {
-    /// Current round number; a page stamp equal to `epoch` marks a page
-    /// as touched this round (stamp arrays are never cleared).
+    /// Current round number (the high bits of every stamp it writes).
     epoch: u32,
-    /// Per thread-slot, per-page stamps (lazily sized each round).
-    read_epoch: Vec<Vec<u32>>,
-    write_epoch: Vec<Vec<u32>>,
-    /// Pages each thread slot touched this round (cleared per segment).
-    touched_read: Vec<Vec<u32>>,
-    touched_write: Vec<Vec<u32>>,
-    /// Round-global store log `(addr, old value)`; per-segment ranges are
-    /// delimited by [`SegSnap::undo_start`].
+    /// Per-cell access stamps, lazily sized to the address frontier.
+    stamps: Vec<u32>,
+    /// The round's trail, segment after segment: each retired
+    /// constituent's pc and the old value of the register it wrote (when
+    /// it wrote one; what it wrote and counts follows from the op at the
+    /// pc). The first `used` entries are this round's.
+    pcs: Vec<u32>,
+    olds: Vec<i64>,
+    used: usize,
+    /// The segment cap, from [`SEG_CAP_MIN`] up to [`SEG_CAP`].
+    cap: u64,
+    /// The round's store log `(addr, old value)`, segment after segment.
     undo: Vec<(i64, i64)>,
-    /// Reusable per-segment snapshots and results (one per participant).
-    snaps: Vec<SegSnap>,
+    /// The round's participants, in thread-id order.
+    segs: Vec<Seg>,
+    /// The merge's keys `clock << RANK_BITS | rank`, a participant's rank
+    /// being its index in `segs`.
+    keys: Vec<u64>,
     /// Outer-loop iterations to wait before the next round attempt.
     cooldown: u64,
     /// Cooldown charged by the next failed or trivial round (doubles up
@@ -857,16 +920,27 @@ struct SpecState {
     penalty: u64,
 }
 
-/// One participating thread's rollback snapshot and segment result.
-#[derive(Default)]
-struct SegSnap {
+/// Bits of a merge key that hold the participant's rank: rounds take at
+/// most `1 << RANK_BITS` threads, whose clocks stay below `1 << (64 -
+/// RANK_BITS)`.
+const RANK_BITS: u32 = 8;
+
+/// One participant of a round: its thread, its ranges of the round's
+/// trail and undo log, its segment's counters, and how much of it the
+/// merge committed.
+struct Seg {
     tix: usize,
-    pc: u32,
+    fidx: usize,
+    trail: (usize, usize),
+    undo: (usize, usize),
+    /// The segment's fused ops and memory ops.
+    fused: u64,
+    mem_ops: u64,
+    /// Constituents the merge committed.
+    kept: usize,
+    /// The thread's clock after its committed constituents, jitter
+    /// included (its pre-round clock until the merge runs).
     clock: u64,
-    icount: u64,
-    regs: Vec<i64>,
-    undo_start: usize,
-    run: HotRun,
 }
 
 /// Can the hot-run executor retire this sidecar op? (Mirrors the arms of
@@ -896,21 +970,27 @@ fn op_is_hot(op: &FlatOp) -> bool {
     )
 }
 
+/// Is this sidecar op a fused pair?
+fn is_fused(op: &FlatOp) -> bool {
+    matches!(
+        op,
+        FlatOp::FusedGlobalLoad { .. }
+            | FlatOp::FusedGlobalStore { .. }
+            | FlatOp::FusedSlotLoad { .. }
+            | FlatOp::FusedSlotStore { .. }
+            | FlatOp::FusedPtrLoad { .. }
+            | FlatOp::FusedPtrStore { .. }
+            | FlatOp::FusedCmpBranch { .. }
+            | FlatOp::FusedOpAssign { .. }
+    )
+}
+
 /// The earlier of two optional bounds, `None` meaning unbounded.
 fn earliest<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     }
-}
-
-/// Refresh every ready-queue key from its thread's clock and restore sort
-/// order (a committed round advances many clocks at once).
-fn refresh_queue_keys(queue: &mut [(u64, u32)], threads: &[Thr]) {
-    for k in queue.iter_mut() {
-        k.0 = threads[k.1 as usize].clock;
-    }
-    queue.sort_unstable();
 }
 
 struct Machine<'p> {
@@ -1026,6 +1106,7 @@ impl<'p> Machine<'p> {
             ckpt_digest: 0xcbf2_9ce4_8422_2325,
             spec: SpecState {
                 penalty: SPEC_PENALTY_MIN,
+                cap: SEG_CAP_MIN,
                 ..SpecState::default()
             },
         };
@@ -1589,12 +1670,9 @@ impl<'p> Machine<'p> {
         let mut fused_ops = 0u64;
         let mut batch_runs = 0u64;
         let mut batched_ops = 0u64;
-        // Speculative rounds additionally require no per-access feed (a
-        // segment's accesses emit nothing), jitter off (hot commits must
-        // draw no RNG, or run-ahead would reorder the stream) and block
-        // counting off (hot control flow must stay write-free outside
-        // thread-local state).
-        let rounds_ok = !feed && self.config.jitter.period == 0 && !self.config.count_blocks;
+        // Speculative rounds additionally require no per-access feed: a
+        // segment's accesses emit nothing.
+        let rounds_ok = !feed;
 
         let result = loop {
             let Some(&(front, id)) = queue.first() else {
@@ -1676,59 +1754,65 @@ impl<'p> Machine<'p> {
     }
 
     /// Attempt one speculative segment round: run every ready thread
-    /// ahead through hot ops to its next scheduling point, certify the
-    /// segments pairwise race-free on page-granular read/write sets, and
-    /// keep only ops that canonically precede everything the round did
-    /// not execute. Only called with jitter off (commits draw no RNG),
-    /// block counting off, and the batch gate up (hot ops emit no
-    /// events) — the combination that makes reordering conflict-free
-    /// segments unobservable.
+    /// ahead through hot ops, jitter-free, to the round's bound, certify
+    /// the segments pairwise race-free on cell-granular read/write sets,
+    /// then commit exactly the prefix the clock-ordered scheduler would
+    /// have run ([`Self::merge_round`]) and roll each thread's tail back.
+    /// Only called without a per-access feed, so hot ops emit nothing.
     ///
-    /// Returns `true` when the round committed ops (queue keys have been
-    /// refreshed); `false` leaves the machine bit-exactly as before the
-    /// call, apart from backoff bookkeeping.
+    /// Returns `true` when the round committed ops (queue keys are the
+    /// committed clocks); `false` leaves the machine bit-exactly as before
+    /// the call, apart from backoff bookkeeping.
     fn try_round(
         &mut self,
         queue: &mut [(u64, u32)],
         steps: &mut u64,
         deadline: Option<u64>,
     ) -> bool {
-        let n = queue.len() as u64;
-        // Reserve the worst case up front so committed segments need no
-        // per-op budget checks (a fused pair may straddle the cap).
-        if steps.saturating_add(n * (SEG_CAP + 2)) > self.config.max_steps {
-            self.spec.cooldown = self.spec.penalty;
-            return false;
-        }
-        self.prepare_round(queue);
         // Segments must stop strictly before the earliest key of a ready
         // thread already sitting at a cold op or owing a forced reacquire
         // (the queue is sorted, so the first such thread has the minimal
         // key; its own segment retires nothing), and before the weak-lock
         // timeout deadline.
-        let cold = queue.iter().copied().find(|&(_, id)| {
+        let single_steps = |&(_, id): &(u64, u32)| {
             let t = &self.threads[id as usize];
             let f = t.frames.last().expect("live thread has frames");
             !t.pending_reacquire.is_empty()
                 || !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
-        });
-        let bound0 = earliest(cold, deadline.map(|d| (d, 0)));
-        let total = match self.round_direct(queue, bound0) {
-            Some(total) => total,
-            None => {
-                self.stats.vm.spec_discards += 1;
-                self.spec.cooldown = self.spec.penalty;
-                self.spec.penalty = (self.spec.penalty * 2).min(SPEC_PENALTY_MAX);
-                return false;
-            }
         };
-        if total >= 4 * n {
+        if single_steps(&queue[0]) {
+            // No segment could commit anything: the front steps first.
+            return false;
+        }
+        let cold = queue.iter().copied().find(single_steps);
+        let budget = self.config.max_steps.saturating_sub(*steps);
+        // How far a round can move a clock: every constituent at most
+        // the dearest hot op plus the largest jitter draw.
+        let reach = (SEG_CAP + 1)
+            .saturating_mul(self.cost.instr + self.cost.mem + self.config.jitter.magnitude);
+        let last = queue[queue.len() - 1].0;
+        if budget == 0
+            || queue.len() > 1 << RANK_BITS
+            || last.saturating_add(reach) >> (64 - RANK_BITS) != 0
+        {
+            // The next op ends the run, or the merge keys cannot hold the
+            // round: no attempt.
+            return false;
+        }
+        self.prepare_round();
+        let bound0 = earliest(cold, deadline.map(|d| (d, 0)));
+        let Some((total, kept)) = self.round_direct(queue, bound0, deadline, budget) else {
+            self.stats.vm.spec_discards += 1;
+            self.spec.cooldown = self.spec.penalty;
+            self.spec.penalty = (self.spec.penalty * 2).min(SPEC_PENALTY_MAX);
+            return false;
+        };
+        if kept >= 2 && total >= SPEC_PRODUCTIVE_OPS * queue.len() as u64 {
             self.spec.penalty = SPEC_PENALTY_MIN;
             self.spec.cooldown = 0;
         } else {
-            // Legal but trivial (per-op thread alternation): keep what
-            // committed, then back off — the exact batch engine handles
-            // this phase with less overhead.
+            // Legal but trivial: the exact batch engine handles this
+            // phase with less overhead.
             self.spec.cooldown = self.spec.penalty;
             self.spec.penalty = (self.spec.penalty * 2).min(SPEC_PENALTY_MAX);
         }
@@ -1737,80 +1821,59 @@ impl<'p> Machine<'p> {
         }
         *steps += total;
         self.stats.vm.spec_rounds += 1;
-        refresh_queue_keys(queue, &self.threads);
         true
     }
 
-    /// Size the per-thread page-stamp arrays for the current address
-    /// frontier and open a new round epoch.
-    fn prepare_round(&mut self, queue: &[(u64, u32)]) {
+    /// Size the cell stamps for the current address frontier and open a
+    /// new round epoch.
+    fn prepare_round(&mut self) {
         let spec = &mut self.spec;
-        let pages = (self.mem.frontier() as u64 >> PAGE_SHIFT) as usize + 1;
-        let slots = self.threads.len();
-        if spec.read_epoch.len() < slots {
-            spec.read_epoch.resize_with(slots, Vec::new);
-            spec.write_epoch.resize_with(slots, Vec::new);
-            spec.touched_read.resize_with(slots, Vec::new);
-            spec.touched_write.resize_with(slots, Vec::new);
+        let cells = self.mem.frontier() as usize;
+        if spec.stamps.len() < cells {
+            spec.stamps.resize(cells, 0);
         }
-        spec.epoch = spec.epoch.wrapping_add(1);
-        if spec.epoch == 0 {
-            // Stamp wrap-around (one bump per round): clear every stamp
-            // so stale ones can never alias the restarted epoch.
-            for v in spec
-                .read_epoch
-                .iter_mut()
-                .chain(spec.write_epoch.iter_mut())
-            {
-                v.iter_mut().for_each(|s| *s = 0);
-            }
+        spec.epoch += 1;
+        if spec.epoch >> (32 - STAMP_EPOCH_SHIFT) != 0 {
+            // Epoch wrap-around (one bump per round): clear every stamp so
+            // stale ones can never alias the restarted epoch.
+            spec.stamps.iter_mut().for_each(|s| *s = 0);
             spec.epoch = 1;
         }
-        for &(_, id) in queue {
-            let tix = id as usize;
-            spec.read_epoch[tix].resize(pages, 0);
-            spec.write_epoch[tix].resize(pages, 0);
-        }
     }
 
-    /// Put one thread back to its pre-round snapshot (registers, pc,
-    /// clock, instruction count). Hot ops touch nothing else in `Thr`.
-    fn restore_thread(&mut self, snap: &SegSnap) {
-        let Thr {
-            frames,
-            clock,
-            icount,
-            ..
-        } = &mut self.threads[snap.tix];
-        let frame = frames.last_mut().expect("live thread has frames");
-        frame.pc = snap.pc;
-        frame.regs.copy_from_slice(&snap.regs);
-        *clock = snap.clock;
-        *icount = snap.icount;
-    }
-
-    /// Evaluate one round: segments run one after another directly
-    /// against memory with an undo log and per-thread page-epoch stamps
-    /// (the order is immaterial once certified race-free). Returns the
-    /// total ops committed, or `None` if the round was discarded — any
-    /// speculative trap or cross-segment page overlap — and rolled back.
+    /// Evaluate one round. Segments run one after another directly
+    /// against memory, in thread-id order, with an undo log, a trail and
+    /// the cell stamps. A speculative trap or a conflict discards the
+    /// round whole: memory and every thread go back to where they were,
+    /// and `None` is returned. Otherwise the merge commits the canonical
+    /// prefix, each thread's tail is rolled back, and the number of
+    /// committed ops and of threads that committed some is returned.
+    ///
+    /// Rolling back only tails is legal because the round is
+    /// conflict-free: no segment read another's writes, so a tail's
+    /// re-execution later reads what it read here, and the order in
+    /// which conflict-free segments ran is immaterial to memory.
     fn round_direct(
         &mut self,
-        queue: &[(u64, u32)],
+        queue: &mut [(u64, u32)],
         bound0: Option<(u64, u32)>,
-    ) -> Option<u64> {
-        let epoch = self.spec.epoch;
-        // Moved out of `self.spec` so the segment executor can borrow the
-        // remaining `self` fields disjointly.
-        let mut snaps = std::mem::take(&mut self.spec.snaps);
-        let mut undo = std::mem::take(&mut self.spec.undo);
-        snaps.resize_with(queue.len(), SegSnap::default);
+        deadline: Option<u64>,
+        budget: u64,
+    ) -> Option<(u64, u64)> {
+        // Moved out of `self` so the segment executor can borrow the
+        // remaining fields of `self` disjointly.
+        let mut spec = std::mem::take(&mut self.spec);
+        spec.used = 0;
+        spec.undo.clear();
+        spec.segs.clear();
+        queue.sort_unstable_by_key(|&(_, id)| id);
+        // Set when two segments touch a cell one of them wrote.
+        let mut conflict = false;
         let mut trapped = false;
-        for (i, &(_, id)) in queue.iter().enumerate() {
+        let mut grow = false;
+        let mut bound = bound0;
+        for &(clock0, id) in queue.iter() {
             let tix = id as usize;
-            self.spec.touched_read[tix].clear();
-            self.spec.touched_write[tix].clear();
-            let snap = &mut snaps[i];
             let Thr {
                 frames,
                 clock,
@@ -1818,109 +1881,240 @@ impl<'p> Machine<'p> {
                 ..
             } = &mut self.threads[tix];
             let frame = frames.last_mut().expect("live thread has frames");
-            snap.tix = tix;
-            snap.pc = frame.pc;
-            snap.clock = *clock;
-            snap.icount = *icount;
-            snap.regs.clear();
-            snap.regs.extend_from_slice(&frame.regs);
-            snap.undo_start = undo.len();
             let fidx = frame.func.index();
+            let (trail0, undo0) = (spec.used, spec.undo.len());
+            // A fused pair may straddle the cap.
+            let room = trail0 + spec.cap as usize + 1;
+            if spec.pcs.len() < room {
+                spec.pcs.resize(room, 0);
+                spec.olds.resize(room, 0);
+            }
             let ctx = HotCtx {
                 func: &self.flat.funcs[fidx],
                 fcosts: &self.costs[fidx],
                 id,
-                bound: bound0,
+                bound,
                 jitter: None,
                 blocks: None,
-                budget: u64::MAX,
+                budget: spec.cap,
                 cold_access: false,
             };
             let mut seg = DirectSeg {
                 mem: &mut self.mem,
-                undo: &mut undo,
-                epoch,
-                read_epoch: &mut self.spec.read_epoch[tix],
-                write_epoch: &mut self.spec.write_epoch[tix],
-                touched_read: &mut self.spec.touched_read[tix],
-                touched_write: &mut self.spec.touched_write[tix],
+                undo: &mut spec.undo,
+                pcs: &mut spec.pcs[trail0..room],
+                olds: &mut spec.olds[trail0..room],
+                stamps: &mut spec.stamps,
+                me: spec.epoch << STAMP_EPOCH_SHIFT | spec.segs.len() as u32,
+                conflict: &mut conflict,
             };
-            snap.run = run_segment(ctx, frame, clock, icount, &mut seg);
-            trapped |= matches!(snap.run.end, HotEnd::Trap(_));
-        }
-        // Certification: a speculative trap (possibly an artifact of
-        // reading another segment's half-done state) or any overlap of
-        // one segment's writes with another's reads or writes discards
-        // the round whole.
-        let mut conflict = trapped;
-        if !conflict {
-            'pairs: for &(_, wid) in queue {
-                for &p in &self.spec.touched_write[wid as usize] {
-                    for &(_, oid) in queue {
-                        if oid != wid
-                            && (self.spec.read_epoch[oid as usize][p as usize] == epoch
-                                || self.spec.write_epoch[oid as usize][p as usize] == epoch)
-                        {
-                            conflict = true;
-                            break 'pairs;
-                        }
-                    }
-                }
+            let run = run_segment(ctx, frame, clock, icount, &mut seg);
+            // The merge stops by this thread's jitter-free end key at the
+            // latest (exactly there with jitter off), so later segments
+            // need not run past it.
+            bound = earliest(bound, Some((*clock, id)));
+            spec.used += run.ops as usize;
+            if matches!(run.end, HotEnd::Cap) {
+                grow = true;
+            }
+            spec.segs.push(Seg {
+                tix,
+                fidx,
+                trail: (trail0, spec.used),
+                undo: (undo0, spec.undo.len()),
+                fused: run.fused,
+                mem_ops: run.mem_ops,
+                kept: 0,
+                clock: clock0,
+            });
+            // A speculative trap may be an artifact of reading another
+            // segment's half-done state; either way the round is lost,
+            // so the remaining segments need not run.
+            trapped = matches!(run.end, HotEnd::Trap(_));
+            if trapped || conflict {
+                break;
             }
         }
-        if conflict {
-            for &(addr, old) in undo.iter().rev() {
-                self.mem.write_raw(addr, old);
-            }
-            for snap in &snaps {
-                self.restore_thread(snap);
-            }
-            undo.clear();
-            self.spec.snaps = snaps;
-            self.spec.undo = undo;
+        if grow {
+            spec.cap = (spec.cap * 2).min(SEG_CAP);
+        }
+        let certified = !trapped && !conflict;
+        if certified {
+            self.merge_round(&mut spec, deadline, budget);
+        }
+        // In reverse, so a discarded round's overlapping stores unwind to
+        // the oldest value.
+        let (mut total, mut kept, mut mem_ops, mut fused) = (0, 0, 0, 0);
+        for g in spec.segs.iter().rev() {
+            let (ops, m, f) = self.settle(&spec, g);
+            total += ops;
+            kept += u64::from(ops > 0);
+            mem_ops += m;
+            fused += f;
+        }
+        for (k, g) in queue.iter_mut().zip(&spec.segs) {
+            k.0 = g.clock;
+        }
+        queue.sort_unstable();
+        self.spec = spec;
+        if !certified {
             return None;
-        }
-        // Cold-op ordering: a speculative op is committable only if it
-        // canonically precedes every op the round did NOT execute, i.e.
-        // its pre-op key is below K — the earliest next-op key over all
-        // round threads after their segments. Segments that overran K
-        // are rolled back whole, which is legal precisely because the
-        // round certified conflict-free: nothing read their writes, and
-        // their own re-execution reads nothing the kept segments wrote.
-        let k = queue
-            .iter()
-            .map(|&(_, id)| (self.threads[id as usize].clock, id))
-            .min()
-            .expect("round has participants");
-        let mut total = 0u64;
-        let mut kept = 0u64;
-        let (mut fused, mut mem_ops) = (0u64, 0u64);
-        for (i, snap) in snaps.iter().enumerate() {
-            if snap.run.ops == 0 {
-                continue;
-            }
-            if (snap.run.last_pre, queue[i].1) >= k {
-                let end = snaps.get(i + 1).map_or(undo.len(), |s| s.undo_start);
-                for &(addr, old) in undo[snap.undo_start..end].iter().rev() {
-                    self.mem.write_raw(addr, old);
-                }
-                self.restore_thread(snap);
-                continue;
-            }
-            total += snap.run.ops;
-            kept += 1;
-            fused += snap.run.fused;
-            mem_ops += snap.run.mem_ops;
         }
         self.stats.instrs += total;
         self.stats.mem_ops += mem_ops;
         self.stats.vm.fused_ops += fused;
         self.stats.vm.spec_ops += total;
         self.stats.vm.spec_segments += kept;
-        undo.clear();
-        self.spec.snaps = snaps;
-        self.spec.undo = undo;
-        Some(total)
+        Some((total, kept))
+    }
+
+    /// Commit the canonical prefix of a certified round: replay the
+    /// clock-ordered scheduler over the segments' trails. Op by op, the
+    /// minimum `(clock, id)` goes first and draws jitter exactly as
+    /// [`Self::commit_ok`] does. The merge stops at the first thread
+    /// whose next op did not run speculatively (a cold op, the segment
+    /// cap, or the round's bound), at the weak-lock timeout deadline key,
+    /// and once `budget` ops have committed. Every draw it makes is one
+    /// the per-step scheduler would make at the same point, so the
+    /// committed state is one the per-step scheduler passes through.
+    ///
+    /// Without jitter no commit depends on the interleaving, and the
+    /// merge would stop at the earliest end key of a segment (the
+    /// segments stopped at the deadline key already): then each thread
+    /// commits exactly its constituents below that key, found by walking
+    /// back from its end.
+    ///
+    /// Leaves each participant's committed constituents and clock in its
+    /// [`Seg`].
+    fn merge_round(&mut self, spec: &mut SpecState, deadline: Option<u64>, budget: u64) {
+        let jitter = self.config.jitter;
+        if jitter.period == 0 && spec.used as u64 <= budget {
+            let ends = spec.segs.iter().map(|g| (self.threads[g.tix].clock, g.tix as u32));
+            let stop = ends.min().expect("round has participants");
+            for g in &mut spec.segs {
+                let fcosts = &self.costs[g.fidx];
+                let id = g.tix as u32;
+                let (mut i, mut clock) = (g.trail.1, self.threads[g.tix].clock);
+                while i > g.trail.0 {
+                    let pre = clock - fcosts[spec.pcs[i - 1] as usize];
+                    if (pre, id) < stop {
+                        break;
+                    }
+                    clock = pre;
+                    i -= 1;
+                }
+                g.kept = i - g.trail.0;
+                g.clock = clock;
+            }
+            return;
+        }
+        let keys = &mut spec.keys;
+        keys.clear();
+        keys.extend(spec.segs.iter().enumerate().map(|(r, g)| g.clock << RANK_BITS | r as u64));
+        let stop = deadline.map_or(u64::MAX, |d| d.saturating_mul(1 << RANK_BITS));
+        let mut left = budget;
+        let mut rng = self.rng.clone();
+        loop {
+            // The front and the runner-up, in one branch-free scalar scan:
+            // the rounds have few participants, and under jitter which
+            // thread runs next is close to random.
+            let (mut front, mut r, mut second) = (keys[0], 0, u64::MAX);
+            for (k, &key) in keys.iter().enumerate().skip(1) {
+                let less = key < front;
+                second = if less { front } else { second.min(key) };
+                (front, r) = if less { (key, k) } else { (front, r) };
+            }
+            let g = &mut spec.segs[r];
+            let pcs = &spec.pcs[g.trail.0 + g.kept..g.trail.1];
+            if left == 0 || front >= stop || pcs.is_empty() {
+                break;
+            }
+            // The front runs while it stays below the runner-up, as batch
+            // commit runs it.
+            let (fcosts, bound, mut key) = (&self.costs[g.fidx], second.min(stop), front);
+            let mut ran = 0;
+            for &pc in pcs.iter().take(left as usize) {
+                let mut total = fcosts[pc as usize];
+                if jitter.period > 0 && rng.gen_range(0..jitter.period) == 0 {
+                    total += rng.gen_range(0..=jitter.magnitude);
+                }
+                key += total << RANK_BITS;
+                ran += 1;
+                if key >= bound {
+                    break;
+                }
+            }
+            g.kept += ran;
+            left -= ran as u64;
+            keys[r] = key;
+        }
+        self.rng = rng;
+        for (g, &key) in spec.segs.iter_mut().zip(keys.iter()) {
+            g.clock = key >> RANK_BITS;
+        }
+    }
+
+    /// Finish one participant of a round: undo its constituents past the
+    /// committed ones (all of them when the round was discarded) — their
+    /// register writes and stores, in reverse — and set its pc,
+    /// instruction count and clock. Hot ops touch nothing else in `Thr`.
+    /// Counts the blocks the committed constituents entered and returns
+    /// their ops, memory ops and fused ops. What each constituent wrote,
+    /// accessed and entered follows from the plain op at its pc: a fused
+    /// op's constituents write what the ops it fuses write.
+    fn settle(&mut self, spec: &SpecState, g: &Seg) -> (u64, u64, u64) {
+        let (start, end) = g.trail;
+        let cut = start + g.kept;
+        let func = &self.flat.funcs[g.fidx];
+        let Thr {
+            frames,
+            clock,
+            icount,
+            ..
+        } = &mut self.threads[g.tix];
+        let frame = frames.last_mut().expect("live thread has frames");
+        let (mut stores, mut mem_ops, mut fused) = (0, 0, 0);
+        for j in (cut..end).rev() {
+            let pc = spec.pcs[j] as usize;
+            match func.code[pc] {
+                FlatOp::Copy { dst, .. }
+                | FlatOp::UnOp { dst, .. }
+                | FlatOp::BinOp { dst, .. }
+                | FlatOp::AddrOfGlobal { dst, .. }
+                | FlatOp::AddrOfSlot { dst, .. }
+                | FlatOp::AddrOfFunc { dst, .. }
+                | FlatOp::PtrAdd { dst, .. } => frame.regs[dst.index()] = spec.olds[j],
+                FlatOp::Load { dst, .. } => {
+                    frame.regs[dst.index()] = spec.olds[j];
+                    mem_ops += 1;
+                }
+                FlatOp::Store { .. } => {
+                    stores += 1;
+                    mem_ops += 1;
+                }
+                _ => {}
+            }
+            // The second constituent of the fused op its predecessor ran.
+            fused += u64::from(j > start && spec.pcs[j - 1] as usize + 1 == pc && is_fused(&func.fused[pc - 1]));
+        }
+        if cut < end {
+            frame.pc = spec.pcs[cut];
+        }
+        *icount -= (end - cut) as u64;
+        *clock = g.clock;
+        if self.config.count_blocks {
+            // A jump or branch enters the block of the pc after it.
+            for j in start..cut {
+                if matches!(func.code[spec.pcs[j] as usize], FlatOp::Jump { .. } | FlatOp::Branch { .. }) {
+                    let next = if j + 1 < end { spec.pcs[j + 1] } else { frame.pc };
+                    self.block_counts[g.fidx][func.pc_block[next as usize] as usize] += 1;
+                }
+            }
+        }
+        for &(addr, old) in spec.undo[g.undo.1 - stores..g.undo.1].iter().rev() {
+            self.mem.write_raw(addr, old);
+        }
+        (g.kept as u64, g.mem_ops - mem_ops, g.fused - fused)
     }
 
     fn finish_deadlock(self) -> ExecResult {
@@ -2890,7 +3084,7 @@ impl<'p> Machine<'p> {
             }
             Instr::Malloc { dst, size, site } => {
                 let n = self.val(tid, *size);
-                if n <= 0 || n > (1 << 24) {
+                if n <= 0 || n > i64::from(MAX_CELLS) {
                     return StepEnd::Trap(format!("malloc of invalid size {n}"));
                 }
                 let a = self.mem.alloc(n, RegionKind::Heap(*site));
@@ -3170,7 +3364,7 @@ impl<'p> Machine<'p> {
             }
             FlatOp::Malloc { dst, size, site } => {
                 let n = self.val(tid, size);
-                if n <= 0 || n > (1 << 24) {
+                if n <= 0 || n > i64::from(MAX_CELLS) {
                     return StepEnd::Trap(format!("malloc of invalid size {n}"));
                 }
                 let a = self.mem.alloc(n, RegionKind::Heap(site));
@@ -4531,6 +4725,182 @@ mod tests {
         let cfg = ExecConfig::default();
         let r = execute_mode(&p, &cfg, InterpMode::Reference);
         assert_eq!(r.output_of(ThreadId(0)), vec![5]);
+    }
+
+    /// Workers `w(n)` of the round tests: `n` iterations of fused and
+    /// plain hot ops over cell `n & 7` of `g`, then a cold `print`.
+    const ROUND_WORKERS: &str = "int g[8];
+        void w(int n) { int i; int s; s = 0;
+            for (i = 0; i < n; i = i + 1) { s = s + i; g[n & 7] = s; }
+            print(s); }
+        int main() { return 0; }";
+
+    /// One speculative round over workers `w(n)` at the given clocks (the
+    /// first one in `main`'s thread), checked against the per-step
+    /// scheduler:
+    /// after as many steps as the round committed — each taken below the
+    /// deadline — every thread's pc, registers, clock and instruction
+    /// count, memory, the jitter RNG, the counters and the block counts
+    /// agree, and the scheduler's next step is one the round could not
+    /// take: past the step limit, at the deadline, a cold op, or past the
+    /// end of its thread's segment. Returns the round's machine and the
+    /// committed ops.
+    fn round_against_steps<'p>(
+        p: &'p Program,
+        cfg: &'p ExecConfig,
+        workers: &[(i64, u64)],
+        deadline: Option<u64>,
+    ) -> (Machine<'p>, u64) {
+        let w = FuncId(p.funcs.iter().position(|f| f.name == "w").unwrap() as u32);
+        let setup = || {
+            let mut m = Machine::new(p, cfg, InterpMode::Flat);
+            let (n, clock) = workers[0];
+            let frame = m.make_frame(w, &[n], None);
+            (m.threads[0].frames, m.threads[0].clock) = (vec![frame], clock);
+            for &(n, clock) in &workers[1..] {
+                m.spawn_thread(w, &[n], clock);
+            }
+            m
+        };
+        let mut m = setup();
+        let mut queue: Vec<(u64, u32)> = m.threads.iter().map(|t| (t.clock, t.id.0)).collect();
+        queue.sort_unstable();
+        let mut steps = 0;
+        assert!(m.try_round(&mut queue, &mut steps, deadline), "no round committed");
+        let spent: Vec<usize> = m.spec.segs.iter().filter(|g| g.kept == g.trail.1 - g.trail.0).map(|g| g.tix).collect();
+        let mut r = setup();
+        let front = |r: &Machine| {
+            let ready = r.threads.iter().filter(|t| t.state == TState::Ready);
+            let t = ready.min_by_key(|t| (t.clock, t.id)).unwrap();
+            let f = t.frames.last().unwrap();
+            (t.id, t.clock, op_is_hot(&r.flat.funcs[f.func.index()].fused[f.pc as usize]))
+        };
+        for _ in 0..steps {
+            let (next, clock, _) = front(&r);
+            assert!(deadline.is_none_or(|d| clock < d), "stepped at the deadline");
+            r.step_flat(&mut NullSupervisor, next);
+        }
+        let (next, clock, hot) = front(&r);
+        let at_deadline = deadline.is_some_and(|d| clock >= d);
+        assert!(steps == cfg.max_steps || at_deadline || !hot || spent.contains(&next.index()));
+        for (a, b) in m.threads.iter().zip(&r.threads) {
+            let (fa, fb) = (a.frames.last().unwrap(), b.frames.last().unwrap());
+            assert_eq!(
+                (a.clock, a.icount, fa.pc, &fa.regs),
+                (b.clock, b.icount, fb.pc, &fb.regs),
+                "thread {:?}",
+                a.id
+            );
+        }
+        let mut keys: Vec<(u64, u32)> = m.threads.iter().map(|t| (t.clock, t.id.0)).collect();
+        keys.sort_unstable();
+        assert_eq!(queue, keys);
+        assert_eq!(m.mem.state_hash(), r.mem.state_hash());
+        assert_eq!(m.rng, r.rng);
+        assert_eq!(m.block_counts, r.block_counts);
+        assert_eq!(
+            (m.stats.instrs, m.stats.mem_ops),
+            (r.stats.instrs, r.stats.mem_ops)
+        );
+        (m, steps)
+    }
+
+    #[test]
+    fn merge_cuts_between_a_fused_pairs_constituents() {
+        // Under jitter, with block counting, the step budget cuts each
+        // round somewhere else; some cut leaves a thread between the two
+        // constituents of a fused pair.
+        let p = compile(ROUND_WORKERS).unwrap();
+        let mut mid_pair = 0;
+        for budget in 1..=80 {
+            let cfg = ExecConfig {
+                seed: 5,
+                count_blocks: true,
+                max_steps: budget,
+                ..ExecConfig::default()
+            };
+            let (m, steps) = round_against_steps(&p, &cfg, &[(40, 0), (41, 3)], None);
+            assert_eq!(steps, budget);
+            mid_pair += m
+                .threads
+                .iter()
+                .filter(|t| {
+                    let f = t.frames.last().unwrap();
+                    let func = &m.flat.funcs[f.func.index()];
+                    f.pc > 0 && is_fused(&func.fused[f.pc as usize - 1])
+                })
+                .count();
+        }
+        assert!(mid_pair > 0, "no cut fell inside a fused pair");
+    }
+
+    #[test]
+    fn merge_cuts_at_a_clock_id_tie() {
+        // Three workers in lockstep; the middle one reaches its cold
+        // `print` first. At that clock the lower id still runs its op and
+        // the higher id does not.
+        let p = compile(ROUND_WORKERS).unwrap();
+        let cfg = ExecConfig {
+            jitter: Jitter::none(),
+            ..ExecConfig::default()
+        };
+        let (m, _) = round_against_steps(&p, &cfg, &[(30, 0), (3, 0), (31, 0)], None);
+        let t = &m.threads;
+        let f = t[1].frames.last().unwrap();
+        assert!(!op_is_hot(&m.flat.funcs[f.func.index()].fused[f.pc as usize]));
+        assert_eq!(t[0].icount, t[2].icount + 1);
+        assert!(t[2].clock == t[1].clock && t[1].clock < t[0].clock);
+    }
+
+    #[test]
+    fn merge_cuts_at_the_weak_lock_deadline_key() {
+        // Dense jitter moves the committed clocks off the segments' own,
+        // so thread 0 sits at the deadline itself in some round.
+        let p = compile(ROUND_WORKERS).unwrap();
+        for jitter in [Jitter::none(), Jitter { period: 2, magnitude: 5 }] {
+            let cfg = ExecConfig {
+                seed: 9,
+                jitter,
+                ..ExecConfig::default()
+            };
+            for deadline in 5..60 {
+                let (m, _) = round_against_steps(&p, &cfg, &[(40, 0), (41, 2), (42, 5)], Some(deadline));
+                let front = m.threads.iter().map(|t| t.clock).min().unwrap();
+                assert!(front >= deadline, "deadline {deadline}: front {front}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_cuts_at_the_step_reservation() {
+        // The round commits exactly the ops the step limit still allows;
+        // the next op is the one the limit stops, in both interpreters.
+        let p = compile(ROUND_WORKERS).unwrap();
+        for max_steps in [1, 17, 64, 100] {
+            let cfg = ExecConfig {
+                seed: 3,
+                max_steps,
+                ..ExecConfig::default()
+            };
+            let (_, steps) = round_against_steps(&p, &cfg, &[(40, 0), (41, 0)], None);
+            assert_eq!(steps, max_steps);
+        }
+        let src = "int g[2]; void w(int k) { int i;
+                for (i = 0; i < 500; i = i + 1) { g[k] = g[k] + i; } }
+            int main() { int a; int b; a = spawn(w, 0); b = spawn(w, 1);
+                join(a); join(b); return 0; }";
+        let p = compile(src).unwrap();
+        for max_steps in [900, 1_500, 2_222] {
+            let cfg = ExecConfig {
+                seed: 4,
+                max_steps,
+                ..ExecConfig::default()
+            };
+            let flat = execute_mode(&p, &cfg, InterpMode::Flat);
+            assert!(flat.stats.vm.spec_rounds > 0, "{max_steps}: no round");
+            assert_eq!(flat.outcome, Outcome::StepLimit);
+            assert_modes_agree_cfg(src, &cfg);
+        }
     }
 
     #[test]

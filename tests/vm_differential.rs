@@ -12,16 +12,20 @@
 //!
 //! The flat loop itself is layered — superinstruction fusion, batch
 //! commit, and the speculative segment rounds — and every layer is in
-//! scope here: the jitter-off cases run all of them against the
-//! reference interpreter, pinned bit-identical (results *and* replay
-//! logs) on all nine workloads, original and instrumented, with batch
-//! commit required to engage everywhere, also while recording under
-//! armed weak-lock timeouts, and the rounds on the workloads where they
-//! pay off. The hostile strategies' hot runs and the detector-attached
-//! runs, which single-step every access, are in scope the same way: the
-//! generative sweep requires batch commit to engage under PCT and under
-//! preemption-bounded scheduling, and the engine pin covers one run of
-//! each plus a detector-attached run per workload.
+//! scope here: jitter off, default jitter and block counting each run
+//! all of them against the reference interpreter, pinned bit-identical
+//! (results *and* replay logs) on all nine workloads, original and
+//! instrumented, with batch commit required to engage everywhere, also
+//! while recording under armed weak-lock timeouts, and the rounds on the
+//! workloads where they pay off. Under jitter a round commits exactly
+//! the prefix the clock-ordered scheduler would run, drawing the jitter
+//! in its order, so these pins cover the merge that decides it. The
+//! hostile strategies' hot runs and the detector-attached runs, which
+//! single-step every access, are in scope the same way: the generative
+//! sweep requires batch commit to engage under PCT and under
+//! preemption-bounded scheduling and the rounds under default jitter,
+//! and the engine pin covers one run of each plus a detector-attached
+//! run per workload.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
@@ -97,27 +101,45 @@ fn all_workloads_agree_across_seeds_and_threads() {
     }
 }
 
-/// The speculative segment rounds only engage with jitter off (hot
-/// commits draw no RNG): this is the configuration under which the flat
-/// VM's fusion, batch commit and segment rounds all engage, so it is
-/// where the identity claim is sharpest.
-fn spec_config(seed: u64) -> ExecConfig {
-    ExecConfig {
+/// The configurations under which fusion, batch commit and the segment
+/// rounds all engage: jitter off, where a round's commit depends on no
+/// RNG draw; default jitter, where the round's merge draws it in the
+/// scheduler's order; and default jitter with block counting, as the
+/// profiler runs, where the merge also counts the committed blocks.
+fn spec_configs(seed: u64) -> [(&'static str, ExecConfig); 3] {
+    let jittered = ExecConfig {
         seed,
-        jitter: Jitter::none(),
         collect_trace: true,
         ..ExecConfig::default()
-    }
+    };
+    [
+        (
+            "jitter-off",
+            ExecConfig {
+                jitter: Jitter::none(),
+                ..jittered
+            },
+        ),
+        ("default jitter", jittered),
+        (
+            "count_blocks",
+            ExecConfig {
+                count_blocks: true,
+                ..jittered
+            },
+        ),
+    ]
 }
 
-/// Workloads whose jitter-off runs must commit segment rounds, so the
-/// pins below cannot pass with the round engine idle.
+/// Workloads whose runs must commit segment rounds, so the pins below
+/// cannot pass with the round engine idle.
 const SPEC_ROUND_WORKLOADS: [&str; 3] = ["ocean", "fft", "water"];
 
-/// Segment rounds are invisible: on every workload the jitter-off flat VM
-/// (fusion + batch commit + speculative rounds) must be byte-identical —
-/// outcome, output, final memory, virtual time, stats, committed event
-/// trace — to the reference interpreter.
+/// Segment rounds are invisible: on every workload, with jitter off,
+/// default jitter and block counting, the flat VM (fusion, batch commit
+/// and speculative rounds) must be byte-identical — outcome, output,
+/// final memory, virtual time, stats, committed event trace, block
+/// counts — to the reference interpreter.
 #[test]
 fn spec_rounds_are_bit_identical_on_all_workloads() {
     for w in all() {
@@ -128,21 +150,22 @@ fn spec_rounds_are_bit_identical_on_all_workloads() {
             })
             .expect("workload compiles");
         for seed in [1, 42] {
-            let cfg = spec_config(seed);
-            let flat = execute_mode(&p, &cfg, InterpMode::Flat);
-            let refr = execute_mode(&p, &cfg, InterpMode::Reference);
-            if SPEC_ROUND_WORKLOADS.contains(&w.name) {
-                assert!(
-                    flat.stats.vm.spec_rounds > 0,
-                    "{} seed={seed}: segment rounds never engaged",
-                    w.name
+            for (what, cfg) in spec_configs(seed) {
+                let flat = execute_mode(&p, &cfg, InterpMode::Flat);
+                let refr = execute_mode(&p, &cfg, InterpMode::Reference);
+                if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+                    assert!(
+                        flat.stats.vm.spec_rounds > 0,
+                        "{} {what} seed={seed}: segment rounds never engaged",
+                        w.name
+                    );
+                }
+                assert_identical(
+                    &flat,
+                    &refr,
+                    &format!("{} {what} flat vs reference, seed={seed}", w.name),
                 );
             }
-            assert_identical(
-                &flat,
-                &refr,
-                &format!("{} jitter-off flat vs reference, seed={seed}", w.name),
-            );
         }
     }
 }
@@ -150,10 +173,11 @@ fn spec_rounds_are_bit_identical_on_all_workloads() {
 /// Recording through batch commit and the segment rounds must produce
 /// bit-identical replay logs: the committed sync/weak/input/output order
 /// is the log, so any reordering the engines allowed would surface here
-/// byte-for-byte. Each workload is recorded twice: the original program,
-/// and its weak-lock-instrumented version under `record`'s own config
-/// (weak ops logged, timeouts armed), where the engines run against the
-/// weak-lock timeout deadline.
+/// byte-for-byte. Each workload is recorded with jitter off and with
+/// default jitter, twice each: the original program, and its
+/// weak-lock-instrumented version under `record`'s own config (weak ops
+/// logged, timeouts armed), where the engines run against the weak-lock
+/// timeout deadline.
 #[test]
 fn spec_round_replay_logs_are_bit_identical() {
     for w in all() {
@@ -163,50 +187,53 @@ fn spec_round_replay_logs_are_bit_identical() {
                 scale: 1,
             })
             .expect("workload compiles");
-        let cfg = ExecConfig {
-            seed: 42,
-            jitter: Jitter::none(),
-            log_sync: true,
-            log_input: true,
-            ..ExecConfig::default()
-        };
         let instrumented = analyze(&p, &PipelineConfig::default()).instrumented;
-        let rec_cfg = ExecConfig {
-            log_weak: true,
-            timeout_enabled: true,
-            ..cfg
-        };
-        for (prog, cfg, what) in [
-            (&p, &cfg, "original"),
-            (&instrumented, &rec_cfg, "instrumented"),
-        ] {
-            let record = |mode| {
-                let mut rec = chimera_replay::Recorder::default();
-                let r = chimera_runtime::execute_supervised_mode(prog, cfg, &mut rec, mode);
-                (rec.logs, r)
+        for jitter in [Jitter::none(), Jitter::default()] {
+            let cfg = ExecConfig {
+                seed: 42,
+                jitter,
+                log_sync: true,
+                log_input: true,
+                ..ExecConfig::default()
             };
-            let (flat_logs, flat) = record(InterpMode::Flat);
-            let (ref_logs, refr) = record(InterpMode::Reference);
-            assert!(flat.outcome.is_exit(), "{} {what}", w.name);
-            assert!(
-                flat.stats.vm.batched_ops > 0,
-                "{} {what}: batch commit never engaged while recording",
-                w.name
-            );
-            if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+            let rec_cfg = ExecConfig {
+                log_weak: true,
+                timeout_enabled: true,
+                ..cfg
+            };
+            let what_of = |what: &str| format!("{what} jitter={}", jitter.period);
+            for (prog, cfg, what) in [
+                (&p, &cfg, what_of("original")),
+                (&instrumented, &rec_cfg, what_of("instrumented")),
+            ] {
+                let record = |mode| {
+                    let mut rec = chimera_replay::Recorder::default();
+                    let r = chimera_runtime::execute_supervised_mode(prog, cfg, &mut rec, mode);
+                    (rec.logs, r)
+                };
+                let (flat_logs, flat) = record(InterpMode::Flat);
+                let (ref_logs, refr) = record(InterpMode::Reference);
+                assert!(flat.outcome.is_exit(), "{} {what}", w.name);
                 assert!(
-                    flat.stats.vm.spec_rounds > 0,
-                    "{} {what}: segment rounds never engaged while recording",
+                    flat.stats.vm.batched_ops > 0,
+                    "{} {what}: batch commit never engaged while recording",
                     w.name
                 );
+                if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+                    assert!(
+                        flat.stats.vm.spec_rounds > 0,
+                        "{} {what}: segment rounds never engaged while recording",
+                        w.name
+                    );
+                }
+                assert_eq!(
+                    flat_logs.to_bytes(),
+                    ref_logs.to_bytes(),
+                    "{} {what}: serialized replay logs diverged between flat and reference",
+                    w.name
+                );
+                assert_identical(&flat, &refr, &format!("{} {what} recording", w.name));
             }
-            assert_eq!(
-                flat_logs.to_bytes(),
-                ref_logs.to_bytes(),
-                "{} {what}: serialized replay logs diverged between flat and reference",
-                w.name
-            );
-            assert_identical(&flat, &refr, &format!("{} {what} recording", w.name));
         }
     }
 }
@@ -217,9 +244,8 @@ const RACY: &str = "int g;
     int main() { int t; t = spawn(w, 1); w(2); join(t); print(g); return 0; }";
 
 /// Two workers contend for a loop-locked array while a third thread runs
-/// lock-free hot code, so with jitter off the segment rounds run while a
-/// waiter's timeout is pending and while a preempted holder owes its
-/// reacquire.
+/// lock-free hot code, so the segment rounds run while a waiter's timeout
+/// is pending and while a preempted holder owes its reacquire.
 const LOOP_LOCKED: &str = "int arr[64];
     void contend(int v) { int i; int r;
         for (r = 0; r < 12; r = r + 1) {
@@ -389,24 +415,24 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
 /// 4 workers and seed 42.
 #[rustfmt::skip]
 const ENGINE_PINS: &[(&str, [u64; 8])] = &[
-    ("aget@1", [0x53a8118c4a4c056b, 0x006c2383f1f20038, 0x2bd64cf133d036b5, 0xa6e28de142bb94fe, 0xd8282e1ebb99e8e9, 0xdf2ed6d2f66a243d, 0xf88e4ffdaf55e965, 0x9ec97316d8edfb07]),
-    ("pfscan@1", [0xe0ad2df00a285b7e, 0xed1efb454319e48a, 0xaa7413355bcf85ef, 0x878a05f7e8c06945, 0xf6d68500184fb298, 0x4254a67109b456aa, 0xbf94aa3c4bbb4762, 0x12817bca6f4924df]),
-    ("pbzip2@1", [0xc1975c560fd7113d, 0x8a6d3e8e0bf113d9, 0xe07e1d4ee08f510e, 0xfed135ce143685c1, 0x7101939423a95d61, 0xec48518217b63c10, 0x55ac1c8fbcfa5031, 0x367b974fadd79f24]),
-    ("knot@1", [0xa7d4ca172ca0f8f9, 0xa69e6a4b95e706dd, 0x02173324f29b21e7, 0xcf74508c5eb245fd, 0xd4a00d3e0fb20773, 0x15c1c81525219550, 0x2bbae26b4bbf6673, 0x2b2bef821b2f558b]),
-    ("apache@1", [0xfc09e2842b9e41ff, 0xc3d6904a0a4b55f8, 0x14701a15e5a72f78, 0xe3926acc3fb3431c, 0x691658e7ed136eb7, 0x6b81a2c73d8f76d5, 0xf7ff306943836dc0, 0x671e0008a441824a]),
-    ("ocean@1", [0x061baac458dd138c, 0xb5c1a1e96e35c02a, 0x4224e18ff6f46a3c, 0x08b9d6d80c16d5e3, 0xee13efb3c4b8bd8c, 0x990d7a27e695b31a, 0x1eec4a46c71e1afa, 0xb1a40df712537af1]),
-    ("water@1", [0xf8ccce167f3a4d21, 0x137e9b3e43d6c7ca, 0xb8357f507901dc3b, 0xdbd98afe176f139d, 0xec72d7c3c4f0f12e, 0x8656d94b0f366d64, 0xaa134502d302f2c5, 0xbccb05a70af368f4]),
-    ("fft@1", [0x0aa88d90288684a4, 0x9d42a8951530b230, 0x768743cfb607970f, 0xcf2bbec8b800ec18, 0xe9b2befee0708eb5, 0x684dddfb10799f65, 0x95b19426f17445fb, 0x51332d44a166f0d7]),
-    ("radix@1", [0xdf0927d2123723f5, 0xb0717ec424b79419, 0x337d17dfdb39e568, 0xc6f8dd1d8c9c83da, 0x0ceeb496aba649c9, 0x4a912742caed471b, 0xba178afcca74521c, 0xcc3f9e190d49b435]),
-    ("aget@4", [0xe3c14a578dc45f61, 0x0124f77197fffc44, 0xa46dd021ab496e25, 0xa7f14f6030e5cd8b, 0x3ef643afc989e2da, 0x43bc805c8441b6be, 0x3a14e5b8beffe857, 0x905c05b47a2d5b1c]),
-    ("pfscan@4", [0xe48b516af23d2f05, 0x8aeb9d10931a7231, 0x5485d1dd86ab9a7d, 0x995ce38812902947, 0x87d459a9b96c9a2e, 0xccca27dcf27e3337, 0x0ea78877bc7e5309, 0xcfa75b7e402ad958]),
-    ("pbzip2@4", [0xf3e05500aaefa175, 0x8d58d0c849ce0b9e, 0xaa67df17fd3e82e1, 0xf70bd1a6cb3f1bff, 0xddd8cc6902724b5a, 0x442affbbd9aac8f3, 0xab602daf5a02587c, 0xccf65a388961ae35]),
-    ("knot@4", [0x99aa240ae4d1f290, 0x0a6da4a1705998c0, 0xc8e16a198fa076c3, 0x9d5f12f9c8d25528, 0x4329ffd85cca9b1e, 0x7f737fc53fb2d427, 0x274cf860c7839fcc, 0xbc5c68424601f644]),
-    ("apache@4", [0x45c79e0d3e100cba, 0x169d2bac65f4275a, 0x3db15b9b730b33c8, 0x2e6e6964bb9eedf6, 0xcbd3f4967806afce, 0x4f7852b2526b53ac, 0x5d6ec39da7ec5ac5, 0xebbd02885f228845]),
-    ("ocean@4", [0xbafc2eff39f151c5, 0x09dd3213b819a7c7, 0xf5a825b6669e241e, 0x883d0d0728448068, 0xc3c0396c0a765456, 0xe5bca06070ebe136, 0xbda2a0fa8dab1bf7, 0x69debd2bf8199666]),
-    ("water@4", [0xee440cd7e0110fd1, 0xdc612d5c60cf4e84, 0x97da5235ec629d03, 0xd489097834337dbe, 0x221f06ce0f5fed8f, 0x12ca848f7d9952b3, 0x1d61fc2a9531d174, 0x6c327fac4a386b83]),
-    ("fft@4", [0xd55aaacbad5e2727, 0x7b78011e6346b14e, 0xde2efb4f888b6db0, 0x628aa4db1504d2d3, 0x2c73c0d0b1a41c1e, 0x890ae86dcb2a28a2, 0x899ec86ef2e9a262, 0xccb50b2669dbae7d]),
-    ("radix@4", [0xfe9f0d25d8d90f8e, 0x3eaac5bfed9548ec, 0x9a5ef7fd60e418d3, 0x57f5d6b0d469f9e8, 0x20384978554acf10, 0xa1296ff5cde61995, 0x9ff12980475fe317, 0x56abcd53752ef7e2]),
+    ("aget@1", [0x8810c915cbbaa38c, 0xd1b500b295524f41, 0x3c82ba2d7a40b098, 0xc62fda3fc554c27d, 0xe600ee975e3db879, 0xdf2ed6d2f66a243d, 0xf88e4ffdaf55e965, 0x9ec97316d8edfb07]),
+    ("pfscan@1", [0xf42b168565a1eae5, 0x65839746cd635f45, 0x879993bd0f11645a, 0xfef24b2d25c9a5c9, 0xbc866d3abd1319ee, 0x4254a67109b456aa, 0xbf94aa3c4bbb4762, 0x12817bca6f4924df]),
+    ("pbzip2@1", [0x86ac83d0ab4cbeee, 0x2c6e7599d2107e32, 0x6d15e2e1e8a2cdc1, 0x383154b4a4fafb3a, 0xaaa8fbbd88552a00, 0xec48518217b63c10, 0x55ac1c8fbcfa5031, 0x367b974fadd79f24]),
+    ("knot@1", [0x500e7d77f000f5a1, 0x343e44576b79f804, 0x3616e776d0f1957e, 0xff1d747ef77a6e1e, 0x89cb9f06a6d57a88, 0x15c1c81525219550, 0x2bbae26b4bbf6673, 0x2b2bef821b2f558b]),
+    ("apache@1", [0xd239fdb95263364a, 0x5abd571214bde3d5, 0x3dcc29b5cefe1555, 0xce92cf32f7274af9, 0xcf21f137e34f9ea5, 0x6b81a2c73d8f76d5, 0xf7ff306943836dc0, 0x671e0008a441824a]),
+    ("ocean@1", [0x868ddf507bb0ec9b, 0xa2701de0b035f1e3, 0xeadf2dd08ea41199, 0xd700b3ffdf03a35b, 0x6f1b6e69f05060a9, 0x990d7a27e695b31a, 0x1eec4a46c71e1afa, 0xb1a40df712537af1]),
+    ("water@1", [0xd0d5598ed3786b4d, 0x12bf1cd2133628ce, 0x0f3a40985debb99d, 0x49a85923e9cf5636, 0xa4fc4bdd44055b5c, 0x8656d94b0f366d64, 0xaa134502d302f2c5, 0xbccb05a70af368f4]),
+    ("fft@1", [0x7b81258430b77ed2, 0x074fc7f9f5de38a6, 0x681301fd09fdc9cd, 0xcd70a72959c64bbf, 0x40fd9bf7567867aa, 0x684dddfb10799f65, 0x95b19426f17445fb, 0x51332d44a166f0d7]),
+    ("radix@1", [0xd7be62649b5ce3d7, 0x426114479419fb4d, 0x67509685b85d1208, 0xbc0cc79c662d1cd1, 0xb4855b6b0c87c5ae, 0x4a912742caed471b, 0xba178afcca74521c, 0xcc3f9e190d49b435]),
+    ("aget@4", [0x76c11a95959e237b, 0xb228a1bca557d1ff, 0xcb3be418410bc366, 0x715cb3a4bffd9e70, 0xcba016486dd08db9, 0x43bc805c8441b6be, 0x3a14e5b8beffe857, 0x905c05b47a2d5b1c]),
+    ("pfscan@4", [0x81856250fdb0934b, 0xc57896a63174b83d, 0x99b51c5befd6b761, 0x2b6edfdc21d11106, 0x8ca9be8789995e9f, 0xccca27dcf27e3337, 0x0ea78877bc7e5309, 0xcfa75b7e402ad958]),
+    ("pbzip2@4", [0xfb44ba1d700cc4e1, 0x26d5420f6b3eb94a, 0x4661adb20f2a5aa7, 0x9b43a0a3f1186025, 0xcab47395c36e14ea, 0x442affbbd9aac8f3, 0xab602daf5a02587c, 0xccf65a388961ae35]),
+    ("knot@4", [0x2d1384adec3a93e4, 0xb4aabe6d6f9f62d7, 0xbfc9a15025e0cd7a, 0x4c1a12a9703d4e55, 0xffe7f5527d569c39, 0x7f737fc53fb2d427, 0x274cf860c7839fcc, 0xbc5c68424601f644]),
+    ("apache@4", [0x1ec36de906e94fdf, 0xd5c26a6603c47766, 0x0ed4476fbd95abbc, 0x03d11211c9dc5eeb, 0x28b16a2ccc59e095, 0x4f7852b2526b53ac, 0x5d6ec39da7ec5ac5, 0xebbd02885f228845]),
+    ("ocean@4", [0xdb551ecea32edbb9, 0x13620ed940dfcef6, 0x77487b67d7aee555, 0xdbb7c8e22ad3a571, 0x2e1b1317eff1f3ff, 0xe5bca06070ebe136, 0xbda2a0fa8dab1bf7, 0x69debd2bf8199666]),
+    ("water@4", [0x9e64de0f43cba718, 0xac825eeb570902ac, 0xe94b7aa1a7c6675d, 0x750967aecf2be3d5, 0x233ef1027851fc53, 0x12ca848f7d9952b3, 0x1d61fc2a9531d174, 0x6c327fac4a386b83]),
+    ("fft@4", [0xb029596c60527ac0, 0x1daa2a527155accb, 0x3358e57a75e85829, 0xabe5fb8b9aaeb061, 0x8d60bc480ace65a8, 0x890ae86dcb2a28a2, 0x899ec86ef2e9a262, 0xccb50b2669dbae7d]),
+    ("radix@4", [0x0016262c41a4c0d5, 0x8e9ba3373ab99828, 0x2ea118d0f2d95ceb, 0xb89003d630eb42fb, 0xbd1de118e7a10974, 0xa1296ff5cde61995, 0x9ff12980475fe317, 0x56abcd53752ef7e2]),
 ];
 
 fn fnv64(s: &str) -> u64 {
@@ -599,7 +625,8 @@ struct VmCase {
     seed: u64,
     collect_trace: bool,
     sched: SchedStrategy,
-    /// Jitter off lets the speculative segment rounds engage.
+    /// Jitter off, or default jitter with block counting; the segment
+    /// rounds engage under both.
     jitter_off: bool,
     /// When set, the case runs the program's weak-lock-instrumented
     /// version under recording costs with this timeout, under the drawn
@@ -691,10 +718,8 @@ fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
     let mut cfg = ExecConfig {
         seed: case.seed,
         collect_trace: case.collect_trace,
-        // Block counting disables the speculative segment engine, so only
-        // count in the cases that keep it off anyway (jitter on): the
-        // jitter-off half of the sweep exercises fused + batched +
-        // speculative commits against the reference.
+        // Block counts ride along with jitter, as in profiling runs; the
+        // rounds' merge then counts the blocks its commits enter.
         count_blocks: !case.jitter_off,
         jitter: if case.jitter_off {
             Jitter::none()
@@ -761,12 +786,15 @@ struct Coverage {
     pct_batched: u32,
     /// Preemption-bounded cases with hot runs engaged.
     preempt_batched: u32,
+    /// Default-jitter cases that committed segment rounds.
+    jitter_rounds: u32,
 }
 
 /// 64+ generated multithreaded programs execute identically in both modes,
 /// and batch commit engages where it must: in some timeout case that
 /// forces a release, under baseline and under hostile scheduling, and in
-/// some PCT and some preemption-bounded case.
+/// some PCT and some preemption-bounded case. Some default-jitter case
+/// commits segment rounds.
 #[test]
 fn generated_programs_agree_across_modes() {
     let cfg = Config::from_env().with_cases(64);
@@ -781,7 +809,11 @@ fn generated_programs_agree_across_modes() {
             let forced = flat.stats.forced_releases > 0 && batched;
             let mut seen = seen.borrow_mut();
             match case.sched {
-                SchedStrategy::ClockJitter => seen.forced_baseline += u32::from(forced),
+                SchedStrategy::ClockJitter => {
+                    seen.forced_baseline += u32::from(forced);
+                    seen.jitter_rounds +=
+                        u32::from(!case.jitter_off && flat.stats.vm.spec_rounds > 0);
+                }
                 SchedStrategy::Pct { .. } => {
                     seen.forced_hostile += u32::from(forced);
                     seen.pct_batched += u32::from(batched);
@@ -808,6 +840,10 @@ fn generated_programs_agree_across_modes() {
         assert!(
             seen.preempt_batched > 0,
             "no preemption-bounded case engaged hot runs"
+        );
+        assert!(
+            seen.jitter_rounds > 0,
+            "no default-jitter case committed a segment round"
         );
     }
 }
