@@ -161,8 +161,9 @@ cargo test -q --offline --test replay_bisection
 echo "== record across processes + bisect gate =="
 # End-to-end CLI, one process per recording: for every checked-in
 # fixture, two `chimera record` processes with the same seed must write
-# byte-identical logs, and `replay --bisect` must replay that log
-# conformantly (DESIGN.md §12).
+# byte-identical logs, a flat and a reference (CHIMERA_VM_REFERENCE=1)
+# `chimera replay` process must print the same report, and
+# `replay --bisect` must replay that log conformantly (DESIGN.md §12).
 rec_dir=$(mktemp -d)
 for fixture in fixtures/*.mc; do
     name=$(basename "$fixture" .mc)
@@ -173,6 +174,13 @@ for fixture in fixtures/*.mc; do
         echo "$name: two record processes wrote different logs" >&2
         exit 1
     }
+    $chimera_bin replay "$fixture" "$rec_dir/$name.1.log" > "$rec_dir/$name.flat.txt"
+    CHIMERA_VM_REFERENCE=1 $chimera_bin replay "$fixture" "$rec_dir/$name.1.log" \
+        > "$rec_dir/$name.ref.txt"
+    cmp "$rec_dir/$name.flat.txt" "$rec_dir/$name.ref.txt" || {
+        echo "$name: flat and reference replay processes printed different reports" >&2
+        exit 1
+    }
     bisect_out=$($chimera_bin replay "$fixture" "$rec_dir/$name.1.log" --bisect)
     echo "$bisect_out" | grep -q "replay conformant" || {
         echo "$name: replay --bisect did not conform:" >&2
@@ -181,7 +189,7 @@ for fixture in fixtures/*.mc; do
     }
 done
 rm -rf "$rec_dir"
-echo "every fixture records byte-identically across processes and bisect-replays conformantly"
+echo "every fixture records byte-identically across processes, replays identically in both interpreters and bisect-replays conformantly"
 
 echo "== explore smoke (CLI sweep on checked-in fixture) =="
 # One-sample end-to-end run of the CLI: instrument a checked-in racy

@@ -353,6 +353,39 @@ fn increments_evaluate_their_operand_once() {
     assert!(start.elapsed().as_secs() < 10, "the chain took {:?}", start.elapsed());
 }
 
+/// A name declared twice where lowering used to accept it silently fails
+/// at the second declaration with a named lower error.
+#[test]
+fn duplicate_names_fail_with_named_lower_errors() {
+    let dir = tempdir("duplicates");
+    for (name, src, expected) in [
+        (
+            "param",
+            "int f(int a, int a) { return a; } int main() { return f(1, 2); }",
+            "lower error at 1:14: duplicate parameter 'a'",
+        ),
+        (
+            "field",
+            "struct s { int x; int x; }; int main() { return 0; }",
+            "lower error at 1:19: duplicate field 'x'",
+        ),
+        (
+            "global",
+            "int g; int g() { return 7; } int main() { return g(); }",
+            "lower error at 1:8: 'g' names both a global and a function",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.mc"));
+        std::fs::write(&path, src).unwrap();
+        for cmd in ["races", "run"] {
+            let out = bin().arg(cmd).arg(&path).output().expect("spawn");
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(expected), "{cmd} {name}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn record_without_output_path_fails() {
     let out = bin().arg("record").arg(fixture()).output().expect("spawn");

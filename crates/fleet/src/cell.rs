@@ -431,18 +431,19 @@ pub fn exec_digest(exec: &ExecConfig, check_drd: bool, check_determinism: bool) 
     // Debug formatting of the plain-data config structs is canonical
     // within a build and changes only when the config surface itself
     // changes — exactly when old journal entries *should* be invalidated.
+    // `log` prints three times: it replaced three flags (sync, weak and
+    // input logging) that were always set together, and repeating it
+    // keeps the cell keys of existing journals valid.
+    let l = exec.log as u8;
     let canon = format!(
         "cost={:?}|jitter={:?}|io={:?}|max_steps={}|weak_timeout={}|timeout_enabled={}|\
-         log={}{}{}|was={}|drd={}|det={}",
+         log={l}{l}{l}|was={}|drd={}|det={}",
         exec.cost,
         exec.jitter,
         exec.io,
         exec.max_steps,
         exec.weak_timeout,
         exec.timeout_enabled,
-        exec.log_sync as u8,
-        exec.log_weak as u8,
-        exec.log_input as u8,
         exec.weak_always_succeed as u8,
         check_drd as u8,
         check_determinism as u8,

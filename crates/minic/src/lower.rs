@@ -4,16 +4,17 @@
 use crate::ast::{self, BinOp, Expr, Stmt, TypeExpr, Unit, UnOp, VarDecl};
 use crate::diag::{CompileError, Span, Stage};
 use crate::ir::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Lower a parsed [`Unit`] to an IR [`Program`].
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for semantic problems: unknown names,
-/// duplicate definitions, type mismatches on member access, missing `main`,
-/// non-constant global initializers, recursive struct layouts, or misuse of
-/// the builtin concurrency/system primitives.
+/// duplicate definitions (globals, functions, structs, parameters, fields,
+/// or a global and a function of one name), type mismatches on member
+/// access, missing `main`, non-constant global initializers, recursive
+/// struct layouts, or misuse of the builtin concurrency/system primitives.
 pub fn lower(unit: &Unit) -> Result<Program, CompileError> {
     let mut cx = Cx::new(unit)?;
     cx.lower_globals(unit)?;
@@ -150,7 +151,11 @@ impl Cx {
         let decl = &unit.structs[idx];
         let mut offset = 0u32;
         let mut fields = Vec::new();
+        let mut names = HashSet::new();
         for f in &decl.fields {
+            if !names.insert(f.name.as_str()) {
+                return Err(err(format!("duplicate field '{}'", f.name), f.span));
+            }
             let ty = self.resolve_type(&f.ty, f.span)?;
             // Recurse into by-value struct fields before sizing.
             if let Ty::Struct(inner) = ty {
@@ -261,8 +266,20 @@ impl Cx {
             if self.funcs_by_name.insert(f.name.clone(), i).is_some() {
                 return Err(err(format!("duplicate function '{}'", f.name), f.span));
             }
+            if let Some((g, _)) = self.global_ids.get(&f.name) {
+                // At whichever of the two declarations comes second.
+                let span = unit.globals[g.index()].span.max(f.span);
+                return Err(err(
+                    format!("'{}' names both a global and a function", f.name),
+                    span,
+                ));
+            }
             let mut params = Vec::new();
+            let mut names = HashSet::new();
             for p in &f.params {
+                if !names.insert(p.name.as_str()) {
+                    return Err(err(format!("duplicate parameter '{}'", p.name), p.span));
+                }
                 let ty = self.resolve_type(&p.ty, p.span)?;
                 if matches!(ty, Ty::Void | Ty::Struct(_) | Ty::Array(_, _)) {
                     return Err(err(
@@ -1608,6 +1625,42 @@ mod tests {
             })
         });
         assert!(has_off4, "expected field offset 4 for g.z");
+    }
+
+    #[test]
+    fn rejects_duplicate_names_at_the_second_declaration() {
+        for (src, message, span) in [
+            (
+                "int f(int a,\n      int a) { return a; }\nint main() { return f(1, 2); }",
+                "duplicate parameter 'a'",
+                Span::new(2, 7),
+            ),
+            (
+                "struct s { int x;\n  int x; };\nint main() { return 0; }",
+                "duplicate field 'x'",
+                Span::new(2, 3),
+            ),
+            (
+                "int g;\nint g() { return 7; }\nint main() { return g(); }",
+                "'g' names both a global and a function",
+                Span::new(2, 1),
+            ),
+            (
+                "int g() { return 7; }\nint x; int g;\nint main() { return g(); }",
+                "'g' names both a global and a function",
+                Span::new(2, 8),
+            ),
+        ] {
+            let e = compile_err(src);
+            assert_eq!(e.stage, crate::diag::Stage::Lower, "{src}");
+            assert_eq!((e.message.as_str(), e.span), (message, span), "{src}");
+        }
+        // Names only clash within one kind of scope.
+        compile(
+            "struct s { int s; int x; }; int x; int f(int x, int s) { return x + s; }
+             int main() { struct s v; v.x = f(1, 2); return v.x; }",
+        )
+        .unwrap();
     }
 
     #[test]

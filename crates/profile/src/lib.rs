@@ -321,9 +321,7 @@ fn profile_dense(
     let mut obs = ConcurrencyObserver::new(program.funcs.len());
     let cfg = ExecConfig {
         count_blocks: true,
-        log_sync: false,
-        log_weak: false,
-        log_input: false,
+        log: false,
         ..*config
     };
     let result = execute_supervised(program, &cfg, &mut obs);

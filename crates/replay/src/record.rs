@@ -19,10 +19,10 @@ pub struct Recording {
 
 /// Record one execution of (typically instrumented) `program`.
 ///
-/// Turns on all log-cost accounting in the machine (`log_sync`, `log_weak`,
-/// `log_input`), so `result.makespan` is the *recording* runtime the
-/// paper's Table 2 and Figure 5 measure. Checkpoints are emitted every
-/// [`CHUNK_EVENTS`] ordered events (the v2 chunk boundary).
+/// Turns on log-cost accounting in the machine (`ExecConfig::log`), so
+/// `result.makespan` is the *recording* runtime the paper's Table 2 and
+/// Figure 5 measure. Checkpoints are emitted every [`CHUNK_EVENTS`]
+/// ordered events (the v2 chunk boundary).
 pub fn record(program: &Program, base: &ExecConfig) -> Recording {
     record_with(program, base, CHUNK_EVENTS as u64)
 }
@@ -64,14 +64,11 @@ pub fn record_observed(
     }
 }
 
-/// `base` with all log-cost accounting on (`log_sync`, `log_weak`,
-/// `log_input`) and weak-lock timeouts armed: the configuration every
-/// recording runs under.
+/// `base` with log-cost accounting on and weak-lock timeouts armed: the
+/// configuration every recording runs under.
 fn record_config(base: &ExecConfig) -> ExecConfig {
     ExecConfig {
-        log_sync: true,
-        log_weak: true,
-        log_input: true,
+        log: true,
         timeout_enabled: true,
         ..*base
     }

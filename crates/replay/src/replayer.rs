@@ -28,9 +28,7 @@ pub struct ReplayRun {
 /// re-injected at their recorded `(thread, instruction-count)` points.
 pub fn replay(program: &Program, logs: &ReplayLogs, base: &ExecConfig) -> ReplayRun {
     let config = ExecConfig {
-        log_sync: false,
-        log_weak: false,
-        log_input: false,
+        log: false,
         timeout_enabled: false,
         ..*base
     };
@@ -233,9 +231,7 @@ pub struct BisectReplay {
 /// hunting a divergence.
 pub fn replay_bisect(program: &Program, logs: &ReplayLogs, base: &ExecConfig) -> BisectReplay {
     let config = ExecConfig {
-        log_sync: false,
-        log_weak: false,
-        log_input: false,
+        log: false,
         timeout_enabled: false,
         ..*base
     };

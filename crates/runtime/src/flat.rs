@@ -110,8 +110,8 @@ pub enum FlatOp {
     //
     // Built by the post-decode peephole pass ([`fuse_func`]) into the
     // per-function `fused` sidecar arena; they never appear in `code`, so
-    // the reference interpreter and the single-step flat path are
-    // untouched. Each fused op covers the two plain ops at `[pc, pc+2)`
+    // the reference interpreter and the flat machine's single steps never
+    // see them. Each fused op covers the two plain ops at `[pc, pc+2)`
     // and executes both constituents' exact semantics in one dispatch —
     // including the intermediate register write (checkpoint digests fold
     // top-frame registers, and later code may read it) and one commit per
@@ -306,9 +306,8 @@ pub struct FlatFunc {
     /// Superinstruction sidecar, same length as `code`: `fused[pc]` is a
     /// fused variant covering `[pc, pc + 2)` where the peephole pass
     /// matched, otherwise a copy of `code[pc]`. Only the hot-run executor
-    /// (batch commit and the speculative segments) reads it; every pc
-    /// remains a valid single-step entry point because the plain op at
-    /// `pc + 1` is never removed.
+    /// reads it; every pc remains a valid entry point because the plain op
+    /// at `pc + 1` is never removed.
     pub fused: Vec<FlatOp>,
     /// First pc of each block.
     pub block_entry: Vec<u32>,
@@ -726,15 +725,10 @@ fn decode_term(term: &Terminator, block_entry: &[u32]) -> FlatOp {
 /// arithmetic (including the log-write surcharges recording adds to sync
 /// and weak-lock operations). Ops whose commit cost depends on runtime
 /// values — I/O latency and lengths, barrier phases, the dynamic weak-lock
-/// paths — store 0 here and are costed by their handlers instead.
-pub fn static_costs(
-    func: &FlatFunc,
-    cost: &CostModel,
-    log_sync: bool,
-    log_weak: bool,
-) -> Vec<u64> {
-    let log_s = if log_sync { cost.log_write } else { 0 };
-    let log_w = if log_weak { cost.log_write } else { 0 };
+/// paths — store 0 here and are costed by their handlers instead. `log`
+/// is [`crate::ExecConfig::log`].
+pub fn static_costs(func: &FlatFunc, cost: &CostModel, log: bool) -> Vec<u64> {
+    let log_cost = if log { cost.log_write } else { 0 };
     func.code
         .iter()
         .map(|op| match op {
@@ -754,16 +748,16 @@ pub fn static_costs(
             | FlatOp::Return { .. }
             | FlatOp::Malloc { .. }
             | FlatOp::Free { .. } => cost.call,
-            FlatOp::Lock { .. } => cost.sync_op + log_s,
+            FlatOp::Lock { .. } => cost.sync_op + log_cost,
             FlatOp::Unlock { .. } => cost.sync_op,
             FlatOp::BarrierInit { .. } => cost.sync_op,
-            FlatOp::CondSignal { .. } | FlatOp::CondBroadcast { .. } => cost.sync_op + log_s,
-            FlatOp::Join { .. } => cost.sync_op + log_s,
-            FlatOp::SpawnDirect { .. } | FlatOp::SpawnIndirect { .. } => cost.spawn + log_s,
+            FlatOp::CondSignal { .. } | FlatOp::CondBroadcast { .. } => cost.sync_op + log_cost,
+            FlatOp::Join { .. } => cost.sync_op + log_cost,
+            FlatOp::SpawnDirect { .. } | FlatOp::SpawnIndirect { .. } => cost.spawn + log_cost,
             FlatOp::Print { .. } => cost.syscall,
             FlatOp::WeakAcquire { range, .. } => {
                 let rc = if range.is_some() { cost.range_check } else { 0 };
-                cost.weak_op + rc + log_w
+                cost.weak_op + rc + log_cost
             }
             FlatOp::WeakRelease { .. } => cost.weak_op,
             // Dynamic: latency/length-dependent or multi-phase.
@@ -908,8 +902,8 @@ mod tests {
         );
         let cost = CostModel::default();
         let main = &flat.funcs[p.main().index()];
-        let plain = static_costs(main, &cost, false, false);
-        let logged = static_costs(main, &cost, true, true);
+        let plain = static_costs(main, &cost, false);
+        let logged = static_costs(main, &cost, true);
         for (pc, op) in main.code.iter().enumerate() {
             match op {
                 FlatOp::Load { .. } | FlatOp::Store { .. } => {

@@ -68,12 +68,9 @@ pub struct ExecConfig {
     /// True while weak-lock timeouts may fire (recording); replay injects
     /// forced releases through the supervisor instead.
     pub timeout_enabled: bool,
-    /// Charge log-write cost for program sync operations (recording).
-    pub log_sync: bool,
-    /// Charge log-write cost for weak-lock operations (recording).
-    pub log_weak: bool,
-    /// Charge log-write cost for inputs (recording).
-    pub log_input: bool,
+    /// Charge log-write cost for program sync, weak-lock and input
+    /// operations (recording).
+    pub log: bool,
     /// Weak-lock acquires never block (used to isolate contention cost for
     /// the Fig. 7 breakdown).
     pub weak_always_succeed: bool,
@@ -83,9 +80,9 @@ pub struct ExecConfig {
     /// size estimates, paper §5.3).
     pub count_blocks: bool,
     /// Scheduling strategy (the schedule-exploration seam, see
-    /// [`crate::sched`]). The clock-ordered default keeps the flat hot
-    /// loop's ready-queue fast path; adversarial strategies run both
-    /// interpreter modes through the strategy loop.
+    /// [`crate::sched`]). The clock-ordered default keeps the flat VM's
+    /// ready queue; adversarial strategies pick through their scheduler
+    /// in both interpreter modes.
     pub sched: SchedStrategy,
 }
 
@@ -99,9 +96,7 @@ impl Default for ExecConfig {
             max_steps: 200_000_000,
             weak_timeout: 500_000,
             timeout_enabled: true,
-            log_sync: false,
-            log_weak: false,
-            log_input: false,
+            log: false,
             weak_always_succeed: false,
             collect_trace: false,
             count_blocks: false,
@@ -487,7 +482,7 @@ struct HotCtx<'a> {
     /// memory footprint is not validated against segments), or an end
     /// key of a segment that ran before it in the round. Both are capped
     /// by the weak-lock timeout deadline key `(deadline, 0)`, which is all
-    /// that bounds a strategy-loop run.
+    /// that bounds a run a [`crate::sched::Scheduler`] picked.
     bound: Option<(u64, u32)>,
     /// Jitter source, when jitter is on.
     jitter: Option<(&'a mut Rng, Jitter)>,
@@ -503,13 +498,14 @@ struct HotCtx<'a> {
     cold_access: bool,
 }
 
-/// The hot-run executor behind batch commit, the strategy loop's runs
-/// and the speculative segment rounds (DESIGN.md §13): retire one
-/// thread's plain and fused sidecar ops until a cold op, the `(clock,
-/// id)` bound, the step budget, or — segments only — the segment cap. A
-/// fused pair commits twice, with the budget and bound re-checked between
-/// its constituents (a mid-pair stop rests at `pc + 1`, where the sidecar
-/// holds the plain second op); the cap is only checked between whole ops.
+/// The hot-run executor behind batch commit, the runs a scheduler picks
+/// and the speculative segment rounds (DESIGN.md §13), and the only flat
+/// code that retires a hot op: retire one thread's plain and fused
+/// sidecar ops until a cold op, the `(clock, id)` bound, the step budget,
+/// or — segments only — the segment cap. A fused pair commits twice, with
+/// the budget and bound re-checked between its constituents (a mid-pair
+/// stop rests at `pc + 1`, where the sidecar holds the plain second op);
+/// the cap is only checked between whole ops.
 ///
 /// `SEG` fixes the segment rules at compile time: no jitter draw, no
 /// block counts, `budget` as the segment cap (checked between whole ops
@@ -1059,7 +1055,7 @@ impl<'p> Machine<'p> {
             InterpMode::Flat => flat
                 .funcs
                 .iter()
-                .map(|f| static_costs(f, &config.cost, config.log_sync, config.log_weak))
+                .map(|f| static_costs(f, &config.cost, config.log))
                 .collect(),
             InterpMode::Reference => Vec::new(),
         };
@@ -1286,50 +1282,63 @@ impl<'p> Machine<'p> {
         if self.config.collect_trace {
             self.trace.reserve(1024);
         }
-        // Non-baseline strategies drive both modes through the strategy
-        // loop, which keeps a (strategy, seed) pair bit-identical across
-        // interpreters; neither the ready queue nor the segment rounds
-        // engage there.
-        if !self.config.sched.is_baseline() {
-            return self.run_strategy(sup);
+        if self.mode == InterpMode::Reference && self.config.sched.is_baseline() {
+            return self.run_reference(sup);
         }
-        match self.mode {
-            InterpMode::Reference => self.run_reference(sup),
-            InterpMode::Flat => self.run_flat(sup),
-        }
+        self.run_sched(sup)
     }
 
-    /// The strategy scheduling loop (see [`crate::sched`]): per decision
-    /// the pluggable scheduler picks among ready threads, the picked
-    /// thread runs, and the scheduler observes the retired steps (with a
-    /// boundary classification read from the pre-decoded code, which both
-    /// modes share). Everything else — injected releases, timeout scans,
-    /// deadlock resolution — mirrors [`Machine::run_reference`] exactly.
+    /// The scheduling loop of every run but a baseline reference one.
+    /// Each pass is one scan, which collects the ready `(clock, id)` keys
+    /// in id order, the weak-lock timeout deadline and whether every
+    /// thread is done, followed by the deadlock and timeout checks the
+    /// reference loop makes before every step.
     ///
-    /// The reference interpreter, and the flat one under a supervisor
-    /// that injects forced releases, take one step per decision. The flat
-    /// interpreter otherwise runs the picked thread through the hot-run
-    /// executor until the pick can change: no hot op blocks, wakes or
-    /// spawns, so the ready set is fixed, and the run stops at a cold op,
-    /// at the weak-lock timeout deadline key `(deadline, 0)`, at the step
-    /// limit, and at the scheduler's [`Scheduler::horizon`]. While the
-    /// scheduler classifies boundaries or the supervisor wants
-    /// per-access events, accesses are cold and single-stepped. One
-    /// `note_step` then covers the run: PCT changes priorities only at
-    /// its change points, which the horizon lands on exactly, and
-    /// preemption-bounded acts only at boundaries. A trap inside a run
-    /// counts as a step and gets its `note_step`, as in the per-step loop.
+    /// A flat clock-ordered run whose supervisor injects no forced
+    /// releases then sorts the keys into a ready queue for
+    /// [`Self::run_queue`]. The schedule changes only at blocks, wakes
+    /// and spawns, which set `sched_dirty` or are seen by the queue loop
+    /// itself, and at the deadline: the earliest clock at which the
+    /// timeout scan can force a weak-lock waiter. The front of the queue
+    /// is always the scan's minimum, and every step runs below the
+    /// deadline, so the schedule is bit-identical to the reference scan.
+    ///
+    /// Every other run picks through the run's [`Scheduler`] (see
+    /// [`crate::sched`]; `ClockOrdered` for an injecting baseline), runs
+    /// the picked thread, and lets the scheduler observe the retired
+    /// steps (with a boundary classification read from the pre-decoded
+    /// code, which both modes share). The reference interpreter takes one
+    /// step per decision. The flat one runs the picked thread through the
+    /// hot-run executor until the pick can change: no hot op blocks,
+    /// wakes or spawns, so the ready set is fixed, and the run stops at a
+    /// cold op, at the deadline key `(deadline, 0)`, at the step limit,
+    /// and at the scheduler's [`Scheduler::horizon`]. A supervisor that
+    /// injects forced releases may preempt any thread between any two
+    /// steps, so while it does a run retires one constituent (budget 0,
+    /// as at a horizon of 1) and the next pass polls it again. While the
+    /// scheduler classifies boundaries or the supervisor wants per-access
+    /// events, accesses are cold and single-stepped. One `note_step` then
+    /// covers the run: PCT changes priorities only at its change points,
+    /// which the horizon lands on exactly, and preemption-bounded acts
+    /// only at boundaries. A trap inside a run counts as a step and gets
+    /// its `note_step`, as in the per-step loop.
     ///
     /// Strategies draw from their own salted RNG stream, so the jitter
     /// draws in [`Machine::commit_ok`] are untouched; the only difference
-    /// from the baseline loops is *which* ready thread runs.
+    /// from the baseline is *which* ready thread runs.
     ///
+    /// [`Scheduler`]: crate::sched::Scheduler
     /// [`Scheduler::horizon`]: crate::sched::Scheduler::horizon
-    fn run_strategy(mut self, sup: &mut dyn Supervisor) -> ExecResult {
+    fn run_sched(mut self, sup: &mut dyn Supervisor) -> ExecResult {
         let injects = sup.injects_forced_releases();
+        let flat = self.mode == InterpMode::Flat;
+        let queued = flat && !injects && self.config.sched.is_baseline();
         let mut sched = self.config.sched.build(self.config.seed);
-        let hot = self.mode == InterpMode::Flat && !injects;
+        // A supervisor that wants per-access Load/Store happens-before
+        // events (a race detector) must see each access: hot runs then
+        // single-step accesses, and the segment rounds stay off.
         let feed = self.wants_hb(EventKind::Load) || self.wants_hb(EventKind::Store);
+        let mut keys: Vec<(u64, u32)> = Vec::new();
         let outcome = loop {
             if let Some(outcome) = self.finished.take() {
                 break outcome;
@@ -1337,17 +1346,28 @@ impl<'p> Machine<'p> {
             if injects {
                 self.apply_injected_releases(sup);
             }
-            sched.track_threads(self.threads.len());
-            let chosen = {
-                let mut ready = self
-                    .threads
-                    .iter()
-                    .filter(|t| t.state == TState::Ready)
-                    .map(|t| (t.id.0, t.clock));
-                sched.pick(&mut ready)
+
+            keys.clear();
+            let mut deadline: Option<u64> = None;
+            let mut all_done = true;
+            for t in &self.threads {
+                match t.state {
+                    TState::Ready => keys.push((t.clock, t.id.0)),
+                    TState::Done => continue,
+                    TState::Blocked(_) => {
+                        deadline = earliest(deadline, self.weak_expiry(t));
+                    }
+                }
+                all_done = false;
+            }
+            let chosen = if queued {
+                keys.iter().min().map(|&(_, id)| id)
+            } else {
+                sched.track_threads(self.threads.len());
+                sched.pick(&mut keys.iter().map(|&(clock, id)| (id, clock)))
             };
             let Some(tid0) = chosen else {
-                if self.threads.iter().all(|t| t.state == TState::Done) {
+                if all_done {
                     break Outcome::Exited(self.main_ret);
                 }
                 if self.config.timeout_enabled && self.try_force_any(sup) {
@@ -1358,26 +1378,31 @@ impl<'p> Machine<'p> {
                 };
             };
             let tid = ThreadId(tid0);
-
-            if self.config.timeout_enabled {
-                let now = self.threads[tid.index()].clock;
-                if self.try_force_timed_out(sup, now) {
-                    continue;
-                }
+            let now = self.threads[tid.index()].clock;
+            if self.config.timeout_enabled && self.try_force_timed_out(sup, now) {
+                continue;
             }
 
+            if queued {
+                keys.sort_unstable();
+                self.sched_dirty = false;
+                match self.run_queue(sup, &mut keys, deadline, feed) {
+                    Some(outcome) => break outcome,
+                    None => continue,
+                }
+            }
             let boundaries = sched.wants_boundaries();
-            if hot && self.threads[tid.index()].pending_reacquire.is_empty() {
-                let deadline = self
-                    .threads
-                    .iter()
-                    .filter_map(|t| self.weak_expiry(t))
-                    .min();
+            if flat && self.threads[tid.index()].pending_reacquire.is_empty() {
+                let horizon = if injects {
+                    1
+                } else {
+                    sched.horizon(self.steps)
+                };
                 let budget = self
                     .config
                     .max_steps
                     .saturating_sub(self.steps)
-                    .min(sched.horizon(self.steps).saturating_sub(1));
+                    .min(horizon.saturating_sub(1));
                 let run = self.hot_run(tid0, deadline.map(|d| (d, 0)), budget, feed || boundaries);
                 self.steps += run.ops;
                 self.stats.instrs += run.ops;
@@ -1539,82 +1564,6 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The flat scheduling loop. Each pass is one scheduler scan, which
-    /// collects the ready `(clock, id)` keys and the weak-lock timeout
-    /// deadline, followed by the same timeout and deadlock checks the
-    /// reference loop makes before every step.
-    ///
-    /// When the supervisor injects forced releases, it may preempt any
-    /// thread between any two steps, so the loop takes one step per scan.
-    /// Otherwise (queue mode) the schedule changes only at blocks, wakes
-    /// and spawns, which set `sched_dirty` or are seen by the stepping
-    /// loop itself, and at the deadline: the earliest clock at which the
-    /// timeout scan can force a weak-lock waiter. Until one of those, the
-    /// hot path runs off the queue instead of rescanning every `Thr` per
-    /// step, repositioning just the stepped thread's key. The front of the
-    /// queue is always the scan's minimum, and every step runs below the
-    /// deadline, so the schedule is bit-identical to the reference scan.
-    fn run_flat(mut self, sup: &mut dyn Supervisor) -> ExecResult {
-        let injects = sup.injects_forced_releases();
-        // A supervisor that wants per-access Load/Store happens-before
-        // events (a race detector) must see each access: batch commit
-        // then single-steps accesses, and the segment rounds stay off.
-        let feed = self.wants_hb(EventKind::Load) || self.wants_hb(EventKind::Store);
-        let mut queue: Vec<(u64, u32)> = Vec::new();
-        loop {
-            if let Some(outcome) = self.finished.take() {
-                return self.finish(outcome);
-            }
-            if injects {
-                self.apply_injected_releases(sup);
-            }
-
-            // One scan: ready keys (sorted into the queue only in queue
-            // mode), timeout deadline, all-done.
-            queue.clear();
-            let mut deadline: Option<u64> = None;
-            let mut all_done = true;
-            for t in &self.threads {
-                match t.state {
-                    TState::Ready => queue.push((t.clock, t.id.0)),
-                    TState::Done => continue,
-                    TState::Blocked(_) => {
-                        deadline = earliest(deadline, self.weak_expiry(t));
-                    }
-                }
-                all_done = false;
-            }
-
-            let Some(&(now, tid0)) = queue.iter().min() else {
-                if all_done {
-                    let ret = self.main_ret;
-                    return self.finish(Outcome::Exited(ret));
-                }
-                if self.config.timeout_enabled && self.try_force_any(sup) {
-                    continue;
-                }
-                return self.finish_deadlock();
-            };
-            if self.config.timeout_enabled && self.try_force_timed_out(sup, now) {
-                continue;
-            }
-
-            if injects {
-                self.step_flat(sup, ThreadId(tid0));
-                self.steps += 1;
-                if self.steps > self.config.max_steps {
-                    return self.finish(Outcome::StepLimit);
-                }
-                continue;
-            }
-            queue.sort_unstable();
-            self.sched_dirty = false;
-            if let Some(outcome) = self.run_queue(sup, &mut queue, deadline, feed) {
-                return self.finish(outcome);
-            }
-        }
-    }
-
     /// The earliest scheduler clock `now` at which
     /// [`Self::try_force_timed_out`] forces `t`, i.e. the first with
     /// `now - block_start > weak_timeout`. `None` unless timeouts are
@@ -1630,10 +1579,12 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Queue mode's engine: drives the schedule from a tight cross-thread
+    /// Queue mode's engine (the clock-ordered branch of
+    /// [`Self::run_sched`]): drives the schedule from a tight cross-thread
     /// loop that runs the front thread through the hot-run executor
-    /// ([`run_hot`], inlined here) and accumulates cost/clock/step
-    /// accounting in locals, written back once on exit.
+    /// ([`run_hot`], inlined here) and the speculative rounds, and
+    /// accumulates cost/clock/step accounting in locals, written back once
+    /// on exit.
     ///
     /// Batch commit's legality (DESIGN.md §13): queue mode already
     /// excludes supervisor injection. Every op the executor retires is
@@ -1650,8 +1601,9 @@ impl<'p> Machine<'p> {
     /// protocol instead of its next op, so it is single-stepped through
     /// [`Self::step_flat`]. Event emission and checkpoint folds are inert
     /// for hot ops, and block counts are maintained by the executor. The
-    /// observable execution is therefore bit-identical to single-step
-    /// dispatch; only the [`VmPerf`] strategy counters differ.
+    /// observable execution is therefore bit-identical to the reference
+    /// interpreter's per-step loop; only the [`VmPerf`] strategy counters
+    /// differ.
     ///
     /// Returns `Some(outcome)` when the run ends the execution (step
     /// limit); `None` hands control back to the scheduler loop (queue
@@ -1711,7 +1663,7 @@ impl<'p> Machine<'p> {
                     }
                     HotEnd::Trap(message) => {
                         // The trapping op counts as a step, as it does in
-                        // single-step dispatch.
+                        // the reference loop.
                         self.trap(ThreadId(id), message);
                         steps += 1;
                         break (steps > max_steps).then_some(Outcome::StepLimit);
@@ -2438,23 +2390,21 @@ impl<'p> Machine<'p> {
         let _ = self.commit_step(tid, end);
     }
 
-    /// One flat-mode step: copy the pre-decoded op out of the code array
-    /// (no clone — `FlatOp` is `Copy`) and execute it.
+    /// One flat-mode step of what the hot-run executor hands back: a
+    /// forced reacquire, an access someone must see, or a cold op. It
+    /// copies the pre-decoded op out of the code array (no clone —
+    /// `FlatOp` is `Copy`) and executes it; every other op is retired by
+    /// [`run_hot`] alone.
     ///
     /// Returns the thread's advanced clock if it is still `Ready` after the
     /// step, `None` otherwise — the scheduler's ready-queue repositions the
     /// stepped thread from this without re-reading the `Thr`.
     ///
-    /// The straight-line data ops and intra-function control flow are
-    /// executed inline here and commit through [`Self::commit_ok`]
-    /// directly: no `StepEnd` is built or re-matched on the hot path. One
-    /// mutable borrow of the current frame serves the decode and every hot
-    /// arm (operand reads, the register write, the pc bump), while
-    /// `self.flat`, `self.costs`, `self.mem`, `self.stats`, and
-    /// `self.block_counts` are disjoint fields that coexist with the
-    /// borrow. Everything that can block, spawn, trap on sync state, or
-    /// touch the event sink goes through [`Self::exec_flat_cold`] and the
-    /// usual `StepEnd` accounting.
+    /// An access emits its event and commits through [`Self::commit_ok`]
+    /// under one mutable borrow of the current frame. Everything that can
+    /// block, spawn, trap on sync state, or touch the event sink goes
+    /// through [`Self::exec_flat_cold`] and the usual `StepEnd`
+    /// accounting.
     #[inline]
     fn step_flat(&mut self, sup: &mut dyn Supervisor, tid: ThreadId) -> Option<u64> {
         // `pending_reacquire` is only ever pushed by forced releases of a
@@ -2474,60 +2424,6 @@ impl<'p> Machine<'p> {
         let op = self.flat.funcs[fidx].code[pc];
         let scost = self.costs[fidx][pc];
         match op {
-            FlatOp::Copy { dst, src } => {
-                let v = frame.get(src);
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::UnOp { dst, op, src } => {
-                frame.regs[dst.index()] = eval_unop(op, frame.get(src));
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::BinOp { dst, op, a, b } => match eval_binop(op, frame.get(a), frame.get(b)) {
-                Ok(r) => {
-                    frame.regs[dst.index()] = r;
-                    frame.pc += 1;
-                    self.commit_ok(tix, scost)
-                }
-                Err(message) => self.trap(tid, message.into()),
-            },
-            FlatOp::AddrOfGlobal {
-                dst,
-                global,
-                offset,
-            } => {
-                let base = self.mem.global_base(global);
-                let off = frame.get(offset);
-                frame.regs[dst.index()] = base + off;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::AddrOfSlot {
-                dst,
-                slot_off,
-                offset,
-            } => {
-                let Some(base) = frame.frame_base else {
-                    return self.trap(tid, "frame has no slot area".into());
-                };
-                let off = frame.get(offset);
-                frame.regs[dst.index()] = base + slot_off + off;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::AddrOfFunc { dst, func } => {
-                frame.regs[dst.index()] = FUNC_PTR_BASE + func.0 as i64;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::PtrAdd { dst, base, offset } => {
-                let v = frame.get(base).wrapping_add(frame.get(offset));
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                self.commit_ok(tix, scost)
-            }
             FlatOp::Load { dst, addr, access } => {
                 let a = frame.get(addr);
                 match self.mem.load(a) {
@@ -2576,37 +2472,6 @@ impl<'p> Machine<'p> {
                     Err(t) => self.trap(tid, t.to_string()),
                 }
             }
-            FlatOp::Jump {
-                target_pc,
-                target_block,
-            } => {
-                let func = frame.func;
-                frame.pc = target_pc;
-                if self.config.count_blocks {
-                    self.block_counts[func.index()][target_block.index()] += 1;
-                }
-                self.commit_ok(tix, scost)
-            }
-            FlatOp::Branch {
-                cond,
-                then_pc,
-                then_block,
-                else_pc,
-                else_block,
-            } => {
-                let v = frame.get(cond);
-                let (pc, b) = if v != 0 {
-                    (then_pc, then_block)
-                } else {
-                    (else_pc, else_block)
-                };
-                let func = frame.func;
-                frame.pc = pc;
-                if self.config.count_blocks {
-                    self.block_counts[func.index()][b.index()] += 1;
-                }
-                self.commit_ok(tix, scost)
-            }
             op => {
                 let end = self.exec_flat_cold(sup, tid, op, scost);
                 self.commit_step(tid, end)
@@ -2629,10 +2494,10 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The commit half of [`Self::commit_step`], shared by the flat hot
-    /// arms (which bypass `StepEnd` entirely) and the `StepEnd::Commit`
-    /// arm — one implementation, so the jitter RNG draws in the same
-    /// sequence on every path.
+    /// The commit half of [`Self::commit_step`], shared by `step_flat`'s
+    /// access arms (which bypass `StepEnd` entirely) and the
+    /// `StepEnd::Commit` arm — one implementation, so the jitter RNG draws
+    /// in the same sequence on every path ([`run_hot`] draws as it does).
     #[inline(always)]
     fn commit_ok(&mut self, tix: usize, cost: u64) -> Option<u64> {
         self.stats.instrs += 1;
@@ -3181,7 +3046,7 @@ impl<'p> Machine<'p> {
                     self.commit_granted_acquire(sup, tid, *lock, range, *granularity);
                     self.advance_pc(tid);
                     let mut c = self.cost.weak_op;
-                    if self.config.log_weak {
+                    if self.config.log {
                         c += self.cost.log_write;
                     }
                     return StepEnd::Commit(c);
@@ -3197,7 +3062,7 @@ impl<'p> Machine<'p> {
                         if range.is_some() {
                             c += self.cost.range_check;
                         }
-                        if self.config.log_weak {
+                        if self.config.log {
                             c += self.cost.log_write;
                             ExecStats::bump(
                                 &mut self.stats.weak_log_cycles,
@@ -3243,11 +3108,12 @@ impl<'p> Machine<'p> {
     /// management, weak ops, and returns. `op` and `scost` arrive already
     /// decoded by [`Self::step_flat`]; `scost` is the pre-resolved static
     /// commit cost for this pc (see [`crate::flat::static_costs`]), and
-    /// arms with dynamic costs compute their own. The hot arms handled in
-    /// `step_flat`, and the fused ops that live only in the sidecar, are
-    /// unreachable here. Together with `step_flat` this mirrors
-    /// `exec_instr` + `exec_term` arm for arm — any semantic divergence is
-    /// a bug the differential suite exists to catch.
+    /// arms with dynamic costs compute their own. The hot ops, which
+    /// [`run_hot`] retires, the accesses `step_flat` executes, and the
+    /// fused ops that live only in the sidecar are unreachable here.
+    /// Together with `run_hot` and `step_flat` this mirrors `exec_instr` +
+    /// `exec_term` arm for arm — any semantic divergence is a bug the
+    /// differential suite exists to catch.
     #[inline]
     fn exec_flat_cold(
         &mut self,
@@ -3264,11 +3130,12 @@ impl<'p> Machine<'p> {
             | FlatOp::AddrOfSlot { .. }
             | FlatOp::AddrOfFunc { .. }
             | FlatOp::PtrAdd { .. }
-            | FlatOp::Load { .. }
-            | FlatOp::Store { .. }
             | FlatOp::Jump { .. }
             | FlatOp::Branch { .. } => {
-                unreachable!("hot op executed inline by step_flat")
+                unreachable!("hot op retired only by run_hot")
+            }
+            FlatOp::Load { .. } | FlatOp::Store { .. } => {
+                unreachable!("access executed inline by step_flat")
             }
             FlatOp::FusedGlobalLoad { .. }
             | FlatOp::FusedGlobalStore { .. }
@@ -3474,7 +3341,7 @@ impl<'p> Machine<'p> {
                     self.commit_granted_acquire(sup, tid, lock, range, granularity);
                     self.advance_pc(tid);
                     let mut c = self.cost.weak_op;
-                    if self.config.log_weak {
+                    if self.config.log {
                         c += self.cost.log_write;
                     }
                     return StepEnd::Commit(c);
@@ -3486,7 +3353,7 @@ impl<'p> Machine<'p> {
                 match self.try_weak_acquire(sup, tid, lock, r, granularity, false) {
                     WeakTry::Acquired => {
                         self.advance_pc(tid);
-                        if self.config.log_weak {
+                        if self.config.log {
                             ExecStats::bump(
                                 &mut self.stats.weak_log_cycles,
                                 granularity,
@@ -3622,7 +3489,7 @@ impl<'p> Machine<'p> {
     }
 
     fn log_cost_sync(&mut self) -> u64 {
-        if self.config.log_sync {
+        if self.config.log {
             self.cost.log_write
         } else {
             0
@@ -3952,7 +3819,7 @@ impl<'p> Machine<'p> {
         );
         self.wake_order_stalled();
         self.advance_pc(tid);
-        let log = if self.config.log_input {
+        let log = if self.config.log {
             self.cost.log_write + (len as u64) / 4
         } else {
             0
@@ -3996,7 +3863,7 @@ impl<'p> Machine<'p> {
         );
         self.wake_order_stalled();
         self.advance_pc(tid);
-        let log = if self.config.log_input {
+        let log = if self.config.log {
             self.cost.log_write
         } else {
             0
@@ -4019,7 +3886,7 @@ impl<'p> Machine<'p> {
         state.seq += 1;
         let seq = state.seq;
         ExecStats::bump(&mut self.stats.weak_acquires, gran, 1);
-        if self.config.log_weak {
+        if self.config.log {
             ExecStats::bump(
                 &mut self.stats.weak_log_cycles,
                 gran,
@@ -4648,8 +4515,7 @@ mod tests {
 
     #[test]
     fn strategy_runs_commit_hot_ops_in_runs() {
-        // Between scheduling points the flat strategy loop retires hot ops
-        // in runs; the schedule must still be the reference's, also once a
+        // Between scheduling points the flat VM retires hot ops in runs; the schedule must still be the reference's, also once a
         // preemption-bounded run has spent its budget (accesses then run
         // hot too) and with PCT change points landing mid-loop.
         for sched in [
@@ -4736,15 +4602,14 @@ mod tests {
         int main() { return 0; }";
 
     /// One speculative round over workers `w(n)` at the given clocks (the
-    /// first one in `main`'s thread), checked against the per-step
-    /// scheduler:
-    /// after as many steps as the round committed — each taken below the
-    /// deadline — every thread's pc, registers, clock and instruction
-    /// count, memory, the jitter RNG, the counters and the block counts
-    /// agree, and the scheduler's next step is one the round could not
-    /// take: past the step limit, at the deadline, a cold op, or past the
-    /// end of its thread's segment. Returns the round's machine and the
-    /// committed ops.
+    /// first one in `main`'s thread), checked against the reference
+    /// interpreter's per-step scheduler: after as many steps as the round
+    /// committed — each taken below the deadline — every thread's pc,
+    /// registers, clock and instruction count, memory, the jitter RNG,
+    /// the counters and the block counts agree, and the scheduler's next
+    /// step is one the round could not take: past the step limit, at the
+    /// deadline, a cold op, or past the end of its thread's segment.
+    /// Returns the round's machine and the committed ops.
     fn round_against_steps<'p>(
         p: &'p Program,
         cfg: &'p ExecConfig,
@@ -4752,8 +4617,8 @@ mod tests {
         deadline: Option<u64>,
     ) -> (Machine<'p>, u64) {
         let w = FuncId(p.funcs.iter().position(|f| f.name == "w").unwrap() as u32);
-        let setup = || {
-            let mut m = Machine::new(p, cfg, InterpMode::Flat);
+        let setup = |mode| {
+            let mut m = Machine::new(p, cfg, mode);
             let (n, clock) = workers[0];
             let frame = m.make_frame(w, &[n], None);
             (m.threads[0].frames, m.threads[0].clock) = (vec![frame], clock);
@@ -4762,13 +4627,13 @@ mod tests {
             }
             m
         };
-        let mut m = setup();
+        let mut m = setup(InterpMode::Flat);
         let mut queue: Vec<(u64, u32)> = m.threads.iter().map(|t| (t.clock, t.id.0)).collect();
         queue.sort_unstable();
         let mut steps = 0;
         assert!(m.try_round(&mut queue, &mut steps, deadline), "no round committed");
         let spent: Vec<usize> = m.spec.segs.iter().filter(|g| g.kept == g.trail.1 - g.trail.0).map(|g| g.tix).collect();
-        let mut r = setup();
+        let mut r = setup(InterpMode::Reference);
         let front = |r: &Machine| {
             let ready = r.threads.iter().filter(|t| t.state == TState::Ready);
             let t = ready.min_by_key(|t| (t.clock, t.id)).unwrap();
@@ -4778,7 +4643,7 @@ mod tests {
         for _ in 0..steps {
             let (next, clock, _) = front(&r);
             assert!(deadline.is_none_or(|d| clock < d), "stepped at the deadline");
-            r.step_flat(&mut NullSupervisor, next);
+            r.step_reference(&mut NullSupervisor, next);
         }
         let (next, clock, hot) = front(&r);
         let at_deadline = deadline.is_some_and(|d| clock >= d);

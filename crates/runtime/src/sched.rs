@@ -8,8 +8,8 @@
 //! [`SchedStrategy`] seam with deliberately adversarial policies in the
 //! spirit of PCT (Burckhardt et al., ASPLOS 2010) and rr's chaos mode:
 //!
-//! * [`SchedStrategy::ClockJitter`] — the baseline. Keeps the flat hot
-//!   loop's ready-queue fast path.
+//! * [`SchedStrategy::ClockJitter`] — the baseline. Keeps the flat VM's
+//!   ready queue, and the reference interpreter's own per-step loop.
 //! * [`SchedStrategy::Pct`] — randomized thread priorities with `depth`
 //!   seeded priority-change points: the scheduler always runs the
 //!   highest-priority ready thread, and at each change point the running
@@ -19,14 +19,16 @@
 //!   shared-access (`Load`/`Store`, which carry their static `AccessId`)
 //!   boundaries; between preemptions threads run round-robin sticky.
 //!
-//! Non-baseline strategies drive both interpreter modes through one
-//! strategy loop (`Machine::run_strategy`): the reference interpreter
-//! steps every op through the scheduler, and the flat interpreter runs
-//! the picked thread through its hot-run executor until the pick can
-//! next change ([`Scheduler::horizon`], a cold op, a boundary the
-//! scheduler must classify, or the weak-lock timeout deadline). A
-//! `(strategy, seed)` pair yields bit-identical executions across the
-//! two — the `vm_differential` suite pins this.
+//! Every other run picks through a [`Scheduler`] in the machine's one
+//! scheduling loop (`Machine::run_sched`), in both interpreter modes:
+//! the reference interpreter steps every op through the scheduler, and
+//! the flat interpreter runs the picked thread through its hot-run
+//! executor until the pick can next change ([`Scheduler::horizon`], a
+//! cold op, a boundary the scheduler must classify, or the weak-lock
+//! timeout deadline). A baseline run whose supervisor injects forced
+//! releases (a replay) picks through [`ClockOrdered`]. A `(strategy,
+//! seed)` pair yields bit-identical executions across the two
+//! interpreters — the `vm_differential` suite pins this.
 //!
 //! Every strategy draws from its own RNG stream (salted with the
 //! execution seed), never from the machine's jitter RNG, so attaching a
@@ -104,8 +106,8 @@ impl SchedStrategy {
     /// True for the clock-ordered baseline — the only policy whose
     /// schedule is a pure function of `(clock, id)` keys. That purity is
     /// what licenses the flat VM's ready queue and speculative
-    /// segment-round engines (DESIGN.md §13); every other strategy runs
-    /// the strategy loop.
+    /// segment-round engines (DESIGN.md §13); every other strategy picks
+    /// through its [`Scheduler`].
     pub fn is_baseline(&self) -> bool {
         *self == SchedStrategy::ClockJitter
     }
@@ -131,7 +133,7 @@ impl SchedStrategy {
     }
 }
 
-/// The pluggable scheduler interface the machine's strategy loop drives.
+/// The pluggable scheduler interface the machine's scheduling loop drives.
 ///
 /// Per scheduling decision the machine calls
 /// [`Scheduler::track_threads`] (so the strategy can assign state to
@@ -189,9 +191,10 @@ pub trait Scheduler {
 }
 
 /// The baseline policy as a [`Scheduler`]: smallest `(clock, id)` wins.
-/// The machine routes [`SchedStrategy::ClockJitter`] to its ready-queue
-/// loop instead and never builds this, but the impl keeps the seam total
-/// (and is what the strategy loop would run if asked to).
+/// A flat [`SchedStrategy::ClockJitter`] run picks through it while its
+/// supervisor injects forced releases (a replay); otherwise the flat VM
+/// runs the baseline on its ready queue and the reference interpreter on
+/// its own per-step loop, which pick the same thread.
 pub struct ClockOrdered;
 
 impl Scheduler for ClockOrdered {

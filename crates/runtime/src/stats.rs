@@ -47,9 +47,8 @@ pub struct ExecStats {
 /// batch-commit run shapes, speculative segments committed.
 ///
 /// These counters describe the *execution strategy*, not the program:
-/// reference mode, single-step flat, batched flat, and flat with segment
-/// rounds all retire the identical instruction stream but count
-/// differently here. The byte-identity contract
+/// reference mode, batched flat, and flat with segment rounds all retire
+/// the identical instruction stream but count differently here. The byte-identity contract
 /// (`tests/vm_differential.rs`) compares whole
 /// [`ExecStats`] values across modes, so `VmPerf`'s `PartialEq` is
 /// intentionally always-true: strategy observability must never make two
@@ -58,8 +57,8 @@ pub struct ExecStats {
 pub struct VmPerf {
     /// Fused superinstructions dispatched (each covers two retired ops).
     pub fused_ops: u64,
-    /// Hot batch runs entered (one per uninterrupted same-thread run
-    /// inside the exact batch loop or the strategy loop).
+    /// Hot batch runs entered (one per uninterrupted same-thread run of
+    /// the ready queue or of a scheduler's pick).
     pub batch_runs: u64,
     /// Ops retired inside exact batch runs (`batched_ops / batch_runs` is
     /// the mean commit-run length).

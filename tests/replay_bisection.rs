@@ -225,9 +225,7 @@ fn checkpoint_digests_are_interpreter_independent() {
         for mode in [InterpMode::Flat, InterpMode::Reference] {
             let mut sup = chimera_replay::Recorder::with_interval(CKPT_EVERY);
             let cfg = ExecConfig {
-                log_sync: true,
-                log_weak: true,
-                log_input: true,
+                log: true,
                 timeout_enabled: true,
                 ..exec
             };

@@ -192,12 +192,10 @@ fn spec_round_replay_logs_are_bit_identical() {
             let cfg = ExecConfig {
                 seed: 42,
                 jitter,
-                log_sync: true,
-                log_input: true,
+                log: true,
                 ..ExecConfig::default()
             };
             let rec_cfg = ExecConfig {
-                log_weak: true,
                 timeout_enabled: true,
                 ..cfg
             };
@@ -275,9 +273,7 @@ fn instrumented_program_with_forced_releases_agrees() {
                         seed,
                         jitter,
                         collect_trace: true,
-                        log_sync: true,
-                        log_weak: true,
-                        log_input: true,
+                        log: true,
                         timeout_enabled: true,
                         weak_timeout: timeout,
                         ..ExecConfig::default()
@@ -297,17 +293,15 @@ fn instrumented_program_with_forced_releases_agrees() {
 }
 
 /// Record under one mode, replay under the other (both pairings): the
-/// replay supervisor injects forced releases and stalls threads at order
-/// points, exercising the flat loop's no-burst fallback.
+/// replay supervisor stalls threads at order points (and injects forced
+/// releases when the log holds some).
 #[test]
 fn record_replay_round_trips_across_modes() {
     let p = compile(RACY).unwrap();
     let a = analyze(&p, &PipelineConfig::default());
     let rec_cfg = ExecConfig {
         seed: 11,
-        log_sync: true,
-        log_weak: true,
-        log_input: true,
+        log: true,
         timeout_enabled: true,
         ..ExecConfig::default()
     };
@@ -732,9 +726,7 @@ fn check_modes_agree(case: &VmCase) -> Result<ExecResult, String> {
     if let Some(timeout) = case.weak_timeout {
         p = analyze(&p, &PipelineConfig::default()).instrumented;
         cfg = ExecConfig {
-            log_sync: true,
-            log_weak: true,
-            log_input: true,
+            log: true,
             timeout_enabled: true,
             weak_timeout: timeout,
             // Small timeouts can hand loop locks back and forth without

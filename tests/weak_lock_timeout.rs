@@ -14,8 +14,11 @@ use chimera_minic::diag::Span;
 use chimera_minic::ir::{
     FuncId, Instr, LockGranularity, Program, Terminator, WeakLockId,
 };
-use chimera_replay::{record, replay, verify_determinism, JournalEvent, ReplayLogs};
-use chimera_runtime::{execute, execute_supervised, ExecConfig, SchedStrategy, SingleHolderProbe};
+use chimera_replay::{record, replay, verify_determinism, JournalEvent, ReplayLogs, Replayer};
+use chimera_runtime::{
+    execute, execute_supervised, execute_supervised_mode, ExecConfig, InterpMode, SchedStrategy,
+    SingleHolderProbe,
+};
 
 /// Wrap the whole body of `func` in weak-lock `lock` — the hand-rolled
 /// equivalent of a function-granularity instrumentation decision.
@@ -95,6 +98,31 @@ fn has_forced(logs: &ReplayLogs) -> bool {
     logs.journal.iter().any(|e| matches!(e, JournalEvent::Forced { .. }))
 }
 
+/// Replay `logs` through a [`Replayer`] in both interpreter modes,
+/// configured as [`replay`] configures `base`. A recording that holds
+/// forced releases makes the replayer inject them, which may preempt a
+/// thread between any two steps: the two modes must still agree on every
+/// observable, and the flat one must still retire hot ops in runs.
+fn assert_replay_modes_agree(p: &Program, logs: &ReplayLogs, base: &ExecConfig, what: &str) {
+    let cfg = ExecConfig {
+        log: false,
+        timeout_enabled: false,
+        ..*base
+    };
+    let run = |mode| execute_supervised_mode(p, &cfg, &mut Replayer::new(logs), mode);
+    let (flat, refr) = (run(InterpMode::Flat), run(InterpMode::Reference));
+    assert!(flat.outcome.is_exit(), "{what}: {:?}", flat.outcome);
+    assert_eq!(flat.outcome, refr.outcome, "{what}");
+    assert_eq!(flat.output, refr.output, "{what}");
+    assert_eq!(flat.state_hash, refr.state_hash, "{what}");
+    assert_eq!(flat.makespan, refr.makespan, "{what}");
+    assert_eq!(flat.stats, refr.stats, "{what}");
+    assert!(
+        flat.stats.vm.batched_ops > 0,
+        "{what}: no hot run in the flat replay"
+    );
+}
+
 #[test]
 fn timeout_resolves_the_condvar_deadlock() {
     let p = deadlocky_program();
@@ -136,15 +164,12 @@ fn forced_releases_are_recorded_and_replayed_exactly() {
             has_forced(&rec.logs),
             "recording must contain forced-release events"
         );
-        let rep = replay(
-            &p,
-            &rec.logs,
-            &ExecConfig {
-                seed: seed + 555,
-                weak_timeout: 2_000,
-                ..ExecConfig::default()
-            },
-        );
+        let rep_cfg = ExecConfig {
+            seed: seed + 555,
+            weak_timeout: 2_000,
+            ..ExecConfig::default()
+        };
+        let rep = replay(&p, &rec.logs, &rep_cfg);
         let v = verify_determinism(&rec.result, &rep.result);
         assert!(
             rep.complete && v.equivalent,
@@ -155,6 +180,7 @@ fn forced_releases_are_recorded_and_replayed_exactly() {
             rep.result.stats.forced_releases, rec.result.stats.forced_releases,
             "replay must re-inject exactly the recorded preemptions"
         );
+        assert_replay_modes_agree(&p, &rec.logs, &rep_cfg, &format!("seed {seed}"));
     }
 }
 
@@ -259,16 +285,13 @@ fn forced_releases_replay_exactly_under_adversarial_schedules() {
             );
             saw_forced |= has_forced(&rec.logs);
             // Hostile replay: same strategy, different seed.
-            let rep = replay(
-                &p,
-                &rec.logs,
-                &ExecConfig {
-                    seed: seed + 555,
-                    sched,
-                    weak_timeout: 2_000,
-                    ..ExecConfig::default()
-                },
-            );
+            let rep_cfg = ExecConfig {
+                seed: seed + 555,
+                sched,
+                weak_timeout: 2_000,
+                ..ExecConfig::default()
+            };
+            let rep = replay(&p, &rec.logs, &rep_cfg);
             let v = verify_determinism(&rec.result, &rep.result);
             assert!(
                 rep.complete && v.equivalent,
@@ -281,6 +304,8 @@ fn forced_releases_replay_exactly_under_adversarial_schedules() {
                 "{} seed {seed}: replay must re-inject exactly the recorded preemptions",
                 sched.name()
             );
+            let what = format!("{} seed {seed}", sched.name());
+            assert_replay_modes_agree(&p, &rec.logs, &rep_cfg, &what);
         }
         assert!(
             saw_forced,
