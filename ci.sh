@@ -333,6 +333,15 @@ echo "== instrumentation overhead smoke (1 sample) =="
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench instr_overhead
 
+echo "== e2e benchmark smoke (e2ebench against the workspace) =="
+# e2ebench is a package of its own with path dependencies on the crates,
+# so nothing above compiles it. Two jobs of every workload, untraced and
+# traced, plus each set-up's flat-vs-reference oracle: a workspace API
+# change that breaks the benchmark fails here, and --locked fails a new
+# dependency edge that would rewrite e2ebench/Cargo.lock. Writes only
+# gitignored output under e2ebench/.
+cargo run --quiet --release --offline --locked --manifest-path e2ebench/Cargo.toml -- --smoke
+
 echo "== dependency purity =="
 # Every node in the full dependency graph (normal, dev, and build deps)
 # must be a workspace-local chimera-* crate. `cargo tree` also emits

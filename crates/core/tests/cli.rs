@@ -374,6 +374,11 @@ fn duplicate_names_fail_with_named_lower_errors() {
             "int g; int g() { return 7; } int main() { return g(); }",
             "lower error at 1:8: 'g' names both a global and a function",
         ),
+        (
+            "local",
+            "int main() { int x; x = 1; int *p; p = &x; int x; x = 2; print(*p); return x; }",
+            "lower error at 1:44: duplicate local 'x'",
+        ),
     ] {
         let path = dir.join(format!("{name}.mc"));
         std::fs::write(&path, src).unwrap();

@@ -135,11 +135,6 @@ impl RaceDetector {
         }
     }
 
-    /// Races observed so far (for streaming consumers).
-    pub fn races_so_far(&self) -> u64 {
-        self.races
-    }
-
     fn ensure_thread(&mut self, t: u32) {
         let i = t as usize;
         if self.vcs.len() <= i {

@@ -514,29 +514,6 @@ impl Program {
     pub fn access(&self, id: AccessId) -> &AccessInfo {
         &self.accesses[id.index()]
     }
-
-    /// All spawn callees that are statically direct, plus `main`: the thread
-    /// roots used by the race detector when no points-to information is
-    /// supplied for indirect spawns.
-    pub fn direct_spawn_targets(&self) -> Vec<FuncId> {
-        let mut out = vec![self.main()];
-        for f in &self.funcs {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let Instr::Spawn {
-                        callee: Callee::Direct(t),
-                        ..
-                    } = i
-                    {
-                        if !out.contains(t) {
-                            out.push(*t);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

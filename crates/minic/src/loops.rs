@@ -119,14 +119,6 @@ impl LoopForest {
             .max_by_key(|(_, l)| l.depth)
             .map(|(i, _)| i)
     }
-
-    /// The outermost loop enclosing loop `idx`.
-    pub fn outermost_of(&self, mut idx: usize) -> usize {
-        while let Some(p) = self.loops[idx].parent {
-            idx = p;
-        }
-        idx
-    }
 }
 
 fn natural_loop_body(cfg: &Cfg, header: BlockId, latch: BlockId) -> BTreeSet<BlockId> {

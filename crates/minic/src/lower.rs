@@ -12,9 +12,10 @@ use std::collections::{HashMap, HashSet};
 ///
 /// Returns a [`CompileError`] for semantic problems: unknown names,
 /// duplicate definitions (globals, functions, structs, parameters, fields,
-/// or a global and a function of one name), type mismatches on member
-/// access, missing `main`, non-constant global initializers, recursive
-/// struct layouts, or misuse of the builtin concurrency/system primitives.
+/// locals of one block, or a global and a function of one name), type
+/// mismatches on member access, missing `main`, non-constant global
+/// initializers, recursive struct layouts, or misuse of the builtin
+/// concurrency/system primitives.
 pub fn lower(unit: &Unit) -> Result<Program, CompileError> {
     let mut cx = Cx::new(unit)?;
     cx.lower_globals(unit)?;
@@ -597,6 +598,21 @@ impl<'a> FuncBuilder<'a> {
     }
 
     fn declare_local(&mut self, d: &VarDecl) -> Result<(), CompileError> {
+        // A name is declared once per block; the body's outermost block
+        // shares its scope with the parameters, as in C. Nested blocks
+        // may shadow.
+        let own = if self.scopes.len() == 2 {
+            0
+        } else {
+            self.scopes.len() - 1
+        };
+        if self.scopes[own..]
+            .iter()
+            .flat_map(|s| &s.names)
+            .any(|(n, _, _)| *n == d.name)
+        {
+            return Err(err(format!("duplicate local '{}'", d.name), d.span));
+        }
         let base = self.cx.resolve_type(&d.ty, d.span)?;
         let ty = self.cx.apply_dims(base, &d.array_dims);
         if matches!(ty, Ty::Void) {
@@ -1650,15 +1666,37 @@ mod tests {
                 "'g' names both a global and a function",
                 Span::new(2, 8),
             ),
+            (
+                "int main() { int x; x = 1; int *p; p = &x;\n  int x; x = 2; print(*p); return x; }",
+                "duplicate local 'x'",
+                Span::new(2, 3),
+            ),
+            (
+                "int main() { int a[2];\n  int a; return 0; }",
+                "duplicate local 'a'",
+                Span::new(2, 3),
+            ),
+            (
+                "int main() { while (1) { int i; int j;\n    int i; } return 0; }",
+                "duplicate local 'i'",
+                Span::new(2, 5),
+            ),
+            (
+                "int f(int a) {\n  int a; a = 3; return a; }\nint main() { return f(1); }",
+                "duplicate local 'a'",
+                Span::new(2, 3),
+            ),
         ] {
             let e = compile_err(src);
             assert_eq!(e.stage, crate::diag::Stage::Lower, "{src}");
             assert_eq!((e.message.as_str(), e.span), (message, span), "{src}");
         }
-        // Names only clash within one kind of scope.
+        // Names only clash within one kind of scope, and a nested block
+        // may shadow a parameter or an outer local.
         compile(
             "struct s { int s; int x; }; int x; int f(int x, int s) { return x + s; }
-             int main() { struct s v; v.x = f(1, 2); return v.x; }",
+             int g(int a) { int b; { int a; int b; a = 1; b = a; } return a; }
+             int main() { struct s v; v.x = f(1, 2) + g(3); return v.x; }",
         )
         .unwrap();
     }

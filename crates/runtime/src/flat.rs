@@ -4,55 +4,38 @@
 //! Decoding happens once per `Machine` (per run), not once per executed
 //! instruction: every basic block's instructions and its terminator are
 //! flattened into one contiguous per-function code array of [`FlatOp`]s, so
-//! a frame position is a dense `(func, pc)` pair, stepping is a single
-//! indexed copy of a `Copy` op (no `Instr`/`Terminator` clones, no
+//! a frame position is a dense `(func, pc)` pair, stepping a hot op is a
+//! single indexed copy of a `Copy` op (no `Instr`/`Terminator` clones, no
 //! per-step block lookups), and `advance` is `pc += 1` — falling off a
 //! block's last instruction lands exactly on its flattened terminator.
 //!
-//! Static operands are pre-resolved at decode time:
+//! Only the ops the flat VM's hot-run executor retires itself are decoded;
+//! every other instruction or terminator (sync, I/O, calls, returns, heap
+//! and weak-lock ops) is one [`FlatOp::Cold`] marker, which the machine
+//! executes from the block-structured program through the reference
+//! interpreter's arms. Static operands of the hot ops are pre-resolved at
+//! decode time:
 //! - jump/branch targets become program counters (block ids are kept
 //!   alongside for basic-block execution counting),
-//! - `AddrOfLocal` becomes a frame-slot *offset* (taking the address of a
-//!   register local is detected at decode time and becomes a trapping op
-//!   that reproduces the interpreter's original diagnostic),
-//! - call/spawn argument lists are interned into one shared operand pool
-//!   ([`ArgRange`]), which is what keeps `FlatOp` itself `Copy`,
-//! - each op's cost-model class is resolvable to a static commit cost
-//!   ([`static_costs`]) wherever it does not depend on runtime values.
+//! - `AddrOfLocal` of a slot local becomes a frame-slot *offset*,
+//! - each hot op's cost-model class is resolved to a static commit cost
+//!   ([`static_costs`]).
 //!
-//! The machine keeps the original block-structured stepping path alive as a
-//! reference mode; [`FlatFunc::locate`] maps a flat `pc` back to the
-//! `(block, ip)` the reference path executes, so both paths share one frame
+//! [`FlatFunc::locate`] maps a flat `pc` back to the `(block, ip)` of the
+//! block-structured program, so both interpreter modes share one frame
 //! representation and stay byte-for-byte comparable.
 
 use crate::cost::CostModel;
 use chimera_minic::ast::{BinOp, UnOp};
 use chimera_minic::ir::{
-    AccessId, AllocSiteId, BlockId, Callee, FuncId, GlobalId, Instr, LocalId, LockGranularity,
-    Operand, Program, Storage, Terminator, WeakLockId,
+    AccessId, BlockId, FuncId, GlobalId, Instr, LocalId, Operand, Program, Storage, Terminator,
 };
 use std::collections::BTreeMap;
 
-/// A range into [`FlatProgram::args`]: the interned argument operands of
-/// one call or spawn site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArgRange {
-    /// First operand index in the pool.
-    pub start: u32,
-    /// Number of operands.
-    pub len: u32,
-}
-
-impl ArgRange {
-    /// The pool slice range.
-    #[inline]
-    pub fn as_range(self) -> std::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
-    }
-}
-
-/// One pre-decoded instruction. Unlike [`Instr`], every variant is `Copy`:
-/// the hot loop copies the op out of the code array and never clones.
+/// One pre-decoded op. Unlike [`Instr`], every variant is `Copy`: the
+/// hot loop copies the op out of the code array and never clones. The
+/// plain variants are the 11 hot ops the hot-run executor retires; every
+/// other instruction or terminator decodes to [`FlatOp::Cold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // fields mirror `Instr`/`Terminator`
 pub enum FlatOp {
@@ -60,39 +43,13 @@ pub enum FlatOp {
     UnOp { dst: LocalId, op: UnOp, src: Operand },
     BinOp { dst: LocalId, op: BinOp, a: Operand, b: Operand },
     AddrOfGlobal { dst: LocalId, global: GlobalId, offset: Operand },
-    /// `AddrOfLocal` with the frame-slot offset pre-resolved.
+    /// `AddrOfLocal` of a slot local, with the frame-slot offset
+    /// pre-resolved.
     AddrOfSlot { dst: LocalId, slot_off: i64, offset: Operand },
-    /// `AddrOfLocal` of a register local — a lowering bug, detected at
-    /// decode time; executing it traps with the original diagnostic.
-    AddrOfRegister { local: LocalId },
     AddrOfFunc { dst: LocalId, func: FuncId },
     PtrAdd { dst: LocalId, base: Operand, offset: Operand },
     Load { dst: LocalId, addr: Operand, access: AccessId },
     Store { addr: Operand, val: Operand, access: AccessId },
-    CallDirect { dst: Option<LocalId>, func: FuncId, args: ArgRange },
-    CallIndirect { dst: Option<LocalId>, target: Operand, args: ArgRange },
-    Lock { addr: Operand },
-    Unlock { addr: Operand },
-    BarrierInit { addr: Operand, count: Operand },
-    BarrierWait { addr: Operand },
-    CondWait { cond: Operand, lock: Operand },
-    CondSignal { cond: Operand },
-    CondBroadcast { cond: Operand },
-    SpawnDirect { dst: Option<LocalId>, func: FuncId, args: ArgRange },
-    SpawnIndirect { dst: Option<LocalId>, target: Operand, args: ArgRange },
-    Join { tid: Operand },
-    Malloc { dst: LocalId, size: Operand, site: AllocSiteId },
-    Free { addr: Operand },
-    SysRead { dst: Option<LocalId>, chan: Operand, buf: Operand, len: Operand },
-    SysWrite { chan: Operand, buf: Operand, len: Operand },
-    SysInput { dst: LocalId, chan: Operand },
-    Print { val: Operand },
-    WeakAcquire {
-        lock: WeakLockId,
-        granularity: LockGranularity,
-        range: Option<(Operand, Operand)>,
-    },
-    WeakRelease { lock: WeakLockId },
     /// Flattened `Terminator::Jump` with the target pre-resolved to a pc.
     Jump { target_pc: u32, target_block: BlockId },
     /// Flattened `Terminator::Branch` with both targets pre-resolved.
@@ -103,8 +60,12 @@ pub enum FlatOp {
         else_pc: u32,
         else_block: BlockId,
     },
-    /// Flattened `Terminator::Return`.
-    Return { val: Option<Operand> },
+    /// Any other instruction or terminator: sync, I/O, calls, returns,
+    /// heap and weak-lock ops, and `AddrOfLocal` of a register local. The
+    /// machine runs it from the block-structured program at
+    /// [`FlatFunc::locate`]`(pc)`, through the reference interpreter's
+    /// arms.
+    Cold,
 
     // ---- fused superinstructions ----
     //
@@ -161,15 +122,9 @@ pub enum OpClass {
     PtrAdd,
     Load,
     Store,
-    Call,
-    Sync,
-    Heap,
-    Io,
-    Weak,
     Jump,
     Branch,
-    Return,
-    Other,
+    Cold,
     Fused,
 }
 
@@ -186,15 +141,9 @@ impl OpClass {
             OpClass::PtrAdd => "ptr_add",
             OpClass::Load => "load",
             OpClass::Store => "store",
-            OpClass::Call => "call",
-            OpClass::Sync => "sync",
-            OpClass::Heap => "heap",
-            OpClass::Io => "io",
-            OpClass::Weak => "weak",
             OpClass::Jump => "jump",
             OpClass::Branch => "branch",
-            OpClass::Return => "return",
-            OpClass::Other => "other",
+            OpClass::Cold => "cold",
             OpClass::Fused => "fused",
         }
     }
@@ -212,27 +161,9 @@ pub fn op_class(op: &FlatOp) -> OpClass {
         FlatOp::PtrAdd { .. } => OpClass::PtrAdd,
         FlatOp::Load { .. } => OpClass::Load,
         FlatOp::Store { .. } => OpClass::Store,
-        FlatOp::CallDirect { .. } | FlatOp::CallIndirect { .. } => OpClass::Call,
-        FlatOp::Lock { .. }
-        | FlatOp::Unlock { .. }
-        | FlatOp::BarrierInit { .. }
-        | FlatOp::BarrierWait { .. }
-        | FlatOp::CondWait { .. }
-        | FlatOp::CondSignal { .. }
-        | FlatOp::CondBroadcast { .. }
-        | FlatOp::SpawnDirect { .. }
-        | FlatOp::SpawnIndirect { .. }
-        | FlatOp::Join { .. } => OpClass::Sync,
-        FlatOp::Malloc { .. } | FlatOp::Free { .. } => OpClass::Heap,
-        FlatOp::SysRead { .. }
-        | FlatOp::SysWrite { .. }
-        | FlatOp::SysInput { .. }
-        | FlatOp::Print { .. } => OpClass::Io,
-        FlatOp::WeakAcquire { .. } | FlatOp::WeakRelease { .. } => OpClass::Weak,
         FlatOp::Jump { .. } => OpClass::Jump,
         FlatOp::Branch { .. } => OpClass::Branch,
-        FlatOp::Return { .. } => OpClass::Return,
-        FlatOp::AddrOfRegister { .. } => OpClass::Other,
+        FlatOp::Cold => OpClass::Cold,
         FlatOp::FusedGlobalLoad { .. }
         | FlatOp::FusedGlobalStore { .. }
         | FlatOp::FusedSlotLoad { .. }
@@ -318,9 +249,10 @@ pub struct FlatFunc {
 }
 
 impl FlatFunc {
-    /// Map a flat pc back to the block-structured position the reference
-    /// interpreter path executes: `(block, instruction index)`. An `ip`
-    /// equal to the block's instruction count designates the terminator.
+    /// Map a flat pc back to its block-structured position, `(block,
+    /// instruction index)`: where the reference interpreter finds every
+    /// op, and the flat VM a [`FlatOp::Cold`] one. An `ip` equal to the
+    /// block's instruction count designates the terminator.
     #[inline]
     pub fn locate(&self, pc: u32) -> (BlockId, usize) {
         let b = self.pc_block[pc as usize];
@@ -328,14 +260,12 @@ impl FlatFunc {
     }
 }
 
-/// The pre-decoded program: one [`FlatFunc`] per function plus the shared
-/// argument pool and frame layouts. Built once per run by [`flatten`].
+/// The pre-decoded program: one [`FlatFunc`] per function plus the frame
+/// layouts. Built once per run by [`flatten`].
 #[derive(Debug, Clone)]
 pub struct FlatProgram {
     /// Flattened functions, indexed by [`FuncId`].
     pub funcs: Vec<FlatFunc>,
-    /// Interned call/spawn argument operands ([`ArgRange`] indexes this).
-    pub args: Vec<Operand>,
     /// Frame layouts, indexed by [`FuncId`].
     pub layouts: Vec<FuncLayout>,
     /// Whether any weak-lock op (`WeakAcquire`/`WeakRelease`) exists in the
@@ -370,16 +300,7 @@ pub fn layout_of(program: &Program) -> Vec<FuncLayout> {
 /// Pre-decode `program` into its flat execution form.
 pub fn flatten(program: &Program) -> FlatProgram {
     let layouts = layout_of(program);
-    let mut args: Vec<Operand> = Vec::new();
-    let mut intern = |ops: &[Operand], args: &mut Vec<Operand>| -> ArgRange {
-        let start = args.len() as u32;
-        args.extend_from_slice(ops);
-        ArgRange {
-            start,
-            len: ops.len() as u32,
-        }
-    };
-    let mut funcs = program
+    let funcs = program
         .funcs
         .iter()
         .map(|f| {
@@ -396,40 +317,30 @@ pub fn flatten(program: &Program) -> FlatProgram {
             let mut pc_block = Vec::with_capacity(pc as usize);
             for (bi, b) in f.blocks.iter().enumerate() {
                 for instr in &b.instrs {
-                    code.push(decode_instr(
-                        instr,
-                        &layouts[f.id.index()],
-                        &mut args,
-                        &mut intern,
-                    ));
+                    code.push(decode_instr(instr, &layouts[f.id.index()]));
                     pc_block.push(bi as u32);
                 }
                 code.push(decode_term(&b.term, &block_entry));
                 pc_block.push(bi as u32);
             }
+            let fused = fuse_func(&code, &pc_block);
             FlatFunc {
                 code,
-                fused: Vec::new(),
-                block_entry: block_entry.clone(),
-                pc_block,
+                fused,
                 entry_pc: block_entry[f.entry.index()],
+                block_entry,
+                pc_block,
             }
         })
-        .collect::<Vec<FlatFunc>>();
-    let has_weak_ops = funcs.iter().any(|f: &FlatFunc| {
-        f.code.iter().any(|op| {
-            matches!(
-                op,
-                FlatOp::WeakAcquire { .. } | FlatOp::WeakRelease { .. }
-            )
-        })
-    });
-    for f in &mut funcs {
-        f.fused = fuse_func(&f.code, &f.pc_block);
-    }
+        .collect();
+    let has_weak_ops = program
+        .funcs
+        .iter()
+        .flat_map(|f| &f.blocks)
+        .flat_map(|b| &b.instrs)
+        .any(Instr::is_weak_lock_op);
     FlatProgram {
         funcs,
-        args,
         layouts,
         has_weak_ops,
     }
@@ -545,237 +456,71 @@ fn fuse_func(code: &[FlatOp], pc_block: &[u32]) -> Vec<FlatOp> {
     fused
 }
 
-fn decode_instr(
-    instr: &Instr,
-    layout: &FuncLayout,
-    args: &mut Vec<Operand>,
-    intern: &mut impl FnMut(&[Operand], &mut Vec<Operand>) -> ArgRange,
-) -> FlatOp {
-    match instr {
-        Instr::Copy { dst, src } => FlatOp::Copy {
-            dst: *dst,
-            src: *src,
-        },
-        Instr::UnOp { dst, op, src } => FlatOp::UnOp {
-            dst: *dst,
-            op: *op,
-            src: *src,
-        },
-        Instr::BinOp { dst, op, a, b } => FlatOp::BinOp {
-            dst: *dst,
-            op: *op,
-            a: *a,
-            b: *b,
-        },
+fn decode_instr(instr: &Instr, layout: &FuncLayout) -> FlatOp {
+    match *instr {
+        Instr::Copy { dst, src } => FlatOp::Copy { dst, src },
+        Instr::UnOp { dst, op, src } => FlatOp::UnOp { dst, op, src },
+        Instr::BinOp { dst, op, a, b } => FlatOp::BinOp { dst, op, a, b },
         Instr::AddrOfGlobal {
             dst,
             global,
             offset,
         } => FlatOp::AddrOfGlobal {
-            dst: *dst,
-            global: *global,
-            offset: *offset,
-        },
-        Instr::AddrOfLocal { dst, local, offset } => {
-            match layout.slot_offset[local.index()] {
-                Some(slot_off) => FlatOp::AddrOfSlot {
-                    dst: *dst,
-                    slot_off,
-                    offset: *offset,
-                },
-                None => FlatOp::AddrOfRegister { local: *local },
-            }
-        }
-        Instr::AddrOfFunc { dst, func } => FlatOp::AddrOfFunc {
-            dst: *dst,
-            func: *func,
-        },
-        Instr::PtrAdd { dst, base, offset } => FlatOp::PtrAdd {
-            dst: *dst,
-            base: *base,
-            offset: *offset,
-        },
-        Instr::Load { dst, addr, access } => FlatOp::Load {
-            dst: *dst,
-            addr: *addr,
-            access: *access,
-        },
-        Instr::Store { addr, val, access } => FlatOp::Store {
-            addr: *addr,
-            val: *val,
-            access: *access,
-        },
-        Instr::Call {
             dst,
-            callee,
-            args: a,
-        } => {
-            let range = intern(a, args);
-            match callee {
-                Callee::Direct(f) => FlatOp::CallDirect {
-                    dst: *dst,
-                    func: *f,
-                    args: range,
-                },
-                Callee::Indirect(op) => FlatOp::CallIndirect {
-                    dst: *dst,
-                    target: *op,
-                    args: range,
-                },
-            }
-        }
-        Instr::Lock { addr } => FlatOp::Lock { addr: *addr },
-        Instr::Unlock { addr } => FlatOp::Unlock { addr: *addr },
-        Instr::BarrierInit { addr, count } => FlatOp::BarrierInit {
-            addr: *addr,
-            count: *count,
+            global,
+            offset,
         },
-        Instr::BarrierWait { addr } => FlatOp::BarrierWait { addr: *addr },
-        Instr::CondWait { cond, lock } => FlatOp::CondWait {
-            cond: *cond,
-            lock: *lock,
+        Instr::AddrOfLocal { dst, local, offset } => match layout.slot_offset[local.index()] {
+            Some(slot_off) => FlatOp::AddrOfSlot {
+                dst,
+                slot_off,
+                offset,
+            },
+            // A register local has no address: the reference arm traps.
+            None => FlatOp::Cold,
         },
-        Instr::CondSignal { cond } => FlatOp::CondSignal { cond: *cond },
-        Instr::CondBroadcast { cond } => FlatOp::CondBroadcast { cond: *cond },
-        Instr::Spawn {
-            dst,
-            callee,
-            args: a,
-        } => {
-            let range = intern(a, args);
-            match callee {
-                Callee::Direct(f) => FlatOp::SpawnDirect {
-                    dst: *dst,
-                    func: *f,
-                    args: range,
-                },
-                Callee::Indirect(op) => FlatOp::SpawnIndirect {
-                    dst: *dst,
-                    target: *op,
-                    args: range,
-                },
-            }
-        }
-        Instr::Join { tid } => FlatOp::Join { tid: *tid },
-        Instr::Malloc { dst, size, site } => FlatOp::Malloc {
-            dst: *dst,
-            size: *size,
-            site: *site,
-        },
-        Instr::Free { addr } => FlatOp::Free { addr: *addr },
-        Instr::SysRead {
-            dst,
-            chan,
-            buf,
-            len,
-        } => FlatOp::SysRead {
-            dst: *dst,
-            chan: *chan,
-            buf: *buf,
-            len: *len,
-        },
-        Instr::SysWrite { chan, buf, len } => FlatOp::SysWrite {
-            chan: *chan,
-            buf: *buf,
-            len: *len,
-        },
-        Instr::SysInput { dst, chan } => FlatOp::SysInput {
-            dst: *dst,
-            chan: *chan,
-        },
-        Instr::Print { val } => FlatOp::Print { val: *val },
-        Instr::WeakAcquire {
-            lock,
-            granularity,
-            range,
-        } => FlatOp::WeakAcquire {
-            lock: *lock,
-            granularity: *granularity,
-            range: *range,
-        },
-        Instr::WeakRelease { lock } => FlatOp::WeakRelease { lock: *lock },
+        Instr::AddrOfFunc { dst, func } => FlatOp::AddrOfFunc { dst, func },
+        Instr::PtrAdd { dst, base, offset } => FlatOp::PtrAdd { dst, base, offset },
+        Instr::Load { dst, addr, access } => FlatOp::Load { dst, addr, access },
+        Instr::Store { addr, val, access } => FlatOp::Store { addr, val, access },
+        _ => FlatOp::Cold,
     }
 }
 
 fn decode_term(term: &Terminator, block_entry: &[u32]) -> FlatOp {
-    match term {
+    match *term {
         Terminator::Jump(b) => FlatOp::Jump {
             target_pc: block_entry[b.index()],
-            target_block: *b,
+            target_block: b,
         },
         Terminator::Branch {
             cond,
             then_bb,
             else_bb,
         } => FlatOp::Branch {
-            cond: *cond,
+            cond,
             then_pc: block_entry[then_bb.index()],
-            then_block: *then_bb,
+            then_block: then_bb,
             else_pc: block_entry[else_bb.index()],
-            else_block: *else_bb,
+            else_block: else_bb,
         },
-        Terminator::Return(v) => FlatOp::Return { val: *v },
+        Terminator::Return(_) => FlatOp::Cold,
     }
 }
 
-/// Resolve each op's cost-model class to a static commit cost, per pc.
-///
-/// The value is the virtual-cycle cost charged when the op commits on its
-/// ordinary success path, matching the reference interpreter's per-arm
-/// arithmetic (including the log-write surcharges recording adds to sync
-/// and weak-lock operations). Ops whose commit cost depends on runtime
-/// values — I/O latency and lengths, barrier phases, the dynamic weak-lock
-/// paths — store 0 here and are costed by their handlers instead. `log`
-/// is [`crate::ExecConfig::log`].
-pub fn static_costs(func: &FlatFunc, cost: &CostModel, log: bool) -> Vec<u64> {
-    let log_cost = if log { cost.log_write } else { 0 };
+/// Resolve each hot op's cost-model class to a static commit cost, per
+/// pc: the virtual-cycle cost the hot-run executor (and the flat VM's
+/// single-stepped accesses) charge when the op commits, matching the
+/// reference interpreter's per-arm arithmetic. A `Cold` op stores 0: it
+/// runs through the reference interpreter's arms, which cost it.
+pub fn static_costs(func: &FlatFunc, cost: &CostModel) -> Vec<u64> {
     func.code
         .iter()
         .map(|op| match op {
-            FlatOp::Copy { .. }
-            | FlatOp::UnOp { .. }
-            | FlatOp::BinOp { .. }
-            | FlatOp::AddrOfGlobal { .. }
-            | FlatOp::AddrOfSlot { .. }
-            | FlatOp::AddrOfFunc { .. }
-            | FlatOp::PtrAdd { .. }
-            | FlatOp::Jump { .. }
-            | FlatOp::Branch { .. } => cost.instr,
-            FlatOp::AddrOfRegister { .. } => 0, // always traps
             FlatOp::Load { .. } | FlatOp::Store { .. } => cost.instr + cost.mem,
-            FlatOp::CallDirect { .. }
-            | FlatOp::CallIndirect { .. }
-            | FlatOp::Return { .. }
-            | FlatOp::Malloc { .. }
-            | FlatOp::Free { .. } => cost.call,
-            FlatOp::Lock { .. } => cost.sync_op + log_cost,
-            FlatOp::Unlock { .. } => cost.sync_op,
-            FlatOp::BarrierInit { .. } => cost.sync_op,
-            FlatOp::CondSignal { .. } | FlatOp::CondBroadcast { .. } => cost.sync_op + log_cost,
-            FlatOp::Join { .. } => cost.sync_op + log_cost,
-            FlatOp::SpawnDirect { .. } | FlatOp::SpawnIndirect { .. } => cost.spawn + log_cost,
-            FlatOp::Print { .. } => cost.syscall,
-            FlatOp::WeakAcquire { range, .. } => {
-                let rc = if range.is_some() { cost.range_check } else { 0 };
-                cost.weak_op + rc + log_cost
-            }
-            FlatOp::WeakRelease { .. } => cost.weak_op,
-            // Dynamic: latency/length-dependent or multi-phase.
-            FlatOp::BarrierWait { .. }
-            | FlatOp::CondWait { .. }
-            | FlatOp::SysRead { .. }
-            | FlatOp::SysWrite { .. }
-            | FlatOp::SysInput { .. } => 0,
-            // Sidecar-only: fused ops never appear in `code` (the batch
-            // loop costs each constituent separately).
-            FlatOp::FusedGlobalLoad { .. }
-            | FlatOp::FusedGlobalStore { .. }
-            | FlatOp::FusedSlotLoad { .. }
-            | FlatOp::FusedSlotStore { .. }
-            | FlatOp::FusedPtrLoad { .. }
-            | FlatOp::FusedPtrStore { .. }
-            | FlatOp::FusedCmpBranch { .. }
-            | FlatOp::FusedOpAssign { .. } => 0,
+            FlatOp::Cold => 0,
+            // The other plain hot ops (fused ops never appear in `code`).
+            _ => cost.instr,
         })
         .collect()
 }
@@ -814,10 +559,11 @@ mod tests {
                 let block = f.block(b);
                 assert!(ip <= block.instrs.len(), "pc {pc} past terminator");
                 if ip == block.instrs.len() {
-                    assert!(matches!(
-                        ff.code[pc as usize],
-                        FlatOp::Jump { .. } | FlatOp::Branch { .. } | FlatOp::Return { .. }
-                    ));
+                    match ff.code[pc as usize] {
+                        FlatOp::Jump { .. } | FlatOp::Branch { .. } => {}
+                        FlatOp::Cold => assert!(matches!(block.term, Terminator::Return(_))),
+                        op => panic!("pc {pc}: {op:?} is not a terminator"),
+                    }
                 }
             }
         }
@@ -855,26 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn call_args_interned_into_pool() {
-        let (p, flat) = flat_of(
-            "int add3(int a, int b, int c) { return a + b + c; }
-             int main() { return add3(1, 2, 3); }",
-        );
-        let main = &flat.funcs[p.main().index()];
-        let call = main
-            .code
-            .iter()
-            .find_map(|op| match op {
-                FlatOp::CallDirect { args, .. } => Some(*args),
-                _ => None,
-            })
-            .expect("main calls add3");
-        assert_eq!(call.len, 3);
-        let pool = &flat.args[call.as_range()];
-        assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
     fn addr_of_local_resolves_slot_offsets() {
         let (p, flat) = flat_of(
             "int main() { int a[4]; int b[2]; a[0] = 1; b[1] = 2; return a[0] + b[1]; }",
@@ -902,23 +628,15 @@ mod tests {
         );
         let cost = CostModel::default();
         let main = &flat.funcs[p.main().index()];
-        let plain = static_costs(main, &cost, false);
-        let logged = static_costs(main, &cost, true);
+        let costs = static_costs(main, &cost);
         for (pc, op) in main.code.iter().enumerate() {
             match op {
                 FlatOp::Load { .. } | FlatOp::Store { .. } => {
-                    assert_eq!(plain[pc], cost.instr + cost.mem);
+                    assert_eq!(costs[pc], cost.instr + cost.mem);
                 }
-                FlatOp::Lock { .. } => {
-                    assert_eq!(plain[pc], cost.sync_op);
-                    assert_eq!(logged[pc], cost.sync_op + cost.log_write);
-                }
-                FlatOp::Unlock { .. } => {
-                    assert_eq!(plain[pc], cost.sync_op);
-                    assert_eq!(logged[pc], cost.sync_op, "unlock is never logged");
-                }
-                FlatOp::Print { .. } => assert_eq!(plain[pc], cost.syscall),
-                _ => {}
+                // The reference arms cost cold ops (pinned in machine.rs).
+                FlatOp::Cold => assert_eq!(costs[pc], 0),
+                _ => assert_eq!(costs[pc], cost.instr),
             }
         }
     }

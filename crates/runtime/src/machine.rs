@@ -30,7 +30,7 @@ use crate::cost::{CostModel, Jitter};
 use crate::event::{
     Event, EventKind, EventMask, NullSupervisor, OrderPoint, Supervisor, SyncKind, ThreadId,
 };
-use crate::flat::{flatten, static_costs, ArgRange, FlatFunc, FlatOp, FlatProgram};
+use crate::flat::{flatten, static_costs, FlatFunc, FlatOp, FlatProgram};
 use crate::memory::{MemTrap, Memory, RegionKind};
 use crate::sched::SchedStrategy;
 use crate::stats::ExecStats;
@@ -441,8 +441,8 @@ impl HotMem for DirectSeg<'_> {
 /// Why a hot run stopped.
 #[derive(Debug, Default)]
 enum HotEnd {
-    /// Reached an op the executor does not retire (sync, call, return,
-    /// heap, I/O, weak, or an access under [`HotCtx::cold_access`]).
+    /// Reached a [`FlatOp::Cold`] op, or an access under
+    /// [`HotCtx::cold_access`].
     #[default]
     Cold,
     /// The thread's `(clock, id)` key reached the run's bound.
@@ -811,7 +811,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
                     commit!(pc + 1);
                     run.fused += 1;
                 }
-                _ => break HotEnd::Cold,
+                FlatOp::Cold => break HotEnd::Cold,
             }
             check!();
             if SEG && run.ops >= budget {
@@ -939,33 +939,6 @@ struct Seg {
     clock: u64,
 }
 
-/// Can the hot-run executor retire this sidecar op? (Mirrors the arms of
-/// [`run_hot`]; used to locate the round's cold-op bound.)
-fn op_is_hot(op: &FlatOp) -> bool {
-    matches!(
-        op,
-        FlatOp::Copy { .. }
-            | FlatOp::UnOp { .. }
-            | FlatOp::BinOp { .. }
-            | FlatOp::AddrOfGlobal { .. }
-            | FlatOp::AddrOfSlot { .. }
-            | FlatOp::AddrOfFunc { .. }
-            | FlatOp::PtrAdd { .. }
-            | FlatOp::Load { .. }
-            | FlatOp::Store { .. }
-            | FlatOp::Jump { .. }
-            | FlatOp::Branch { .. }
-            | FlatOp::FusedGlobalLoad { .. }
-            | FlatOp::FusedGlobalStore { .. }
-            | FlatOp::FusedSlotLoad { .. }
-            | FlatOp::FusedSlotStore { .. }
-            | FlatOp::FusedPtrLoad { .. }
-            | FlatOp::FusedPtrStore { .. }
-            | FlatOp::FusedCmpBranch { .. }
-            | FlatOp::FusedOpAssign { .. }
-    )
-}
-
 /// Is this sidecar op a fused pair?
 fn is_fused(op: &FlatOp) -> bool {
     matches!(
@@ -997,7 +970,8 @@ struct Machine<'p> {
     mode: InterpMode,
     /// The pre-decoded program (both modes position frames by flat pc).
     flat: FlatProgram,
-    /// Per-function, per-pc static commit costs (flat mode only).
+    /// Per-function, per-pc static commit costs of the hot ops (flat mode
+    /// only).
     costs: Vec<Vec<u64>>,
     mem: Memory,
     sync: SyncTables,
@@ -1055,7 +1029,7 @@ impl<'p> Machine<'p> {
             InterpMode::Flat => flat
                 .funcs
                 .iter()
-                .map(|f| static_costs(f, &config.cost, config.log))
+                .map(|f| static_costs(f, &config.cost))
                 .collect(),
             InterpMode::Reference => Vec::new(),
         };
@@ -1492,12 +1466,13 @@ impl<'p> Machine<'p> {
         run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem)
     }
 
-    /// Does `tid`'s next op sit at a weak-lock acquire/release site or a
-    /// shared-access site (`Load`/`Store`, which carry their static
-    /// `AccessId`)? Classified from the pre-decoded code both interpreter
-    /// modes share, so it is mode-independent; a pending forced
-    /// reacquire counts as an acquire boundary (the step will execute the
-    /// reacquire protocol instead of the op at `pc`).
+    /// Does `tid`'s next op sit at a shared-access site (`Load`/`Store`,
+    /// which carry their static `AccessId`) or a weak-lock acquire/release
+    /// site? Accesses are read from the pre-decoded code and weak-lock ops
+    /// from the `Instr` a `Cold` op stands for; both interpreter modes
+    /// share the frame position, so the answer is mode-independent. A
+    /// pending forced reacquire counts as an acquire boundary (the step
+    /// will execute the reacquire protocol instead of the op at `pc`).
     fn at_boundary(&self, tid: ThreadId) -> bool {
         let t = &self.threads[tid.index()];
         if !t.pending_reacquire.is_empty() {
@@ -1506,13 +1481,19 @@ impl<'p> Machine<'p> {
         let Some(frame) = t.frames.last() else {
             return false;
         };
-        matches!(
-            self.flat.funcs[frame.func.index()].code[frame.pc as usize],
-            FlatOp::Load { .. }
-                | FlatOp::Store { .. }
-                | FlatOp::WeakAcquire { .. }
-                | FlatOp::WeakRelease { .. }
-        )
+        let func = &self.flat.funcs[frame.func.index()];
+        match func.code[frame.pc as usize] {
+            FlatOp::Load { .. } | FlatOp::Store { .. } => true,
+            FlatOp::Cold => {
+                let (block, ip) = func.locate(frame.pc);
+                self.program.funcs[frame.func.index()]
+                    .block(block)
+                    .instrs
+                    .get(ip)
+                    .is_some_and(Instr::is_weak_lock_op)
+            }
+            _ => false,
+        }
     }
 
     /// The original scheduling loop: per step, poll every thread for
@@ -1730,7 +1711,7 @@ impl<'p> Machine<'p> {
             let t = &self.threads[id as usize];
             let f = t.frames.last().expect("live thread has frames");
             !t.pending_reacquire.is_empty()
-                || !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
+                || self.flat.funcs[f.func.index()].fused[f.pc as usize] == FlatOp::Cold
         };
         if single_steps(&queue[0]) {
             // No segment could commit anything: the front steps first.
@@ -2391,20 +2372,19 @@ impl<'p> Machine<'p> {
     }
 
     /// One flat-mode step of what the hot-run executor hands back: a
-    /// forced reacquire, an access someone must see, or a cold op. It
-    /// copies the pre-decoded op out of the code array (no clone —
-    /// `FlatOp` is `Copy`) and executes it; every other op is retired by
-    /// [`run_hot`] alone.
+    /// forced reacquire, an access someone must see, or a cold op; every
+    /// other op is retired by [`run_hot`] alone.
     ///
     /// Returns the thread's advanced clock if it is still `Ready` after the
     /// step, `None` otherwise — the scheduler's ready-queue repositions the
     /// stepped thread from this without re-reading the `Thr`.
     ///
     /// An access emits its event and commits through [`Self::commit_ok`]
-    /// under one mutable borrow of the current frame. Everything that can
-    /// block, spawn, trap on sync state, or touch the event sink goes
-    /// through [`Self::exec_flat_cold`] and the usual `StepEnd`
-    /// accounting.
+    /// under one mutable borrow of the current frame. A [`FlatOp::Cold`]
+    /// op runs through [`Self::exec_instr`] or [`Self::exec_term`], the
+    /// arms the reference interpreter runs, on the `Instr` or `Terminator`
+    /// that [`FlatFunc::locate`] finds, borrowed from the program (no
+    /// clone), with the usual `StepEnd` accounting.
     #[inline]
     fn step_flat(&mut self, sup: &mut dyn Supervisor, tid: ThreadId) -> Option<u64> {
         // `pending_reacquire` is only ever pushed by forced releases of a
@@ -2472,10 +2452,17 @@ impl<'p> Machine<'p> {
                     Err(t) => self.trap(tid, t.to_string()),
                 }
             }
-            op => {
-                let end = self.exec_flat_cold(sup, tid, op, scost);
+            FlatOp::Cold => {
+                let program = self.program;
+                let (block, ip) = self.flat.funcs[fidx].locate(pc as u32);
+                let block = program.funcs[fidx].block(block);
+                let end = match block.instrs.get(ip) {
+                    Some(instr) => self.exec_instr(sup, tid, instr),
+                    None => self.exec_term(sup, tid, &block.term),
+                };
                 self.commit_step(tid, end)
             }
+            _ => unreachable!("hot op retired only by run_hot"),
         }
     }
 
@@ -2567,6 +2554,8 @@ impl<'p> Machine<'p> {
         self.count_block(func, block);
     }
 
+    /// Execute one terminator: the reference interpreter's every step at
+    /// a block end, and the flat VM's `Return`s.
     fn exec_term(&mut self, sup: &mut dyn Supervisor, tid: ThreadId, term: &Terminator) -> StepEnd {
         let c = self.cost.instr;
         match term {
@@ -2659,6 +2648,14 @@ impl<'p> Machine<'p> {
         }
     }
 
+    /// Execute one instruction: every step of the reference interpreter,
+    /// and every cold op of the flat VM ([`Self::step_flat`]), so the
+    /// semantics of sync, I/O, calls, heap and weak-lock ops have one
+    /// implementation. Its hot-op arms are the reference interpreter's own
+    /// evaluation, the oracle [`run_hot`] is pinned against. Argument
+    /// lists are marshalled through the scratch `argv`, output payloads
+    /// staged in `io_buf`, and an `Output` event is built only when
+    /// [`Self::wants`] says someone observes it.
     fn exec_instr(&mut self, sup: &mut dyn Supervisor, tid: ThreadId, instr: &Instr) -> StepEnd {
         let cost = self.cost;
         match instr {
@@ -2819,9 +2816,12 @@ impl<'p> Machine<'p> {
                 if self.threads[tid.index()].frames.len() >= 4096 {
                     return StepEnd::Trap("call stack overflow".into());
                 }
-                let argv: Vec<i64> = args.iter().map(|a| self.val(tid, *a)).collect();
+                let mut argv = std::mem::take(&mut self.argv);
+                argv.clear();
+                argv.extend(args.iter().map(|a| self.val(tid, *a)));
                 self.advance_pc(tid); // return will resume past the call
                 let frame = self.make_frame(target, &argv, *dst);
+                self.argv = argv;
                 let time = self.threads[tid.index()].clock;
                 self.threads[tid.index()].frames.push(frame);
                 self.emit(
@@ -2877,9 +2877,12 @@ impl<'p> Machine<'p> {
                         }
                     }
                 };
-                let argv: Vec<i64> = args.iter().map(|a| self.val(tid, *a)).collect();
+                let mut argv = std::mem::take(&mut self.argv);
+                argv.clear();
+                argv.extend(args.iter().map(|a| self.val(tid, *a)));
                 let time = self.threads[tid.index()].clock;
                 let child = self.spawn_thread(target, &argv, time + cost.spawn);
+                self.argv = argv;
                 if let Some(d) = dst {
                     self.set(tid, *d, child.0 as i64);
                 }
@@ -2989,38 +2992,28 @@ impl<'p> Machine<'p> {
                 let _chan = self.val(tid, *chan);
                 let buf = self.val(tid, *buf);
                 let len = self.val(tid, *len).clamp(0, 1 << 20);
-                let mut data = Vec::with_capacity(len as usize);
+                let mut data = std::mem::take(&mut self.io_buf);
+                data.clear();
                 for i in 0..len {
                     match self.mem.load(buf + i) {
                         Ok(v) => data.push(v),
-                        Err(t) => return StepEnd::Trap(t.to_string()),
+                        Err(t) => {
+                            self.io_buf = data;
+                            return StepEnd::Trap(t.to_string());
+                        }
                     }
                 }
-                for &v in &data {
-                    self.output.push((tid, v));
-                }
-                self.stats.syscalls += 1;
-                self.emit(sup, Event::Output { thread: tid, data });
-                self.wake_order_stalled();
-                self.advance_pc(tid);
+                self.do_output(sup, tid, data);
                 StepEnd::Commit(cost.syscall + len as u64)
             }
             Instr::Print { val } => {
                 if !sup.may_proceed(OrderPoint::Output, tid) {
                     return StepEnd::Block(BlockReason::OrderTurn);
                 }
-                let v = self.val(tid, *val);
-                self.output.push((tid, v));
-                self.stats.syscalls += 1;
-                self.emit(
-                    sup,
-                    Event::Output {
-                        thread: tid,
-                        data: vec![v],
-                    },
-                );
-                self.wake_order_stalled();
-                self.advance_pc(tid);
+                let mut data = std::mem::take(&mut self.io_buf);
+                data.clear();
+                data.push(self.val(tid, *val));
+                self.do_output(sup, tid, data);
                 StepEnd::Commit(cost.syscall)
             }
             Instr::WeakAcquire {
@@ -3104,388 +3097,22 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The cold remainder of the flat dispatch: calls, sync, I/O, memory
-    /// management, weak ops, and returns. `op` and `scost` arrive already
-    /// decoded by [`Self::step_flat`]; `scost` is the pre-resolved static
-    /// commit cost for this pc (see [`crate::flat::static_costs`]), and
-    /// arms with dynamic costs compute their own. The hot ops, which
-    /// [`run_hot`] retires, the accesses `step_flat` executes, and the
-    /// fused ops that live only in the sidecar are unreachable here.
-    /// Together with `run_hot` and `step_flat` this mirrors `exec_instr` +
-    /// `exec_term` arm for arm — any semantic divergence is a bug the
-    /// differential suite exists to catch.
-    #[inline]
-    fn exec_flat_cold(
-        &mut self,
-        sup: &mut dyn Supervisor,
-        tid: ThreadId,
-        op: FlatOp,
-        scost: u64,
-    ) -> StepEnd {
-        match op {
-            FlatOp::Copy { .. }
-            | FlatOp::UnOp { .. }
-            | FlatOp::BinOp { .. }
-            | FlatOp::AddrOfGlobal { .. }
-            | FlatOp::AddrOfSlot { .. }
-            | FlatOp::AddrOfFunc { .. }
-            | FlatOp::PtrAdd { .. }
-            | FlatOp::Jump { .. }
-            | FlatOp::Branch { .. } => {
-                unreachable!("hot op retired only by run_hot")
-            }
-            FlatOp::Load { .. } | FlatOp::Store { .. } => {
-                unreachable!("access executed inline by step_flat")
-            }
-            FlatOp::FusedGlobalLoad { .. }
-            | FlatOp::FusedGlobalStore { .. }
-            | FlatOp::FusedSlotLoad { .. }
-            | FlatOp::FusedSlotStore { .. }
-            | FlatOp::FusedPtrLoad { .. }
-            | FlatOp::FusedPtrStore { .. }
-            | FlatOp::FusedCmpBranch { .. }
-            | FlatOp::FusedOpAssign { .. } => {
-                unreachable!("fused op lives only in the sidecar arena")
-            }
-            FlatOp::AddrOfRegister { local } => StepEnd::Trap(format!(
-                "address taken of register local {local} (lowering bug)"
-            )),
-            FlatOp::CallDirect { dst, func, args } => self.do_call_flat(sup, tid, func, args, dst),
-            FlatOp::CallIndirect { dst, target, args } => {
-                let v = self.val(tid, target);
-                match decode_func_ptr(v, self.program.funcs.len()) {
-                    Some(f) => self.do_call_flat(sup, tid, f, args, dst),
-                    None => StepEnd::Trap(format!("indirect call through non-function value {v}")),
-                }
-            }
-            FlatOp::Lock { addr } => self.do_lock(sup, tid, self.val(tid, addr)),
-            FlatOp::Unlock { addr } => self.do_unlock(sup, tid, self.val(tid, addr)),
-            FlatOp::BarrierInit { addr, count } => {
-                let a = self.val(tid, addr);
-                let c = self.val(tid, count);
-                if c <= 0 {
-                    return StepEnd::Trap("barrier_init with non-positive count".into());
-                }
-                self.sync.barriers.ensure(a).count = c;
-                self.advance_pc(tid);
-                StepEnd::Commit(scost)
-            }
-            FlatOp::BarrierWait { addr } => self.do_barrier_wait(sup, tid, self.val(tid, addr)),
-            FlatOp::CondWait { cond, lock } => {
-                let (ca, la) = (self.val(tid, cond), self.val(tid, lock));
-                self.do_cond_wait(sup, tid, ca, la)
-            }
-            FlatOp::CondSignal { cond } => {
-                let a = self.val(tid, cond);
-                self.do_cond_signal(sup, tid, a, false)
-            }
-            FlatOp::CondBroadcast { cond } => {
-                let a = self.val(tid, cond);
-                self.do_cond_signal(sup, tid, a, true)
-            }
-            FlatOp::SpawnDirect { dst, func, args } => {
-                if !sup.may_proceed(OrderPoint::Spawn, tid) {
-                    return StepEnd::Block(BlockReason::OrderTurn);
-                }
-                self.do_spawn_flat(sup, tid, func, args, dst)
-            }
-            FlatOp::SpawnIndirect { dst, target, args } => {
-                if !sup.may_proceed(OrderPoint::Spawn, tid) {
-                    return StepEnd::Block(BlockReason::OrderTurn);
-                }
-                let v = self.val(tid, target);
-                match decode_func_ptr(v, self.program.funcs.len()) {
-                    Some(f) => self.do_spawn_flat(sup, tid, f, args, dst),
-                    None => StepEnd::Trap(format!("spawn through non-function value {v}")),
-                }
-            }
-            FlatOp::Join { tid: t_op } => {
-                let v = self.val(tid, t_op);
-                if v < 0 || v as usize >= self.threads.len() {
-                    return StepEnd::Trap(format!("join of invalid thread id {v}"));
-                }
-                let target = ThreadId(v as u32);
-                if target == tid {
-                    return StepEnd::Trap("thread joining itself".into());
-                }
-                if self.threads[target.index()].state == TState::Done {
-                    self.sync.join_seq += 1;
-                    let seq = self.sync.join_seq;
-                    let time = self.threads[tid.index()].clock;
-                    self.stats.sync_ops += 1;
-                    self.emit(
-                        sup,
-                        Event::Sync {
-                            thread: tid,
-                            kind: SyncKind::Join,
-                            addr: v,
-                            seq,
-                            time,
-                        },
-                    );
-                    self.advance_pc(tid);
-                    StepEnd::Commit(scost)
-                } else {
-                    StepEnd::Block(BlockReason::Join(target))
-                }
-            }
-            FlatOp::Malloc { dst, size, site } => {
-                let n = self.val(tid, size);
-                if n <= 0 || n > i64::from(MAX_CELLS) {
-                    return StepEnd::Trap(format!("malloc of invalid size {n}"));
-                }
-                let a = self.mem.alloc(n, RegionKind::Heap(site));
-                self.set(tid, dst, a);
-                self.advance_pc(tid);
-                StepEnd::Commit(scost)
-            }
-            FlatOp::Free { addr } => {
-                let a = self.val(tid, addr);
-                match self.mem.dealloc(a) {
-                    Ok(()) => {
-                        self.advance_pc(tid);
-                        StepEnd::Commit(scost)
-                    }
-                    Err(t) => StepEnd::Trap(t.to_string()),
-                }
-            }
-            FlatOp::SysRead {
-                dst,
-                chan,
-                buf,
-                len,
-            } => {
-                let chan = self.val(tid, chan);
-                let buf = self.val(tid, buf);
-                let len = self.val(tid, len).clamp(0, 1 << 20) as usize;
-                self.do_input(sup, tid, chan, buf, len, dst)
-            }
-            FlatOp::SysInput { dst, chan } => {
-                let chan = self.val(tid, chan);
-                self.do_input_scalar(sup, tid, chan, dst)
-            }
-            FlatOp::SysWrite { chan, buf, len } => {
-                if !sup.may_proceed(OrderPoint::Output, tid) {
-                    return StepEnd::Block(BlockReason::OrderTurn);
-                }
-                let _chan = self.val(tid, chan);
-                let buf = self.val(tid, buf);
-                let len = self.val(tid, len).clamp(0, 1 << 20);
-                let mut data = std::mem::take(&mut self.io_buf);
-                data.clear();
-                for i in 0..len {
-                    match self.mem.load(buf + i) {
-                        Ok(v) => data.push(v),
-                        Err(t) => {
-                            self.io_buf = data;
-                            return StepEnd::Trap(t.to_string());
-                        }
-                    }
-                }
-                for &v in &data {
-                    self.output.push((tid, v));
-                }
-                self.stats.syscalls += 1;
-                if self.wants(EventKind::Output) {
-                    let ev = Event::Output {
-                        thread: tid,
-                        data: data.clone(),
-                    };
-                    self.emit(sup, ev);
-                }
-                self.io_buf = data;
-                self.wake_order_stalled();
-                self.advance_pc(tid);
-                StepEnd::Commit(self.cost.syscall + len as u64)
-            }
-            FlatOp::Print { val } => {
-                if !sup.may_proceed(OrderPoint::Output, tid) {
-                    return StepEnd::Block(BlockReason::OrderTurn);
-                }
-                let v = self.val(tid, val);
-                self.output.push((tid, v));
-                self.stats.syscalls += 1;
-                if self.wants(EventKind::Output) {
-                    self.emit(
-                        sup,
-                        Event::Output {
-                            thread: tid,
-                            data: vec![v],
-                        },
-                    );
-                }
-                self.wake_order_stalled();
-                self.advance_pc(tid);
-                StepEnd::Commit(scost)
-            }
-            FlatOp::WeakAcquire {
-                lock,
-                granularity,
-                range,
-            } => {
-                if let Some(pos) = self.threads[tid.index()]
-                    .weak_granted
-                    .iter()
-                    .position(|l| *l == lock)
-                {
-                    // A forced handoff already completed this acquire:
-                    // consuming it here makes the acquisition effective and
-                    // emits its (recorded) event.
-                    self.threads[tid.index()].weak_granted.remove(pos);
-                    let held = self.threads[tid.index()]
-                        .frames
-                        .last()
-                        .and_then(|f| f.held_weak.iter().rev().find(|h| h.lock == lock))
-                        .copied();
-                    let range = held.and_then(|h| h.range);
-                    self.commit_granted_acquire(sup, tid, lock, range, granularity);
-                    self.advance_pc(tid);
-                    let mut c = self.cost.weak_op;
-                    if self.config.log {
-                        c += self.cost.log_write;
-                    }
-                    return StepEnd::Commit(c);
-                }
-                let r = range.map(|(lo, hi)| {
-                    let (a, b) = (self.val(tid, lo), self.val(tid, hi));
-                    (a.min(b), a.max(b))
-                });
-                match self.try_weak_acquire(sup, tid, lock, r, granularity, false) {
-                    WeakTry::Acquired => {
-                        self.advance_pc(tid);
-                        if self.config.log {
-                            ExecStats::bump(
-                                &mut self.stats.weak_log_cycles,
-                                granularity,
-                                self.cost.log_write,
-                            );
-                        }
-                        // scost pre-resolves weak_op + range_check? + log?.
-                        StepEnd::Commit(scost)
-                    }
-                    WeakTry::Blocked(reason) => StepEnd::Block(reason),
-                    WeakTry::Stalled => StepEnd::Block(BlockReason::OrderTurn),
-                }
-            }
-            FlatOp::WeakRelease { lock } => {
-                let tix = tid.index();
-                let frame = self.threads[tix].frames.last_mut().unwrap();
-                if let Some(pos) = frame.held_weak.iter().rposition(|h| h.lock == lock) {
-                    frame.held_weak.remove(pos);
-                    if let Some(state) = self.sync.weak.get_mut(lock) {
-                        state.release(tid);
-                    }
-                }
-                // Releasing a lock we no longer hold (forced release took
-                // it) is a no-op: the forced-release protocol already
-                // queued a reacquire balanced against this release.
-                let time = self.threads[tix].clock;
-                self.emit(
-                    sup,
-                    Event::WeakRelease {
-                        thread: tid,
-                        lock,
-                        time,
-                    },
-                );
-                self.wake_weak_waiters(lock, time);
-                self.advance_pc(tid);
-                StepEnd::Commit(scost)
-            }
-            FlatOp::Return { val } => self.do_return(sup, tid, val.map(|o| self.val(tid, o))),
-        }
-    }
-
-    /// Flat-path call: argv is marshalled through the machine's scratch
-    /// buffer instead of a fresh `Vec` per call.
-    fn do_call_flat(
-        &mut self,
-        sup: &mut dyn Supervisor,
-        tid: ThreadId,
-        target: FuncId,
-        args: ArgRange,
-        dst: Option<LocalId>,
-    ) -> StepEnd {
-        if self.threads[tid.index()].frames.len() >= 4096 {
-            return StepEnd::Trap("call stack overflow".into());
-        }
-        let mut argv = std::mem::take(&mut self.argv);
-        argv.clear();
-        for i in args.as_range() {
-            let op = self.flat.args[i];
-            argv.push(self.val(tid, op));
-        }
-        self.advance_pc(tid); // return will resume past the call
-        let frame = self.make_frame(target, &argv, dst);
-        self.argv = argv;
-        let time = self.threads[tid.index()].clock;
-        self.threads[tid.index()].frames.push(frame);
-        self.emit(
-            sup,
-            Event::FuncEnter {
+    /// Commit an output syscall's payload, staged in `data` (the
+    /// machine's `io_buf`, which it returns to): append it to the output,
+    /// and build the `Output` event only when someone observes it.
+    fn do_output(&mut self, sup: &mut dyn Supervisor, tid: ThreadId, data: Vec<i64>) {
+        self.output.extend(data.iter().map(|&v| (tid, v)));
+        self.stats.syscalls += 1;
+        if self.wants(EventKind::Output) {
+            let ev = Event::Output {
                 thread: tid,
-                func: target,
-                time,
-            },
-        );
-        StepEnd::Commit(self.cost.call)
-    }
-
-    /// Flat-path spawn (caller has already passed the `OrderPoint::Spawn`
-    /// gate); argv reuses the scratch buffer.
-    fn do_spawn_flat(
-        &mut self,
-        sup: &mut dyn Supervisor,
-        tid: ThreadId,
-        target: FuncId,
-        args: ArgRange,
-        dst: Option<LocalId>,
-    ) -> StepEnd {
-        let mut argv = std::mem::take(&mut self.argv);
-        argv.clear();
-        for i in args.as_range() {
-            let op = self.flat.args[i];
-            argv.push(self.val(tid, op));
+                data: data.clone(),
+            };
+            self.emit(sup, ev);
         }
-        let time = self.threads[tid.index()].clock;
-        let child = self.spawn_thread(target, &argv, time + self.cost.spawn);
-        self.argv = argv;
-        if let Some(d) = dst {
-            self.set(tid, d, child.0 as i64);
-        }
-        self.sync.spawn_seq += 1;
-        let seq = self.sync.spawn_seq;
-        self.stats.sync_ops += 1;
-        self.emit(
-            sup,
-            Event::Spawned {
-                parent: tid,
-                child,
-                func: target,
-                time,
-            },
-        );
-        self.emit(
-            sup,
-            Event::Sync {
-                thread: tid,
-                kind: SyncKind::Spawn,
-                addr: child.0 as i64,
-                seq,
-                time,
-            },
-        );
-        self.emit(
-            sup,
-            Event::FuncEnter {
-                thread: child,
-                func: target,
-                time: time + self.cost.spawn,
-            },
-        );
+        self.io_buf = data;
         self.wake_order_stalled();
         self.advance_pc(tid);
-        StepEnd::Commit(self.cost.spawn + self.log_cost_sync())
     }
 
     fn log_cost_sync(&mut self) -> u64 {
@@ -4572,14 +4199,215 @@ mod tests {
         }
     }
 
+    /// Both modes end each trapping program with the same named trap; the
+    /// cold ops among them (sync, heap, calls, spawns, I/O) run the one
+    /// `exec_instr` arm in both, so this pins that arm's message.
     #[test]
     fn flat_and_reference_agree_on_traps() {
-        for src in [
-            "int main() { int x; x = 0; return 1 / x; }",
-            "int main() { int *p; p = 0; return *p; }",
-            "int f(int n) { return f(n); } int main() { return f(0); }",
+        let past_max = format!(
+            "int main() {{ int *p; p = malloc({}); return 0; }}",
+            MAX_CELLS + 1
+        );
+        for (src, message) in [
+            (
+                "int main() { int x; x = 0; return 1 / x; }",
+                "division by zero".to_string(),
+            ),
+            (
+                "int main() { int *p; p = 0; return *p; }",
+                "memory trap at address 0: load outside any allocated region".into(),
+            ),
+            (
+                "int f(int n) { return f(n); } int main() { return f(0); }",
+                "call stack overflow".into(),
+            ),
+            (
+                "int main() { join(5); return 0; }",
+                "join of invalid thread id 5".into(),
+            ),
+            (
+                "int main() { join(0); return 0; }",
+                "thread joining itself".into(),
+            ),
+            (
+                "int main() { int *p; p = malloc(0); return 0; }",
+                "malloc of invalid size 0".into(),
+            ),
+            (
+                &past_max,
+                format!("malloc of invalid size {}", MAX_CELLS + 1),
+            ),
+            (
+                "int main() { int *p; p = malloc(2); free(p); free(p); return 0; }",
+                "memory trap at address 1: free of a non-allocated or already-freed address".into(),
+            ),
+            (
+                "barrier_t b; int main() { barrier_init(&b, 0); return 0; }",
+                "barrier_init with non-positive count".into(),
+            ),
+            (
+                "int main() { int *fp; fp = 0; spawn(fp, 1); return 0; }",
+                "spawn through non-function value 0".into(),
+            ),
+            (
+                "int main() { int *fp; fp = 7; return fp(1); }",
+                "indirect call through non-function value 7".into(),
+            ),
+            (
+                "int main() { int *p; p = malloc(4); free(p); sys_write(1, p, 4); return 0; }",
+                "memory trap at address 1: use after free".into(),
+            ),
         ] {
             assert_modes_agree(src, 0);
+            let r = execute_mode(
+                &compile(src).unwrap(),
+                &ExecConfig::default(),
+                InterpMode::Flat,
+            );
+            let trap = Outcome::Trap {
+                thread: ThreadId(0),
+                message,
+            };
+            assert_eq!(r.outcome, trap, "{src}");
+        }
+    }
+
+    /// The makespan a jitter-off run of `base` gains from `op`, appended
+    /// to `main`'s returning block after `setup` (which both runs get).
+    fn op_charge(base: &Program, setup: &[Instr], op: Instr, log: bool, mode: InterpMode) -> u64 {
+        let append = |ops: &[Instr]| {
+            let mut p = base.clone();
+            let main = p.main();
+            let block = p.funcs[main.index()]
+                .blocks
+                .iter_mut()
+                .find(|b| matches!(b.term, Terminator::Return(_)))
+                .expect("main returns");
+            for op in ops {
+                block.push(op.clone(), Default::default());
+            }
+            p
+        };
+        let without = append(setup);
+        let with = append(&[setup, &[op]].concat());
+        let cfg = ExecConfig {
+            jitter: Jitter::none(),
+            log,
+            ..ExecConfig::default()
+        };
+        let (r0, r1) = (
+            execute_mode(&without, &cfg, mode),
+            execute_mode(&with, &cfg, mode),
+        );
+        assert!(r0.outcome.is_exit(), "{:?}", r0.outcome);
+        assert!(r1.outcome.is_exit(), "{:?}", r1.outcome);
+        r1.makespan - r0.makespan
+    }
+
+    /// Each cold op commits exactly its `CostModel` charge in both modes,
+    /// with and without logging.
+    #[test]
+    fn cold_op_charges_match_the_cost_model() {
+        let c = CostModel::default();
+        let mut base = compile(
+            "lock_t m; void w(int a) {}
+             int main() { lock_t *pm; int *h; int t; int i;
+                pm = &m; h = malloc(4); t = spawn(w, 0);
+                for (i = 0; i < 100; i = i + 1) {} }",
+        )
+        .unwrap();
+        base.weak_locks = 1;
+        let f = base.funcs[base.main().index()].clone();
+        let id = |name: &str| LocalId(f.locals.iter().position(|l| l.name == name).unwrap() as u32);
+        let w = base.func_by_name("w").unwrap().id;
+        let (pm, t, h) = (Operand::Local(id("pm")), Operand::Local(id("t")), id("h"));
+        let weak = |range| Instr::WeakAcquire {
+            lock: WeakLockId(0),
+            granularity: LockGranularity::Loop,
+            range,
+        };
+        let lock = Instr::Lock { addr: pm };
+        for log in [false, true] {
+            let lw = if log { c.log_write } else { 0 };
+            let cases = [
+                (vec![], lock.clone(), c.sync_op + lw),
+                (vec![lock.clone()], Instr::Unlock { addr: pm }, c.sync_op),
+                (vec![], Instr::Join { tid: t }, c.sync_op + lw),
+                (
+                    vec![],
+                    Instr::Spawn {
+                        dst: None,
+                        callee: Callee::Direct(w),
+                        args: vec![Operand::Const(0)],
+                    },
+                    c.spawn + lw,
+                ),
+                (
+                    vec![],
+                    Instr::Print {
+                        val: Operand::Const(7),
+                    },
+                    c.syscall,
+                ),
+                // The call and the callee's return.
+                (
+                    vec![],
+                    Instr::Call {
+                        dst: None,
+                        callee: Callee::Direct(w),
+                        args: vec![Operand::Const(0)],
+                    },
+                    2 * c.call,
+                ),
+                (
+                    vec![],
+                    Instr::Malloc {
+                        dst: h,
+                        size: Operand::Const(4),
+                        site: chimera_minic::ir::AllocSiteId(0),
+                    },
+                    c.call,
+                ),
+                (
+                    vec![],
+                    Instr::Free {
+                        addr: Operand::Local(h),
+                    },
+                    c.call,
+                ),
+                (vec![], weak(None), c.weak_op + lw),
+                (
+                    vec![],
+                    weak(Some((Operand::Const(1), Operand::Const(4)))),
+                    c.weak_op + c.range_check + lw,
+                ),
+                (
+                    vec![weak(None)],
+                    Instr::WeakRelease {
+                        lock: WeakLockId(0),
+                    },
+                    c.weak_op,
+                ),
+            ];
+            for mode in [InterpMode::Flat, InterpMode::Reference] {
+                for (setup, op, charge) in &cases {
+                    let got = op_charge(&base, setup, op.clone(), log, mode);
+                    assert_eq!(got, *charge, "{op:?} (log {log}, {mode:?})");
+                }
+                // A return: the only op of an empty `main`.
+                let empty = compile("int main() {}").unwrap();
+                let cfg = ExecConfig {
+                    jitter: Jitter::none(),
+                    log,
+                    ..ExecConfig::default()
+                };
+                let r = execute_mode(&empty, &cfg, mode);
+                assert_eq!(
+                    (r.stats.instrs, r.makespan),
+                    (1, c.call),
+                    "return (log {log}, {mode:?})"
+                );
+            }
         }
     }
 
@@ -4638,7 +4466,7 @@ mod tests {
             let ready = r.threads.iter().filter(|t| t.state == TState::Ready);
             let t = ready.min_by_key(|t| (t.clock, t.id)).unwrap();
             let f = t.frames.last().unwrap();
-            (t.id, t.clock, op_is_hot(&r.flat.funcs[f.func.index()].fused[f.pc as usize]))
+            (t.id, t.clock, r.flat.funcs[f.func.index()].fused[f.pc as usize] != FlatOp::Cold)
         };
         for _ in 0..steps {
             let (next, clock, _) = front(&r);
@@ -4712,7 +4540,7 @@ mod tests {
         let (m, _) = round_against_steps(&p, &cfg, &[(30, 0), (3, 0), (31, 0)], None);
         let t = &m.threads;
         let f = t[1].frames.last().unwrap();
-        assert!(!op_is_hot(&m.flat.funcs[f.func.index()].fused[f.pc as usize]));
+        assert_eq!(m.flat.funcs[f.func.index()].fused[f.pc as usize], FlatOp::Cold);
         assert_eq!(t[0].icount, t[2].icount + 1);
         assert!(t[2].clock == t[1].clock && t[1].clock < t[0].clock);
     }

@@ -329,24 +329,6 @@ impl Memory {
         }
         h
     }
-
-    /// Snapshot of the live cells of all globals, for test assertions.
-    pub fn globals_snapshot(&self) -> Vec<i64> {
-        let mut out = Vec::new();
-        for r in &self.regions {
-            if let RegionKind::Global(_) = r.kind {
-                out.extend_from_slice(
-                    &self.cells[r.start as usize..(r.start + r.len) as usize],
-                );
-            }
-        }
-        out
-    }
-
-    /// Total number of live regions (diagnostics).
-    pub fn live_regions(&self) -> usize {
-        self.regions.iter().filter(|r| r.alive).count()
-    }
 }
 
 #[cfg(test)]

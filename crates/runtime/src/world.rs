@@ -83,11 +83,6 @@ impl World {
         };
         base + per * len as u64 + jitter
     }
-
-    /// The model in use.
-    pub fn io_model(&self) -> &IoModel {
-        &self.io
-    }
 }
 
 #[cfg(test)]
