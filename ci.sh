@@ -70,8 +70,11 @@ if [ -z "$flat_hash" ] || [ "$flat_hash" != "$ref_hash" ]; then
     exit 1
 fi
 # The default configuration (timing jitter on) arms the rounds too: on a
-# small partitioned loop written here, the flat run must commit rounds
-# and print the reference's final state and output.
+# small partitioned loop written here and on every checked-in fixture,
+# the flat run must print the reference's virtual time (`cycles`), final
+# state, output and `stats` line, and on the loop it must commit rounds.
+# The state hash covers memory only, so on a race-free loop a jitter
+# draw charged to the wrong thread shows in `cycles` alone.
 part_dir=$(mktemp -d)
 cat > "$part_dir/partitioned.mc" <<'MC'
 int a[256];
@@ -95,19 +98,23 @@ int main() {
     return 0;
 }
 MC
-flat_json=$($chimera_bin run "$part_dir/partitioned.mc" --json)
-ref_json=$(CHIMERA_VM_REFERENCE=1 $chimera_bin run "$part_dir/partitioned.mc" --json)
+for prog in "$part_dir/partitioned.mc" fixtures/*.mc; do
+    flat_json=$($chimera_bin run "$prog" --json)
+    ref_json=$(CHIMERA_VM_REFERENCE=1 $chimera_bin run "$prog" --json)
+    flat_result=$(echo "$flat_json" | grep -E '"(cycles|state_hash|output|stats)"')
+    ref_result=$(echo "$ref_json" | grep -E '"(cycles|state_hash|output|stats)"')
+    if [ -z "$flat_result" ] || [ "$flat_result" != "$ref_result" ]; then
+        echo "default-jitter spec-round smoke diverged on $prog: flat=$flat_result reference=$ref_result" >&2
+        exit 1
+    fi
+    if [ "$prog" = "$part_dir/partitioned.mc" ]; then
+        echo "$flat_json" | grep -q '"spec_rounds": [1-9]' || {
+            echo "default-jitter spec-round smoke: the flat run committed no round" >&2
+            exit 1
+        }
+    fi
+done
 rm -r "$part_dir"
-flat_result=$(echo "$flat_json" | grep -E '"(state_hash|output)"')
-ref_result=$(echo "$ref_json" | grep -E '"(state_hash|output)"')
-if [ -z "$flat_result" ] || [ "$flat_result" != "$ref_result" ]; then
-    echo "default-jitter spec-round smoke diverged: flat=$flat_result reference=$ref_result" >&2
-    exit 1
-fi
-echo "$flat_json" | grep -q '"spec_rounds": [1-9]' || {
-    echo "default-jitter spec-round smoke: the flat run committed no round" >&2
-    exit 1
-}
 echo "flat VM with segment rounds bit-identical to the reference interpreter"
 
 echo "== strategy smoke gate (hostile hot runs vs reference) =="

@@ -16,7 +16,7 @@
 
 use chimera::{
     ablation_row, fig5_overheads, fig6_fractions, fig7_breakdown, fig8_scalability,
-    figure5_configs, profile_sensitivity, table2_row, threshold_sweep,
+    figure5_configs, outln, profile_sensitivity, table2_row, threshold_sweep,
 };
 use chimera_bench::{fmt_kb, fmt_pct, fmt_x, render_table};
 use chimera_minic::ir::LockGranularity;
@@ -121,7 +121,7 @@ fn main() {
 }
 
 fn table1() {
-    println!("== Table 1: benchmarks and inputs ==\n");
+    outln!("== Table 1: benchmarks and inputs ==\n");
     let mut rows = vec![vec![
         "category".to_string(),
         "application".to_string(),
@@ -144,11 +144,11 @@ fn table1() {
             format!("2/4/8 workers, scale {}", eval.scale),
         ]);
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn table2(args: &Args, exec: &ExecConfig) {
-    println!(
+    outln!(
         "== Table 2: record & replay performance ({} workers, mean of {} trials) ==\n",
         args.workers, args.trials
     );
@@ -191,12 +191,12 @@ fn table2(args: &Args, exec: &ExecConfig) {
             if row.deterministic { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    println!("{}", render_table(&rows));
-    println!("average record overhead: {}\n", fmt_x(sum_rec / n));
+    outln!("{}", render_table(&rows));
+    outln!("average record overhead: {}\n", fmt_x(sum_rec / n));
 }
 
 fn fig5(args: &Args, exec: &ExecConfig) {
-    println!(
+    outln!(
         "== Figure 5: normalized recording overhead per optimization set ({} workers) ==\n",
         args.workers
     );
@@ -219,11 +219,11 @@ fn fig5(args: &Args, exec: &ExecConfig) {
         avg.push(fmt_x(s / all().len() as f64));
     }
     rows.push(avg);
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn fig6(args: &Args, exec: &ExecConfig) {
-    println!(
+    outln!(
         "== Figure 6: weak-lock ops as a fraction of memory ops ({} workers) ==\n",
         args.workers
     );
@@ -246,11 +246,11 @@ fn fig6(args: &Args, exec: &ExecConfig) {
         avg.push(fmt_pct(s / all().len() as f64));
     }
     rows.push(avg);
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn fig7(args: &Args, exec: &ExecConfig) {
-    println!(
+    outln!(
         "== Figure 7: sources of recording overhead ({} workers, all opts) ==\n",
         args.workers
     );
@@ -286,11 +286,11 @@ fn fig7(args: &Args, exec: &ExecConfig) {
         );
         rows.push(row);
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn fig8(args: &Args, exec: &ExecConfig) {
-    println!("== Figure 8: scalability over 2/4/8 workers (all opts) ==\n");
+    outln!("== Figure 8: scalability over 2/4/8 workers (all opts) ==\n");
     let mut rows = vec![vec![
         "app".to_string(),
         "2 workers".to_string(),
@@ -305,11 +305,11 @@ fn fig8(args: &Args, exec: &ExecConfig) {
         }
         rows.push(row);
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn ablations(args: &Args, exec: &ExecConfig) {
-    println!(
+    outln!(
         "== Ablations: LEAP-style baseline and points-to precision ({} workers) ==\n",
         args.workers
     );
@@ -334,9 +334,9 @@ fn ablations(args: &Args, exec: &ExecConfig) {
             r.leap_ops.to_string(),
         ]);
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 
-    println!("== Ablation: loop-body threshold (5.3) on fft and pfscan ==\n");
+    outln!("== Ablation: loop-body threshold (5.3) on fft and pfscan ==\n");
     let mut rows = vec![vec![
         "app".to_string(),
         "threshold".to_string(),
@@ -348,11 +348,11 @@ fn ablations(args: &Args, exec: &ExecConfig) {
             rows.push(vec![name.to_string(), format!("{t}"), fmt_x(o)]);
         }
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 fn sensitivity(exec: &ExecConfig) {
-    println!("== Profile sensitivity (§7.3): concurrent pairs vs profile runs ==\n");
+    outln!("== Profile sensitivity (§7.3): concurrent pairs vs profile runs ==\n");
     let picks: Vec<Workload> = ["pfscan", "water"]
         .iter()
         .filter_map(|n| chimera_workloads::by_name(n))
@@ -367,7 +367,7 @@ fn sensitivity(exec: &ExecConfig) {
             rows.push(vec![w.name.to_string(), runs.to_string(), pairs.to_string()]);
         }
     }
-    println!("{}", render_table(&rows));
+    outln!("{}", render_table(&rows));
 }
 
 #[cfg(test)]

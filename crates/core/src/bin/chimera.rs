@@ -80,7 +80,7 @@
 //! order hashes, kimberlite-style; `--raw` sweeps the program
 //! *uninstrumented*, where divergence is the expected, flagged finding.
 
-use chimera::{analyze, Analysis, ExploreConfig, Grid, OptSet, PipelineConfig};
+use chimera::{analyze, out, outln, Analysis, ExploreConfig, Grid, OptSet, PipelineConfig};
 use chimera_minic::compile;
 use chimera_minic::ir::Program;
 use chimera_replay::wire::{read_file, write_atomic};
@@ -344,12 +344,12 @@ fn run() -> Result<(), String> {
     match cli.command.as_str() {
         "races" => {
             let report = chimera_relay::detect_races(&program);
-            print!("{}", report.describe(&program));
-            println!("{} race pair(s)", report.pairs.len());
+            out!("{}", report.describe(&program));
+            outln!("{} race pair(s)", report.pairs.len());
             Ok(())
         }
         "ir" => {
-            print!("{}", chimera_minic::pretty::program_to_string(&program));
+            out!("{}", chimera_minic::pretty::program_to_string(&program));
             Ok(())
         }
         "plan" => {
@@ -371,9 +371,9 @@ fn run() -> Result<(), String> {
                     min_strategies: cli.min_strategies,
                 };
                 let plan = chimera::demote(&ev, &thresholds).map_err(|e| e.to_string())?;
-                println!("{}", plan.describe());
+                outln!("{}", plan.describe());
                 for d in &plan.demotions {
-                    println!(
+                    outln!(
                         "  demote ({}, {}) — race-free across {} evidence cell(s)",
                         d.pair.0,
                         d.pair.1,
@@ -381,18 +381,18 @@ fn run() -> Result<(), String> {
                     );
                 }
                 for k in &plan.kept {
-                    println!("  keep   ({}, {}) — dynamically confirmed racy", k.0, k.1);
+                    outln!("  keep   ({}, {}) — dynamically confirmed racy", k.0, k.1);
                 }
                 let out = cli.out.clone().unwrap_or_else(|| "plan.chpl".to_string());
                 plan.save(std::path::Path::new(&out))?;
-                println!("wrote {out}");
+                outln!("wrote {out}");
                 return Ok(());
             }
             let p = &analysis.plan;
-            println!("race pairs      : {}", analysis.races.pairs.len());
-            println!("weak-locks      : {}", p.n_weak_locks);
-            println!("cliques         : {}", p.stats.cliques);
-            println!(
+            outln!("race pairs      : {}", analysis.races.pairs.len());
+            outln!("weak-locks      : {}", p.n_weak_locks);
+            outln!("cliques         : {}", p.stats.cliques);
+            outln!(
                 "sites           : {} function, {} loop, {} bb, {} instruction",
                 p.func_locks.values().map(Vec::len).sum::<usize>(),
                 p.loop_locks.values().map(Vec::len).sum::<usize>(),
@@ -400,7 +400,7 @@ fn run() -> Result<(), String> {
                 p.instr_locks.values().map(Vec::len).sum::<usize>(),
             );
             for (f, locks) in &p.func_locks {
-                println!(
+                outln!(
                     "  func-lock {:?} on {}",
                     locks,
                     analysis.program.funcs[f.index()].name
@@ -428,7 +428,7 @@ fn run() -> Result<(), String> {
                     &opts,
                     &plan,
                 )?;
-                println!(
+                outln!(
                     "plan: {} of {} pair(s) demoted; weak-locks {} (full instrumentation: {})",
                     iplan.stats.pairs_demoted,
                     plan.static_pairs.len(),
@@ -438,13 +438,13 @@ fn run() -> Result<(), String> {
                 let exec = under_strategy(&planned, &exec, strategy);
                 let r = execute(&planned, &exec);
                 if cli.json {
-                    print!("{}", run_json(&planned, &r));
+                    out!("{}", run_json(&planned, &r));
                 } else {
                     report_exec(&r);
                 }
                 if cli.verify {
                     chimera::verify_under_plan(&planned, &plan, &exec)?;
-                    println!(
+                    outln!(
                         "verified under plan: FastTrack race-free, hostile replay equivalent"
                     );
                 }
@@ -453,7 +453,7 @@ fn run() -> Result<(), String> {
             let exec = under_strategy(&program, &exec, strategy);
             let r = execute(&program, &exec);
             if cli.json {
-                print!("{}", run_json(&program, &r));
+                out!("{}", run_json(&program, &r));
             } else {
                 report_exec(&r);
             }
@@ -473,7 +473,7 @@ fn run() -> Result<(), String> {
             let bytes = rec.logs.to_bytes();
             write_atomic(std::path::Path::new(&out), &bytes)?;
             let (ikb, okb) = rec.logs.compressed_sizes();
-            println!(
+            outln!(
                 "wrote {out}: {} bytes raw (est. compressed: input {ikb} B + order {okb} B)",
                 bytes.len()
             );
@@ -498,7 +498,7 @@ fn run() -> Result<(), String> {
                 report_exec(&rep.result);
                 match chimera_replay::localize_divergence(&logs, &rep.observed) {
                     None => {
-                        println!(
+                        outln!(
                             "replay conformant: {} chunk(s), {} checkpoint(s) verified",
                             logs.chunk_count(),
                             logs.checkpoints.len()
@@ -512,7 +512,7 @@ fn run() -> Result<(), String> {
                         }
                     }
                     Some(d) => {
-                        println!("{d}");
+                        outln!("{d}");
                         Err(format!(
                             "replay diverged at event {} (chunk {}): {}",
                             d.event, d.chunk, d.cause
@@ -523,7 +523,7 @@ fn run() -> Result<(), String> {
                 let rep = chimera_replay::replay(&analysis.instrumented, &logs, &exec);
                 report_exec(&rep.result);
                 if rep.complete {
-                    println!("replay complete: every logged event consumed");
+                    outln!("replay complete: every logged event consumed");
                     Ok(())
                 } else {
                     Err("replay diverged (did record/replay use the same file and options? \
@@ -551,16 +551,16 @@ fn run() -> Result<(), String> {
             let exec = under_strategy(&target, &exec, strategy);
             let run = chimera::drd::detect(&target, &exec);
             report_exec(&run.result);
-            print!("{}", run.report.describe(&target));
-            println!(
+            out!("{}", run.report.describe(&target));
+            outln!(
                 "{label}: {} racy pair(s), {} dynamic race observation(s)",
                 run.report.pairs.len(),
                 run.report.races
             );
             if run.report.is_race_free() {
-                println!("execution is data-race-free");
+                outln!("execution is data-race-free");
                 if let Some(cert) = run.certificate(&exec) {
-                    println!("segment certificate: {}", cert.to_json());
+                    outln!("segment certificate: {}", cert.to_json());
                 }
             }
             Ok(())
@@ -658,7 +658,7 @@ fn export_evidence(
         grid,
     );
     let path = ev.save(Path::new(dir))?;
-    println!(
+    outln!(
         "{name:>width$} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
         ev.cells.len(),
         ev.static_pairs.len(),
@@ -689,7 +689,7 @@ fn run_explore(cli: &Cli) -> Result<(), String> {
         }
         let report = chimera::explore(name, &analysis, &cfg);
         for st in &report.strategies {
-            println!(
+            outln!(
                 "{name:>8} {:>13}: {} seed(s), {} divergence(s), {} violation(s), \
                  {} distinct order(s) ({} prefix(es)), {} preemption(s)",
                 st.strategy,
@@ -717,13 +717,13 @@ fn run_explore(cli: &Cli) -> Result<(), String> {
         }
         json.push_str("]\n");
         std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
 
     if failed {
         return Err("schedule exploration found divergences or invariant violations".into());
     }
-    println!(
+    outln!(
         "explored {} program(s): all replays equivalent, single-holder invariant held",
         reports.len()
     );
@@ -783,7 +783,7 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
 
     for t in &report.targets {
         for st in &t.strategies {
-            println!(
+            outln!(
                 "{:>12} {:>13}: {} cell(s), {} divergence(s), {} violation(s), \
                  {} nondeterministic, {} distinct order(s) ({} prefix(es))",
                 t.name,
@@ -797,11 +797,11 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
             );
         }
     }
-    println!(
+    outln!(
         "grid {} cell(s): {} covered, {} executed now, {} journal hit(s), {} budget-deferred",
         report.grid, report.covered, run.executed, run.journal_hits, run.truncated
     );
-    println!(
+    outln!(
         "coverage: {} distinct order(s), {} distinct prefix(es); corpus {} (+{} this run); \
          journal {}",
         report.distinct_orders,
@@ -811,7 +811,7 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
         run.journal_total
     );
     if report.flagged > 0 {
-        println!("flagged {} cell(s) for the corpus triage queue", report.flagged);
+        outln!("flagged {} cell(s) for the corpus triage queue", report.flagged);
     }
     // Wall-clock throughput goes to stderr: stdout stays a deterministic
     // function of the grid so resumed runs can be diffed against one-shot.
@@ -828,7 +828,7 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
 
     if let Some(out) = &cli.out {
         std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
 
     // Evidence export runs its own gather sweep (the fleet journal stores
@@ -843,7 +843,7 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
     if !report.passed() {
         return Err("fleet found unexpected divergences, violations, or nondeterminism".into());
     }
-    println!("fleet passed: every instrumented cell replayed deterministically");
+    outln!("fleet passed: every instrumented cell replayed deterministically");
     Ok(())
 }
 
@@ -897,16 +897,16 @@ fn run_json(program: &chimera_minic::ir::Program, r: &chimera_runtime::ExecResul
 }
 
 fn report_exec(r: &chimera_runtime::ExecResult) {
-    println!("outcome : {:?}", r.outcome);
-    println!("cycles  : {}", r.makespan);
+    outln!("outcome : {:?}", r.outcome);
+    outln!("cycles  : {}", r.makespan);
     let main_out = r.output_of(ThreadId(0));
     if !main_out.is_empty() {
-        println!("output  : {main_out:?}");
+        outln!("output  : {main_out:?}");
     }
     for t in 1..r.stats.threads {
         let o = r.output_of(ThreadId(t as u32));
         if !o.is_empty() {
-            println!("output T{t}: {o:?}");
+            outln!("output T{t}: {o:?}");
         }
     }
 }

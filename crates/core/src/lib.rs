@@ -95,3 +95,39 @@ pub use chimera_relay as relay;
 pub use chimera_replay as replay;
 pub use chimera_runtime as runtime;
 pub use chimera_workloads as workloads;
+
+/// Write a command-line report's text to standard output. A closed
+/// standard output (its reader, such as `head`, has exited) ends the
+/// report: the process exits with status 0 and writes nothing to
+/// standard error. Any other write error exits with status 1, naming it.
+/// The binaries print through [`out!`] and [`outln!`], which call this.
+pub fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error writing to standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`]: a closed standard output ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}

@@ -69,6 +69,22 @@ fn run_subcommand_executes_and_is_seed_deterministic() {
 }
 
 #[test]
+fn run_ends_quietly_on_a_closed_stdout() {
+    // The reader has gone before the report is written, as when `head`
+    // exits early: the first write fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = bin()
+        .arg("run")
+        .arg(fixture())
+        .stdout(writer)
+        .output()
+        .expect("spawn run");
+    assert!(out.status.success(), "{out:?}");
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn ir_subcommand_dumps_every_function() {
     let out = bin().arg("ir").arg(fixture()).output().expect("spawn");
     assert!(out.status.success(), "{out:?}");

@@ -885,8 +885,9 @@ fn eval_binop(bop: BinOp, x: i64, y: i64) -> Result<i64, &'static str> {
 
 /// Per-execution state of the speculative segment-round engine: the cell
 /// stamps, the round's trail, undo log and participants (buffers reused
-/// from round to round), and the deterministic backoff that keeps round
-/// attempts away from phases where they cannot pay off.
+/// from round to round; the merge keeps its state in the participants,
+/// so it needs no buffer of its own), and the deterministic backoff that
+/// keeps round attempts away from phases where they cannot pay off.
 #[derive(Default)]
 struct SpecState {
     /// Current round number (the high bits of every stamp it writes).
@@ -904,11 +905,9 @@ struct SpecState {
     cap: u64,
     /// The round's store log `(addr, old value)`, segment after segment.
     undo: Vec<(i64, i64)>,
-    /// The round's participants, in thread-id order.
+    /// The round's participants, in thread-id order; a participant's rank
+    /// is its index here.
     segs: Vec<Seg>,
-    /// The merge's keys `clock << RANK_BITS | rank`, a participant's rank
-    /// being its index in `segs`.
-    keys: Vec<u64>,
     /// Outer-loop iterations to wait before the next round attempt.
     cooldown: u64,
     /// Cooldown charged by the next failed or trivial round (doubles up
@@ -916,9 +915,8 @@ struct SpecState {
     penalty: u64,
 }
 
-/// Bits of a merge key that hold the participant's rank: rounds take at
-/// most `1 << RANK_BITS` threads, whose clocks stay below `1 << (64 -
-/// RANK_BITS)`.
+/// Bits of a cell stamp that hold the participant's rank: rounds take at
+/// most `1 << RANK_BITS` threads.
 const RANK_BITS: u32 = 8;
 
 /// One participant of a round: its thread, its ranges of the round's
@@ -937,6 +935,13 @@ struct Seg {
     /// The thread's clock after its committed constituents, jitter
     /// included (its pre-round clock until the merge runs).
     clock: u64,
+    /// The thread's clock after its whole segment, with the jitter the
+    /// merge has charged it so far.
+    end: u64,
+    /// The merge's current word (see [`commit_window`]): a bit per clock
+    /// of the word at which the participant starts an op, and the trail
+    /// index and clock of its first op past the word.
+    word: (u64, usize, u64),
 }
 
 /// Is this sidecar op a fused pair?
@@ -959,6 +964,142 @@ fn earliest<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
+    }
+}
+
+/// An op of rank `r` is below a round's `stop` (see
+/// [`Machine::merge_round`]) when it starts before this clock.
+fn stop_clock(stop: (u64, usize), r: usize) -> u64 {
+    stop.0 + u64::from(r < stop.1)
+}
+
+/// End a round's merge at its `stop`: each participant commits its
+/// constituents that start below it, found by walking back from the end
+/// of its segment. Returns how many committed.
+fn walk_back(segs: &mut [Seg], pcs: &[u32], costs: &[Vec<u64>], stop: (u64, usize)) -> u64 {
+    let mut ran = 0;
+    for (r, g) in segs.iter_mut().enumerate() {
+        let (fcosts, limit) = (&costs[g.fidx], stop_clock(stop, r));
+        let first = g.trail.0 + g.kept;
+        let (mut i, mut clock) = (g.trail.1, g.end);
+        while i > first {
+            let pre = clock - fcosts[pcs[i - 1] as usize];
+            if pre < limit {
+                break;
+            }
+            clock = pre;
+            i -= 1;
+        }
+        ran += (i - first) as u64;
+        g.kept = i - g.trail.0;
+        g.clock = clock;
+    }
+    ran
+}
+
+/// Commit the next `want` ops of a merge window, in the order of their
+/// jitter-free start keys `(clock, rank)`, and return the rank of the
+/// participant that owns the last of them; or, when the round's `stop`
+/// comes first, commit every op below it and return how many committed.
+///
+/// The window goes word by word. A word starts at the earliest next
+/// start and covers at most 64 clocks: about twice the span of the ops
+/// still wanted, by `rate` (the clocks a window spans per op it holds,
+/// as a fraction). A narrower word leaves more windows a second word; a
+/// wider one walks ops the next window walks again. Each participant
+/// marks the clocks of the word at which it starts an op. A word holding
+/// fewer ops than wanted commits whole. Otherwise a bisection over the
+/// marks' popcounts finds the clock at which the last wanted op starts,
+/// ties there go by rank, and each participant commits its marks below
+/// that cut. When hot ops may cost nothing (`zero`), a participant can
+/// start several ops at one clock; a word is then one clock wide and
+/// counts each participant's starts in it.
+fn commit_window(
+    segs: &mut [Seg],
+    pcs: &[u32],
+    costs: &[Vec<u64>],
+    stop: (u64, usize),
+    want: u64,
+    zero: bool,
+    rate: (u64, u64),
+) -> Result<usize, u64> {
+    let mut need = want;
+    loop {
+        let next = segs
+            .iter()
+            .enumerate()
+            .filter(|&(r, g)| g.trail.0 + g.kept < g.trail.1 && g.clock < stop_clock(stop, r));
+        let Some(base) = next.map(|(_, g)| g.clock).min() else {
+            return Err(want - need);
+        };
+        let width = if zero {
+            1
+        } else {
+            (need.saturating_mul(rate.0) / rate.1.max(1)).saturating_mul(2).clamp(1, 64)
+        };
+        let mut total = 0;
+        for (r, g) in segs.iter_mut().enumerate() {
+            let (fcosts, limit) = (&costs[g.fidx], stop_clock(stop, r).min(base + width));
+            let (mut i, mut clock, mut marks) = (g.trail.0 + g.kept, g.clock, 0u64);
+            while i < g.trail.1 && clock < limit {
+                marks |= 1 << (clock - base);
+                clock += fcosts[pcs[i] as usize];
+                i += 1;
+            }
+            total += (i - g.trail.0 - g.kept) as u64;
+            g.word = (marks, i, clock);
+        }
+        if total < need {
+            for g in segs.iter_mut() {
+                (g.kept, g.clock) = (g.word.1 - g.trail.0, g.word.2);
+            }
+            need -= total;
+            continue;
+        }
+        // Ops that start at the word's first `t` clocks.
+        let under = |segs: &[Seg], t: u64| -> u64 {
+            segs.iter()
+                .map(|g| u64::from((g.word.0 & ((1 << t) - 1)).count_ones()))
+                .sum()
+        };
+        let (mut t, mut hi) = (0, width);
+        while hi - t > 1 {
+            let mid = (t + hi) / 2;
+            if under(segs, mid) < need {
+                t = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // The last `rest` wanted ops start at clock `base + t`, where they
+        // go by rank; the last participant to take one owns the last.
+        let (mut rest, mut owner) = (need - under(segs, t), 0);
+        for (r, g) in segs.iter_mut().enumerate() {
+            let (marks, i, clock) = g.word;
+            let ahead = (i - g.trail.0 - g.kept) as u64;
+            let below = u64::from((marks & ((1 << t) - 1)).count_ones());
+            let at = match marks >> t & 1 {
+                0 => 0,
+                _ if zero => ahead.min(rest),
+                _ => rest.min(1),
+            };
+            if at > 0 {
+                owner = r;
+            }
+            rest -= at;
+            let k = below + at;
+            if k == ahead {
+                (g.kept, g.clock) = (i - g.trail.0, clock);
+            } else if k > 0 {
+                g.kept += k as usize;
+                if !zero {
+                    // The participant's next mark past the committed ones.
+                    let done = t + at;
+                    g.clock = base + done + u64::from((marks >> done).trailing_zeros());
+                }
+            }
+        }
+        return Ok(owner);
     }
 }
 
@@ -1728,8 +1869,8 @@ impl<'p> Machine<'p> {
             || queue.len() > 1 << RANK_BITS
             || last.saturating_add(reach) >> (64 - RANK_BITS) != 0
         {
-            // The next op ends the run, or the merge keys cannot hold the
-            // round: no attempt.
+            // The next op ends the run, the stamps cannot hold the ranks,
+            // or the round's clocks come near overflow: no attempt.
             return false;
         }
         self.prepare_round();
@@ -1859,6 +2000,8 @@ impl<'p> Machine<'p> {
                 mem_ops: run.mem_ops,
                 kept: 0,
                 clock: clock0,
+                end: *clock,
+                word: (0, 0, 0),
             });
             // A speculative trap may be an artifact of reading another
             // segment's half-done state; either way the round is lost,
@@ -1901,90 +2044,106 @@ impl<'p> Machine<'p> {
         Some((total, kept))
     }
 
-    /// Commit the canonical prefix of a certified round: replay the
-    /// clock-ordered scheduler over the segments' trails. Op by op, the
-    /// minimum `(clock, id)` goes first and draws jitter exactly as
-    /// [`Self::commit_ok`] does. The merge stops at the first thread
-    /// whose next op did not run speculatively (a cold op, the segment
-    /// cap, or the round's bound), at the weak-lock timeout deadline key,
-    /// and once `budget` ops have committed. Every draw it makes is one
-    /// the per-step scheduler would make at the same point, so the
-    /// committed state is one the per-step scheduler passes through.
+    /// Commit the canonical prefix of a certified round: the ops the
+    /// clock-ordered scheduler runs from the round's start, with the
+    /// jitter drawn exactly as [`Self::commit_ok`] draws it. The merge
+    /// stops at the first thread whose next op did not run speculatively
+    /// (a cold op, the segment cap, or the round's bound), at the
+    /// weak-lock timeout deadline key, and once `budget` ops have
+    /// committed. Every draw it makes is one the per-step scheduler would
+    /// make at the same point, so the committed state is one the per-step
+    /// scheduler passes through.
     ///
-    /// Without jitter no commit depends on the interleaving, and the
-    /// merge would stop at the earliest end key of a segment (the
-    /// segments stopped at the deadline key already): then each thread
-    /// commits exactly its constituents below that key, found by walking
-    /// back from its end.
+    /// The merge goes window by window, a window running up to the next
+    /// firing jitter draw. It draws one `next_u64` per op until one is at
+    /// most `u64::MAX / period`, which is when `gen_range(0..period)` maps
+    /// it to 0, and then draws the magnitude. Until that draw every
+    /// thread's clock follows its segment's jitter-free schedule, so the
+    /// window's ops are the next ones in the order of their jitter-free
+    /// start keys `(clock, id)`, and [`commit_window`] commits them by
+    /// counting each participant's start clocks below the window's cut.
+    /// The magnitude is charged to the thread that owns the firing op,
+    /// which shifts the rest of its segment, and the next window begins.
+    /// With jitter off, the whole budget is one window.
+    ///
+    /// A window that holds more ops than the round has left ends the
+    /// merge at the round's stop, the earliest end key or the deadline
+    /// key: each thread then commits exactly its constituents below the
+    /// stop, found by walking back from its segment's end, and the draws
+    /// are made for those ops only.
     ///
     /// Leaves each participant's committed constituents and clock in its
     /// [`Seg`].
     fn merge_round(&mut self, spec: &mut SpecState, deadline: Option<u64>, budget: u64) {
-        let jitter = self.config.jitter;
-        if jitter.period == 0 && spec.used as u64 <= budget {
-            let ends = spec.segs.iter().map(|g| (self.threads[g.tix].clock, g.tix as u32));
-            let stop = ends.min().expect("round has participants");
-            for g in &mut spec.segs {
-                let fcosts = &self.costs[g.fidx];
-                let id = g.tix as u32;
-                let (mut i, mut clock) = (g.trail.1, self.threads[g.tix].clock);
-                while i > g.trail.0 {
-                    let pre = clock - fcosts[spec.pcs[i - 1] as usize];
-                    if (pre, id) < stop {
-                        break;
-                    }
-                    clock = pre;
-                    i -= 1;
-                }
-                g.kept = i - g.trail.0;
-                g.clock = clock;
-            }
-            return;
+        let Jitter { period, magnitude } = self.config.jitter;
+        // A raw draw at or below this is one `gen_range(0..period)` maps
+        // to 0, as `u64::MAX / period` is the largest `x` with
+        // `x * period < 2^64`.
+        let fires = u64::MAX.checked_div(period);
+        let zero = self.cost.instr == 0;
+        let (pcs, segs, costs) = (&spec.pcs, &mut spec.segs, &self.costs);
+        // The participants with ops run side by side, so a window of `n`
+        // ops spans about `n * clocks / (ops * active)` clocks.
+        let (mut clocks, mut ops, mut active) = (0, 0, 0);
+        for g in segs.iter().filter(|g| g.trail.1 > g.trail.0) {
+            clocks += g.end - g.clock;
+            ops += (g.trail.1 - g.trail.0) as u64;
+            active += 1;
         }
-        let keys = &mut spec.keys;
-        keys.clear();
-        keys.extend(spec.segs.iter().enumerate().map(|(r, g)| g.clock << RANK_BITS | r as u64));
-        let stop = deadline.map_or(u64::MAX, |d| d.saturating_mul(1 << RANK_BITS));
-        let mut left = budget;
+        let rate = (clocks, ops * active);
         let mut rng = self.rng.clone();
-        loop {
-            // The front and the runner-up, in one branch-free scalar scan:
-            // the rounds have few participants, and under jitter which
-            // thread runs next is close to random.
-            let (mut front, mut r, mut second) = (keys[0], 0, u64::MAX);
-            for (k, &key) in keys.iter().enumerate().skip(1) {
-                let less = key < front;
-                second = if less { front } else { second.min(key) };
-                (front, r) = if less { (key, k) } else { (front, r) };
-            }
-            let g = &mut spec.segs[r];
-            let pcs = &spec.pcs[g.trail.0 + g.kept..g.trail.1];
-            if left == 0 || front >= stop || pcs.is_empty() {
-                break;
-            }
-            // The front runs while it stays below the runner-up, as batch
-            // commit runs it.
-            let (fcosts, bound, mut key) = (&self.costs[g.fidx], second.min(stop), front);
-            let mut ran = 0;
-            for &pc in pcs.iter().take(left as usize) {
-                let mut total = fcosts[pc as usize];
-                if jitter.period > 0 && rng.gen_range(0..jitter.period) == 0 {
-                    total += rng.gen_range(0..=jitter.magnitude);
+        let mut left = budget;
+        let mut unmerged = spec.used as u64;
+        while left > 0 {
+            // The round's stop as a clock and a rank bound: an op of rank
+            // `r` starting at `clock` is below it when `clock < stop.0`, or
+            // `clock == stop.0` and `r < stop.1`. The thread whose segment
+            // ends first runs all its ops, even a zero-cost last one.
+            let first = segs.iter().enumerate().map(|(r, g)| (g.end, r)).min();
+            let (end, r) = first.expect("round has participants");
+            let stop = match deadline {
+                Some(d) if d <= end => (d, 0),
+                _ => (end, r + 1),
+            };
+            let before = rng.clone();
+            let (mut want, mut fired) = (left, false);
+            if let Some(fires) = fires {
+                want = 0;
+                while want < left && !fired {
+                    want += 1;
+                    fired = rng.next_u64() <= fires;
                 }
-                key += total << RANK_BITS;
-                ran += 1;
-                if key >= bound {
+            }
+            let window = if unmerged < want {
+                Err(walk_back(segs, pcs, costs, stop))
+            } else {
+                commit_window(segs, pcs, costs, stop, want, zero, rate)
+            };
+            match window {
+                Ok(owner) => {
+                    left -= want;
+                    unmerged -= want;
+                    if fired {
+                        let extra = rng.gen_range(0..=magnitude);
+                        let g = &mut segs[owner];
+                        g.clock += extra;
+                        g.end += extra;
+                    }
+                }
+                Err(ran) => {
+                    // The stop came first, so none of the draws for the
+                    // `ran` committed ops fired.
+                    if fires.is_some() {
+                        rng = before;
+                        for _ in 0..ran {
+                            rng.next_u64();
+                        }
+                    }
                     break;
                 }
             }
-            g.kept += ran;
-            left -= ran as u64;
-            keys[r] = key;
         }
         self.rng = rng;
-        for (g, &key) in spec.segs.iter_mut().zip(keys.iter()) {
-            g.clock = key >> RANK_BITS;
-        }
     }
 
     /// Finish one participant of a round: undo its constituents past the
@@ -4560,6 +4719,67 @@ mod tests {
                 let (m, _) = round_against_steps(&p, &cfg, &[(40, 0), (41, 2), (42, 5)], Some(deadline));
                 let front = m.threads.iter().map(|t| t.clock).min().unwrap();
                 assert!(front >= deadline, "deadline {deadline}: front {front}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_orders_eight_participants_under_jitter() {
+        // Eight workers on cells of their own, at scattered clocks: the
+        // merge's windows order many participants, and its words hold
+        // several starts at one clock.
+        let p = compile(ROUND_WORKERS).unwrap();
+        let workers: Vec<(i64, u64)> = (0..8).map(|k| (40 + k, (k as u64 * 5) % 7)).collect();
+        for seed in 1..=6 {
+            let cfg = ExecConfig {
+                seed,
+                count_blocks: true,
+                ..ExecConfig::default()
+            };
+            round_against_steps(&p, &cfg, &workers, None);
+        }
+    }
+
+    #[test]
+    fn merge_reaches_a_participant_far_behind() {
+        // Thread 0 runs alone for more clocks than a merge word covers
+        // before the others start, and then all three commit.
+        let p = compile(ROUND_WORKERS).unwrap();
+        for jitter in [Jitter::none(), Jitter::default(), Jitter { period: 3, magnitude: 9 }] {
+            for seed in 1..=4 {
+                let cfg = ExecConfig {
+                    seed,
+                    jitter,
+                    ..ExecConfig::default()
+                };
+                let (m, _) = round_against_steps(&p, &cfg, &[(40, 0), (41, 66), (42, 67)], None);
+                let t = &m.threads;
+                assert!(t[0].clock > 66 && t.iter().all(|t| t.icount > 0), "{jitter:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_orders_zero_cost_ops() {
+        // With free hot ops a thread starts several ops at one clock, and
+        // with free memory ops too every op of a round starts at its
+        // thread's first clock; ties go by id, then by program order.
+        let p = compile(ROUND_WORKERS).unwrap();
+        let free = CostModel {
+            instr: 0,
+            ..CostModel::default()
+        };
+        for cost in [free, CostModel { mem: 0, ..free }] {
+            for jitter in [Jitter::none(), Jitter::default(), Jitter { period: 2, magnitude: 3 }] {
+                for seed in 1..=4 {
+                    let cfg = ExecConfig {
+                        seed,
+                        jitter,
+                        cost,
+                        ..ExecConfig::default()
+                    };
+                    round_against_steps(&p, &cfg, &[(40, 0), (41, 2), (42, 2)], None);
+                }
             }
         }
     }

@@ -1,10 +1,11 @@
 //! Deterministic scoped parallelism for embarrassingly parallel outer
 //! loops (profile runs over seeds, measurement trials, schedule sweeps).
 //!
-//! [`par_map`] fans work out over `std::thread::scope` workers pulling
-//! indices from a shared atomic counter, then reassembles results **in
-//! input order** — so callers that fold the output sequentially get
-//! bit-identical results to a serial loop, regardless of OS scheduling.
+//! [`par_map`] fans work out over the calling thread and
+//! `std::thread::scope` workers pulling indices from a shared atomic
+//! counter, then reassembles results **in input order** — so callers
+//! that fold the output sequentially get bit-identical results to a
+//! serial loop, regardless of OS scheduling.
 //! Setting `CHIMERA_SERIAL=1` (any non-empty value other than `0`) forces
 //! the serial path, as an escape hatch for debugging and for environments
 //! where spawning threads is undesirable.
@@ -17,16 +18,18 @@ fn serial_requested() -> bool {
     std::env::var_os("CHIMERA_SERIAL").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Apply `f` to every item on up to `jobs` scoped workers, returning
-/// results in input order.
+/// Apply `f` to every item on up to `jobs` workers, returning results in
+/// input order. The calling thread is one of the workers; the others are
+/// scoped threads.
 ///
 /// `jobs == 0` auto-sizes to `available_parallelism`; `jobs == 1` is the
-/// serial loop; any larger value spawns exactly `min(jobs, items.len())`
-/// workers even when the host advertises fewer cores — an explicit
-/// request wins, which is what lets an orchestrator oversubscribe I/O-ish
-/// work or pin a reproducible worker count. Zero or one item, or
-/// `CHIMERA_SERIAL=1`, always takes the serial loop. Panics in `f`
-/// propagate to the caller (the scope joins every worker first).
+/// serial loop; any larger value runs exactly `min(jobs, items.len())`
+/// workers (spawning one thread fewer) even when the host advertises
+/// fewer cores — an explicit request wins, which is what lets an
+/// orchestrator oversubscribe I/O-ish work or pin a reproducible worker
+/// count. Zero or one item, or `CHIMERA_SERIAL=1`, always takes the
+/// serial loop. Panics in `f` propagate to the caller (the scope joins
+/// every worker first).
 pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let n = items.len();
     let workers = if jobs == 0 {
@@ -41,26 +44,25 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U +
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    // One worker: claim indices until none are left.
+    let work = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            out.push((i, f(&items[i])));
+        }
+        out
+    };
     let per_worker: Vec<Vec<(usize, U)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (f, next) = (&f, &next);
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mine = work();
         handles
             .into_iter()
             .map(|h| h.join().expect("par_map worker panicked"))
+            .chain([mine])
             .collect()
     });
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
@@ -97,15 +99,16 @@ mod tests {
         use std::sync::Mutex;
         let items: Vec<usize> = (0..50).collect();
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        // jobs=3 must spawn real workers even on a single-core host; the
-        // output stays input-ordered regardless of which worker ran what.
+        // jobs=3 must run three workers (the caller and two spawned
+        // threads) even on a single-core host; the output stays
+        // input-ordered regardless of which worker ran what.
         let out = par_map(&items, 3, |&i| {
             seen.lock().unwrap().insert(std::thread::current().id());
             i + 1
         });
         assert_eq!(out, (1..=50).collect::<Vec<_>>());
         // The thread-count assertion is best-effort (workers race for
-        // indices), but with 50 items at least one spawned worker runs.
+        // indices), but with 50 items at least one worker runs.
         assert!(!seen.lock().unwrap().is_empty());
         assert_eq!(par_map(&items, 1, |&i| i), items);
     }

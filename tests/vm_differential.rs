@@ -25,7 +25,8 @@
 //! sweep requires batch commit to engage under PCT and under
 //! preemption-bounded scheduling and the rounds under default jitter,
 //! and the engine pin covers one run of each plus a detector-attached
-//! run per workload.
+//! run per workload. Cost models whose hot ops cost nothing, where one
+//! thread starts several ops at one clock, are compared the same way.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
@@ -34,7 +35,8 @@ use chimera::explore::resolve_strategy;
 use chimera::{analyze, PipelineConfig};
 use chimera_minic::compile;
 use chimera_runtime::{
-    execute_mode, ExecConfig, ExecResult, InterpMode, Jitter, NullSupervisor, SchedStrategy,
+    execute_mode, CostModel, ExecConfig, ExecResult, InterpMode, Jitter, NullSupervisor,
+    SchedStrategy,
 };
 use chimera_testkit::prop::{self, Config, Gen};
 use chimera_workloads::{all, Params};
@@ -570,6 +572,48 @@ fn engine_counters_match_committed_digests() {
         diffs.is_empty(),
         "engine counters moved: {diffs:?}\ncurrent digests:\n{table}"
     );
+}
+
+/// Cost models under which hot ops cost nothing: one thread then starts
+/// several ops at one clock, and with free memory ops every op of a
+/// segment starts at its first clock. The rounds' merge orders such ops
+/// by thread id and then program order, as the per-step scheduler does;
+/// under default jitter, on every workload, both modes must agree.
+#[test]
+fn zero_cost_models_agree_under_default_jitter() {
+    let free = CostModel {
+        instr: 0,
+        ..CostModel::default()
+    };
+    for w in all() {
+        for workers in [2, 4] {
+            let p = w
+                .compile(&Params { workers, scale: 1 })
+                .expect("workload compiles");
+            for cost in [free, CostModel { mem: 0, ..free }] {
+                for seed in [1, 42] {
+                    let cfg = ExecConfig {
+                        seed,
+                        cost,
+                        ..ExecConfig::default()
+                    };
+                    let flat = check_program(
+                        &p,
+                        &cfg,
+                        &format!("{} workers={workers} mem={} seed={seed}", w.name, cost.mem),
+                    );
+                    if SPEC_ROUND_WORKLOADS.contains(&w.name) {
+                        assert!(
+                            flat.stats.vm.spec_rounds > 0,
+                            "{} workers={workers} mem={}: segment rounds never engaged",
+                            w.name,
+                            cost.mem
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
