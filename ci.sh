@@ -49,7 +49,7 @@ cargo test -q --offline --test vm_differential spec_round
 
 echo "== runtime crate tests (par_map order, sync semantics) =="
 # Every chimera-runtime test: par_map's input-order tests, which the one
-# hostile sweep behind explore, fleet and evidence gathering relies on
+# hostile sweep behind explore and evidence gathering relies on
 # (DESIGN.md §11), and tests/sync_semantics.rs. Run in the suite above
 # too; invoked explicitly so a failure is unmissable.
 cargo test -q --offline -p chimera-runtime
@@ -219,11 +219,11 @@ echo "== all five containers + resume idempotence =="
 cargo test -q --offline -p chimera-fleet -p chimera-plan -p chimera -p chimera-testkit
 
 echo "== fleet smoke (journaled CLI grid, resumed twice) =="
-# End-to-end CLI: a small grid on the checked-in fixture executes and
-# journals every cell, then two --resume re-runs are pure journal hits —
-# zero cells re-executed (EXPERIMENTS.md).
+# End-to-end CLI: a small explore grid on the checked-in fixture executes
+# and journals every cell under --dir, then two --resume re-runs are pure
+# journal hits — zero cells re-executed (EXPERIMENTS.md).
 fleet_dir=$(mktemp -d)
-fleet_run1=$($chimera_bin fleet fixtures/racy_counter.mc --seeds 2 --check-determinism \
+fleet_run1=$($chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
     --dir "$fleet_dir")
 echo "$fleet_run1" | grep -q "6 executed now, 0 journal hit(s)" || {
     echo "fleet first run did not execute the full grid:" >&2
@@ -231,7 +231,7 @@ echo "$fleet_run1" | grep -q "6 executed now, 0 journal hit(s)" || {
     exit 1
 }
 for attempt in 1 2; do
-    fleet_rerun=$($chimera_bin fleet fixtures/racy_counter.mc --seeds 2 --check-determinism \
+    fleet_rerun=$($chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
         --dir "$fleet_dir" --resume)
     echo "$fleet_rerun" | grep -q "0 executed now, 6 journal hit(s)" || {
         echo "fleet resume #$attempt re-executed cells:" >&2

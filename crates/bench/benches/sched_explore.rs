@@ -56,7 +56,7 @@ fn main() {
         );
         let strategies = [
             SchedStrategy::ClockJitter,
-            chimera::explore::resolve_strategy(SchedStrategy::pct(3), baseline.stats.instrs),
+            chimera::fleet::resolve_strategy(SchedStrategy::pct(3), baseline.stats.instrs),
             SchedStrategy::preempt_bound(),
         ];
         let mut group = runner.group("sched_explore");

@@ -8,27 +8,30 @@
 //! chimera run <file.mc> [--seed N] [--no-jitter] [--json] [--strategy S]
 //!             [--plan plan.chpl [--verify]]    # execute (uninstrumented,
 //!                                              # or under a certified plan)
-//! chimera record <file.mc> -o <log> [--seed N] # instrument + record
-//! chimera replay <file.mc> <log> [--seed N] [--bisect]
+//! chimera record <file.mc> -o <log> [--seed N] [--no-jitter]
+//!                                              # instrument + record
+//! chimera replay <file.mc> <log> [--seed N] [--no-jitter] [--bisect]
 //!                                              # replay from a log file
 //! chimera ir <file.mc>                         # dump the IR
-//! chimera drd <file.mc> [--instrumented] [--strategy S]
-//!                                              # dynamic race report
-//! chimera explore [file.mc] [--strategy S] [--seeds N] [--jobs N] [--drd]
-//!                 [--evidence DIR] [-o r.json] # adversarial-schedule sweep
-//! chimera fleet [file.mc] [--strategy S] [--seeds N] [--jobs N] [--drd]
-//!               [--dir D] [--resume] [--check-determinism] [--max-cells N]
-//!               [--raw] [--evidence DIR] [-o r.json]  # exploration-cell fleet
+//! chimera drd <file.mc> [--seed N] [--no-jitter] [--instrumented]
+//!             [--strategy S]                   # dynamic race report
+//! chimera explore [file.mc] [--strategy S] [--seeds N] [--seed N]
+//!                 [--jobs N] [--drd] [--check-determinism] [--raw]
+//!                 [--dir D] [--resume] [--max-cells N]
+//!                 [--evidence DIR] [-o r.json] # hostile-schedule sweep
 //! ```
 //!
-//! An unknown flag fails with `unknown flag '<arg>'`, and a second
-//! positional argument with `unexpected argument '<arg>'` — except for
-//! `replay`, whose second positional is the log file. `--strategy` names
-//! one scheduling strategy (`jitter`, `pct`, `preempt-bound`) for `run`
-//! and `drd`, or also `all` for `explore` and `fleet`; every other
-//! subcommand rejects it by name, and an unknown strategy name fails
-//! everywhere. PCT's auto span is resolved against the program's baseline
-//! retired-instruction count, as the hostile grid does.
+//! One table, `FLAGS`, lists every flag with the subcommands that read
+//! it, and parsing checks each flag against it: a flag the subcommand
+//! does not read fails with `'<cmd>' does not take <flag> (<cmds> do)`,
+//! an unknown flag with `unknown flag '<arg>'`, and a second positional
+//! argument with `unexpected argument '<arg>'` — except for `replay`,
+//! whose second positional is the log file. `run --verify` needs
+//! `--plan`. `--strategy` names one scheduling strategy (`jitter`, `pct`,
+//! `preempt-bound`) for `run` and `drd`, or also `all` for `explore`; an
+//! unknown strategy name fails. PCT's auto span is resolved against the
+//! program's baseline retired-instruction count, as the hostile grid
+//! does.
 //!
 //! `record` and `replay` must agree on the file and options so the
 //! instrumented programs match; the log's byte format is
@@ -44,47 +47,49 @@
 //! with or without timing jitter; a race detector's per-access feed (as
 //! `drd` attaches) is what keeps them off.
 //!
-//! `explore` sweeps the instrumented program across scheduling strategies
-//! (`jitter`, `pct`, `preempt-bound`, or `all`) × `--seeds` record seeds,
-//! replaying each recording under a different seed of the same hostile
-//! strategy; without a file it sweeps all nine paper workloads. It exits
-//! nonzero if any replay diverges or the weak-lock single-holder
-//! invariant is ever violated, and writes a JSON schedule-coverage report
-//! with `-o`. `--jobs N` runs the sweep on N worker threads (0 = one per
-//! core; `CHIMERA_SERIAL=1` forces serial) with a bit-identical report.
+//! `explore` runs the hostile sweep, [`chimera::run_fleet`], over the
+//! weak-lock-instrumented program (or, without a file, all nine paper
+//! workloads): scheduling strategies (`--strategy`: `jitter`, `pct`,
+//! `preempt-bound`, or `all`, the default list of `chimera::Grid`) ×
+//! record seeds `1..=--seeds` at base `--seed`, each recording replayed
+//! under a different seed of the same hostile strategy. `--drd`
+//! cross-checks FastTrack against RELAY's static pairs; `--raw` sweeps
+//! the program *uninstrumented* instead, where divergence is the
+//! expected, flagged finding. `--jobs N` runs the cells work-stealing on
+//! N worker threads (0 = one per core; `CHIMERA_SERIAL=1` forces serial)
+//! with a bit-identical report. `--dir D` journals every outcome under a
+//! durable cell key in `D/journal.chfj` and harvests interesting cells
+//! (new schedule coverage, divergences, preemption-heavy runs,
+//! violations) into the seed corpus `D/corpus.chfc`; without it
+//! `explore` writes nothing but its `-o` and `--evidence` files.
+//! `--resume` skips journaled cells and `--max-cells N` budgets the new
+//! ones, so an interrupted campaign continues where it left off and its
+//! final report is byte-identical to a one-shot run.
+//! `--check-determinism` runs every cell twice and diffs the state and
+//! order hashes, kimberlite-style. `-o` writes the JSON report: the
+//! per-strategy aggregates and one row per covered cell. `explore` exits
+//! nonzero on any unexpected divergence, single-holder violation,
+//! instrumented dynamic race or nondeterministic cell.
 //!
-//! The hybrid loop: `explore --evidence DIR` (or `fleet --evidence DIR`)
-//! additionally sweeps each target through `chimera_plan::gather_evidence`
-//! and writes a checksummed `.chev` evidence container per program. `plan
-//! --evidence DIR` then consumes the evidence — refusing with a named
-//! error if coverage is below `--min-seeds`/`--min-strategies`, any cell
-//! was unclean, or a dynamic race was statically unpredicted — and emits
-//! a certified `.chpl` demotion plan. `run --plan plan.chpl` applies it
+//! The hybrid loop: `explore --evidence DIR` additionally sweeps each
+//! target through `chimera_plan::gather_evidence` and writes a
+//! checksummed `.chev` evidence container per program. `plan --evidence
+//! DIR` then consumes the evidence — refusing with a named error if
+//! coverage is below `--min-seeds`/`--min-strategies`, any cell was
+//! unclean, or a dynamic race was statically unpredicted — and emits a
+//! certified `.chpl` demotion plan. `run --plan plan.chpl` applies it
 //! (digest-checked), executing with the demoted weak-locks stripped;
 //! `--verify` re-runs FastTrack plus a hostile replay and, on any
 //! contradiction, names the demoted pair it refutes.
-//!
-//! `explore` and `fleet` build the same hostile grid from `--strategy`,
-//! `--seeds`, `--seed` and `--jobs` (`all` is the default strategy
-//! list of `chimera::Grid`) and export evidence the same way.
-//!
-//! `fleet` scales the same per-cell pipeline to campaign size: the full
-//! `programs × strategies × seeds` grid runs work-stealing across `--jobs`
-//! workers, every outcome is journaled under a durable cell key, and
-//! interesting cells (new schedule coverage, divergences, preemption-heavy
-//! runs, violations) feed a persistent seed corpus. `--dir D` holds
-//! `journal.chfj` + `corpus.chfc`; `--resume` skips journaled cells (an
-//! interrupted or `--max-cells`-budgeted campaign continues where it
-//! left off, and the final report is byte-identical to a one-shot run);
-//! `--check-determinism` runs every cell twice and diffs the state and
-//! order hashes, kimberlite-style; `--raw` sweeps the program
-//! *uninstrumented*, where divergence is the expected, flagged finding.
 
-use chimera::{analyze, out, outln, Analysis, ExploreConfig, Grid, OptSet, PipelineConfig};
+use chimera::{
+    analyze, out, outln, run_fleet, Analysis, FleetConfig, FleetTarget, Grid, PipelineConfig,
+};
 use chimera_minic::compile;
 use chimera_minic::ir::Program;
 use chimera_replay::wire::{read_file, write_atomic};
 use chimera_runtime::{execute, ExecConfig, SchedStrategy, ThreadId};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -98,234 +103,163 @@ fn main() -> ExitCode {
     }
 }
 
+/// The subcommands, in usage order.
+const COMMANDS: [&str; 8] = [
+    "races", "plan", "run", "record", "replay", "ir", "drd", "explore",
+];
+
+/// One command-line flag.
+struct Flag {
+    /// Its spellings; the first is the name [`Cli`] files it under.
+    names: &'static [&'static str],
+    /// What its value must be (named when it is missing), or `None` for
+    /// a switch.
+    value: Option<&'static str>,
+    /// The subcommands that read it, in usage order.
+    cmds: &'static [&'static str],
+}
+
+/// Every flag, with the subcommands that read it.
+#[rustfmt::skip]
+const FLAGS: [Flag; 20] = [
+    flag(&["--seed"], Some("a number"), &["run", "record", "replay", "drd", "explore"]),
+    // Timing jitter off: every seed then schedules alike.
+    flag(&["--no-jitter"], None, &["run", "record", "replay", "drd"]),
+    flag(&["-o", "--out"], Some("a path"), &["plan", "record", "explore"]),
+    flag(&["--strategy"], Some("jitter|pct|preempt-bound|all"), &["run", "drd", "explore"]),
+    flag(&["--json"], None, &["run"]),
+    flag(&["--plan"], Some("a path"), &["run"]),
+    flag(&["--verify"], None, &["run"]),
+    flag(&["--bisect"], None, &["replay"]),
+    flag(&["--instrumented"], None, &["drd"]),
+    flag(&["--evidence"], Some("a directory"), &["plan", "explore"]),
+    flag(&["--min-seeds"], Some("a number"), &["plan"]),
+    flag(&["--min-strategies"], Some("a number"), &["plan"]),
+    flag(&["--seeds"], Some("a number"), &["explore"]),
+    flag(&["--jobs"], Some("a number (0 = one worker per core)"), &["explore"]),
+    flag(&["--drd"], None, &["explore"]),
+    flag(&["--check-determinism"], None, &["explore"]),
+    flag(&["--raw"], None, &["explore"]),
+    flag(&["--dir"], Some("a path"), &["explore"]),
+    flag(&["--resume"], None, &["explore"]),
+    flag(&["--max-cells"], Some("a number"), &["explore"]),
+];
+
+const fn flag(
+    names: &'static [&'static str],
+    value: Option<&'static str>,
+    cmds: &'static [&'static str],
+) -> Flag {
+    Flag { names, value, cmds }
+}
+
+/// A parsed command line: the subcommand, its positional arguments, and
+/// the flags given, filed under their first spelling (a switch's value
+/// is empty; a repeated flag keeps its last value).
 struct Cli {
     command: String,
     file: Option<String>,
     extra: Option<String>,
-    out: Option<String>,
-    seed: u64,
-    naive: bool,
-    opt: bool,
-    instrumented: bool,
-    strategy: Option<String>,
-    seeds: u64,
-    drd: bool,
-    bisect: bool,
-    json: bool,
-    no_jitter: bool,
-    jobs: usize,
-    dir: Option<String>,
-    resume: bool,
-    check_determinism: bool,
-    max_cells: Option<u64>,
-    raw: bool,
-    evidence: Option<String>,
-    min_seeds: u32,
-    min_strategies: u32,
-    plan_file: Option<String>,
-    verify: bool,
+    flags: BTreeMap<&'static str, String>,
+}
+
+impl Cli {
+    /// Whether `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    /// The value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The number given for `flag`.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.value(flag) else {
+            return Ok(None);
+        };
+        let hint = FLAGS
+            .iter()
+            .find(|f| f.names[0] == flag)
+            .and_then(|f| f.value);
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("{flag} needs {}", hint.unwrap_or("a number")))
+    }
 }
 
 fn parse_cli() -> Result<Cli, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
-        return Err(
-            "usage: chimera <races|plan|run|record|replay|ir|drd|explore|fleet> <file.mc> [...]"
-                .into(),
-        );
+    let mut argv = std::env::args().skip(1);
+    let command = argv
+        .next()
+        .ok_or_else(|| format!("usage: chimera <{}> <file.mc> [...]", COMMANDS.join("|")))?;
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!(
+            "unknown command '{command}' ({})",
+            COMMANDS.join("|")
+        ));
     }
     let mut cli = Cli {
-        command: argv[0].clone(),
+        command,
         file: None,
         extra: None,
-        out: None,
-        seed: 0,
-        naive: false,
-        opt: false,
-        instrumented: false,
-        strategy: None,
-        seeds: 3,
-        drd: false,
-        bisect: false,
-        json: false,
-        no_jitter: false,
-        jobs: 0,
-        dir: None,
-        resume: false,
-        check_determinism: false,
-        max_cells: None,
-        raw: false,
-        evidence: None,
-        min_seeds: 3,
-        min_strategies: 2,
-        plan_file: None,
-        verify: false,
+        flags: BTreeMap::new(),
     };
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--seed" => {
-                cli.seed = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-                i += 2;
+    while let Some(arg) = argv.next() {
+        if !arg.starts_with('-') {
+            if cli.file.is_none() {
+                cli.file = Some(arg);
+            } else if cli.extra.is_none() && cli.command == "replay" {
+                cli.extra = Some(arg);
+            } else {
+                return Err(format!("unexpected argument '{arg}'"));
             }
-            "-o" | "--out" => {
-                cli.out = Some(argv.get(i + 1).cloned().ok_or("-o needs a path")?);
-                i += 2;
-            }
-            "--naive" => {
-                cli.naive = true;
-                i += 1;
-            }
-            "--opt" => {
-                cli.opt = true;
-                i += 1;
-            }
-            "--instrumented" => {
-                cli.instrumented = true;
-                i += 1;
-            }
-            "--strategy" => {
-                cli.strategy = Some(
-                    argv.get(i + 1)
-                        .cloned()
-                        .ok_or("--strategy needs jitter|pct|preempt-bound|all")?,
-                );
-                i += 2;
-            }
-            "--seeds" => {
-                cli.seeds = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seeds needs a number")?;
-                i += 2;
-            }
-            "--drd" => {
-                cli.drd = true;
-                i += 1;
-            }
-            "--bisect" => {
-                cli.bisect = true;
-                i += 1;
-            }
-            "--json" => {
-                cli.json = true;
-                i += 1;
-            }
-            "--jobs" => {
-                cli.jobs = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--jobs needs a number (0 = one worker per core)")?;
-                i += 2;
-            }
-            "--dir" => {
-                cli.dir = Some(argv.get(i + 1).cloned().ok_or("--dir needs a path")?);
-                i += 2;
-            }
-            "--resume" => {
-                cli.resume = true;
-                i += 1;
-            }
-            "--check-determinism" => {
-                cli.check_determinism = true;
-                i += 1;
-            }
-            "--max-cells" => {
-                cli.max_cells = Some(
-                    argv.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-cells needs a number")?,
-                );
-                i += 2;
-            }
-            "--raw" => {
-                cli.raw = true;
-                i += 1;
-            }
-            "--evidence" => {
-                cli.evidence =
-                    Some(argv.get(i + 1).cloned().ok_or("--evidence needs a directory")?);
-                i += 2;
-            }
-            "--min-seeds" => {
-                cli.min_seeds = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-seeds needs a number")?;
-                i += 2;
-            }
-            "--min-strategies" => {
-                cli.min_strategies = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-strategies needs a number")?;
-                i += 2;
-            }
-            "--plan" => {
-                cli.plan_file = Some(argv.get(i + 1).cloned().ok_or("--plan needs a path")?);
-                i += 2;
-            }
-            "--verify" => {
-                cli.verify = true;
-                i += 1;
-            }
-            "--no-jitter" => {
-                // Timing jitter off: every seed then schedules alike.
-                cli.no_jitter = true;
-                i += 1;
-            }
-            arg if arg.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
-            arg => {
-                if cli.file.is_none() {
-                    cli.file = Some(arg.to_string());
-                } else if cli.extra.is_none() && cli.command == "replay" {
-                    cli.extra = Some(arg.to_string());
-                } else {
-                    return Err(format!("unexpected argument '{arg}'"));
-                }
-                i += 1;
-            }
+            continue;
         }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.names.contains(&arg.as_str()))
+            .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+        if !flag.cmds.contains(&cli.command.as_str()) {
+            let (last, rest) = flag.cmds.split_last().expect("every flag has a reader");
+            let readers = if rest.is_empty() {
+                format!("{last} does")
+            } else {
+                format!("{} and {last} do", rest.join(", "))
+            };
+            return Err(format!("'{}' does not take {arg} ({readers})", cli.command));
+        }
+        let value = match flag.value {
+            None => String::new(),
+            Some(hint) => argv.next().ok_or_else(|| format!("{arg} needs {hint}"))?,
+        };
+        cli.flags.insert(flag.names[0], value);
+    }
+    if cli.on("--verify") && !cli.on("--plan") {
+        return Err("--verify needs --plan".into());
     }
     Ok(cli)
 }
 
+/// Read and compile the MiniC file at `path`.
+fn compile_file(path: &str) -> Result<Program, String> {
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    compile(&source).map_err(|e| format!("{path}: {e}"))
+}
+
 fn run() -> Result<(), String> {
     let cli = parse_cli()?;
-    if cli.strategy.is_some()
-        && matches!(
-            cli.command.as_str(),
-            "races" | "plan" | "record" | "replay" | "ir"
-        )
-    {
-        return Err(format!(
-            "'{}' does not take --strategy (run, drd, explore and fleet do)",
-            cli.command
-        ));
-    }
+    let seed = cli.number("--seed")?.unwrap_or(0);
     if cli.command == "explore" {
-        return run_explore(&cli);
+        return run_explore(&cli, seed);
     }
-    if cli.command == "fleet" {
-        return run_fleet_cmd(&cli);
-    }
-    let path = cli.file.clone().ok_or("missing <file.mc> argument")?;
-    let source =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut program = compile(&source).map_err(|e| format!("{path}: {e}"))?;
-    if cli.opt {
-        let n = chimera_minic::opt::optimize(&mut program);
-        eprintln!("optimizer: {n} instruction(s) simplified or removed");
-    }
-    let program = program;
-
-    let opts = opt_set(&cli);
+    let path = cli.file.as_deref().ok_or("missing <file.mc> argument")?;
+    let program = compile_file(path)?;
+    let pipeline = PipelineConfig::default();
     let exec = ExecConfig {
-        seed: cli.seed,
-        jitter: if cli.no_jitter {
+        seed,
+        jitter: if cli.on("--no-jitter") {
             chimera_runtime::Jitter::none()
         } else {
             chimera_runtime::Jitter::default()
@@ -333,8 +267,7 @@ fn run() -> Result<(), String> {
         ..ExecConfig::default()
     };
     let strategy = cli
-        .strategy
-        .as_deref()
+        .value("--strategy")
         .map(|name| {
             SchedStrategy::parse(name)
                 .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound)"))
@@ -353,23 +286,17 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "plan" => {
-            let analysis = analyze(
-                &program,
-                &PipelineConfig {
-                    opts,
-                    ..PipelineConfig::default()
-                },
-            );
-            if let Some(dir) = &cli.evidence {
+            let thresholds = chimera::Thresholds {
+                min_seeds: cli.number("--min-seeds")?.unwrap_or(3),
+                min_strategies: cli.number("--min-strategies")?.unwrap_or(2),
+            };
+            let analysis = analyze(&program, &pipeline);
+            if let Some(dir) = cli.value("--evidence") {
                 // Evidence-driven path: find this program's evidence
                 // container, demote what the hostile sweep certified
                 // race-free, and write the checksummed plan.
                 let digest = chimera::fleet::cell::program_digest(&analysis.program);
-                let ev = chimera::Evidence::find(std::path::Path::new(dir), digest)?;
-                let thresholds = chimera::Thresholds {
-                    min_seeds: cli.min_seeds,
-                    min_strategies: cli.min_strategies,
-                };
+                let ev = chimera::Evidence::find(Path::new(dir), digest)?;
                 let plan = chimera::demote(&ev, &thresholds).map_err(|e| e.to_string())?;
                 outln!("{}", plan.describe());
                 for d in &plan.demotions {
@@ -383,8 +310,8 @@ fn run() -> Result<(), String> {
                 for k in &plan.kept {
                     outln!("  keep   ({}, {}) — dynamically confirmed racy", k.0, k.1);
                 }
-                let out = cli.out.clone().unwrap_or_else(|| "plan.chpl".to_string());
-                plan.save(std::path::Path::new(&out))?;
+                let out = cli.value("-o").unwrap_or("plan.chpl");
+                plan.save(Path::new(out))?;
                 outln!("wrote {out}");
                 return Ok(());
             }
@@ -409,23 +336,17 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            if let Some(plan_path) = &cli.plan_file {
+            if let Some(plan_path) = cli.value("--plan") {
                 // Execute under a certified demotion plan: re-analyze,
                 // digest-check the plan against this program, and run the
                 // thinner instrumentation it certifies.
-                let plan = chimera::CertifiedPlan::load(std::path::Path::new(plan_path))?;
-                let analysis = analyze(
-                    &program,
-                    &PipelineConfig {
-                        opts: opts.clone(),
-                        ..PipelineConfig::default()
-                    },
-                );
+                let plan = chimera::CertifiedPlan::load(Path::new(plan_path))?;
+                let analysis = analyze(&program, &pipeline);
                 let (planned, iplan) = chimera::apply_plan(
                     &analysis.program,
                     &analysis.races,
                     &analysis.profile,
-                    &opts,
+                    &pipeline.opts,
                     &plan,
                 )?;
                 outln!(
@@ -437,12 +358,12 @@ fn run() -> Result<(), String> {
                 );
                 let exec = under_strategy(&planned, &exec, strategy);
                 let r = execute(&planned, &exec);
-                if cli.json {
+                if cli.on("--json") {
                     out!("{}", run_json(&planned, &r));
                 } else {
                     report_exec(&r);
                 }
-                if cli.verify {
+                if cli.on("--verify") {
                     chimera::verify_under_plan(&planned, &plan, &exec)?;
                     outln!(
                         "verified under plan: FastTrack race-free, hostile replay equivalent"
@@ -452,7 +373,7 @@ fn run() -> Result<(), String> {
             }
             let exec = under_strategy(&program, &exec, strategy);
             let r = execute(&program, &exec);
-            if cli.json {
+            if cli.on("--json") {
                 out!("{}", run_json(&program, &r));
             } else {
                 report_exec(&r);
@@ -460,18 +381,12 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "record" => {
-            let out = cli.out.clone().ok_or("record needs -o <logfile>")?;
-            let analysis = analyze(
-                &program,
-                &PipelineConfig {
-                    opts,
-                    ..PipelineConfig::default()
-                },
-            );
+            let out = cli.value("-o").ok_or("record needs -o <logfile>")?;
+            let analysis = analyze(&program, &pipeline);
             let rec = chimera_replay::record(&analysis.instrumented, &exec);
             report_exec(&rec.result);
             let bytes = rec.logs.to_bytes();
-            write_atomic(std::path::Path::new(&out), &bytes)?;
+            write_atomic(Path::new(out), &bytes)?;
             let (ikb, okb) = rec.logs.compressed_sizes();
             outln!(
                 "wrote {out}: {} bytes raw (est. compressed: input {ikb} B + order {okb} B)",
@@ -480,20 +395,14 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "replay" => {
-            let log_path = cli.extra.clone().ok_or("replay needs <logfile>")?;
+            let log_path = cli.extra.as_deref().ok_or("replay needs <logfile>")?;
             let logs = read_file(
-                std::path::Path::new(&log_path),
+                Path::new(log_path),
                 None,
                 chimera_replay::ReplayLogs::from_bytes,
             )?;
-            let analysis = analyze(
-                &program,
-                &PipelineConfig {
-                    opts,
-                    ..PipelineConfig::default()
-                },
-            );
-            if cli.bisect {
+            let analysis = analyze(&program, &pipeline);
+            if cli.on("--bisect") {
                 let rep = chimera_replay::replay_bisect(&analysis.instrumented, &logs, &exec);
                 report_exec(&rep.result);
                 match chimera_replay::localize_divergence(&logs, &rep.observed) {
@@ -536,17 +445,10 @@ fn run() -> Result<(), String> {
             // Dynamic (FastTrack) race detection over one execution. With
             // --instrumented the weak-lock-instrumented program runs
             // instead — the DRF-equivalence check: it should be race-free.
-            let (target, label) = if cli.instrumented {
-                let analysis = analyze(
-                    &program,
-                    &PipelineConfig {
-                        opts,
-                        ..PipelineConfig::default()
-                    },
-                );
-                (analysis.instrumented.clone(), "instrumented")
+            let (target, label) = if cli.on("--instrumented") {
+                (analyze(&program, &pipeline).instrumented, "instrumented")
             } else {
-                (program.clone(), "uninstrumented")
+                (program, "uninstrumented")
             };
             let exec = under_strategy(&target, &exec, strategy);
             let run = chimera::drd::detect(&target, &exec);
@@ -565,9 +467,7 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!(
-            "unknown command '{other}' (races|plan|run|record|replay|ir|drd|explore|fleet)"
-        )),
+        other => unreachable!("parse_cli admits only COMMANDS, not '{other}'"),
     }
 }
 
@@ -584,42 +484,33 @@ fn under_strategy(
     };
     let instrs = execute(program, exec).stats.instrs;
     ExecConfig {
-        sched: chimera::explore::resolve_strategy(sched, instrs),
+        sched: chimera::fleet::resolve_strategy(sched, instrs),
         ..*exec
     }
 }
 
-/// `--naive` selects the naive optimization set, otherwise all.
-fn opt_set(cli: &Cli) -> OptSet {
-    if cli.naive {
-        OptSet::naive()
-    } else {
-        OptSet::all()
-    }
-}
-
-/// The hostile grid `explore` and `fleet` sweep: `--strategy` (one, or
-/// `all` for the default list) × seeds `1..=--seeds`, at base `--seed`,
-/// on `--jobs` workers.
-fn sweep_grid(cli: &Cli) -> Result<Grid, String> {
-    let strategies = match cli.strategy.as_deref().unwrap_or("all") {
+/// The hostile grid `explore` sweeps: `--strategy` (one, or `all` for
+/// the default list) × seeds `1..=--seeds`, at base `--seed`, on
+/// `--jobs` workers.
+fn sweep_grid(cli: &Cli, seed: u64) -> Result<Grid, String> {
+    let strategies = match cli.value("--strategy").unwrap_or("all") {
         "all" => Grid::default().strategies,
         name => vec![SchedStrategy::parse(name)
             .ok_or_else(|| format!("unknown strategy '{name}' (jitter|pct|preempt-bound|all)"))?],
     };
     Ok(Grid {
         strategies,
-        seeds: (1..=cli.seeds.max(1)).collect(),
+        seeds: (1..=cli.number("--seeds")?.unwrap_or(3u64).max(1)).collect(),
         exec: ExecConfig {
-            seed: cli.seed,
+            seed,
             ..ExecConfig::default()
         },
-        jobs: cli.jobs,
+        jobs: cli.number("--jobs")?.unwrap_or(0),
     })
 }
 
-/// The programs `explore` and `fleet` sweep: the given file, or all nine
-/// paper workloads.
+/// The programs `explore` sweeps: the given file, or all nine paper
+/// workloads.
 fn sweep_targets(cli: &Cli) -> Result<Vec<(String, Program)>, String> {
     let Some(path) = &cli.file else {
         return chimera::workloads::all()
@@ -632,149 +523,45 @@ fn sweep_targets(cli: &Cli) -> Result<Vec<(String, Program)>, String> {
             })
             .collect();
     };
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let program = compile(&source).map_err(|e| format!("{path}: {e}"))?;
     let name = Path::new(path)
         .file_stem()
         .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-    Ok(vec![(name, program)])
+    Ok(vec![(name, compile_file(path)?)])
 }
 
-/// `--evidence DIR`: sweep `analysis` over `grid` through
-/// `chimera_plan::gather_evidence` and save `DIR/<name>.chev`.
-fn export_evidence(
-    dir: &str,
-    name: &str,
-    analysis: &Analysis,
-    grid: &Grid,
-    width: usize,
-) -> Result<(), String> {
-    let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-    let ev = chimera::gather_evidence(
-        name,
-        &analysis.program,
-        &analysis.instrumented,
-        &statics,
-        grid,
-    );
-    let path = ev.save(Path::new(dir))?;
-    outln!(
-        "{name:>width$} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
-        ev.cells.len(),
-        ev.static_pairs.len(),
-        ev.confirmed_racy.len(),
-        path.display()
-    );
-    Ok(())
-}
-
-/// `chimera explore`: sweep one file (or all nine workloads) across
-/// adversarial scheduling strategies and certify replay under each.
-fn run_explore(cli: &Cli) -> Result<(), String> {
-    let cfg = ExploreConfig {
-        grid: sweep_grid(cli)?,
-        check_drd: cli.drd,
-    };
-    let pipeline = PipelineConfig {
-        opts: opt_set(cli),
-        ..PipelineConfig::default()
-    };
-    let targets = sweep_targets(cli)?;
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for (name, program) in &targets {
-        let analysis = analyze(program, &pipeline);
-        if let Some(dir) = &cli.evidence {
-            export_evidence(dir, name, &analysis, &cfg.grid, 8)?;
-        }
-        let report = chimera::explore(name, &analysis, &cfg);
-        for st in &report.strategies {
-            outln!(
-                "{name:>8} {:>13}: {} seed(s), {} divergence(s), {} violation(s), \
-                 {} distinct order(s) ({} prefix(es)), {} preemption(s)",
-                st.strategy,
-                st.outcomes.len(),
-                st.divergences,
-                st.violations,
-                st.distinct_orders,
-                st.distinct_prefixes,
-                st.preemptions,
-            );
-        }
-        failed |= !report.clean();
-        reports.push(report);
-    }
-
-    if let Some(out) = &cli.out {
-        let mut json = String::from("[\n");
-        for (i, r) in reports.iter().enumerate() {
-            json.push_str(&r.to_json());
-            if i + 1 < reports.len() {
-                let end = json.trim_end_matches('\n').len();
-                json.truncate(end);
-                json.push_str(",\n");
-            }
-        }
-        json.push_str("]\n");
-        std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        outln!("wrote {out}");
-    }
-
-    if failed {
-        return Err("schedule exploration found divergences or invariant violations".into());
-    }
-    outln!(
-        "explored {} program(s): all replays equivalent, single-holder invariant held",
-        reports.len()
-    );
-    Ok(())
-}
-
-/// `chimera fleet`: run the full exploration-cell grid work-stealing,
-/// journal every outcome, harvest interesting cells into the seed corpus,
-/// and report grid-wide schedule coverage.
-fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
-    use chimera::{run_fleet, FleetConfig, FleetTarget};
-
-    let grid = sweep_grid(cli)?;
-    let pipeline = PipelineConfig {
-        opts: opt_set(cli),
-        ..PipelineConfig::default()
-    };
-    let sources = sweep_targets(cli)?;
-    if cli.raw && cli.evidence.is_some() {
+/// `chimera explore`: run the hostile grid over one file (or all nine
+/// workloads) work-stealing, journal every outcome and harvest
+/// interesting cells into the seed corpus under `--dir`, and report
+/// grid-wide schedule coverage.
+fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
+    let raw = cli.on("--raw");
+    let evidence = cli.value("--evidence");
+    if raw && evidence.is_some() {
         return Err(
             "--evidence needs the instrumented pipeline; it cannot be combined with --raw".into(),
         );
     }
+    let cfg = FleetConfig {
+        grid: sweep_grid(cli, seed)?,
+        check_drd: cli.on("--drd"),
+        check_determinism: cli.on("--check-determinism"),
+        max_cells: cli.number("--max-cells")?,
+        dir: cli.value("--dir").map(std::path::PathBuf::from),
+        resume: cli.on("--resume"),
+    };
     let mut targets: Vec<FleetTarget> = Vec::new();
     let mut evidence_inputs: Vec<(String, Analysis)> = Vec::new();
-    for (name, program) in sources {
-        if cli.raw {
+    for (name, program) in sweep_targets(cli)? {
+        if raw {
             targets.push(FleetTarget::raw(&name, program));
         } else {
-            let analysis = analyze(&program, &pipeline);
-            let statics = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-            targets.push(FleetTarget {
-                name: name.clone(),
-                program: analysis.instrumented.clone(),
-                cross: Some((analysis.program.clone(), statics)),
-                expect_divergence: false,
-            });
-            if cli.evidence.is_some() {
+            let analysis = analyze(&program, &PipelineConfig::default());
+            targets.push(analysis.fleet_target(&name));
+            if evidence.is_some() {
                 evidence_inputs.push((name, analysis));
             }
         }
     }
-
-    let cfg = FleetConfig {
-        grid,
-        check_drd: cli.drd,
-        check_determinism: cli.check_determinism,
-        max_cells: cli.max_cells,
-        dir: cli.dir.as_ref().map(std::path::PathBuf::from),
-        resume: cli.resume,
-    };
 
     let started = std::time::Instant::now();
     let run = run_fleet(&targets, &cfg)?;
@@ -822,21 +609,36 @@ fn run_fleet_cmd(cli: &Cli) -> Result<(), String> {
             run.executed,
             secs,
             run.executed as f64 / secs,
-            cli.jobs
+            cfg.grid.jobs
         );
     }
 
-    if let Some(out) = &cli.out {
+    if let Some(out) = cli.value("-o") {
         std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
         outln!("wrote {out}");
     }
 
-    // Evidence export runs its own gather sweep (the fleet journal stores
-    // only counts, not pair identities), written even when the grid fails
-    // — unclean cells are themselves evidence.
-    if let Some(dir) = &cli.evidence {
+    // Evidence export runs its own gather sweep (the journal stores only
+    // counts, not pair identities), written even when the grid fails —
+    // unclean cells are themselves evidence.
+    if let Some(dir) = evidence {
         for (name, analysis) in &evidence_inputs {
-            export_evidence(dir, name, analysis, &cfg.grid, 12)?;
+            let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
+            let ev = chimera::gather_evidence(
+                name,
+                &analysis.program,
+                &analysis.instrumented,
+                &statics,
+                &cfg.grid,
+            );
+            let path = ev.save(Path::new(dir))?;
+            outln!(
+                "{name:>12} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
+                ev.cells.len(),
+                ev.static_pairs.len(),
+                ev.confirmed_racy.len(),
+                path.display()
+            );
         }
     }
 

@@ -23,7 +23,7 @@
 //! | virtual machine | [`chimera_runtime`] |
 //! | record/replay | [`chimera_replay`] |
 //! | benchmarks | [`chimera_workloads`] |
-//! | fleet orchestrator | [`chimera_fleet`] |
+//! | hostile sweep (`chimera explore`) | [`chimera_fleet`] |
 //! | evidence-driven demotion | [`chimera_plan`] |
 //!
 //! # Quickstart
@@ -54,13 +54,8 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod explore;
 pub mod pipeline;
 
-pub use explore::{
-    explore, explore_uninstrumented, ExploreConfig, ExploreReport, ScheduleObserver, SeedOutcome,
-    StrategyReport,
-};
 pub use experiment::{
     ablation_row, analyze_workload, fig5_overheads, fig6_fractions, fig7_breakdown,
     fig8_scalability, figure5_configs, profile_sensitivity, profile_workload, table2_row,
@@ -72,8 +67,8 @@ pub use pipeline::{
 };
 
 pub use chimera_fleet::{
-    run_fleet, CellKey, CellOutcome, Corpus, FleetConfig, FleetReport, FleetRun, FleetTarget,
-    Grid, Interest, Journal,
+    run_fleet, CellKey, CellOutcome, Corpus, FleetConfig, FleetReport, FleetRun, FleetTarget, Grid,
+    Interest, Journal, ScheduleObserver, SeedOutcome,
 };
 
 pub use chimera_plan::{

@@ -10,7 +10,7 @@
 //! ```
 
 use chimera_drd::{detect, DrfReport};
-use chimera_fleet::replay_seed;
+use chimera_fleet::{replay_seed, FleetTarget};
 use chimera_instrument::{instrument, OptSet, Plan};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_profile::{profile_runs, ProfileData};
@@ -54,6 +54,21 @@ pub struct Analysis {
     pub profile: ProfileData,
     /// The instrumentation plan.
     pub plan: Plan,
+}
+
+impl Analysis {
+    /// The instrumented program as a hostile-sweep target, with the
+    /// original program and RELAY's static pairs for the FastTrack
+    /// cross-check: any divergence fails it.
+    pub fn fleet_target(&self, name: &str) -> FleetTarget {
+        FleetTarget {
+            cross: Some((
+                self.program.clone(),
+                self.races.pairs.iter().map(|p| (p.a, p.b)).collect(),
+            )),
+            ..FleetTarget::instrumented(name, self.instrumented.clone())
+        }
+    }
 }
 
 /// Run static race detection, profiling, planning, and instrumentation.

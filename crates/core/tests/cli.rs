@@ -1,13 +1,14 @@
 //! Integration smoke tests for the `chimera` command-line binary: every
 //! subcommand (`races`, `plan`, `run`, `record`, `replay`, `ir`, `drd`,
-//! `explore`, `fleet`) exercised against the checked-in fixture,
-//! including the full file-based record → log file → replay workflow, the
-//! journaled fleet → resume workflow, evidence export that agrees across
-//! `explore` and `fleet`, and clean named failures on damaged log,
-//! evidence and plan files, on unknown flags, and on `--strategy` where
-//! it does not apply or names no strategy.
+//! `explore`) exercised against the checked-in fixture, including the
+//! full file-based record → log file → replay workflow, the journaled
+//! `explore --dir` → `--resume` workflow, per-cell report rows and
+//! evidence export that agree at any worker count, and clean named
+//! failures on damaged log, evidence and plan files, on unknown commands
+//! and flags, on every flag a subcommand does not read, and on a
+//! `--strategy` that names no strategy.
 
-use chimera::explore::resolve_strategy;
+use chimera::fleet::resolve_strategy;
 use chimera_runtime::{execute, ExecConfig, SchedStrategy};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -174,8 +175,8 @@ fn run_and_drd_execute_under_the_named_strategy() {
     }
 }
 
-/// Only `run`, `drd`, `explore` and `fleet` take `--strategy`; the others
-/// reject it by name, and an unknown strategy name fails everywhere.
+/// Only `run`, `drd` and `explore` take `--strategy`; the others reject
+/// it by name, and an unknown strategy name fails everywhere.
 #[test]
 fn strategy_flag_fails_by_name_where_it_does_not_apply() {
     let f = fixture();
@@ -191,7 +192,7 @@ fn strategy_flag_fails_by_name_where_it_does_not_apply() {
             &format!("'{cmd}' does not take --strategy"),
         );
     }
-    for cmd in ["run", "drd", "explore", "fleet"] {
+    for cmd in ["run", "drd", "explore"] {
         fails_with(
             bin().arg(cmd).arg(&f).args(["--strategy", "bogus"]),
             "unknown strategy 'bogus'",
@@ -415,26 +416,68 @@ fn record_without_output_path_fails() {
     assert!(msg.contains("-o"), "{msg}");
 }
 
+/// `explore -o` writes one row per covered cell, in seed order, and the
+/// report is byte-identical at every worker count. Without `--dir`, the
+/// report is the only file `explore` writes.
 #[test]
 fn explore_jobs_parallel_report_matches_serial() {
     let dir = tempdir("explore-jobs");
-    let run = |jobs: &str, out_name: &str| {
-        let path = dir.join(out_name);
+    let run = |jobs: &str| {
+        let cwd = dir.join(format!("jobs{jobs}"));
+        std::fs::create_dir_all(&cwd).unwrap();
         let out = bin()
+            .current_dir(&cwd)
             .arg("explore")
             .arg(fixture())
-            .args(["--strategy", "pct", "--seeds", "2", "--jobs", jobs, "-o"])
-            .arg(&path)
+            .args(["--strategy", "pct", "--seeds", "2", "--drd", "--jobs", jobs])
+            .args(["-o", "report.json"])
             .output()
             .expect("spawn explore");
         assert!(out.status.success(), "{out:?}");
-        std::fs::read(&path).expect("report written")
+        let written: Vec<_> = std::fs::read_dir(&cwd)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(
+            written,
+            ["report.json"],
+            "explore wrote more than its report"
+        );
+        String::from_utf8(std::fs::read(cwd.join("report.json")).unwrap()).unwrap()
     };
+    let serial = run("1");
     assert_eq!(
-        run("1", "serial.json"),
-        run("3", "parallel.json"),
+        serial,
+        run("3"),
         "worker count leaked into the explore report"
     );
+    let rows: Vec<&str> = serial
+        .lines()
+        .filter(|l| l.contains("\"seed\": "))
+        .collect();
+    assert_eq!(rows.len(), 2, "{serial}");
+    for (row, seed) in rows.iter().zip(1..) {
+        assert!(
+            row.trim_start()
+                .starts_with(&format!("{{\"seed\": {seed}, ")),
+            "{row}"
+        );
+        for key in [
+            "\"replay_complete\": true",
+            "\"equivalent\": true",
+            "\"violations\": 0",
+            "\"preemptions\"",
+            "\"forced_releases\"",
+            "\"sync_events\"",
+            "\"order_hash\": \"0x",
+            "\"prefix_hash\": \"0x",
+            "\"drd_races\": 0",
+            "\"drd_unpredicted\": 0",
+        ] {
+            assert!(row.contains(key), "missing {key} in {row}");
+        }
+        assert!(!row.contains("\"deterministic\""), "{row}");
+    }
 }
 
 #[test]
@@ -442,9 +485,9 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
     let dir = tempdir("fleet-resume");
     let state = dir.join("state");
     let report = dir.join("fleet.json");
-    let fleet = |resume: bool| {
+    let explore = |resume: bool| {
         let mut cmd = bin();
-        cmd.arg("fleet")
+        cmd.arg("explore")
             .arg(fixture())
             .args(["--seeds", "2", "--check-determinism", "--dir"])
             .arg(&state)
@@ -453,24 +496,30 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
         if resume {
             cmd.arg("--resume");
         }
-        let out = cmd.output().expect("spawn fleet");
+        let out = cmd.output().expect("spawn explore");
         assert!(out.status.success(), "{out:?}");
         String::from_utf8_lossy(&out.stdout).to_string()
     };
 
-    let first = fleet(false);
+    let first = explore(false);
     assert!(first.contains("6 executed now"), "{first}");
     assert!(first.contains("fleet passed"), "{first}");
     assert!(state.join("journal.chfj").exists());
     assert!(state.join("corpus.chfc").exists());
     let first_report = std::fs::read(&report).expect("report written");
     let json = String::from_utf8_lossy(&first_report);
-    for key in ["\"grid\"", "\"covered\"", "\"distinct_orders\"", "\"strategies\""] {
+    for key in [
+        "\"grid\"",
+        "\"covered\"",
+        "\"distinct_orders\"",
+        "\"strategies\"",
+        "\"deterministic\": true",
+    ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
 
     // Immediate resume: zero cells execute, the report bytes don't move.
-    let again = fleet(true);
+    let again = explore(true);
     assert!(again.contains("0 executed now"), "{again}");
     assert!(again.contains("6 journal hit(s)"), "{again}");
     assert_eq!(std::fs::read(&report).unwrap(), first_report);
@@ -479,18 +528,18 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
 #[test]
 fn fleet_raw_flags_expected_divergence_without_failing() {
     let out = bin()
-        .arg("fleet")
+        .arg("explore")
         .arg(fixture())
         .args(["--raw", "--seeds", "2", "--strategy", "preempt-bound"])
         .output()
-        .expect("spawn fleet --raw");
+        .expect("spawn explore --raw");
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("flagged"), "raw racy fixture not flagged:\n{stdout}");
 }
 
 #[test]
-fn explore_and_fleet_export_the_same_evidence_at_any_worker_count() {
+fn explore_exports_the_same_evidence_at_any_worker_count() {
     let dir = tempdir("evidence-paths");
     let (a, b) = (dir.join("A"), dir.join("B"));
     run_ok(
@@ -502,16 +551,120 @@ fn explore_and_fleet_export_the_same_evidence_at_any_worker_count() {
     );
     run_ok(
         bin()
-            .arg("fleet")
+            .arg("explore")
             .arg(fixture())
             .args(["--seeds", "2", "--jobs", "3", "--evidence"])
-            .arg(&b),
+            .arg(&b)
+            .arg("--dir")
+            .arg(dir.join("state")),
     );
     let chev = |d: &Path| std::fs::read(d.join("demo.chev")).expect("evidence written");
     assert_eq!(
         chev(&a),
         chev(&b),
-        "explore --jobs 1 and fleet --jobs 3 exported different evidence"
+        "explore --jobs 1 and journaled explore --jobs 3 exported different evidence"
+    );
+}
+
+/// The flags each subcommand reads; every other flag fails by name.
+#[rustfmt::skip]
+const TAKES: [(&str, &[&str]); 8] = [
+    ("races", &[]),
+    ("plan", &["-o", "--out", "--evidence", "--min-seeds", "--min-strategies"]),
+    ("run", &["--seed", "--no-jitter", "--strategy", "--json", "--plan", "--verify"]),
+    ("record", &["--seed", "--no-jitter", "-o", "--out"]),
+    ("replay", &["--seed", "--no-jitter", "--bisect"]),
+    ("ir", &[]),
+    ("drd", &["--seed", "--no-jitter", "--strategy", "--instrumented"]),
+    ("explore", &[
+        "--seed", "-o", "--out", "--strategy", "--evidence", "--seeds", "--jobs", "--drd",
+        "--check-determinism", "--raw", "--dir", "--resume", "--max-cells",
+    ]),
+];
+
+/// Every flag spelling, and whether it takes a value.
+const FLAGS: [(&str, bool); 21] = [
+    ("--seed", true),
+    ("--no-jitter", false),
+    ("-o", true),
+    ("--out", true),
+    ("--strategy", true),
+    ("--json", false),
+    ("--plan", true),
+    ("--verify", false),
+    ("--bisect", false),
+    ("--instrumented", false),
+    ("--evidence", true),
+    ("--min-seeds", true),
+    ("--min-strategies", true),
+    ("--seeds", true),
+    ("--jobs", true),
+    ("--drd", false),
+    ("--check-determinism", false),
+    ("--raw", false),
+    ("--dir", true),
+    ("--resume", false),
+    ("--max-cells", true),
+];
+
+/// A subcommand given a flag it does not read exits 1 naming the flag
+/// and the subcommands that do read it; `run --verify` needs `--plan`.
+#[test]
+fn every_flag_fails_by_name_where_the_subcommand_does_not_read_it() {
+    let f = fixture();
+    let fails_with = |cmd: &mut Command, msg: &str| {
+        let out = cmd.output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{msg}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(msg), "expected '{msg}' in: {stderr}");
+    };
+    for (cmd, takes) in TAKES {
+        for (flag, value) in FLAGS.into_iter().filter(|(fl, _)| !takes.contains(fl)) {
+            let readers: Vec<&str> = TAKES
+                .iter()
+                .filter(|(_, t)| t.contains(&flag))
+                .map(|(c, _)| *c)
+                .collect();
+            let (last, rest) = readers.split_last().unwrap();
+            let who = if rest.is_empty() {
+                format!("{last} does")
+            } else {
+                format!("{} and {last} do", rest.join(", "))
+            };
+            let mut c = bin();
+            c.arg(cmd).arg(&f).arg(flag);
+            if value {
+                c.arg("1");
+            }
+            fails_with(&mut c, &format!("'{cmd}' does not take {flag} ({who})"));
+        }
+    }
+    fails_with(
+        bin().arg("run").arg(&f).arg("--verify"),
+        "--verify needs --plan",
+    );
+}
+
+/// A compound assignment evaluates its target twice, so a target with a
+/// side effect is a named parse error instead of a double update.
+#[test]
+fn compound_assignment_with_a_side_effect_fails_by_name() {
+    let dir = tempdir("compound");
+    let path = dir.join("twice.mc");
+    std::fs::write(
+        &path,
+        "int a[4]; int i; int main() { i = 0; a[i++] += 5; print(i); print(a[1]); print(a[2]); return 0; }",
+    )
+    .unwrap();
+    let out = bin().arg("run").arg(&path).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "parse error at 1:45: target of '+=' has a side effect \
+             ('++', '--', an assignment or a call), which '+=' would run twice"
+        ),
+        "{stderr}"
     );
 }
 
@@ -537,15 +690,29 @@ fn unknown_flags_and_stray_arguments_fail_by_name() {
         "unexpected argument 'other.mc'",
     );
     fails_with(
-        bin().args(["fleet", "--batch", "4"]),
+        bin().args(["explore", "--batch", "4"]),
         "unknown flag '--batch'",
     );
 }
 
+/// An unknown command fails by name, `fleet` included: `explore` is the
+/// one front end of the hostile sweep.
 #[test]
 fn unknown_command_and_missing_file_fail() {
-    let out = bin().arg("frobnicate").arg("x.mc").output().expect("spawn");
-    assert!(!out.status.success());
+    for cmd in ["frobnicate", "fleet"] {
+        let out = bin()
+            .arg(cmd)
+            .arg(fixture())
+            .args(["--seeds", "2"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command '{cmd}'")),
+            "{stderr}"
+        );
+    }
     let out = bin()
         .arg("races")
         .arg("/nonexistent.mc")

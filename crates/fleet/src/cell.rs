@@ -8,12 +8,12 @@
 //! same strategy, verify observable equivalence, optionally cross-check
 //! FastTrack. [`Grid`] is the single sweep over it: one baseline run per
 //! program, each strategy resolved once, cells mapped over
-//! `chimera_runtime::par_map`. `chimera::explore` (one-process sweeps),
-//! the fleet orchestrator (thousands of cells, persisted corpus) and
-//! `chimera_plan::gather_evidence` (the demotion evidence) all run it.
-//! Keeping one body and one grid is deliberate: drivers with private
-//! copies of the record→replay→verify→probe pipeline would drift, and a
-//! fleet result that `explore` cannot reproduce is worthless.
+//! `chimera_runtime::par_map`. The orchestrator behind `chimera explore`
+//! (journal, corpus, resume) and `chimera_plan::gather_evidence` (the
+//! demotion evidence) both run it. Keeping one body and one grid is
+//! deliberate: sweeps with private copies of the
+//! record→replay→verify→probe pipeline would drift, and evidence that a
+//! sweep cannot reproduce is worthless.
 //!
 //! [`CellKey`] names a cell durably: program digest × strategy encoding ×
 //! seed × execution-config digest. The journal uses it to make fleet
@@ -196,10 +196,9 @@ pub fn replay_seed(seed: u64) -> u64 {
 /// `drd_cross`, on its uninstrumented original, splitting that run's
 /// racy pairs by `drd_cross`'s static pairs.
 ///
-/// This is the one per-cell body, with three callers: `chimera::explore`
-/// and `chimera_plan::gather_evidence` run it through [`Grid::sweep`],
-/// and the fleet orchestrator over the journal misses among
-/// [`Grid::cells`]. The result is a pure function of
+/// This is the one per-cell body, with two callers:
+/// `chimera_plan::gather_evidence` runs it through [`Grid::sweep`], and
+/// the fleet orchestrator over the journal misses among [`Grid::cells`]. The result is a pure function of
 /// `(program, sched, seed, exec, check_drd)`.
 pub fn run_cell(
     program: &Program,
@@ -256,9 +255,9 @@ pub fn run_cell(
 }
 
 /// The hostile grid: strategies × seeds on one base execution
-/// configuration, swept on `jobs` workers. `chimera::ExploreConfig` and
-/// the fleet's `FleetConfig` hold one and `chimera_plan::GatherConfig`
-/// is one, so all three sweeps share its one default.
+/// configuration, swept on `jobs` workers. The fleet's `FleetConfig`
+/// holds one and `chimera_plan::GatherConfig` is one, so both sweeps
+/// share its one default.
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Scheduling strategies. PCT entries with `span: 0` are auto-sized
@@ -497,6 +496,23 @@ mod tests {
         assert!(k1 != k2 && k1 != k3 && k2 != k3);
         assert_eq!(k1.strategy_name(), "pct");
         assert_eq!(k3.strategy_name(), "preempt-bound");
+    }
+
+    #[test]
+    fn pct_auto_span_resolves_to_baseline_instrs() {
+        assert_eq!(
+            resolve_strategy(SchedStrategy::pct(3), 12_345),
+            SchedStrategy::Pct {
+                depth: 3,
+                span: 12_345
+            }
+        );
+        let fixed = SchedStrategy::Pct { depth: 2, span: 77 };
+        assert_eq!(resolve_strategy(fixed, 12_345), fixed);
+        assert_eq!(
+            resolve_strategy(SchedStrategy::ClockJitter, 9),
+            SchedStrategy::ClockJitter
+        );
     }
 
     #[test]

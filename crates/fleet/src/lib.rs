@@ -1,10 +1,10 @@
-//! chimera-fleet: a work-stealing exploration orchestrator with a
-//! persistent schedule corpus and incremental resume.
+//! chimera-fleet: the hostile sweep of Chimera's replay guarantee — a
+//! work-stealing exploration orchestrator with a persistent schedule
+//! corpus and incremental resume.
 //!
-//! The explore sweep (one program, a handful of strategy × seed cells)
-//! answers "does this program survive adversarial scheduling?". The
-//! fleet answers the campaign-scale question: run *thousands* of cells —
-//! every workload × every strategy × a wall of seeds — overnight,
+//! `chimera explore` runs it, on one program with a handful of strategy
+//! × seed cells ("does this program survive adversarial scheduling?") or
+//! at campaign scale: every workload × every strategy × a wall of seeds,
 //! incrementally, across interrupted invocations, without ever counting
 //! the same schedule twice.
 //!
@@ -13,8 +13,8 @@
 //! - [`cell`] — the shared per-cell pipeline ([`run_cell`]): record under
 //!   an adversarial strategy with the single-holder probe observing,
 //!   hostile-replay at a derived seed, verify equivalence, optionally
-//!   cross-check with FastTrack; and the one hostile [`Grid`] every sweep maps it
-//!   over — explore, the fleet and evidence gathering alike.
+//!   cross-check with FastTrack; and the one hostile [`Grid`] every sweep
+//!   maps it over — the orchestrator and evidence gathering alike.
 //! - [`journal`] — every executed cell's outcome, keyed by
 //!   [`CellKey`] (program digest, strategy, seed, exec-config digest),
 //!   persisted in a `chimera_replay::wire` container. `--resume`
@@ -29,10 +29,10 @@
 //!
 //! [`orchestrator::run_fleet`] ties them together: each target's
 //! [`Grid::cells`] in canonical order, journal-hit skipping, work-stealing
-//! over `chimera_runtime::par_map`, corpus classification, atomic
-//! persistence, and a grid-wide report that is a pure function of cell
-//! outcomes — so a budgeted run completed by `--resume` renders the
-//! same bytes as a one-shot run.
+//! over `chimera_runtime::par_map`, corpus classification, persistence
+//! when a directory is given, and a grid-wide report with one row per
+//! covered cell that is a pure function of cell outcomes — so a budgeted
+//! run completed by `--resume` renders the same bytes as a one-shot run.
 
 #![warn(missing_docs)]
 
@@ -48,6 +48,5 @@ pub use cell::{
 pub use corpus::{Corpus, CorpusEntry, Interest, CORPUS_FILE, CORPUS_VERSION};
 pub use journal::{CellOutcome, Journal, JOURNAL_FILE, JOURNAL_VERSION};
 pub use orchestrator::{
-    json_str, run_fleet, FleetConfig, FleetReport, FleetRun, FleetTarget, StrategyCells,
-    TargetReport,
+    run_fleet, FleetConfig, FleetReport, FleetRun, FleetTarget, StrategyCells, TargetReport,
 };

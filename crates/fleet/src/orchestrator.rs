@@ -1,6 +1,7 @@
 //! The fleet orchestrator: thousands of exploration cells, work-stealing
 //! execution, global schedule dedup, a persistent corpus, and
-//! incremental resume.
+//! incremental resume. It is the one front end of the hostile sweep:
+//! `chimera explore` builds its targets and prints its report.
 //!
 //! The grid is `targets × strategies × seeds`, materialized in a
 //! canonical order (target-major, then each target's [`Grid::cells`]:
@@ -13,11 +14,14 @@
 //!
 //! Every cell outcome lands in the [`Journal`] keyed by
 //! [`CellKey`]; `resume` skips journaled cells and reuses their stored
-//! outcomes, which makes the final report a pure function of the grid —
-//! a budgeted run plus a `--resume` completion is byte-identical to the
-//! one-shot run. Interesting cells (new order-hash coverage,
-//! divergences, near-divergences, preemption-heavy runs, probe
+//! outcomes, which makes the final report — per-strategy aggregates and
+//! one row per covered cell, both read back from the journal — a pure
+//! function of the grid: a budgeted run plus a `--resume` completion is
+//! byte-identical to the one-shot run. Interesting cells (new order-hash
+//! coverage, divergences, near-divergences, preemption-heavy runs, probe
 //! violations, determinism failures) are appended to the [`Corpus`].
+//! Without a directory the journal and corpus live in memory only and
+//! nothing is written.
 //!
 //! With `check_determinism`, each cell is executed twice and the two
 //! runs' `Machine::fold_ordered` state hashes (plus order hashes and
@@ -93,7 +97,8 @@ pub struct FleetConfig {
     pub resume: bool,
 }
 
-/// Per-(target, strategy) aggregates over every covered cell.
+/// Per-(target, strategy) aggregates over every covered cell, and the
+/// cells themselves.
 #[derive(Debug, Clone, Default)]
 pub struct StrategyCells {
     /// Strategy name.
@@ -118,6 +123,27 @@ pub struct StrategyCells {
     pub distinct_orders: usize,
     /// Distinct 32-event prefixes.
     pub distinct_prefixes: usize,
+    /// Every covered cell's record seed and outcome, in seed order.
+    pub outcomes: Vec<(u64, CellOutcome)>,
+}
+
+impl StrategyCells {
+    /// Fill the aggregates from [`StrategyCells::outcomes`].
+    fn tally(&mut self) {
+        let os = || self.outcomes.iter().map(|(_, o)| o);
+        self.cells = os().count() as u64;
+        self.divergences = os().filter(|o| o.diverged()).count() as u64;
+        self.violations = os().map(|o| u64::from(o.violations)).sum();
+        self.nondeterministic = os().filter(|o| o.deterministic == Some(false)).count() as u64;
+        self.preemptions = os().map(|o| o.preemptions).sum();
+        self.forced_releases = os().map(|o| o.forced_releases).sum();
+        self.drd_races = os().map(|o| u64::from(o.drd_races.unwrap_or(0))).sum();
+        self.drd_unpredicted = os()
+            .map(|o| u64::from(o.drd_unpredicted.unwrap_or(0)))
+            .sum();
+        self.distinct_orders = os().map(|o| o.order_hash).collect::<BTreeSet<_>>().len();
+        self.distinct_prefixes = os().map(|o| o.prefix_hash).collect::<BTreeSet<_>>().len();
+    }
 }
 
 /// All strategies of one target.
@@ -213,7 +239,7 @@ impl FleetReport {
                     "        {{\"strategy\": {}, \"cells\": {}, \"divergences\": {}, \
                      \"violations\": {}, \"nondeterministic\": {}, \"preemptions\": {}, \
                      \"forced_releases\": {}, \"drd_races\": {}, \"drd_unpredicted\": {}, \
-                     \"distinct_orders\": {}, \"distinct_prefixes\": {}}}{}\n",
+                     \"distinct_orders\": {}, \"distinct_prefixes\": {}, \"outcomes\": [",
                     json_str(&st.strategy),
                     st.cells,
                     st.divergences,
@@ -225,8 +251,39 @@ impl FleetReport {
                     st.drd_unpredicted,
                     st.distinct_orders,
                     st.distinct_prefixes,
-                    if j + 1 < t.strategies.len() { "," } else { "" },
                 ));
+                for (k, (seed, o)) in st.outcomes.iter().enumerate() {
+                    s.push_str(if k == 0 { "\n" } else { ",\n" });
+                    s.push_str(&format!(
+                        "          {{\"seed\": {seed}, \"replay_complete\": {}, \"equivalent\": {}, \
+                         \"violations\": {}, \"preemptions\": {}, \"forced_releases\": {}, \
+                         \"sync_events\": {}, \"order_hash\": \"{:#018x}\", \
+                         \"prefix_hash\": \"{:#018x}\"",
+                        o.replay_complete,
+                        o.equivalent,
+                        o.violations,
+                        o.preemptions,
+                        o.forced_releases,
+                        o.sync_events,
+                        o.order_hash,
+                        o.prefix_hash,
+                    ));
+                    if let Some(n) = o.drd_races {
+                        s.push_str(&format!(", \"drd_races\": {n}"));
+                    }
+                    if let Some(n) = o.drd_unpredicted {
+                        s.push_str(&format!(", \"drd_unpredicted\": {n}"));
+                    }
+                    if let Some(det) = o.deterministic {
+                        s.push_str(&format!(", \"deterministic\": {det}"));
+                    }
+                    s.push('}');
+                }
+                if !st.outcomes.is_empty() {
+                    s.push_str("\n        ");
+                }
+                let sep = if j + 1 < t.strategies.len() { "," } else { "" };
+                s.push_str(&format!("]}}{sep}\n"));
             }
             s.push_str("      ]\n");
             s.push_str(&format!(
@@ -239,9 +296,8 @@ impl FleetReport {
     }
 }
 
-/// Render `s` as a JSON string literal; the fleet and explore reports
-/// share it.
-pub fn json_str(s: &str) -> String {
+/// Render `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -435,37 +491,16 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
                 .collect(),
         })
         .collect();
-    let mut row_orders: Vec<Vec<BTreeSet<u64>>> = targets
-        .iter()
-        .map(|_| {
-            cfg.grid
-                .strategies
-                .iter()
-                .map(|_| BTreeSet::new())
-                .collect()
-        })
-        .collect();
-    let mut row_prefixes = row_orders.clone();
     let mut global_orders = BTreeSet::new();
     let mut global_prefixes = BTreeSet::new();
-    let mut covered = 0u64;
     let mut flagged = 0u64;
     for c in &grid {
-        let Some(o) = journal.get(&c.key) else {
+        let Some(&o) = journal.get(&c.key) else {
             continue; // budget-truncated cell: no outcome yet
         };
-        covered += 1;
-        let row = &mut target_reports[c.target].strategies[c.cell.strategy];
-        row.cells += 1;
-        row.divergences += u64::from(o.diverged());
-        row.violations += u64::from(o.violations);
-        row.nondeterministic += u64::from(o.deterministic == Some(false));
-        row.preemptions += o.preemptions;
-        row.forced_releases += o.forced_releases;
-        row.drd_races += u64::from(o.drd_races.unwrap_or(0));
-        row.drd_unpredicted += u64::from(o.drd_unpredicted.unwrap_or(0));
-        row_orders[c.target][c.cell.strategy].insert(o.order_hash);
-        row_prefixes[c.target][c.cell.strategy].insert(o.prefix_hash);
+        target_reports[c.target].strategies[c.cell.strategy]
+            .outcomes
+            .push((c.cell.seed, o));
         global_orders.insert(o.order_hash);
         global_prefixes.insert(o.prefix_hash);
         if (targets[c.target].expect_divergence && o.diverged())
@@ -474,31 +509,17 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
             flagged += 1;
         }
     }
-    for (ti, t) in target_reports.iter_mut().enumerate() {
-        for (si, row) in t.strategies.iter_mut().enumerate() {
-            row.distinct_orders = row_orders[ti][si].len();
-            row.distinct_prefixes = row_prefixes[ti][si].len();
-        }
+    for t in &mut target_reports {
+        t.strategies.iter_mut().for_each(StrategyCells::tally);
     }
+    let rows = || target_reports.iter().flat_map(|t| &t.strategies);
     let report = FleetReport {
-        divergences: target_reports
-            .iter()
-            .flat_map(|t| &t.strategies)
-            .map(|s| s.divergences)
-            .sum(),
-        violations: target_reports
-            .iter()
-            .flat_map(|t| &t.strategies)
-            .map(|s| s.violations)
-            .sum(),
-        nondeterministic: target_reports
-            .iter()
-            .flat_map(|t| &t.strategies)
-            .map(|s| s.nondeterministic)
-            .sum(),
-        targets: target_reports,
+        divergences: rows().map(|s| s.divergences).sum(),
+        violations: rows().map(|s| s.violations).sum(),
+        nondeterministic: rows().map(|s| s.nondeterministic).sum(),
+        covered: rows().map(|s| s.cells).sum(),
         grid: grid.len() as u64,
-        covered,
+        targets: target_reports,
         distinct_orders: global_orders.len(),
         distinct_prefixes: global_prefixes.len(),
         flagged,
@@ -512,4 +533,55 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         corpus_added,
         journal_total: journal.len() as u64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chimera_minic::compile;
+
+    #[test]
+    fn report_json_shape_is_stable() {
+        let p = compile(
+            "int g;
+             void w(int v) { int i; int x;
+                 for (i = 0; i < 80; i = i + 1) { x = g; g = x + v; } }
+             int main() { int t; t = spawn(w, 1); w(2); join(t); print(g); return 0; }",
+        )
+        .unwrap();
+        let cfg = FleetConfig {
+            grid: Grid {
+                seeds: vec![1, 2],
+                ..Grid::default()
+            },
+            check_drd: true,
+            check_determinism: true,
+            ..FleetConfig::default()
+        };
+        let j = run_fleet(&[FleetTarget::raw("racy", p)], &cfg)
+            .unwrap()
+            .report
+            .to_json();
+        for key in [
+            "\"grid\"",
+            "\"covered\"",
+            "\"passed\"",
+            "\"program\"",
+            "\"expect_divergence\"",
+            "\"strategies\"",
+            "\"distinct_orders\"",
+            "\"distinct_prefixes\"",
+            "\"outcomes\"",
+            "\"seed\": 2",
+            "\"replay_complete\"",
+            "\"order_hash\"",
+            "\"prefix_hash\"",
+            "\"preemptions\"",
+            "\"drd_races\"",
+            "\"deterministic\"",
+        ] {
+            assert!(j.contains(key), "missing {key} in {j}");
+        }
+        assert!(json_str("a\"b\\c\nd").contains("\\\""));
+    }
 }

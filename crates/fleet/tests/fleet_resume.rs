@@ -1,9 +1,13 @@
 //! Orchestrator-level guarantees: resume idempotence (a budgeted run
 //! completed by `--resume` is byte-identical to the one-shot run and
 //! re-executes nothing), worker-count independence, determinism
-//! double-runs, raw-target flagging, and loud failure on corrupt state.
+//! double-runs, raw-target flagging, schedule coverage under the
+//! adversarial strategies, per-cell report rows, and loud failure on
+//! corrupt state.
 
-use chimera_fleet::{run_fleet, Corpus, FleetConfig, FleetTarget, Grid, Interest, Journal};
+use chimera_fleet::{
+    run_fleet, CellOutcome, Corpus, FleetConfig, FleetTarget, Grid, Interest, Journal,
+};
 use chimera_minic::compile;
 use std::path::PathBuf;
 
@@ -191,6 +195,42 @@ fn raw_divergence_is_flagged_but_does_not_fail() {
 }
 
 #[test]
+fn adversarial_strategies_explore_distinct_orders() {
+    // Needs synchronization traffic: the order hash is over sync and
+    // weak-lock events, so a lock-free program has a schedule-invariant
+    // stream no matter how wildly the interleaving varies.
+    let run = run_fleet(
+        &[FleetTarget::raw("contended", compile(LOCKED).unwrap())],
+        &FleetConfig {
+            grid: Grid {
+                seeds: vec![1, 2, 3, 4],
+                ..Grid::default()
+            },
+            ..FleetConfig::default()
+        },
+    )
+    .unwrap();
+    let rows = &run.report.targets[0].strategies;
+    let adversarial_orders = rows
+        .iter()
+        .filter(|s| s.strategy != "jitter")
+        .map(|s| s.distinct_orders)
+        .max()
+        .unwrap();
+    assert!(
+        adversarial_orders > 1,
+        "adversarial sweep collapsed to one schedule: {}",
+        run.report.to_json()
+    );
+    let preempts: u64 = rows.iter().map(|s| s.preemptions).sum();
+    assert!(
+        preempts > 0,
+        "no perturbations injected: {}",
+        run.report.to_json()
+    );
+}
+
+#[test]
 fn corpus_harvests_divergent_and_new_order_cells() {
     let dir = tempdir("harvest");
     let run = run_fleet(
@@ -234,8 +274,8 @@ fn hoisted_strategy_resolution_pins_report_byte_identity() {
     // pre-hoist code recomputed `resolve_strategy` deeper in the grid
     // loop. Resolution is a pure function of (strategy, baseline
     // instrs), so the hoist must not move a single byte of the report —
-    // pin that by rebuilding every row with per-cell resolution through
-    // the same shared cell body.
+    // pin that by rebuilding every row and every per-cell outcome with
+    // per-cell resolution through the same shared cell body.
     use chimera_fleet::cell::{resolve_strategy, run_cell};
     use chimera_runtime::execute;
     use std::collections::BTreeSet;
@@ -259,6 +299,11 @@ fn hoisted_strategy_resolution_pins_report_byte_identity() {
                 &cfg.grid.exec,
                 cfg.check_drd,
             );
+            assert!(
+                row.outcomes
+                    .contains(&(seed, CellOutcome::from_seed(&o, None))),
+                "cell (strategy {si}, seed {seed}) drifted after hoisting"
+            );
             orders.insert(o.order_hash);
             prefixes.insert(o.prefix_hash);
             divergences += o.diverged() as u64;
@@ -266,6 +311,7 @@ fn hoisted_strategy_resolution_pins_report_byte_identity() {
             preemptions += o.preemptions;
         }
         assert_eq!(row.cells, cfg.grid.seeds.len() as u64);
+        assert_eq!(row.outcomes.len(), cfg.grid.seeds.len());
         assert_eq!(row.divergences, divergences);
         assert_eq!(row.violations, violations);
         assert_eq!(row.preemptions, preemptions);

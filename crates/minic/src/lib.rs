@@ -49,7 +49,6 @@ pub mod ir;
 pub mod lexer;
 pub mod loops;
 pub mod lower;
-pub mod opt;
 pub mod parser;
 pub mod pretty;
 pub mod token;
@@ -147,19 +146,6 @@ mod prop_tests {
                 pretty::program_to_string(&reparsed),
                 "IR diverged after unparse round trip of:\n{src}"
             );
-            Ok(())
-        });
-    }
-
-    /// The optimizer runs to a fixpoint: a second pass over an already
-    /// optimized program must change nothing.
-    #[test]
-    fn optimizer_is_idempotent_on_generated_programs() {
-        prop::check("optimizer_is_idempotent_on_generated_programs", &program_gen(), |src| {
-            let mut p = compile(src).expect("generated source is valid");
-            opt::optimize(&mut p);
-            let second = opt::optimize(&mut p);
-            prop_assert_eq!(second, 0, "optimizer not idempotent on:\n{src}");
             Ok(())
         });
     }

@@ -412,10 +412,20 @@ impl<'a> Parser<'a> {
             _ => return Ok(lhs),
         };
         let span = self.span();
-        self.bump();
+        let op = self.bump();
+        // `lhs op= rhs` desugars to `lhs = lhs op rhs`, which evaluates
+        // the lvalue twice; a target with a side effect would run it twice.
+        if compound.is_some() && has_side_effect(&lhs) {
+            return Err(CompileError::new(
+                Stage::Parse,
+                format!(
+                    "target of '{op}' has a side effect ('++', '--', an assignment or a call), \
+                     which '{op}' would run twice"
+                ),
+                span,
+            ));
+        }
         let rhs = self.expr()?;
-        // `lhs op= rhs` desugars to `lhs = lhs op rhs` (the lvalue is
-        // evaluated twice, as documented for MiniC).
         let rhs = match compound {
             None => rhs,
             Some(op) => Expr::Binary(op, Box::new(lhs.clone()), Box::new(rhs), span),
@@ -586,6 +596,21 @@ fn incdec(e: Expr, op: BinOp, span: crate::diag::Span) -> Result<Expr, CompileEr
         ));
     }
     Ok(Expr::IncDec(op, Box::new(e), span))
+}
+
+/// Whether evaluating `e` has a side effect: it contains `++`/`--`, an
+/// assignment or a call.
+fn has_side_effect(e: &Expr) -> bool {
+    match e {
+        Expr::Int(..) | Expr::Var(..) => false,
+        Expr::Assign(..) | Expr::IncDec(..) | Expr::Call { .. } => true,
+        Expr::Unary(_, a, _)
+        | Expr::Deref(a, _)
+        | Expr::AddrOf(a, _)
+        | Expr::Field(a, _, _)
+        | Expr::Arrow(a, _, _) => has_side_effect(a),
+        Expr::Binary(_, a, b, _) | Expr::Index(a, b, _) => has_side_effect(a) || has_side_effect(b),
+    }
 }
 
 #[cfg(test)]
@@ -766,6 +791,35 @@ mod tests {
             panic!()
         };
         assert!(matches!(lhs.as_ref(), Expr::Index(_, _, _)));
+    }
+
+    /// A compound assignment would evaluate its target twice, so a target
+    /// with a side effect is a named error at the operator.
+    #[test]
+    fn compound_assignment_rejects_targets_with_side_effects() {
+        for (src, op, col) in [
+            ("int a[4]; int i; int main() { a[i++] += 5; }", "+=", 38),
+            ("int a[4]; int i; int main() { a[i = 1] -= 1; }", "-=", 40),
+            (
+                "int f() { return 0; } int *p; int main() { p[f()] *= 2; }",
+                "*=",
+                51,
+            ),
+            ("int *p; int main() { *(p + --p[0]) ^= 1; }", "^=", 36),
+        ] {
+            let err = parse_err(src);
+            assert_eq!(
+                err.message,
+                format!(
+                    "target of '{op}' has a side effect ('++', '--', an assignment or a call), \
+                     which '{op}' would run twice"
+                ),
+                "{src}"
+            );
+            assert_eq!(err.span, Span::new(1, col), "{src}");
+        }
+        // A side effect on the right, or none at all, is fine.
+        parse_src("int a[4]; int i; int main() { a[i] += i++; a[i + 1] |= a[2]; }");
     }
 
     /// `++` and `--` desugar to one `IncDec` node on their operand, which

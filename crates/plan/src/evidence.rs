@@ -355,7 +355,7 @@ impl Evidence {
         Err(format!(
             "no evidence for program digest {program_digest:#018x} in {} \
              ({scanned} .chev file(s) scanned); run `chimera explore --evidence` \
-             or `chimera fleet --evidence` on this program first",
+             on this program first",
             dir.display()
         ))
     }

@@ -451,8 +451,6 @@ impl<'p> Worklist<'p> {
                 w.enqueue(r);
             }
         }
-        let mut pops = 0u64;
-        let t0 = std::time::Instant::now();
         while let Some(raw) = w.work.pop_front() {
             w.queued[raw] = false;
             let node = w.find(raw);
@@ -461,18 +459,7 @@ impl<'p> Worklist<'p> {
                 w.enqueue(node);
                 continue;
             }
-            pops += 1;
             w.process(node);
-        }
-        if std::env::var_os("CHIMERA_PTA_TRACE").is_some() {
-            eprintln!(
-                "solve: {} nodes, {} pops, {} edges, {} lcd probes, {:?}",
-                n,
-                pops,
-                w.edge_set.len(),
-                w.lcd_done.len(),
-                t0.elapsed()
-            );
         }
         // Materialize results for the public (BTreeSet-based) API.
         for v in 0..n {

@@ -59,10 +59,11 @@ pub enum SchedStrategy {
         /// The step span `[1, span]` over which change points are drawn
         /// (PCT's `k`, an estimate of total steps). `0` means "auto":
         /// harnesses that know a baseline step count (see
-        /// `chimera::explore`) substitute it before execution; the raw
-        /// scheduler clamps a literal 0 to 1. A span much larger than the
-        /// actual run leaves change points unfired and PCT degenerates to
-        /// priority-serial execution, so sizing it matters.
+        /// `chimera_fleet::resolve_strategy`) substitute it before
+        /// execution; the raw scheduler clamps a literal 0 to 1. A span
+        /// much larger than the actual run leaves change points unfired
+        /// and PCT degenerates to priority-serial execution, so sizing it
+        /// matters.
         span: u64,
     },
     /// Preemption-bounded exploration targeting weak-lock and
@@ -79,7 +80,7 @@ pub enum SchedStrategy {
 
 impl SchedStrategy {
     /// PCT with auto span (resolved from a baseline step count by
-    /// harnesses; see `chimera::explore`).
+    /// harnesses; see `chimera_fleet::resolve_strategy`).
     pub fn pct(depth: u32) -> SchedStrategy {
         SchedStrategy::Pct { depth, span: 0 }
     }

@@ -1,6 +1,8 @@
 //! Schedule exploration (the adversarial counterpart of
 //! `drf_equivalence.rs`): Chimera's replay guarantee must survive hostile
-//! scheduling, not just the clock-ordered baseline with jitter.
+//! scheduling, not just the clock-ordered baseline with jitter. The
+//! sweeps run through `chimera::run_fleet`, the orchestrator behind
+//! `chimera explore`.
 //!
 //! Three angles:
 //!
@@ -18,13 +20,14 @@
 //!    bit-identical, so `vm_differential.rs`'s pinning extends to the
 //!    new scheduler seam.
 
-use chimera::{analyze, explore, explore_uninstrumented, ExploreConfig, Grid, PipelineConfig};
+use chimera::{analyze, run_fleet, FleetConfig, FleetReport, FleetTarget, Grid, PipelineConfig};
 use chimera_minic::compile;
 use chimera_runtime::{execute_mode, ExecConfig, InterpMode, SchedStrategy};
 use chimera_workloads::all;
 
-fn sweep_cfg(seeds: Vec<u64>, check_drd: bool) -> ExploreConfig {
-    ExploreConfig {
+/// Sweep `targets` over {jitter, PCT, preemption-bounded} × `seeds`.
+fn sweep(targets: &[FleetTarget], seeds: Vec<u64>, check_drd: bool) -> FleetReport {
+    let cfg = FleetConfig {
         grid: Grid {
             strategies: vec![
                 SchedStrategy::ClockJitter,
@@ -36,39 +39,53 @@ fn sweep_cfg(seeds: Vec<u64>, check_drd: bool) -> ExploreConfig {
             jobs: 0,
         },
         check_drd,
-    }
+        ..FleetConfig::default()
+    };
+    run_fleet(targets, &cfg)
+        .expect("an in-memory sweep cannot fail")
+        .report
 }
 
 #[test]
 fn workloads_certify_replay_under_adversarial_schedules() {
-    let cfg = sweep_cfg(vec![1, 2], true);
-    for w in all() {
-        let p = w.compile(&w.profile_params(0)).expect("workload compiles");
-        let a = analyze(&p, &PipelineConfig::default());
-        let r = explore(w.name, &a, &cfg);
-        for st in &r.strategies {
+    let targets: Vec<FleetTarget> = all()
+        .iter()
+        .map(|w| {
+            let p = w.compile(&w.profile_params(0)).expect("workload compiles");
+            analyze(&p, &PipelineConfig::default()).fleet_target(w.name)
+        })
+        .collect();
+    let r = sweep(&targets, vec![1, 2], true);
+    for t in &r.targets {
+        for st in &t.strategies {
             eprintln!(
                 "{:8} {:>13}: orders={} prefixes={} preemptions={}",
-                w.name, st.strategy, st.distinct_orders, st.distinct_prefixes, st.preemptions
+                t.name, st.strategy, st.distinct_orders, st.distinct_prefixes, st.preemptions
             );
         }
+        let clean = t
+            .strategies
+            .iter()
+            .all(|s| s.outcomes.iter().all(|(_, o)| o.clean()));
         assert!(
-            r.clean(),
+            clean,
             "{}: adversarial sweep found problems:\n{}",
-            w.name,
+            t.name,
             r.to_json()
         );
-        assert_eq!(r.divergences(), 0, "{}", w.name);
-        assert_eq!(r.violations(), 0, "{}", w.name);
+        let divergences: u64 = t.strategies.iter().map(|s| s.divergences).sum();
+        let violations: u64 = t.strategies.iter().map(|s| s.violations).sum();
+        assert_eq!(divergences, 0, "{}", t.name);
+        assert_eq!(violations, 0, "{}", t.name);
         // The sweep must actually perturb schedules, not replay the
         // baseline three times under different names.
-        let perturbed: u64 = r
+        let perturbed: u64 = t
             .strategies
             .iter()
             .filter(|s| s.strategy != "jitter")
             .map(|s| s.preemptions)
             .sum();
-        assert!(perturbed > 0, "{}: no perturbations injected", w.name);
+        assert!(perturbed > 0, "{}: no perturbations injected", t.name);
     }
 }
 
@@ -112,18 +129,23 @@ fn racy_corpus_diverges_somewhere_in_the_sweep() {
                  join(p); join(c); print(out); return 0; }",
         ),
     ];
-    let cfg = sweep_cfg(vec![1, 2, 3], false);
-    for (name, src) in corpus {
-        let p = compile(src).expect("corpus program compiles");
-        let r = explore_uninstrumented(name, &p, &cfg);
+    let targets: Vec<FleetTarget> = corpus
+        .iter()
+        .map(|(name, src)| FleetTarget::raw(name, compile(src).expect("corpus program compiles")))
+        .collect();
+    let r = sweep(&targets, vec![1, 2, 3], false);
+    for t in &r.targets {
+        let divergences: u64 = t.strategies.iter().map(|s| s.divergences).sum();
         assert!(
-            r.any_divergence(),
-            "{name}: hostile sweep failed to expose the race:\n{}",
+            divergences > 0,
+            "{}: hostile sweep failed to expose the race:\n{}",
+            t.name,
             r.to_json()
         );
         eprintln!(
-            "{name:16} divergent cells: {}",
-            r.strategies
+            "{:16} divergent cells: {}",
+            t.name,
+            t.strategies
                 .iter()
                 .map(|s| format!("{}={}", s.strategy, s.divergences))
                 .collect::<Vec<_>>()
@@ -144,8 +166,8 @@ fn instrumented_corpus_stays_clean_in_the_same_sweep() {
     let p = compile(racy).unwrap();
     let a = analyze(&p, &PipelineConfig::default());
     assert!(a.instrumented.weak_locks > 0);
-    let r = explore("counter", &a, &sweep_cfg(vec![1, 2, 3], true));
-    assert!(r.clean(), "{}", r.to_json());
+    let r = sweep(&[a.fleet_target("counter")], vec![1, 2, 3], true);
+    assert!(r.passed(), "{}", r.to_json());
 }
 
 #[test]
@@ -160,7 +182,7 @@ fn modes_stay_bit_identical_per_strategy_and_seed() {
         let baseline = chimera_runtime::execute(&a.instrumented, &ExecConfig::default());
         for sched in [
             SchedStrategy::ClockJitter,
-            chimera::explore::resolve_strategy(SchedStrategy::pct(3), baseline.stats.instrs),
+            chimera::fleet::resolve_strategy(SchedStrategy::pct(3), baseline.stats.instrs),
             SchedStrategy::preempt_bound(),
         ] {
             for seed in [1u64, 17] {

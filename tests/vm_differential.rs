@@ -31,7 +31,7 @@
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
 
-use chimera::explore::resolve_strategy;
+use chimera::fleet::resolve_strategy;
 use chimera::{analyze, PipelineConfig};
 use chimera_minic::compile;
 use chimera_runtime::{
