@@ -206,22 +206,24 @@ echo "== explore smoke (CLI sweep on checked-in fixture) =="
 cargo run -q --release --offline -p chimera --bin chimera -- \
     explore fixtures/racy_counter.mc --seeds 1 --drd
 
-echo "== all five containers + resume idempotence =="
+echo "== all four containers + resume idempotence =="
 # The shared container corruption suite (chimera_testkit::corrupt:
 # every-prefix truncation, byte flips, version-byte flips, errors naming
-# the container, random and seeded corruption) on the journal, corpus,
-# evidence and plan containers — the log container runs it in the
-# replay gate above — plus the CLI's damaged-container test and the
-# orchestrator's resume guarantee: budget + --resume renders
-# byte-identical reports to one-shot and re-executes nothing (DESIGN.md
-# §12, §14). The byte pin of all five is tests/container_identity.rs in
-# the suite above.
+# the container, random and seeded corruption) on the journal, evidence
+# and plan containers — the log container runs it in the replay gate
+# above — plus the CLI's damaged-container test and the orchestrator's
+# resume guarantee: budget + --resume renders byte-identical reports to
+# one-shot and re-executes nothing (DESIGN.md §12, §14). The byte pin of
+# all four is tests/container_identity.rs in the suite above.
 cargo test -q --offline -p chimera-fleet -p chimera-plan -p chimera -p chimera-testkit
 
 echo "== fleet smoke (journaled CLI grid, resumed twice) =="
 # End-to-end CLI: a small explore grid on the checked-in fixture executes
 # and journals every cell under --dir, then two --resume re-runs are pure
-# journal hits — zero cells re-executed (EXPERIMENTS.md).
+# journal hits — zero cells re-executed (EXPERIMENTS.md). Then another
+# fixture's grid is journaled into the same --dir, and a resumed report
+# of the first grid must match, byte for byte, a run of that grid with
+# no --dir: the report is a function of its own grid's outcomes only.
 fleet_dir=$(mktemp -d)
 fleet_run1=$($chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
     --dir "$fleet_dir")
@@ -239,8 +241,18 @@ for attempt in 1 2; do
         exit 1
     }
 done
+$chimera_bin explore fixtures/racy_rw.mc --seeds 2 --check-determinism \
+    --dir "$fleet_dir" > /dev/null
+$chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
+    --dir "$fleet_dir" --resume -o "$fleet_dir/resumed.json" > /dev/null
+$chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
+    -o "$fleet_dir/fresh.json" > /dev/null
+cmp "$fleet_dir/resumed.json" "$fleet_dir/fresh.json" || {
+    echo "a --dir shared with another grid changed the explore report" >&2
+    exit 1
+}
 rm -rf "$fleet_dir"
-echo "fleet grid journaled once, resumed twice with zero re-executions"
+echo "fleet grid journaled once, resumed twice with zero re-executions, report independent of --dir"
 
 echo "== plan round-trip gate (evidence -> demotion -> replanned run) =="
 # The full hybrid loop on the CLI (DESIGN.md §15): a hostile sweep

@@ -26,8 +26,12 @@
 //! does not read fails with `'<cmd>' does not take <flag> (<cmds> do)`,
 //! an unknown flag with `unknown flag '<arg>'`, and a second positional
 //! argument with `unexpected argument '<arg>'` — except for `replay`,
-//! whose second positional is the log file. `run --verify` needs
-//! `--plan`. `--strategy` names one scheduling strategy (`jitter`, `pct`,
+//! whose second positional is the log file. A second table, `NEEDS`,
+//! lists the flags a subcommand reads only beside another flag, and
+//! parsing fails each one given alone with `<flag> needs <flag>`:
+//! `run --verify` needs `--plan`; `plan -o`, `--min-seeds` and
+//! `--min-strategies` need `--evidence`; `explore --resume` needs
+//! `--dir`. `--strategy` names one scheduling strategy (`jitter`, `pct`,
 //! `preempt-bound`) for `run` and `drd`, or also `all` for `explore`; an
 //! unknown strategy name fails. PCT's auto span is resolved against the
 //! program's baseline retired-instruction count, as the hostile grid
@@ -56,12 +60,10 @@
 //! cross-checks FastTrack against RELAY's static pairs; `--raw` sweeps
 //! the program *uninstrumented* instead, where divergence is the
 //! expected, flagged finding. `--jobs N` runs the cells work-stealing on
-//! N worker threads (0 = one per core; `CHIMERA_SERIAL=1` forces serial)
-//! with a bit-identical report. `--dir D` journals every outcome under a
-//! durable cell key in `D/journal.chfj` and harvests interesting cells
-//! (new schedule coverage, divergences, preemption-heavy runs,
-//! violations) into the seed corpus `D/corpus.chfc`; without it
-//! `explore` writes nothing but its `-o` and `--evidence` files.
+//! N worker threads (0 = one per core, 1 = serial) with a bit-identical
+//! report. `--dir D` journals every outcome under a durable cell key in
+//! `D/journal.chfj`; without it `explore` writes nothing but its `-o`
+//! and `--evidence` files.
 //! `--resume` skips journaled cells and `--max-cells N` budgets the new
 //! ones, so an interrupted campaign continues where it left off and its
 //! final report is byte-identical to a one-shot run.
@@ -153,6 +155,16 @@ const fn flag(
     Flag { names, value, cmds }
 }
 
+/// `(subcommand, flag, needed flag)`: the subcommand reads the flag only
+/// when the needed flag is given too, so the flag alone fails by name.
+const NEEDS: [(&str, &str, &str); 5] = [
+    ("run", "--verify", "--plan"),
+    ("plan", "-o", "--evidence"),
+    ("plan", "--min-seeds", "--evidence"),
+    ("plan", "--min-strategies", "--evidence"),
+    ("explore", "--resume", "--dir"),
+];
+
 /// A parsed command line: the subcommand, its positional arguments, and
 /// the flags given, filed under their first spelling (a switch's value
 /// is empty; a repeated flag keeps its last value).
@@ -236,8 +248,10 @@ fn parse_cli() -> Result<Cli, String> {
         };
         cli.flags.insert(flag.names[0], value);
     }
-    if cli.on("--verify") && !cli.on("--plan") {
-        return Err("--verify needs --plan".into());
+    for (cmd, flag, needed) in NEEDS {
+        if cli.command == cmd && cli.on(flag) && !cli.on(needed) {
+            return Err(format!("{flag} needs {needed}"));
+        }
     }
     Ok(cli)
 }
@@ -286,15 +300,15 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "plan" => {
-            let thresholds = chimera::Thresholds {
-                min_seeds: cli.number("--min-seeds")?.unwrap_or(3),
-                min_strategies: cli.number("--min-strategies")?.unwrap_or(2),
-            };
             let analysis = analyze(&program, &pipeline);
             if let Some(dir) = cli.value("--evidence") {
                 // Evidence-driven path: find this program's evidence
                 // container, demote what the hostile sweep certified
                 // race-free, and write the checksummed plan.
+                let thresholds = chimera::Thresholds {
+                    min_seeds: cli.number("--min-seeds")?.unwrap_or(3),
+                    min_strategies: cli.number("--min-strategies")?.unwrap_or(2),
+                };
                 let digest = chimera::fleet::cell::program_digest(&analysis.program);
                 let ev = chimera::Evidence::find(Path::new(dir), digest)?;
                 let plan = chimera::demote(&ev, &thresholds).map_err(|e| e.to_string())?;
@@ -530,9 +544,8 @@ fn sweep_targets(cli: &Cli) -> Result<Vec<(String, Program)>, String> {
 }
 
 /// `chimera explore`: run the hostile grid over one file (or all nine
-/// workloads) work-stealing, journal every outcome and harvest
-/// interesting cells into the seed corpus under `--dir`, and report
-/// grid-wide schedule coverage.
+/// workloads) work-stealing, journal every outcome under `--dir`, and
+/// report grid-wide schedule coverage.
 fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
     let raw = cli.on("--raw");
     let evidence = cli.value("--evidence");
@@ -589,16 +602,13 @@ fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
         report.grid, report.covered, run.executed, run.journal_hits, run.truncated
     );
     outln!(
-        "coverage: {} distinct order(s), {} distinct prefix(es); corpus {} (+{} this run); \
-         journal {}",
+        "coverage: {} distinct order(s), {} distinct prefix(es); journal {}",
         report.distinct_orders,
         report.distinct_prefixes,
-        report.corpus_total,
-        run.corpus_added,
         run.journal_total
     );
     if report.flagged > 0 {
-        outln!("flagged {} cell(s) for the corpus triage queue", report.flagged);
+        outln!("flagged {} cell(s) for triage", report.flagged);
     }
     // Wall-clock throughput goes to stderr: stdout stays a deterministic
     // function of the grid so resumed runs can be diffed against one-shot.

@@ -67,8 +67,8 @@ pub use pipeline::{
 };
 
 pub use chimera_fleet::{
-    run_fleet, CellKey, CellOutcome, Corpus, FleetConfig, FleetReport, FleetRun, FleetTarget, Grid,
-    Interest, Journal, ScheduleObserver, SeedOutcome,
+    run_fleet, CellKey, CellOutcome, FleetConfig, FleetReport, FleetRun, FleetTarget, Grid,
+    Journal, ScheduleObserver, SeedOutcome,
 };
 
 pub use chimera_plan::{

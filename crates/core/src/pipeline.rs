@@ -161,10 +161,9 @@ pub struct TrialSummary {
 /// Run `trials` seeded measurements and average.
 ///
 /// Trials are independent, so they run in parallel via
-/// [`chimera_runtime::par_map`] (set `CHIMERA_SERIAL=1` to force a serial
-/// loop). The summary folds in trial order, so the floating-point sums —
-/// and therefore the reported means — are bit-identical to the serial
-/// loop's.
+/// [`chimera_runtime::par_map`]. The summary folds in trial order, so the
+/// floating-point sums — and therefore the reported means — are
+/// bit-identical to the serial loop's.
 pub fn measure_trials(analysis: &Analysis, exec: &ExecConfig, trials: u32) -> TrialSummary {
     let seeds: Vec<u64> = (0..trials.max(1)).map(|t| 100 + t as u64 * 7).collect();
     let measurements = chimera_runtime::par_map(&seeds, 0, |&seed| measure(analysis, exec, seed));
@@ -241,9 +240,8 @@ impl DrfCertificate {
 /// uninstrumented findings against RELAY's static candidates.
 ///
 /// Seeds are independent, so the 2×`seeds` detector runs fan out via
-/// [`chimera_runtime::par_map`] (`CHIMERA_SERIAL=1` forces a serial
-/// loop); reports merge in seed order, so the result is identical either
-/// way.
+/// [`chimera_runtime::par_map`]; reports merge in seed order, so the
+/// result is identical to a serial loop's.
 pub fn certify_drf(analysis: &Analysis, exec: &ExecConfig, seeds: &[u64]) -> DrfCertificate {
     let runs = chimera_runtime::par_map(seeds, 0, |&seed| {
         let cfg = ExecConfig {

@@ -504,8 +504,11 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
     let first = explore(false);
     assert!(first.contains("6 executed now"), "{first}");
     assert!(first.contains("fleet passed"), "{first}");
-    assert!(state.join("journal.chfj").exists());
-    assert!(state.join("corpus.chfc").exists());
+    let written: Vec<_> = std::fs::read_dir(&state)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(written, ["journal.chfj"], "--dir holds only the journal");
     let first_report = std::fs::read(&report).expect("report written");
     let json = String::from_utf8_lossy(&first_report);
     for key in [
@@ -608,7 +611,8 @@ const FLAGS: [(&str, bool); 21] = [
 ];
 
 /// A subcommand given a flag it does not read exits 1 naming the flag
-/// and the subcommands that do read it; `run --verify` needs `--plan`.
+/// and the subcommands that do read it, and a flag it reads only beside
+/// another flag exits 1 naming the flag it needs.
 #[test]
 fn every_flag_fails_by_name_where_the_subcommand_does_not_read_it() {
     let f = fixture();
@@ -639,10 +643,17 @@ fn every_flag_fails_by_name_where_the_subcommand_does_not_read_it() {
             fails_with(&mut c, &format!("'{cmd}' does not take {flag} ({who})"));
         }
     }
-    fails_with(
-        bin().arg("run").arg(&f).arg("--verify"),
-        "--verify needs --plan",
-    );
+    for (cmd, flag, value, needed) in [
+        ("run", "--verify", None, "--plan"),
+        ("plan", "-o", Some("x.chpl"), "--evidence"),
+        ("plan", "--min-seeds", Some("1"), "--evidence"),
+        ("plan", "--min-strategies", Some("1"), "--evidence"),
+        ("explore", "--resume", None, "--dir"),
+    ] {
+        let mut c = bin();
+        c.arg(cmd).arg(&f).arg(flag).args(value);
+        fails_with(&mut c, &format!("{flag} needs {needed}"));
+    }
 }
 
 /// A compound assignment evaluates its target twice, so a target with a

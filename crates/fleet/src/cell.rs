@@ -9,7 +9,7 @@
 //! FastTrack. [`Grid`] is the single sweep over it: one baseline run per
 //! program, each strategy resolved once, cells mapped over
 //! `chimera_runtime::par_map`. The orchestrator behind `chimera explore`
-//! (journal, corpus, resume) and `chimera_plan::gather_evidence` (the
+//! (journal, resume) and `chimera_plan::gather_evidence` (the
 //! demotion evidence) both run it. Keeping one body and one grid is
 //! deliberate: sweeps with private copies of the
 //! record→replay→verify→probe pipeline would drift, and evidence that a
@@ -269,8 +269,7 @@ pub struct Grid {
     /// per cell.
     pub exec: ExecConfig,
     /// Worker threads: 0 = auto (`available_parallelism`), 1 = serial,
-    /// N = exactly N. `CHIMERA_SERIAL=1` always forces serial. No outcome
-    /// depends on it.
+    /// N = exactly N. No outcome depends on it.
     pub jobs: usize,
 }
 

@@ -249,7 +249,7 @@ impl Journal {
     }
 }
 
-pub(crate) fn encode_key(out: &mut Vec<u8>, key: &CellKey) {
+fn encode_key(out: &mut Vec<u8>, key: &CellKey) {
     out.extend_from_slice(&key.program.to_le_bytes());
     out.push(key.strat);
     push_varint(out, key.strat_a);
@@ -285,7 +285,7 @@ fn decode_entry(r: &mut Reader) -> Result<(CellKey, CellOutcome), String> {
     Ok((key, outcome))
 }
 
-pub(crate) fn decode_key(r: &mut Reader) -> Result<CellKey, String> {
+fn decode_key(r: &mut Reader) -> Result<CellKey, String> {
     let program = r.u64_raw()?;
     let strat = r.u8()?;
     if strat > 2 {

@@ -1,7 +1,7 @@
 //! The fleet orchestrator: thousands of exploration cells, work-stealing
-//! execution, global schedule dedup, a persistent corpus, and
-//! incremental resume. It is the one front end of the hostile sweep:
-//! `chimera explore` builds its targets and prints its report.
+//! execution, a persistent run journal, and incremental resume. It is the
+//! one front end of the hostile sweep: `chimera explore` builds its
+//! targets and prints its report.
 //!
 //! The grid is `targets × strategies × seeds`, materialized in a
 //! canonical order (target-major, then each target's [`Grid::cells`]:
@@ -10,18 +10,16 @@
 //! pull cells from a shared atomic index — work-stealing at cell
 //! granularity, so a straggler delays only itself — and return results
 //! in grid order, so every aggregate below is independent of worker
-//! count and OS scheduling. `CHIMERA_SERIAL=1` forces the serial path.
+//! count and OS scheduling; `jobs = 1` is the serial path.
 //!
 //! Every cell outcome lands in the [`Journal`] keyed by
 //! [`CellKey`]; `resume` skips journaled cells and reuses their stored
 //! outcomes, which makes the final report — per-strategy aggregates and
 //! one row per covered cell, both read back from the journal — a pure
 //! function of the grid: a budgeted run plus a `--resume` completion is
-//! byte-identical to the one-shot run. Interesting cells (new order-hash
-//! coverage, divergences, near-divergences, preemption-heavy runs, probe
-//! violations, determinism failures) are appended to the [`Corpus`].
-//! Without a directory the journal and corpus live in memory only and
-//! nothing is written.
+//! byte-identical to the one-shot run, and cells other grids journaled
+//! in the same directory never enter it. Without a directory the journal
+//! lives in memory only and nothing is written.
 //!
 //! With `check_determinism`, each cell is executed twice and the two
 //! runs' `Machine::fold_ordered` state hashes (plus order hashes and
@@ -30,7 +28,6 @@
 //! not just the program under test, broke its own determinism contract.
 
 use crate::cell::{exec_digest, program_digest, run_cell, CellKey, Grid, GridCell, StaticPairs};
-use crate::corpus::{Corpus, CorpusEntry, Interest, PREEMPT_HEAVY_MIN};
 use crate::journal::{CellOutcome, Journal};
 use chimera_minic::ir::Program;
 use chimera_runtime::par_map;
@@ -88,8 +85,8 @@ pub struct FleetConfig {
     /// Execute at most this many *new* cells this invocation (a budget;
     /// the rest of the grid stays pending for the next `--resume`).
     pub max_cells: Option<u64>,
-    /// Directory holding `journal.chfj` + `corpus.chfc`. `None` keeps
-    /// both in memory only.
+    /// Directory holding `journal.chfj`. `None` keeps the journal in
+    /// memory only.
     pub dir: Option<PathBuf>,
     /// Skip cells already present in the journal (incremental mode).
     /// When false, journaled cells re-execute and their entries are
@@ -182,8 +179,6 @@ pub struct FleetReport {
     /// Flagged cells: divergences on expected-divergence targets plus
     /// every nondeterministic cell — the findings worth reading.
     pub flagged: u64,
-    /// Corpus size after this run.
-    pub corpus_total: u64,
 }
 
 impl FleetReport {
@@ -224,7 +219,6 @@ impl FleetReport {
             "  \"distinct_prefixes\": {},\n",
             self.distinct_prefixes
         ));
-        s.push_str(&format!("  \"corpus_total\": {},\n", self.corpus_total));
         s.push_str("  \"targets\": [\n");
         for (i, t) in self.targets.iter().enumerate() {
             s.push_str("    {\n");
@@ -325,8 +319,6 @@ pub struct FleetRun {
     pub journal_hits: u64,
     /// Cells left unexecuted by the `max_cells` budget.
     pub truncated: u64,
-    /// Corpus entries added by this invocation.
-    pub corpus_added: u64,
     /// Journal size after this run.
     pub journal_total: u64,
 }
@@ -338,13 +330,12 @@ struct Cell {
 }
 
 /// Execute the fleet: build the grid, skip journaled cells, run the rest
-/// work-stealing, classify interesting outcomes into the corpus, persist
-/// both containers, and aggregate the grid-wide report.
+/// work-stealing, persist the journal, and aggregate the grid-wide report.
 ///
 /// # Errors
 ///
-/// Corrupt or unreadable journal/corpus files (named-section parse
-/// errors), and persistence failures. Cell execution itself cannot fail —
+/// A corrupt or unreadable journal (named-section parse errors), and
+/// persistence failures. Cell execution itself cannot fail —
 /// a diverging or violating cell is a *result*, not an error.
 pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun, String> {
     if let Some(dir) = &cfg.dir {
@@ -354,10 +345,6 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
     let mut journal = match &cfg.dir {
         Some(dir) => Journal::load(dir)?,
         None => Journal::default(),
-    };
-    let mut corpus = match &cfg.dir {
-        Some(dir) => Corpus::load(dir)?,
-        None => Corpus::default(),
     };
 
     // --- Build the grid in canonical order. -------------------------------
@@ -428,50 +415,9 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         journal.insert(c.key, o);
     }
 
-    // --- Classify newly executed cells into the corpus (grid order, so
-    // NEW_ORDER attribution is invocation-independent). -------------------
-    let mut corpus_added = 0u64;
-    for (c, &o) in pending.iter().zip(&new_outcomes) {
-        let mut interest = Interest::default();
-        if !corpus.covers_order(o.order_hash) {
-            interest = interest.or(Interest::NEW_ORDER);
-        }
-        if o.diverged() {
-            interest = interest.or(Interest::DIVERGENT);
-        }
-        if !o.diverged() && o.forced_releases > 0 {
-            interest = interest.or(Interest::NEAR_DIVERGENCE);
-        }
-        if o.preemptions >= PREEMPT_HEAVY_MIN {
-            interest = interest.or(Interest::PREEMPT_HEAVY);
-        }
-        if o.violations > 0 {
-            interest = interest.or(Interest::VIOLATION);
-        }
-        if o.deterministic == Some(false) {
-            interest = interest.or(Interest::NONDETERMINISTIC);
-        }
-        if !interest.is_empty()
-            && corpus.add(CorpusEntry {
-                key: c.key,
-                program: targets[c.target].name.clone(),
-                interest,
-                order_hash: o.order_hash,
-                prefix_hash: o.prefix_hash,
-                state_hash: o.state_hash,
-                preemptions: o.preemptions,
-                forced_releases: o.forced_releases,
-                sync_events: o.sync_events,
-            })
-        {
-            corpus_added += 1;
-        }
-    }
-
     // --- Persist. ---------------------------------------------------------
     if let Some(dir) = &cfg.dir {
         journal.save(dir)?;
-        corpus.save(dir)?;
     }
 
     // --- Aggregate the grid-wide report. ----------------------------------
@@ -523,14 +469,12 @@ pub fn run_fleet(targets: &[FleetTarget], cfg: &FleetConfig) -> Result<FleetRun,
         distinct_orders: global_orders.len(),
         distinct_prefixes: global_prefixes.len(),
         flagged,
-        corpus_total: corpus.len() as u64,
     };
     Ok(FleetRun {
         report,
         executed,
         journal_hits,
         truncated,
-        corpus_added,
         journal_total: journal.len() as u64,
     })
 }

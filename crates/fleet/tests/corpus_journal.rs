@@ -1,8 +1,8 @@
-//! Container hardening for the fleet's two on-disk files: the shared
-//! hostile-input suite (`chimera_testkit::corrupt`) on both, and the
+//! Container hardening for the fleet's one on-disk file, the journal: the
+//! shared hostile-input suite (`chimera_testkit::corrupt`), and the
 //! fleet-specific checks — section naming and duplicate keys on the wire.
 
-use chimera_fleet::{CellKey, CellOutcome, Corpus, CorpusEntry, Interest, Journal};
+use chimera_fleet::{CellKey, CellOutcome, Journal};
 use chimera_testkit::prop::Gen;
 use chimera_testkit::{corruption_suite, Codec};
 
@@ -10,12 +10,6 @@ const JOURNAL: Codec<Journal> = Codec {
     name: "journal",
     decode: Journal::from_bytes,
     encode: Journal::to_bytes,
-};
-
-const CORPUS: Codec<Corpus> = Codec {
-    name: "corpus",
-    decode: Corpus::from_bytes,
-    encode: Corpus::to_bytes,
 };
 
 fn arb_key() -> Gen<CellKey> {
@@ -64,29 +58,6 @@ fn arb_journal() -> Gen<Journal> {
     })
 }
 
-fn arb_corpus() -> Gen<Corpus> {
-    Gen::new(|s| {
-        const NAMES: [&str; 4] = ["pfscan", "aget", "racy_counter", "x"];
-        let mut c = Corpus::default();
-        let n = s.int(0usize..12);
-        for _ in 0..n {
-            let key = s.draw(&arb_key());
-            c.add(CorpusEntry {
-                key,
-                program: NAMES[s.index(NAMES.len())].to_string(),
-                interest: Interest(s.int(0u32..64) as u8),
-                order_hash: s.raw_u64(),
-                prefix_hash: s.raw_u64(),
-                state_hash: s.raw_u64(),
-                preemptions: s.int(0u64..100),
-                forced_releases: s.int(0u64..10),
-                sync_events: s.int(0u64..10_000),
-            });
-        }
-        c
-    })
-}
-
 /// A fixed journal whose entries cover every optional field shape and
 /// every strategy code, for the suite's deterministic sweeps.
 fn rich_journal() -> Journal {
@@ -129,39 +100,9 @@ fn rich_journal() -> Journal {
     j
 }
 
-fn rich_corpus() -> Corpus {
-    let mut c = Corpus::default();
-    for i in 0..3u64 {
-        c.add(CorpusEntry {
-            key: CellKey {
-                program: 0xabad_1dea ^ i,
-                strat: (i % 3) as u8,
-                strat_a: i,
-                strat_b: 1 << (9 * i),
-                seed: i,
-                exec: 0x42,
-            },
-            program: ["pfscan", "aget", "racy_counter"][i as usize].into(),
-            interest: Interest(1 << i),
-            order_hash: 0x1000 + i,
-            prefix_hash: 0x2000 + i,
-            state_hash: 0x3000 + i,
-            preemptions: 17 * i,
-            forced_releases: i,
-            sync_events: 100 + i,
-        });
-    }
-    c
-}
-
 #[test]
 fn journal_passes_the_corruption_suite() {
     corruption_suite(&JOURNAL, &rich_journal(), arb_journal());
-}
-
-#[test]
-fn corpus_passes_the_corruption_suite() {
-    corruption_suite(&CORPUS, &rich_corpus(), arb_corpus());
 }
 
 #[test]
@@ -179,14 +120,14 @@ fn parse_errors_name_the_failing_section() {
     let err = Journal::from_bytes(&bytes[..cut]).unwrap_err();
     assert!(err.starts_with("journal entry "), "{err}");
 
-    let err = Corpus::from_bytes(b"CHFJ\x01").unwrap_err();
-    assert_eq!(err, "corpus magic: bad magic");
+    let err = Journal::from_bytes(b"CHEV\x01").unwrap_err();
+    assert_eq!(err, "journal magic: bad magic");
 
     // Trailing garbage after a fully valid container.
-    let mut extra = rich_corpus().to_bytes();
+    let mut extra = bytes;
     extra.push(0);
-    let err = Corpus::from_bytes(&extra).unwrap_err();
-    assert_eq!(err, "corpus: 1 trailing byte(s)");
+    let err = Journal::from_bytes(&extra).unwrap_err();
+    assert_eq!(err, "journal: 1 trailing byte(s)");
 }
 
 #[test]

@@ -1,13 +1,11 @@
 //! Orchestrator-level guarantees: resume idempotence (a budgeted run
 //! completed by `--resume` is byte-identical to the one-shot run and
-//! re-executes nothing), worker-count independence, determinism
-//! double-runs, raw-target flagging, schedule coverage under the
-//! adversarial strategies, per-cell report rows, and loud failure on
-//! corrupt state.
+//! re-executes nothing), a report that other grids in the same directory
+//! cannot move, worker-count independence, determinism double-runs,
+//! raw-target flagging, schedule coverage under the adversarial
+//! strategies, per-cell report rows, and loud failure on corrupt state.
 
-use chimera_fleet::{
-    run_fleet, CellOutcome, Corpus, FleetConfig, FleetTarget, Grid, Interest, Journal,
-};
+use chimera_fleet::{run_fleet, CellOutcome, FleetConfig, FleetTarget, Grid, Journal};
 use chimera_minic::compile;
 use std::path::PathBuf;
 
@@ -86,14 +84,10 @@ fn budget_plus_resume_matches_one_shot_byte_for_byte() {
     // The report is a pure function of the grid: the split run's final
     // report renders the same bytes as the one-shot run's.
     assert_eq!(second.report.to_json(), one_shot.report.to_json());
-    // And the persisted containers agree too.
+    // And the persisted journals agree too.
     assert_eq!(
         Journal::load(&split_dir).unwrap(),
         Journal::load(&one_shot_dir).unwrap()
-    );
-    assert_eq!(
-        Corpus::load(&split_dir).unwrap().distinct_orders(),
-        Corpus::load(&one_shot_dir).unwrap().distinct_orders()
     );
 }
 
@@ -111,8 +105,41 @@ fn immediate_resume_executes_zero_cells() {
     let again = run_fleet(&targets, &cfg).unwrap();
     assert_eq!(again.executed, 0, "identical grid must be a pure journal hit");
     assert_eq!(again.journal_hits, 9);
-    assert_eq!(again.corpus_added, 0, "resume must not re-harvest the corpus");
     assert_eq!(again.report.to_json(), first.report.to_json());
+}
+
+#[test]
+fn other_grids_in_the_directory_never_change_the_report() {
+    // The report is a function of this grid's outcomes alone: a directory
+    // that already journaled another target's grid must render the same
+    // bytes as a fresh one, resumed or not.
+    let sweep = |dir: &PathBuf, resume: bool| {
+        run_fleet(
+            &[locked_target()],
+            &FleetConfig {
+                dir: Some(dir.clone()),
+                resume,
+                ..FleetConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let fresh = sweep(&tempdir("pure-fresh"), false);
+    let shared = tempdir("pure-shared");
+    run_fleet(
+        &[racy_raw_target()],
+        &FleetConfig {
+            dir: Some(shared.clone()),
+            ..FleetConfig::default()
+        },
+    )
+    .unwrap();
+    let after_other = sweep(&shared, false);
+    assert_eq!(after_other.report.to_json(), fresh.report.to_json());
+    let resumed = sweep(&shared, true);
+    assert_eq!(resumed.executed, 0);
+    assert_eq!(resumed.report.to_json(), fresh.report.to_json());
+    assert_eq!(resumed.journal_total, 18, "both grids stay journaled");
 }
 
 #[test]
@@ -228,28 +255,6 @@ fn adversarial_strategies_explore_distinct_orders() {
         "no perturbations injected: {}",
         run.report.to_json()
     );
-}
-
-#[test]
-fn corpus_harvests_divergent_and_new_order_cells() {
-    let dir = tempdir("harvest");
-    let run = run_fleet(
-        &[racy_raw_target()],
-        &FleetConfig {
-            dir: Some(dir.clone()),
-            ..FleetConfig::default()
-        },
-    )
-    .unwrap();
-    let corpus = Corpus::load(&dir).unwrap();
-    assert_eq!(corpus.len() as u64, run.report.corpus_total);
-    assert!(!corpus.is_empty());
-    assert!(corpus.entries.iter().any(|e| e.interest.has(Interest::NEW_ORDER)));
-    assert!(corpus
-        .entries
-        .iter()
-        .any(|e| e.interest.has(Interest::DIVERGENT)));
-    assert!(corpus.entries.iter().all(|e| e.program == "racy"));
 }
 
 #[test]

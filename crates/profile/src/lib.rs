@@ -360,11 +360,11 @@ pub fn profile_once(program: &Program, config: &ExecConfig) -> ProfileData {
 /// "various inputs") and merge the results.
 ///
 /// Runs are independent, so they execute in parallel via
-/// [`chimera_runtime::par_map`] (set `CHIMERA_SERIAL=1` to force a serial
-/// loop). Each run's facts stay dense (function bit matrices and per-loop
-/// counters); they are merged in seed order and translated to the
-/// name-keyed [`ProfileData`] once, so the result is identical to folding
-/// [`profile_once`] over the seeds with [`ProfileData::merge`].
+/// [`chimera_runtime::par_map`]. Each run's facts stay dense (function
+/// bit matrices and per-loop counters); they are merged in seed order
+/// and translated to the name-keyed [`ProfileData`] once, so the result
+/// is identical to folding [`profile_once`] over the seeds with
+/// [`ProfileData::merge`].
 pub fn profile_runs(program: &Program, base: &ExecConfig, seeds: &[u64]) -> ProfileData {
     let loops = program_loops(program);
     let per_seed = chimera_runtime::par_map(seeds, 0, |&seed| {

@@ -41,10 +41,9 @@ pub mod replayer;
 pub mod verify;
 pub mod wire;
 
-pub use logs::{compressed_estimate, Checkpoint, JournalEvent, LogSuffix, ReplayLogs, CHUNK_EVENTS};
+pub use logs::{compressed_estimate, Checkpoint, JournalEvent, ReplayLogs, CHUNK_EVENTS};
 pub use record::{record, record_observed, record_with, Recorder, Recording};
 pub use replayer::{replay, replay_bisect, BisectReplay, ReplayRun, Replayer};
 pub use verify::{
-    localize_divergence, verify_determinism, verify_with_bisection, DeterminismReport, Divergence,
-    DivergenceCause,
+    localize_divergence, verify_determinism, DeterminismReport, Divergence, DivergenceCause,
 };

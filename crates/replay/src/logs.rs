@@ -165,22 +165,6 @@ pub struct ReplayLogs {
     pub checkpoints: Vec<Checkpoint>,
 }
 
-/// A mid-log decode: the journal suffix starting at a chunk boundary,
-/// plus the checkpoint anchoring it (if the recorder emitted one there).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogSuffix {
-    /// First chunk included in the suffix.
-    pub chunk: usize,
-    /// Journal events preceding (and excluded from) this suffix.
-    pub start_events: u64,
-    /// The checkpoint at exactly `start_events`, when one exists.
-    pub anchor: Option<Checkpoint>,
-    /// The decoded journal events from `start_events` onward.
-    pub journal: Vec<JournalEvent>,
-    /// Checkpoints strictly after `start_events`.
-    pub checkpoints: Vec<Checkpoint>,
-}
-
 /// Dictionary key for one ordered object, reduced to a sortable id.
 /// Order matters: groups are serialized in this enum's variant order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -451,7 +435,7 @@ impl ReplayLogs {
             mut r,
         } = open(bytes)?;
         if let Some((objs, combos)) = &tables {
-            walk_chunks(&mut r, n_chunks, 0, |i, _, body| {
+            walk_chunks(&mut r, n_chunks, true, |i, _, body| {
                 let n_in = chunk_events(n_events, n_chunks, i);
                 decode_chunk(i, body, n_in, n_chunks > 1, combos, objs, &mut logs.journal)
             })?;
@@ -460,62 +444,9 @@ impl ReplayLogs {
         Ok(logs)
     }
 
-    /// Decode the journal suffix starting at chunk boundary `chunk`,
-    /// without verifying the checksums of (or even decoding) the skipped
-    /// prefix — this is what lets bisection restart mid-log even when an
-    /// earlier chunk is corrupt.
-    ///
-    /// # Errors
-    ///
-    /// Fails on container/header damage, a log with no journal, an
-    /// out-of-range chunk, or damage within the suffix itself.
-    pub fn decode_from_checkpoint(bytes: &[u8], chunk: usize) -> Result<LogSuffix, String> {
-        let Opened {
-            logs,
-            tables,
-            n_events,
-            n_chunks,
-            mut r,
-            ..
-        } = open(bytes)?;
-        let Some((objs, combos)) = tables else {
-            return Err("log: no journal".into());
-        };
-        if chunk >= n_chunks {
-            return Err(format!("log: chunk {chunk} out of range (log has {n_chunks})"));
-        }
-        let mut journal = Vec::new();
-        walk_chunks(&mut r, n_chunks, chunk, |i, _, body| {
-            if i < chunk {
-                return Ok(());
-            }
-            let n_in = chunk_events(n_events, n_chunks, i);
-            decode_chunk(i, body, n_in, n_chunks > 1, &combos, &objs, &mut journal)
-        })?;
-        FORMAT.finish(&r)?;
-        let start_events = (chunk * CHUNK_EVENTS) as u64;
-        Ok(LogSuffix {
-            chunk,
-            start_events,
-            anchor: logs
-                .checkpoints
-                .iter()
-                .find(|c| c.events == start_events)
-                .copied(),
-            journal,
-            checkpoints: logs
-                .checkpoints
-                .iter()
-                .filter(|c| c.events > start_events)
-                .copied()
-                .collect(),
-        })
-    }
-
     /// Byte ranges `(start, end)` of each chunk *body* inside a v2 buffer
-    /// (the 4-byte frame checksum sits immediately before `start`). For
-    /// corruption tests and forensics tooling; chunk checksums are not
-    /// verified.
+    /// (the 4-byte frame checksum sits immediately before `start`), for
+    /// corruption tests to aim at; chunk checksums are not verified.
     ///
     /// # Errors
     ///
@@ -525,7 +456,7 @@ impl ReplayLogs {
             n_chunks, mut r, ..
         } = open(bytes)?;
         let mut spans = Vec::with_capacity(n_chunks);
-        walk_chunks(&mut r, n_chunks, n_chunks, |_, start, body| {
+        walk_chunks(&mut r, n_chunks, false, |_, start, body| {
             spans.push((start, start + body.len()));
             Ok(())
         })?;
@@ -561,20 +492,20 @@ fn open(bytes: &[u8]) -> Result<Opened<'_>, String> {
     })
 }
 
-/// The one walk over a log's chunk frames. Frames before `verify_from`
-/// are delimited by their lengths alone (checksums unverified); the rest
-/// are checksum-verified. Calls `f(i, body_start, body)` for every chunk.
+/// The one walk over a log's chunk frames: checksum-verified when
+/// `verify`, else delimited by their lengths alone. Calls
+/// `f(i, body_start, body)` for every chunk.
 fn walk_chunks<'a>(
     r: &mut Reader<'a>,
     n_chunks: usize,
-    verify_from: usize,
+    verify: bool,
     mut f: impl FnMut(usize, usize, &'a [u8]) -> Result<(), String>,
 ) -> Result<(), String> {
     for i in 0..n_chunks {
-        let body = if i < verify_from {
-            r.skip_frame()
-        } else {
+        let body = if verify {
             read_frame(r)
+        } else {
+            r.skip_frame()
         }
         .map_err(|e| format!("log chunk {i}: {e}"))?;
         f(i, r.pos() - body.len(), body)?;
@@ -1576,34 +1507,6 @@ mod tests {
         // combo packs at width zero, so the body is empty.
         let logs = ReplayLogs::from_bytes(&container(&header, &frame(&[]))).expect("valid");
         assert_eq!(logs.journal, vec![JournalEvent::Mutex { thread: 2, addr: 3 }]);
-    }
-
-    #[test]
-    fn mid_log_decode_skips_damaged_prefix() {
-        let logs = journal_logs();
-        let bytes = logs.to_bytes();
-        // Pristine: the suffix from chunk 1 is journal[256..], anchored at
-        // the 256-event checkpoint.
-        let suf = ReplayLogs::decode_from_checkpoint(&bytes, 1).expect("suffix");
-        assert_eq!(suf.start_events, 256);
-        assert_eq!(&suf.journal[..], &logs.journal[256..]);
-        assert_eq!(suf.anchor, Some(logs.checkpoints[0]));
-        assert_eq!(suf.checkpoints, vec![logs.checkpoints[1]]);
-        // Damage chunk 0: the full decode names it; the mid-log decode
-        // never reads it.
-        let spans = ReplayLogs::chunk_spans(&bytes).expect("spans");
-        let mut b = bytes.clone();
-        b[spans[0].0 + 4] ^= 0xff;
-        let err = ReplayLogs::from_bytes(&b).unwrap_err();
-        assert!(err.contains("chunk 0"), "{err}");
-        let suf2 = ReplayLogs::decode_from_checkpoint(&b, 1).expect("skip damage");
-        assert_eq!(suf2.journal, suf.journal);
-        // Damage inside the suffix still fails.
-        let mut b = bytes.clone();
-        b[spans[2].0 + 4] ^= 0xff;
-        assert!(ReplayLogs::decode_from_checkpoint(&b, 1).is_err());
-        // Out-of-range chunk.
-        assert!(ReplayLogs::decode_from_checkpoint(&bytes, 9).is_err());
     }
 
     #[test]

@@ -15,9 +15,6 @@ pub struct DeterminismReport {
     pub equivalent: bool,
     /// One line per failed check.
     pub differences: Vec<String>,
-    /// Where the schedules first parted ways, when journal evidence was
-    /// available and disagreed (see [`localize_divergence`]).
-    pub divergence: Option<Divergence>,
 }
 
 impl DeterminismReport {
@@ -25,7 +22,6 @@ impl DeterminismReport {
         DeterminismReport {
             equivalent: true,
             differences: Vec::new(),
-            divergence: None,
         }
     }
 
@@ -268,27 +264,6 @@ pub fn verify_determinism(recorded: &ExecResult, replayed: &ExecResult) -> Deter
     report
 }
 
-/// [`verify_determinism`], plus journal forensics: when the end states
-/// disagree (or the schedules do), attach the bisection result naming the
-/// first mismatched chunk and event.
-pub fn verify_with_bisection(
-    recorded: &ExecResult,
-    recorded_logs: &ReplayLogs,
-    replayed: &ExecResult,
-    observed_logs: &ReplayLogs,
-) -> DeterminismReport {
-    let mut report = verify_determinism(recorded, replayed);
-    report.divergence = localize_divergence(recorded_logs, observed_logs);
-    if let Some(d) = &report.divergence {
-        report.equivalent = false;
-        report.differences.push(format!(
-            "schedule diverges at event {} (chunk {}): {}",
-            d.event, d.chunk, d.cause
-        ));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +328,7 @@ mod tests {
         let rep = replay_bisect(&p, &rec.logs, &ExecConfig { seed: 6, ..ExecConfig::default() });
         assert!(rep.complete);
         assert!(localize_divergence(&rec.logs, &rep.observed).is_none());
-        let v = verify_with_bisection(&rec.result, &rec.logs, &rep.result, &rep.observed);
+        let v = verify_determinism(&rec.result, &rep.result);
         assert!(v.equivalent, "{:?}", v.differences);
     }
 

@@ -1,8 +1,8 @@
 //! The one container codec (DESIGN.md §12).
 //!
 //! Every on-disk artifact reads and writes its bytes here: replay logs
-//! (`CHIM`), the fleet journal (`CHFJ`) and corpus (`CHFC`), sweep evidence
-//! (`CHEV`) and certified plans (`CHPL`). A container is an envelope — a
+//! (`CHIM`), the fleet journal (`CHFJ`), sweep evidence (`CHEV`) and
+//! certified plans (`CHPL`). A container is an envelope — a
 //! 4-byte magic and a varint format version ([`Format`]) — followed by
 //! frames, each `varint(len) ++ fnv32(body) ++ body` ([`push_frame`]).
 //!
@@ -18,7 +18,7 @@ use std::path::Path;
 /// version this build reads and writes.
 #[derive(Debug)]
 pub struct Format {
-    /// Leads every decode error (`log`, `journal`, `corpus`, ...).
+    /// Leads every decode error (`log`, `journal`, `evidence`, ...).
     pub name: &'static str,
     /// The 4-byte magic the container starts with.
     pub magic: &'static [u8; 4],

@@ -6,17 +6,9 @@
 //! counter, then reassembles results **in input order** — so callers
 //! that fold the output sequentially get bit-identical results to a
 //! serial loop, regardless of OS scheduling.
-//! Setting `CHIMERA_SERIAL=1` (any non-empty value other than `0`) forces
-//! the serial path, as an escape hatch for debugging and for environments
-//! where spawning threads is undesirable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-/// Has the user asked for serial execution via `CHIMERA_SERIAL`?
-fn serial_requested() -> bool {
-    std::env::var_os("CHIMERA_SERIAL").is_some_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Apply `f` to every item on up to `jobs` workers, returning results in
 /// input order. The calling thread is one of the workers; the others are
@@ -27,9 +19,8 @@ fn serial_requested() -> bool {
 /// workers (spawning one thread fewer) even when the host advertises
 /// fewer cores — an explicit request wins, which is what lets an
 /// orchestrator oversubscribe I/O-ish work or pin a reproducible worker
-/// count. Zero or one item, or `CHIMERA_SERIAL=1`, always takes the
-/// serial loop. Panics in `f` propagate to the caller (the scope joins
-/// every worker first).
+/// count. Zero or one item always takes the serial loop. Panics in `f`
+/// propagate to the caller (the scope joins every worker first).
 pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let n = items.len();
     let workers = if jobs == 0 {
@@ -40,7 +31,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U +
         jobs
     }
     .min(n);
-    if n <= 1 || workers <= 1 || serial_requested() {
+    if n <= 1 || workers <= 1 {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);

@@ -1,7 +1,7 @@
 //! One hostile-input suite for every on-disk container codec.
 //!
-//! The workspace's five containers — replay logs, the fleet journal and
-//! corpus, sweep evidence and certified plans — share one envelope (a
+//! The workspace's four containers — replay logs, the fleet journal,
+//! sweep evidence and certified plans — share one envelope (a
 //! 4-byte magic, then a one-byte varint version) and one error rule: every
 //! decode error starts with the container's name. Each container's own
 //! tests call [`corruption_suite`] with its [`Codec`], one pristine value

@@ -297,29 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_sources_survive_unparse_round_trip() {
-        // Parse each workload, render it back to source, recompile, and
-        // compare the IR shape — pins the front end against the richest
-        // MiniC corpus in the workspace.
-        for w in all() {
-            let src = w.source(&w.eval_params(2));
-            let unit = chimera_minic::parser::parse(
-                &chimera_minic::lexer::lex(&src).unwrap(),
-            )
-            .unwrap();
-            let rendered = chimera_minic::unparse::unit_to_source(&unit);
-            let p1 = compile(&src).unwrap();
-            let p2 = compile(&rendered)
-                .unwrap_or_else(|e| panic!("{}: unparse broke the source: {e}", w.name));
-            assert_eq!(p1.funcs.len(), p2.funcs.len(), "{}", w.name);
-            assert_eq!(p1.accesses.len(), p2.accesses.len(), "{}", w.name);
-            for (f1, f2) in p1.funcs.iter().zip(&p2.funcs) {
-                assert_eq!(f1.blocks.len(), f2.blocks.len(), "{}/{}", w.name, f1.name);
-            }
-        }
-    }
-
-    #[test]
     fn loc_recorded() {
         let w = by_name("apache").unwrap();
         let prog = w.compile(&w.eval_params(2)).unwrap();

@@ -1,4 +1,4 @@
-//! Byte-identity pin for the five on-disk containers.
+//! Byte-identity pin for the four on-disk containers.
 //!
 //! Every item below is serialized with its container's `to_bytes()`, and
 //! the FNV-64 digest and length of those bytes are compared with committed
@@ -8,8 +8,7 @@
 //! - `CHIM` replay logs: the nine workloads recorded at the
 //!   `replay_format` bench configuration and a push-built three-chunk
 //!   journal log with checkpoints;
-//! - a `CHFJ` fleet journal and a `CHFC` fleet corpus that exercise every
-//!   optional field;
+//! - a `CHFJ` fleet journal that exercises every optional field;
 //! - the `CHEV` evidence and `CHPL` certified plan of every checked-in
 //!   `fixtures/*.mc`, under `GatherConfig::default()` and
 //!   `Thresholds::default()`.
@@ -18,7 +17,7 @@
 //! naming the item.
 
 use chimera::{analyze, analyze_workload, OptSet, PipelineConfig};
-use chimera_fleet::{CellKey, CellOutcome, Corpus, CorpusEntry, Interest, Journal};
+use chimera_fleet::{CellKey, CellOutcome, Journal};
 use chimera_minic::ir::{LockGranularity, WeakLockId};
 use chimera_plan::{demote, gather_evidence, CertifiedPlan, Evidence, GatherConfig, Thresholds};
 use chimera_replay::{record, ReplayLogs};
@@ -38,7 +37,6 @@ const PINS: &[(&str, u64, usize)] = &[
     ("log:radix", 0xb8179166c2527f1a, 55),
     ("log:journal", 0x6c4335df3018819c, 676),
     ("journal", 0x34e30fe3a57ef45a, 203),
-    ("corpus", 0x20b2e5544e74360b, 198),
     ("chev:lock_summaries", 0x4cffa715284fd08b, 487),
     ("chpl:lock_summaries", 0x12287a90b3fa2927, 649),
     ("chev:partitioned_sum", 0x7f468b9a266ee54c, 379),
@@ -124,31 +122,6 @@ fn journal() -> Journal {
     j
 }
 
-fn corpus() -> Corpus {
-    let mut c = Corpus::default();
-    for i in 0..3u64 {
-        c.add(CorpusEntry {
-            key: CellKey {
-                program: 0xabad_1dea ^ i,
-                strat: i as u8,
-                strat_a: i,
-                strat_b: 1 << (9 * i),
-                seed: i,
-                exec: 0x42,
-            },
-            program: ["pfscan", "aget", "racy_counter"][i as usize].into(),
-            interest: Interest::NEW_ORDER.or(Interest(1 << (i + 1))),
-            order_hash: 0x1000 + i,
-            prefix_hash: 0x2000 + i,
-            state_hash: 0x3000 + i,
-            preemptions: 17 * i,
-            forced_releases: i,
-            sync_events: 100 + i,
-        });
-    }
-    c
-}
-
 /// An item's name, its `to_bytes()`, and the re-encoding of those bytes
 /// after a decode.
 type Item = (String, Vec<u8>, Result<Vec<u8>, String>);
@@ -171,9 +144,6 @@ fn items() -> Vec<Item> {
     let j = journal().to_bytes();
     let again = Journal::from_bytes(&j).map(|x| x.to_bytes());
     out.push(("journal".into(), j, again));
-    let c = corpus().to_bytes();
-    let again = Corpus::from_bytes(&c).map(|x| x.to_bytes());
-    out.push(("corpus".into(), c, again));
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let mut fixtures: Vec<_> = std::fs::read_dir(&dir)
