@@ -220,24 +220,30 @@ cargo test -q --offline -p chimera-fleet -p chimera-plan -p chimera -p chimera-t
 echo "== fleet smoke (journaled CLI grid, resumed twice) =="
 # End-to-end CLI: a small explore grid on the checked-in fixture executes
 # and journals every cell under --dir, then two --resume re-runs are pure
-# journal hits — zero cells re-executed (EXPERIMENTS.md). Then another
+# journal hits — zero cells re-executed (EXPERIMENTS.md). The invocation's
+# counts go to stderr; stdout is a function of the grid, so each resumed
+# run must print the one-shot run's stdout byte for byte. Then another
 # fixture's grid is journaled into the same --dir, and a resumed report
 # of the first grid must match, byte for byte, a run of that grid with
 # no --dir: the report is a function of its own grid's outcomes only.
 fleet_dir=$(mktemp -d)
-fleet_run1=$($chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
-    --dir "$fleet_dir")
-echo "$fleet_run1" | grep -q "6 executed now, 0 journal hit(s)" || {
+$chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
+    --dir "$fleet_dir" > "$fleet_dir/run1.out" 2> "$fleet_dir/run1.err"
+grep -q "6 executed now, 0 journal hit(s)" "$fleet_dir/run1.err" || {
     echo "fleet first run did not execute the full grid:" >&2
-    echo "$fleet_run1" >&2
+    cat "$fleet_dir/run1.err" >&2
     exit 1
 }
 for attempt in 1 2; do
-    fleet_rerun=$($chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
-        --dir "$fleet_dir" --resume)
-    echo "$fleet_rerun" | grep -q "0 executed now, 6 journal hit(s)" || {
+    $chimera_bin explore fixtures/racy_counter.mc --seeds 2 --check-determinism \
+        --dir "$fleet_dir" --resume > "$fleet_dir/rerun.out" 2> "$fleet_dir/rerun.err"
+    grep -q "0 executed now, 6 journal hit(s)" "$fleet_dir/rerun.err" || {
         echo "fleet resume #$attempt re-executed cells:" >&2
-        echo "$fleet_rerun" >&2
+        cat "$fleet_dir/rerun.err" >&2
+        exit 1
+    }
+    cmp "$fleet_dir/run1.out" "$fleet_dir/rerun.out" || {
+        echo "fleet resume #$attempt printed a different stdout from the one-shot run" >&2
         exit 1
     }
 done
@@ -252,7 +258,7 @@ cmp "$fleet_dir/resumed.json" "$fleet_dir/fresh.json" || {
     exit 1
 }
 rm -rf "$fleet_dir"
-echo "fleet grid journaled once, resumed twice with zero re-executions, report independent of --dir"
+echo "fleet grid journaled once, resumed twice with zero re-executions and the same stdout, report independent of --dir"
 
 echo "== plan round-trip gate (evidence -> demotion -> replanned run) =="
 # The full hybrid loop on the CLI (DESIGN.md §15): a hostile sweep
@@ -328,29 +334,45 @@ echo "== scheduler-seam overhead smoke (1 sample) =="
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench sched_explore
 
-echo "== replay-format overhead smoke (1 sample) =="
-# Proves every workload still records, and that v2 never emits more
-# bytes than the retired v1 format's frozen sizes (the bench asserts
-# it); committed BENCH_replay.json is refreshed manually (see
-# EXPERIMENTS.md).
-CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
+echo "== bench row schema (replay-format, fleet-throughput, instrumentation-overhead smokes, 1 sample) =="
+# One sample each of the three benches that carry exact fields, with
+# CHIMERA_BENCH_JSON pointed at temp files (never a committed
+# BENCH_*.json; those are refreshed manually, see EXPERIMENTS.md). Every
+# row must name its host, give median and p95, and carry its bench's
+# exact fields. The benches assert their own claims: replay_format that
+# v2 never emits more bytes than the retired v1 format's frozen sizes,
+# fleet_throughput that the >=1,000-cell grid completes clean with
+# identical serial and work-stealing reports, and instr_overhead that the
+# planned makespan is <= full on every workload and strictly below on
+# >=3/4.
+bench_dir=$(mktemp -d)
+check_rows() {
+    local file=$1 rows field
+    shift
+    rows=$(grep -c '^  {"name": ' "$file" || true)
+    if [ "$rows" -eq 0 ]; then
+        echo "$file: no bench rows" >&2
+        exit 1
+    fi
+    for field in host_cores samples min_ns median_ns p95_ns max_ns "$@"; do
+        if [ "$(grep -c "\"$field\": " "$file")" -ne "$rows" ]; then
+            echo "$file: not every one of $rows row(s) has \"$field\"" >&2
+            exit 1
+        fi
+    done
+}
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/replay.json" \
     cargo bench --offline -p chimera-bench --bench replay_format
-
-echo "== fleet throughput smoke (1 sample) =="
-# Proves the ≥1,000-cell grid (nine workloads × three strategies × 38
-# seeds) still completes clean under both serial and work-stealing
-# execution with identical reports; committed BENCH_fleet.json is
-# refreshed manually (see EXPERIMENTS.md).
-CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
+check_rows "$bench_dir/replay.json" events chunks checkpoints v1_bytes v2_bytes \
+    v1_bytes_per_event v2_bytes_per_event
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/fleet.json" \
     cargo bench --offline -p chimera-bench --bench fleet_throughput
-
-echo "== instrumentation overhead smoke (1 sample) =="
-# Proves the evidence -> plan -> overhead loop end to end and asserts
-# the payoff: planned makespan ≤ full on every workload and strictly
-# below on ≥3/4 (the bench itself asserts both); committed
-# BENCH_plan.json is refreshed manually (see EXPERIMENTS.md).
-CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
+check_rows "$bench_dir/fleet.json" jobs cells
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/plan.json" \
     cargo bench --offline -p chimera-bench --bench instr_overhead
+check_rows "$bench_dir/plan.json" static_pairs demoted kept weak_locks makespan overhead_x
+rm -rf "$bench_dir"
+echo "every bench row names its host, gives median and p95, and carries its exact fields"
 
 echo "== e2e benchmark smoke (e2ebench against the workspace) =="
 # e2ebench is a package of its own with path dependencies on the crates,

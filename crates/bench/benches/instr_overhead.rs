@@ -11,9 +11,11 @@
 //!   full-instrumented and plan-instrumented programs over the
 //!   uninstrumented baseline — noise-free, so the committed
 //!   `BENCH_plan.json` numbers are reproducible bit-for-bit;
-//! * **wall clock** (secondary): median interpreter time per variant,
-//!   with the usual `CHIMERA_BENCH_SAMPLES`/`CHIMERA_BENCH_WARMUP`
-//!   knobs.
+//! * **wall clock** (secondary): interpreter time per variant on
+//!   `chimera-testkit`'s bench runner, rows `<workload>/base`, `/full` and
+//!   `/planned`, each carrying its variant's exact `weak_locks`,
+//!   `makespan` and `overhead_x` (makespan over the baseline's) beside
+//!   the plan's `static_pairs`, `demoted` and `kept`.
 //!
 //! The bench *asserts* the demotion payoff: planned makespan ≤ full
 //! makespan on every workload, and strictly below on at least three of
@@ -21,54 +23,18 @@
 //! so their attached overhead is exactly 1.0x).
 //!
 //! To refresh the committed data:
-//! `CHIMERA_BENCH_JSON=BENCH_plan.json cargo bench --bench instr_overhead`.
+//! `CHIMERA_BENCH_JSON=$PWD/BENCH_plan.json cargo bench --bench
+//! instr_overhead` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera::{analyze, demote, gather_evidence, OptSet, PipelineConfig};
 use chimera_plan::{apply_plan, GatherConfig, Thresholds};
 use chimera_runtime::{execute, ExecConfig, Jitter};
+use chimera_testkit::bench::Runner;
 use chimera_workloads::{by_name, Params};
 
 const WORKLOADS: &[&str] = &["radix", "ocean", "pfscan", "apache"];
 
-struct Row {
-    name: &'static str,
-    static_pairs: usize,
-    demoted: usize,
-    kept: usize,
-    locks_full: u32,
-    locks_planned: u32,
-    makespan_base: u64,
-    makespan_full: u64,
-    makespan_planned: u64,
-    wall_base_ns: u64,
-    wall_full_ns: u64,
-    wall_planned_ns: u64,
-}
-
-fn env_n(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn median_ns(samples: usize, warmup: usize, mut f: impl FnMut()) -> u64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut v = Vec::with_capacity(samples);
-    for _ in 0..samples.max(1) {
-        let t = std::time::Instant::now();
-        f();
-        v.push(t.elapsed().as_nanos() as u64);
-    }
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
 fn main() {
-    let samples = env_n("CHIMERA_BENCH_SAMPLES", 15);
-    let warmup = env_n("CHIMERA_BENCH_WARMUP", 3);
     // Jitter off: the makespan comparison is then a pure function of the
     // instruction streams, not of perturbation draws.
     let cfg = ExecConfig {
@@ -77,7 +43,9 @@ fn main() {
         ..ExecConfig::default()
     };
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut runner = Runner::from_args();
+    let mut group = runner.group("instr_overhead");
+    let mut strictly_below = 0usize;
     for name in WORKLOADS {
         let w = by_name(name).expect("paper workload exists");
         let p = w
@@ -104,29 +72,22 @@ fn main() {
             apply_plan(&a.program, &a.races, &a.profile, &OptSet::all(), &plan)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
 
-        let base = execute(&a.program, &cfg);
-        let full = execute(&a.instrumented, &cfg);
-        let pl = execute(&planned, &cfg);
-        assert!(base.outcome.is_exit(), "{name}: {:?}", base.outcome);
-        assert!(full.outcome.is_exit(), "{name}: {:?}", full.outcome);
-        assert!(pl.outcome.is_exit(), "{name}: {:?}", pl.outcome);
+        let variants = [
+            ("base", &a.program),
+            ("full", &a.instrumented),
+            ("planned", &planned),
+        ];
+        let makespans = variants.map(|(id, p)| {
+            let r = execute(p, &cfg);
+            assert!(r.outcome.is_exit(), "{name}/{id}: {:?}", r.outcome);
+            r.makespan
+        });
+        let [base, full, pl] = makespans;
         assert!(
-            pl.makespan <= full.makespan,
-            "{name}: certified plan made the program slower ({} > {})",
-            pl.makespan,
-            full.makespan
+            pl <= full,
+            "{name}: certified plan made the program slower ({pl} > {full})"
         );
-
-        let wall_base_ns = median_ns(samples, warmup, || {
-            std::hint::black_box(execute(&a.program, &cfg));
-        });
-        let wall_full_ns = median_ns(samples, warmup, || {
-            std::hint::black_box(execute(&a.instrumented, &cfg));
-        });
-        let wall_planned_ns = median_ns(samples, warmup, || {
-            std::hint::black_box(execute(&planned, &cfg));
-        });
-
+        strictly_below += usize::from(pl < full);
         println!(
             "instr_overhead/{name}: {}/{} pair(s) demoted, weak-locks {} -> {}, \
              makespan x{:.3} full vs x{:.3} planned",
@@ -134,74 +95,32 @@ fn main() {
             plan.static_pairs.len(),
             a.instrumented.weak_locks,
             planned.weak_locks,
-            full.makespan as f64 / base.makespan as f64,
-            pl.makespan as f64 / base.makespan as f64,
+            full as f64 / base as f64,
+            pl as f64 / base as f64,
         );
-
-        rows.push(Row {
-            name,
-            static_pairs: plan.static_pairs.len(),
-            demoted: plan.demotions.len(),
-            kept: plan.kept.len(),
-            locks_full: a.instrumented.weak_locks,
-            locks_planned: planned.weak_locks,
-            makespan_base: base.makespan,
-            makespan_full: full.makespan,
-            makespan_planned: pl.makespan,
-            wall_base_ns,
-            wall_full_ns,
-            wall_planned_ns,
-        });
+        for ((id, p), makespan) in variants.into_iter().zip(makespans) {
+            if let Some(row) = group.bench(&format!("{name}/{id}"), || {
+                std::hint::black_box(execute(p, &cfg));
+            }) {
+                row.exact("static_pairs", plan.static_pairs.len())
+                    .exact("demoted", plan.demotions.len())
+                    .exact("kept", plan.kept.len())
+                    .exact("weak_locks", p.weak_locks)
+                    .exact("makespan", makespan)
+                    .exact("overhead_x", format!("{:.4}", makespan as f64 / base as f64));
+            }
+        }
     }
+    group.finish();
 
-    let strictly_below = rows
-        .iter()
-        .filter(|r| r.makespan_planned < r.makespan_full)
-        .count();
     println!(
         "certified-plan overhead strictly below full instrumentation on \
          {strictly_below}/{} workloads",
-        rows.len()
+        WORKLOADS.len()
     );
     assert!(
         strictly_below >= 3,
         "demotion payoff regressed: only {strictly_below} workload(s) got faster"
     );
-
-    if let Some(path) = std::env::var_os("CHIMERA_BENCH_JSON") {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"instr_overhead\",\n");
-        s.push_str("  \"exec\": {\"seed\": 42, \"jitter\": \"none\", \"workers\": 4, \"scale\": 4},\n");
-        s.push_str(&format!("  \"strictly_below_full\": {strictly_below},\n"));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"static_pairs\": {}, \"demoted\": {}, \
-                 \"kept\": {}, \"weak_locks_full\": {}, \"weak_locks_planned\": {}, \
-                 \"makespan_base\": {}, \"makespan_full\": {}, \"makespan_planned\": {}, \
-                 \"overhead_full\": {:.4}, \"overhead_planned\": {:.4}, \
-                 \"wall_base_ns\": {}, \"wall_full_ns\": {}, \"wall_planned_ns\": {}}}{}\n",
-                r.name,
-                r.static_pairs,
-                r.demoted,
-                r.kept,
-                r.locks_full,
-                r.locks_planned,
-                r.makespan_base,
-                r.makespan_full,
-                r.makespan_planned,
-                r.makespan_full as f64 / r.makespan_base as f64,
-                r.makespan_planned as f64 / r.makespan_base as f64,
-                r.wall_base_ns,
-                r.wall_full_ns,
-                r.wall_planned_ns,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        match std::fs::write(&path, s) {
-            Ok(()) => eprintln!("wrote {}", path.to_string_lossy()),
-            Err(e) => eprintln!("CHIMERA_BENCH_JSON write failed: {e}"),
-        }
-    }
+    runner.finish();
 }

@@ -11,21 +11,22 @@
 //! in at or under v1's bytes/event, and this bench hard-asserts that on
 //! every workload.
 //!
-//! Recording is timed twice — checkpointing off (`record_with(.., 0)`)
-//! and on (`record`, every `CHUNK_EVENTS`) — to bound the digest-folding
-//! overhead. Each timing is a median and a p95 over the samples, and
-//! every JSON row names the host's core count.
+//! Recording is timed twice — checkpointing off (`record_with(.., 0)`,
+//! row `<workload>/plain`) and on (every `CHUNK_EVENTS`, as `record`
+//! does, row `<workload>/ckpt`) — to bound the digest-folding overhead.
+//! Both rows carry the recording's exact sizes: `events`, `chunks`,
+//! `checkpoints`, `v1_bytes`, `v2_bytes` and the bytes per event.
 //!
-//! Runs as a plain binary: `cargo bench --bench replay_format`.
-//! `CHIMERA_BENCH_SAMPLES` / `CHIMERA_BENCH_WARMUP` control iterations;
-//! `CHIMERA_BENCH_JSON=<path>` writes the committed `BENCH_replay.json`
-//! (see EXPERIMENTS.md).
+//! Runs as a plain binary on `chimera-testkit`'s bench runner:
+//! `cargo bench --bench replay_format [filter]`. To refresh the committed
+//! data: `CHIMERA_BENCH_JSON=$PWD/BENCH_replay.json cargo bench --bench
+//! replay_format` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera::{analyze_workload, OptSet};
-use chimera_replay::{record, record_with};
+use chimera_replay::{record, record_with, CHUNK_EVENTS};
 use chimera_runtime::ExecConfig;
+use chimera_testkit::bench::Runner;
 use chimera_workloads::all;
-use std::time::Instant;
 
 /// Bytes of each workload's default-config recording in the retired v1
 /// format, as last measured by its encoder (BENCH_replay.json).
@@ -41,136 +42,53 @@ const V1_BYTES: [(&str, usize); 9] = [
     ("radix", 57),
 ];
 
-fn env_n(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Median and 95th-percentile wall time of `samples` runs of `f`, in
-/// nanoseconds (the percentile picks of `chimera_testkit::bench`).
-fn timing_ns(samples: usize, warmup: usize, mut f: impl FnMut()) -> (u128, u128) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut times: Vec<u128> = (0..samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    let pick = |q: usize| times[(times.len() - 1) * q / 100];
-    (pick(50), pick(95))
-}
-
-struct Row {
-    name: &'static str,
-    events: usize,
-    chunks: usize,
-    checkpoints: usize,
-    v1_bytes: usize,
-    v2_bytes: usize,
-    /// `(median, p95)` record times, checkpointing off and on.
-    record_plain_ns: (u128, u128),
-    record_ckpt_ns: (u128, u128),
-}
-
 fn main() {
-    let samples = env_n("CHIMERA_BENCH_SAMPLES", 15);
-    let warmup = env_n("CHIMERA_BENCH_WARMUP", 3);
     let exec = ExecConfig::default();
-    let mut rows = Vec::new();
-
+    let mut runner = Runner::from_args();
+    let mut group = runner.group("replay_format");
     for w in all() {
         let analysis = analyze_workload(&w, 2, &OptSet::all(), 2, &exec);
         let p = &analysis.instrumented;
-        let rec = record(p, &exec);
-        let events = rec.logs.journal.len();
+        let logs = record(p, &exec).logs;
+        let events = logs.journal.len();
         assert!(events > 0, "{}: recording produced no ordered events", w.name);
         let v1 = V1_BYTES
             .iter()
             .find(|&&(name, _)| name == w.name)
             .map(|&(_, bytes)| bytes)
             .unwrap_or_else(|| panic!("{}: no frozen v1 size", w.name));
-        let v2 = rec.logs.to_bytes();
+        let v2 = logs.to_bytes().len();
         // The acceptance gate: v2 must not regress density on any
         // workload, despite carrying checkpoints and checksums v1 lacks.
         assert!(
-            v2.len() <= v1,
-            "{}: v2 encoding ({} B) larger than v1 ({} B) over {} events",
-            w.name,
-            v2.len(),
-            v1,
-            events
+            v2 <= v1,
+            "{}: v2 encoding ({v2} B) larger than v1 ({v1} B) over {events} events",
+            w.name
         );
-        let record_plain_ns = timing_ns(samples, warmup, || {
-            record_with(p, &exec, 0);
-        });
-        let record_ckpt_ns = timing_ns(samples, warmup, || {
-            record(p, &exec);
-        });
-        let row = Row {
-            name: w.name,
-            events,
-            chunks: rec.logs.chunk_count(),
-            checkpoints: rec.logs.checkpoints.len(),
-            v1_bytes: v1,
-            v2_bytes: v2.len(),
-            record_plain_ns,
-            record_ckpt_ns,
-        };
+        let per_event = |bytes: usize| format!("{:.3}", bytes as f64 / events as f64);
         println!(
-            "replay_format/{:<8} {:>6} events {:>3} chunk(s): v1 {:>7} B ({:.2} B/ev), \
-             v2 {:>7} B ({:.2} B/ev), ratio {:.2}x; record {:.2}ms plain, {:.2}ms ckpt",
-            row.name,
-            row.events,
-            row.chunks,
-            row.v1_bytes,
-            row.v1_bytes as f64 / events as f64,
-            row.v2_bytes,
-            row.v2_bytes as f64 / events as f64,
-            row.v1_bytes as f64 / row.v2_bytes as f64,
-            record_plain_ns.0 as f64 / 1e6,
-            record_ckpt_ns.0 as f64 / 1e6,
+            "replay_format/{:<8} {events:>6} events {:>3} chunk(s): v1 {v1:>7} B ({} B/ev), \
+             v2 {v2:>7} B ({} B/ev), ratio {:.2}x",
+            w.name,
+            logs.chunk_count(),
+            per_event(v1),
+            per_event(v2),
+            v1 as f64 / v2 as f64,
         );
-        rows.push(row);
-    }
-
-    if let Some(path) = std::env::var_os("CHIMERA_BENCH_JSON") {
-        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut json = String::from("[\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "  {{\"name\": \"replay_format/{}\", \"host_cores\": {}, \"samples\": {}, \
-                 \"events\": {}, \"chunks\": {}, \
-                 \"checkpoints\": {}, \"v1_bytes\": {}, \"v2_bytes\": {}, \
-                 \"v1_bytes_per_event\": {:.3}, \"v2_bytes_per_event\": {:.3}, \
-                 \"record_plain_ns\": {}, \"record_plain_p95_ns\": {}, \
-                 \"record_ckpt_ns\": {}, \"record_ckpt_p95_ns\": {}}}{}\n",
-                r.name,
-                host_cores,
-                samples.max(1),
-                r.events,
-                r.chunks,
-                r.checkpoints,
-                r.v1_bytes,
-                r.v2_bytes,
-                r.v1_bytes as f64 / r.events as f64,
-                r.v2_bytes as f64 / r.events as f64,
-                r.record_plain_ns.0,
-                r.record_plain_ns.1,
-                r.record_ckpt_ns.0,
-                r.record_ckpt_ns.1,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        json.push_str("]\n");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote {}", path.to_string_lossy()),
-            Err(e) => eprintln!("CHIMERA_BENCH_JSON write failed: {e}"),
+        for (id, ckpt_every) in [("plain", 0), ("ckpt", CHUNK_EVENTS as u64)] {
+            if let Some(row) = group.bench(&format!("{}/{id}", w.name), || {
+                record_with(p, &exec, ckpt_every);
+            }) {
+                row.exact("events", events)
+                    .exact("chunks", logs.chunk_count())
+                    .exact("checkpoints", logs.checkpoints.len())
+                    .exact("v1_bytes", v1)
+                    .exact("v2_bytes", v2)
+                    .exact("v1_bytes_per_event", per_event(v1))
+                    .exact("v2_bytes_per_event", per_event(v2));
+            }
         }
     }
+    group.finish();
+    runner.finish();
 }

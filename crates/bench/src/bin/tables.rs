@@ -18,9 +18,10 @@ use chimera::{
     ablation_row, fig5_overheads, fig6_fractions, fig7_breakdown, fig8_scalability,
     figure5_configs, outln, profile_sensitivity, table2_row, threshold_sweep,
 };
-use chimera_bench::{fmt_kb, fmt_pct, fmt_x, render_table};
+use chimera_bench::{fmt_kb, fmt_pct, fmt_x};
 use chimera_minic::ir::LockGranularity;
 use chimera_runtime::ExecConfig;
+use chimera_testkit::bench::render_table;
 use chimera_workloads::{all, Workload};
 
 #[derive(Debug)]

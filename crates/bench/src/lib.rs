@@ -1,42 +1,9 @@
-//! Shared helpers for the Chimera benchmark harness: plain-text table
-//! rendering used by the `tables` binary and the micro-benches.
+//! Shared helpers for the Chimera benchmark harness: the number formats
+//! of the `tables` binary. Its aligned tables come from
+//! `chimera_testkit::bench::render_table`, the renderer of the bench
+//! runner's report.
 
 #![warn(missing_docs)]
-
-/// Render rows as an aligned plain-text table. The first row is treated as
-/// the header.
-pub fn render_table(rows: &[Vec<String>]) -> String {
-    if rows.is_empty() {
-        return String::new();
-    }
-    let cols = rows.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut widths = vec![0usize; cols];
-    for r in rows {
-        for (i, cell) in r.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    for (ri, r) in rows.iter().enumerate() {
-        for (i, cell) in r.iter().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&format!("{cell:>width$}", width = widths[i]));
-        }
-        out.push('\n');
-        if ri == 0 {
-            for (i, w) in widths.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(&"-".repeat(*w));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
 
 /// Format an overhead multiplier like the paper ("1.39x", "53x").
 pub fn fmt_x(v: f64) -> String {
@@ -64,19 +31,6 @@ pub fn fmt_kb(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_aligns_columns() {
-        let t = render_table(&[
-            vec!["name".into(), "value".into()],
-            vec!["a".into(), "1".into()],
-            vec!["longer".into(), "22".into()],
-        ]);
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("name"));
-        assert!(lines[1].starts_with('-'));
-    }
 
     #[test]
     fn overhead_formatting_matches_paper_style() {

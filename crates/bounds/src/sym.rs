@@ -92,8 +92,8 @@ impl SymExpr {
         out
     }
 
-    /// Evaluate given concrete symbol values (for tests and the FM
-    /// cross-check). Missing symbols evaluate to 0.
+    /// Evaluate given concrete symbol values (for tests). Missing symbols
+    /// evaluate to 0.
     pub fn eval(&self, values: &BTreeMap<Sym, i64>) -> i64 {
         self.konst
             + self

@@ -41,9 +41,10 @@
 //! instrumented programs match; the log's byte format is
 //! [`chimera_replay::ReplayLogs::to_bytes`]. With `--bisect`, a diverging
 //! replay is re-examined forensically: the replayer records its own
-//! journal and checkpoints alongside enforcement, and a binary search over
-//! the checkpoint digests names the first mismatched chunk and event with
-//! a root-cause hint.
+//! journal and checkpoints alongside enforcement, and one pass over the
+//! two journals names the first mismatched event and its chunk with a
+//! root-cause hint (when the journals agree, the first differing
+//! checkpoint digest names a state-value divergence).
 //!
 //! `run --json` emits a machine-readable report including the VM strategy
 //! counters (superinstructions dispatched, batch runs, speculative
@@ -90,7 +91,7 @@ use chimera::{
 use chimera_minic::compile;
 use chimera_minic::ir::Program;
 use chimera_replay::wire::{read_file, write_atomic};
-use chimera_runtime::{execute, ExecConfig, SchedStrategy, ThreadId};
+use chimera_runtime::{execute, worker_count, ExecConfig, SchedStrategy, ThreadId};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -597,29 +598,30 @@ fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
             );
         }
     }
+    outln!("grid {} cell(s): {} covered", report.grid, report.covered);
     outln!(
-        "grid {} cell(s): {} covered, {} executed now, {} journal hit(s), {} budget-deferred",
-        report.grid, report.covered, run.executed, run.journal_hits, run.truncated
-    );
-    outln!(
-        "coverage: {} distinct order(s), {} distinct prefix(es); journal {}",
+        "coverage: {} distinct order(s), {} distinct prefix(es)",
         report.distinct_orders,
-        report.distinct_prefixes,
-        run.journal_total
+        report.distinct_prefixes
     );
     if report.flagged > 0 {
         outln!("flagged {} cell(s) for triage", report.flagged);
     }
-    // Wall-clock throughput goes to stderr: stdout stays a deterministic
-    // function of the grid so resumed runs can be diffed against one-shot.
+    // What this invocation did, and how fast, goes to stderr: stdout is a
+    // function of the grid alone, so a resumed run's stdout can be
+    // diffed against a one-shot run's.
+    eprintln!(
+        "{} executed now, {} journal hit(s), {} budget-deferred; journal {}",
+        run.executed, run.journal_hits, run.truncated, run.journal_total
+    );
     let secs = elapsed.as_secs_f64();
     if run.executed > 0 && secs > 0.0 {
         eprintln!(
-            "executed {} cell(s) in {:.2}s ({:.1} cells/s, jobs={})",
+            "executed {} cell(s) in {:.2}s ({:.1} cells/s, {} worker(s))",
             run.executed,
             secs,
             run.executed as f64 / secs,
-            cfg.grid.jobs
+            worker_count(cfg.grid.jobs, run.executed as usize)
         );
     }
 

@@ -498,11 +498,14 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
         }
         let out = cmd.output().expect("spawn explore");
         assert!(out.status.success(), "{out:?}");
-        String::from_utf8_lossy(&out.stdout).to_string()
+        (
+            String::from_utf8_lossy(&out.stdout).to_string(),
+            String::from_utf8_lossy(&out.stderr).to_string(),
+        )
     };
 
-    let first = explore(false);
-    assert!(first.contains("6 executed now"), "{first}");
+    let (first, first_err) = explore(false);
+    assert!(first_err.contains("6 executed now, 0 journal hit(s)"), "{first_err}");
     assert!(first.contains("fleet passed"), "{first}");
     let written: Vec<_> = std::fs::read_dir(&state)
         .unwrap()
@@ -521,11 +524,12 @@ fn fleet_journals_resumes_and_keeps_the_report_stable() {
         assert!(json.contains(key), "missing {key} in {json}");
     }
 
-    // Immediate resume: zero cells execute, the report bytes don't move.
-    let again = explore(true);
-    assert!(again.contains("0 executed now"), "{again}");
-    assert!(again.contains("6 journal hit(s)"), "{again}");
+    // Immediate resume: zero cells execute, and neither the report bytes
+    // nor stdout move (the invocation's counts go to stderr).
+    let (again, again_err) = explore(true);
+    assert!(again_err.contains("0 executed now, 6 journal hit(s)"), "{again_err}");
     assert_eq!(std::fs::read(&report).unwrap(), first_report);
+    assert_eq!(again, first, "a resumed run's stdout differs from the one-shot run's");
 }
 
 #[test]

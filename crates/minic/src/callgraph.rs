@@ -8,6 +8,25 @@
 use crate::ir::{Callee, FuncId, Instr, Program};
 use std::collections::BTreeSet;
 
+/// Every function whose address is taken anywhere in `program`, in order
+/// of first appearance: the conservative target set of an indirect call
+/// or spawn.
+pub fn address_taken_funcs(program: &Program) -> Vec<FuncId> {
+    let mut out = Vec::new();
+    for f in &program.funcs {
+        for b in &f.blocks {
+            for i in &b.instrs {
+                if let Instr::AddrOfFunc { func, .. } = i {
+                    if !out.contains(func) {
+                        out.push(*func);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Call graph over the functions of a program.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
@@ -64,18 +83,7 @@ impl CallGraph {
     /// Conservative default: indirect calls may target any function whose
     /// address is taken anywhere in the program.
     pub fn build_conservative(program: &Program) -> CallGraph {
-        let mut address_taken: Vec<FuncId> = Vec::new();
-        for f in &program.funcs {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let Instr::AddrOfFunc { func, .. } = i {
-                        if !address_taken.contains(func) {
-                            address_taken.push(*func);
-                        }
-                    }
-                }
-            }
-        }
+        let address_taken = address_taken_funcs(program);
         Self::build(program, move |_| address_taken.clone())
     }
 

@@ -6,7 +6,7 @@
 //! handful of word operations rather than a tree rebuild.
 
 use crate::oracle::AliasOracle;
-use chimera_minic::callgraph::CallGraph;
+use chimera_minic::callgraph::{address_taken_funcs, CallGraph};
 use chimera_minic::ir::{
     AccessId, BlockId, Callee, FuncId, Instr, Program, Terminator,
 };
@@ -112,7 +112,7 @@ impl LocksetAnalysis {
         let mut summaries: Vec<FuncSummary> = vec![pessimistic; n];
         // Address-taken functions, computed once; every indirect call site
         // shares this slice rather than re-walking the whole program.
-        let indirect = indirect_targets_of(program);
+        let indirect = address_taken_funcs(program);
 
         // Bottom-up over SCCs. Within an SCC, callee summaries start
         // pessimistic (acquire nothing, possibly release everything) which
@@ -138,7 +138,7 @@ impl LocksetAnalysis {
             call_sites.append(&mut cs);
         }
         // Call-site targets: direct calls record their callee; indirect
-        // sites record every address-taken function (`indirect_targets_of`),
+        // sites record every address-taken function (`address_taken_funcs`),
         // not the Andersen-resolved call graph. Deliberately coarse for now
         // (DESIGN.md §6): tightening it would change every race report.
 
@@ -287,23 +287,6 @@ fn analyze_function(
         guarded,
         call_sites,
     )
-}
-
-/// Conservative indirect-call target set: every address-taken function.
-fn indirect_targets_of(program: &Program) -> Vec<FuncId> {
-    let mut out = Vec::new();
-    for f in &program.funcs {
-        for b in &f.blocks {
-            for i in &b.instrs {
-                if let Instr::AddrOfFunc { func, .. } = i {
-                    if !out.contains(func) {
-                        out.push(*func);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 #[allow(clippy::too_many_arguments)]

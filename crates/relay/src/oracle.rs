@@ -15,7 +15,9 @@ pub type SyncSite = (FuncId, BlockId, u32);
 pub struct AliasOracle {
     /// Objects each access may touch, indexed by [`AccessId`].
     pub access_objs: Vec<BTreeSet<ObjId>>,
-    /// Lock objects each `lock`/`unlock`/`cond_wait` operand may denote.
+    /// Lock objects each `lock`/`unlock`/`cond_wait` operand may denote
+    /// (the lockset's removal step reads every one of them: removal must
+    /// be conservative in the other direction from [`Self::definite_lock`]).
     pub lock_objs: HashMap<SyncSite, BTreeSet<ObjId>>,
     /// The object universe.
     pub objects: ObjectTable,
@@ -85,12 +87,6 @@ impl AliasOracle {
             None
         }
     }
-
-    /// All lock objects a sync site may denote (used for *removal* from the
-    /// lockset, which must be conservative in the other direction).
-    pub fn may_locks(&self, site: SyncSite) -> BTreeSet<ObjId> {
-        self.lock_objs.get(&site).cloned().unwrap_or_default()
-    }
 }
 
 /// The mutex operand of a lock-affecting instruction.
@@ -146,8 +142,8 @@ mod tests {
             .filter(|k| oracle.definite_lock(**k).is_some())
             .count();
         assert_eq!(definite, 0, "which may be m1 or m2; lockset must not grow");
-        // But may_locks still sees both for sound removal.
-        let site = oracle.lock_objs.keys().next().unwrap();
-        assert_eq!(oracle.may_locks(*site).len(), 2);
+        // But the site's lock objects still hold both, for sound removal.
+        let objs = oracle.lock_objs.values().next().unwrap();
+        assert_eq!(objs.len(), 2);
     }
 }

@@ -14,8 +14,9 @@
 //! through [`crate::wire`] (DESIGN.md §12): the globally-ordered event
 //! stream is split into [`CHUNK_EVENTS`]-sized checksummed frames,
 //! dictionary/delta/bit-packed encoding of `(object, thread)` pairs, and
-//! periodic state-hash [`Checkpoint`]s so a divergence can be localized by
-//! bisection instead of a full re-run.
+//! periodic state-hash [`Checkpoint`]s, so a replay that keeps the
+//! recorded schedule but computes different values is caught without a
+//! full re-run.
 //!
 //! The paper reports gzip-compressed sizes; we report sizes from a binary
 //! varint encoding plus an order-0 entropy estimate standing in for gzip
@@ -30,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `thread`.
 pub type InputKey = (u32, u64);
 
-/// Events per v2 chunk frame (the bisection granularity).
+/// Events per v2 chunk frame (the unit a divergence's chunk index counts).
 pub const CHUNK_EVENTS: usize = 256;
 
 /// The `CHIM` container: every decode error starts with `log`.
@@ -64,7 +65,7 @@ const GRAN_ABSENT: u64 = 4;
 
 /// One entry of the globally-ordered event journal: the commit order of
 /// every replay-ordered operation, across all objects. This is the stream
-/// v2 chunks, checksums, and bisects over.
+/// v2 chunks and checksums, and divergence localization compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum JournalEvent {
     /// `thread` acquired the program mutex at `addr`.

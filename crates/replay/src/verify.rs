@@ -1,9 +1,10 @@
 //! The determinism verifier: did a replay reproduce the recording?
 //!
 //! Two layers: [`verify_determinism`] compares end states (outcome, final
-//! memory, output), and [`localize_divergence`] bisects the v2 checkpoint
-//! stream to name the first journal event where a replay left the recorded
-//! schedule — without re-running anything.
+//! memory, output), and [`localize_divergence`] compares the journals to
+//! name the first event where a replay left the recorded schedule (or,
+//! when the schedules agree, the first checkpoint whose state digest
+//! differs) — without re-running anything.
 
 use crate::logs::{Checkpoint, JournalEvent, ReplayLogs, CHUNK_EVENTS};
 use chimera_runtime::ExecResult;
@@ -60,8 +61,7 @@ impl std::fmt::Display for DivergenceCause {
     }
 }
 
-/// The first point where a replay's journal left the recording, found by
-/// binary search over checkpoint digests.
+/// The first point where a replay's journal left the recording.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Chunk index (`event / CHUNK_EVENTS`) containing the first mismatch.
@@ -76,24 +76,21 @@ pub struct Divergence {
     pub context: Vec<String>,
     /// Root-cause hint derived from the mismatched events.
     pub cause: DivergenceCause,
-    /// Checkpoint digests compared during the bisection (the work a full
-    /// linear scan would have multiplied).
-    pub checkpoint_probes: usize,
 }
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
+        write!(
             f,
             "first divergence at event {} (chunk {}), cause: {}",
             self.event, self.chunk, self.cause
         )?;
-        writeln!(f, "  recorded: {:?}", self.recorded)?;
-        writeln!(f, "  replayed: {:?}", self.replayed)?;
+        write!(f, "\n  recorded: {:?}", self.recorded)?;
+        write!(f, "\n  replayed: {:?}", self.replayed)?;
         for line in &self.context {
-            writeln!(f, "  {line}")?;
+            write!(f, "\n  {line}")?;
         }
-        write!(f, "  ({} checkpoint digests probed)", self.checkpoint_probes)
+        Ok(())
     }
 }
 
@@ -116,118 +113,52 @@ fn cause_of(a: Option<&JournalEvent>, b: Option<&JournalEvent>) -> DivergenceCau
     DivergenceCause::SyncOrder
 }
 
-/// Bisect `recorded` against `observed` (a replay's own logs, e.g. from
+/// Compare `recorded` with `observed` (a replay's own logs, e.g. from
 /// `replay_bisect`) and name the first journal event where they part ways.
 ///
-/// Returns `None` when journals and checkpoints fully agree. The search
-/// binary-searches the checkpoint stream for the first digest mismatch —
-/// checkpoint prefixes are cumulative, so digests match exactly up to the
-/// first bad chunk — then scans only the bracketed window of at most
-/// [`CHUNK_EVENTS`] events.
+/// One pass finds the first journal index where the two differ, or where
+/// one journal has ended. Only when the journals agree does it look at the
+/// checkpoints: a digest that differs, or is missing on one side, means the
+/// schedule matched but the values at it did not. Returns `None` when
+/// journals and checkpoints fully agree.
 pub fn localize_divergence(recorded: &ReplayLogs, observed: &ReplayLogs) -> Option<Divergence> {
-    if recorded.journal == observed.journal && recorded.checkpoints == observed.checkpoints {
-        return None;
-    }
-    let rec_cp = &recorded.checkpoints;
-    let obs_cp = &observed.checkpoints;
-    let mut probes = 0usize;
-    // bad(i): checkpoint i is missing on either side or its digest
-    // differs. The running digest makes badness monotone: once a prefix
-    // mismatches, every later checkpoint mismatches too (FNV folding never
-    // cancels), so binary search applies.
-    let n = rec_cp.len().max(obs_cp.len());
-    let mut bad = |i: usize| -> bool {
-        probes += 1;
-        match (rec_cp.get(i), obs_cp.get(i)) {
-            (Some(a), Some(b)) => a != b,
-            _ => true,
-        }
-    };
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if bad(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    // lo = first bad checkpoint (or n if all agree — then the divergence
-    // sits past the last checkpoint). The window to scan starts at the
-    // last good checkpoint's event count.
-    let start = if lo == 0 {
-        0
-    } else {
-        rec_cp.get(lo - 1).map(|c| c.events).unwrap_or(0)
-    };
-    let end = match (rec_cp.get(lo), obs_cp.get(lo)) {
-        (Some(a), Some(b)) => a.events.max(b.events),
-        _ => recorded.journal.len().max(observed.journal.len()) as u64,
-    };
-    let first_mismatch = |from: u64, to: u64| -> Option<u64> {
-        (from..to).find(|&i| {
-            recorded.journal.get(i as usize) != observed.journal.get(i as usize)
-        })
-    };
-    // Scan the bracketed window; fall back to a full scan if the bracket
-    // was clean (possible only when the divergence is past the last
-    // checkpoint or in checkpoint metadata alone).
-    let at = first_mismatch(start, end)
-        .or_else(|| first_mismatch(0, recorded.journal.len().max(observed.journal.len()) as u64));
-    let Some(event) = at else {
+    let (rec, obs) = (&recorded.journal, &observed.journal);
+    let Some(event) = (0..rec.len().max(obs.len())).find(|&i| rec.get(i) != obs.get(i)) else {
         // Journals identical but a digest differs: same schedule,
         // different data — the signature of an unlogged race.
-        let cp = rec_cp
-            .iter()
-            .zip(obs_cp)
-            .find(|(a, b)| a != b)
-            .map(|(a, _)| *a)
-            .or_else(|| rec_cp.get(lo).copied())
-            .unwrap_or(Checkpoint {
-                events: 0,
-                state_hash: 0,
-            });
-        let event = cp.events.saturating_sub(1);
+        let (rec_cp, obs_cp) = (&recorded.checkpoints, &observed.checkpoints);
+        let i = (0..rec_cp.len().max(obs_cp.len())).find(|&i| rec_cp.get(i) != obs_cp.get(i))?;
+        let (a, b) = (rec_cp.get(i), obs_cp.get(i));
+        let at = a.or(b).map_or(0, |c| c.events);
+        let digest = |c: Option<&Checkpoint>| c.map_or(0, |c| c.state_hash);
+        let event = at.saturating_sub(1);
         return Some(Divergence {
             chunk: (event / CHUNK_EVENTS as u64) as usize,
             event,
-            recorded: recorded.journal.get(event as usize).copied(),
-            replayed: observed.journal.get(event as usize).copied(),
+            recorded: rec.get(event as usize).copied(),
+            replayed: obs.get(event as usize).copied(),
             context: vec![format!(
-                "checkpoint at {} events: digest {:#x} vs {:#x}",
-                cp.events,
-                cp.state_hash,
-                obs_cp
-                    .iter()
-                    .find(|c| c.events == cp.events)
-                    .map(|c| c.state_hash)
-                    .unwrap_or(0),
+                "checkpoint at {at} events: digest {:#x} vs {:#x}",
+                digest(a),
+                digest(b)
             )],
             cause: DivergenceCause::StateValue,
-            checkpoint_probes: probes,
         });
     };
-    let rec_ev = recorded.journal.get(event as usize);
-    let obs_ev = observed.journal.get(event as usize);
-    let mut context = Vec::new();
-    let lo_ctx = event.saturating_sub(2);
-    let hi_ctx = event + 3;
-    for i in lo_ctx..hi_ctx {
-        let mark = if i == event { ">>" } else { "  " };
-        context.push(format!(
-            "{mark} [{i}] recorded {:?} | replayed {:?}",
-            recorded.journal.get(i as usize),
-            observed.journal.get(i as usize)
-        ));
-    }
+    let context = (event.saturating_sub(2)..event + 3)
+        .map(|i| {
+            let mark = if i == event { ">>" } else { "  " };
+            format!("{mark} [{i}] recorded {:?} | replayed {:?}", rec.get(i), obs.get(i))
+        })
+        .collect();
+    let (rec_ev, obs_ev) = (rec.get(event), obs.get(event));
     Some(Divergence {
-        chunk: (event / CHUNK_EVENTS as u64) as usize,
-        event,
+        chunk: event / CHUNK_EVENTS,
+        event: event as u64,
         recorded: rec_ev.copied(),
         replayed: obs_ev.copied(),
         context,
         cause: cause_of(rec_ev, obs_ev),
-        checkpoint_probes: probes,
     })
 }
 
@@ -335,7 +266,7 @@ mod tests {
     #[test]
     fn planted_mutation_is_localized_exactly() {
         // Plant a single-event mutation at several positions in a real
-        // multi-chunk recording; the bisection must name the exact event
+        // multi-chunk recording; the search must name the exact event
         // and chunk. Checkpoints covering the mutated suffix are poisoned
         // the way a real divergent replay would: their digests differ.
         let src = "int g; lock_t m;
@@ -369,14 +300,6 @@ mod tests {
             assert_eq!(d.chunk, pos as usize / CHUNK_EVENTS, "chunk index");
             assert!(matches!(d.cause, DivergenceCause::SyncOrder));
             assert!(!d.context.is_empty());
-            // Bisection must beat a linear checkpoint scan for interior
-            // positions: probes are logarithmic in checkpoint count.
-            let n_cp = rec.logs.checkpoints.len();
-            assert!(
-                d.checkpoint_probes <= (usize::BITS - n_cp.leading_zeros()) as usize + 1,
-                "expected O(log {n_cp}) probes, got {}",
-                d.checkpoint_probes
-            );
         }
     }
 

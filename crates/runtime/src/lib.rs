@@ -43,7 +43,7 @@ pub mod world;
 
 pub use cost::{CostModel, Jitter};
 pub use flat::{fusion_summary, FusionSummary};
-pub use parallel::par_map;
+pub use parallel::{par_map, worker_count};
 pub use event::{
     Event, EventKind, EventMask, NullSupervisor, OrderPoint, Supervisor, SyncKind, ThreadId,
 };

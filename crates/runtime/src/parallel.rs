@@ -10,6 +10,17 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+/// The number of workers [`par_map`] runs for a `jobs` setting over
+/// `items` items: `jobs == 0` means `available_parallelism`, any other
+/// value is taken as given, and there are never more workers than items.
+pub fn worker_count(jobs: usize, items: usize) -> usize {
+    let jobs = match jobs {
+        0 => thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    };
+    jobs.min(items)
+}
+
 /// Apply `f` to every item on up to `jobs` workers, returning results in
 /// input order. The calling thread is one of the workers; the others are
 /// scoped threads.
@@ -23,15 +34,8 @@ use std::thread;
 /// propagate to the caller (the scope joins every worker first).
 pub fn par_map<T: Sync, U: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let n = items.len();
-    let workers = if jobs == 0 {
-        thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(n);
-    if n <= 1 || workers <= 1 {
+    let workers = worker_count(jobs, n);
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -75,6 +79,15 @@ mod tests {
         let items: Vec<usize> = (0..100).collect();
         let out = par_map(&items, 0, |&i| i * 3);
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn worker_count_resolves_zero_and_caps_at_items() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(worker_count(0, 1000), cores.min(1000));
+        assert_eq!(worker_count(3, 50), 3);
+        assert_eq!(worker_count(8, 2), 2);
+        assert_eq!(worker_count(0, 0), 0);
     }
 
     #[test]

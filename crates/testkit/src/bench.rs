@@ -6,10 +6,18 @@
 //! table. Bench targets are plain binaries (`harness = false`), so they
 //! build and run offline with nothing but std.
 //!
+//! A row can also carry *exact* fields: deterministic facts about the
+//! timed work (event counts, byte sizes, virtual-time makespans) that
+//! repeat bit for bit, written beside the wall-clock figures but never
+//! mixed into them. [`Group::bench`] returns the row it pushed, so a
+//! filtered-out benchmark gets none.
+//!
 //! ```no_run
 //! let mut runner = chimera_testkit::bench::Runner::from_args();
 //! let mut group = runner.group("parsing");
-//! group.bench("small", || { /* work */ });
+//! if let Some(row) = group.bench("small", || { /* work */ }) {
+//!     row.exact("tokens", 42);
+//! }
 //! group.finish();
 //! runner.finish();
 //! ```
@@ -40,6 +48,17 @@ pub struct BenchStats {
     pub p95: Duration,
     /// Slowest sample.
     pub max: Duration,
+    /// Exact fields, `(key, JSON number)`, in the order they were added.
+    pub exact: Vec<(String, String)>,
+}
+
+impl BenchStats {
+    /// Attach an exact field: a deterministic count, size or makespan of
+    /// the timed work. `value` must render as a JSON number.
+    pub fn exact(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        self.exact.push((key.to_string(), value.to_string()));
+        self
+    }
 }
 
 /// Compute stats from raw samples (must be non-empty).
@@ -57,6 +76,7 @@ fn stats_of(name: &str, mut samples: Vec<Duration>) -> BenchStats {
         median: pick(1, 2),
         p95: pick(95, 100),
         max: samples[n - 1],
+        exact: Vec::new(),
     }
 }
 
@@ -119,14 +139,9 @@ impl Runner {
                 Err(e) => eprintln!("CHIMERA_BENCH_JSON write failed: {e}"),
             }
         }
-        let mut rows = vec![vec![
-            "benchmark".to_string(),
-            "samples".to_string(),
-            "min".to_string(),
-            "median".to_string(),
-            "p95".to_string(),
-            "max".to_string(),
-        ]];
+        let mut rows = vec![["benchmark", "samples", "min", "median", "p95", "max"]
+            .map(String::from)
+            .to_vec()];
         for r in &self.results {
             rows.push(vec![
                 r.name.clone(),
@@ -137,28 +152,7 @@ impl Runner {
                 fmt_duration(r.max),
             ]);
         }
-        let widths: Vec<usize> = (0..rows[0].len())
-            .map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0))
-            .collect();
-        for (ri, row) in rows.iter().enumerate() {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(c, cell)| {
-                    if c == 0 {
-                        format!("{cell:<width$}", width = widths[c])
-                    } else {
-                        format!("{cell:>width$}", width = widths[c])
-                    }
-                })
-                .collect();
-            println!("{}", line.join("  "));
-            if ri == 0 {
-                let dashes: Vec<String> =
-                    widths.iter().map(|w| "-".repeat(*w)).collect();
-                println!("{}", dashes.join("  "));
-            }
-        }
+        print!("{}", render_table(&rows));
     }
 }
 
@@ -179,12 +173,14 @@ impl Group<'_> {
         self
     }
 
-    /// Time `f`: warmup iterations, then the configured samples.
-    pub fn bench(&mut self, id: &str, mut f: impl FnMut()) {
+    /// Time `f`: warmup iterations, then the configured samples. Returns
+    /// the pushed row, for exact fields, or `None` when the filter skipped
+    /// the benchmark.
+    pub fn bench(&mut self, id: &str, mut f: impl FnMut()) -> Option<&mut BenchStats> {
         let full = format!("{}/{id}", self.name);
         if let Some(filter) = &self.runner.filter {
             if !full.contains(filter.as_str()) {
-                return;
+                return None;
             }
         }
         let samples = self.samples_override.unwrap_or(self.runner.samples);
@@ -206,6 +202,7 @@ impl Group<'_> {
             stats.samples
         );
         self.runner.results.push(stats);
+        self.runner.results.last_mut()
     }
 
     /// No-op terminator kept for call-site symmetry with criterion.
@@ -215,16 +212,22 @@ impl Group<'_> {
 /// Render results as a stable, human-diffable JSON array (one object per
 /// benchmark, durations in nanoseconds, each row tagged with the host's
 /// `available_parallelism` so a reader can tell which kind of host
-/// produced it). Hand-rolled: the workspace is
-/// hermetic, so no serde — names contain only `[A-Za-z0-9_/.-]` in
-/// practice, but escape quotes and backslashes anyway.
+/// produced it, and followed by the row's exact fields). Hand-rolled: the
+/// workspace is hermetic, so no serde — names contain only
+/// `[A-Za-z0-9_/.-]` in practice, but escape quotes and backslashes
+/// anyway.
 pub fn json_report(results: &[BenchStats]) -> String {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         let name = r.name.replace('\\', "\\\\").replace('"', "\\\"");
+        let exact: String = r
+            .exact
+            .iter()
+            .map(|(k, v)| format!(", \"{k}\": {v}"))
+            .collect();
         out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"host_cores\": {}, \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}}}{}\n",
+            "  {{\"name\": \"{}\", \"host_cores\": {}, \"samples\": {}, \"min_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}{exact}}}{}\n",
             name,
             host_cores,
             r.samples,
@@ -236,6 +239,41 @@ pub fn json_report(results: &[BenchStats]) -> String {
         ));
     }
     out.push_str("]\n");
+    out
+}
+
+/// Render rows as an aligned plain-text table, every column
+/// right-aligned. The first row is the header, underlined with dashes.
+pub fn render_table(rows: &[Vec<String>]) -> String {
+    if rows.is_empty() {
+        return String::new();
+    }
+    let cols = rows.iter().map(|r| r.len()).max().unwrap_or(0);
+    let mut widths = vec![0usize; cols];
+    for r in rows {
+        for (i, cell) in r.iter().enumerate() {
+            widths[i] = widths[i].max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    for (ri, r) in rows.iter().enumerate() {
+        for (i, cell) in r.iter().enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            out.push_str(&format!("{cell:>width$}", width = widths[i]));
+        }
+        out.push('\n');
+        if ri == 0 {
+            for (i, w) in widths.iter().enumerate() {
+                if i > 0 {
+                    out.push_str("  ");
+                }
+                out.push_str(&"-".repeat(*w));
+            }
+            out.push('\n');
+        }
+    }
     out
 }
 
@@ -283,34 +321,54 @@ mod tests {
         let mut ran = 0u32;
         {
             let mut g = runner.group("g");
-            g.bench("keep_me", || ran += 1);
+            let row = g.bench("keep_me", || ran += 1).expect("kept by the filter");
+            row.exact("events", 7);
         }
         // warmup(1) + samples(2)
         assert_eq!(ran, 3);
         let mut skipped = 0u32;
         {
             let mut g = runner.group("g");
-            g.bench("other", || skipped += 1);
+            assert!(g.bench("other", || skipped += 1).is_none());
         }
         assert_eq!(skipped, 0);
         assert_eq!(runner.results.len(), 1);
         assert!(runner.results[0].name == "g/keep_me");
+        assert_eq!(runner.results[0].exact, [("events".to_string(), "7".to_string())]);
     }
 
     #[test]
     fn json_report_is_well_formed() {
-        let results = vec![
+        let mut results = vec![
             stats_of("g/a", vec![Duration::from_micros(5), Duration::from_micros(9)]),
             stats_of("g/\"b\"", vec![Duration::from_nanos(42)]),
         ];
+        results[0].exact("makespan", 17862).exact("ratio", format!("{:.3}", 1.5));
         let json = json_report(&results);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert!(json.contains("\"name\": \"g/a\""));
         assert!(json.contains("\"min_ns\": 5000"));
+        assert!(
+            json.contains("\"max_ns\": 9000, \"makespan\": 17862, \"ratio\": 1.500},"),
+            "{json}"
+        );
         assert_eq!(json.matches("\"host_cores\": ").count(), 2);
         assert!(json.contains("\"name\": \"g/\\\"b\\\"\""), "{json}");
         assert_eq!(json.matches('{').count(), 2);
         assert_eq!(json.matches("},").count(), 1, "all but last comma-separated");
+    }
+
+    #[test]
+    fn table_aligns_columns() {
+        let t = render_table(&[
+            vec!["name".into(), "value".into()],
+            vec!["a".into(), "1".into()],
+            vec!["longer".into(), "22".into()],
+        ]);
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("name"));
+        assert!(lines[1].starts_with('-'));
     }
 
     #[test]
