@@ -308,13 +308,6 @@ echo "plan round-trip: demoted, verified, racy pairs kept, thin coverage refused
 echo "== clippy (deny warnings) =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
-echo "== points-to scaling smoke (1 sample) =="
-# One sample per benchmark just proves the naive and worklist solvers both
-# still run at every N. CHIMERA_BENCH_JSON stays unset so this never
-# clobbers the committed BENCH_pta.json (see EXPERIMENTS.md).
-CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
-    cargo bench --offline -p chimera-bench --bench pta_scaling
-
 echo "== interpreter scaling smoke (1 sample) =="
 # Proves both stepping paths still run every bench workload; committed
 # BENCH_vm.json is refreshed manually (see EXPERIMENTS.md).
@@ -334,17 +327,18 @@ echo "== scheduler-seam overhead smoke (1 sample) =="
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench sched_explore
 
-echo "== bench row schema (replay-format, fleet-throughput, instrumentation-overhead smokes, 1 sample) =="
-# One sample each of the three benches that carry exact fields, with
-# CHIMERA_BENCH_JSON pointed at temp files (never a committed
-# BENCH_*.json; those are refreshed manually, see EXPERIMENTS.md). Every
-# row must name its host, give median and p95, and carry its bench's
-# exact fields. The benches assert their own claims: replay_format that
-# v2 never emits more bytes than the retired v1 format's frozen sizes,
-# fleet_throughput that the >=1,000-cell grid completes clean with
-# identical serial and work-stealing reports, and instr_overhead that the
-# planned makespan is <= full on every workload and strictly below on
-# >=3/4.
+echo "== bench row schema (replay-format, fleet-throughput, instrumentation-overhead, points-to scaling, static-chain smokes, 1 sample) =="
+# One sample each of five benches, with CHIMERA_BENCH_JSON pointed at
+# temp files (never a committed BENCH_*.json; those are refreshed
+# manually, see EXPERIMENTS.md). Every row must name its host, give median and p95,
+# and carry its bench's exact fields. The benches assert their own
+# claims: replay_format that v2 never emits more bytes than the retired
+# v1 format's frozen sizes, fleet_throughput that the >=1,000-cell grid
+# completes clean with identical serial and work-stealing reports, and
+# instr_overhead that the planned makespan is <= full on every workload
+# and strictly below on >=3/4. pta_scaling proves the naive and worklist
+# solvers both still run at every N, and analysis -- static_chain that
+# RELAY, profiling and planning run on every chain length.
 bench_dir=$(mktemp -d)
 check_rows() {
     local file=$1 rows field
@@ -371,6 +365,12 @@ check_rows "$bench_dir/fleet.json" jobs cells
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/plan.json" \
     cargo bench --offline -p chimera-bench --bench instr_overhead
 check_rows "$bench_dir/plan.json" static_pairs demoted kept weak_locks makespan overhead_x
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/pta.json" \
+    cargo bench --offline -p chimera-bench --bench pta_scaling
+check_rows "$bench_dir/pta.json"
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/static.json" \
+    cargo bench --offline -p chimera-bench --bench analysis -- static_chain
+check_rows "$bench_dir/static.json"
 rm -rf "$bench_dir"
 echo "every bench row names its host, gives median and p95, and carries its exact fields"
 

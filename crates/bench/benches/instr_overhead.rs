@@ -92,7 +92,7 @@ fn main() {
             "instr_overhead/{name}: {}/{} pair(s) demoted, weak-locks {} -> {}, \
              makespan x{:.3} full vs x{:.3} planned",
             plan.demotions.len(),
-            plan.static_pairs.len(),
+            plan.evidence.static_pairs.len(),
             a.instrumented.weak_locks,
             planned.weak_locks,
             full as f64 / base as f64,
@@ -102,7 +102,7 @@ fn main() {
             if let Some(row) = group.bench(&format!("{name}/{id}"), || {
                 std::hint::black_box(execute(p, &cfg));
             }) {
-                row.exact("static_pairs", plan.static_pairs.len())
+                row.exact("static_pairs", plan.evidence.static_pairs.len())
                     .exact("demoted", plan.demotions.len())
                     .exact("kept", plan.kept.len())
                     .exact("weak_locks", p.weak_locks)

@@ -17,8 +17,8 @@
 //!
 //! Runs as a plain binary on `chimera-testkit`'s bench runner:
 //! `cargo bench --bench pta_scaling [filter]`. To refresh the committed
-//! scaling data: `CHIMERA_BENCH_JSON=BENCH_pta.json cargo bench --bench
-//! pta_scaling`.
+//! scaling data: `CHIMERA_BENCH_JSON=$PWD/BENCH_pta.json cargo bench
+//! --bench pta_scaling` (an absolute path: benches run in `crates/bench`).
 
 use chimera_minic::compile;
 use chimera_minic::ir::Program;

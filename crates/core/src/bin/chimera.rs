@@ -80,10 +80,13 @@
 //! DIR` then consumes the evidence — refusing with a named error if
 //! coverage is below `--min-seeds`/`--min-strategies`, any cell was
 //! unclean, or a dynamic race was statically unpredicted — and emits a
-//! certified `.chpl` demotion plan. `run --plan plan.chpl` applies it
-//! (digest-checked), executing with the demoted weak-locks stripped;
+//! certified `.chpl` plan: the evidence and the two thresholds, which
+//! `run --plan plan.chpl` re-certifies as it loads them. It applies the
+//! plan (digest-checked), executing with the demoted weak-locks stripped;
 //! `--verify` re-runs FastTrack plus a hostile replay and, on any
-//! contradiction, names the demoted pair it refutes.
+//! contradiction, names the demoted pair it refutes. `record`, `plan`
+//! and `explore` write their files before their first line of output,
+//! so a closed stdout never costs a file.
 
 use chimera::{
     analyze, out, outln, run_fleet, Analysis, FleetConfig, FleetTarget, Grid, PipelineConfig,
@@ -313,20 +316,20 @@ fn run() -> Result<(), String> {
                 let digest = chimera::fleet::cell::program_digest(&analysis.program);
                 let ev = chimera::Evidence::find(Path::new(dir), digest)?;
                 let plan = chimera::demote(&ev, &thresholds).map_err(|e| e.to_string())?;
+                // Files before output: a closed stdout ends the process
+                // at its first line.
+                let out = cli.value("-o").unwrap_or("plan.chpl");
+                plan.save(Path::new(out))?;
                 outln!("{}", plan.describe());
-                for d in &plan.demotions {
+                for (a, b) in &plan.demotions {
                     outln!(
-                        "  demote ({}, {}) — race-free across {} evidence cell(s)",
-                        d.pair.0,
-                        d.pair.1,
-                        d.cells.len()
+                        "  demote ({a}, {b}) — race-free across {} evidence cell(s)",
+                        ev.cells.len()
                     );
                 }
                 for k in &plan.kept {
                     outln!("  keep   ({}, {}) — dynamically confirmed racy", k.0, k.1);
                 }
-                let out = cli.value("-o").unwrap_or("plan.chpl");
-                plan.save(Path::new(out))?;
                 outln!("wrote {out}");
                 return Ok(());
             }
@@ -367,7 +370,7 @@ fn run() -> Result<(), String> {
                 outln!(
                     "plan: {} of {} pair(s) demoted; weak-locks {} (full instrumentation: {})",
                     iplan.stats.pairs_demoted,
-                    plan.static_pairs.len(),
+                    plan.evidence.static_pairs.len(),
                     planned.weak_locks,
                     analysis.instrumented.weak_locks,
                 );
@@ -399,9 +402,9 @@ fn run() -> Result<(), String> {
             let out = cli.value("-o").ok_or("record needs -o <logfile>")?;
             let analysis = analyze(&program, &pipeline);
             let rec = chimera_replay::record(&analysis.instrumented, &exec);
-            report_exec(&rec.result);
             let bytes = rec.logs.to_bytes();
             write_atomic(Path::new(out), &bytes)?;
+            report_exec(&rec.result);
             let (ikb, okb) = rec.logs.compressed_sizes();
             outln!(
                 "wrote {out}: {} bytes raw (est. compressed: input {ikb} B + order {okb} B)",
@@ -581,6 +584,53 @@ fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
     let run = run_fleet(&targets, &cfg)?;
     let elapsed = started.elapsed();
     let report = &run.report;
+    // What this invocation did, and how fast, goes to stderr: stdout is a
+    // function of the grid alone, so a resumed run's stdout can be
+    // diffed against a one-shot run's.
+    eprintln!(
+        "{} executed now, {} journal hit(s), {} budget-deferred; journal {}",
+        run.executed, run.journal_hits, run.truncated, run.journal_total
+    );
+    let secs = elapsed.as_secs_f64();
+    if run.executed > 0 && secs > 0.0 {
+        eprintln!(
+            "executed {} cell(s) in {:.2}s ({:.1} cells/s, {} worker(s))",
+            run.executed,
+            secs,
+            run.executed as f64 / secs,
+            worker_count(cfg.grid.jobs, run.executed as usize)
+        );
+    }
+
+    // Every file is written before the first line of output: a closed
+    // stdout ends the process at that line.
+    if let Some(out) = cli.value("-o") {
+        std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    }
+    // Evidence export runs its own gather sweep (the journal stores only
+    // counts, not pair identities), written even when the grid fails —
+    // unclean cells are themselves evidence.
+    let mut exported = Vec::new();
+    if let Some(dir) = evidence {
+        for (name, analysis) in &evidence_inputs {
+            let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
+            let ev = chimera::gather_evidence(
+                name,
+                &analysis.program,
+                &analysis.instrumented,
+                &statics,
+                &cfg.grid,
+            );
+            let path = ev.save(Path::new(dir))?;
+            exported.push(format!(
+                "{name:>12} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
+                ev.cells.len(),
+                ev.static_pairs.len(),
+                ev.confirmed_racy.len(),
+                path.display()
+            ));
+        }
+    }
 
     for t in &report.targets {
         for st in &t.strategies {
@@ -607,51 +657,11 @@ fn run_explore(cli: &Cli, seed: u64) -> Result<(), String> {
     if report.flagged > 0 {
         outln!("flagged {} cell(s) for triage", report.flagged);
     }
-    // What this invocation did, and how fast, goes to stderr: stdout is a
-    // function of the grid alone, so a resumed run's stdout can be
-    // diffed against a one-shot run's.
-    eprintln!(
-        "{} executed now, {} journal hit(s), {} budget-deferred; journal {}",
-        run.executed, run.journal_hits, run.truncated, run.journal_total
-    );
-    let secs = elapsed.as_secs_f64();
-    if run.executed > 0 && secs > 0.0 {
-        eprintln!(
-            "executed {} cell(s) in {:.2}s ({:.1} cells/s, {} worker(s))",
-            run.executed,
-            secs,
-            run.executed as f64 / secs,
-            worker_count(cfg.grid.jobs, run.executed as usize)
-        );
-    }
-
     if let Some(out) = cli.value("-o") {
-        std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
         outln!("wrote {out}");
     }
-
-    // Evidence export runs its own gather sweep (the journal stores only
-    // counts, not pair identities), written even when the grid fails —
-    // unclean cells are themselves evidence.
-    if let Some(dir) = evidence {
-        for (name, analysis) in &evidence_inputs {
-            let statics: Vec<_> = analysis.races.pairs.iter().map(|p| (p.a, p.b)).collect();
-            let ev = chimera::gather_evidence(
-                name,
-                &analysis.program,
-                &analysis.instrumented,
-                &statics,
-                &cfg.grid,
-            );
-            let path = ev.save(Path::new(dir))?;
-            outln!(
-                "{name:>12} evidence: {} cell(s), {} static pair(s), {} confirmed racy -> {}",
-                ev.cells.len(),
-                ev.static_pairs.len(),
-                ev.confirmed_racy.len(),
-                path.display()
-            );
-        }
+    for line in &exported {
+        outln!("{line}");
     }
 
     if !report.passed() {

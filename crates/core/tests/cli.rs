@@ -69,20 +69,64 @@ fn run_subcommand_executes_and_is_seed_deterministic() {
     assert_eq!(a, run("7"), "same seed must reproduce the run exactly");
 }
 
-#[test]
-fn run_ends_quietly_on_a_closed_stdout() {
-    // The reader has gone before the report is written, as when `head`
-    // exits early: the first write fails with a broken pipe.
+/// Spawn `cmd` with a stdout whose reader has already gone, as when
+/// `head` exits early: the first write fails with a broken pipe, and the
+/// command must still exit 0.
+fn run_with_closed_stdout(cmd: &mut Command) -> std::process::Output {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
-    let out = bin()
-        .arg("run")
-        .arg(fixture())
-        .stdout(writer)
-        .output()
-        .expect("spawn run");
+    let out = cmd.stdout(writer).output().expect("spawn");
     assert!(out.status.success(), "{out:?}");
+    out
+}
+
+#[test]
+fn run_ends_quietly_on_a_closed_stdout() {
+    let out = run_with_closed_stdout(bin().arg("run").arg(fixture()));
     assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn record_writes_its_log_before_a_closed_stdout_ends_it() {
+    let log = tempdir("closed-record").join("run.log");
+    run_with_closed_stdout(bin().arg("record").arg(fixture()).arg("-o").arg(&log));
+    let bytes = std::fs::read(&log).expect("log written");
+    chimera_replay::ReplayLogs::from_bytes(&bytes).expect("log decodes");
+}
+
+#[test]
+fn plan_writes_its_plan_before_a_closed_stdout_ends_it() {
+    let dir = tempdir("closed-plan");
+    let (evidence, plan) = (dir.join("evidence"), dir.join("demo.chpl"));
+    run_ok(bin().arg("explore").arg(fixture()).arg("--evidence").arg(&evidence));
+    run_with_closed_stdout(
+        bin()
+            .arg("plan")
+            .arg(fixture())
+            .arg("--evidence")
+            .arg(&evidence)
+            .arg("-o")
+            .arg(&plan),
+    );
+    chimera::CertifiedPlan::load(&plan).expect("plan decodes");
+}
+
+#[test]
+fn explore_writes_its_report_and_evidence_before_a_closed_stdout_ends_it() {
+    let dir = tempdir("closed-explore");
+    let report = dir.join("report.json");
+    run_with_closed_stdout(
+        bin()
+            .arg("explore")
+            .arg(fixture())
+            .args(["--seeds", "2", "-o"])
+            .arg(&report)
+            .arg("--evidence")
+            .arg(&dir),
+    );
+    let json = std::fs::read_to_string(&report).expect("report written");
+    assert!(json.trim_start().starts_with('{'), "{json}");
+    chimera::Evidence::load(&dir.join("demo.chev")).expect("evidence decodes");
 }
 
 #[test]

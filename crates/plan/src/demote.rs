@@ -17,25 +17,23 @@
 //! the uninstrumented program is never demoted; it is carried in `kept`.
 //!
 //! The output is a [`CertifiedPlan`] (`.chpl`, the `CHPL` container of
-//! DESIGN.md §12) holding the demotion decisions *and* the complete
-//! evidence cells that justified them, so any later divergence under the
-//! thinner plan can be attributed to the demoted pair it contradicts
-//! ([`CertifiedPlan::contradicted_by`]) and the justifying cells can be
+//! DESIGN.md §12): the evidence and the thresholds, nothing derived from
+//! them. Decoding re-runs [`demote`], so the demoted and kept lists are
+//! recomputed, never read, and a plan decodes only if its own evidence
+//! certifies it under its own thresholds. Any later divergence under the
+//! thinner plan is attributed to the demoted pair it contradicts
+//! ([`CertifiedPlan::contradicted_by`]), and the evidence cells can be
 //! re-run.
 
-use crate::evidence::{
-    push_cell, push_cert, push_pairs, read_cells, read_cert, read_pairs, read_u32s, Evidence,
-    EvidenceCell,
-};
-use chimera_drd::{detect, SegmentCertificate};
+use crate::evidence::Evidence;
+use chimera_drd::detect;
 use chimera_fleet::cell::{program_digest, replay_seed};
 use chimera_instrument::{instrument, instrument_demoted, DemotedSet, OptSet, Plan};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_profile::ProfileData;
 use chimera_relay::RaceReport;
 use chimera_replay::wire::{
-    push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
-    Reader,
+    push_frame, push_varint, read_file, read_frame_with, write_atomic, Format,
 };
 use chimera_replay::{record, replay, verify_determinism};
 use chimera_runtime::ExecConfig;
@@ -45,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// Certified-plan container magic.
 pub const PLAN_MAGIC: &[u8; 4] = b"CHPL";
 /// Certified-plan container format version.
-pub const PLAN_VERSION: u64 = 1;
+pub const PLAN_VERSION: u64 = 2;
 /// File extension for certified plans.
 pub const PLAN_EXT: &str = "chpl";
 
@@ -166,53 +164,21 @@ impl std::fmt::Display for Refusal {
 
 impl std::error::Error for Refusal {}
 
-/// One demoted pair plus the evidence cells that justified it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Demotion {
-    /// The demoted static pair (normalized `a ≤ b`).
-    pub pair: (AccessId, AccessId),
-    /// Indices into [`CertifiedPlan::cells`] of the sweep cells whose
-    /// FastTrack pass covered this pair race-free.
-    pub cells: Vec<u32>,
-}
-
-/// A certified instrumentation plan: which static pairs are demoted, on
-/// what evidence, under which thresholds — replayable and checksummed.
+/// A certified instrumentation plan: the evidence and the thresholds it
+/// clears, plus the partition of the static pairs that [`demote`]
+/// derives from them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifiedPlan {
-    /// Program name.
-    pub program: String,
-    /// Digest of the uninstrumented program the plan applies to.
-    pub program_digest: u64,
-    /// Digest of the *full* instrumentation the evidence swept — applying
-    /// the plan re-derives and checks this, so a plan certified against a
-    /// different optimization set is refused.
-    pub instrumented_digest: u64,
-    /// The seed threshold the evidence cleared.
-    pub min_seeds: u32,
-    /// The strategy threshold the evidence cleared.
-    pub min_strategies: u32,
-    /// Distinct seeds actually covered.
-    pub seeds_covered: u32,
-    /// Distinct strategies actually covered.
-    pub strategies_covered: u32,
-    /// Distinct full order hashes across the sweep.
-    pub distinct_orders: u32,
-    /// Distinct 32-event order prefixes across the sweep.
-    pub distinct_prefixes: u32,
-    /// Total scheduling perturbations injected across the sweep.
-    pub preemptions: u64,
-    /// RELAY's full static pair set (demoted ∪ kept, exactly).
-    pub static_pairs: Vec<(AccessId, AccessId)>,
-    /// Demoted pairs with their justifying cells, sorted by pair.
-    pub demotions: Vec<Demotion>,
+    /// The evidence the plan is certified on: the program and
+    /// instrumentation digests, RELAY's static pairs, the sweep cells
+    /// (each re-runnable via `run_cell`) and the DRD certificate.
+    pub evidence: Evidence,
+    /// The coverage thresholds the evidence clears.
+    pub thresholds: Thresholds,
+    /// Demoted static pairs, sorted.
+    pub demotions: Vec<(AccessId, AccessId)>,
     /// Pairs kept instrumented (dynamically confirmed racy), sorted.
     pub kept: Vec<(AccessId, AccessId)>,
-    /// The evidence cells, verbatim — each re-runnable via `run_cell`
-    /// with the recorded (strategy, seed) against this program.
-    pub cells: Vec<EvidenceCell>,
-    /// DRD certificate binding the attested race-free instrumented run.
-    pub certificate: SegmentCertificate,
 }
 
 /// A dynamic observation that contradicts a demotion: the named pair was
@@ -221,8 +187,8 @@ pub struct CertifiedPlan {
 pub struct Contradiction {
     /// The demoted pair that raced.
     pub pair: (AccessId, AccessId),
-    /// The evidence cells that had justified its demotion.
-    pub cells: Vec<u32>,
+    /// How many evidence cells had justified its demotion.
+    pub cells: usize,
 }
 
 impl std::fmt::Display for Contradiction {
@@ -230,11 +196,8 @@ impl std::fmt::Display for Contradiction {
         write!(
             f,
             "certified plan contradicted: demoted pair ({}, {}) raced dynamically; \
-             its demotion was justified by {} evidence cell(s) {:?}",
-            self.pair.0,
-            self.pair.1,
-            self.cells.len(),
-            self.cells
+             its demotion was justified by {} evidence cell(s)",
+            self.pair.0, self.pair.1, self.cells
         )
     }
 }
@@ -250,26 +213,28 @@ impl std::fmt::Display for Contradiction {
 /// 5. then every static pair FastTrack never confirmed racy on the
 ///    uninstrumented program is demoted; confirmed-racy pairs are kept.
 pub fn demote(ev: &Evidence, t: &Thresholds) -> Result<CertifiedPlan, Refusal> {
-    let certificate = ev.certificate.ok_or_else(|| Refusal::NoCertificate {
-        program: ev.program.clone(),
-    })?;
+    if ev.certificate.is_none() {
+        return Err(Refusal::NoCertificate {
+            program: ev.program.clone(),
+        });
+    }
     if !ev.unpredicted.is_empty() {
         return Err(Refusal::UnpredictedRaces {
             pairs: ev.unpredicted.clone(),
         });
     }
-    let unclean = ev.unclean_cells();
+    let unclean: Vec<usize> = (0..ev.cells.len()).filter(|&i| !ev.cells[i].clean).collect();
     if !unclean.is_empty() {
         return Err(Refusal::UncleanEvidence { cells: unclean });
     }
-    let seeds = ev.distinct_seeds();
+    let seeds = ev.distinct(|c| c.seed);
     if seeds < t.min_seeds as usize {
         return Err(Refusal::InsufficientSeeds {
             seeds,
             min: t.min_seeds,
         });
     }
-    let strategies = ev.distinct_strategies();
+    let strategies = ev.distinct(|c| c.strategy);
     if strategies < t.min_strategies as usize {
         return Err(Refusal::InsufficientStrategies {
             strategies,
@@ -279,212 +244,82 @@ pub fn demote(ev: &Evidence, t: &Thresholds) -> Result<CertifiedPlan, Refusal> {
 
     // Every clean cell's FastTrack pass covered the whole execution, so
     // every cell is a justifying witness for every demoted pair.
-    let all_cells: Vec<u32> = (0..ev.cells.len() as u32).collect();
     let racy: BTreeSet<(AccessId, AccessId)> = ev.confirmed_racy.iter().copied().collect();
-    let demotions: Vec<Demotion> = ev
-        .static_pairs
-        .iter()
-        .filter(|p| !racy.contains(p))
-        .map(|&pair| Demotion {
-            pair,
-            cells: all_cells.clone(),
-        })
-        .collect();
-
     Ok(CertifiedPlan {
-        program: ev.program.clone(),
-        program_digest: ev.program_digest,
-        instrumented_digest: ev.instrumented_digest,
-        min_seeds: t.min_seeds,
-        min_strategies: t.min_strategies,
-        seeds_covered: seeds as u32,
-        strategies_covered: strategies as u32,
-        distinct_orders: ev.distinct_orders() as u32,
-        distinct_prefixes: ev.distinct_prefixes() as u32,
-        preemptions: ev.total_preemptions(),
-        static_pairs: ev.static_pairs.clone(),
-        demotions,
+        evidence: ev.clone(),
+        thresholds: *t,
+        demotions: ev
+            .static_pairs
+            .iter()
+            .filter(|p| !racy.contains(p))
+            .copied()
+            .collect(),
         kept: ev.confirmed_racy.clone(),
-        cells: ev.cells.clone(),
-        certificate,
     })
 }
 
 impl CertifiedPlan {
-    /// The demoted pairs as a set, for the instrumenter.
-    pub fn demoted_set(&self) -> DemotedSet {
-        self.demotions.iter().map(|d| d.pair).collect()
-    }
-
     /// If any dynamically-racy pair is one this plan demoted, return the
-    /// contradiction naming that pair and its justifying cells.
-    pub fn contradicted_by(
-        &self,
-        dynamic_pairs: &[(AccessId, AccessId)],
-    ) -> Option<Contradiction> {
+    /// contradiction naming that pair and its justifying cell count.
+    pub fn contradicted_by(&self, dynamic_pairs: &[(AccessId, AccessId)]) -> Option<Contradiction> {
         let dynamic: BTreeSet<_> = dynamic_pairs.iter().copied().collect();
         self.demotions
             .iter()
-            .find(|d| dynamic.contains(&d.pair))
-            .map(|d| Contradiction {
-                pair: d.pair,
-                cells: d.cells.clone(),
+            .find(|p| dynamic.contains(p))
+            .map(|&pair| Contradiction {
+                pair,
+                cells: self.evidence.cells.len(),
             })
     }
 
-    /// One-line human summary.
+    /// One-line human summary; the coverage numbers are computed from
+    /// the evidence cells.
     pub fn describe(&self) -> String {
+        let ev = &self.evidence;
         format!(
             "{}: {} of {} static pair(s) demoted ({} kept) on {} cell(s) \
              [{} seed(s) × {} strateg(ies), {} distinct order(s), {} preemption(s)]",
-            self.program,
+            ev.program,
             self.demotions.len(),
-            self.static_pairs.len(),
+            ev.static_pairs.len(),
             self.kept.len(),
-            self.cells.len(),
-            self.seeds_covered,
-            self.strategies_covered,
-            self.distinct_orders,
-            self.preemptions,
+            ev.cells.len(),
+            ev.distinct(|c| c.seed),
+            ev.distinct(|c| c.strategy),
+            ev.distinct(|c| c.order_hash),
+            ev.cells.iter().map(|c| c.preemptions).sum::<u64>(),
         )
     }
 
-    /// Serialize to the `.chpl` container format.
+    /// Serialize to the `.chpl` container format: the envelope, one
+    /// thresholds frame, then the `.chev` frames of the evidence.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = FORMAT.start();
-        let mut header = Vec::new();
-        push_str(&mut header, &self.program);
-        header.extend_from_slice(&self.program_digest.to_le_bytes());
-        header.extend_from_slice(&self.instrumented_digest.to_le_bytes());
-        for v in [
-            self.min_seeds as u64,
-            self.min_strategies as u64,
-            self.seeds_covered as u64,
-            self.strategies_covered as u64,
-            self.distinct_orders as u64,
-            self.distinct_prefixes as u64,
-            self.preemptions,
-            self.static_pairs.len() as u64,
-            self.demotions.len() as u64,
-            self.kept.len() as u64,
-            self.cells.len() as u64,
-        ] {
-            push_varint(&mut header, v);
-        }
-        push_frame(&mut out, &header);
-
-        let mut statics = Vec::new();
-        push_pairs(&mut statics, &self.static_pairs);
-        push_frame(&mut out, &statics);
-
-        let mut demotions = Vec::new();
-        for d in &self.demotions {
-            push_varint(&mut demotions, d.pair.0 .0 as u64);
-            push_varint(&mut demotions, d.pair.1 .0 as u64);
-            push_varint(&mut demotions, d.cells.len() as u64);
-            for &c in &d.cells {
-                push_varint(&mut demotions, c as u64);
-            }
-        }
-        push_frame(&mut out, &demotions);
-
-        let mut kept = Vec::new();
-        push_pairs(&mut kept, &self.kept);
-        push_frame(&mut out, &kept);
-
-        let mut cells = Vec::new();
-        for c in &self.cells {
-            push_cell(&mut cells, c);
-        }
-        push_frame(&mut out, &cells);
-
-        let mut cert = Vec::new();
-        push_cert(&mut cert, &self.certificate);
-        push_frame(&mut out, &cert);
+        let mut thresholds = Vec::new();
+        push_varint(&mut thresholds, self.thresholds.min_seeds as u64);
+        push_varint(&mut thresholds, self.thresholds.min_strategies as u64);
+        push_frame(&mut out, &thresholds);
+        self.evidence.push_body(&mut out);
         out
     }
 
-    /// Decode a `.chpl` container, verifying magic, version, every frame
-    /// checksum, the demoted/kept partition of the static pairs, cell
-    /// index ranges, strategy codes, and the certificate digest. Errors
-    /// start with the offending section — a byte-edited plan never
-    /// decodes.
+    /// Decode a `.chpl` container and re-certify it: the evidence is
+    /// decoded with every check of the `.chev` decoder, and then
+    /// [`demote`] runs on it under the stored thresholds. Errors start
+    /// with `plan` and the offending section; evidence that no longer
+    /// certifies fails with its refusal (`plan: demotion refused (...)`).
     pub fn from_bytes(bytes: &[u8]) -> Result<CertifiedPlan, String> {
         let mut r = FORMAT.open(bytes)?;
-        let (program, digests, thresholds, coverage, preemptions, counts) =
-            read_frame_with(&mut r, |h| {
-                let program = read_str(h)?;
-                let digests = [h.u64_raw()?, h.u64_raw()?];
-                let thresholds = read_u32s::<2>(h)?;
-                let coverage = read_u32s::<4>(h)?;
-                let preemptions = h.varint()?;
-                let counts = read_u32s::<4>(h)?;
-                Ok((program, digests, thresholds, coverage, preemptions, counts))
-            })
-            .map_err(|e| format!("plan header: {e}"))?;
-        let [program_digest, instrumented_digest] = digests;
-        let [min_seeds, min_strategies] = thresholds;
-        let [seeds_covered, strategies_covered, distinct_orders, distinct_prefixes] = coverage;
-        let [n_static, n_demotions, n_kept, n_cells] = counts.map(|n| n as usize);
-
-        let static_pairs = read_frame_with(&mut r, |s| read_pairs(s, n_static))
-            .map_err(|e| format!("plan static pairs: {e}"))?;
-        let static_set: BTreeSet<_> = static_pairs.iter().copied().collect();
-        let demotions = read_frame_with(&mut r, |d| {
-            read_demotions(d, n_demotions, &static_set, n_cells)
-        })
-        .map_err(|e| format!("plan demotions: {e}"))?;
-        let kept = read_frame_with(&mut r, |k| read_pairs(k, n_kept))
-            .map_err(|e| format!("plan kept pairs: {e}"))?;
-        // The demoted and kept sets must partition the static set exactly:
-        // a forged plan cannot silently drop a pair from both, nor demote
-        // a pair while also claiming to keep it.
-        let demoted_set: BTreeSet<_> = demotions.iter().map(|x| x.pair).collect();
-        for pair in &kept {
-            if !static_set.contains(pair) {
-                return Err(format!(
-                    "plan kept pairs: pair ({}, {}) is not a static pair",
-                    pair.0, pair.1
-                ));
-            }
-            if demoted_set.contains(pair) {
-                return Err(format!(
-                    "plan kept pairs: pair ({}, {}) is both demoted and kept",
-                    pair.0, pair.1
-                ));
-            }
-        }
-        if demoted_set.len() + kept.len() != static_pairs.len() {
-            return Err(format!(
-                "plan partition: {} demoted + {} kept != {} static pair(s)",
-                demoted_set.len(),
-                kept.len(),
-                static_pairs.len()
-            ));
-        }
-
-        let cells = read_frame_with(&mut r, |c| read_cells(c, n_cells))
-            .map_err(|e| format!("plan cells: {e}"))?;
-        let certificate =
-            read_frame_with(&mut r, read_cert).map_err(|e| format!("plan certificate: {e}"))?;
+        let [min_seeds, min_strategies] =
+            read_frame_with(&mut r, |t| Ok([t.varint_u32()?, t.varint_u32()?]))
+                .map_err(|e| format!("plan thresholds: {e}"))?;
+        let evidence = Evidence::read_body(&mut r).map_err(|e| format!("plan {e}"))?;
         FORMAT.finish(&r)?;
-        Ok(CertifiedPlan {
-            program,
-            program_digest,
-            instrumented_digest,
+        let thresholds = Thresholds {
             min_seeds,
             min_strategies,
-            seeds_covered,
-            strategies_covered,
-            distinct_orders,
-            distinct_prefixes,
-            preemptions,
-            static_pairs,
-            demotions,
-            kept,
-            cells,
-            certificate,
-        })
+        };
+        demote(&evidence, &thresholds).map_err(|e| format!("plan: {e}"))
     }
 
     /// Write the plan to `path` (atomic replace).
@@ -497,55 +332,6 @@ impl CertifiedPlan {
     pub fn load(path: &Path) -> Result<CertifiedPlan, String> {
         read_file(path, None, CertifiedPlan::from_bytes)
     }
-}
-
-/// Read `n` demotions: each pair must be a static pair, in strictly
-/// ascending order, with sorted justifying cell indices below `n_cells`.
-fn read_demotions(
-    d: &mut Reader,
-    n: usize,
-    static_set: &BTreeSet<(AccessId, AccessId)>,
-    n_cells: usize,
-) -> Result<Vec<Demotion>, String> {
-    let mut demotions: Vec<Demotion> = Vec::with_capacity(n.min(4096));
-    for i in 0..n {
-        let demotion = read_demotion(d, static_set, n_cells, demotions.last())
-            .map_err(|e| format!("demotion {i}: {e}"))?;
-        demotions.push(demotion);
-    }
-    Ok(demotions)
-}
-
-fn read_demotion(
-    d: &mut Reader,
-    static_set: &BTreeSet<(AccessId, AccessId)>,
-    n_cells: usize,
-    prev: Option<&Demotion>,
-) -> Result<Demotion, String> {
-    let a = d.varint_u32()?;
-    let b = d.varint_u32()?;
-    let pair = (AccessId(a), AccessId(b));
-    if !static_set.contains(&pair) {
-        return Err(format!("pair ({a}, {b}) is not a static pair"));
-    }
-    if prev.is_some_and(|p| pair <= p.pair) {
-        return Err("demotions not sorted/deduplicated".into());
-    }
-    let nc = d.varint_u32()? as usize;
-    let mut cells: Vec<u32> = Vec::with_capacity(nc.min(4096));
-    for _ in 0..nc {
-        let c = d.varint_u32()?;
-        if c as usize >= n_cells {
-            return Err(format!(
-                "justifying cell index {c} out of range ({n_cells} cell(s))"
-            ));
-        }
-        if cells.last().is_some_and(|&p| c <= p) {
-            return Err("justifying cells not sorted".into());
-        }
-        cells.push(c);
-    }
-    Ok(Demotion { pair, cells })
 }
 
 /// Apply a certified plan: check it actually certifies this program and
@@ -563,48 +349,43 @@ pub fn apply_plan(
     opts: &OptSet,
     plan: &CertifiedPlan,
 ) -> Result<(Program, Plan), String> {
+    let ev = &plan.evidence;
     let pdig = program_digest(original);
-    if pdig != plan.program_digest {
+    if pdig != ev.program_digest {
         return Err(format!(
             "plan-mismatch (program-digest): plan certifies program {:#018x}, \
              this program is {pdig:#018x}",
-            plan.program_digest
+            ev.program_digest
         ));
     }
-    let static_now: Vec<(AccessId, AccessId)> =
-        races.pairs.iter().map(|p| (p.a, p.b)).collect();
-    if static_now != plan.static_pairs {
+    let static_now: Vec<(AccessId, AccessId)> = races.pairs.iter().map(|p| (p.a, p.b)).collect();
+    if static_now != ev.static_pairs {
         return Err(format!(
             "plan-mismatch (static-pairs): plan certifies {} static pair(s), \
              analysis now reports {}",
-            plan.static_pairs.len(),
+            ev.static_pairs.len(),
             static_now.len()
         ));
     }
     let (full, _) = instrument(original, races, profile, opts);
     let fdig = program_digest(&full);
-    if fdig != plan.instrumented_digest {
+    if fdig != ev.instrumented_digest {
         return Err(format!(
             "plan-mismatch (instrumented-digest): plan evidence swept \
              instrumentation {:#018x}, this configuration produces {fdig:#018x} \
              (different optimization set?)",
-            plan.instrumented_digest
+            ev.instrumented_digest
         ));
     }
-    Ok(instrument_demoted(
-        original,
-        races,
-        profile,
-        opts,
-        &plan.demoted_set(),
-    ))
+    let demoted: DemotedSet = plan.demotions.iter().copied().collect();
+    Ok(instrument_demoted(original, races, profile, opts, &demoted))
 }
 
 /// Check an execution of the plan-instrumented program against the plan:
 /// FastTrack must stay race-free and record/replay must stay
 /// deterministic. Any contradiction names the demoted pair it refutes
-/// (via [`CertifiedPlan::contradicted_by`]) together with the evidence
-/// cells that had justified the demotion.
+/// (via [`CertifiedPlan::contradicted_by`]) together with the number of
+/// evidence cells that had justified the demotion.
 pub fn verify_under_plan(
     planned: &Program,
     plan: &CertifiedPlan,
@@ -642,7 +423,7 @@ pub fn verify_under_plan(
         let suspects: Vec<String> = plan
             .demotions
             .iter()
-            .map(|d| format!("({}, {})", d.pair.0, d.pair.1))
+            .map(|(a, b)| format!("({a}, {b})"))
             .collect();
         return Err(format!(
             "replay diverged under certified plan: {}; suspect demoted pair(s): [{}]",

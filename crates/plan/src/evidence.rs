@@ -22,7 +22,8 @@
 //! the exact run — the same convention the fleet journal uses.
 //!
 //! On disk it is the `CHEV` container (DESIGN.md §12): header, pairs,
-//! cells and (optional) certificate frames.
+//! cells and (optional) certificate frames. A certified plan (`.chpl`)
+//! carries the same frames after its thresholds.
 
 use chimera_drd::{detect, SegmentCertificate};
 use chimera_fleet::cell::{program_digest, strategy_code, strategy_from_code, Grid, StaticPairs};
@@ -31,7 +32,6 @@ use chimera_replay::wire::{
     push_frame, push_str, push_varint, read_file, read_frame_with, read_str, write_atomic, Format,
     Reader,
 };
-use chimera_runtime::SchedStrategy;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -75,13 +75,6 @@ pub struct EvidenceCell {
     /// Dynamic racy pairs FastTrack saw on the *instrumented* program in
     /// this cell (must be 0 for a clean cell).
     pub drd_races: u64,
-}
-
-impl EvidenceCell {
-    /// The cell's strategy, decoded (fails on a corrupted code).
-    pub fn strategy(&self) -> Result<SchedStrategy, String> {
-        strategy_from_code(self.strategy.0, self.strategy.1, self.strategy.2)
-    }
 }
 
 /// The full dynamic-evidence record for one program.
@@ -135,17 +128,16 @@ pub fn gather_evidence(
     let mut racy: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
     let mut unpred: BTreeSet<(AccessId, AccessId)> = BTreeSet::new();
     for (cell, o) in cfg.sweep(instrumented, Some((original, &statics)), true) {
-        let inst_pairs = o.drd_races.expect("swept with check_drd") as u64;
         cells.push(EvidenceCell {
             strategy: strategy_code(cfg.strategies[cell.strategy]),
             seed: o.seed,
-            clean: !o.diverged() && o.violations.is_empty() && inst_pairs == 0,
+            clean: o.clean(),
             order_hash: o.order_hash,
             prefix_hash: o.prefix_hash,
             preemptions: o.preemptions,
             forced_releases: o.forced_releases,
             state_hash: o.state_hash,
-            drd_races: inst_pairs,
+            drd_races: o.drd_races.expect("swept with check_drd") as u64,
         });
         racy.extend(o.drd_confirmed.expect("swept with a cross-check program"));
         unpred.extend(o.drd_unpredicted.expect("swept with a cross-check program"));
@@ -165,56 +157,23 @@ pub fn gather_evidence(
 }
 
 impl Evidence {
-    /// Distinct record seeds across cells.
-    pub fn distinct_seeds(&self) -> usize {
-        self.cells.iter().map(|c| c.seed).collect::<BTreeSet<_>>().len()
-    }
-
-    /// Distinct (unresolved) strategies across cells.
-    pub fn distinct_strategies(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| c.strategy)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    /// Distinct full-order hashes across cells (schedule diversity).
-    pub fn distinct_orders(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| c.order_hash)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    /// Distinct 32-event order prefixes across cells.
-    pub fn distinct_prefixes(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| c.prefix_hash)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    /// Total scheduling perturbations injected across the sweep.
-    pub fn total_preemptions(&self) -> u64 {
-        self.cells.iter().map(|c| c.preemptions).sum()
-    }
-
-    /// Indices of cells that were not clean.
-    pub fn unclean_cells(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.clean)
-            .map(|(i, _)| i)
-            .collect()
+    /// How many distinct values `key` takes across the cells: record
+    /// seeds, (unresolved) strategies, order hashes.
+    pub fn distinct<K: Ord>(&self, key: impl Fn(&EvidenceCell) -> K) -> usize {
+        self.cells.iter().map(key).collect::<BTreeSet<_>>().len()
     }
 
     /// Serialize to the `.chev` container format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = FORMAT.start();
+        self.push_body(&mut out);
+        out
+    }
+
+    /// Append the frames that follow the `.chev` envelope: header, pairs,
+    /// cells and (when certified) certificate. The `.chpl` container
+    /// carries the same frames after its thresholds.
+    pub(crate) fn push_body(&self, out: &mut Vec<u8>) {
         let mut header = Vec::new();
         push_str(&mut header, &self.program);
         header.extend_from_slice(&self.program_digest.to_le_bytes());
@@ -224,26 +183,25 @@ impl Evidence {
         push_varint(&mut header, self.unpredicted.len() as u64);
         push_varint(&mut header, self.cells.len() as u64);
         header.push(self.certificate.is_some() as u8);
-        push_frame(&mut out, &header);
+        push_frame(out, &header);
 
         let mut pairs = Vec::new();
         for set in [&self.static_pairs, &self.confirmed_racy, &self.unpredicted] {
             push_pairs(&mut pairs, set);
         }
-        push_frame(&mut out, &pairs);
+        push_frame(out, &pairs);
 
         let mut cells = Vec::new();
         for c in &self.cells {
             push_cell(&mut cells, c);
         }
-        push_frame(&mut out, &cells);
+        push_frame(out, &cells);
 
         if let Some(cert) = &self.certificate {
             let mut body = Vec::new();
             push_cert(&mut body, cert);
-            push_frame(&mut out, &body);
+            push_frame(out, &body);
         }
-        out
     }
 
     /// Decode a `.chev` container, verifying magic, version, every frame
@@ -251,11 +209,19 @@ impl Evidence {
     /// certificate digest. Errors start with the offending section.
     pub fn from_bytes(bytes: &[u8]) -> Result<Evidence, String> {
         let mut r = FORMAT.open(bytes)?;
+        let ev = Evidence::read_body(&mut r)?;
+        FORMAT.finish(&r)?;
+        Ok(ev)
+    }
+
+    /// Read the frames [`Evidence::push_body`] wrote. Errors start with
+    /// `evidence` and the offending section.
+    pub(crate) fn read_body(r: &mut Reader) -> Result<Evidence, String> {
         let (program, [program_digest, instrumented_digest], counts, has_cert) =
-            read_frame_with(&mut r, |h| {
+            read_frame_with(r, |h| {
                 let program = read_str(h)?;
                 let digests = [h.u64_raw()?, h.u64_raw()?];
-                let counts = read_u32s::<4>(h)?;
+                let counts = [h.varint_u32()?, h.varint_u32()?, h.varint_u32()?, h.varint_u32()?];
                 let has_cert = match h.u8()? {
                     0 => false,
                     1 => true,
@@ -266,7 +232,7 @@ impl Evidence {
             .map_err(|e| format!("evidence header: {e}"))?;
         let [n_static, n_racy, n_unpred, n_cells] = counts.map(|n| n as usize);
 
-        let [static_pairs, confirmed_racy, unpredicted] = read_frame_with(&mut r, |p| {
+        let [static_pairs, confirmed_racy, unpredicted] = read_frame_with(r, |p| {
             Ok([
                 read_pairs(p, n_static)?,
                 read_pairs(p, n_racy)?,
@@ -274,35 +240,28 @@ impl Evidence {
             ])
         })
         .map_err(|e| format!("evidence pairs: {e}"))?;
-        let static_set: BTreeSet<_> = static_pairs.iter().copied().collect();
-        for pair in &confirmed_racy {
-            if !static_set.contains(pair) {
-                return Err(format!(
-                    "evidence pairs (racy): pair ({}, {}) is not among the static pairs",
-                    pair.0, pair.1
-                ));
-            }
+        let static_set: BTreeSet<_> = static_pairs.iter().collect();
+        if let Some((a, b)) = confirmed_racy.iter().find(|p| !static_set.contains(p)) {
+            return Err(format!(
+                "evidence pairs (racy): pair ({a}, {b}) is not among the static pairs"
+            ));
         }
-        for pair in &unpredicted {
-            if static_set.contains(pair) {
-                return Err(format!(
-                    "evidence pairs (unpredicted): pair ({}, {}) is statically predicted",
-                    pair.0, pair.1
-                ));
-            }
+        if let Some((a, b)) = unpredicted.iter().find(|p| static_set.contains(p)) {
+            return Err(format!(
+                "evidence pairs (unpredicted): pair ({a}, {b}) is statically predicted"
+            ));
         }
 
-        let cells = read_frame_with(&mut r, |c| read_cells(c, n_cells))
+        let cells = read_frame_with(r, |c| read_cells(c, n_cells))
             .map_err(|e| format!("evidence cells: {e}"))?;
         let certificate = if has_cert {
             Some(
-                read_frame_with(&mut r, read_cert)
+                read_frame_with(r, read_cert)
                     .map_err(|e| format!("evidence certificate: {e}"))?,
             )
         } else {
             None
         };
-        FORMAT.finish(&r)?;
         Ok(Evidence {
             program,
             program_digest,
@@ -361,16 +320,16 @@ impl Evidence {
     }
 }
 
-// --- Shared section encoders (also used by the certified-plan container).
+// --- Section encoders.
 
-pub(crate) fn push_pairs(out: &mut Vec<u8>, pairs: &[(AccessId, AccessId)]) {
+fn push_pairs(out: &mut Vec<u8>, pairs: &[(AccessId, AccessId)]) {
     for &(a, b) in pairs {
         push_varint(out, a.0 as u64);
         push_varint(out, b.0 as u64);
     }
 }
 
-pub(crate) fn read_pairs(r: &mut Reader, n: usize) -> Result<Vec<(AccessId, AccessId)>, String> {
+fn read_pairs(r: &mut Reader, n: usize) -> Result<Vec<(AccessId, AccessId)>, String> {
     let mut pairs = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         let a = r.varint_u32()?;
@@ -379,26 +338,15 @@ pub(crate) fn read_pairs(r: &mut Reader, n: usize) -> Result<Vec<(AccessId, Acce
             return Err(format!("unnormalized pair ({a}, {b})"));
         }
         let pair = (AccessId(a), AccessId(b));
-        if let Some(&last) = pairs.last() {
-            if pair <= last {
-                return Err("pairs not sorted/deduplicated".into());
-            }
+        if pairs.last().is_some_and(|&last| pair <= last) {
+            return Err("pairs not sorted/deduplicated".into());
         }
         pairs.push(pair);
     }
     Ok(pairs)
 }
 
-/// `N` consecutive u32 varints (section counts, coverage numbers).
-pub(crate) fn read_u32s<const N: usize>(r: &mut Reader) -> Result<[u32; N], String> {
-    let mut out = [0; N];
-    for v in &mut out {
-        *v = r.varint_u32()?;
-    }
-    Ok(out)
-}
-
-pub(crate) fn push_cell(out: &mut Vec<u8>, c: &EvidenceCell) {
+fn push_cell(out: &mut Vec<u8>, c: &EvidenceCell) {
     out.push(c.strategy.0);
     push_varint(out, c.strategy.1);
     push_varint(out, c.strategy.2);
@@ -413,7 +361,7 @@ pub(crate) fn push_cell(out: &mut Vec<u8>, c: &EvidenceCell) {
 }
 
 /// Read `n` cells written by [`push_cell`]; errors name the cell index.
-pub(crate) fn read_cells(r: &mut Reader, n: usize) -> Result<Vec<EvidenceCell>, String> {
+fn read_cells(r: &mut Reader, n: usize) -> Result<Vec<EvidenceCell>, String> {
     let mut cells = Vec::with_capacity(n.min(4096));
     for i in 0..n {
         cells.push(read_cell(r).map_err(|e| format!("cell {i}: {e}"))?);
@@ -451,7 +399,7 @@ fn read_cell(r: &mut Reader) -> Result<EvidenceCell, String> {
     })
 }
 
-pub(crate) fn push_cert(out: &mut Vec<u8>, cert: &SegmentCertificate) {
+fn push_cert(out: &mut Vec<u8>, cert: &SegmentCertificate) {
     push_varint(out, cert.seed);
     push_varint(out, cert.threads);
     push_varint(out, cert.instrs);
@@ -460,7 +408,7 @@ pub(crate) fn push_cert(out: &mut Vec<u8>, cert: &SegmentCertificate) {
     out.extend_from_slice(&cert.digest.to_le_bytes());
 }
 
-pub(crate) fn read_cert(r: &mut Reader) -> Result<SegmentCertificate, String> {
+fn read_cert(r: &mut Reader) -> Result<SegmentCertificate, String> {
     let seed = r.varint()?;
     let threads = r.varint()?;
     let instrs = r.varint()?;

@@ -16,10 +16,11 @@
 //!    [`chimera_drd::SegmentCertificate`].
 //! 2. [`demote`] turns evidence into a [`CertifiedPlan`] (`.chpl`): every
 //!    static pair that stayed race-free across the whole hostile sweep is
-//!    demoted to unsynchronized access, with the justifying cells recorded
-//!    pair by pair; coverage below `--min-seeds` / `--min-strategies`, a
-//!    missing certificate, unclean cells, or a statically-unpredicted
-//!    dynamic race **refuse** demotion with a named [`Refusal`].
+//!    demoted to unsynchronized access; coverage below `--min-seeds` /
+//!    `--min-strategies`, a missing certificate, unclean cells, or a
+//!    statically-unpredicted dynamic race **refuse** demotion with a
+//!    named [`Refusal`]. The plan stores only demotion's inputs, the
+//!    evidence and the thresholds; decoding re-runs [`demote`].
 //! 3. [`apply_plan`] re-instruments with the demoted pairs stripped
 //!    (digest-checked against the certified program and instrumentation),
 //!    and [`verify_under_plan`] re-checks FastTrack + record/replay under
@@ -28,8 +29,8 @@
 //!
 //! Both are containers of the shared codec `chimera_replay::wire`
 //! (DESIGN.md §12): hostile bytes fail with an error naming the container
-//! and section, never a panic, and a byte-edited certificate can never
-//! decode into a trusted plan.
+//! and section, never a panic, and a plan decodes only if its own
+//! evidence certifies it under its own thresholds.
 
 #![warn(missing_docs)]
 
@@ -37,8 +38,8 @@ pub mod demote;
 pub mod evidence;
 
 pub use demote::{
-    apply_plan, demote, verify_under_plan, CertifiedPlan, Contradiction, Demotion, Refusal,
-    Thresholds, PLAN_EXT, PLAN_MAGIC, PLAN_VERSION,
+    apply_plan, demote, verify_under_plan, CertifiedPlan, Contradiction, Refusal, Thresholds,
+    PLAN_EXT, PLAN_MAGIC, PLAN_VERSION,
 };
 pub use evidence::{
     gather_evidence, Evidence, EvidenceCell, GatherConfig, EVIDENCE_EXT, EVIDENCE_MAGIC,

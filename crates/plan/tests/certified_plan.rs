@@ -2,16 +2,17 @@
 //! round-trip and pass the shared hostile-input suite
 //! (`chimera_testkit::corrupt`); demotion is earned only by
 //! clean, diverse evidence (racy fixtures never earn it); every refusal
-//! fires with its stable code; forged plans are rejected at decode; and
-//! a contradiction under a bad plan names the demoted pair it refutes.
+//! fires with its stable code; a plan decodes only if its own evidence
+//! still certifies it; and a contradiction under a bad plan names the
+//! demoted pair it refutes.
 
 use chimera_fleet::cell::program_digest;
 use chimera_instrument::{instrument, OptSet};
 use chimera_minic::compile;
 use chimera_minic::ir::{AccessId, Program};
 use chimera_plan::{
-    apply_plan, demote, gather_evidence, verify_under_plan, CertifiedPlan, Demotion, Evidence,
-    GatherConfig, Refusal, Thresholds,
+    apply_plan, demote, gather_evidence, verify_under_plan, CertifiedPlan, Evidence, GatherConfig,
+    Refusal, Thresholds,
 };
 use chimera_profile::{profile_runs, ProfileData};
 use chimera_relay::{detect_races, RaceReport};
@@ -84,12 +85,10 @@ fn racy_fixtures_never_earn_demotion_of_their_racy_pairs() {
         );
         let plan = demote(&ev, &Thresholds::default()).expect("clean sweep still plans");
         assert_eq!(plan.kept, ev.confirmed_racy, "{name}");
-        for d in &plan.demotions {
+        for (a, b) in &plan.demotions {
             assert!(
-                !ev.confirmed_racy.contains(&d.pair),
-                "{name}: dynamically racy pair ({}, {}) was demoted",
-                d.pair.0,
-                d.pair.1
+                !ev.confirmed_racy.contains(&(*a, *b)),
+                "{name}: dynamically racy pair ({a}, {b}) was demoted"
             );
         }
         // The genuinely racy accesses stay instrumented, so the planned
@@ -105,30 +104,44 @@ fn every_refusal_fires_with_its_stable_code() {
     let a = analyze(PARTITIONED);
     let ev = gather(&a, "partitioned_sum", &GatherConfig::default());
     let t = Thresholds::default();
+    // One rule decides demotion and decoding: a plan that carries refused
+    // evidence fails to decode with the same refusal.
+    let refuse = |ev: &Evidence, thresholds: Thresholds| {
+        let e = demote(ev, &thresholds).unwrap_err();
+        let plan = CertifiedPlan {
+            evidence: ev.clone(),
+            thresholds,
+            demotions: Vec::new(),
+            kept: Vec::new(),
+        };
+        let decoded = CertifiedPlan::from_bytes(&plan.to_bytes()).unwrap_err();
+        assert_eq!(decoded, format!("plan: {e}"));
+        e
+    };
 
     let mut no_cert = ev.clone();
     no_cert.certificate = None;
-    let e = demote(&no_cert, &t).unwrap_err();
+    let e = refuse(&no_cert, t);
     assert_eq!(e.code(), "no-certificate");
     assert!(e.to_string().contains("demotion refused (no-certificate)"), "{e}");
 
     let mut unpred = ev.clone();
     unpred.unpredicted.push((AccessId(998), AccessId(999)));
-    let e = demote(&unpred, &t).unwrap_err();
+    let e = refuse(&unpred, t);
     assert_eq!(e.code(), "unpredicted-races");
     assert!(e.to_string().contains("(acc998, acc999)"), "{e}");
 
     let mut unclean = ev.clone();
     unclean.cells[4].clean = false;
-    let e = demote(&unclean, &t).unwrap_err();
+    let e = refuse(&unclean, t);
     assert_eq!(e.code(), "unclean-evidence");
     assert!(e.to_string().contains("[4]"), "{e}");
 
-    let e = demote(&ev, &Thresholds { min_seeds: 99, ..t }).unwrap_err();
+    let e = refuse(&ev, Thresholds { min_seeds: 99, ..t });
     assert_eq!(e.code(), "insufficient-seeds");
     assert!(matches!(e, Refusal::InsufficientSeeds { seeds: 3, min: 99 }), "{e:?}");
 
-    let e = demote(&ev, &Thresholds { min_strategies: 99, ..t }).unwrap_err();
+    let e = refuse(&ev, Thresholds { min_strategies: 99, ..t });
     assert_eq!(e.code(), "insufficient-strategies");
     assert!(
         matches!(e, Refusal::InsufficientStrategies { strategies: 3, min: 99 }),
@@ -141,9 +154,9 @@ fn every_refusal_fires_with_its_stable_code() {
     worst.certificate = None;
     worst.unpredicted.push((AccessId(998), AccessId(999)));
     worst.cells[0].clean = false;
-    assert_eq!(demote(&worst, &t).unwrap_err().code(), "no-certificate");
+    assert_eq!(refuse(&worst, t).code(), "no-certificate");
     worst.certificate = ev.certificate;
-    assert_eq!(demote(&worst, &t).unwrap_err().code(), "unpredicted-races");
+    assert_eq!(refuse(&worst, t).code(), "unpredicted-races");
 }
 
 const EVIDENCE: Codec<Evidence> = Codec {
@@ -172,25 +185,19 @@ fn arb_evidence(base: Evidence) -> Gen<Evidence> {
     })
 }
 
-/// Valid plans around a real certified plan: a prefix of its cells and a
-/// random demoted/kept partition of its static pairs, each demotion with
-/// a sorted subset of the remaining cells.
-fn arb_plan(base: CertifiedPlan) -> Gen<CertifiedPlan> {
+/// Valid plans around a real sweep: a prefix of its cells, a subset of
+/// its confirmed-racy pairs, and thresholds no higher than the coverage
+/// those cells reach.
+fn arb_plan(base: Evidence) -> Gen<CertifiedPlan> {
     Gen::new(move |s| {
-        let mut plan = base.clone();
-        plan.cells.truncate(s.index(plan.cells.len() + 1));
-        let n_cells = plan.cells.len() as u32;
-        plan.demotions.clear();
-        plan.kept.clear();
-        for &pair in &plan.static_pairs {
-            if s.bool() {
-                let cells = (0..n_cells).filter(|_| s.bool()).collect();
-                plan.demotions.push(Demotion { pair, cells });
-            } else {
-                plan.kept.push(pair);
-            }
-        }
-        plan
+        let mut ev = base.clone();
+        ev.cells.truncate(s.index(ev.cells.len() + 1));
+        ev.confirmed_racy.retain(|_| s.bool());
+        let t = Thresholds {
+            min_seeds: s.index(ev.distinct(|c| c.seed) + 1) as u32,
+            min_strategies: s.index(ev.distinct(|c| c.strategy) + 1) as u32,
+        };
+        demote(&ev, &t).expect("covered thresholds certify")
     })
 }
 
@@ -210,55 +217,29 @@ fn plan_passes_the_corruption_suite() {
     let a = analyze(RACY_COUNTER);
     let ev = gather(&a, "racy_counter", &GatherConfig::default());
     let plan = demote(&ev, &Thresholds::default()).unwrap();
-    corruption_suite(&PLAN, &plan, arb_plan(plan.clone()));
+    corruption_suite(&PLAN, &plan, arb_plan(ev));
 }
 
 #[test]
-fn forged_plan_partitions_are_rejected_at_decode() {
+fn a_plan_stores_no_partition_and_refuses_version_1() {
     let a = analyze(RACY_COUNTER);
     let ev = gather(&a, "racy_counter", &GatherConfig::default());
     let plan = demote(&ev, &Thresholds::default()).unwrap();
     assert!(!plan.demotions.is_empty() && !plan.kept.is_empty(), "fixture drifted");
 
-    // Forgery 1: silently drop a kept (racy!) pair — the partition no
-    // longer covers the static set.
-    let mut dropped = plan.clone();
-    dropped.kept.pop();
-    let e = CertifiedPlan::from_bytes(&dropped.to_bytes()).unwrap_err();
-    assert!(e.starts_with("plan partition: "), "{e}");
+    // A plan edited to demote a confirmed-racy pair writes the honest
+    // plan's bytes, which decode to the honest partition.
+    let mut forged = plan.clone();
+    forged.demotions.push(forged.kept.pop().unwrap());
+    assert_eq!(CertifiedPlan::from_bytes(&forged.to_bytes()), Ok(plan.clone()));
 
-    // Forgery 2: demote a pair while also keeping it.
-    let mut doubled = plan.clone();
-    let racy_pair = plan.kept[0];
-    let mut cells: Vec<u32> = (0..plan.cells.len() as u32).collect();
-    cells.truncate(3);
-    doubled.demotions.insert(0, Demotion { pair: racy_pair, cells });
-    doubled.demotions.sort_by_key(|d| d.pair);
-    let e = CertifiedPlan::from_bytes(&doubled.to_bytes()).unwrap_err();
-    assert!(e.starts_with("plan kept pairs: "), "{e}");
-    assert!(e.contains("both demoted and kept"), "{e}");
-
-    // Forgery 3: demote a pair RELAY never reported.
-    let mut invented = plan.clone();
-    invented.demotions.push(Demotion {
-        pair: (AccessId(777), AccessId(778)),
-        cells: vec![0],
-    });
-    let e = CertifiedPlan::from_bytes(&invented.to_bytes()).unwrap_err();
+    // Version 1 stored the partition; it is refused by version.
+    let mut v1 = plan.to_bytes();
+    v1[4] = 1;
     assert_eq!(
-        e,
-        format!(
-            "plan demotions: demotion {}: pair (777, 778) is not a static pair",
-            plan.demotions.len()
-        )
+        CertifiedPlan::from_bytes(&v1).unwrap_err(),
+        "plan version: unsupported version 1"
     );
-
-    // Forgery 4: a justifying cell index past the recorded cells.
-    let mut phantom = plan.clone();
-    phantom.demotions[0].cells = vec![plan.cells.len() as u32];
-    let e = CertifiedPlan::from_bytes(&phantom.to_bytes()).unwrap_err();
-    assert!(e.starts_with("plan demotions: demotion 0: "), "{e}");
-    assert!(e.contains("out of range"), "{e}");
 }
 
 #[test]
@@ -298,7 +279,8 @@ fn contradiction_names_the_demoted_pair_it_refutes() {
         .expect_err("the race must surface under the unsound plan");
     assert!(err.contains("certified plan contradicted"), "{err}");
     assert!(err.contains("demoted pair"), "{err}");
-    assert!(err.contains("evidence cell(s)"), "{err}");
+    let justified = format!("justified by {} evidence cell(s) (seed", ev.cells.len());
+    assert!(err.contains(&justified), "{err}");
 }
 
 #[test]

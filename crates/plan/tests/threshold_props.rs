@@ -33,7 +33,7 @@ fn base_evidence() -> Evidence {
     };
     let ev = gather_evidence("partitioned_sum", &program, &instrumented, &statics, &cfg);
     assert_eq!(ev.cells.len(), 15);
-    assert!(ev.unclean_cells().is_empty(), "base sweep must be clean");
+    assert!(ev.cells.iter().all(|c| c.clean), "base sweep must be clean");
     assert!(ev.confirmed_racy.is_empty());
     ev
 }

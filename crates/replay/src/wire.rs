@@ -12,7 +12,7 @@
 //! path only, so a failed decode reads `log chunk 2: checksum mismatch` or
 //! `journal entry 4: truncated`, and a successful one formats nothing.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One container format: its name in errors, its magic, and the single
 /// version this build reads and writes.
@@ -265,12 +265,15 @@ pub fn fnv32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Atomically replace `path` with `bytes`: write a sibling temp file,
-/// then rename it over the target, so a process that dies mid-write
-/// never leaves a torn container behind. (Nothing is fsynced: surviving
-/// power loss is not promised.)
+/// Atomically replace `path` with `bytes`: write a sibling temp file
+/// named after the whole file name (`x.chpl.tmp`, so `x.chev` and
+/// `x.chpl` never share one), then rename it over the target, so a
+/// process that dies mid-write never leaves a torn container behind.
+/// (Nothing is fsynced: surviving power loss is not promised.)
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, bytes).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot rename {} into place: {e}", tmp.display()))
@@ -407,5 +410,17 @@ mod tests {
             DEMO.open(b"DEMO\x02").unwrap_err(),
             "demo version: unsupported version 2"
         );
+    }
+
+    #[test]
+    fn atomic_writes_of_one_stem_use_their_own_temp_files() {
+        let dir = std::env::temp_dir().join(format!("wire-atomic-{}", std::process::id()));
+        // Whatever sits at the stem's `.tmp` belongs to someone else.
+        std::fs::create_dir_all(dir.join("x.tmp")).unwrap();
+        for name in ["x.chev", "x.chpl"] {
+            write_atomic(&dir.join(name), name.as_bytes()).unwrap();
+            assert_eq!(std::fs::read(dir.join(name)).unwrap(), name.as_bytes());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,7 +11,8 @@
 //! - a `CHFJ` fleet journal that exercises every optional field;
 //! - the `CHEV` evidence and `CHPL` certified plan of every checked-in
 //!   `fixtures/*.mc`, under `GatherConfig::default()` and
-//!   `Thresholds::default()`.
+//!   `Thresholds::default()`; each plan must also be its thresholds
+//!   frame followed by its evidence's frames.
 //!
 //! Any codec change that moves a single byte of any container fails here,
 //! naming the item.
@@ -20,6 +21,7 @@ use chimera::{analyze, analyze_workload, OptSet, PipelineConfig};
 use chimera_fleet::{CellKey, CellOutcome, Journal};
 use chimera_minic::ir::{LockGranularity, WeakLockId};
 use chimera_plan::{demote, gather_evidence, CertifiedPlan, Evidence, GatherConfig, Thresholds};
+use chimera_replay::wire::push_frame;
 use chimera_replay::{record, ReplayLogs};
 use chimera_runtime::ExecConfig;
 
@@ -38,13 +40,13 @@ const PINS: &[(&str, u64, usize)] = &[
     ("log:journal", 0x6c4335df3018819c, 676),
     ("journal", 0x34e30fe3a57ef45a, 203),
     ("chev:lock_summaries", 0x4cffa715284fd08b, 487),
-    ("chpl:lock_summaries", 0x12287a90b3fa2927, 649),
+    ("chpl:lock_summaries", 0x498e4d388472a05f, 494),
     ("chev:partitioned_sum", 0x7f468b9a266ee54c, 379),
-    ("chpl:partitioned_sum", 0xa3cc6a6628be0fd7, 419),
+    ("chpl:partitioned_sum", 0x5e6694d30498bea0, 386),
     ("chev:racy_counter", 0xfb40277e359be5a1, 385),
-    ("chpl:racy_counter", 0xdedfdf10d6b6da4d, 414),
+    ("chpl:racy_counter", 0x6c4b5aa744b0b025, 392),
     ("chev:racy_rw", 0x3b6c18fb4be21365, 382),
-    ("chpl:racy_rw", 0x220a4200cade2024, 423),
+    ("chpl:racy_rw", 0x272090c8fc375a69, 389),
 ];
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -165,12 +167,20 @@ fn items() -> Vec<Item> {
             &statics,
             &GatherConfig::default(),
         );
-        let bytes = ev.to_bytes();
-        let again = Evidence::from_bytes(&bytes).map(|x| x.to_bytes());
-        out.push((format!("chev:{name}"), bytes, again));
-        let plan = demote(&ev, &Thresholds::default())
+        let chev = ev.to_bytes();
+        let again = Evidence::from_bytes(&chev).map(|x| x.to_bytes());
+        out.push((format!("chev:{name}"), chev.clone(), again));
+        let t = Thresholds::default();
+        let plan = demote(&ev, &t)
             .unwrap_or_else(|e| panic!("{name}: evidence does not certify a plan: {e}"));
         let bytes = plan.to_bytes();
+        // A `.chpl` stores no decision: one thresholds frame, then byte
+        // for byte the frames its `.chev` writes after its envelope.
+        assert_eq!(&chev[..5], b"CHEV\x01", "{name}");
+        let mut layout = b"CHPL\x02".to_vec();
+        push_frame(&mut layout, &[t.min_seeds as u8, t.min_strategies as u8]);
+        layout.extend_from_slice(&chev[5..]);
+        assert_eq!(bytes, layout, "{name}: .chpl layout");
         let again = CertifiedPlan::from_bytes(&bytes).map(|x| x.to_bytes());
         out.push((format!("chpl:{name}"), bytes, again));
     }

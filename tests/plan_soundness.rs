@@ -20,7 +20,7 @@ use chimera::{analyze, demote, gather_evidence, verify_under_plan, Analysis, Pip
 use chimera_fleet::cell::{resolve_strategy, run_cell};
 use chimera_minic::ir::Program;
 use chimera_minic::pretty::program_to_string;
-use chimera_plan::{apply_plan, CertifiedPlan, Evidence, GatherConfig, Thresholds};
+use chimera_plan::{apply_plan, CertifiedPlan, GatherConfig, Thresholds};
 use chimera_runtime::{execute, execute_mode, ExecConfig, InterpMode, SchedStrategy};
 use chimera_workloads::all;
 use std::sync::OnceLock;
@@ -28,7 +28,6 @@ use std::sync::OnceLock;
 struct Certified {
     name: &'static str,
     analysis: Analysis,
-    evidence: Evidence,
     plan: CertifiedPlan,
     planned: Program,
 }
@@ -64,7 +63,6 @@ fn certified() -> &'static [Certified] {
                 Certified {
                     name: w.name,
                     analysis,
-                    evidence: ev,
                     plan,
                     planned,
                 }
@@ -102,7 +100,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn workload_evidence_matches_committed_digests() {
     let actual: Vec<(&str, Vec<u8>)> = certified()
         .iter()
-        .map(|c| (c.name, c.evidence.to_bytes()))
+        .map(|c| (c.name, c.plan.evidence.to_bytes()))
         .collect();
     let table: String = actual
         .iter()
@@ -136,7 +134,7 @@ fn workloads_demote_every_unconfirmed_pair() {
     let mut fully_demoted = 0;
     for c in certified() {
         assert!(
-            !c.plan.static_pairs.is_empty(),
+            !c.plan.evidence.static_pairs.is_empty(),
             "{}: RELAY reported no pairs — nothing to certify",
             c.name
         );
@@ -147,7 +145,7 @@ fn workloads_demote_every_unconfirmed_pair() {
         );
         assert_eq!(
             c.plan.demotions.len() + c.plan.kept.len(),
-            c.plan.static_pairs.len(),
+            c.plan.evidence.static_pairs.len(),
             "{}",
             c.name
         );
