@@ -314,26 +314,21 @@ echo "== interpreter scaling smoke (1 sample) =="
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench interp_scaling
 
-echo "== race-detector overhead smoke (1 sample) =="
-# Proves the FastTrack detector still attaches cleanly to every bench
-# workload (and that they stay dynamically race-free); committed
-# BENCH_drd.json is refreshed manually (see EXPERIMENTS.md).
-CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
-    cargo bench --offline -p chimera-bench --bench drd_overhead
-
 echo "== scheduler-seam overhead smoke (1 sample) =="
 # Proves every strategy still runs the bench workloads to clean exit;
 # committed BENCH_sched.json is refreshed manually (see EXPERIMENTS.md).
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench sched_explore
 
-echo "== bench row schema (replay-format, fleet-throughput, instrumentation-overhead, points-to scaling, static-chain smokes, 1 sample) =="
-# One sample each of five benches, with CHIMERA_BENCH_JSON pointed at
+echo "== bench row schema (replay-format, fleet-throughput, instrumentation-overhead, drd-overhead, points-to scaling, static-chain smokes, 1 sample) =="
+# One sample each of six benches, with CHIMERA_BENCH_JSON pointed at
 # temp files (never a committed BENCH_*.json; those are refreshed
 # manually, see EXPERIMENTS.md). Every row must name its host, give median and p95,
 # and carry its bench's exact fields. The benches assert their own
 # claims: replay_format that v2 never emits more bytes than the retired
-# v1 format's frozen sizes, fleet_throughput that the >=1,000-cell grid
+# v1 format's frozen sizes and that every ckpt row folds checkpoints,
+# drd_overhead that every workload exits under the detector,
+# fleet_throughput that the >=1,000-cell grid
 # completes clean with identical serial and work-stealing reports, and
 # instr_overhead that the planned makespan is <= full on every workload
 # and strictly below on >=3/4. pta_scaling proves the naive and worklist
@@ -365,6 +360,9 @@ check_rows "$bench_dir/fleet.json" jobs cells
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/plan.json" \
     cargo bench --offline -p chimera-bench --bench instr_overhead
 check_rows "$bench_dir/plan.json" static_pairs demoted kept weak_locks makespan overhead_x
+CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/drd.json" \
+    cargo bench --offline -p chimera-bench --bench drd_overhead
+check_rows "$bench_dir/drd.json" mem_ops racy_pairs
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 CHIMERA_BENCH_JSON="$bench_dir/pta.json" \
     cargo bench --offline -p chimera-bench --bench pta_scaling
 check_rows "$bench_dir/pta.json"

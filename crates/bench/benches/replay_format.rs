@@ -12,10 +12,14 @@
 //! every workload.
 //!
 //! Recording is timed twice — checkpointing off (`record_with(.., 0)`,
-//! row `<workload>/plain`) and on (every `CHUNK_EVENTS`, as `record`
-//! does, row `<workload>/ckpt`) — to bound the digest-folding overhead.
-//! Both rows carry the recording's exact sizes: `events`, `chunks`,
-//! `checkpoints`, `v1_bytes`, `v2_bytes` and the bytes per event.
+//! row `<workload>/plain`) and on (row `<workload>/ckpt`) — to bound the
+//! digest-folding overhead. The workloads' journals hold 15–140 events,
+//! so none reaches `CHUNK_EVENTS`, the interval `record` uses: the
+//! `ckpt` row checkpoints every [`CKPT_EVERY`] events instead, which
+//! every journal crosses. Both rows carry the default recording's exact
+//! sizes (`events`, `chunks`, `v1_bytes`, `v2_bytes` and the bytes per
+//! event) and `checkpoints`, the checkpoint count of the recording the
+//! row times: 0 on `plain`, and asserted above 0 on `ckpt`.
 //!
 //! Runs as a plain binary on `chimera-testkit`'s bench runner:
 //! `cargo bench --bench replay_format [filter]`. To refresh the committed
@@ -23,7 +27,7 @@
 //! replay_format` (an absolute path: the bench runs in `crates/bench/`).
 
 use chimera::{analyze_workload, OptSet};
-use chimera_replay::{record, record_with, CHUNK_EVENTS};
+use chimera_replay::{record, record_with};
 use chimera_runtime::ExecConfig;
 use chimera_testkit::bench::Runner;
 use chimera_workloads::all;
@@ -41,6 +45,10 @@ const V1_BYTES: [(&str, usize); 9] = [
     ("fft", 70),
     ("radix", 57),
 ];
+
+/// The `ckpt` row's checkpoint interval, below the smallest workload
+/// journal (15 events).
+const CKPT_EVERY: u64 = 8;
 
 fn main() {
     let exec = ExecConfig::default();
@@ -75,13 +83,19 @@ fn main() {
             per_event(v2),
             v1 as f64 / v2 as f64,
         );
-        for (id, ckpt_every) in [("plain", 0), ("ckpt", CHUNK_EVENTS as u64)] {
+        for (id, ckpt_every) in [("plain", 0), ("ckpt", CKPT_EVERY)] {
+            let checkpoints = record_with(p, &exec, ckpt_every).logs.checkpoints.len();
+            assert!(
+                (ckpt_every == 0) == (checkpoints == 0),
+                "{}/{id}: {checkpoints} checkpoint(s) at interval {ckpt_every}",
+                w.name
+            );
             if let Some(row) = group.bench(&format!("{}/{id}", w.name), || {
                 record_with(p, &exec, ckpt_every);
             }) {
                 row.exact("events", events)
                     .exact("chunks", logs.chunk_count())
-                    .exact("checkpoints", logs.checkpoints.len())
+                    .exact("checkpoints", checkpoints)
                     .exact("v1_bytes", v1)
                     .exact("v2_bytes", v2)
                     .exact("v1_bytes_per_event", per_event(v1))

@@ -1,4 +1,4 @@
-//! The online FastTrack-style detector: shadow cells over the VM's dense
+//! The online FastTrack-style detector: shadow cells over the VM's flat
 //! address space, per-thread vector clocks, and the [`Supervisor`] that
 //! folds the machine's event stream into them.
 
@@ -39,7 +39,8 @@ impl SharedRead {
     }
 }
 
-/// Shadow state of one memory cell.
+/// Shadow state of one memory cell. The default is a cell no access
+/// touched yet.
 #[derive(Debug, Clone)]
 struct VarState {
     w: Epoch,
@@ -53,6 +54,56 @@ impl Default for VarState {
             w: Epoch::NONE,
             w_site: AccessId(0),
             r: ReadState::Excl(Epoch::NONE, AccessId(0)),
+        }
+    }
+}
+
+/// Cells per shadow page, as a power of two.
+const PAGE_BITS: u32 = 8;
+
+/// Shadow cells indexed by address: a page table whose pages are
+/// allocated when first touched. The VM's address space is flat and
+/// bump-allocated and no address is ever reused, so one access is one
+/// lookup, memory grows with the pages touched, and stale shadow state
+/// can never alias a new allocation into a false race.
+#[derive(Debug, Default)]
+struct Shadow {
+    pages: Vec<Option<Box<[VarState]>>>,
+}
+
+impl Shadow {
+    /// The shadow cell of `addr`: the default state until first touched.
+    #[inline]
+    fn cell(&mut self, addr: i64) -> &mut VarState {
+        // The machine emits an access only after it committed, and a
+        // committed access has a positive address.
+        let a = usize::try_from(addr).expect("accessed addresses are positive");
+        let (page, slot) = (a >> PAGE_BITS, a & ((1 << PAGE_BITS) - 1));
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let cells = self.pages[page]
+            .get_or_insert_with(|| vec![VarState::default(); 1 << PAGE_BITS].into_boxed_slice());
+        &mut cells[slot]
+    }
+}
+
+/// The races found so far.
+#[derive(Debug, Default)]
+struct Found {
+    /// Deduplicated racy pairs (normalized `a ≤ b`).
+    pairs: BTreeSet<(AccessId, AccessId)>,
+    /// First dynamic witness per pair, in detection order.
+    witnesses: Vec<RaceWitness>,
+    /// Total dynamic race observations (every racy access re-counts).
+    races: u64,
+}
+
+impl Found {
+    fn report(&mut self, w: RaceWitness) {
+        self.races += 1;
+        if self.pairs.insert(w.pair()) {
+            self.witnesses.push(w);
         }
     }
 }
@@ -74,16 +125,16 @@ struct BarrierVc {
 /// with [`chimera_runtime::execute_supervised`] (or use [`crate::detect`]),
 /// then call [`RaceDetector::into_report`].
 ///
-/// Shadow cells mirror the VM's memory addressing the same way the sync
-/// tables do: a dense `Vec` below the static-global frontier (where every
-/// address is known at load time) spilling to a `BTreeMap` for
-/// dynamically allocated regions — `AddrTable` from
-/// `chimera_runtime::sync`, reused directly.
+/// Shadow cells live in a page table over the whole address space. The
+/// sync-object tables mirror the VM's own: a dense `Vec` below the
+/// static-global frontier (where sync objects live) spilling to a
+/// `BTreeMap` above it — `AddrTable` from `chimera_runtime::sync`.
+#[derive(Debug)]
 pub struct RaceDetector {
     /// Per-thread vector clocks, indexed by `ThreadId`.
     vcs: Vec<VectorClock>,
     /// Shadow cell per touched memory address.
-    shadow: AddrTable<VarState>,
+    shadow: Shadow,
     /// Lock vector clock per program mutex (keyed by cell address).
     mutexes: AddrTable<VectorClock>,
     /// Condition-variable clocks (signaler releases, waiter acquires).
@@ -96,16 +147,11 @@ pub struct RaceDetector {
     weak: Vec<VectorClock>,
     /// Final clocks of exited threads, consumed by join edges.
     exited: BTreeMap<u32, VectorClock>,
-    /// Deduplicated racy pairs (normalized `a ≤ b`).
-    pairs: BTreeSet<(AccessId, AccessId)>,
-    /// First dynamic witness per pair, in detection order.
-    witnesses: Vec<RaceWitness>,
-    /// Total dynamic race observations (every racy access re-counts).
-    races: u64,
+    found: Found,
 }
 
 impl RaceDetector {
-    /// A detector sized for `program`: dense shadow cells below the
+    /// A detector sized for `program`: dense sync-object tables below the
     /// static-global frontier, dense weak-lock clocks below the
     /// instrumenter's lock count.
     pub fn new(program: &Program) -> RaceDetector {
@@ -114,24 +160,22 @@ impl RaceDetector {
         vcs[0].set(0, 1); // main's initial epoch is 1@0
         RaceDetector {
             vcs,
-            shadow: AddrTable::with_dense_limit(frontier),
+            shadow: Shadow::default(),
             mutexes: AddrTable::with_dense_limit(frontier),
             conds: AddrTable::with_dense_limit(frontier),
             barriers: AddrTable::with_dense_limit(frontier),
             weak: vec![VectorClock::new(); program.weak_locks as usize],
             exited: BTreeMap::new(),
-            pairs: BTreeSet::new(),
-            witnesses: Vec::new(),
-            races: 0,
+            found: Found::default(),
         }
     }
 
     /// Finish and summarize.
     pub fn into_report(self) -> DrfReport {
         DrfReport {
-            pairs: self.pairs.into_iter().collect(),
-            witnesses: self.witnesses,
-            races: self.races,
+            pairs: self.found.pairs.into_iter().collect(),
+            witnesses: self.found.witnesses,
+            races: self.found.races,
         }
     }
 
@@ -145,10 +189,6 @@ impl RaceDetector {
         }
     }
 
-    fn epoch(&self, t: u32) -> Epoch {
-        Epoch::new(t, self.vcs[t as usize].get(t))
-    }
-
     /// Advance `t`'s scalar clock (after every release operation, so
     /// distinct critical sections get distinct epochs).
     fn inc(&mut self, t: u32) {
@@ -156,49 +196,27 @@ impl RaceDetector {
         self.vcs[t as usize].set(t, c + 1);
     }
 
-    fn report(
-        &mut self,
-        prior: AccessId,
-        current: AccessId,
-        kind: RaceKind,
-        addr: i64,
-        threads: (u32, u32),
-        time: u64,
-    ) {
-        self.races += 1;
-        let key = if prior <= current {
-            (prior, current)
-        } else {
-            (current, prior)
-        };
-        if self.pairs.insert(key) {
-            self.witnesses.push(RaceWitness {
-                prior,
-                current,
-                kind,
-                addr,
-                threads,
-                time,
-            });
-        }
-    }
-
     fn read(&mut self, t: u32, addr: i64, access: AccessId, time: u64) {
         self.ensure_thread(t);
-        let et = self.epoch(t);
-        let vs = self.shadow.ensure(addr);
+        let vt = &self.vcs[t as usize];
+        let et = Epoch::new(t, vt.get(t));
+        let vs = self.shadow.cell(addr);
         // Same-epoch fast path: repeated read with no intervening release.
         if matches!(vs.r, ReadState::Excl(e, _) if e == et) {
             return;
         }
-        let (w, w_site) = (vs.w, vs.w_site);
         // Write-read race: the last write is not ordered before this read.
-        if !self.vcs[t as usize].covers(w) {
-            self.report(w_site, access, RaceKind::WriteRead, addr, (w.tid(), t), time);
+        if !vt.covers(vs.w) {
+            self.found.report(RaceWitness {
+                prior: vs.w_site,
+                current: access,
+                kind: RaceKind::WriteRead,
+                addr,
+                threads: (vs.w.tid(), t),
+                time,
+            });
         }
-        let vt = &self.vcs[t as usize];
-        let r = &mut self.shadow.ensure(addr).r;
-        match r {
+        match &mut vs.r {
             ReadState::Excl(e, site) => {
                 let (pe, ps) = (*e, *site);
                 if vt.covers(pe) {
@@ -210,7 +228,7 @@ impl RaceDetector {
                     let mut sr = SharedRead::default();
                     sr.set(pe.tid(), pe.clock(), ps);
                     sr.set(t, et.clock(), access);
-                    *r = ReadState::Shared(Box::new(sr));
+                    vs.r = ReadState::Shared(Box::new(sr));
                 }
             }
             ReadState::Shared(sr) => {
@@ -221,38 +239,42 @@ impl RaceDetector {
 
     fn write(&mut self, t: u32, addr: i64, access: AccessId, time: u64) {
         self.ensure_thread(t);
-        let et = self.epoch(t);
-        let vs = self.shadow.ensure(addr);
+        let vt = &self.vcs[t as usize];
+        let et = Epoch::new(t, vt.get(t));
+        let vs = self.shadow.cell(addr);
         // Same-epoch fast path: repeated write with no intervening release.
         if vs.w == et {
             return;
         }
-        let (w, w_site) = (vs.w, vs.w_site);
+        let mut race = |prior, kind, u| {
+            self.found.report(RaceWitness {
+                prior,
+                current: access,
+                kind,
+                addr,
+                threads: (u, t),
+                time,
+            })
+        };
         // Write-write race.
-        if !self.vcs[t as usize].covers(w) {
-            self.report(w_site, access, RaceKind::WriteWrite, addr, (w.tid(), t), time);
+        if !vt.covers(vs.w) {
+            race(vs.w_site, RaceKind::WriteWrite, vs.w.tid());
         }
         // Read-write races against every unordered prior reader.
-        let vt = &self.vcs[t as usize];
-        let racers: Vec<(u32, AccessId)> = match &self.shadow.ensure(addr).r {
+        match &vs.r {
             ReadState::Excl(e, site) => {
                 if !e.is_none() && !vt.covers(*e) {
-                    vec![(e.tid(), *site)]
-                } else {
-                    Vec::new()
+                    race(*site, RaceKind::ReadWrite, e.tid());
                 }
             }
-            ReadState::Shared(sr) => sr
-                .vc
-                .iter()
-                .filter(|&(u, cu)| cu > vt.get(u))
-                .map(|(u, _)| (u, sr.site[u as usize]))
-                .collect(),
-        };
-        for (u, site) in racers {
-            self.report(site, access, RaceKind::ReadWrite, addr, (u, t), time);
+            ReadState::Shared(sr) => {
+                for (u, cu) in sr.vc.iter() {
+                    if cu > vt.get(u) {
+                        race(sr.site[u as usize], RaceKind::ReadWrite, u);
+                    }
+                }
+            }
         }
-        let vs = self.shadow.ensure(addr);
         vs.w = et;
         vs.w_site = access;
         // The write subsumes the (now ordered or already-reported) read

@@ -15,7 +15,7 @@
 //! release edges) and the pre-existing ordering events
 //! (`Sync`, `WeakAcquire`/`WeakRelease`/`WeakForcedRelease`, `Spawned`,
 //! `Exited`). All of these are gated behind the machine's event mask, so
-//! an execution without a detector attached pays a single mask test per
+//! an execution without a detector attached pays a single test per
 //! memory access and constructs nothing.
 //!
 //! Every reported race carries the static [`AccessId`] provenance of both
@@ -89,6 +89,14 @@ pub struct RaceWitness {
     pub time: u64,
 }
 
+impl RaceWitness {
+    /// The racy pair this witnesses, normalized `a ≤ b` as in
+    /// [`DrfReport::pairs`].
+    pub fn pair(&self) -> (AccessId, AccessId) {
+        (self.prior.min(self.current), self.prior.max(self.current))
+    }
+}
+
 /// Summary of one detected execution: the deduplicated racy pairs with
 /// static provenance, plus per-occurrence counts and first witnesses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -120,14 +128,16 @@ impl DrfReport {
     }
 
     /// Merge another report into this one (union of pairs, summed counts)
-    /// — used when certifying across several seeds.
+    /// — used when certifying across several seeds. A pair new to this
+    /// report brings the other report's witness of it, found by its
+    /// normalized pair: `pairs` is sorted, `witnesses` in detection order.
     pub fn merge(&mut self, other: &DrfReport) {
-        for (i, &p) in other.pairs.iter().enumerate() {
-            if !self.pairs.contains(&p) {
-                self.pairs.push(p);
-                self.witnesses.push(other.witnesses[i]);
+        for w in &other.witnesses {
+            if !self.pairs.contains(&w.pair()) {
+                self.witnesses.push(*w);
             }
         }
+        self.pairs.extend_from_slice(&other.pairs);
         self.pairs.sort();
         self.pairs.dedup();
         self.races += other.races;
@@ -414,8 +424,8 @@ mod tests {
 
     #[test]
     fn heap_cells_spill_and_still_race() {
-        // The racy cell is malloc'd: its address is past the static
-        // frontier, so the shadow table's spill map carries the state.
+        // The racy cell is malloc'd, past the static frontier: the
+        // shadow tracks heap cells as it tracks globals.
         let r = run("int *p;
             void w(int v) { *p = *p + v; }
             int main() { int t; p = malloc(1); *p = 0;
@@ -446,37 +456,27 @@ mod tests {
 
     #[test]
     fn merge_unions_pairs_and_sums_counts() {
+        let witness = |prior, current, kind, time| RaceWitness {
+            prior: AccessId(prior),
+            current: AccessId(current),
+            kind,
+            addr: 3,
+            threads: (0, 1),
+            time,
+        };
         let mut a = DrfReport {
             pairs: vec![(AccessId(1), AccessId(2))],
-            witnesses: vec![RaceWitness {
-                prior: AccessId(1),
-                current: AccessId(2),
-                kind: RaceKind::WriteWrite,
-                addr: 3,
-                threads: (0, 1),
-                time: 7,
-            }],
+            witnesses: vec![witness(1, 2, RaceKind::WriteWrite, 7)],
             races: 4,
         };
+        // Shaped as `RaceDetector::into_report` shapes it: pairs sorted,
+        // witnesses in detection order, and here (1, 2) was detected
+        // before (0, 5).
         let b = DrfReport {
-            pairs: vec![(AccessId(1), AccessId(2)), (AccessId(0), AccessId(5))],
+            pairs: vec![(AccessId(0), AccessId(5)), (AccessId(1), AccessId(2))],
             witnesses: vec![
-                RaceWitness {
-                    prior: AccessId(1),
-                    current: AccessId(2),
-                    kind: RaceKind::WriteWrite,
-                    addr: 3,
-                    threads: (0, 1),
-                    time: 9,
-                },
-                RaceWitness {
-                    prior: AccessId(5),
-                    current: AccessId(0),
-                    kind: RaceKind::WriteRead,
-                    addr: 8,
-                    threads: (1, 0),
-                    time: 11,
-                },
+                witness(1, 2, RaceKind::WriteWrite, 9),
+                witness(5, 0, RaceKind::WriteRead, 11),
             ],
             races: 2,
         };
@@ -488,6 +488,15 @@ mod tests {
         assert_eq!(a.races, 6);
         assert_eq!(a.racy_accesses().len(), 4);
         assert!(!a.is_race_free());
+        // One witness per pair: this report's own for (1, 2), the other's
+        // for the new pair (0, 5).
+        assert_eq!(
+            a.witnesses,
+            vec![
+                witness(1, 2, RaceKind::WriteWrite, 7),
+                witness(5, 0, RaceKind::WriteRead, 11),
+            ]
+        );
     }
 
     #[test]

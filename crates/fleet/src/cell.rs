@@ -3,10 +3,11 @@
 //! the stable keying that makes cells addressable across processes.
 //!
 //! [`run_cell`] is the single shared per-cell body — record under a
-//! hostile strategy with the single-holder probe and order hasher
-//! observing the recording, replay it under a *different* seed of the
-//! same strategy, verify observable equivalence, optionally cross-check
-//! FastTrack. [`Grid`] is the single sweep over it: one baseline run per
+//! hostile strategy with the single-holder probe, the order hasher and
+//! (optionally) FastTrack observing the recording, replay it under a
+//! *different* seed of the same strategy, verify observable equivalence,
+//! and optionally run FastTrack on the uninstrumented program.
+//! [`Grid`] is the single sweep over it: one baseline run per
 //! program, each strategy resolved once, cells mapped over
 //! `chimera_runtime::par_map`. The orchestrator behind `chimera explore`
 //! (journal, resume) and `chimera_plan::gather_evidence` (the
@@ -21,7 +22,7 @@
 //! processes* (pure FNV over canonical bytes, no hash-map iteration, no
 //! pointer identity).
 
-use chimera_drd::detect;
+use chimera_drd::{detect, RaceDetector};
 use chimera_minic::ir::{AccessId, Program};
 use chimera_minic::pretty::program_to_string;
 use chimera_replay::wire::fnv64;
@@ -63,8 +64,9 @@ pub struct SeedOutcome {
     /// ([`chimera_runtime::Memory::state_hash`] via `Machine::fold_ordered`) —
     /// what `--check-determinism` double-runs diff, kimberlite-style.
     pub state_hash: u64,
-    /// Dynamic races FastTrack found on the instrumented program
-    /// (`None` when the DRD cross-check was off; must be 0 otherwise).
+    /// Dynamic racy pairs FastTrack found on the recording of the
+    /// instrumented program (`None` when the DRD cross-check was off; must
+    /// be 0 otherwise).
     pub drd_races: Option<usize>,
     /// Dynamic racy pairs on the uninstrumented program that RELAY
     /// predicted statically (`None` without the cross-check program).
@@ -93,8 +95,9 @@ impl SeedOutcome {
 }
 
 /// Observes the sync/weak order of one run: hashes the order stream for
-/// coverage counting and delegates weak-lock events to a
-/// [`SingleHolderProbe`].
+/// coverage counting, delegates weak-lock events to a
+/// [`SingleHolderProbe`], and feeds an attached [`RaceDetector`] every
+/// event it subscribes to.
 #[derive(Debug, Default)]
 pub struct ScheduleObserver {
     /// The attached single-holder invariant probe.
@@ -106,6 +109,8 @@ pub struct ScheduleObserver {
     pub prefix_hash: u64,
     /// Events folded in.
     pub events: u64,
+    /// FastTrack on the observed run, when one is attached.
+    pub detector: Option<RaceDetector>,
 }
 
 /// How many leading order events define a schedule "prefix".
@@ -136,15 +141,22 @@ impl ScheduleObserver {
 
 impl Supervisor for ScheduleObserver {
     fn event_mask(&self) -> EventMask {
-        EventMask::of(&[
+        let order = EventMask::of(&[
             EventKind::Sync,
             EventKind::WeakAcquire,
             EventKind::WeakRelease,
             EventKind::WeakForcedRelease,
-        ])
+        ]);
+        match &self.detector {
+            Some(d) => order.union(d.event_mask()),
+            None => order,
+        }
     }
 
     fn on_event(&mut self, ev: &Event) {
+        if let Some(d) = self.detector.as_mut() {
+            d.on_event(ev);
+        }
         self.probe.on_event(ev);
         match *ev {
             Event::Sync {
@@ -190,11 +202,11 @@ pub fn replay_seed(seed: u64) -> u64 {
 }
 
 /// Run one exploration cell: record under `(sched, seed)` while probing
-/// the single-holder invariant and hashing the order stream,
-/// hostile-replay under [`replay_seed`] with the same strategy, verify,
-/// and (with `check_drd`) run FastTrack on the program and, given
-/// `drd_cross`, on its uninstrumented original, splitting that run's
-/// racy pairs by `drd_cross`'s static pairs.
+/// the single-holder invariant, hashing the order stream and (with
+/// `check_drd`) running FastTrack on the recording, hostile-replay under
+/// [`replay_seed`] with the same strategy, verify, and (with `check_drd`
+/// and `drd_cross`) run FastTrack on the uninstrumented original,
+/// splitting that run's racy pairs by `drd_cross`'s static pairs.
 ///
 /// This is the one per-cell body, with two callers:
 /// `chimera_plan::gather_evidence` runs it through [`Grid::sweep`], and
@@ -213,9 +225,12 @@ pub fn run_cell(
         sched,
         ..*exec
     };
-    // The probe and order hasher observe the recording itself, so they
-    // see exactly the recorded schedule.
-    let mut obs = ScheduleObserver::default();
+    // The probe, the order hasher and FastTrack observe the recording
+    // itself, so they see exactly the recorded schedule.
+    let mut obs = ScheduleObserver {
+        detector: check_drd.then(|| RaceDetector::new(program)),
+        ..ScheduleObserver::default()
+    };
     let rec = record_observed(program, &run_cfg, &mut obs);
     // Hostile replay: same adversarial strategy, different seed. The
     // recorded order must still fully determine the run.
@@ -228,7 +243,8 @@ pub fn run_cell(
         },
     );
     let verdict = verify_determinism(&rec.result, &rep.result);
-    let drd_races = check_drd.then(|| detect(program, &run_cfg).report.pairs.len());
+    let drd_races = obs.detector.map(|d| d.into_report().pairs.len());
+    // No run of the uninstrumented program exists yet: it gets its own.
     let (drd_confirmed, drd_unpredicted) = drd_cross
         .filter(|_| check_drd)
         .map(|(orig, statics)| {
@@ -425,6 +441,10 @@ pub fn program_digest(program: &Program) -> u64 {
 /// double-run verdict). Seed, strategy, and orchestration-level
 /// parallelism are deliberately excluded — the first two are keyed
 /// separately, the last cannot affect any outcome bit.
+///
+/// A cell's detector count describes its recording (`drd=rec`). Cells
+/// keyed `drd=1` counted an unlogged rerun instead, so their journal
+/// entries miss and re-run; cells swept without the check keep `drd=0`.
 pub fn exec_digest(exec: &ExecConfig, check_drd: bool, check_determinism: bool) -> u64 {
     // Debug formatting of the plain-data config structs is canonical
     // within a build and changes only when the config surface itself
@@ -433,9 +453,10 @@ pub fn exec_digest(exec: &ExecConfig, check_drd: bool, check_determinism: bool) 
     // input logging) that were always set together, and repeating it
     // keeps the cell keys of existing journals valid.
     let l = exec.log as u8;
+    let drd = if check_drd { "rec" } else { "0" };
     let canon = format!(
         "cost={:?}|jitter={:?}|io={:?}|max_steps={}|weak_timeout={}|timeout_enabled={}|\
-         log={l}{l}{l}|was={}|drd={}|det={}",
+         log={l}{l}{l}|was={}|drd={drd}|det={}",
         exec.cost,
         exec.jitter,
         exec.io,
@@ -443,7 +464,6 @@ pub fn exec_digest(exec: &ExecConfig, check_drd: bool, check_determinism: bool) 
         exec.weak_timeout,
         exec.timeout_enabled,
         exec.weak_always_succeed as u8,
-        check_drd as u8,
         check_determinism as u8,
     );
     fnv64(canon.as_bytes())
@@ -482,6 +502,11 @@ mod tests {
         let base = exec_digest(&exec, false, false);
         assert_eq!(base, exec_digest(&exec, false, false));
         assert_ne!(base, exec_digest(&exec, true, false));
+        // Since detector counts describe the recording, cells swept
+        // without the check keep their old keys, and `--drd` cells keyed
+        // under the rerun rule miss.
+        assert_eq!(base, 0xfdf2_9ab7_4edb_e1f4);
+        assert_ne!(exec_digest(&exec, true, false), 0x24b5_047a_648e_b447);
         assert_ne!(base, exec_digest(&exec, false, true));
         let slow = ExecConfig {
             weak_timeout: 9,

@@ -72,8 +72,8 @@ pub struct EvidenceCell {
     pub forced_releases: u64,
     /// Final memory state hash of the recorded run.
     pub state_hash: u64,
-    /// Dynamic racy pairs FastTrack saw on the *instrumented* program in
-    /// this cell (must be 0 for a clean cell).
+    /// Dynamic racy pairs FastTrack saw on this cell's recording of the
+    /// *instrumented* program (must be 0 for a clean cell).
     pub drd_races: u64,
 }
 
@@ -112,10 +112,10 @@ pub type GatherConfig = Grid;
 /// segment certificate.
 ///
 /// The sweep is [`Grid::sweep`] with the FastTrack cross-check on: each
-/// cell's instrumented-program race count and the uninstrumented run's
-/// racy pairs, split into statically confirmed and unpredicted. The
-/// result is a pure function of the inputs — bit-identical at any `jobs`
-/// setting.
+/// cell's race count on its recording of the instrumented program and
+/// the uninstrumented run's racy pairs, split into statically confirmed
+/// and unpredicted. The result is a pure function of the inputs —
+/// bit-identical at any `jobs` setting.
 pub fn gather_evidence(
     name: &str,
     original: &Program,

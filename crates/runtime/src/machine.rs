@@ -470,8 +470,8 @@ struct HotRun {
 }
 
 /// Inputs of one hot run of thread `id`. A segment leaves `jitter`,
-/// `blocks` and `cold_access` inert, and its executor instance never
-/// reads them.
+/// `blocks`, `cold_access` and `feed` inert, and its executor instance
+/// never reads them.
 struct HotCtx<'a> {
     func: &'a FlatFunc,
     fcosts: &'a [u64],
@@ -491,11 +491,14 @@ struct HotCtx<'a> {
     /// Ops the step limit (or the scheduler's horizon) still allows; for a
     /// segment, the segment cap.
     budget: u64,
-    /// Someone must see each access: the supervisor wants per-access
-    /// `Load`/`Store` events, or the scheduler classifies boundaries. A
-    /// load or store then ends the run as cold (a fused one after its
-    /// first half commits), and the machine single-steps it.
+    /// The scheduler classifies boundaries: a load or store then ends the
+    /// run as cold (a fused one after its first half commits), and the
+    /// machine single-steps it.
     cold_access: bool,
+    /// The supervisor and its event mask, when it wants per-access
+    /// `Load`/`Store` events: the run sends it each access it retires
+    /// ([`feed_access`]).
+    feed: Option<(&'a mut dyn Supervisor, EventMask)>,
 }
 
 /// The hot-run executor behind batch commit, the runs a scheduler picks
@@ -531,6 +534,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
         mut blocks,
         budget,
         cold_access,
+        mut feed,
     } = ctx;
     let mut run = HotRun::default();
     // The old value of the register the constituent in flight wrote (a
@@ -603,11 +607,23 @@ fn run_hot<M: HotMem, const SEG: bool>(
             check!();
         }};
     }
-    // An access someone must see ends the run before it executes.
+    // An access the scheduler classifies ends the run before it
+    // executes.
     macro_rules! access {
         () => {
             if !SEG && cold_access {
                 break HotEnd::Cold;
+            }
+        };
+    }
+    // Send the access at code position `$pc` to cell `$a`, executed but
+    // not yet committed, to a supervisor that wants it.
+    macro_rules! feed {
+        ($pc:expr, $a:expr) => {
+            if !SEG {
+                if let Some((sup, mask)) = feed.as_mut() {
+                    feed_access(&mut **sup, *mask, func.code[$pc], ThreadId(id), $a, *clock);
+                }
             }
         };
     }
@@ -619,6 +635,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
             set!($dst, ok!(mem.load($a)));
             frame.pc += 1;
             run.mem_ops += 1;
+            feed!($pc + 1, $a);
             commit!($pc + 1);
             run.fused += 1;
         }};
@@ -629,6 +646,7 @@ fn run_hot<M: HotMem, const SEG: bool>(
             ok!(mem.store($a, frame.get($val)));
             frame.pc += 1;
             run.mem_ops += 1;
+            feed!($pc + 1, $a);
             commit!($pc + 1);
             run.fused += 1;
         }};
@@ -689,16 +707,20 @@ fn run_hot<M: HotMem, const SEG: bool>(
                 }
                 FlatOp::Load { dst, addr, .. } => {
                     access!();
-                    set!(dst, ok!(mem.load(frame.get(addr))));
+                    let a = frame.get(addr);
+                    set!(dst, ok!(mem.load(a)));
                     frame.pc += 1;
                     run.mem_ops += 1;
+                    feed!(pc, a);
                     commit!(pc);
                 }
                 FlatOp::Store { addr, val, .. } => {
                     access!();
-                    ok!(mem.store(frame.get(addr), frame.get(val)));
+                    let a = frame.get(addr);
+                    ok!(mem.store(a, frame.get(val)));
                     frame.pc += 1;
                     run.mem_ops += 1;
+                    feed!(pc, a);
                     commit!(pc);
                 }
                 FlatOp::Jump {
@@ -820,6 +842,40 @@ fn run_hot<M: HotMem, const SEG: bool>(
         }
     };
     run
+}
+
+/// Send the `Load` or `Store` at `op` to `sup`, if `mask` holds its
+/// kind: the event `step_flat` sends for the access of `thread` to
+/// `addr`, stamped with the thread's clock before the access commits.
+/// Kept out of line, so runs without a feed keep [`run_hot`]'s loop as
+/// small as it was.
+#[inline(never)]
+fn feed_access(
+    sup: &mut dyn Supervisor,
+    mask: EventMask,
+    op: FlatOp,
+    thread: ThreadId,
+    addr: i64,
+    time: u64,
+) {
+    let ev = match op {
+        FlatOp::Load { access, .. } => Event::Load {
+            thread,
+            addr,
+            access,
+            time,
+        },
+        FlatOp::Store { access, .. } => Event::Store {
+            thread,
+            addr,
+            access,
+            time,
+        },
+        _ => unreachable!("only loads and stores are fed"),
+    };
+    if mask.contains(ev.kind()) {
+        sup.on_event(&ev);
+    }
 }
 
 /// A speculative segment: [`run_hot`] under the segment rules, against
@@ -1431,8 +1487,9 @@ impl<'p> Machine<'p> {
     /// injects forced releases may preempt any thread between any two
     /// steps, so while it does a run retires one constituent (budget 0,
     /// as at a horizon of 1) and the next pass polls it again. While the
-    /// scheduler classifies boundaries or the supervisor wants per-access
-    /// events, accesses are cold and single-stepped. One `note_step` then
+    /// scheduler classifies boundaries, accesses are cold and
+    /// single-stepped; a supervisor that wants per-access events gets
+    /// them from the run itself. One `note_step` then
     /// covers the run: PCT changes priorities only at its change points,
     /// which the horizon lands on exactly, and preemption-bounded acts
     /// only at boundaries. A trap inside a run counts as a step and gets
@@ -1450,8 +1507,9 @@ impl<'p> Machine<'p> {
         let queued = flat && !injects && self.config.sched.is_baseline();
         let mut sched = self.config.sched.build(self.config.seed);
         // A supervisor that wants per-access Load/Store happens-before
-        // events (a race detector) must see each access: hot runs then
-        // single-step accesses, and the segment rounds stay off.
+        // events (a race detector) must see each access in commit order:
+        // hot runs send each one as they retire it, and the segment
+        // rounds stay off.
         let feed = self.wants_hb(EventKind::Load) || self.wants_hb(EventKind::Store);
         let mut keys: Vec<(u64, u32)> = Vec::new();
         let outcome = loop {
@@ -1518,7 +1576,13 @@ impl<'p> Machine<'p> {
                     .max_steps
                     .saturating_sub(self.steps)
                     .min(horizon.saturating_sub(1));
-                let run = self.hot_run(tid0, deadline.map(|d| (d, 0)), budget, feed || boundaries);
+                let run = self.hot_run(
+                    tid0,
+                    deadline.map(|d| (d, 0)),
+                    budget,
+                    boundaries,
+                    feed.then_some(&mut *sup),
+                );
                 self.steps += run.ops;
                 self.stats.instrs += run.ops;
                 self.stats.mem_ops += run.mem_ops;
@@ -1568,9 +1632,10 @@ impl<'p> Machine<'p> {
     }
 
     /// One batch-commit hot run of thread `id` against machine memory
-    /// (see [`run_hot`]), drawing jitter from the machine RNG and
-    /// counting blocks when configured. The caller accounts for the
-    /// returned run.
+    /// (see [`run_hot`]), drawing jitter from the machine RNG, counting
+    /// blocks when configured and sending each access to `feed`, the
+    /// supervisor when it wants per-access events. The caller accounts
+    /// for the returned run.
     #[inline(always)]
     fn hot_run(
         &mut self,
@@ -1578,6 +1643,7 @@ impl<'p> Machine<'p> {
         bound: Option<(u64, u32)>,
         budget: u64,
         cold_access: bool,
+        feed: Option<&mut (dyn Supervisor + '_)>,
     ) -> HotRun {
         let jitter = self.config.jitter;
         // Disjoint field borrows: the thread's frame/clock/icount
@@ -1603,6 +1669,7 @@ impl<'p> Machine<'p> {
                 .then(|| &mut self.block_counts[fidx][..]),
             budget,
             cold_access,
+            feed: feed.map(|sup| (sup as &mut dyn Supervisor, self.mask)),
         };
         run_hot::<_, false>(ctx, frame, clock, icount, &mut self.mem)
     }
@@ -1711,17 +1778,18 @@ impl<'p> Machine<'p> {
     /// Batch commit's legality (DESIGN.md §13): queue mode already
     /// excludes supervisor injection. Every op the executor retires is
     /// thread-local and non-blocking (sync, I/O, calls, heap, weak ops and
-    /// returns fall out to [`Self::step_flat`], and so do accesses when
-    /// `feed` says a supervisor wants per-access events), so a retiring
-    /// hot op's only obligations are the commit itself — identical RNG
-    /// draws included — the step budget, and the scheduling bound: the
+    /// returns fall out to [`Self::step_flat`]), so a retiring hot op's
+    /// only obligations are the commit itself — identical RNG draws
+    /// included — its access event when `feed` says a supervisor wants
+    /// per-access events, the step budget, and the scheduling bound: the
     /// runner-up queue key or the weak-lock timeout `deadline` key
     /// `(deadline, 0)`, whichever is earlier. Once the front key reaches
     /// the deadline, control returns to the scan, which forces the
     /// timed-out waiter exactly where the reference loop does. A thread
     /// owing a forced reacquire (`pending_reacquire`) runs the reacquire
     /// protocol instead of its next op, so it is single-stepped through
-    /// [`Self::step_flat`]. Event emission and checkpoint folds are inert
+    /// [`Self::step_flat`]. Access events go out in commit order, the
+    /// order the per-step loop emits them in; checkpoint folds are inert
     /// for hot ops, and block counts are maintained by the executor. The
     /// observable execution is therefore bit-identical to the reference
     /// interpreter's per-step loop; only the [`VmPerf`] strategy counters
@@ -1769,7 +1837,8 @@ impl<'p> Machine<'p> {
             // through to the single step below, as does a skipped one.
             if self.threads[tix].pending_reacquire.is_empty() {
                 let bound = earliest(queue.get(1).copied(), deadline.map(|d| (d, 0)));
-                let run = self.hot_run(id, bound, max_steps.saturating_sub(steps), feed);
+                let budget = max_steps.saturating_sub(steps);
+                let run = self.hot_run(id, bound, budget, false, feed.then_some(&mut *sup));
                 steps += run.ops;
                 batched_ops += run.ops;
                 mem_ops += run.mem_ops;
@@ -1972,6 +2041,7 @@ impl<'p> Machine<'p> {
                 blocks: None,
                 budget: spec.cap,
                 cold_access: false,
+                feed: None,
             };
             let mut seg = DirectSeg {
                 mem: &mut self.mem,
@@ -2531,8 +2601,8 @@ impl<'p> Machine<'p> {
     }
 
     /// One flat-mode step of what the hot-run executor hands back: a
-    /// forced reacquire, an access someone must see, or a cold op; every
-    /// other op is retired by [`run_hot`] alone.
+    /// forced reacquire, an access the scheduler classifies, or a cold
+    /// op; every other op is retired by [`run_hot`] alone.
     ///
     /// Returns the thread's advanced clock if it is still `Ready` after the
     /// step, `None` otherwise — the scheduler's ready-queue repositions the

@@ -20,23 +20,29 @@
 //! workloads where they pay off. Under jitter a round commits exactly
 //! the prefix the clock-ordered scheduler would run, drawing the jitter
 //! in its order, so these pins cover the merge that decides it. The
-//! hostile strategies' hot runs and the detector-attached runs, which
-//! single-step every access, are in scope the same way: the generative
-//! sweep requires batch commit to engage under PCT and under
-//! preemption-bounded scheduling and the rounds under default jitter,
-//! and the engine pin covers one run of each plus a detector-attached
-//! run per workload. Cost models whose hot ops cost nothing, where one
-//! thread starts several ops at one clock, are compared the same way.
+//! hostile strategies' hot runs and the detector-attached runs, whose hot
+//! runs send each access to the detector as they retire it, are in scope
+//! the same way: the generative sweep requires batch commit to engage
+//! under PCT and under preemption-bounded scheduling and the rounds under
+//! default jitter, every workload's access feed is compared event by
+//! event, and the engine pin covers one run of each plus a
+//! detector-attached run per workload. Observing a recording with the
+//! detector leaves its logs and result unchanged. Cost models whose hot
+//! ops cost nothing, where one thread starts several ops at one clock,
+//! are compared the same way.
 //!
 //! A failing generated case prints a `CHIMERA_TESTKIT_SEED=<n>` line that
 //! replays it exactly; scale the sweep with `CHIMERA_TESTKIT_CASES`.
 
-use chimera::fleet::resolve_strategy;
+use chimera::fleet::{resolve_strategy, Grid};
 use chimera::{analyze, PipelineConfig};
+use chimera_drd::{detect_mode, RaceDetector};
 use chimera_minic::compile;
+use chimera_minic::ir::{AccessId, Program};
+use chimera_replay::{record, record_observed};
 use chimera_runtime::{
-    execute_mode, CostModel, ExecConfig, ExecResult, InterpMode, Jitter, NullSupervisor,
-    SchedStrategy,
+    execute_mode, execute_supervised_mode, CostModel, Event, EventKind, EventMask, ExecConfig,
+    ExecResult, InterpMode, Jitter, NullSupervisor, SchedStrategy, Supervisor,
 };
 use chimera_testkit::prop::{self, Config, Gen};
 use chimera_workloads::{all, Params};
@@ -401,6 +407,169 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
     );
 }
 
+/// Every access event a supervisor subscribed to `Load`/`Store` alone
+/// receives: `(is store, thread, addr, access, time)`.
+#[derive(Default)]
+struct AccessFeed(Vec<(bool, u32, i64, AccessId, u64)>);
+
+impl Supervisor for AccessFeed {
+    fn event_mask(&self) -> EventMask {
+        EventMask::of(&[EventKind::Load, EventKind::Store])
+    }
+
+    fn on_event(&mut self, ev: &Event) {
+        match *ev {
+            Event::Load {
+                thread,
+                addr,
+                access,
+                time,
+            } => self.0.push((false, thread.0, addr, access, time)),
+            Event::Store {
+                thread,
+                addr,
+                access,
+                time,
+            } => self.0.push((true, thread.0, addr, access, time)),
+            ref other => panic!("unsubscribed event delivered: {other:?}"),
+        }
+    }
+}
+
+/// The flat VM's hot runs send each access they retire to a supervisor
+/// that wants it, and the reference interpreter sends it from its step.
+/// On every workload, under the clock-ordered baseline (jitter on and
+/// off), PCT and preemption-bounded scheduling, both must deliver the
+/// same access sequence, and FastTrack must see the same races over the
+/// same execution.
+#[test]
+fn access_feed_matches_the_reference_interpreter() {
+    for w in all() {
+        let p = w
+            .compile(&Params {
+                workers: 4,
+                scale: 1,
+            })
+            .expect("workload compiles");
+        let base = ExecConfig {
+            seed: 42,
+            collect_trace: true,
+            ..ExecConfig::default()
+        };
+        let instrs = execute_mode(&p, &base, InterpMode::Flat).stats.instrs;
+        let configs = [
+            ("jitter", base),
+            (
+                "jitter-off",
+                ExecConfig {
+                    jitter: Jitter::none(),
+                    ..base
+                },
+            ),
+            (
+                "pct",
+                ExecConfig {
+                    sched: resolve_strategy(SchedStrategy::pct(3), instrs),
+                    ..base
+                },
+            ),
+            (
+                "preempt-bound",
+                ExecConfig {
+                    sched: SchedStrategy::preempt_bound(),
+                    ..base
+                },
+            ),
+        ];
+        for (name, cfg) in configs {
+            let label = format!("{} {name}", w.name);
+            let feed = |mode| {
+                let mut sup = AccessFeed::default();
+                let r = execute_supervised_mode(&p, &cfg, &mut sup, mode);
+                (r, sup.0)
+            };
+            let (flat, flat_feed) = feed(InterpMode::Flat);
+            let (refr, refr_feed) = feed(InterpMode::Reference);
+            assert_identical(&flat, &refr, &label);
+            assert!(!flat_feed.is_empty(), "{label}: no access was fed");
+            if let Some(i) = (0..flat_feed.len().max(refr_feed.len()))
+                .find(|&i| flat_feed.get(i) != refr_feed.get(i))
+            {
+                panic!(
+                    "{label}: access event {i} diverged: flat {:?}, reference {:?}",
+                    flat_feed.get(i),
+                    refr_feed.get(i)
+                );
+            }
+            let att_flat = detect_mode(&p, &cfg, InterpMode::Flat);
+            let att_refr = detect_mode(&p, &cfg, InterpMode::Reference);
+            assert_eq!(
+                att_flat.report, att_refr.report,
+                "{label}: reports diverged"
+            );
+            assert_identical(&att_flat.result, &att_refr.result, &label);
+        }
+    }
+}
+
+/// Observing a recording does not change it: with FastTrack attached
+/// beside the recorder, as a swept cell attaches it, the log bytes and
+/// the result are a plain recording's. Checked on every workload's
+/// instrumented program and every `fixtures/*.mc`, original and
+/// instrumented, under the grid's three default strategies.
+#[test]
+fn observing_a_recording_with_the_detector_leaves_it_unchanged() {
+    let instrumented = |p: &Program| analyze(p, &PipelineConfig::default()).instrumented;
+    let mut programs: Vec<(String, Program)> = Vec::new();
+    for w in all() {
+        let p = w
+            .compile(&Params {
+                workers: 4,
+                scale: 1,
+            })
+            .expect("workload compiles");
+        programs.push((format!("{} instrumented", w.name), instrumented(&p)));
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures");
+    let mut fixtures: Vec<_> = std::fs::read_dir(dir)
+        .expect("fixtures directory")
+        .map(|e| e.expect("fixture entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "mc"))
+        .collect();
+    fixtures.sort();
+    assert!(!fixtures.is_empty(), "no fixtures under {dir}");
+    for path in fixtures {
+        let src = std::fs::read_to_string(&path).expect("fixture reads");
+        let p = compile(&src).expect("fixture compiles");
+        let name = path.display().to_string();
+        programs.push((format!("{name} instrumented"), instrumented(&p)));
+        programs.push((name, p));
+    }
+    let grid = Grid {
+        seeds: vec![1],
+        ..Grid::default()
+    };
+    for (name, p) in &programs {
+        for cell in grid.cells(p) {
+            let cfg = ExecConfig {
+                seed: cell.seed,
+                sched: cell.sched,
+                collect_trace: true,
+                ..grid.exec
+            };
+            let label = format!("{name} {:?}", cell.sched);
+            let plain = record(p, &cfg);
+            let mut detector = RaceDetector::new(p);
+            let observed = record_observed(p, &cfg, &mut detector);
+            assert!(
+                plain.logs.to_bytes() == observed.logs.to_bytes(),
+                "{label}: observing changed the log bytes"
+            );
+            assert_identical(&plain.result, &observed.result, &label);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Engine counter pin
 // ---------------------------------------------------------------------------
@@ -411,24 +580,24 @@ fn detector_feed_masked_off_and_attached_leave_modes_identical() {
 /// 4 workers and seed 42.
 #[rustfmt::skip]
 const ENGINE_PINS: &[(&str, [u64; 8])] = &[
-    ("aget@1", [0x8810c915cbbaa38c, 0xd1b500b295524f41, 0x3c82ba2d7a40b098, 0xc62fda3fc554c27d, 0xe600ee975e3db879, 0xdf2ed6d2f66a243d, 0xf88e4ffdaf55e965, 0x9ec97316d8edfb07]),
-    ("pfscan@1", [0xf42b168565a1eae5, 0x65839746cd635f45, 0x879993bd0f11645a, 0xfef24b2d25c9a5c9, 0xbc866d3abd1319ee, 0x4254a67109b456aa, 0xbf94aa3c4bbb4762, 0x12817bca6f4924df]),
-    ("pbzip2@1", [0x86ac83d0ab4cbeee, 0x2c6e7599d2107e32, 0x6d15e2e1e8a2cdc1, 0x383154b4a4fafb3a, 0xaaa8fbbd88552a00, 0xec48518217b63c10, 0x55ac1c8fbcfa5031, 0x367b974fadd79f24]),
-    ("knot@1", [0x500e7d77f000f5a1, 0x343e44576b79f804, 0x3616e776d0f1957e, 0xff1d747ef77a6e1e, 0x89cb9f06a6d57a88, 0x15c1c81525219550, 0x2bbae26b4bbf6673, 0x2b2bef821b2f558b]),
-    ("apache@1", [0xd239fdb95263364a, 0x5abd571214bde3d5, 0x3dcc29b5cefe1555, 0xce92cf32f7274af9, 0xcf21f137e34f9ea5, 0x6b81a2c73d8f76d5, 0xf7ff306943836dc0, 0x671e0008a441824a]),
-    ("ocean@1", [0x868ddf507bb0ec9b, 0xa2701de0b035f1e3, 0xeadf2dd08ea41199, 0xd700b3ffdf03a35b, 0x6f1b6e69f05060a9, 0x990d7a27e695b31a, 0x1eec4a46c71e1afa, 0xb1a40df712537af1]),
-    ("water@1", [0xd0d5598ed3786b4d, 0x12bf1cd2133628ce, 0x0f3a40985debb99d, 0x49a85923e9cf5636, 0xa4fc4bdd44055b5c, 0x8656d94b0f366d64, 0xaa134502d302f2c5, 0xbccb05a70af368f4]),
-    ("fft@1", [0x7b81258430b77ed2, 0x074fc7f9f5de38a6, 0x681301fd09fdc9cd, 0xcd70a72959c64bbf, 0x40fd9bf7567867aa, 0x684dddfb10799f65, 0x95b19426f17445fb, 0x51332d44a166f0d7]),
-    ("radix@1", [0xd7be62649b5ce3d7, 0x426114479419fb4d, 0x67509685b85d1208, 0xbc0cc79c662d1cd1, 0xb4855b6b0c87c5ae, 0x4a912742caed471b, 0xba178afcca74521c, 0xcc3f9e190d49b435]),
-    ("aget@4", [0x76c11a95959e237b, 0xb228a1bca557d1ff, 0xcb3be418410bc366, 0x715cb3a4bffd9e70, 0xcba016486dd08db9, 0x43bc805c8441b6be, 0x3a14e5b8beffe857, 0x905c05b47a2d5b1c]),
-    ("pfscan@4", [0x81856250fdb0934b, 0xc57896a63174b83d, 0x99b51c5befd6b761, 0x2b6edfdc21d11106, 0x8ca9be8789995e9f, 0xccca27dcf27e3337, 0x0ea78877bc7e5309, 0xcfa75b7e402ad958]),
-    ("pbzip2@4", [0xfb44ba1d700cc4e1, 0x26d5420f6b3eb94a, 0x4661adb20f2a5aa7, 0x9b43a0a3f1186025, 0xcab47395c36e14ea, 0x442affbbd9aac8f3, 0xab602daf5a02587c, 0xccf65a388961ae35]),
-    ("knot@4", [0x2d1384adec3a93e4, 0xb4aabe6d6f9f62d7, 0xbfc9a15025e0cd7a, 0x4c1a12a9703d4e55, 0xffe7f5527d569c39, 0x7f737fc53fb2d427, 0x274cf860c7839fcc, 0xbc5c68424601f644]),
-    ("apache@4", [0x1ec36de906e94fdf, 0xd5c26a6603c47766, 0x0ed4476fbd95abbc, 0x03d11211c9dc5eeb, 0x28b16a2ccc59e095, 0x4f7852b2526b53ac, 0x5d6ec39da7ec5ac5, 0xebbd02885f228845]),
-    ("ocean@4", [0xdb551ecea32edbb9, 0x13620ed940dfcef6, 0x77487b67d7aee555, 0xdbb7c8e22ad3a571, 0x2e1b1317eff1f3ff, 0xe5bca06070ebe136, 0xbda2a0fa8dab1bf7, 0x69debd2bf8199666]),
-    ("water@4", [0x9e64de0f43cba718, 0xac825eeb570902ac, 0xe94b7aa1a7c6675d, 0x750967aecf2be3d5, 0x233ef1027851fc53, 0x12ca848f7d9952b3, 0x1d61fc2a9531d174, 0x6c327fac4a386b83]),
-    ("fft@4", [0xb029596c60527ac0, 0x1daa2a527155accb, 0x3358e57a75e85829, 0xabe5fb8b9aaeb061, 0x8d60bc480ace65a8, 0x890ae86dcb2a28a2, 0x899ec86ef2e9a262, 0xccb50b2669dbae7d]),
-    ("radix@4", [0x0016262c41a4c0d5, 0x8e9ba3373ab99828, 0x2ea118d0f2d95ceb, 0xb89003d630eb42fb, 0xbd1de118e7a10974, 0xa1296ff5cde61995, 0x9ff12980475fe317, 0x56abcd53752ef7e2]),
+    ("aget@1", [0x8810c915cbbaa38c, 0xd1b500b295524f41, 0x3c82ba2d7a40b098, 0xc62fda3fc554c27d, 0xe600ee975e3db879, 0xdf2ed6d2f66a243d, 0xf88e4ffdaf55e965, 0x50ca302435e5c9cf]),
+    ("pfscan@1", [0xf42b168565a1eae5, 0x65839746cd635f45, 0x879993bd0f11645a, 0xfef24b2d25c9a5c9, 0xbc866d3abd1319ee, 0x4254a67109b456aa, 0xbf94aa3c4bbb4762, 0xf107d4177db8b95b]),
+    ("pbzip2@1", [0x86ac83d0ab4cbeee, 0x2c6e7599d2107e32, 0x6d15e2e1e8a2cdc1, 0x383154b4a4fafb3a, 0xaaa8fbbd88552a00, 0xec48518217b63c10, 0x55ac1c8fbcfa5031, 0x2736dbb4439430cc]),
+    ("knot@1", [0x500e7d77f000f5a1, 0x343e44576b79f804, 0x3616e776d0f1957e, 0xff1d747ef77a6e1e, 0x89cb9f06a6d57a88, 0x15c1c81525219550, 0x2bbae26b4bbf6673, 0xf88ea5e37c600ec7]),
+    ("apache@1", [0xd239fdb95263364a, 0x5abd571214bde3d5, 0x3dcc29b5cefe1555, 0xce92cf32f7274af9, 0xcf21f137e34f9ea5, 0x6b81a2c73d8f76d5, 0xf7ff306943836dc0, 0xe778b743f00f82dd]),
+    ("ocean@1", [0x868ddf507bb0ec9b, 0xa2701de0b035f1e3, 0xeadf2dd08ea41199, 0xd700b3ffdf03a35b, 0x6f1b6e69f05060a9, 0x990d7a27e695b31a, 0x1eec4a46c71e1afa, 0x138697b93dfda658]),
+    ("water@1", [0xd0d5598ed3786b4d, 0x12bf1cd2133628ce, 0x0f3a40985debb99d, 0x49a85923e9cf5636, 0xa4fc4bdd44055b5c, 0x8656d94b0f366d64, 0xaa134502d302f2c5, 0x279cc0a4fb854047]),
+    ("fft@1", [0x7b81258430b77ed2, 0x074fc7f9f5de38a6, 0x681301fd09fdc9cd, 0xcd70a72959c64bbf, 0x40fd9bf7567867aa, 0x684dddfb10799f65, 0x95b19426f17445fb, 0x38c1e21ecbf50596]),
+    ("radix@1", [0xd7be62649b5ce3d7, 0x426114479419fb4d, 0x67509685b85d1208, 0xbc0cc79c662d1cd1, 0xb4855b6b0c87c5ae, 0x4a912742caed471b, 0xba178afcca74521c, 0x1cb634ec97582b1d]),
+    ("aget@4", [0x76c11a95959e237b, 0xb228a1bca557d1ff, 0xcb3be418410bc366, 0x715cb3a4bffd9e70, 0xcba016486dd08db9, 0x43bc805c8441b6be, 0x3a14e5b8beffe857, 0x5340eed74d20d972]),
+    ("pfscan@4", [0x81856250fdb0934b, 0xc57896a63174b83d, 0x99b51c5befd6b761, 0x2b6edfdc21d11106, 0x8ca9be8789995e9f, 0xccca27dcf27e3337, 0x0ea78877bc7e5309, 0x1861f9bd0f1dc469]),
+    ("pbzip2@4", [0xfb44ba1d700cc4e1, 0x26d5420f6b3eb94a, 0x4661adb20f2a5aa7, 0x9b43a0a3f1186025, 0xcab47395c36e14ea, 0x442affbbd9aac8f3, 0xab602daf5a02587c, 0x5b5b62fc0f6393aa]),
+    ("knot@4", [0x2d1384adec3a93e4, 0xb4aabe6d6f9f62d7, 0xbfc9a15025e0cd7a, 0x4c1a12a9703d4e55, 0xffe7f5527d569c39, 0x7f737fc53fb2d427, 0x274cf860c7839fcc, 0xeca0524030eb905d]),
+    ("apache@4", [0x1ec36de906e94fdf, 0xd5c26a6603c47766, 0x0ed4476fbd95abbc, 0x03d11211c9dc5eeb, 0x28b16a2ccc59e095, 0x4f7852b2526b53ac, 0x5d6ec39da7ec5ac5, 0x44193a8b39a3dda9]),
+    ("ocean@4", [0xdb551ecea32edbb9, 0x13620ed940dfcef6, 0x77487b67d7aee555, 0xdbb7c8e22ad3a571, 0x2e1b1317eff1f3ff, 0xe5bca06070ebe136, 0xbda2a0fa8dab1bf7, 0x6d122def99be2154]),
+    ("water@4", [0x9e64de0f43cba718, 0xac825eeb570902ac, 0xe94b7aa1a7c6675d, 0x750967aecf2be3d5, 0x233ef1027851fc53, 0x12ca848f7d9952b3, 0x1d61fc2a9531d174, 0x41bb7eb13e0776ba]),
+    ("fft@4", [0xb029596c60527ac0, 0x1daa2a527155accb, 0x3358e57a75e85829, 0xabe5fb8b9aaeb061, 0x8d60bc480ace65a8, 0x890ae86dcb2a28a2, 0x899ec86ef2e9a262, 0xf0d1c9f67eda56e3]),
+    ("radix@4", [0x0016262c41a4c0d5, 0x8e9ba3373ab99828, 0x2ea118d0f2d95ceb, 0xb89003d630eb42fb, 0xbd1de118e7a10974, 0xa1296ff5cde61995, 0x9ff12980475fe317, 0x62f643c58f3ea3d4]),
 ];
 
 fn fnv64(s: &str) -> u64 {
